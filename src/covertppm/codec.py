@@ -118,7 +118,6 @@ class Session:
     delta_effective: float | None = None
     llr_max: float = DEFAULT_LLR_MAX
     key_store: dict[int, np.ndarray] = field(default_factory=dict)
-    chain_state: np.ndarray | None = None  # secret bits awaiting reuse as keys
 
     @property
     def q(self) -> int:
@@ -543,7 +542,6 @@ def run_chain(
             ) if session.u else np.array([], dtype=np.uint8)
             tx_keys = _split_keys(session, tx_flat[:n_key])
             rx_keys = _split_keys(session, rx_flat[:n_key])
-    session.chain_state = None
 
     message_bits = B * (session.total_message_bits() + session.total_secret_bits())
     key_first = n_key

@@ -204,18 +204,26 @@ class BinaryField:
         return 1 << self.w
 
 
+# (w, modulus) pairs from the bundled table that passed the Rabin test in
+# this process; the table cannot change while it runs
+_VERIFIED_BUNDLED: set[tuple[int, int]] = set()
+
+
 def make_field(w: int, modulus: int | None = None) -> BinaryField:
     """Build GF(2^w), looking the modulus up in the bundled table by default.
 
-    Widths missing from the table are filled by a sequential low-weight
-    search verified with the Rabin test.
+    A bundled modulus is verified with the Rabin test the first time its
+    width is used in a process.  Widths missing from the table are filled
+    by a sequential low-weight search verified with the Rabin test.
     """
     if modulus is None:
         modulus = _bundled_moduli().get(w)
         if modulus is None:
             modulus = _search_irreducible(w)
-        elif not is_irreducible(modulus):
-            raise FieldError(f"bundled modulus for w={w} failed verification")
+        elif (w, modulus) not in _VERIFIED_BUNDLED:
+            if not is_irreducible(modulus):
+                raise FieldError(f"bundled modulus for w={w} failed verification")
+            _VERIFIED_BUNDLED.add((w, modulus))
     return BinaryField(w=w, modulus=modulus)
 
 

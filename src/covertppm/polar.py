@@ -2,8 +2,25 @@
 construction for the level channels.
 
 The transform is the n-fold Kronecker power of [[1,0],[1,1]] in natural
-(non-bit-reversed) order, computed by an in-place butterfly.  Over GF(2) the
-kernel is an involution, so encoding applied twice is the identity.
+(non-bit-reversed) order, computed by an in-place butterfly with one numpy
+operation per stage.  Over GF(2) the kernel is an involution, so encoding
+applied twice is the identity.
+
+The decoder is successive cancellation (SC) organised as simplified SC
+(Alamdar-Yazdi & Kschischang, IEEE Comm. Letters 2011): a subtree whose
+positions are all frozen or pinned (rate 0) emits its known values without
+visiting its leaves, and a subtree with none of them (rate 1) takes hard
+decisions on its LLRs followed by one transform.  The rate-1 shortcut is
+taken only when it provably reproduces SC bit for bit: for a node of size
+2^d every LLR must satisfy d*ln2 + 1 <= |L| <= 2^20.  The exact check-node
+map keeps |f(a, b)| >= log cosh(min(|a|, |b|)) >= min(|a|, |b|) - ln2, and
+inside a rate-1 node the bit-node map adds same-signed terms, so every
+intermediate LLR keeps a magnitude of at least 1; the upper bound keeps the
+rounding error of f far below that margin.  No zero ties or sign flips can
+occur, and the SC decisions equal the hard decisions.  Otherwise the node
+recurses exactly as plain SC, so the output is identical to SC for every
+input, zero and non-finite LLRs included.  Repetition and single-parity-check
+nodes are deliberately absent: they are maximum-likelihood, not SC, decoders.
 
 Construction is genie-aided Monte Carlo: transmit the all-zero codeword,
 compute every successive-cancellation decision LLR with all previous bits
@@ -16,6 +33,7 @@ LLRs are natural-log throughout; decision convention is L >= 0 -> bit 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +44,17 @@ def _check_power_of_two(n: int):
         raise ValueError(f"length must be a power of two, got {n}")
 
 
+def _butterfly(x: np.ndarray) -> np.ndarray:
+    # in place over a contiguous 1-D uint8 array of power-of-two length
+    n = x.shape[0]
+    step = 1
+    while step < n:
+        v = x.reshape(-1, 2, step)
+        v[:, 0, :] ^= v[:, 1, :]
+        step *= 2
+    return x
+
+
 def polar_transform(u) -> np.ndarray:
     """x = u G over GF(2) with G the polar kernel power; involutive.
 
@@ -34,14 +63,8 @@ def polar_transform(u) -> np.ndarray:
     x = np.array(u, dtype=np.uint8) & 1
     if x.ndim != 1:
         raise ValueError("input must be a 1-D bit vector")
-    n = x.shape[0]
-    _check_power_of_two(n)
-    step = 1
-    while step < n:
-        for start in range(0, n, 2 * step):
-            x[start:start + step] ^= x[start + step:start + 2 * step]
-        step *= 2
-    return x
+    _check_power_of_two(x.shape[0])
+    return _butterfly(x)
 
 
 def _f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -115,23 +138,56 @@ def all_frozen_code(ell: int, level: int = 0, values=None) -> PolarLevelCode:
     )
 
 
-def _sc_recurse(llr: np.ndarray, mask: np.ndarray, vals: np.ndarray,
-                start: int) -> tuple[np.ndarray, np.ndarray]:
+# rate-1 certification (module docstring): d*ln2 + 1 <= |L| <= 2^20 for a
+# node of size 2^d; the cap keeps the rounding error of f far below 1
+_LN2 = math.log(2.0)
+_RATE1_LLR_CAP = float(1 << 20)
+
+
+def _emit_known(start: int, end: int, nonzero: list, vals: np.ndarray,
+                u: np.ndarray, x: np.ndarray):
+    # rate-0 node: every position frozen or pinned, whatever the LLRs say
+    u[start:end] = vals[start:end]
+    x[start:end] = u[start:end]
+    if nonzero[end] != nonzero[start]:
+        _butterfly(x[start:end])
+
+
+def _ssc(llr: np.ndarray, start: int, fixed: list, nonzero: list,
+         vals: np.ndarray, u: np.ndarray, x: np.ndarray):
+    """Decode the node covering [start, start + len(llr)) into u and x.
+
+    The node holds at least one free position.  ``fixed`` and ``nonzero``
+    are prefix sums of the frozen-or-pinned mask and of the nonzero known
+    values, so each node is classified in O(1); a rate-0 child is emitted
+    without computing its LLRs.  ``x`` receives the node's partial sums
+    (the transform of its slice of ``u``).
+    """
     n = llr.shape[0]
     if n == 1:
-        if mask[start]:
-            u = vals[start]
-        else:
-            u = np.uint8(0) if llr[0] >= 0.0 else np.uint8(1)
-        bit = np.array([u], dtype=np.uint8)
-        return bit, bit.copy()
+        u[start] = x[start] = 0 if llr[0] >= 0.0 else 1
+        return
+    end = start + n
+    if fixed[end] == fixed[start]:
+        mag = np.abs(llr)
+        if (mag.min() >= (n.bit_length() - 1) * _LN2 + 1.0
+                and mag.max() <= _RATE1_LLR_CAP):
+            np.less(llr, 0.0, out=x[start:end], casting="unsafe")
+            u[start:end] = x[start:end]
+            _butterfly(u[start:end])
+            return
     half = n // 2
+    mid = start + half
     a, b = llr[:half], llr[half:]
-    u_left, x_left = _sc_recurse(_f(a, b), mask, vals, start)
-    u_right, x_right = _sc_recurse(_g(a, b, x_left.astype(np.float64)),
-                                   mask, vals, start + half)
-    return (np.concatenate([u_left, u_right]),
-            np.concatenate([x_left ^ x_right, x_right]))
+    if fixed[mid] - fixed[start] == half:
+        _emit_known(start, mid, nonzero, vals, u, x)
+    else:
+        _ssc(_f(a, b), start, fixed, nonzero, vals, u, x)
+    if fixed[end] - fixed[mid] == half:
+        _emit_known(mid, end, nonzero, vals, u, x)
+    else:
+        _ssc(_g(a, b, x[start:mid]), mid, fixed, nonzero, vals, u, x)
+    x[start:mid] ^= x[mid:end]
 
 
 def sc_decode(
@@ -139,7 +195,7 @@ def sc_decode(
     code: PolarLevelCode,
     pins: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Successive-cancellation decode.
+    """Successive-cancellation decode (simplified-SC schedule, same output).
 
     ``pins`` optionally forces extra positions to known values (receiver-side
     key bits); pinned positions behave exactly like frozen ones.  Returns
@@ -153,11 +209,16 @@ def sc_decode(
     mask, vals = code.frozen_arrays()
     if pins is not None:
         idx, pv = pins
-        mask = mask.copy()
-        vals = vals.copy()
         mask[np.asarray(idx, dtype=np.int64)] = True
         vals[np.asarray(idx, dtype=np.int64)] = np.asarray(pv, dtype=np.uint8)
-    u_hat, _ = _sc_recurse(llr, mask, vals, 0)
+    fixed = [0, *np.cumsum(mask).tolist()]
+    nonzero = [0, *np.cumsum(vals != 0).tolist()]
+    u_hat = np.empty(code.ell, dtype=np.uint8)
+    x_hat = np.empty(code.ell, dtype=np.uint8)
+    if fixed[-1] == code.ell:
+        _emit_known(0, code.ell, nonzero, vals, u_hat, x_hat)
+    else:
+        _ssc(llr, 0, fixed, nonzero, vals, u_hat, x_hat)
     return u_hat, u_hat[code.message]
 
 

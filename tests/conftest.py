@@ -3,7 +3,8 @@
 Everything here recomputes quantities from first principles (full super
 channel enumeration, direct output-space sums) independently of the library's
 own algorithms, so the tests compare two genuinely different computational
-paths.
+paths.  ``sc_decode_reference`` is the plain leaf-by-leaf successive
+cancellation decoder that the library's simplified schedule must match.
 """
 
 from __future__ import annotations
@@ -110,6 +111,51 @@ def brute_set_mi(dmc: Dmc, q: int, S: set[int], conditional: bool,
             avg += (len(members) / m) * ent(rows)
         total = ent(mix_all) - avg
     return total / LN2 if base == "bits" else total
+
+
+def _sc_f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # the library's exact check-node formula, so that outputs compare bitwise
+    return np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
+
+
+def _sc_g(a: np.ndarray, b: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    return b + (1.0 - 2.0 * x1) * a
+
+
+def _sc_recurse(llr: np.ndarray, mask: np.ndarray, vals: np.ndarray,
+                start: int) -> tuple[np.ndarray, np.ndarray]:
+    n = llr.shape[0]
+    if n == 1:
+        if mask[start]:
+            u = vals[start]
+        else:
+            u = np.uint8(0) if llr[0] >= 0.0 else np.uint8(1)
+        bit = np.array([u], dtype=np.uint8)
+        return bit, bit.copy()
+    half = n // 2
+    a, b = llr[:half], llr[half:]
+    u_left, x_left = _sc_recurse(_sc_f(a, b), mask, vals, start)
+    u_right, x_right = _sc_recurse(_sc_g(a, b, x_left.astype(np.float64)),
+                                   mask, vals, start + half)
+    return (np.concatenate([u_left, u_right]),
+            np.concatenate([x_left ^ x_right, x_right]))
+
+
+def sc_decode_reference(channel_llrs, code, pins=None):
+    """Plain successive cancellation, one leaf at a time.
+
+    Visits every leaf of the decoding tree, with no node specialisation; the
+    library's ``sc_decode`` must return the same ``(u_hat, info_bits)`` bit
+    for bit.
+    """
+    llr = np.asarray(channel_llrs, dtype=np.float64)
+    mask, vals = code.frozen_arrays()
+    if pins is not None:
+        idx, pv = pins
+        mask[np.asarray(idx, dtype=np.int64)] = True
+        vals[np.asarray(idx, dtype=np.int64)] = np.asarray(pv, dtype=np.uint8)
+    u_hat, _ = _sc_recurse(llr, mask, vals, 0)
+    return u_hat, u_hat[code.message]
 
 
 def brute_ppm_divergence(dmc: Dmc, m: int, base: str = "nats") -> float:

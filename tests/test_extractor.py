@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covertppm import extractor
 from covertppm.extractor import (
     BinaryField,
     ExtractorConfig,
@@ -101,6 +102,28 @@ class TestField:
         field = make_field(67)
         assert field.w == 67
         assert is_irreducible(field.modulus)
+
+    def test_bundled_modulus_verified_once_per_process(self, monkeypatch):
+        monkeypatch.setattr(extractor, "_VERIFIED_BUNDLED", set())
+        tested = []
+
+        def counting(f):
+            tested.append(f)
+            return is_irreducible(f)
+
+        monkeypatch.setattr(extractor, "is_irreducible", counting)
+        first, again = make_field(1024), make_field(1024)
+        assert first == again
+        assert tested == [_bundled_moduli()[1024]]
+
+    def test_corrupted_bundled_modulus_rejected(self, monkeypatch):
+        make_field(128)  # the genuine entry is verified and remembered
+        table = dict(_bundled_moduli())
+        table[128] = (1 << 128) | 1  # x^128 + 1 = (x + 1)^128
+        monkeypatch.setattr(extractor, "_bundled_moduli", lambda: table)
+        for _ in range(2):  # a failed check is not remembered
+            with pytest.raises(FieldError):
+                make_field(128)
 
 
 class TestExtInv:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import sc_decode_reference
 from covertppm.channels import bsc
 from covertppm.codec import make_level_llr_sampler
 from covertppm.levels import DEFAULT_LLR_MAX, level_capacity, level_llrs
@@ -18,6 +21,14 @@ from covertppm.polar import (
 
 def noiseless_llrs(codeword: np.ndarray) -> np.ndarray:
     return DEFAULT_LLR_MAX * (1.0 - 2.0 * codeword.astype(np.float64))
+
+
+def kronecker_generator(ell: int) -> np.ndarray:
+    """G = F^(kron n) with F = [[1, 0], [1, 1]], built explicitly."""
+    g = np.ones((1, 1), dtype=np.int64)
+    while g.shape[0] < ell:
+        g = np.kron(np.array([[1, 0], [1, 1]], dtype=np.int64), g)
+    return g
 
 
 def batch_transform(u: np.ndarray) -> np.ndarray:
@@ -49,6 +60,25 @@ class TestTransform:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             polar_transform([1, 0, 1])
+        with pytest.raises(ValueError):
+            polar_transform([])
+
+    def test_rejects_two_dimensional_input(self):
+        with pytest.raises(ValueError):
+            polar_transform(np.zeros((2, 4), dtype=np.uint8))
+
+    def test_accepts_list_input(self):
+        out = polar_transform([0, 1, 1, 1])
+        assert out.dtype == np.uint8
+        np.testing.assert_array_equal(out, [1, 0, 0, 1])
+
+    @pytest.mark.parametrize("log_ell", range(11))
+    def test_matches_kronecker_generator(self, log_ell, rng):
+        ell = 1 << log_ell
+        g = kronecker_generator(ell)
+        for u in rng.integers(0, 2, size=(8, ell), dtype=np.uint8):
+            np.testing.assert_array_equal(polar_transform(u),
+                                          (u.astype(np.int64) @ g) % 2)
 
 
 class TestScDecode:
@@ -91,6 +121,95 @@ class TestScDecode:
         code = all_frozen_code(16)
         with pytest.raises(ValueError):
             sc_decode(np.zeros(8), code)
+
+    @pytest.mark.parametrize("llrs", [(0.0, -1.0), (1e-9, -1e-9), (-0.0, -40.0),
+                                      (1e-300, -1e-300)])
+    def test_rate_one_ties_follow_sc(self, llrs):
+        # f(0, -1) = 0 decides bit 0 where the sign product says 1; the
+        # rate-1 shortcut must not apply to such nodes
+        code = _code(2, np.array([], dtype=np.int64), np.array([], dtype=np.uint8))
+        got = sc_decode(np.array(llrs), code)
+        want = sc_decode_reference(np.array(llrs), code)
+        np.testing.assert_array_equal(got[0], want[0])
+
+
+# LLR magnitudes around every decision boundary of the decoder: signed
+# zeros, subnormal-scale and tiny values that tie or nearly tie in f, values
+# either side of the rate-1 certification bounds, and the saturation level
+LLR_POOL = np.array([0.0, 1e-300, 1e-9, 0.5, 1.0, 1.7, 2.4, 3.0, 8.0,
+                     DEFAULT_LLR_MAX])
+LLR_POOL = np.concatenate([LLR_POOL, -LLR_POOL])
+# inputs the library never produces; SC turns them into NaN or cancels f
+LLR_EXTREME = np.array([1e300, -1e300, np.inf, -np.inf, np.nan])
+
+
+def _code(ell: int, frozen: np.ndarray, values: np.ndarray) -> PolarLevelCode:
+    return PolarLevelCode(
+        ell=ell, level=1, frozen=frozen, frozen_values=values,
+        message=np.setdiff1d(np.arange(ell), frozen),
+        randomized=np.array([], dtype=np.int64),
+    )
+
+
+def _frozen_set(kind: str, ell: int, rng: np.random.Generator) -> np.ndarray:
+    idx = np.arange(ell)
+    if kind == "all":
+        return idx
+    if kind == "none":
+        return idx[:0]
+    if kind == "prefix":
+        return idx[:rng.integers(0, ell + 1)]
+    if kind == "weight":
+        # Reed-Muller rule: large all-frozen and all-free subtrees
+        weight = np.array([bin(i).count("1") for i in idx])
+        return idx[weight < rng.integers(0, ell.bit_length() + 1)]
+    return idx[rng.random(ell) < rng.random()]
+
+
+def _channel_llrs(source: str, code: PolarLevelCode, pins, rng) -> np.ndarray:
+    ell = code.ell
+    if source == "pool":
+        return rng.choice(LLR_POOL, size=ell)
+    if source == "extreme":
+        return rng.choice(np.concatenate([LLR_POOL, LLR_EXTREME]), size=ell)
+    # a codeword consistent with the known positions, through a level channel
+    u = rng.integers(0, 2, size=ell, dtype=np.uint8)
+    u[code.frozen] = code.frozen_values
+    if pins is not None:
+        u[pins[0]] = pins[1]
+    sampler = make_level_llr_sampler(bsc(float(rng.uniform(0.01, 0.3))),
+                                     int(rng.integers(1, 5)))
+    llrs = sampler(ell, rng) * (1.0 - 2.0 * polar_transform(u))
+    if source == "mixed":
+        hit = rng.random(ell) < rng.random()
+        llrs[hit] = rng.choice(LLR_POOL, size=int(hit.sum()))
+    return llrs
+
+
+@pytest.mark.parametrize("mask_kind", ["all", "none", "prefix", "weight", "random"])
+@pytest.mark.parametrize("log_ell", range(13))
+@settings(max_examples=8, deadline=None)
+@given(source=st.sampled_from(["pool", "sampler", "mixed", "extreme"]),
+       pin_share=st.sampled_from([0.0, 0.3, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sc_decode_bitwise_equals_reference(log_ell, mask_kind, source,
+                                            pin_share, seed):
+    rng = np.random.default_rng(seed)
+    ell = 1 << log_ell
+    frozen = _frozen_set(mask_kind, ell, rng)
+    code = _code(ell, frozen, rng.integers(0, 2, size=frozen.shape[0],
+                                           dtype=np.uint8))
+    pins = None
+    if pin_share:
+        idx = code.message[rng.random(code.message.shape[0]) < pin_share]
+        pins = (idx, rng.integers(0, 2, size=idx.shape[0], dtype=np.uint8))
+    llrs = _channel_llrs(source, code, pins, rng)
+    with np.errstate(invalid="ignore", over="ignore"):
+        u_hat, info = sc_decode(llrs, code, pins=pins)
+        u_ref, info_ref = sc_decode_reference(llrs, code, pins=pins)
+    assert u_hat.dtype == np.uint8 and info.dtype == np.uint8
+    np.testing.assert_array_equal(u_hat, u_ref)
+    np.testing.assert_array_equal(info, info_ref)
 
 
 class TestConstruction:
