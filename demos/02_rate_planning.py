@@ -7,17 +7,16 @@ covert capacity sqrt(2 / chi2(Q1||Q0)) * D(P1||P0).  Growing the PPM order
 closes the gap.
 """
 
-from covertppm import ChannelPair, bac, bsc, msd_rate_plan, throughput_summary
+from covertppm import bac, bsc, msd_rate_plan, throughput_summary
 from covertppm.levels import plan_to_text
 
 bob, willie = bsc(0.05), bsc(0.1)
-pair = ChannelPair.of(bob, willie)
 
 print("Degraded pair BSC(0.05) -> BSC(0.1), delta = 1:")
 print(f"  {'m':>6} {'ell':>6} {'throughput':>11} {'capacity':>9} {'gap':>7}")
 for q in range(6, 13):
     plan = msd_rate_plan(bob, willie, q, delta=1.0, epsilon=0.01, degraded=True)
-    s = throughput_summary(plan, pair.bob_stats, pair.willie_stats)
+    s = throughput_summary(plan, bob.stats, willie.stats)
     gap = 100 * (1 - s.covert_throughput / s.covert_capacity)
     print(f"  {plan.m:6d} {plan.ell:6d} {s.covert_throughput:11.4f} "
           f"{s.covert_capacity:9.4f} {gap:6.2f}%")

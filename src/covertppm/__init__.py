@@ -9,14 +9,12 @@ warden's side (linear-code detection and covertness estimators).
 """
 
 from .channels import (
-    ChannelPair,
     DivergenceStats,
     Dmc,
     bac,
     bsc,
     divergence_stats,
     make_dmc,
-    sample_output,
     sample_outputs,
     verify_degradation,
 )

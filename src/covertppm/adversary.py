@@ -110,23 +110,11 @@ def distinct_column_set(code: LinearCode) -> np.ndarray:
     The representatives are pairwise linearly independent over GF(2), and
     there are at least k of them because the generator has full rank.
     """
-    g = code.generator
-    weights = (1 << np.arange(code.k, dtype=object))
-    keys = (g.astype(object) * weights[:, None]).sum(axis=0)
-    seen: dict[object, int] = {}
-    for j, key in enumerate(keys):
-        if key != 0 and key not in seen:
-            seen[key] = j
-    return np.array(sorted(seen.values()), dtype=np.int64)
-
-
-def _ratio_table(willie: Dmc) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(
-            willie.row0 > 0,
-            (willie.row1 - willie.row0) / willie.row0,
-            np.inf,
-        )
+    cols = np.ascontiguousarray(np.packbits(code.generator, axis=0).T)
+    keys = cols.view(np.dtype((np.void, cols.shape[1]))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    first = first[cols[first].any(axis=1)]  # drop the all-zero column
+    return np.sort(first).astype(np.int64)
 
 
 def test_statistic(z, S, willie: Dmc) -> float:
@@ -139,7 +127,7 @@ def test_statistic(z, S, willie: Dmc) -> float:
     S = np.asarray(S, dtype=np.int64)
     if S.size and (S.min() < 0 or S.max() >= z.shape[0]):
         raise ValueError("S indexes outside the observation")
-    return float(_ratio_table(willie)[z[S]].mean())
+    return float(willie.centred_ratio[z[S]].mean())
 
 
 @dataclass(frozen=True)
@@ -182,15 +170,19 @@ def detect_linear_code(
     trial through the fixed code.  The report carries the empirical rates and
     the analytic bounds both in the stated form (with k) and the tighter form
     with |S| distinct columns.  A channel with chi2 = 0 makes the statistic
-    identically zero; the report is then flagged undetectable.
+    identically zero; the report is then flagged undetectable.  A channel
+    whose Q1 has mass outside the support of Q0 is rejected with
+    ``ValueError``: its chi2 is infinite and the statistic unbounded.
     """
+    if not willie.stats.finite:
+        raise ValueError(
+            "Willie's Q1 has mass outside the support of Q0: chi2 is infinite "
+            "and the detector statistic is unbounded"
+        )
     S = distinct_column_set(code)
     s_size = int(S.shape[0])
-    ratio = _ratio_table(willie)
-    diff = willie.row1 - willie.row0
-    sup = willie.row0 > 0
-    chi2 = float(np.sum(diff[sup] ** 2 / willie.row0[sup]))
-    chi3 = float(np.sum(diff[sup] ** 3 / willie.row0[sup] ** 2))
+    ratio = willie.centred_ratio
+    chi2, chi3 = willie.stats.chi2, willie.stats.chi3
     if chi2 == 0.0:
         return DetectionReport(
             gamma=0.0, trials=trials, s_size=s_size, k=code.k,
@@ -203,9 +195,7 @@ def detect_linear_code(
     if gamma is None:
         gamma = chi2 / 4.0
 
-    cdf0 = np.cumsum(willie.row0)
-    cdf1 = np.cumsum(willie.row1)
-    cdf0[-1] = cdf1[-1] = 1.0
+    cdf0, cdf1 = willie.cdf0, willie.cdf1
     g_s = code.generator[:, S].astype(np.float32)
 
     def h0_stats(n: int) -> np.ndarray:
@@ -358,6 +348,21 @@ def _kl_nats(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p[sup] * np.log(p[sup] / q[sup])))
 
 
+def _pulse_laws(willie: Dmc, m: int, ell: int, max_outputs: int):
+    """Output count |Z|^(m ell) and, per pulse position 1..m, the super-symbol
+    output law; raises :class:`OracleBudgetError` beyond ``max_outputs``."""
+    n_out = willie.alphabet_size ** (m * ell)
+    if n_out > max_outputs:
+        raise OracleBudgetError(
+            f"{n_out} output sequences exceed the oracle budget {max_outputs}"
+        )
+    sym_dist = [
+        _kron_all([willie.row1 if c == p else willie.row0 for c in range(1, m + 1)])
+        for p in range(1, m + 1)
+    ]
+    return n_out, sym_dist
+
+
 @dataclass(frozen=True)
 class OracleReport:
     """All exact covertness quantities of a tiny instance, in nats."""
@@ -391,21 +396,11 @@ def exact_kl_oracle(
     output; anything beyond ``max_outputs`` raises
     :class:`OracleBudgetError`.
     """
-    a = willie.alphabet_size
-    n_out = a ** (m * ell)
-    if n_out > max_outputs:
-        raise OracleBudgetError(
-            f"{n_out} output sequences exceed the oracle budget {max_outputs}"
-        )
+    n_out, sym_dist = _pulse_laws(willie, m, ell, max_outputs)
     total = sum(position_weights.values())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"position weights sum to {total}, expected 1")
 
-    # single super-symbol distribution for each pulse position
-    sym_dist = []
-    for p in range(1, m + 1):
-        rows = [willie.row1 if c == p else willie.row0 for c in range(1, m + 1)]
-        sym_dist.append(_kron_all(rows))
     q0_sym = _kron_all([willie.row0] * m)
     qppm_sym = np.mean(sym_dist, axis=0)
 
@@ -455,14 +450,7 @@ def exact_tv(
     max_outputs: int = 1 << 20,
 ) -> float:
     """Exact total variation between the outputs induced by two position laws."""
-    a = willie.alphabet_size
-    n_out = a ** (m * ell)
-    if n_out > max_outputs:
-        raise OracleBudgetError(f"{n_out} output sequences exceed the budget")
-    sym_dist = []
-    for p in range(1, m + 1):
-        rows = [willie.row1 if c == p else willie.row0 for c in range(1, m + 1)]
-        sym_dist.append(_kron_all(rows))
+    n_out, sym_dist = _pulse_laws(willie, m, ell, max_outputs)
     dist = np.zeros(n_out)
     for tup, w in pw_a.items():
         dist += w * _kron_all([sym_dist[p - 1] for p in tup])
@@ -513,10 +501,8 @@ def _level_statistics(
 ) -> np.ndarray:
     """Per-super-symbol level-i LLR statistic given the true higher bits."""
     q = level_bits.shape[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(willie.row0 > 0, willie.row1 / willie.row0, np.inf)
     sub = select_positions_batch(outputs, level_bits[i:q], i)
-    return level_llrs(lam[sub])
+    return level_llrs(willie.lam[sub])
 
 
 def covertness_estimate(
@@ -546,10 +532,7 @@ def covertness_estimate(
     scheme_lr = np.empty(blocks)
     innocent_lr = np.empty(blocks)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(willie.row0 > 0, willie.row1 / willie.row0, np.inf)
-    cdf0 = np.cumsum(willie.row0)
-    cdf0[-1] = 1.0
+    lam = willie.lam
 
     def mixture_stat(outputs: np.ndarray) -> float:
         mean_lam = lam[outputs].mean(axis=1)
@@ -582,7 +565,7 @@ def covertness_estimate(
                 _level_statistics(willie, ref_out.symbols, ref_bits, i)
             )
 
-        innocent = np.searchsorted(cdf0, rng.random((ell, m)), side="right")
+        innocent = np.searchsorted(willie.cdf0, rng.random((ell, m)), side="right")
         innocent_lr[b] = mixture_stat(innocent)
 
     level_tv: dict[int, float] = {}
@@ -613,10 +596,6 @@ def covertness_estimate(
         lrt_ci3=ci3,
         baseline="ppm-mixture",
         d_qppm_q0_exact=ell * ppm_output_divergence(willie, m, "nats"),
-        d_qppm_q0_bound=ppm_divergence_bound(
-            float(np.sum((willie.row1 - willie.row0) ** 2
-                         / np.where(willie.row0 > 0, willie.row0, 1.0))),
-            m, ell,
-        ),
+        d_qppm_q0_bound=ppm_divergence_bound(willie.stats.chi2, m, ell),
         bins=bins,
     )

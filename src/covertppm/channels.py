@@ -11,14 +11,21 @@ from these two rows in a single pass:
     rho(p, q)   = sum_z p(z) ((p(z)-q(z))/q(z))^3
     tv(p, q)    = (1/2) sum_z |p(z) - q(z)|
 
-Everything here is pure and immutable except ``sample_output``, which mutates
-only the caller-supplied random generator.
+Each :class:`Dmc` caches, on first use, the one per-channel table that every
+sampler, receiver, detector and planner reads: the output CDFs ``cdf0`` and
+``cdf1`` (last entry exactly 1, for inverse-CDF sampling), the likelihood
+ratio ``lam`` = row1/row0 and the centred ratio (row1 - row0)/row0 (both
+``inf`` off the support of row0), and ``stats``, the divergence functionals of
+(row1, row0) in nats.  The table arrays are read-only.  Everything here is
+pure and immutable; ``sample_outputs`` mutates only the caller-supplied random
+generator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +37,22 @@ ROW_SUM_EXACT = 1e-12   # invariant after normalisation
 
 class ChannelError(ValueError):
     """Raised for malformed channel definitions."""
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _ratio(num: np.ndarray, row0: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _read_only(np.where(row0 > 0, num / row0, np.inf))
+
+
+def _cdf(row: np.ndarray) -> np.ndarray:
+    cdf = np.cumsum(row)
+    cdf[-1] = 1.0
+    return _read_only(cdf)
 
 
 @dataclass(frozen=True)
@@ -48,8 +71,28 @@ class Dmc:
     def alphabet_size(self) -> int:
         return int(self.row0.shape[0])
 
-    def row(self, x: int) -> np.ndarray:
-        return self.row1 if x else self.row0
+    @cached_property
+    def cdf0(self) -> np.ndarray:
+        return _cdf(self.row0)
+
+    @cached_property
+    def cdf1(self) -> np.ndarray:
+        return _cdf(self.row1)
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """Likelihood ratio row1/row0 per output symbol, ``inf`` where row0 = 0."""
+        return _ratio(self.row1, self.row0)
+
+    @cached_property
+    def centred_ratio(self) -> np.ndarray:
+        """(row1 - row0)/row0 per output symbol, ``inf`` where row0 = 0."""
+        return _ratio(self.row1 - self.row0, self.row0)
+
+    @cached_property
+    def stats(self) -> DivergenceStats:
+        """Divergence functionals of (row1, row0) in nats."""
+        return divergence_stats(self.row1, self.row0)
 
     def __repr__(self) -> str:  # compact, used in CLI headers
         r0 = ",".join(f"{v:.12g}" for v in self.row0)
@@ -106,9 +149,7 @@ def make_dmc(row0, row1) -> Dmc:
         raise ChannelError(
             f"row length mismatch: {r0.shape[0]} vs {r1.shape[0]}"
         )
-    r0.flags.writeable = False
-    r1.flags.writeable = False
-    return Dmc(row0=r0, row1=r1)
+    return Dmc(row0=_read_only(r0), row1=_read_only(r1))
 
 
 def bsc(p: float) -> Dmc:
@@ -173,30 +214,6 @@ def divergence_stats(p, q, base: str = "nats") -> DivergenceStats:
     )
 
 
-@dataclass(frozen=True)
-class ChannelPair:
-    """Bob's and Willie's channels with their cached divergence statistics.
-
-    ``bob_stats``  = stats of (P1, P0) for Bob's channel,
-    ``willie_stats`` = stats of (Q1, Q0) for Willie's channel,
-    both in nats (convert at the point of use).
-    """
-
-    bob: Dmc
-    willie: Dmc
-    bob_stats: DivergenceStats
-    willie_stats: DivergenceStats
-
-    @classmethod
-    def of(cls, bob: Dmc, willie: Dmc) -> "ChannelPair":
-        return cls(
-            bob=bob,
-            willie=willie,
-            bob_stats=divergence_stats(bob.row1, bob.row0, base="nats"),
-            willie_stats=divergence_stats(willie.row1, willie.row0, base="nats"),
-        )
-
-
 def verify_degradation(bob: Dmc, willie: Dmc, intermediate) -> tuple[bool, float]:
     """Check whether willie = bob composed with the given intermediate channel.
 
@@ -227,21 +244,12 @@ def verify_degradation(bob: Dmc, willie: Dmc, intermediate) -> tuple[bool, float
     return residual <= 1e-9, residual
 
 
-def sample_output(dmc: Dmc, x: int, rng: np.random.Generator) -> int:
-    """Draw one output symbol index from the row selected by input bit ``x``."""
-    if x not in (0, 1):
-        raise ChannelError(f"input must be a bit, got {x!r}")
-    return int(rng.choice(dmc.alphabet_size, p=dmc.row(x)))
-
-
 def sample_outputs(dmc: Dmc, x: int, size, rng: np.random.Generator) -> np.ndarray:
-    """Vectorised :func:`sample_output`: iid draws from row ``x`` with the given shape.
+    """Iid output symbol indices drawn from row ``x``, with the given shape.
 
     Uses inverse-CDF sampling so a single uniform stream drives any alphabet.
     """
     if x not in (0, 1):
         raise ChannelError(f"input must be a bit, got {x!r}")
-    cdf = np.cumsum(dmc.row(x))
-    cdf[-1] = 1.0
-    u = rng.random(size)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    cdf = dmc.cdf1 if x else dmc.cdf0
+    return np.searchsorted(cdf, rng.random(size), side="right").astype(np.int64)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary, codec, levels
-from .channels import ChannelPair, Dmc, bac, bsc, make_dmc
+from .channels import Dmc, bac, bsc, make_dmc
 
 
 class CliError(Exception):
@@ -97,20 +97,19 @@ def _fmt(x: float) -> str:
 def cmd_tables(args) -> int:
     bob = parse_channel(args.bob)
     willie = parse_channel(args.willie) if args.willie else bob
-    pair = ChannelPair.of(bob, willie)
     rows = levels.level_mi_table(bob, willie, args.levels, args.base)
     conv = 1.0 if args.base == "nats" else 1.0 / np.log(2.0)
     lines = [
         f"# covertppm tables: levels={args.levels} base={args.base}",
         f"# bob={bob!r}",
         f"# willie={willie!r}",
-        f"# D(P1||P0)={_fmt(pair.bob_stats.kl * conv)} "
-        f"D(Q1||Q0)={_fmt(pair.willie_stats.kl * conv)} ({args.base})",
+        f"# D(P1||P0)={_fmt(bob.stats.kl * conv)} "
+        f"D(Q1||Q0)={_fmt(willie.stats.kl * conv)} ({args.base})",
         f"level,I_Y ({args.base}),I_Z ({args.base}),diff ({args.base}),"
         f"C_bound ({args.base})",
     ]
     for row in rows:
-        bound = levels.level_capacity_bound(pair.bob_stats, row.level) * conv
+        bound = levels.level_capacity_bound(bob.stats, row.level) * conv
         lines.append(
             f"{row.level},{row.i_y:.4f},{row.i_z:.4f},{row.diff:.4f},{bound:.4f}"
         )
@@ -125,8 +124,7 @@ def cmd_plan(args) -> int:
         bob, willie, args.levels, args.delta, args.blocks, args.epsilon,
         degraded=args.degraded, ell_override=args.ell,
     )
-    pair = ChannelPair.of(bob, willie)
-    summary = levels.throughput_summary(plan, pair.bob_stats, pair.willie_stats)
+    summary = levels.throughput_summary(plan, bob.stats, willie.stats)
     _write(args.out, levels.plan_to_text(plan))
     key_bits = plan.ell * plan.sum_rk()
     print(f"plan written: q={plan.q} m={plan.m} ell={plan.ell} B={plan.B} u={plan.u}")

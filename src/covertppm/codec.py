@@ -24,7 +24,7 @@ keys, level-ascending on both ends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,11 +79,7 @@ def make_level_llr_sampler(dmc: Dmc, i: int, llr_max: float = DEFAULT_LLR_MAX):
     if i < 1:
         raise ValueError("level index must be >= 1")
     width = 1 << i
-    cdf0 = np.cumsum(dmc.row0)
-    cdf1 = np.cumsum(dmc.row1)
-    cdf0[-1] = cdf1[-1] = 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam_table = np.where(dmc.row0 > 0, dmc.row1 / dmc.row0, np.inf)
+    cdf0, cdf1, lam = dmc.cdf0, dmc.cdf1, dmc.lam
 
     def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
         out = np.empty(count, dtype=np.float64)
@@ -96,16 +92,19 @@ def make_level_llr_sampler(dmc: Dmc, i: int, llr_max: float = DEFAULT_LLR_MAX):
             pulse = rng.integers(0, width // 2, size=n)
             rows = np.arange(n)
             sym[rows, pulse] = np.searchsorted(cdf1, u[rows, pulse], side="right")
-            out[done:done + n] = level_llrs(lam_table[sym], llr_max)
+            out[done:done + n] = level_llrs(lam[sym], llr_max)
             done += n
         return out
 
     return sampler
 
 
-@dataclass
+@dataclass(frozen=True)
 class Session:
-    """Everything needed to run blocks: plan, channels, codes, and key state."""
+    """Everything needed to run blocks: plan, channels, codes and layouts.
+
+    Keys are not session state: callers pass each block's keys explicitly.
+    """
 
     plan: RatePlan
     bob: Dmc
@@ -117,7 +116,6 @@ class Session:
     extractor_seed: int | None = None
     delta_effective: float | None = None
     llr_max: float = DEFAULT_LLR_MAX
-    key_store: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def q(self) -> int:
@@ -175,11 +173,7 @@ def build_session(
         raise SessionError("sessions need a plan in bits")
 
     ell = 1 << (plan.ell.bit_length() - 1)  # largest power of two <= plan.ell
-    chi2_w = float(
-        np.sum((willie.row1 - willie.row0) ** 2
-               / np.where(willie.row0 > 0, willie.row0, 1.0))
-    )
-    delta_effective = plan.B * ell * chi2_w / (2.0 * plan.m)
+    delta_effective = plan.B * ell * willie.stats.chi2 / (2.0 * plan.m)
     plan = plan.with_blocklength(ell)
 
     layouts: dict[int, LevelLayout] = {}
@@ -339,19 +333,18 @@ def decode_block(
 ) -> BlockResult:
     """Multistage decode of one received block, level q down to level 1.
 
-    ``keys`` are the receiver's key bits (pinned during decoding); they
-    default to the session key store.  Resolvability levels come from the
-    shared extractor input when the session runs in extractor mode, and from
-    the transmitter record otherwise (genie, reported in ``genie_levels``).
+    ``keys`` are the receiver's key bits (pinned during decoding); a level
+    missing from them is pinned to all-zero keys.  Resolvability levels come
+    from the shared extractor input when the session runs in extractor mode,
+    and from the transmitter record otherwise (genie, reported in
+    ``genie_levels``).
     Errors surface as per-level payload mismatches against ``tx`` when given.
     """
     q, ell, u = session.q, session.ell, session.u
     if received.q != q or received.ell != ell:
         raise SessionError("received block does not match the session geometry")
-    keys = keys if keys is not None else session.key_store
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam_table = np.where(session.bob.row0 > 0,
-                             session.bob.row1 / session.bob.row0, np.inf)
+    keys = keys if keys is not None else {}
+    lam = session.bob.lam
 
     x_hat = np.zeros((q, ell), dtype=np.uint8)
     genie: list[int] = []
@@ -381,7 +374,7 @@ def decode_block(
         lay = session.layouts[i]
         code = session.codes[i]
         sub = select_positions_batch(received.symbols, x_hat[i:q], i)
-        llrs = level_llrs(lam_table[sub], session.llr_max)
+        llrs = level_llrs(lam[sub], session.llr_max)
         key = np.asarray(keys.get(i, np.zeros(lay.n_key, dtype=np.uint8)),
                          dtype=np.uint8)
         if key.shape[0] != lay.n_key:
@@ -506,7 +499,6 @@ def run_chain(
         raise SessionError(f"block-1 keys must be {n_key} bits")
     tx_keys = _split_keys(session, np.asarray(fresh_keys, dtype=np.uint8))
     rx_keys = {i: v.copy() for i, v in tx_keys.items()}
-    session.key_store = {i: v.copy() for i, v in tx_keys.items()}
 
     records: list[ChainBlockRecord] = []
     genie: tuple[int, ...] = ()

@@ -195,6 +195,11 @@ def planned_blocklength(m: int, delta: float, B: int, chi2_willie: float) -> int
     """
     if chi2_willie <= 0:
         raise RatePlanError("Willie's chi2 is zero: any blocklength is covert")
+    if math.isinf(chi2_willie):
+        raise RatePlanError(
+            "Willie's chi2 is infinite (Q1 has mass outside the support of Q0): "
+            "no blocklength is covert"
+        )
     return int(math.floor(2.0 * m * delta / (B * chi2_willie) + 1e-9))
 
 
@@ -222,7 +227,8 @@ def msd_rate_plan(
     all clamped at zero.  In the degraded case (Willie's channel a further
     degradation of Bob's) the plan simplifies to r_u = I_Y - eps/q with no
     secrets and no keys.  The blocklength is floor(2 m delta / (B chi2)) with
-    chi2 of Willie's pair, unless ``ell_override`` is given.
+    chi2 of Willie's pair, unless ``ell_override`` is given; a warden whose
+    chi2 is infinite (Q1 has mass outside the support of Q0) is rejected.
 
     ``u`` defaults to the smallest cutoff for which the levels above it hold
     less than 1% of the total Bob-side capacity; passing ``u_floor`` instead
@@ -234,6 +240,15 @@ def msd_rate_plan(
         raise RatePlanError("epsilon must be > 0")
     if B < 1:
         raise RatePlanError("B must be >= 1")
+
+    if ell_override is not None:
+        ell = int(ell_override)
+    else:
+        ell = planned_blocklength(1 << q, delta, B, willie.stats.chi2)
+    if ell < 1:
+        raise RatePlanError(
+            "blocklength zero: delta too small for the chosen order and block count"
+        )
 
     mi = level_mi_table(bob, willie, q, base)
     eps_q = epsilon / q
@@ -249,19 +264,6 @@ def msd_rate_plan(
 
     if all(lr.r_u == 0 and lr.r_v == 0 for lr in per_level):
         raise RatePlanError("all rates are zero: epsilon too large for this pair")
-
-    if ell_override is not None:
-        ell = int(ell_override)
-    else:
-        chi2 = float(
-            np.sum((willie.row1 - willie.row0) ** 2
-                   / np.where(willie.row0 > 0, willie.row0, 1.0))
-        )
-        ell = planned_blocklength(1 << q, delta, B, chi2)
-    if ell < 1:
-        raise RatePlanError(
-            "blocklength zero: delta too small for the chosen order and block count"
-        )
 
     if u_floor is not None:
         candidates = [lr.level for lr in per_level if lr.r_u >= u_floor]

@@ -326,55 +326,3 @@ def resolvability_encode(
             )
     u[code.randomized] = rand
     return polar_transform(u)
-
-
-# ---------------------------------------------------------------------------
-# serialisation: same key-value document family as rate plans
-# ---------------------------------------------------------------------------
-
-CODE_HEADER = "covertppm-polarcode v1"
-
-
-def _fmt_indices(a: np.ndarray) -> str:
-    return ",".join(str(int(v)) for v in a)
-
-
-def _parse_indices(s: str) -> np.ndarray:
-    s = s.strip()
-    if not s:
-        return np.array([], dtype=np.int64)
-    return np.array([int(v) for v in s.split(",")], dtype=np.int64)
-
-
-def code_to_text(code: PolarLevelCode) -> str:
-    lines = [
-        CODE_HEADER,
-        f"ell = {code.ell}",
-        f"level = {code.level}",
-        f"mode = {code.mode}",
-        f"frozen = {_fmt_indices(code.frozen)}",
-        f"frozen_values = {_fmt_indices(code.frozen_values)}",
-        f"message = {_fmt_indices(code.message)}",
-        f"randomized = {_fmt_indices(code.randomized)}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def code_from_text(text: str) -> PolarLevelCode:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or lines[0] != CODE_HEADER:
-        raise ValueError(f"not a polar-code document (expected {CODE_HEADER!r})")
-    kv: dict[str, str] = {}
-    for ln in lines[1:]:
-        key, _, val = ln.partition("=")
-        kv[key.strip()] = val.strip()
-    return PolarLevelCode(
-        ell=int(kv["ell"]),
-        level=int(kv["level"]),
-        mode=kv["mode"],
-        frozen=_parse_indices(kv["frozen"]),
-        frozen_values=_parse_indices(kv["frozen_values"]).astype(np.uint8),
-        message=_parse_indices(kv["message"]),
-        randomized=_parse_indices(kv["randomized"]),
-    )

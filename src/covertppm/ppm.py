@@ -143,30 +143,23 @@ def transmit_super(dmc: Dmc, frame: PpmFrame, rng: np.random.Generator) -> Super
     """Send a frame through the super channel: the pulse coordinate of each
     super-symbol is drawn from row1, all other coordinates from row0."""
     ell, m = frame.ell, frame.m
-    cdf0 = np.cumsum(dmc.row0)
-    cdf1 = np.cumsum(dmc.row1)
-    cdf0[-1] = cdf1[-1] = 1.0
     u = rng.random((ell, m))
-    symbols = np.searchsorted(cdf0, u, side="right")
+    symbols = np.searchsorted(dmc.cdf0, u, side="right")
     rows = np.arange(ell)
     cols = frame.positions - 1
-    symbols[rows, cols] = np.searchsorted(cdf1, u[rows, cols], side="right")
+    symbols[rows, cols] = np.searchsorted(dmc.cdf1, u[rows, cols], side="right")
     return SuperOutput(q=frame.q, symbols=symbols.astype(np.int64))
 
 
 def likelihood_ratios(dmc: Dmc, block) -> np.ndarray:
     """Per-coordinate likelihood ratios row1(y)/row0(y) for an output block.
 
-    Coordinates with row0(y) = 0 and row1(y) > 0 yield ``inf``; both-zero
-    coordinates (symbols outside both supports) yield ``nan`` and should not
-    occur for outputs actually produced by the channel.
+    Coordinates with row0(y) = 0 yield ``inf``.
     """
     idx = np.asarray(block, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= dmc.alphabet_size):
         raise ValueError("output index outside alphabet")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        table = dmc.row1 / dmc.row0
-    return table[idx]
+    return dmc.lam[idx]
 
 
 def _xlogx(r: np.ndarray) -> np.ndarray:
@@ -187,11 +180,10 @@ def _binary_divergence(dmc: Dmc, m: int) -> float:
 
     both forms being equal; the first is used for stability.
     """
-    p0, p1 = float(dmc.row0[1]), float(dmc.row1[1])
-    lam0 = dmc.row1[0] / dmc.row0[0] if dmc.row0[0] > 0 else np.inf
-    lam1 = p1 / p0 if p0 > 0 else np.inf
-    if (dmc.row0[0] == 0 and dmc.row1[0] > 0) or (p0 == 0 and p1 > 0):
+    if not dmc.stats.finite:
         return float("inf")
+    p0 = float(dmc.row0[1])
+    lam0, lam1 = dmc.lam
     k = np.arange(m + 1, dtype=np.float64)
     # log of the binomial pmf under P0, computed stably for large m
     if p0 in (0.0, 1.0):
@@ -226,11 +218,10 @@ def _type_class_divergence(dmc: Dmc, m: int, type_budget: int) -> float:
             f"{n_types} type classes exceed budget {type_budget}; "
             "use monte_carlo_divergence"
         )
-    row0, row1 = dmc.row0, dmc.row1
-    if np.any((row0 == 0) & (row1 > 0)):
+    if not dmc.stats.finite:
         return float("inf")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(row0 > 0, row1 / row0, 0.0)
+    row0 = dmc.row0
+    lam = np.where(row0 > 0, dmc.lam, 0.0)  # no 0 * inf for symbols off both supports
     logp0 = np.where(row0 > 0, np.log(np.where(row0 > 0, row0, 1.0)), -np.inf)
     total = 0.0
     log_mfact = gammaln(m + 1)
@@ -295,11 +286,7 @@ def monte_carlo_divergence(
     """
     if m < 1 or (m & (m - 1)) != 0:
         raise ValueError(f"m must be a power of two, got {m}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(dmc.row0 > 0, dmc.row1 / dmc.row0, np.inf)
-    cdf0 = np.cumsum(dmc.row0)
-    cdf1 = np.cumsum(dmc.row1)
-    cdf0[-1] = cdf1[-1] = 1.0
+    lam, cdf0, cdf1 = dmc.lam, dmc.cdf0, dmc.cdf1
     batch = max(1, min(trials, (1 << 22) // max(m, 1)))
     acc = np.empty(trials, dtype=np.float64)
     done = 0

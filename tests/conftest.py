@@ -4,7 +4,9 @@ Everything here recomputes quantities from first principles (full super
 channel enumeration, direct output-space sums) independently of the library's
 own algorithms, so the tests compare two genuinely different computational
 paths.  ``sc_decode_reference`` is the plain leaf-by-leaf successive
-cancellation decoder that the library's simplified schedule must match.
+cancellation decoder that the library's simplified schedule must match, and
+``distinct_columns_reference`` the column-by-column scan that the packed-key
+``distinct_column_set`` must match.
 """
 
 from __future__ import annotations
@@ -173,6 +175,17 @@ def brute_ppm_divergence(dmc: Dmc, m: int, base: str = "nats") -> float:
         return float("inf")
     val = float(np.sum(ppm[sup] * np.log(ppm[sup] / p0[sup])))
     return val / LN2 if base == "bits" else val
+
+
+def distinct_columns_reference(generator) -> np.ndarray:
+    """First index (0-based) of each distinct nonzero column, ascending."""
+    g = np.asarray(generator)
+    seen: dict[tuple, int] = {}
+    for j in range(g.shape[1]):
+        col = tuple(int(v) for v in g[:, j])
+        if any(col) and col not in seen:
+            seen[col] = j
+    return np.array(sorted(seen.values()), dtype=np.int64)
 
 
 @pytest.fixture

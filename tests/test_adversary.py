@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import distinct_columns_reference
 from covertppm.adversary import (
     LinearCode,
     OracleBudgetError,
@@ -21,7 +24,7 @@ from covertppm.adversary import (
     srl_bound,
 )
 from covertppm.adversary import test_statistic as detector_statistic
-from covertppm.channels import bsc, divergence_stats, make_dmc
+from covertppm.channels import bac, bsc, divergence_stats, make_dmc
 from covertppm.codec import build_session
 from covertppm.extractor import ExtractorConfig, int_to_bits, inv, make_field
 from covertppm.levels import LevelRates, RatePlan
@@ -57,6 +60,26 @@ class TestLinearCodes:
         code = LinearCode(generator=g)
         S = distinct_column_set(code)
         np.testing.assert_array_equal(S, [0, 2, 3])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_distinct_columns_match_reference(self, data):
+        # [I_k | extra] with zero, repeated and random extra columns, shuffled:
+        # full rank by construction; k up to 20 spans several packed bytes
+        k = data.draw(st.integers(1, 20))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        cols = [np.eye(k, dtype=np.uint8)[:, j] for j in range(k)]
+        for kind in data.draw(st.lists(st.sampled_from("zrc"), max_size=24)):
+            if kind == "z":
+                cols.append(np.zeros(k, dtype=np.uint8))
+            elif kind == "r":
+                cols.append(rng.integers(0, 2, size=k, dtype=np.uint8))
+            else:
+                cols.append(cols[int(rng.integers(len(cols)))].copy())
+        g = np.stack(cols, axis=1)[:, rng.permutation(len(cols))]
+        S = distinct_column_set(LinearCode(generator=g))
+        assert S.dtype == np.int64
+        np.testing.assert_array_equal(S, distinct_columns_reference(g))
 
 
 class TestStatistic:
@@ -99,6 +122,11 @@ class TestDetect:
         code = identity_prefix_code(32, 8)
         report = detect_linear_code(code, willie, 100, rng)
         assert report.undetectable
+
+    def test_warden_off_support_rejected(self, rng):
+        # Q1 puts mass on a symbol Q0 never emits: chi2 is infinite
+        with pytest.raises(ValueError, match="outside the support of Q0"):
+            detect_linear_code(identity_prefix_code(32, 8), bac(0.0, 0.3), 100, rng)
 
     def test_empirical_rates_within_bounds(self, rng):
         willie = bsc(0.1)

@@ -11,7 +11,6 @@ from covertppm.channels import (
     bsc,
     divergence_stats,
     make_dmc,
-    sample_output,
     sample_outputs,
     verify_degradation,
 )
@@ -50,6 +49,40 @@ class TestMakeDmc:
     def test_sum_out_of_tolerance(self):
         with pytest.raises(ChannelError):
             make_dmc([0.6, 0.5], [0.5, 0.5])
+
+
+class TestChannelTable:
+    def test_cdf_last_entry_exact(self):
+        ch = make_dmc([0.1] * 10, [0.7, 0.2, 0.1] + [0.0] * 7)
+        # running sums end at 1 - 2^-53 and 1 + 2^-52: the cases the forced entry fixes
+        assert np.cumsum(ch.row0)[-1] < 1.0 < np.cumsum(ch.row1)[-1]
+        assert ch.cdf0[-1] == 1.0 and ch.cdf1[-1] == 1.0
+        np.testing.assert_array_equal(ch.cdf0[:-1], np.cumsum(ch.row0)[:-1])
+        np.testing.assert_array_equal(ch.cdf1[:-1], np.cumsum(ch.row1)[:-1])
+
+    def test_ratios_infinite_off_support(self):
+        ch = bac(0.0, 0.3)  # row0 = [1, 0], row1 = [0.3, 0.7]
+        np.testing.assert_array_equal(ch.lam, [0.3, np.inf])
+        np.testing.assert_allclose(ch.centred_ratio, [-0.7, np.inf])
+        assert not ch.stats.finite and math.isinf(ch.stats.chi2)
+
+    def test_symbol_off_both_supports(self):
+        ch = make_dmc([0.5, 0.5, 0.0], [0.3, 0.7, 0.0])
+        np.testing.assert_array_equal(ch.lam, [0.6, 1.4, np.inf])
+        assert ch.stats.finite
+
+    def test_stats_are_divergence_stats_in_nats(self):
+        ch = bac(0.1, 0.4)
+        assert ch.stats == divergence_stats(ch.row1, ch.row0, base="nats")
+
+    def test_cached_and_read_only(self):
+        ch = bsc(0.1)
+        for name in ("cdf0", "cdf1", "lam", "centred_ratio"):
+            table = getattr(ch, name)
+            assert getattr(ch, name) is table
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+        assert ch.stats is ch.stats
 
 
 class TestDivergenceStats:
@@ -167,11 +200,11 @@ class TestDegradation:
 class TestSampling:
     def test_deterministic_channel(self, rng):
         ch = make_dmc([1.0, 0.0], [0.0, 1.0])
-        assert all(sample_output(ch, 0, rng) == 0 for _ in range(20))
+        np.testing.assert_array_equal(sample_outputs(ch, 0, 20, rng), 0)
 
     def test_deterministic_flip(self, rng):
         ch = make_dmc([0.0, 1.0], [1.0, 0.0])
-        assert all(sample_output(ch, 0, rng) == 1 for _ in range(20))
+        np.testing.assert_array_equal(sample_outputs(ch, 0, 20, rng), 1)
 
     def test_law_of_large_numbers(self, rng):
         ch = bsc(0.1)
@@ -186,4 +219,4 @@ class TestSampling:
 
     def test_bad_input_bit(self, rng):
         with pytest.raises(ChannelError):
-            sample_output(bsc(0.1), 2, rng)
+            sample_outputs(bsc(0.1), 2, 5, rng)

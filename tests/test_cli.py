@@ -157,6 +157,15 @@ class TestDetect:
         assert json.loads(out.read_text())["undetectable"] is True
         assert "undetectable" in capsys.readouterr().out
 
+    def test_warden_off_support_is_clear_error(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli("detect", "--willie", "bac:0,0.3", "--generator",
+                       "identity:16,4", "--trials", "100", "--seed", "5",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "support" in err
+        assert not out.exists()
+
 
 class TestCovertness:
     def test_exact_mode_emits_all_bound_terms(self, tmp_path):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from covertppm.channels import ChannelPair, bac, bsc, divergence_stats, make_dmc
+from covertppm.channels import bac, bsc, divergence_stats, make_dmc
 from covertppm.levels import (
     LevelRates,
     RatePlan,
@@ -134,6 +134,11 @@ class TestMsdRatePlan:
         assert planned_blocklength(1024, 1.0, 1, 64.0 / 9.0) == 288
         assert planned_blocklength(1024, 1.0, 4, 64.0 / 9.0) == 72
 
+    def test_warden_off_support_rejected(self):
+        # chi2(Q1||Q0) is infinite: no blocklength keeps the budget
+        with pytest.raises(RatePlanError, match="infinite"):
+            msd_rate_plan(bsc(0.05), bac(0.0, 0.3), 3, 1.0)
+
     def test_delta_zero_rejected(self):
         with pytest.raises(RatePlanError, match="blocklength zero"):
             msd_rate_plan(bsc(0.05), bsc(0.1), 4, delta=0.0, degraded=True)
@@ -176,31 +181,29 @@ class TestMsdRatePlan:
 class TestThroughputSummary:
     def test_sweep_monotone_to_capacity(self):
         bob, willie = bsc(0.05), bsc(0.1)
-        pair = ChannelPair.of(bob, willie)
         prev = 0.0
         for q in range(6, 13):
             plan = msd_rate_plan(bob, willie, q, delta=1.0, epsilon=0.01,
                                  degraded=True)
-            s = throughput_summary(plan, pair.bob_stats, pair.willie_stats)
+            s = throughput_summary(plan, bob.stats, willie.stats)
             assert s.covert_throughput > prev
             prev = s.covert_throughput
         assert prev >= 0.95 * s.covert_capacity
 
     def test_identical_channels_degenerate(self):
         ch = make_dmc([0.5, 0.5], [0.5, 0.5])
-        pair = ChannelPair.of(ch, ch)
         plan = RatePlan(q=2, ell=8, B=1, delta=1.0, epsilon=0.01, base="bits",
                         u=1, per_level=(LevelRates(1, 0.5, 0.0, 0.0),
                                         LevelRates(2, 0.5, 0.0, 0.0)))
-        s = throughput_summary(plan, pair.bob_stats, pair.willie_stats)
+        s = throughput_summary(plan, ch.stats, ch.stats)
         assert s.degenerate
         assert s.covert_capacity == 0.0
 
     def test_key_capacity_clamped_at_zero(self):
         # D(Q1||Q0) < D(P1||P0) for this pair: no key needed asymptotically
-        pair = ChannelPair.of(bsc(0.2), bac(0.1, 0.4))
-        plan = msd_rate_plan(pair.bob, pair.willie, 4, delta=1.0, epsilon=0.01)
-        s = throughput_summary(plan, pair.bob_stats, pair.willie_stats)
+        bob, willie = bsc(0.2), bac(0.1, 0.4)
+        plan = msd_rate_plan(bob, willie, 4, delta=1.0, epsilon=0.01)
+        s = throughput_summary(plan, bob.stats, willie.stats)
         assert s.key_capacity == 0.0
 
 

@@ -10,8 +10,6 @@ from covertppm.levels import DEFAULT_LLR_MAX, level_capacity, level_llrs
 from covertppm.polar import (
     PolarLevelCode,
     all_frozen_code,
-    code_from_text,
-    code_to_text,
     construct_code,
     polar_transform,
     resolvability_encode,
@@ -334,18 +332,6 @@ class TestResolvability:
 
 
 class TestSerialisation:
-    def test_round_trip(self, rng):
-        sampler = make_level_llr_sampler(bsc(0.1), 2)
-        code = construct_code(sampler, 64, 20, 300, rng, level=2)
-        again = code_from_text(code_to_text(code))
-        assert again.ell == code.ell and again.level == code.level
-        np.testing.assert_array_equal(again.frozen, code.frozen)
-        np.testing.assert_array_equal(again.message, code.message)
-
-    def test_rejects_foreign_document(self):
-        with pytest.raises(ValueError):
-            code_from_text("covertppm-rateplan v1\n")
-
     def test_partition_validated(self):
         with pytest.raises(ValueError):
             PolarLevelCode(
