@@ -42,7 +42,6 @@ from .levels import (
     RatePlan,
     level_capacity,
     level_capacity_bound,
-    level_llr,
     level_mi_table,
     msd_rate_plan,
     select_positions,

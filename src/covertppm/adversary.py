@@ -283,57 +283,6 @@ def pw_uniform(m: int, ell: int) -> dict[tuple[int, ...], float]:
     return out
 
 
-def pw_from_joint_codebook(entries) -> dict[tuple[int, ...], float]:
-    """Position distribution of a uniformly used joint codebook.
-
-    ``entries`` is a sequence of (q, ell) bit matrices (level rows).
-    """
-    out: dict[tuple[int, ...], float] = {}
-    w = 1.0 / len(entries)
-    for bits in entries:
-        frame = frame_from_bits(np.asarray(bits, dtype=np.uint8))
-        key = tuple(int(p) for p in frame.positions)
-        out[key] = out.get(key, 0.0) + w
-    return out
-
-
-def pw_from_level_sources(q: int, ell: int, sources) -> dict[tuple[int, ...], float]:
-    """Position distribution with independent per-level sources.
-
-    ``sources[i]`` (1-based level) is either the string ``"uniform"`` or a
-    list of length-ell bit vectors used uniformly.  The product over levels
-    is enumerated exactly.
-    """
-    per_level: list[list[np.ndarray]] = []
-    for i in range(1, q + 1):
-        src = sources[i]
-        if isinstance(src, str) and src == "uniform":
-            per_level.append(
-                [np.array([(v >> t) & 1 for t in range(ell)], dtype=np.uint8)
-                 for v in range(1 << ell)]
-            )
-        else:
-            per_level.append([np.asarray(c, dtype=np.uint8) for c in src])
-    out: dict[tuple[int, ...], float] = {}
-    total = 1.0
-    for choices in per_level:
-        total *= len(choices)
-    w = 1.0 / total
-    bits = np.zeros((q, ell), dtype=np.uint8)
-
-    def rec(i):
-        if i == q:
-            key = tuple(int(p) for p in frame_from_bits(bits).positions)
-            out[key] = out.get(key, 0.0) + w
-            return
-        for c in per_level[i]:
-            bits[i] = c
-            rec(i + 1)
-
-    rec(0)
-    return out
-
-
 def _kron_all(vecs) -> np.ndarray:
     out = np.array([1.0])
     for v in vecs:
@@ -346,21 +295,6 @@ def _kl_nats(p: np.ndarray, q: np.ndarray) -> float:
     if np.any(q[sup] == 0):
         return float("inf")
     return float(np.sum(p[sup] * np.log(p[sup] / q[sup])))
-
-
-def _pulse_laws(willie: Dmc, m: int, ell: int, max_outputs: int):
-    """Output count |Z|^(m ell) and, per pulse position 1..m, the super-symbol
-    output law; raises :class:`OracleBudgetError` beyond ``max_outputs``."""
-    n_out = willie.alphabet_size ** (m * ell)
-    if n_out > max_outputs:
-        raise OracleBudgetError(
-            f"{n_out} output sequences exceed the oracle budget {max_outputs}"
-        )
-    sym_dist = [
-        _kron_all([willie.row1 if c == p else willie.row0 for c in range(1, m + 1)])
-        for p in range(1, m + 1)
-    ]
-    return n_out, sym_dist
 
 
 @dataclass(frozen=True)
@@ -396,7 +330,16 @@ def exact_kl_oracle(
     output; anything beyond ``max_outputs`` raises
     :class:`OracleBudgetError`.
     """
-    n_out, sym_dist = _pulse_laws(willie, m, ell, max_outputs)
+    n_out = willie.alphabet_size ** (m * ell)
+    if n_out > max_outputs:
+        raise OracleBudgetError(
+            f"{n_out} output sequences exceed the oracle budget {max_outputs}"
+        )
+    # per pulse position 1..m, the super-symbol output law
+    sym_dist = [
+        _kron_all([willie.row1 if c == p else willie.row0 for c in range(1, m + 1)])
+        for p in range(1, m + 1)
+    ]
     total = sum(position_weights.values())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"position weights sum to {total}, expected 1")
@@ -438,25 +381,6 @@ def exact_kl_oracle(
         max_log_ratio=ell * max_log,
         bound_rhs=rhs,
     )
-
-
-def exact_tv(
-    willie: Dmc,
-    m: int,
-    ell: int,
-    pw_a: dict[tuple[int, ...], float],
-    pw_b: dict[tuple[int, ...], float],
-    *,
-    max_outputs: int = 1 << 20,
-) -> float:
-    """Exact total variation between the outputs induced by two position laws."""
-    n_out, sym_dist = _pulse_laws(willie, m, ell, max_outputs)
-    dist = np.zeros(n_out)
-    for tup, w in pw_a.items():
-        dist += w * _kron_all([sym_dist[p - 1] for p in tup])
-    for tup, w in pw_b.items():
-        dist -= w * _kron_all([sym_dist[p - 1] for p in tup])
-    return 0.5 * float(np.abs(dist).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +426,7 @@ def _level_statistics(
     """Per-super-symbol level-i LLR statistic given the true higher bits."""
     q = level_bits.shape[0]
     sub = select_positions_batch(outputs, level_bits[i:q], i)
-    return level_llrs(willie.lam[sub])
+    return level_llrs(sub, willie.lam)
 
 
 def covertness_estimate(

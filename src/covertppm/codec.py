@@ -10,8 +10,11 @@ driven by a short shared random string.
 
 The receiver decodes level q down to level 1.  For each reliability level it
 selects the output subblock indicated by the already recovered higher-level
-bits, forms the level LLRs from per-coordinate likelihood ratios, and runs
-successive cancellation with the key positions pinned.  Resolvability levels
+bits, forms the level LLRs from the output-symbol histograms of the
+subblock's two halves, and runs successive cancellation with the key
+positions pinned.  Code construction samples the same statistic: each level
+LLR comes from a pair of histograms drawn directly from their multinomial
+law, never from 2^i individual outputs.  Resolvability levels
 are reconstructed from the shared extractor input when available; in the
 fully uniform mode the simulation reveals them to the receiver and flags the
 result, so reliability numbers are always scoped honestly.
@@ -38,7 +41,14 @@ from .extractor import (
     make_field,
     random_element,
 )
-from .levels import DEFAULT_LLR_MAX, RatePlan, level_llrs, select_positions_batch
+from .levels import (
+    DEFAULT_LLR_MAX,
+    RatePlan,
+    _llrs_from_counts,
+    level_capacity,
+    level_llrs,
+    select_positions_batch,
+)
 from .polar import PolarLevelCode, construct_code, polar_transform, sc_decode
 from .ppm import PpmFrame, SuperOutput, frame_from_bits, transmit_super
 
@@ -69,32 +79,39 @@ def _ceil_bits(ell: int, rate: float) -> int:
     return int(math.ceil(ell * rate - 1e-9))
 
 
+def _draw_half_histograms(dmc: Dmc, i: int, count: int, rng: np.random.Generator):
+    """``count`` pairs of level-i output-symbol histograms under level bit 0.
+
+    The first half holds the pulse, an output of row1, plus 2^(i-1) - 1
+    outputs of row0; the second half holds 2^(i-1) outputs of row0.  Returns
+    the two (count, |Z|) count arrays.
+    """
+    half = 1 << (i - 1)
+    c0 = rng.multinomial(half - 1, dmc.row0, size=count)
+    pulse = np.searchsorted(dmc.cdf1, rng.random(count), side="right")
+    c0[np.arange(count), pulse] += 1
+    c1 = rng.multinomial(half, dmc.row0, size=count)
+    return c0, c1
+
+
 def make_level_llr_sampler(dmc: Dmc, i: int, llr_max: float = DEFAULT_LLR_MAX):
     """Sampler of iid level-i LLRs under input bit 0 (lower levels uniform).
 
     Conditioned on the decoded higher levels, the pulse falls uniformly in
     the first half of the selected 2^i-coordinate subblock when the level bit
-    is 0; the sampler draws the subblock outputs and returns their LLRs.
+    is 0.  The LLR depends on the subblock only through the output-symbol
+    histograms of its two halves, so the returned ``sampler(count, rng)``
+    draws those histograms from their exact law (two multinomials and one
+    pulse output per LLR, whatever i) and turns them into LLRs as the
+    receiver does.  Each LLR costs O(|Z|), not 2^i draws.
     """
     if i < 1:
         raise ValueError("level index must be >= 1")
-    width = 1 << i
-    cdf0, cdf1, lam = dmc.cdf0, dmc.cdf1, dmc.lam
+    lam = dmc.lam
 
     def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
-        out = np.empty(count, dtype=np.float64)
-        done = 0
-        max_rows = max(1, (1 << 22) // width)
-        while done < count:
-            n = min(max_rows, count - done)
-            u = rng.random((n, width))
-            sym = np.searchsorted(cdf0, u, side="right")
-            pulse = rng.integers(0, width // 2, size=n)
-            rows = np.arange(n)
-            sym[rows, pulse] = np.searchsorted(cdf1, u[rows, pulse], side="right")
-            out[done:done + n] = level_llrs(lam[sym], llr_max)
-            done += n
-        return out
+        c0, c1 = _draw_half_histograms(dmc, i, count, rng)
+        return _llrs_from_counts(c0, c1, lam, llr_max)
 
     return sampler
 
@@ -172,6 +189,11 @@ def build_session(
     if plan.base != "bits":
         raise SessionError("sessions need a plan in bits")
 
+    if not willie.stats.finite:
+        raise SessionError(
+            "Willie's chi2 is infinite (Q1 has mass outside the support of Q0): "
+            "no blocklength is covert"
+        )
     ell = 1 << (plan.ell.bit_length() - 1)  # largest power of two <= plan.ell
     delta_effective = plan.B * ell * willie.stats.chi2 / (2.0 * plan.m)
     plan = plan.with_blocklength(ell)
@@ -204,8 +226,6 @@ def build_session(
         fld = extractor_field if extractor_field is not None else make_field(w)
         if fld.w != w:
             raise SessionError(f"extractor field width {fld.w} != {w}")
-        from .levels import level_capacity  # local import avoids cycle at module load
-
         i_tail = sum(level_capacity(willie, i, "bits")
                      for i in range(plan.u + 1, plan.q + 1))
         k = min(w, _ceil_bits(ell, i_tail + extractor_margin))
@@ -344,8 +364,6 @@ def decode_block(
     if received.q != q or received.ell != ell:
         raise SessionError("received block does not match the session geometry")
     keys = keys if keys is not None else {}
-    lam = session.bob.lam
-
     x_hat = np.zeros((q, ell), dtype=np.uint8)
     genie: list[int] = []
     if u < q:
@@ -374,7 +392,7 @@ def decode_block(
         lay = session.layouts[i]
         code = session.codes[i]
         sub = select_positions_batch(received.symbols, x_hat[i:q], i)
-        llrs = level_llrs(lam[sub], session.llr_max)
+        llrs = level_llrs(sub, session.bob.lam, session.llr_max)
         key = np.asarray(keys.get(i, np.zeros(lay.n_key, dtype=np.uint8)),
                          dtype=np.uint8)
         if key.shape[0] != lay.n_key:

@@ -357,11 +357,13 @@ def random_element(field: BinaryField, rng, *, nonzero: bool = False) -> int:
 
 
 def bits_to_int(bits) -> int:
-    value = 0
-    for t, b in enumerate(bits):
-        value |= (int(b) & 1) << t
-    return value
+    """Integer whose bit t is the low bit of ``bits[t]``."""
+    packed = np.packbits(np.asarray(bits).astype(np.uint8) & 1, bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 def int_to_bits(value: int, width: int) -> np.ndarray:
-    return np.array([(value >> t) & 1 for t in range(width)], dtype=np.uint8)
+    """Bits 0..width-1 of ``value`` (two's complement when negative), uint8."""
+    low = int(value) & ((1 << width) - 1)
+    packed = np.frombuffer(low.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=width, bitorder="little")

@@ -8,6 +8,10 @@ is a half-sum of per-coordinate likelihood ratios, so
 
   * the level log-likelihood ratio is
         log( sum of ratios over the first half / sum over the second half ),
+    and each half-sum is sum_a c_a * lam_a over that half's output-symbol
+    histogram c: the two per-half histograms are a sufficient statistic for
+    the level bit, and the receivers compute the LLR from them directly (no
+    per-coordinate ratios, no sort);
   * the level capacity has the closed form
         C_i = D(P_ppm^(2^(i-1)) || P0^(2^(i-1))) - D(P_ppm^(2^i) || P0^(2^i)),
     independent of the total number of levels q >= i.
@@ -25,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import LN2, Dmc, DivergenceStats
-from .ppm import index_set, ppm_output_divergence
+from .ppm import binomial_logpmf, ppm_output_divergence
 
 #: decoder LLR saturation, nats; only active off the support assumptions
 DEFAULT_LLR_MAX = 40.0
@@ -41,8 +45,8 @@ def level_channel_rows(dmc: Dmc, i: int, max_outputs: int = 1 << 20):
     Returns (row for bit 0, row for bit 1) over all alphabet^(2^i) output
     blocks, ordered with the last coordinate fastest.  Exponential in 2^i;
     guarded by ``max_outputs``.  Used as the fallback capacity path for
-    channels outside the divergence identity's support condition, and by the
-    symmetry and permutation-invariance checks.
+    non-binary channels outside the divergence identity's support condition,
+    and by the symmetry and permutation-invariance checks.
     """
     width = 1 << i
     a = dmc.alphabet_size
@@ -74,20 +78,44 @@ def _binary_input_mi(row_a: np.ndarray, row_b: np.ndarray, base: str) -> float:
     return mi / LN2 if base == "bits" else mi
 
 
+def _ones_count_mi(dmc: Dmc, i: int, base: str) -> float:
+    """Level-i mutual information of a binary-output channel over (k0, k1).
+
+    Under level bit 0 the ones counts of the two halves are independent,
+    k0 ~ Bern(P1(1)) + Bin(h-1, P0(1)) and k1 ~ Bin(h, P0(1)) with
+    h = 2^(i-1); bit 1 swaps the halves.  The pair is a sufficient statistic
+    for the level bit, so the mutual information over its (h+1)^2 atoms
+    (restricted to their support) equals that over the 2^i-symbol outputs.
+    """
+    h = 1 << (i - 1)
+    inner = np.exp(binomial_logpmf(h - 1, float(dmc.row0[1])))
+    first = np.zeros(h + 1)
+    first[:h] += dmc.row1[0] * inner
+    first[1:] += dmc.row1[1] * inner
+    second = np.exp(binomial_logpmf(h, float(dmc.row0[1])))
+    sup = (first > 0) | (second > 0)
+    a, b = first[sup], second[sup]
+    return _binary_input_mi(np.outer(a, b).ravel(), np.outer(b, a).ravel(), base)
+
+
 def level_capacity(dmc: Dmc, i: int, base: str = "nats", **dp_kwargs) -> float:
     """Exact capacity of level ``i`` via the divergence-difference identity.
 
     Valid for any total number of levels q >= i (the level channel is
     stationary).  When P1 has mass outside the support of P0 both divergences
-    are infinite and the identity degenerates; the capacity is then computed
-    by enumerating the equivalent channel directly (small 2^i only).
-    ``dp_kwargs`` are forwarded to the divergence DP.
+    are infinite and the identity degenerates; the capacity is then the
+    mutual information over the exact law of the per-half ones counts for a
+    binary output alphabet, and otherwise comes from enumerating the
+    equivalent channel directly (small 2^i only).  ``dp_kwargs`` are
+    forwarded to the divergence DP.
     """
     if i < 1:
         raise ValueError("level index must be >= 1")
     hi = ppm_output_divergence(dmc, 1 << (i - 1), base, **dp_kwargs)
     lo = ppm_output_divergence(dmc, 1 << i, base, **dp_kwargs)
     if math.isinf(hi) or math.isinf(lo):
+        if dmc.alphabet_size == 2:
+            return _ones_count_mi(dmc, i, base)
         return _binary_input_mi(*level_channel_rows(dmc, i), base)
     return max(hi - lo, 0.0)
 
@@ -370,62 +398,69 @@ def select_positions_batch(symbols: np.ndarray, high_bits: np.ndarray, i: int) -
     """Vectorised :func:`select_positions` over a block of super-symbols.
 
     ``symbols`` is (ell, 2^q); ``high_bits`` is (q - i, ell) with row t being
-    level i+1+t.  Returns the (ell, 2^i) selected subblocks.
+    level i+1+t.  Returns the (ell, 2^i) selected subblocks: each is one of
+    the 2^(q-i) contiguous width-2^i slices of its row, so the row is read as
+    (2^(q-i), 2^i) and the slice picked by the higher bits' value.
     """
     ell, m = symbols.shape
     q = int(round(math.log2(m)))
     if high_bits.shape != (q - i, ell):
         raise ValueError("high_bits must have shape (q - i, ell)")
-    if q - i > 0:
-        weights = (1 << np.arange(i, q, dtype=np.int64))[:, None]
-        offsets = (high_bits.astype(np.int64) * weights).sum(axis=0)
-    else:
-        offsets = np.zeros(ell, dtype=np.int64)
-    cols = offsets[:, None] + np.arange(1 << i, dtype=np.int64)[None, :]
-    return symbols[np.arange(ell)[:, None], cols]
+    weights = (1 << np.arange(q - i, dtype=np.int64))[:, None]
+    slot = (high_bits.astype(np.int64) * weights).sum(axis=0)
+    return symbols.reshape(ell, m >> i, 1 << i)[np.arange(ell), slot]
 
 
-def _sorted_half_sum(lams: np.ndarray) -> np.ndarray:
-    # summing in sorted order makes the sum exactly invariant under
-    # within-half permutations (the permutation-invariance lemma holds
-    # bitwise, not just mathematically)
-    return np.sum(np.sort(lams, axis=-1), axis=-1)
+def _llrs_from_counts(c0: np.ndarray, c1: np.ndarray, lam: np.ndarray,
+                      llr_max: float) -> np.ndarray:
+    """Level LLRs from (n, |Z|) output-symbol histograms of the two halves.
 
-
-def level_llrs(lams: np.ndarray, llr_max: float = DEFAULT_LLR_MAX) -> np.ndarray:
-    """Level LLRs, natural log, for rows of selected-subblock likelihood ratios.
-
-    For a row of 2^i ratios the LLR for bit 0 versus 1 is
-    log(sum of first half / sum of second half), saturated at ±``llr_max``.
-    Infinite ratio markers saturate; a row whose halves are both all-zero is
-    an error.
+    Each half-sum is sum_a c_a * lam_a, where a 0 * inf term counts as 0.
+    Both halves infinite give 0; one half infinite, or the other half zero,
+    gives +-``llr_max``; both halves zero is an error.  The LLR depends on a
+    row only through its two histograms, so it is bitwise invariant under
+    permutations within each half.
     """
-    lams = np.atleast_2d(np.asarray(lams, dtype=np.float64))
-    n, width = lams.shape
-    if width < 2 or (width & (width - 1)) != 0:
-        raise ValueError("row length must be a power of two >= 2")
-    half = width // 2
-    s0 = _sorted_half_sum(lams[:, :half])
-    s1 = _sorted_half_sum(lams[:, half:])
+    def half_sum(c: np.ndarray) -> np.ndarray:
+        total = np.zeros(c.shape[0])
+        # symbol by symbol in a fixed order: equal histograms give equal sums
+        for a, ratio in enumerate(lam):
+            if np.isinf(ratio):
+                total[c[:, a] > 0] = np.inf
+            else:
+                total += c[:, a] * ratio
+        return total
+
+    s0, s1 = half_sum(c0), half_sum(c1)
     if np.any((s0 == 0) & (s1 == 0)):
         raise ValueError("both halves have zero likelihood")
-    out = np.empty(n, dtype=np.float64)
-    inf0, inf1 = np.isinf(s0), np.isinf(s1)
-    both_inf = inf0 & inf1
-    out[both_inf] = 0.0
-    pos = inf0 & ~inf1 | ((s1 == 0) & ~inf0 & (s0 > 0))
-    neg = inf1 & ~inf0 | ((s0 == 0) & ~inf1 & (s1 > 0))
-    out[pos] = llr_max
-    out[neg] = -llr_max
-    rest = ~(both_inf | pos | neg)
-    with np.errstate(divide="ignore"):
-        out[rest] = np.log(s0[rest] / s1[rest])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.log(s0 / s1)
+    out[np.isnan(out)] = 0.0  # both halves infinite
     return np.clip(out, -llr_max, llr_max)
 
 
-def level_llr(lams, llr_max: float = DEFAULT_LLR_MAX) -> float:
-    """Scalar :func:`level_llrs` for one selected subblock."""
-    return float(level_llrs(np.asarray(lams, dtype=np.float64)[None, :], llr_max)[0])
+def level_llrs(symbols, lam: np.ndarray, llr_max: float = DEFAULT_LLR_MAX) -> np.ndarray:
+    """Level LLRs, natural log, for rows of selected-subblock output symbols.
+
+    ``symbols`` holds (n, 2^i) output indices (one row is accepted too) and
+    ``lam`` the per-symbol likelihood ratios row1/row0.  The LLR for bit 0
+    versus 1 is log(sum of ratios over the first half / sum over the second
+    half), saturated at +-``llr_max``, and is computed from each half's
+    symbol histogram.  An infinite ratio saturates its half, both halves
+    infinite give 0, and both halves of zero likelihood or a symbol outside
+    the alphabet raise ``ValueError``.
+    """
+    symbols = np.atleast_2d(np.asarray(symbols))
+    n, width = symbols.shape
+    if width < 2 or (width & (width - 1)) != 0:
+        raise ValueError("row length must be a power of two >= 2")
+    halves = symbols.reshape(n, 2, width // 2)
+    counts = np.stack([np.count_nonzero(halves == a, axis=2)
+                       for a in range(lam.shape[0])], axis=2)  # (n, 2, |Z|)
+    if np.any(counts.sum(axis=2) != width // 2):
+        raise ValueError("output symbol outside the alphabet")
+    return _llrs_from_counts(counts[:, 0], counts[:, 1], lam, llr_max)
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,19 @@ def _xlogx(r: np.ndarray) -> np.ndarray:
     return out
 
 
+def binomial_logpmf(n: int, p: float) -> np.ndarray:
+    """log P(K = k) for K ~ Bin(n, p), k = 0..n, stable for large n."""
+    if p in (0.0, 1.0):
+        logpmf = np.full(n + 1, -np.inf)
+        logpmf[int(round(p * n))] = 0.0
+        return logpmf
+    k = np.arange(n + 1, dtype=np.float64)
+    return (
+        gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+        + k * math.log(p) + (n - k) * math.log1p(-p)
+    )
+
+
 def _binary_divergence(dmc: Dmc, m: int) -> float:
     """Exact D(P_ppm^m || P0^m) in nats for a binary output alphabet.
 
@@ -182,18 +195,9 @@ def _binary_divergence(dmc: Dmc, m: int) -> float:
     """
     if not dmc.stats.finite:
         return float("inf")
-    p0 = float(dmc.row0[1])
     lam0, lam1 = dmc.lam
     k = np.arange(m + 1, dtype=np.float64)
-    # log of the binomial pmf under P0, computed stably for large m
-    if p0 in (0.0, 1.0):
-        logpmf = np.full(m + 1, -np.inf)
-        logpmf[int(round(p0 * m))] = 0.0
-    else:
-        logpmf = (
-            gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
-            + k * math.log(p0) + (m - k) * math.log1p(-p0)
-        )
+    logpmf = binomial_logpmf(m, float(dmc.row0[1]))
     r = (k * lam1 + (m - k) * lam0) / m
     terms = np.where(r > 0, np.exp(logpmf) * _xlogx(r), 0.0)
     return float(terms.sum())

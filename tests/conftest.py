@@ -6,7 +6,13 @@ own algorithms, so the tests compare two genuinely different computational
 paths.  ``sc_decode_reference`` is the plain leaf-by-leaf successive
 cancellation decoder that the library's simplified schedule must match, and
 ``distinct_columns_reference`` the column-by-column scan that the packed-key
-``distinct_column_set`` must match.
+``distinct_column_set`` must match.  ``level_llrs_reference`` sums each
+half's per-coordinate likelihood ratios in sorted order, and
+``level_llr_sampler_reference`` draws all 2^i outputs of a level subblock:
+the histogram-based ``level_llrs`` and level sampler must agree with them.
+``bits_to_int_reference``/``int_to_bits_reference`` are the bit-by-bit loops
+behind the packed extractor helpers.  ``exact_tv`` and the ``pw_from_*``
+position-law helpers enumerate tiny covertness instances.
 """
 
 from __future__ import annotations
@@ -16,8 +22,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import multinomial
 
 from covertppm.channels import Dmc
+from covertppm.levels import DEFAULT_LLR_MAX
+from covertppm.ppm import frame_from_bits
 
 LN2 = math.log(2.0)
 
@@ -186,6 +195,150 @@ def distinct_columns_reference(generator) -> np.ndarray:
         if any(col) and col not in seen:
             seen[col] = j
     return np.array(sorted(seen.values()), dtype=np.int64)
+
+
+def level_llrs_reference(lams, llr_max: float = DEFAULT_LLR_MAX) -> np.ndarray:
+    """Level LLRs from rows of per-coordinate likelihood ratios.
+
+    Each half is summed in sorted order, which makes the sum invariant under
+    within-half permutations.  Infinite ratios saturate; a row whose halves
+    both sum to zero raises ``ValueError``.
+    """
+    lams = np.atleast_2d(np.asarray(lams, dtype=np.float64))
+    n, width = lams.shape
+    if width < 2 or (width & (width - 1)) != 0:
+        raise ValueError("row length must be a power of two >= 2")
+    half = width // 2
+    s0 = np.sum(np.sort(lams[:, :half], axis=-1), axis=-1)
+    s1 = np.sum(np.sort(lams[:, half:], axis=-1), axis=-1)
+    if np.any((s0 == 0) & (s1 == 0)):
+        raise ValueError("both halves have zero likelihood")
+    out = np.empty(n, dtype=np.float64)
+    inf0, inf1 = np.isinf(s0), np.isinf(s1)
+    both_inf = inf0 & inf1
+    out[both_inf] = 0.0
+    pos = inf0 & ~inf1 | ((s1 == 0) & ~inf0 & (s0 > 0))
+    neg = inf1 & ~inf0 | ((s0 == 0) & ~inf1 & (s1 > 0))
+    out[pos] = llr_max
+    out[neg] = -llr_max
+    rest = ~(both_inf | pos | neg)
+    with np.errstate(divide="ignore"):
+        out[rest] = np.log(s0[rest] / s1[rest])
+    return np.clip(out, -llr_max, llr_max)
+
+
+def level_llr_sampler_reference(dmc: Dmc, i: int,
+                                llr_max: float = DEFAULT_LLR_MAX):
+    """Level-i LLR sampler that draws all 2^i outputs of each subblock.
+
+    Under level bit 0 every coordinate is drawn from row0 except a pulse,
+    placed uniformly in the first half, which is drawn from row1.
+    """
+    width = 1 << i
+
+    def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
+        u = rng.random((count, width))
+        sym = np.searchsorted(dmc.cdf0, u, side="right")
+        pulse = rng.integers(0, width // 2, size=count)
+        rows = np.arange(count)
+        sym[rows, pulse] = np.searchsorted(dmc.cdf1, u[rows, pulse], side="right")
+        return level_llrs_reference(dmc.lam[sym], llr_max)
+
+    return sampler
+
+
+def half_histogram_pmf(dmc: Dmc, i: int):
+    """Exact law of a level-i subblock's two per-half histograms under bit 0.
+
+    Returns (atoms, pmf): ``atoms`` is (n_atoms, 2, |Z|), one pair of half
+    histograms per atom, and ``pmf`` their probabilities.  The first half
+    holds one row1 output and 2^(i-1) - 1 row0 outputs, the second half
+    2^(i-1) row0 outputs, all independent.
+    """
+    h = 1 << (i - 1)
+    a = dmc.alphabet_size
+    grid = np.array([t for t in itertools.product(range(h + 1), repeat=a)
+                     if sum(t) == h], dtype=np.int64)
+    second = multinomial.pmf(grid, h, dmc.row0)
+    first = np.zeros(grid.shape[0])
+    for sym in range(a):
+        rest = grid.copy()
+        rest[:, sym] -= 1
+        ok = rest[:, sym] >= 0
+        first[ok] += dmc.row1[sym] * multinomial.pmf(rest[ok], h - 1, dmc.row0)
+    n = grid.shape[0]
+    atoms = np.stack([np.repeat(grid, n, axis=0), np.tile(grid, (n, 1))], axis=1)
+    return atoms, np.outer(first, second).ravel()
+
+
+def bits_to_int_reference(bits) -> int:
+    value = 0
+    for t, b in enumerate(bits):
+        value |= (int(b) & 1) << t
+    return value
+
+
+def int_to_bits_reference(value: int, width: int) -> np.ndarray:
+    return np.array([(value >> t) & 1 for t in range(width)], dtype=np.uint8)
+
+
+def _kron_all(vecs) -> np.ndarray:
+    out = np.array([1.0])
+    for v in vecs:
+        out = np.kron(out, v)
+    return out
+
+
+def exact_tv(willie: Dmc, m: int, ell: int, pw_a: dict, pw_b: dict) -> float:
+    """Exact total variation between the warden outputs induced by two
+    distributions of pulse-position tuples (1-based positions)."""
+    sym_dist = [
+        _kron_all([willie.row1 if c == p else willie.row0 for c in range(1, m + 1)])
+        for p in range(1, m + 1)
+    ]
+    dist = np.zeros(willie.alphabet_size ** (m * ell))
+    for tup, w in pw_a.items():
+        dist += w * _kron_all([sym_dist[p - 1] for p in tup])
+    for tup, w in pw_b.items():
+        dist -= w * _kron_all([sym_dist[p - 1] for p in tup])
+    return 0.5 * float(np.abs(dist).sum())
+
+
+def pw_from_joint_codebook(entries) -> dict[tuple[int, ...], float]:
+    """Position distribution of a uniformly used joint codebook.
+
+    ``entries`` is a sequence of (q, ell) bit matrices (level rows).
+    """
+    out: dict[tuple[int, ...], float] = {}
+    w = 1.0 / len(entries)
+    for bits in entries:
+        frame = frame_from_bits(np.asarray(bits, dtype=np.uint8))
+        key = tuple(int(p) for p in frame.positions)
+        out[key] = out.get(key, 0.0) + w
+    return out
+
+
+def pw_from_level_sources(q: int, ell: int, sources) -> dict[tuple[int, ...], float]:
+    """Position distribution with independent per-level sources.
+
+    ``sources[i]`` (1-based level) is either the string ``"uniform"`` or a
+    list of length-ell bit vectors used uniformly.  The product over levels
+    is enumerated exactly.
+    """
+    per_level = []
+    for i in range(1, q + 1):
+        src = sources[i]
+        if isinstance(src, str) and src == "uniform":
+            per_level.append([np.array([(v >> t) & 1 for t in range(ell)], dtype=np.uint8)
+                              for v in range(1 << ell)])
+        else:
+            per_level.append([np.asarray(c, dtype=np.uint8) for c in src])
+    w = 1.0 / math.prod(len(choices) for choices in per_level)
+    out: dict[tuple[int, ...], float] = {}
+    for combo in itertools.product(*per_level):
+        key = tuple(int(p) for p in frame_from_bits(np.stack(combo)).positions)
+        out[key] = out.get(key, 0.0) + w
+    return out
 
 
 @pytest.fixture

@@ -158,14 +158,14 @@ def test_criterion_6_decoder_permutation_invariance():
                 pulse = half * x + rng.integers(0, half, size=ell)
                 rows = np.arange(ell)
                 sym[rows, pulse] = np.searchsorted(cdf1, draw[rows, pulse])
-                plain, _ = sc_decode(level_llrs(lam[sym]), code)
+                plain, _ = sc_decode(level_llrs(sym, lam), code)
                 perms = np.stack([
                     np.concatenate([rng.permutation(half),
                                     half + rng.permutation(half)])
                     for _ in range(ell)
                 ])
                 permuted = np.take_along_axis(sym, perms, axis=1)
-                twisted, _ = sc_decode(level_llrs(lam[permuted]), code)
+                twisted, _ = sc_decode(level_llrs(permuted, lam), code)
                 np.testing.assert_array_equal(plain, twisted)
                 checked += 1
     print(f"\nACCEPTANCE 6 PASS: {checked} permuted decodes identical, "

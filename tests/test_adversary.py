@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import distinct_columns_reference
+from conftest import (
+    distinct_columns_reference,
+    exact_tv,
+    pw_from_joint_codebook,
+    pw_from_level_sources,
+)
 from covertppm.adversary import (
     LinearCode,
     OracleBudgetError,
@@ -13,11 +18,8 @@ from covertppm.adversary import (
     detect_linear_code,
     distinct_column_set,
     exact_kl_oracle,
-    exact_tv,
     gf2_rank,
     identity_prefix_code,
-    pw_from_joint_codebook,
-    pw_from_level_sources,
     pw_single,
     pw_uniform,
     random_linear_code,

@@ -58,6 +58,17 @@ class TestTables:
         assert diffs[0] == pytest.approx(-0.0905, abs=5e-5)
         assert diffs[3] == pytest.approx(0.0077, abs=5e-5)
 
+    def test_off_support_warden_levels(self, tmp_path):
+        # Willie's divergences are infinite; the level MIs come from the
+        # per-half ones counts instead of enumerating 2^(2^i) outputs
+        out = tmp_path / "t.csv"
+        assert run_cli("tables", "--bob", "bsc:0.05", "--willie", "bac:0,0.3",
+                       "--levels", "6", "--out", str(out)) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()
+                if ln[:1].isdigit()]
+        assert len(rows) == 6
+        assert all(0.0 < float(r[2]) <= 1.0 for r in rows)
+
     def test_unit_tag_in_header(self, tmp_path):
         out = tmp_path / "t.csv"
         run_cli("tables", "--bob", "bsc:0.1", "--levels", "2", "--base",
@@ -117,6 +128,17 @@ class TestSimulate:
                        "--seed", "4", "--out", str(out)) == 0
         records = [json.loads(ln) for ln in out.read_text().splitlines()]
         assert not records[-1]["summary"]["cumulative_error"]
+
+
+    def test_warden_off_support_is_clear_error(self, tmp_path, capsys):
+        out = tmp_path / "chain.jsonl"
+        assert run_cli("simulate", "--bob", "bsc:0.05", "--willie", "bac:0,0.3",
+                       "--levels", "2", "--delta", "1", "--ell", "32",
+                       "--trials", "50", "--degraded", "--seed", "1",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "infinite" in err
+        assert not out.exists()
 
 
 class TestDetect:

@@ -1,12 +1,15 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.stats import chi2 as chi2_dist
 
 from covertppm.channels import bac, bsc, make_dmc
 from covertppm.codec import (
     Session,
     SessionError,
+    _draw_half_histograms,
     build_session,
     decode_block,
     encode_block,
@@ -14,11 +17,20 @@ from covertppm.codec import (
     run_chain,
     transmit_block,
 )
-from covertppm.levels import level_llrs, msd_rate_plan, select_positions_batch
+from covertppm.levels import (
+    _llrs_from_counts,
+    level_llrs,
+    msd_rate_plan,
+    select_positions_batch,
+)
 from covertppm.polar import polar_transform
 from covertppm.ppm import frame_from_bits, transmit_super
 
-from conftest import super_channel_matrix
+from conftest import (
+    half_histogram_pmf,
+    level_llr_sampler_reference,
+    super_channel_matrix,
+)
 
 NOISELESS = make_dmc([1.0, 0.0], [0.0, 1.0])
 
@@ -110,7 +122,7 @@ class TestMsdEquivalence:
         frame = frame_from_bits(bits)
         received = transmit_super(ch, frame, rng)
         sub = select_positions_batch(received.symbols, bits[i:q], i)
-        got = level_llrs(lam[sub])
+        got = level_llrs(sub, lam)
         for j in range(ell):
             high = bits[i:q, j]
             members0, members1 = [], []
@@ -143,8 +155,8 @@ class TestFaultInjection:
         corrupt = select_positions_batch(received.symbols,
                                          tx.level_bits[1:2] ^ 1, 1)
         assert not np.array_equal(good, corrupt)
-        llr_good = level_llrs(lam[good])
-        llr_bad = level_llrs(lam[corrupt])
+        llr_good = level_llrs(good, lam)
+        llr_bad = level_llrs(corrupt, lam)
         assert not np.array_equal(llr_good, llr_bad)
 
 
@@ -263,3 +275,73 @@ class TestBuildSession:
                              ell_override=16)
         with pytest.raises(SessionError):
             build_session(plan, bsc(0.05), bsc(0.1), rng)
+
+    def test_infinite_warden_chi2_rejected(self, rng):
+        # an ell_override plan skips the planner's chi2 check; the session
+        # must not restate the covertness budget as delta_effective = inf
+        warden = bac(0.0, 0.3)
+        plan = msd_rate_plan(bsc(0.05), warden, 2, delta=1.0, epsilon=0.05,
+                             degraded=True, ell_override=32)
+        with pytest.raises(SessionError, match="infinite"):
+            build_session(plan, bsc(0.05), warden, rng, construction_trials=50)
+
+
+TERNARY = make_dmc([0.7, 0.2, 0.1], [0.2, 0.3, 0.5])
+
+
+class TestLevelLlrSampler:
+    @pytest.mark.parametrize("ch", [bsc(0.05), TERNARY], ids=["bsc0.05", "ternary"])
+    @pytest.mark.parametrize("i", range(1, 7))
+    def test_half_histograms_follow_exact_atom_law(self, ch, i):
+        # chi-square goodness of fit of the drawn (first half, second half)
+        # histograms against their exact pmf; atoms expected fewer than 5
+        # times are pooled into one cell
+        atoms, pmf = half_histogram_pmf(ch, i)
+        n = 40_000
+        c0, c1 = _draw_half_histograms(ch, i, n, np.random.default_rng(100 + i))
+        a, h = ch.alphabet_size, 1 << (i - 1)
+        assert np.all(c0.sum(axis=1) == h) and np.all(c1.sum(axis=1) == h)
+
+        def code(hist):  # mixed-radix index of a (.., 2, |Z|) histogram pair
+            digits = hist.reshape(hist.shape[0], 2 * a)
+            return digits @ ((h + 1) ** np.arange(2 * a))
+
+        index = {int(k): j for j, k in enumerate(code(atoms))}
+        drawn = np.array([index[int(k)] for k in code(np.stack([c0, c1], axis=1))])
+        observed = np.bincount(drawn, minlength=pmf.shape[0])
+        expected = n * pmf
+        big = expected >= 5
+        obs = np.append(observed[big], observed[~big].sum())
+        exp = np.append(expected[big], expected[~big].sum())
+        keep = exp > 0
+        stat = float(np.sum((obs[keep] - exp[keep]) ** 2 / exp[keep]))
+        assert chi2_dist.sf(stat, keep.sum() - 1) > 1e-4
+
+    def test_sampler_is_histograms_through_llrs(self):
+        ch = TERNARY
+        sampler = make_level_llr_sampler(ch, 3, llr_max=7.0)
+        got = sampler(500, np.random.default_rng(8))
+        c0, c1 = _draw_half_histograms(ch, 3, 500, np.random.default_rng(8))
+        np.testing.assert_array_equal(got, _llrs_from_counts(c0, c1, ch.lam, 7.0))
+
+    @pytest.mark.parametrize("ch", [bsc(0.05), TERNARY, NOISELESS],
+                             ids=["bsc0.05", "ternary", "noiseless"])
+    def test_matches_symbol_drawing_reference_in_law(self, ch):
+        # the same LLR law as drawing every output of the subblock: compare
+        # the two samples' means and quantiles
+        for i in (1, 4):
+            rng = np.random.default_rng(i)
+            new = make_level_llr_sampler(ch, i)(40_000, rng)
+            old = level_llr_sampler_reference(ch, i)(40_000, rng)
+            spread = max(float(np.std(old)), 1e-9)
+            assert abs(new.mean() - old.mean()) < 6 * spread / math.sqrt(40_000)
+            qs = np.linspace(0.1, 0.9, 9)
+            np.testing.assert_allclose(np.quantile(new, qs), np.quantile(old, qs),
+                                       atol=0.1 * spread + 1e-12)
+
+    def test_high_level_draws_are_cheap(self):
+        # 2^20 level-16 LLRs: drawing every output would take 2^36 uniforms
+        start = time.perf_counter()
+        llrs = make_level_llr_sampler(bsc(0.05), 16)(2**20, np.random.default_rng(0))
+        assert time.perf_counter() - start < 20.0
+        assert llrs.shape == (2**20,) and np.all(np.isfinite(llrs))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bits_to_int_reference, int_to_bits_reference
 from covertppm import extractor
 from covertppm.extractor import (
     BinaryField,
@@ -229,3 +230,18 @@ class TestBitPacking:
     @settings(max_examples=100, deadline=None)
     def test_round_trip(self, value):
         assert bits_to_int(int_to_bits(value, 24)) == value
+
+    @given(width=st.integers(0, 2049), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_packed_helpers_equal_bit_loops(self, width, data):
+        value = data.draw(st.one_of(st.integers(0, (1 << width) - 1),
+                                    st.integers(-(1 << (width + 8)), 1 << (width + 8))))
+        bits = int_to_bits(value, width)
+        want = int_to_bits_reference(value, width)
+        assert bits.dtype == want.dtype == np.uint8 and bits.shape == want.shape
+        np.testing.assert_array_equal(bits, want)
+        raw = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(
+            -300, 300, size=width)
+        assert bits_to_int(raw) == bits_to_int_reference(raw)
+        assert bits_to_int(raw.tolist()) == bits_to_int_reference(raw.tolist())
+        assert bits_to_int(bits) == value & ((1 << width) - 1)

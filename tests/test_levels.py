@@ -3,16 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertppm.channels import bac, bsc, divergence_stats, make_dmc
 from covertppm.levels import (
+    DEFAULT_LLR_MAX,
     LevelRates,
     RatePlan,
     RatePlanError,
+    _binary_input_mi,
+    _ones_count_mi,
     level_capacity,
     level_capacity_bound,
     level_channel_rows,
-    level_llr,
     level_llrs,
     level_mi_table,
     msd_rate_plan,
@@ -24,7 +28,7 @@ from covertppm.levels import (
     throughput_summary,
 )
 
-from conftest import brute_conditional_mi, brute_set_mi
+from conftest import brute_conditional_mi, brute_set_mi, level_llrs_reference
 
 TABLE_BSC01 = [0.7421, 0.6387, 0.4918, 0.3214, 0.1749, 0.0853, 0.0413, 0.0203,
                0.0101, 0.0050, 0.0025, 0.0013, 0.0006, 0.0003, 0.0002, 0.0001]
@@ -48,11 +52,32 @@ class TestLevelCapacity:
                     assert abs(closed - brute) < 1e-10
 
     def test_noiseless_channel_fallback(self):
-        # supports differ -> the divergence identity degenerates; the direct
-        # enumeration fallback must give one full bit per level
+        # supports differ -> the divergence identity degenerates; the
+        # ones-count fallback must give one full bit per level
         ch = make_dmc([1.0, 0.0], [0.0, 1.0])
-        for i in (1, 2, 3):
+        for i in (1, 2, 3, 16):
             assert level_capacity(ch, i, "bits") == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("ch", [make_dmc([1.0, 0.0], [0.0, 1.0]), bac(0.0, 0.3),
+                                    make_dmc([0.0, 1.0], [0.4, 0.6]),
+                                    bsc(0.1), bac(0.1, 0.4), bsc(0.5)])
+    def test_ones_count_mi_equals_enumeration(self, ch):
+        # the (k0, k1) atom law carries the whole level channel: its mutual
+        # information equals that of the enumerated 2^i-symbol outputs
+        for i in range(1, 5):
+            want = _binary_input_mi(*level_channel_rows(ch, i), "bits")
+            assert _ones_count_mi(ch, i, "bits") == pytest.approx(want, abs=1e-12)
+
+    def test_off_support_warden_reaches_high_levels(self):
+        # infinite divergences at every level: the fallback stays O(2^i)
+        # where the enumeration would need |Z|^(2^i) outputs
+        ch = bac(0.0, 0.3)
+        for i in range(1, 5):
+            want = _binary_input_mi(*level_channel_rows(ch, i), "nats")
+            assert level_capacity(ch, i) == pytest.approx(want, abs=1e-12)
+        caps = [level_capacity(ch, i, "bits") for i in range(1, 17)]
+        assert all(0.0 < c <= 1.0 for c in caps)
+        assert all(a >= b for a, b in zip(caps, caps[1:]))
 
 
 class TestLevelCapacityBound:
@@ -242,32 +267,106 @@ class TestSelectPositions:
             )
 
 
+def _select_positions_batch_reference(symbols, high_bits, i):
+    # per-element gather of each subblock's 2^i columns
+    ell, m = symbols.shape
+    q = m.bit_length() - 1
+    weights = (1 << np.arange(i, q, dtype=np.int64))[:, None]
+    offsets = (high_bits.astype(np.int64) * weights).sum(axis=0)
+    cols = offsets[:, None] + np.arange(1 << i, dtype=np.int64)[None, :]
+    return symbols[np.arange(ell)[:, None], cols]
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(1, 8), data=st.data())
+def test_select_positions_batch_bitwise_equals_gather(q, data):
+    i = data.draw(st.integers(1, q))
+    ell = data.draw(st.integers(1, 9))
+    dtype = data.draw(st.sampled_from([np.int64, np.int32, np.uint8]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    symbols = rng.integers(0, 5, size=(ell, 1 << q)).astype(dtype)
+    high = rng.integers(0, 2, size=(q - i, ell), dtype=np.uint8)
+    got = select_positions_batch(symbols, high, i)
+    want = _select_positions_batch_reference(symbols, high, i)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+#: likelihood-ratio rows over 2-5 symbols, with zero and infinite entries
+LAM_ROWS = [
+    np.array([9.0, 1.0 / 9.0]),
+    np.array([0.5, 3.0]),
+    np.array([1.0, np.inf]),
+    np.array([0.0, 2.5]),
+    np.array([0.2, 1.7, 0.0]),
+    np.array([np.inf, 0.3, 1.2, 0.0]),
+    np.array([0.0, 0.0, np.inf, 1.0, 4.0]),
+    np.array([1e-300, 1e300, 0.7]),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam_idx=st.integers(0, len(LAM_ROWS) - 1), log_width=st.integers(1, 10),
+       data=st.data())
+def test_level_llrs_matches_sorted_sum_reference(lam_idx, log_width, data):
+    lam = LAM_ROWS[lam_idx]
+    width = 1 << log_width
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(1, 40))
+    # skewed symbol draws make all-zero and all-infinite halves common
+    p = rng.dirichlet(np.full(lam.shape[0], data.draw(st.sampled_from([0.05, 0.5, 5.0]))))
+    symbols = rng.choice(lam.shape[0], size=(n, width), p=p)
+    if data.draw(st.booleans()):  # some rows with identical halves: exact ties
+        symbols[::2, width // 2:] = symbols[::2, :width // 2]
+    llr_max = data.draw(st.sampled_from([DEFAULT_LLR_MAX, 5.0]))
+    try:
+        with np.errstate(over="ignore"):  # 1e300 / 1e-300 saturates
+            want = level_llrs_reference(lam[symbols], llr_max)
+    except ValueError:
+        with pytest.raises(ValueError, match="zero likelihood"):
+            level_llrs(symbols, lam, llr_max)
+        return
+    got = level_llrs(symbols, lam, llr_max)
+    exact = (np.abs(want) == llr_max) | (want == 0.0)
+    np.testing.assert_array_equal(got[exact], want[exact])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * width)
+
+
 class TestLevelLlr:
     def test_symmetric_evidence_zero(self):
-        assert level_llr([2.0, 2.0, 2.0, 2.0]) == 0.0
+        assert level_llrs([0, 0, 0, 0], np.array([2.0, 0.5]))[0] == 0.0
 
     def test_level_one_bsc(self):
-        assert level_llr([9.0, 1.0 / 9.0]) == pytest.approx(math.log(81.0))
+        lam = bsc(0.1).lam
+        assert level_llrs([1, 0], lam)[0] == pytest.approx(math.log(81.0))
 
     def test_swap_negates(self, rng):
-        lam = rng.random(8) + 0.05
-        swapped = np.concatenate([lam[4:], lam[:4]])
-        assert level_llr(swapped) == pytest.approx(-level_llr(lam))
+        lam = rng.random(3) + 0.05
+        sym = rng.integers(0, 3, size=8)
+        swapped = np.concatenate([sym[4:], sym[:4]])
+        assert level_llrs(swapped, lam)[0] == pytest.approx(-level_llrs(sym, lam)[0])
 
     def test_saturation(self):
-        assert level_llr([np.inf, 1.0, 1.0, 1.0]) == 40.0
-        assert level_llr([0.0, 0.0, 1.0, 1.0]) == -40.0
+        lam = np.array([np.inf, 1.0, 0.0])
+        assert level_llrs([0, 1, 1, 1], lam)[0] == 40.0
+        assert level_llrs([2, 2, 1, 1], lam)[0] == -40.0
+        assert level_llrs([0, 1, 0, 1], lam)[0] == 0.0
 
     def test_both_halves_zero_rejected(self):
         with pytest.raises(ValueError):
-            level_llr([0.0, 0.0, 0.0, 0.0])
+            level_llrs([1, 1, 1, 1], np.array([2.0, 0.0]))
+
+    def test_symbol_outside_alphabet_rejected(self):
+        with pytest.raises(ValueError, match="alphabet"):
+            level_llrs([0, 2, 1, 1], np.array([2.0, 0.5]))
 
     def test_within_half_permutation_is_bitwise_invariant(self, rng):
-        lam = rng.random((50, 8)) + 0.01
-        base = level_llrs(lam)
+        lam = rng.random(4) + 0.01
+        sym = rng.integers(0, 4, size=(50, 8))
+        base = level_llrs(sym, lam)
         for _ in range(20):
             perm = np.concatenate([rng.permutation(4), 4 + rng.permutation(4)])
-            again = level_llrs(lam[:, perm])
+            again = level_llrs(sym[:, perm], lam)
             np.testing.assert_array_equal(base, again)
 
 

@@ -244,7 +244,7 @@ class TestConstruction:
             rows = np.arange(ell)
             pulse = x.astype(np.int64)
             sym[rows, pulse] = np.searchsorted(cdf1, draw[rows, pulse])
-            _, decoded = sc_decode(level_llrs(lam[sym]), code)
+            _, decoded = sc_decode(level_llrs(sym, lam), code)
             errors += int(np.any(decoded != bits))
         assert errors / blocks < 1e-2
 
@@ -308,7 +308,7 @@ class TestResolvability:
             pulse = 2 * xmat + rng.integers(0, 2, size=(n, ell))
             nn, ee = np.meshgrid(np.arange(n), np.arange(ell), indexing="ij")
             sym[nn, ee, pulse] = np.searchsorted(cdf1, draw[nn, ee, pulse])
-            return level_llrs(lam[sym].reshape(-1, 4)).reshape(n, ell).sum(axis=1)
+            return level_llrs(sym.reshape(-1, 4), lam).reshape(n, ell).sum(axis=1)
 
         tvs = []
         for ell in (8, 16, 64):
