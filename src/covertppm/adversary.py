@@ -474,7 +474,7 @@ def covertness_estimate(
             for i in range(1, session.u + 1)
         }
         frame, tx = encode_block(session, messages, keys, rng)
-        _, willie_out = transmit_block(session, frame, rng, willie_tap=True)
+        willie_out = transmit_block(session, frame, rng, to_willie=True)
         for i in range(1, q + 1):
             scheme_stats[i].append(
                 _level_statistics(willie, willie_out.symbols, tx.level_bits, i)

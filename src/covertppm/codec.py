@@ -420,12 +420,10 @@ def transmit_block(
     frame: PpmFrame,
     rng: np.random.Generator,
     *,
-    willie_tap: bool = False,
-) -> tuple[SuperOutput, SuperOutput | None]:
-    """Send a frame through Bob's channel, optionally also through Willie's."""
-    bob_out = transmit_super(session.bob, frame, rng)
-    willie_out = transmit_super(session.willie, frame, rng) if willie_tap else None
-    return bob_out, willie_out
+    to_willie: bool = False,
+) -> SuperOutput:
+    """Send a frame through Bob's channel (Willie's with ``to_willie``)."""
+    return transmit_super(session.willie if to_willie else session.bob, frame, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +532,7 @@ def run_chain(
         frame, tx = encode_block(session, messages, tx_keys, rng)
         if tx.extractor_r is not None:
             extractor_bits += int(tx.extractor_r.shape[0])
-        received, _ = transmit_block(session, frame, rng)
+        received = transmit_block(session, frame, rng)
         result = decode_block(session, received, keys=rx_keys, tx=tx)
         genie = result.genie_levels
         any_err = result.any_error

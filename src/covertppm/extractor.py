@@ -17,7 +17,8 @@ single implementation covers widths from a few bits up to the multi-thousand
 bit aggregates produced by joining the resolvability-only levels.  Moduli come
 from a bundled table of low-weight irreducible polynomials (re-verified here
 for small widths); widths missing from the table are filled by sequential
-search with a Rabin irreducibility test.
+search with a Rabin irreducibility test, which skips the trinomials when 8
+divides the width (Swan's theorem rules them all out).
 """
 
 from __future__ import annotations
@@ -148,11 +149,13 @@ def _search_irreducible(w: int) -> int:
     base = (1 << w) | 1
     if w == 1:
         return 0b11  # x + 1
-    # trinomials x^w + x^a + 1
-    for a in range(1, w):
-        f = base | (1 << a)
-        if is_irreducible(f):
-            return f
+    # trinomials x^w + x^a + 1; by Swan's theorem (Pacific J. Math. 1962)
+    # none is irreducible when 8 divides w, so that loop would find nothing
+    if w % 8:
+        for a in range(1, w):
+            f = base | (1 << a)
+            if is_irreducible(f):
+                return f
     # pentanomials x^w + x^a + x^b + x^c + 1
     for a in range(3, w):
         for b in range(2, a):
@@ -207,6 +210,8 @@ class BinaryField:
 # (w, modulus) pairs from the bundled table that passed the Rabin test in
 # this process; the table cannot change while it runs
 _VERIFIED_BUNDLED: set[tuple[int, int]] = set()
+# width -> modulus found by the search in this process
+_SEARCHED: dict[int, int] = {}
 
 
 def make_field(w: int, modulus: int | None = None) -> BinaryField:
@@ -214,12 +219,15 @@ def make_field(w: int, modulus: int | None = None) -> BinaryField:
 
     A bundled modulus is verified with the Rabin test the first time its
     width is used in a process.  Widths missing from the table are filled
-    by a sequential low-weight search verified with the Rabin test.
+    by a sequential low-weight search verified with the Rabin test, once
+    per width and process.
     """
     if modulus is None:
         modulus = _bundled_moduli().get(w)
         if modulus is None:
-            modulus = _search_irreducible(w)
+            if w not in _SEARCHED:
+                _SEARCHED[w] = _search_irreducible(w)
+            modulus = _SEARCHED[w]
         elif (w, modulus) not in _VERIFIED_BUNDLED:
             if not is_irreducible(modulus):
                 raise FieldError(f"bundled modulus for w={w} failed verification")

@@ -27,13 +27,28 @@ compute every successive-cancellation decision LLR with all previous bits
 forced correct, and rank the synthetic channels by their empirical error
 rate.  This replaces density evolution; the level channels have exponential
 output alphabets but cheap LLRs, which makes sampling the natural choice.
+With all previous bits zero, a node's children get f(a, b) and a + b of its
+two halves, so the genie pass runs breadth-first: one stage per tree level,
+each a fixed sequence of numpy ufuncs writing into one of two preallocated
+(trials, ell) buffers that swap roles, with no per-node calls and no
+concatenation.  Every ufunc is elementwise and trials never mix, so any split
+of the trials (rows) gives the same decision LLRs bit for bit, up to the sign
+of a NaN (IEEE 754 leaves it open, and numpy's loops set it by memory layout;
+a NaN of either sign counts as no error and ranks last).  The rows of each
+chunk are therefore shared among worker threads (numpy releases the GIL
+inside ufunc loops), while the LLRs are drawn and the error counts reduced on
+the calling thread in a fixed order.
 
 LLRs are natural-log throughout; decision convention is L >= 0 -> bit 0.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,21 +237,67 @@ def sc_decode(
     return u_hat, u_hat[code.message]
 
 
-def _genie_decision_llrs(llrs: np.ndarray) -> np.ndarray:
+# LLRs drawn per chunk of the construction; part of the random stream, since
+# the sampler is called once per chunk
+_CHUNK = 1 << 19
+# threads for the genie pass; rows split bitwise-safely (module docstring)
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _genie_pass(src: np.ndarray, dst: np.ndarray) -> None:
+    """Breadth-first genie pass over (rows, ell) buffers, in place.
+
+    Stage s views ``src`` as (rows, 2^s nodes, 2, half) and writes each
+    node's children into ``dst``: f(a, b) into the left half, a + b into the
+    right; ``a`` is reused as scratch for logaddexp(a, b).  The two buffers
+    then swap, so after log2(ell) stages the decision LLRs sit in ``src``
+    when log2(ell) is even and in ``dst`` when it is odd.
+    """
+    rows, n = src.shape
+    nodes, half = 1, n // 2
+    while half:
+        s = src.reshape(rows, nodes, 2, half)
+        d = dst.reshape(rows, nodes, 2, half)
+        a, b = s[:, :, 0], s[:, :, 1]
+        left, right = d[:, :, 0], d[:, :, 1]
+        # the operations of _f and of a + b, in the same order, so the values
+        # equal the recursion's (module docstring)
+        np.add(a, b, out=right)
+        np.logaddexp(0.0, right, out=left)
+        np.logaddexp(a, b, out=a)
+        np.subtract(left, a, out=left)
+        src, dst = dst, src
+        nodes, half = 2 * nodes, half // 2
+
+
+def _genie_decision_llrs(llrs: np.ndarray, spare: np.ndarray,
+                         pool: ThreadPoolExecutor | None,
+                         workers: int) -> np.ndarray:
     """Decision LLRs of every synthetic channel under the all-zero codeword.
 
     With all previous bits forced to zero the partial sums vanish, so the
     whole recursion is data-independent and vectorises across trials.
-    ``llrs`` is (trials, ell); returns the same shape.
+    ``llrs`` is (trials, ell) and is overwritten; ``spare`` is a buffer of
+    the same shape.  Rows are independent, so with a ``pool`` each of up to
+    ``workers`` threads takes one disjoint row slice, in a copy of the
+    caller's context (which carries numpy's error state).  Returns whichever
+    buffer holds the result.
     """
-    n = llrs.shape[1]
-    if n == 1:
-        return llrs
-    half = n // 2
-    a, b = llrs[:, :half], llrs[:, half:]
-    left = _genie_decision_llrs(_f(a, b))
-    right = _genie_decision_llrs(a + b)
-    return np.concatenate([left, right], axis=1)
+    rows, ell = llrs.shape
+    workers = min(workers, rows)
+    if pool is None or workers == 1:
+        _genie_pass(llrs, spare)
+    else:
+        cuts = [rows * k // workers for k in range(workers + 1)]
+        futures = [
+            pool.submit(contextvars.copy_context().run, _genie_pass,
+                        llrs[lo:hi], spare[lo:hi])
+            for lo, hi in zip(cuts[:-1], cuts[1:])
+        ]
+        for fut in futures:
+            fut.result()
+    return spare if (ell.bit_length() - 1) % 2 else llrs
 
 
 def construct_code(
@@ -248,15 +309,18 @@ def construct_code(
     *,
     level: int = 0,
     mode: str = "reliability",
-    chunk: int = 1 << 19,
 ) -> PolarLevelCode:
     """Monte-Carlo genie-aided construction.
 
     ``level_sampler(count, rng)`` must return ``count`` iid channel LLRs for
-    the all-zero (bit 0) input of the target level channel.  The
+    the all-zero (bit 0) input of the target level channel, as a fresh
+    float64 array that the construction may overwrite.  The
     ``target_info`` most reliable synthetic channels become the message set
     (or the randomized set in resolvability mode); the remainder are frozen
     to zero.  At least 1000 trials are recommended.
+
+    LLRs are drawn in chunks of about 2^19 on the calling thread; the genie
+    pass over each chunk is split by rows across the available cores.
     """
     _check_power_of_two(ell)
     if not 0 <= target_info <= ell:
@@ -265,15 +329,19 @@ def construct_code(
         raise ValueError("trials must be >= 1")
     err = np.zeros(ell, dtype=np.float64)
     llr_sum = np.zeros(ell, dtype=np.float64)
-    done = 0
-    rows_per_chunk = max(1, chunk // ell)
-    while done < trials:
-        n = min(rows_per_chunk, trials - done)
-        llrs = level_sampler(n * ell, rng).reshape(n, ell)
-        dec = _genie_decision_llrs(llrs)
-        err += (dec < 0).sum(axis=0) + 0.5 * (dec == 0).sum(axis=0)
-        llr_sum += dec.sum(axis=0)
-        done += n
+    rows_per_chunk = min(max(1, _CHUNK // ell), trials)
+    spare = np.empty((rows_per_chunk, ell), dtype=np.float64)
+    workers = min(_WORKERS, rows_per_chunk)
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        done = 0
+        while done < trials:
+            n = min(rows_per_chunk, trials - done)
+            llrs = np.asarray(level_sampler(n * ell, rng),
+                              dtype=np.float64).reshape(n, ell)
+            dec = _genie_decision_llrs(llrs, spare[:n], pool, workers)
+            err += (dec < 0).sum(axis=0) + 0.5 * (dec == 0).sum(axis=0)
+            llr_sum += dec.sum(axis=0)
+            done += n
     # error count first; ties (channels too good to fail in `trials` runs)
     # broken by the mean decision LLR, a smooth reliability proxy
     order = np.lexsort((np.arange(ell), -llr_sum, err))

@@ -4,14 +4,17 @@ Everything here recomputes quantities from first principles (full super
 channel enumeration, direct output-space sums) independently of the library's
 own algorithms, so the tests compare two genuinely different computational
 paths.  ``sc_decode_reference`` is the plain leaf-by-leaf successive
-cancellation decoder that the library's simplified schedule must match, and
+cancellation decoder that the library's simplified schedule must match,
+``genie_decision_llrs_reference`` the node-by-node recursion that the
+breadth-first genie pass of ``construct_code`` must match, and
 ``distinct_columns_reference`` the column-by-column scan that the packed-key
 ``distinct_column_set`` must match.  ``level_llrs_reference`` sums each
 half's per-coordinate likelihood ratios in sorted order, and
 ``level_llr_sampler_reference`` draws all 2^i outputs of a level subblock:
 the histogram-based ``level_llrs`` and level sampler must agree with them.
 ``bits_to_int_reference``/``int_to_bits_reference`` are the bit-by-bit loops
-behind the packed extractor helpers.  ``exact_tv`` and the ``pw_from_*``
+behind the packed extractor helpers, and ``search_irreducible_reference``
+the modulus search without the Swan skip.  ``exact_tv`` and the ``pw_from_*``
 position-law helpers enumerate tiny covertness instances.
 """
 
@@ -25,6 +28,7 @@ import pytest
 from scipy.stats import multinomial
 
 from covertppm.channels import Dmc
+from covertppm.extractor import is_irreducible
 from covertppm.levels import DEFAULT_LLR_MAX
 from covertppm.ppm import frame_from_bits
 
@@ -152,6 +156,23 @@ def _sc_recurse(llr: np.ndarray, mask: np.ndarray, vals: np.ndarray,
             np.concatenate([x_left ^ x_right, x_right]))
 
 
+def genie_decision_llrs_reference(llrs: np.ndarray) -> np.ndarray:
+    """Genie decision LLRs by the depth-first recursion, one node at a time.
+
+    ``llrs`` is (trials, ell); the left child gets f(a, b), the right child
+    a + b, and the children's outputs are concatenated.  The library's
+    breadth-first in-place pass must return the same array bit for bit, up
+    to the sign of a NaN.
+    """
+    n = llrs.shape[1]
+    if n == 1:
+        return llrs
+    half = n // 2
+    a, b = llrs[:, :half], llrs[:, half:]
+    return np.concatenate([genie_decision_llrs_reference(_sc_f(a, b)),
+                           genie_decision_llrs_reference(a + b)], axis=1)
+
+
 def sc_decode_reference(channel_llrs, code, pins=None):
     """Plain successive cancellation, one leaf at a time.
 
@@ -269,6 +290,22 @@ def half_histogram_pmf(dmc: Dmc, i: int):
     n = grid.shape[0]
     atoms = np.stack([np.repeat(grid, n, axis=0), np.tile(grid, (n, 1))], axis=1)
     return atoms, np.outer(first, second).ravel()
+
+
+def search_irreducible_reference(w: int) -> int:
+    """Lowest-weight irreducible of degree w >= 2 by the full sequential
+    search: every trinomial, then every pentanomial, each Rabin-tested."""
+    base = (1 << w) | 1
+    for a in range(1, w):
+        if is_irreducible(base | (1 << a)):
+            return base | (1 << a)
+    for a in range(3, w):
+        for b in range(2, a):
+            for c in range(1, b):
+                f = base | (1 << a) | (1 << b) | (1 << c)
+                if is_irreducible(f):
+                    return f
+    raise AssertionError(f"no low-weight irreducible of degree {w}")
 
 
 def bits_to_int_reference(bits) -> int:

@@ -246,7 +246,7 @@ def test_criterion_9_end_to_end_error_trend():
             msgs = {i: rng.integers(0, 2, size=sess.layouts[i].n_msg,
                                     dtype=np.uint8) for i in sess.layouts}
             frame, tx = encode_block(sess, msgs, {}, rng)
-            received, _ = transmit_block(sess, frame, rng)
+            received = transmit_block(sess, frame, rng)
             result = decode_block(sess, received, keys={}, tx=tx)
             block_errs += result.any_error
             for i, bad in result.block_errors.items():

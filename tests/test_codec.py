@@ -84,7 +84,7 @@ class TestNoiselessRoundTrip:
         sess = noiseless_session(4, 64, rng)
         msgs, keys = random_payloads(sess, rng)
         frame, tx = encode_block(sess, msgs, keys, rng)
-        received, _ = transmit_block(sess, frame, rng)
+        received = transmit_block(sess, frame, rng)
         result = decode_block(sess, received, keys=keys, tx=tx)
         assert not result.any_error
         for i in sess.layouts:
@@ -95,7 +95,7 @@ class TestNoiselessRoundTrip:
             sess = noiseless_session(q, ell, rng)
             msgs, keys = random_payloads(sess, rng)
             frame, tx = encode_block(sess, msgs, keys, rng)
-            received, _ = transmit_block(sess, frame, rng)
+            received = transmit_block(sess, frame, rng)
             result = decode_block(sess, received, keys=keys, tx=tx)
             assert not result.any_error
 
@@ -148,7 +148,7 @@ class TestFaultInjection:
         sess = build_session(plan, ch, bsc(0.1), rng, construction_trials=500)
         msgs, keys = random_payloads(sess, rng)
         frame, tx = encode_block(sess, msgs, keys, rng)
-        received, _ = transmit_block(sess, frame, rng)
+        received = transmit_block(sess, frame, rng)
         lam = ch.row1 / ch.row0
         good = select_positions_batch(received.symbols,
                                       tx.level_bits[1:2], 1)
@@ -226,7 +226,7 @@ class TestResolvabilityLevels:
         assert sess.u < sess.q
         msgs, keys = random_payloads(sess, rng)
         frame, tx = encode_block(sess, msgs, keys, rng)
-        received, _ = transmit_block(sess, frame, rng)
+        received = transmit_block(sess, frame, rng)
         with pytest.raises(SessionError, match="genie"):
             decode_block(sess, received, keys=keys)
         result = decode_block(sess, received, keys=keys, tx=tx)
@@ -237,7 +237,7 @@ class TestResolvabilityLevels:
         msgs, keys = random_payloads(sess, rng)
         r = rng.integers(0, 2, size=sess.extractor_cfg.k, dtype=np.uint8)
         frame, tx = encode_block(sess, msgs, keys, rng, extractor_r=r)
-        received, _ = transmit_block(sess, frame, rng)
+        received = transmit_block(sess, frame, rng)
         result = decode_block(sess, received, keys=keys, extractor_r=r)
         assert result.genie_levels == ()
         for i in sess.layouts:

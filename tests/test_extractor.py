@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bits_to_int_reference, int_to_bits_reference
+from conftest import (
+    bits_to_int_reference,
+    int_to_bits_reference,
+    search_irreducible_reference,
+)
 from covertppm import extractor
 from covertppm.extractor import (
     BinaryField,
@@ -22,6 +26,7 @@ from covertppm.extractor import (
     random_element,
     two_universal_check,
     _bundled_moduli,
+    _search_irreducible,
 )
 
 F8 = make_field(8, modulus=(1 << 8) | (1 << 4) | (1 << 3) | (1 << 1) | 1)
@@ -116,6 +121,31 @@ class TestField:
         first, again = make_field(1024), make_field(1024)
         assert first == again
         assert tested == [_bundled_moduli()[1024]]
+
+    def test_searched_modulus_found_once_per_process(self, monkeypatch):
+        monkeypatch.setattr(extractor, "_SEARCHED", {})
+        tested = []
+
+        def counting(f):
+            tested.append(f)
+            return is_irreducible(f)
+
+        monkeypatch.setattr(extractor, "is_irreducible", counting)
+        first = make_field(67)
+        searched = len(tested)
+        again = make_field(67)
+        assert first == again
+        assert searched > 0 and len(tested) == searched
+
+    @pytest.mark.parametrize("w", range(2, 33))
+    def test_swan_skip_keeps_the_searched_modulus(self, w):
+        # no trinomial of degree 0 mod 8 is irreducible, so skipping them
+        # returns the full search's pentanomial; other widths search as before
+        found = _search_irreducible(w)
+        assert found == search_irreducible_reference(w)
+        assert found == _bundled_moduli()[w]
+        if w % 8 == 0:
+            assert bin(found).count("1") == 5
 
     def test_corrupted_bundled_modulus_rejected(self, monkeypatch):
         make_field(128)  # the genuine entry is verified and remembered

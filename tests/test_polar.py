@@ -1,12 +1,16 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sc_decode_reference
+from conftest import genie_decision_llrs_reference, sc_decode_reference
+from covertppm import polar
 from covertppm.channels import bsc
-from covertppm.codec import make_level_llr_sampler
-from covertppm.levels import DEFAULT_LLR_MAX, level_capacity, level_llrs
+from covertppm.codec import build_session, make_level_llr_sampler
+from covertppm.levels import DEFAULT_LLR_MAX, level_capacity, level_llrs, msd_rate_plan
 from covertppm.polar import (
     PolarLevelCode,
     all_frozen_code,
@@ -210,6 +214,43 @@ def test_sc_decode_bitwise_equals_reference(log_ell, mask_kind, source,
     np.testing.assert_array_equal(info, info_ref)
 
 
+# inputs of the genie pass: signed zeros, tiny and huge magnitudes, and the
+# non-finite values that turn f into NaN
+GENIE_POOL = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, np.inf, -np.inf,
+                       np.nan, 0.5, -1.7, 3.0, -8.0])
+
+
+def _float_bits(x: np.ndarray) -> np.ndarray:
+    # IEEE 754 leaves the sign and payload of an arithmetic NaN open, and
+    # numpy's loops differ on them by memory layout (np.add of two NaNs of
+    # opposite sign), so every NaN is compared as the one canonical NaN;
+    # every other value, signed zeros included, compares bit for bit
+    return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
+@pytest.mark.parametrize("log_ell", range(13))
+@settings(max_examples=10, deadline=None)
+@given(rows=st.integers(1, 9), workers=st.integers(1, 4),
+       source=st.sampled_from(["pool", "normal", "mixed"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_genie_pass_bitwise_equals_reference(log_ell, rows, workers, source, seed):
+    rng = np.random.default_rng(seed)
+    ell = 1 << log_ell
+    if source == "pool":
+        llrs = rng.choice(GENIE_POOL, size=(rows, ell))
+    else:
+        llrs = rng.normal(2.0, 3.0, size=(rows, ell))
+        if source == "mixed":
+            hit = rng.random((rows, ell)) < 0.2
+            llrs[hit] = rng.choice(GENIE_POOL, size=int(hit.sum()))
+    with np.errstate(all="ignore"):
+        want = genie_decision_llrs_reference(llrs.copy())
+        with ThreadPoolExecutor(workers) as pool:
+            got = polar._genie_decision_llrs(llrs.copy(), np.empty_like(llrs),
+                                             pool, workers)
+    np.testing.assert_array_equal(_float_bits(got), _float_bits(want))
+
+
 class TestConstruction:
     def test_target_zero_all_frozen(self, rng):
         sampler = make_level_llr_sampler(bsc(0.1), 1)
@@ -257,6 +298,27 @@ class TestConstruction:
                                 np.random.default_rng(2))
         overlap = len(set(code_a.frozen.tolist()) & set(code_b.frozen.tolist()))
         assert overlap / code_a.frozen.shape[0] >= 0.90
+
+    @pytest.mark.parametrize("ell,trials", [(16, 5000), (64, 9000), (1024, 700)])
+    def test_worker_count_does_not_change_the_code(self, ell, trials, monkeypatch):
+        # rows split across threads: the same codes as the inline pass, over
+        # several chunks and a short last chunk
+        sampler = make_level_llr_sampler(bsc(0.1), 2)
+        codes = []
+        for workers in (1, 3):
+            monkeypatch.setattr(polar, "_WORKERS", workers)
+            codes.append(construct_code(sampler, ell, ell // 2, trials,
+                                        np.random.default_rng(7)))
+        np.testing.assert_array_equal(codes[0].message, codes[1].message)
+        np.testing.assert_array_equal(codes[0].frozen, codes[1].frozen)
+
+    def test_build_session_leaves_no_thread_running(self, monkeypatch):
+        monkeypatch.setattr(polar, "_WORKERS", 3)
+        before = threading.active_count()
+        plan = msd_rate_plan(bsc(0.05), bsc(0.1), 2, 1.0, 1, ell_override=256)
+        build_session(plan, bsc(0.05), bsc(0.1), np.random.default_rng(3),
+                      construction_trials=300)
+        assert threading.active_count() == before
 
     def test_target_out_of_range(self, rng):
         sampler = make_level_llr_sampler(bsc(0.1), 1)
