@@ -10,6 +10,7 @@ secrecy surplus and which need keys).
 """
 
 from covertppm import bac, bsc, divergence_stats, level_capacity, level_mi_table
+from covertppm.channels import LN2
 from covertppm.levels import level_capacity_bound
 
 ch = bsc(0.1)
@@ -21,7 +22,7 @@ for i, c in enumerate(caps, start=1):
     bar = "#" * int(60 * c / caps[0])
     print(f"  level {i:2d}: {c:8.4f}  {bar}")
 print(f"  sum of 16 levels: {total:.4f} bits "
-      f"(D(P1||P0) = {divergence_stats(ch.row1, ch.row0, 'bits').kl:.4f})")
+      f"(D(P1||P0) = {divergence_stats(ch.row1, ch.row0).kl / LN2:.4f})")
 print(f"  first 5 levels hold {100 * sum(caps[:5]) / total:.1f}% of the total\n")
 
 st = divergence_stats(ch.row1, ch.row0)  # nats, for the analytic bound

@@ -3,9 +3,11 @@ discrete memoryless channels.
 
 Multilevel-coded pulse-position modulation end to end: channel models and
 divergence functionals, the PPM super channel and its per-level equivalent
-channels, multistage rate planning, polar coding with Monte-Carlo
-construction, invertible-extractor resolvability, block chaining, and the
-warden's side (linear-code detection and covertness estimators).
+channels, multistage rate planning, per-level polar codes (a message set
+with zero frozen bits, built by Monte-Carlo construction) for the reliability
+levels, uniform or invertible-extractor bits for the resolvability levels,
+block chaining, and the warden's side (linear-code detection and covertness
+estimators).
 """
 
 from .channels import (
@@ -44,23 +46,17 @@ from .levels import (
     level_capacity_bound,
     level_mi_table,
     msd_rate_plan,
-    select_positions,
     throughput_summary,
 )
 from .polar import (
     PolarLevelCode,
     construct_code,
     polar_transform,
-    resolvability_encode,
     sc_decode,
 )
 from .ppm import (
     PpmFrame,
     SuperOutput,
-    decimal_map,
-    decimal_unmap,
-    index_set,
-    likelihood_ratios,
     monte_carlo_divergence,
     ppm_divergence_bound,
     ppm_output_divergence,
@@ -74,7 +70,6 @@ from .adversary import (
     distinct_column_set,
     exact_kl_oracle,
     srl_bound,
-    test_statistic,
 )
 
 __version__ = "0.1.0"

@@ -117,19 +117,6 @@ def distinct_column_set(code: LinearCode) -> np.ndarray:
     return np.sort(first).astype(np.int64)
 
 
-def test_statistic(z, S, willie: Dmc) -> float:
-    """The detector statistic: mean centred likelihood ratio over positions S.
-
-    Positions with Q0 = 0 produce an infinite-statistic marker rather than an
-    exception.
-    """
-    z = np.asarray(z, dtype=np.int64)
-    S = np.asarray(S, dtype=np.int64)
-    if S.size and (S.min() < 0 or S.max() >= z.shape[0]):
-        raise ValueError("S indexes outside the observation")
-    return float(willie.centred_ratio[z[S]].mean())
-
-
 @dataclass(frozen=True)
 class DetectionReport:
     gamma: float
@@ -155,24 +142,26 @@ class DetectionReport:
                 for k, v in self.__dict__.items()}
 
 
+#: trials drawn per batch; part of the random stream
+_TRIAL_CHUNK = 4096
+
+
 def detect_linear_code(
     code: LinearCode,
     willie: Dmc,
     trials: int,
     rng: np.random.Generator,
-    *,
-    gamma: float | None = None,
-    chunk: int = 4096,
 ) -> DetectionReport:
     """Monte-Carlo run of the threshold test against Prop-style analytic bounds.
 
-    H0 draws all-innocent observations, H1 draws a fresh uniform message per
-    trial through the fixed code.  The report carries the empirical rates and
-    the analytic bounds both in the stated form (with k) and the tighter form
-    with |S| distinct columns.  A channel with chi2 = 0 makes the statistic
-    identically zero; the report is then flagged undetectable.  A channel
-    whose Q1 has mass outside the support of Q0 is rejected with
-    ``ValueError``: its chi2 is infinite and the statistic unbounded.
+    The threshold is gamma = chi2/4.  H0 draws all-innocent observations, H1
+    draws a fresh uniform message per trial through the fixed code.  The
+    report carries the empirical rates and the analytic bounds both in the
+    stated form (with k) and the tighter form with |S| distinct columns.  A
+    channel with chi2 = 0 makes the statistic identically zero; the report is
+    then flagged undetectable.  A channel whose Q1 has mass outside the
+    support of Q0 is rejected with ``ValueError``: its chi2 is infinite and
+    the statistic unbounded.
     """
     if not willie.stats.finite:
         raise ValueError(
@@ -192,8 +181,7 @@ def detect_linear_code(
             mean_t_h0=0.0, mean_t_h1=0.0, var_t_h0=0.0, var_t_h1=0.0,
             chi2=chi2, chi3=chi3, undetectable=True,
         )
-    if gamma is None:
-        gamma = chi2 / 4.0
+    gamma = chi2 / 4.0
 
     cdf0, cdf1 = willie.cdf0, willie.cdf1
     g_s = code.generator[:, S].astype(np.float32)
@@ -215,7 +203,7 @@ def detect_linear_code(
     t1 = np.empty(trials)
     done = 0
     while done < trials:
-        n = min(chunk, trials - done)
+        n = min(_TRIAL_CHUNK, trials - done)
         t0[done:done + n] = h0_stats(n)
         t1[done:done + n] = h1_stats(n)
         done += n
@@ -227,7 +215,7 @@ def detect_linear_code(
     a_k = 16.0 / (code.k * chi2)
     b_k = (16.0 / chi2 + 8.0 * chi3 / chi2**2 - 4.0) / code.k
     return DetectionReport(
-        gamma=float(gamma), trials=trials, s_size=s_size, k=code.k,
+        gamma=gamma, trials=trials, s_size=s_size, k=code.k,
         alpha_hat=alpha_hat, beta_hat=beta_hat,
         alpha_bound_s=a_s, beta_bound_s=max(b_s, 0.0),
         alpha_bound_k=a_k, beta_bound_k=max(b_k, 0.0),
@@ -310,8 +298,8 @@ class OracleReport:
     max_log_ratio: float      # ell * max_z |log(Q_ppm^m(z)/Q0^m(z))|, one symbol
     bound_rhs: float          # decomposition right-hand side
 
-    def inequality_holds(self, slack: float = 1e-9) -> bool:
-        return self.d_pz_q0 <= self.bound_rhs + slack
+    def inequality_holds(self) -> bool:
+        return self.d_pz_q0 <= self.bound_rhs + 1e-9
 
 
 def exact_kl_oracle(

@@ -32,7 +32,6 @@ import numpy as np
 LN2 = math.log(2.0)
 
 ROW_SUM_TOL = 1e-9      # tolerance on user-supplied row sums
-ROW_SUM_EXACT = 1e-12   # invariant after normalisation
 
 
 class ChannelError(ValueError):
@@ -104,11 +103,10 @@ class Dmc:
 class DivergenceStats:
     """All divergence functionals of an ordered pair (p, q) of distributions.
 
-    ``kl`` is expressed in the requested ``base`` ('nats' or 'bits'); chi2,
-    chi3, theta, rho and tv are base-free.  ``mu0``/``mu1`` are the minimum
-    probabilities over the supports of q and p respectively.  When the support
-    of p is not contained in the support of q the ratio-based functionals are
-    infinite; ``finite`` is False and kl/chi2/chi3/theta/rho are ``inf``.
+    ``kl`` is in nats; chi2, chi3, theta, rho and tv are base-free.  When the
+    support of p is not contained in the support of q the ratio-based
+    functionals are infinite; ``finite`` is False and kl/chi2/chi3/theta/rho
+    are ``inf``.
     """
 
     kl: float
@@ -117,9 +115,6 @@ class DivergenceStats:
     theta: float
     rho: float
     tv: float
-    mu0: float
-    mu1: float
-    base: str
     finite: bool = True
 
 
@@ -166,31 +161,26 @@ def bac(p01: float, p10: float) -> Dmc:
     return make_dmc([1.0 - p01, p01], [p10, 1.0 - p10])
 
 
-def divergence_stats(p, q, base: str = "nats") -> DivergenceStats:
-    """Compute kl, chi2, chi3, theta, rho, tv, mu0, mu1 for the pair (p, q).
+def divergence_stats(p, q) -> DivergenceStats:
+    """Compute kl (nats), chi2, chi3, theta, rho and tv for the pair (p, q).
 
     Argument order matters: this is D(p || q) and chi_t(p || q).  Terms with
     q(z) = 0 and p(z) = 0 contribute nothing; q(z) = 0 with p(z) > 0 yields
     the infinite result state (``finite=False``) rather than an exception.
-    ``base`` selects the unit of ``kl`` only.
     """
-    if base not in ("nats", "bits"):
-        raise ValueError(f"base must be 'nats' or 'bits', got {base!r}")
     pv = np.asarray(p, dtype=np.float64)
     qv = np.asarray(q, dtype=np.float64)
     if pv.shape != qv.shape:
         raise ChannelError("p and q must have the same length")
 
     tv = 0.5 * float(np.abs(pv - qv).sum())
-    mu0 = float(qv[qv > 0].min()) if np.any(qv > 0) else 0.0
-    mu1 = float(pv[pv > 0].min()) if np.any(pv > 0) else 0.0
 
     bad = (qv == 0) & (pv > 0)
     if np.any(bad):
         inf = float("inf")
         return DivergenceStats(
             kl=inf, chi2=inf, chi3=inf, theta=inf, rho=inf,
-            tv=tv, mu0=mu0, mu1=mu1, base=base, finite=False,
+            tv=tv, finite=False,
         )
 
     sup = qv > 0
@@ -206,12 +196,7 @@ def divergence_stats(p, q, base: str = "nats") -> DivergenceStats:
     kl_terms[pos] = ps[pos] * np.log(ps[pos] / qs[pos])
     kl = float(kl_terms.sum())
     kl = max(kl, 0.0)  # clip -0.0 / rounding for p == q
-    if base == "bits":
-        kl /= LN2
-    return DivergenceStats(
-        kl=kl, chi2=chi2, chi3=chi3, theta=theta, rho=rho,
-        tv=tv, mu0=mu0, mu1=mu1, base=base, finite=True,
-    )
+    return DivergenceStats(kl=kl, chi2=chi2, chi3=chi3, theta=theta, rho=rho, tv=tv)
 
 
 def verify_degradation(bob: Dmc, willie: Dmc, intermediate) -> tuple[bool, float]:

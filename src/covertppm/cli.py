@@ -196,7 +196,7 @@ def cmd_covertness(args) -> int:
     willie = parse_channel(args.willie)
     rng = np.random.default_rng(args.seed)
     if args.exact:
-        m, ell = args.order, args.ell
+        m, ell = args.order, 1 if args.ell is None else args.ell
         if args.source == "uniform":
             pw = adversary.pw_uniform(m, ell)
         elif args.source.startswith("single:"):
@@ -226,7 +226,7 @@ def cmd_covertness(args) -> int:
     bob = parse_channel(args.bob)
     plan = levels.msd_rate_plan(
         bob, willie, args.levels, args.delta, 1, args.epsilon,
-        degraded=args.degraded, ell_override=args.ell or None,
+        degraded=args.degraded, ell_override=args.ell,
     )
     session = codec.build_session(
         plan, bob, willie, rng, resolvability=args.resolvability,
@@ -313,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true",
                    help="tiny-instance exact enumeration")
     p.add_argument("--order", type=int, default=2, help="PPM order m (exact mode)")
-    p.add_argument("--ell", type=int, default=1)
+    p.add_argument("--ell", type=int, default=None,
+                   help="super-symbols: exact mode (default 1), or override "
+                        "the planned blocklength")
     p.add_argument("--source", default="uniform",
                    help="exact-mode input law: uniform or single:p1,p2,...")
     p.add_argument("--levels", type=int, default=3)

@@ -33,7 +33,6 @@ import numpy as np
 
 from .channels import Dmc
 from .extractor import (
-    BinaryField,
     ExtractorConfig,
     bits_to_int,
     int_to_bits,
@@ -71,6 +70,11 @@ class LevelLayout:
         return self.n_key + self.n_msg + self.n_sec
 
 
+#: extractor input bits beyond Willie's information about levels u+1..q,
+#: per super-symbol
+_EXTRACTOR_MARGIN = 0.1
+
+
 def _floor_bits(ell: int, rate: float) -> int:
     return int(math.floor(ell * rate + 1e-9))
 
@@ -94,7 +98,7 @@ def _draw_half_histograms(dmc: Dmc, i: int, count: int, rng: np.random.Generator
     return c0, c1
 
 
-def make_level_llr_sampler(dmc: Dmc, i: int, llr_max: float = DEFAULT_LLR_MAX):
+def make_level_llr_sampler(dmc: Dmc, i: int):
     """Sampler of iid level-i LLRs under input bit 0 (lower levels uniform).
 
     Conditioned on the decoded higher levels, the pulse falls uniformly in
@@ -103,7 +107,8 @@ def make_level_llr_sampler(dmc: Dmc, i: int, llr_max: float = DEFAULT_LLR_MAX):
     histograms of its two halves, so the returned ``sampler(count, rng)``
     draws those histograms from their exact law (two multinomials and one
     pulse output per LLR, whatever i) and turns them into LLRs as the
-    receiver does.  Each LLR costs O(|Z|), not 2^i draws.
+    receiver does, saturated at the same ``DEFAULT_LLR_MAX``.  Each LLR costs
+    O(|Z|), not 2^i draws.
     """
     if i < 1:
         raise ValueError("level index must be >= 1")
@@ -111,7 +116,7 @@ def make_level_llr_sampler(dmc: Dmc, i: int, llr_max: float = DEFAULT_LLR_MAX):
 
     def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
         c0, c1 = _draw_half_histograms(dmc, i, count, rng)
-        return _llrs_from_counts(c0, c1, lam, llr_max)
+        return _llrs_from_counts(c0, c1, lam, DEFAULT_LLR_MAX)
 
     return sampler
 
@@ -132,7 +137,6 @@ class Session:
     extractor_cfg: ExtractorConfig | None = None
     extractor_seed: int | None = None
     delta_effective: float | None = None
-    llr_max: float = DEFAULT_LLR_MAX
 
     @property
     def q(self) -> int:
@@ -155,9 +159,6 @@ class Session:
     def total_message_bits(self) -> int:
         return sum(lay.n_msg for lay in self.layouts.values())
 
-    def extractor_input_bits(self) -> int:
-        return self.extractor_cfg.k if self.extractor_cfg is not None else 0
-
 
 def build_session(
     plan: RatePlan,
@@ -167,9 +168,6 @@ def build_session(
     *,
     resolvability: str = "full_uniform",
     construction_trials: int = 2000,
-    extractor_margin: float = 0.1,
-    extractor_field: BinaryField | None = None,
-    llr_max: float = DEFAULT_LLR_MAX,
     rate_overrides: dict[int, float] | None = None,
     rate_scale: float = 1.0,
 ) -> Session:
@@ -214,21 +212,17 @@ def build_session(
         if lay.n_payload > ell:
             raise SessionError(f"level {lr.level} payload exceeds blocklength")
         layouts[lr.level] = lay
-        sampler = make_level_llr_sampler(bob, lr.level, llr_max)
-        codes[lr.level] = construct_code(
-            sampler, ell, lay.n_payload, construction_trials, rng, level=lr.level,
-        )
+        codes[lr.level] = construct_code(make_level_llr_sampler(bob, lr.level), ell,
+                                         lay.n_payload, construction_trials, rng)
 
     extractor_cfg = None
     extractor_seed = None
     if plan.u < plan.q and resolvability == "extractor":
         w = (plan.q - plan.u) * ell
-        fld = extractor_field if extractor_field is not None else make_field(w)
-        if fld.w != w:
-            raise SessionError(f"extractor field width {fld.w} != {w}")
+        fld = make_field(w)
         i_tail = sum(level_capacity(willie, i, "bits")
                      for i in range(plan.u + 1, plan.q + 1))
-        k = min(w, _ceil_bits(ell, i_tail + extractor_margin))
+        k = min(w, _ceil_bits(ell, i_tail + _EXTRACTOR_MARGIN))
         extractor_cfg = ExtractorConfig(field=fld, k=k)
         extractor_seed = random_element(fld, rng, nonzero=True)
 
@@ -236,7 +230,6 @@ def build_session(
         plan=plan, bob=bob, willie=willie, codes=codes, layouts=layouts,
         resolvability=resolvability, extractor_cfg=extractor_cfg,
         extractor_seed=extractor_seed, delta_effective=delta_effective,
-        llr_max=llr_max,
     )
 
 
@@ -250,19 +243,16 @@ class TxRecord:
 
     level_bits: np.ndarray              # (q, ell) codeword bit matrix
     messages: dict[int, np.ndarray]     # message+secret payload per level
-    keys: dict[int, np.ndarray]
     secrets: dict[int, np.ndarray]      # the secret suffix of each payload
     extractor_r: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class BlockResult:
-    sent_bits: dict[int, np.ndarray]
     decoded_bits: dict[int, np.ndarray]
     block_errors: dict[int, bool]
     decoded_secrets: dict[int, np.ndarray]
     genie_levels: tuple[int, ...]
-    super_output: SuperOutput | None = None
 
     @property
     def any_error(self) -> bool:
@@ -308,7 +298,6 @@ def encode_block(
                 f"level {i}: expected {lay.n_key} key bits, got {key.shape[0]}"
             )
         u_vec = np.zeros(ell, dtype=np.uint8)
-        u_vec[code.frozen] = code.frozen_values
         u_vec[code.message[:lay.n_key]] = key
         u_vec[code.message[lay.n_key:]] = msg
         bits[i - 1] = polar_transform(u_vec)
@@ -335,8 +324,6 @@ def encode_block(
         level_bits=bits,
         messages={i: np.asarray(messages.get(i, []), dtype=np.uint8)
                   for i in range(1, session.u + 1)},
-        keys={i: np.asarray(keys.get(i, []), dtype=np.uint8)
-              for i in range(1, session.u + 1)},
         secrets=secrets,
         extractor_r=r_used,
     )
@@ -392,7 +379,7 @@ def decode_block(
         lay = session.layouts[i]
         code = session.codes[i]
         sub = select_positions_batch(received.symbols, x_hat[i:q], i)
-        llrs = level_llrs(sub, session.bob.lam, session.llr_max)
+        llrs = level_llrs(sub, session.bob.lam)
         key = np.asarray(keys.get(i, np.zeros(lay.n_key, dtype=np.uint8)),
                          dtype=np.uint8)
         if key.shape[0] != lay.n_key:
@@ -406,12 +393,10 @@ def decode_block(
             errors[i] = bool(np.any(decoded[i] != tx.messages[i]))
 
     return BlockResult(
-        sent_bits={} if tx is None else dict(tx.messages),
         decoded_bits=decoded,
         block_errors=errors,
         decoded_secrets=decoded_secrets,
         genie_levels=tuple(genie),
-        super_output=received,
     )
 
 
@@ -489,15 +474,14 @@ def run_chain(
     rng: np.random.Generator,
     *,
     message_source=None,
-    fresh_keys: np.ndarray | None = None,
 ) -> ChainReport:
     """Run B chained blocks: block j's decoded secrets key block j+1.
 
     Requires total secret bits >= total key bits whenever keys are needed
     (otherwise chaining is infeasible and a :class:`SessionError` is raised).
     ``message_source(level, count, block)`` supplies payload bits; the
-    default draws them uniformly from ``rng``.  Fresh keys for block 1 come
-    from ``fresh_keys`` or ``rng``.
+    default draws them uniformly from ``rng``.  Block 1's fresh keys come
+    from ``rng``.
     """
     if B < 1:
         raise SessionError("B must be >= 1")
@@ -509,11 +493,7 @@ def run_chain(
             f"{n_key} bits"
         )
 
-    if fresh_keys is None:
-        fresh_keys = _draw_bits(rng, n_key)
-    elif len(fresh_keys) != n_key:
-        raise SessionError(f"block-1 keys must be {n_key} bits")
-    tx_keys = _split_keys(session, np.asarray(fresh_keys, dtype=np.uint8))
+    tx_keys = _split_keys(session, _draw_bits(rng, n_key))
     rx_keys = {i: v.copy() for i, v in tx_keys.items()}
 
     records: list[ChainBlockRecord] = []

@@ -33,25 +33,27 @@ from .ppm import binomial_logpmf, ppm_output_divergence
 
 #: decoder LLR saturation, nats; only active off the support assumptions
 DEFAULT_LLR_MAX = 40.0
+#: output blocks :func:`level_channel_rows` enumerates at most
+_MAX_ENUMERATED_OUTPUTS = 1 << 20
 
 
 class RatePlanError(ValueError):
     """Raised when no feasible rate plan exists for the requested parameters."""
 
 
-def level_channel_rows(dmc: Dmc, i: int, max_outputs: int = 1 << 20):
+def level_channel_rows(dmc: Dmc, i: int):
     """Transition rows of the level-i equivalent channel by full enumeration.
 
     Returns (row for bit 0, row for bit 1) over all alphabet^(2^i) output
     blocks, ordered with the last coordinate fastest.  Exponential in 2^i;
-    guarded by ``max_outputs``.  Used as the fallback capacity path for
-    non-binary channels outside the divergence identity's support condition,
-    and by the symmetry and permutation-invariance checks.
+    refuses more than 2^20 output blocks.  Used as the fallback capacity path
+    for non-binary channels outside the divergence identity's support
+    condition, and by the symmetry and permutation-invariance checks.
     """
     width = 1 << i
     a = dmc.alphabet_size
     n_out = a ** width
-    if n_out > max_outputs:
+    if n_out > _MAX_ENUMERATED_OUTPUTS:
         raise ValueError(f"{n_out} output blocks exceed the enumeration budget")
     grids = np.indices((a,) * width).reshape(width, n_out).T  # (n_out, width)
     p0 = dmc.row0[grids]  # (n_out, width)
@@ -98,7 +100,7 @@ def _ones_count_mi(dmc: Dmc, i: int, base: str) -> float:
     return _binary_input_mi(np.outer(a, b).ravel(), np.outer(b, a).ravel(), base)
 
 
-def level_capacity(dmc: Dmc, i: int, base: str = "nats", **dp_kwargs) -> float:
+def level_capacity(dmc: Dmc, i: int, base: str = "nats") -> float:
     """Exact capacity of level ``i`` via the divergence-difference identity.
 
     Valid for any total number of levels q >= i (the level channel is
@@ -106,13 +108,12 @@ def level_capacity(dmc: Dmc, i: int, base: str = "nats", **dp_kwargs) -> float:
     are infinite and the identity degenerates; the capacity is then the
     mutual information over the exact law of the per-half ones counts for a
     binary output alphabet, and otherwise comes from enumerating the
-    equivalent channel directly (small 2^i only).  ``dp_kwargs`` are
-    forwarded to the divergence DP.
+    equivalent channel directly (small 2^i only).
     """
     if i < 1:
         raise ValueError("level index must be >= 1")
-    hi = ppm_output_divergence(dmc, 1 << (i - 1), base, **dp_kwargs)
-    lo = ppm_output_divergence(dmc, 1 << i, base, **dp_kwargs)
+    hi = ppm_output_divergence(dmc, 1 << (i - 1), base)
+    lo = ppm_output_divergence(dmc, 1 << i, base)
     if math.isinf(hi) or math.isinf(lo):
         if dmc.alphabet_size == 2:
             return _ones_count_mi(dmc, i, base)
@@ -123,12 +124,10 @@ def level_capacity(dmc: Dmc, i: int, base: str = "nats", **dp_kwargs) -> float:
 def level_capacity_bound(stats: DivergenceStats, i: int) -> float:
     """Three-term upper bound on the level-i capacity, in nats.
 
-    Requires ``stats`` computed in nats for the pair (P1, P0).  The bound is
-    an asymptotic expansion; for small i it may fall below the exact value,
+    ``stats`` are the divergence statistics of the pair (P1, P0).  The bound
+    is an asymptotic expansion; for small i it may fall below the exact value,
     which the tests record rather than assert away.
     """
-    if stats.base != "nats":
-        raise ValueError("level_capacity_bound requires stats in nats")
     if i < 1:
         raise ValueError("level index must be >= 1")
     c2, th, rh = stats.chi2, stats.theta, stats.rho
@@ -337,8 +336,6 @@ def throughput_summary(
     Capacities are sqrt(2/chi2) * D(P1||P0)  and  the clamped key analogue
     sqrt(2/chi2) * (D(Q1||Q0) - D(P1||P0))^+, in the plan's rate base.
     """
-    if bob_stats.base != "nats" or willie_stats.base != "nats":
-        raise ValueError("throughput_summary expects stats in nats")
     n = plan.B * plan.m * plan.ell
     if n == 0:
         raise RatePlanError("zero blocklength")
@@ -371,36 +368,16 @@ def throughput_summary(
 # equivalent-channel receiver primitives
 # ---------------------------------------------------------------------------
 
-def select_positions(block, decoded_high_bits) -> np.ndarray:
-    """Subblock of a received super-symbol selected by decoded higher bits.
-
-    ``block`` has 2^q coordinates; ``decoded_high_bits`` are (x_{i+1},...,x_q)
-    and the result is the 2^i coordinates whose index set matches them, in
-    ascending index order.  Under this order the first half corresponds to
-    level bit x_i = 0.
-    """
-    block = np.asarray(block)
-    high = np.asarray(decoded_high_bits, dtype=np.int64)
-    q = int(round(math.log2(block.shape[0])))
-    if (1 << q) != block.shape[0]:
-        raise ValueError("block length must be a power of two")
-    i = q - high.shape[0]
-    if i < 0:
-        raise ValueError("more high bits than levels")
-    if high.size and not np.all((high == 0) | (high == 1)):
-        raise ValueError("bits must be 0/1")
-    # positions of index_set(q, x_{i+1:q}) are contiguous: offset+1 .. offset+2^i
-    offset = int((high << np.arange(i, q, dtype=np.int64)).sum()) if high.size else 0
-    return block[offset:offset + (1 << i)]
-
-
 def select_positions_batch(symbols: np.ndarray, high_bits: np.ndarray, i: int) -> np.ndarray:
-    """Vectorised :func:`select_positions` over a block of super-symbols.
+    """Subblocks of received super-symbols selected by decoded higher bits.
 
     ``symbols`` is (ell, 2^q); ``high_bits`` is (q - i, ell) with row t being
-    level i+1+t.  Returns the (ell, 2^i) selected subblocks: each is one of
-    the 2^(q-i) contiguous width-2^i slices of its row, so the row is read as
-    (2^(q-i), 2^i) and the slice picked by the higher bits' value.
+    level i+1+t.  Returns the (ell, 2^i) selected subblocks: the 2^i
+    coordinates of each row whose level bits i+1..q match the higher bits, in
+    ascending index order, so that the first half corresponds to level bit
+    x_i = 0.  They form one of the 2^(q-i) contiguous width-2^i slices of the
+    row, so the row is read as (2^(q-i), 2^i) and the slice picked by the
+    higher bits' value.
     """
     ell, m = symbols.shape
     q = int(round(math.log2(m)))
@@ -488,35 +465,3 @@ def plan_to_text(plan: RatePlan) -> str:
         lines.append(f"level.{lr.level}.r_v = {lr.r_v!r}")
         lines.append(f"level.{lr.level}.r_k = {lr.r_k!r}")
     return "\n".join(lines) + "\n"
-
-
-def plan_from_text(text: str) -> RatePlan:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or lines[0] != PLAN_HEADER:
-        raise ValueError(f"not a rate-plan document (expected {PLAN_HEADER!r})")
-    kv: dict[str, str] = {}
-    for ln in lines[1:]:
-        key, _, val = ln.partition("=")
-        kv[key.strip()] = val.strip()
-    q = int(kv["q"])
-    per_level = tuple(
-        LevelRates(
-            level=i,
-            r_u=float(kv[f"level.{i}.r_u"]),
-            r_v=float(kv[f"level.{i}.r_v"]),
-            r_k=float(kv[f"level.{i}.r_k"]),
-        )
-        for i in range(1, q + 1)
-    )
-    return RatePlan(
-        q=q,
-        ell=int(kv["ell"]),
-        B=int(kv["B"]),
-        delta=float(kv["delta"]),
-        epsilon=float(kv["epsilon"]),
-        base=kv["base"],
-        u=int(kv["u"]),
-        per_level=per_level,
-        degraded=kv.get("degraded", "false") == "true",
-    )

@@ -6,6 +6,10 @@ The transform is the n-fold Kronecker power of [[1,0],[1,1]] in natural
 operation per stage.  Over GF(2) the kernel is an involution, so encoding
 applied twice is the identity.
 
+A level code is its length and its message set.  Every other position is
+frozen to zero, which the symmetric level channels allow; a bit the receiver
+knows to be nonzero (a key bit) is a pin of the decoder instead.
+
 The decoder is successive cancellation (SC) organised as simplified SC
 (Alamdar-Yazdi & Kschischang, IEEE Comm. Letters 2011): a subtree whose
 positions are all frozen or pinned (rate 0) emits its known values without
@@ -50,6 +54,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,64 +98,30 @@ def _g(a: np.ndarray, b: np.ndarray, x1: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolarLevelCode:
-    """A polar code for one level channel.
+    """A polar code for one level channel: its length and message set.
 
-    ``frozen`` positions carry ``frozen_values`` (all zero by default, valid
-    because the level channels are symmetric).  ``message`` positions carry
-    payload bits.  In resolvability mode ``randomized`` positions carry
-    private uniform bits and are disjoint from the message set.  The three
-    index sets partition [0, ell).
+    ``message`` (sorted on construction) holds the positions that carry
+    payload bits; the remaining positions, ``frozen``, are always zero, which
+    is valid because the level channels are symmetric.  A position the
+    receiver knows to hold another value (a key bit) is passed to
+    :func:`sc_decode` as a pin.
     """
 
     ell: int
-    level: int
-    frozen: np.ndarray
-    frozen_values: np.ndarray
     message: np.ndarray
-    randomized: np.ndarray
-    mode: str = "reliability"
 
     def __post_init__(self):
         _check_power_of_two(self.ell)
-        if self.mode not in ("reliability", "resolvability"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        fr = np.asarray(self.frozen, dtype=np.int64)
-        ms = np.asarray(self.message, dtype=np.int64)
-        rd = np.asarray(self.randomized, dtype=np.int64)
-        fv = np.asarray(self.frozen_values, dtype=np.uint8)
-        if fv.shape != fr.shape:
-            raise ValueError("frozen_values must align with frozen")
-        allidx = np.concatenate([fr, ms, rd])
-        if allidx.size != self.ell or np.unique(allidx).size != self.ell \
-                or (allidx.size and (allidx.min() < 0 or allidx.max() >= self.ell)):
-            raise ValueError("frozen/message/randomized must partition [0, ell)")
-        object.__setattr__(self, "frozen", np.sort(fr))
-        object.__setattr__(self, "frozen_values", fv[np.argsort(fr)])
-        object.__setattr__(self, "message", np.sort(ms))
-        object.__setattr__(self, "randomized", np.sort(rd))
+        ms = np.sort(np.asarray(self.message, dtype=np.int64))
+        if ms.ndim != 1 or (ms.size and (ms[0] < 0 or ms[-1] >= self.ell)) \
+                or np.any(ms[1:] == ms[:-1]):
+            raise ValueError("message must hold distinct positions in [0, ell)")
+        object.__setattr__(self, "message", ms)
 
-    @property
-    def info_count(self) -> int:
-        return self.ell - int(self.frozen.shape[0])
-
-    def frozen_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(mask, values) over the full length, for the decoder."""
-        mask = np.zeros(self.ell, dtype=bool)
-        vals = np.zeros(self.ell, dtype=np.uint8)
-        mask[self.frozen] = True
-        vals[self.frozen] = self.frozen_values
-        return mask, vals
-
-
-def all_frozen_code(ell: int, level: int = 0, values=None) -> PolarLevelCode:
-    vals = np.zeros(ell, dtype=np.uint8) if values is None \
-        else np.asarray(values, dtype=np.uint8)
-    return PolarLevelCode(
-        ell=ell, level=level,
-        frozen=np.arange(ell), frozen_values=vals,
-        message=np.array([], dtype=np.int64),
-        randomized=np.array([], dtype=np.int64),
-    )
+    @cached_property
+    def frozen(self) -> np.ndarray:
+        """The positions outside the message set, ascending."""
+        return np.setdiff1d(np.arange(self.ell), self.message)
 
 
 # rate-1 certification (module docstring): d*ln2 + 1 <= |L| <= 2^20 for a
@@ -221,7 +192,9 @@ def sc_decode(
     llr = np.asarray(channel_llrs, dtype=np.float64)
     if llr.shape != (code.ell,):
         raise ValueError(f"need {code.ell} channel LLRs, got {llr.shape}")
-    mask, vals = code.frozen_arrays()
+    mask = np.ones(code.ell, dtype=bool)
+    mask[code.message] = False
+    vals = np.zeros(code.ell, dtype=np.uint8)
     if pins is not None:
         idx, pv = pins
         mask[np.asarray(idx, dtype=np.int64)] = True
@@ -306,18 +279,14 @@ def construct_code(
     target_info: int,
     trials: int,
     rng: np.random.Generator,
-    *,
-    level: int = 0,
-    mode: str = "reliability",
 ) -> PolarLevelCode:
     """Monte-Carlo genie-aided construction.
 
     ``level_sampler(count, rng)`` must return ``count`` iid channel LLRs for
     the all-zero (bit 0) input of the target level channel, as a fresh
     float64 array that the construction may overwrite.  The
-    ``target_info`` most reliable synthetic channels become the message set
-    (or the randomized set in resolvability mode); the remainder are frozen
-    to zero.  At least 1000 trials are recommended.
+    ``target_info`` most reliable synthetic channels become the message set;
+    the remainder are frozen to zero.  At least 1000 trials are recommended.
 
     LLRs are drawn in chunks of about 2^19 on the calling thread; the genie
     pass over each chunk is split by rows across the available cores.
@@ -345,52 +314,4 @@ def construct_code(
     # error count first; ties (channels too good to fail in `trials` runs)
     # broken by the mean decision LLR, a smooth reliability proxy
     order = np.lexsort((np.arange(ell), -llr_sum, err))
-    chosen = np.sort(order[:target_info])
-    rest = np.sort(order[target_info:])
-    if mode == "reliability":
-        message, randomized = chosen, np.array([], dtype=np.int64)
-    elif mode == "resolvability":
-        message, randomized = np.array([], dtype=np.int64), chosen
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return PolarLevelCode(
-        ell=ell, level=level,
-        frozen=rest, frozen_values=np.zeros(rest.shape[0], dtype=np.uint8),
-        message=message, randomized=randomized, mode=mode,
-    )
-
-
-def resolvability_encode(
-    code: PolarLevelCode,
-    message,
-    private_random_bits,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Codeword carrying optional message bits plus private uniform bits.
-
-    Message bits go on the message positions, private bits on the randomized
-    positions (drawn from ``rng`` when passed as None), frozen positions take
-    their fixed values.  Returns the transformed codeword.
-    """
-    u = np.zeros(code.ell, dtype=np.uint8)
-    u[code.frozen] = code.frozen_values
-    msg = np.asarray([] if message is None else message, dtype=np.uint8)
-    if msg.shape[0] != code.message.shape[0]:
-        raise ValueError(
-            f"message length {msg.shape[0]} != {code.message.shape[0]} positions"
-        )
-    u[code.message] = msg
-    n_rand = code.randomized.shape[0]
-    if private_random_bits is None:
-        if rng is None and n_rand:
-            raise ValueError("need private bits or an rng to draw them")
-        rand = rng.integers(0, 2, size=n_rand, dtype=np.uint8) if n_rand else \
-            np.array([], dtype=np.uint8)
-    else:
-        rand = np.asarray(private_random_bits, dtype=np.uint8)
-        if rand.shape[0] != n_rand:
-            raise ValueError(
-                f"private bit count {rand.shape[0]} != {n_rand} randomized positions"
-            )
-    u[code.randomized] = rand
-    return polar_transform(u)
+    return PolarLevelCode(ell=ell, message=order[:target_info])

@@ -1,5 +1,5 @@
-"""Pulse-position modulation: symbol mapping, index sets, super-channel
-simulation, and exact output-distribution divergences.
+"""Pulse-position modulation: symbol mapping, super-channel simulation, and
+exact output-distribution divergences.
 
 A PPM symbol of order m = 2^q is a length-m binary vector with a single one.
 The q level bits (x_1, ..., x_q), least-significant bit first, select the
@@ -36,8 +36,8 @@ from .channels import LN2, Dmc
 
 #: type classes enumerated before the exact DP refuses and suggests Monte Carlo
 DEFAULT_TYPE_BUDGET = 2_000_000
-#: largest output alphabet handled by the exact DP by default
-DEFAULT_MAX_ALPHABET = 6
+#: largest output alphabet handled by the exact DP
+MAX_ALPHABET = 6
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -92,42 +92,6 @@ class SuperOutput:
         return int(self.symbols.shape[0])
 
 
-def decimal_map(x_bits) -> int:
-    """Decimal value of a bit vector, least significant bit first."""
-    value = 0
-    for t, b in enumerate(x_bits):
-        if b not in (0, 1):
-            raise ValueError(f"bits must be 0/1, got {b!r}")
-        value |= int(b) << t
-    return value
-
-
-def decimal_unmap(value: int, q: int) -> np.ndarray:
-    """Inverse of :func:`decimal_map`: the q-bit vector of ``value``, LSB first."""
-    if not 0 <= value < (1 << q):
-        raise ValueError(f"value {value} outside [0, 2^{q})")
-    return np.array([(value >> t) & 1 for t in range(q)], dtype=np.uint8)
-
-
-def index_set(q: int, constrained: dict[int, int]) -> np.ndarray:
-    """Positions (1-based, ascending) whose level bits match the constraints.
-
-    ``constrained`` maps level indices in [1, q] to required bit values; the
-    result has exactly 2^(q - len(constrained)) entries.  An empty constraint
-    returns the full set {1, ..., 2^q}.
-    """
-    m = 1 << q
-    mask = np.ones(m, dtype=bool)
-    j0 = np.arange(m)  # position - 1 = decimal value of the bits
-    for level, bit in constrained.items():
-        if not 1 <= level <= q:
-            raise ValueError(f"level {level} outside [1, {q}]")
-        if bit not in (0, 1):
-            raise ValueError(f"bit for level {level} must be 0/1")
-        mask &= ((j0 >> (level - 1)) & 1) == bit
-    return (j0[mask] + 1).astype(np.int64)
-
-
 def frame_from_bits(level_bits) -> PpmFrame:
     """Build a frame from a (q, ell) bit matrix whose row i-1 is level i."""
     bits = np.asarray(level_bits, dtype=np.int64)
@@ -148,18 +112,7 @@ def transmit_super(dmc: Dmc, frame: PpmFrame, rng: np.random.Generator) -> Super
     rows = np.arange(ell)
     cols = frame.positions - 1
     symbols[rows, cols] = np.searchsorted(dmc.cdf1, u[rows, cols], side="right")
-    return SuperOutput(q=frame.q, symbols=symbols.astype(np.int64))
-
-
-def likelihood_ratios(dmc: Dmc, block) -> np.ndarray:
-    """Per-coordinate likelihood ratios row1(y)/row0(y) for an output block.
-
-    Coordinates with row0(y) = 0 yield ``inf``.
-    """
-    idx = np.asarray(block, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= dmc.alphabet_size):
-        raise ValueError("output index outside alphabet")
-    return dmc.lam[idx]
+    return SuperOutput(q=frame.q, symbols=symbols)
 
 
 def _xlogx(r: np.ndarray) -> np.ndarray:
@@ -247,7 +200,6 @@ def ppm_output_divergence(
     m: int,
     base: str = "nats",
     *,
-    max_alphabet: int = DEFAULT_MAX_ALPHABET,
     type_budget: int = DEFAULT_TYPE_BUDGET,
 ) -> float:
     """Exact per-super-symbol divergence D(P_ppm^m || P0^m).
@@ -255,7 +207,7 @@ def ppm_output_divergence(
     ``m`` must be a power of two (the PPM order).  Binary output alphabets
     use the O(m) ones-count loop; larger alphabets enumerate histogram type
     classes, refusing with :class:`EnumerationBudgetError` when the class
-    count exceeds ``type_budget`` or the alphabet exceeds ``max_alphabet``.
+    count exceeds ``type_budget`` or the alphabet exceeds ``MAX_ALPHABET``.
     Returns ``inf`` when P1 has mass outside the support of P0.
     """
     if m < 1 or (m & (m - 1)) != 0:
@@ -264,10 +216,10 @@ def ppm_output_divergence(
         raise ValueError(f"base must be 'nats' or 'bits', got {base!r}")
     if dmc.alphabet_size == 2:
         value = _binary_divergence(dmc, m)
-    elif dmc.alphabet_size > max_alphabet:
+    elif dmc.alphabet_size > MAX_ALPHABET:
         raise EnumerationBudgetError(
             f"alphabet size {dmc.alphabet_size} exceeds the exact-DP limit "
-            f"{max_alphabet}; use monte_carlo_divergence"
+            f"{MAX_ALPHABET}; use monte_carlo_divergence"
         )
     else:
         value = _type_class_divergence(dmc, m, type_budget)

@@ -8,8 +8,13 @@ cancellation decoder that the library's simplified schedule must match,
 ``genie_decision_llrs_reference`` the node-by-node recursion that the
 breadth-first genie pass of ``construct_code`` must match, and
 ``distinct_columns_reference`` the column-by-column scan that the packed-key
-``distinct_column_set`` must match.  ``level_llrs_reference`` sums each
-half's per-coordinate likelihood ratios in sorted order, and
+``distinct_column_set`` must match.  ``decimal_map``, ``index_set`` and
+``select_positions`` spell out the PPM position layout one symbol at a time,
+for ``frame_from_bits`` and ``select_positions_batch``;
+``detector_statistic`` is the warden's statistic of one observation, and
+``plan_from_text`` parses the document ``plan_to_text`` writes.
+``level_llrs_reference`` sums each half's per-coordinate likelihood ratios
+in sorted order, and
 ``level_llr_sampler_reference`` draws all 2^i outputs of a level subblock:
 the histogram-based ``level_llrs`` and level sampler must agree with them.
 ``bits_to_int_reference``/``int_to_bits_reference`` are the bit-by-bit loops
@@ -29,7 +34,7 @@ from scipy.stats import multinomial
 
 from covertppm.channels import Dmc
 from covertppm.extractor import is_irreducible
-from covertppm.levels import DEFAULT_LLR_MAX
+from covertppm.levels import DEFAULT_LLR_MAX, PLAN_HEADER, LevelRates, RatePlan
 from covertppm.ppm import frame_from_bits
 
 LN2 = math.log(2.0)
@@ -181,13 +186,109 @@ def sc_decode_reference(channel_llrs, code, pins=None):
     for bit.
     """
     llr = np.asarray(channel_llrs, dtype=np.float64)
-    mask, vals = code.frozen_arrays()
+    mask = np.ones(code.ell, dtype=bool)
+    mask[code.message] = False
+    vals = np.zeros(code.ell, dtype=np.uint8)
     if pins is not None:
         idx, pv = pins
         mask[np.asarray(idx, dtype=np.int64)] = True
         vals[np.asarray(idx, dtype=np.int64)] = np.asarray(pv, dtype=np.uint8)
     u_hat, _ = _sc_recurse(llr, mask, vals, 0)
     return u_hat, u_hat[code.message]
+
+
+def decimal_map(x_bits) -> int:
+    """Decimal value of a bit vector, least significant bit first."""
+    value = 0
+    for t, b in enumerate(x_bits):
+        if b not in (0, 1):
+            raise ValueError(f"bits must be 0/1, got {b!r}")
+        value |= int(b) << t
+    return value
+
+
+def index_set(q: int, constrained: dict[int, int]) -> np.ndarray:
+    """Positions (1-based, ascending) whose level bits match the constraints.
+
+    ``constrained`` maps level indices in [1, q] to required bit values; the
+    result has exactly 2^(q - len(constrained)) entries.  An empty constraint
+    returns the full set {1, ..., 2^q}.
+    """
+    m = 1 << q
+    mask = np.ones(m, dtype=bool)
+    j0 = np.arange(m)  # position - 1 = decimal value of the bits
+    for level, bit in constrained.items():
+        if not 1 <= level <= q:
+            raise ValueError(f"level {level} outside [1, {q}]")
+        if bit not in (0, 1):
+            raise ValueError(f"bit for level {level} must be 0/1")
+        mask &= ((j0 >> (level - 1)) & 1) == bit
+    return (j0[mask] + 1).astype(np.int64)
+
+
+def select_positions(block, decoded_high_bits) -> np.ndarray:
+    """Subblock of one received super-symbol selected by decoded higher bits.
+
+    ``block`` has 2^q coordinates; ``decoded_high_bits`` are (x_{i+1},...,x_q)
+    and the result is the 2^i coordinates whose index set matches them, in
+    ascending index order.
+    """
+    block = np.asarray(block)
+    high = np.asarray(decoded_high_bits, dtype=np.int64)
+    q = int(round(math.log2(block.shape[0])))
+    if (1 << q) != block.shape[0]:
+        raise ValueError("block length must be a power of two")
+    i = q - high.shape[0]
+    if i < 0:
+        raise ValueError("more high bits than levels")
+    if high.size and not np.all((high == 0) | (high == 1)):
+        raise ValueError("bits must be 0/1")
+    # positions of index_set(q, x_{i+1:q}) are contiguous: offset+1 .. offset+2^i
+    offset = int((high << np.arange(i, q, dtype=np.int64)).sum()) if high.size else 0
+    return block[offset:offset + (1 << i)]
+
+
+def detector_statistic(z, S, willie: Dmc) -> float:
+    """The linear-code detector statistic of one observation ``z``: the mean
+    centred likelihood ratio over positions S."""
+    z = np.asarray(z, dtype=np.int64)
+    S = np.asarray(S, dtype=np.int64)
+    if S.size and (S.min() < 0 or S.max() >= z.shape[0]):
+        raise ValueError("S indexes outside the observation")
+    return float(willie.centred_ratio[z[S]].mean())
+
+
+def plan_from_text(text: str) -> RatePlan:
+    """Parse a rate-plan document written by ``levels.plan_to_text``."""
+    lines = [ln.strip() for ln in text.splitlines()
+             if ln.strip() and not ln.strip().startswith("#")]
+    if not lines or lines[0] != PLAN_HEADER:
+        raise ValueError(f"not a rate-plan document (expected {PLAN_HEADER!r})")
+    kv: dict[str, str] = {}
+    for ln in lines[1:]:
+        key, _, val = ln.partition("=")
+        kv[key.strip()] = val.strip()
+    q = int(kv["q"])
+    per_level = tuple(
+        LevelRates(
+            level=i,
+            r_u=float(kv[f"level.{i}.r_u"]),
+            r_v=float(kv[f"level.{i}.r_v"]),
+            r_k=float(kv[f"level.{i}.r_k"]),
+        )
+        for i in range(1, q + 1)
+    )
+    return RatePlan(
+        q=q,
+        ell=int(kv["ell"]),
+        B=int(kv["B"]),
+        delta=float(kv["delta"]),
+        epsilon=float(kv["epsilon"]),
+        base=kv["base"],
+        u=int(kv["u"]),
+        per_level=per_level,
+        degraded=kv.get("degraded", "false") == "true",
+    )
 
 
 def brute_ppm_divergence(dmc: Dmc, m: int, base: str = "nats") -> float:

@@ -40,7 +40,7 @@ from covertppm.extractor import (
 from covertppm.levels import level_capacity, level_llrs, msd_rate_plan
 from covertppm.polar import construct_code, polar_transform, sc_decode
 
-from conftest import brute_conditional_mi
+from conftest import LN2, brute_conditional_mi
 
 TABLE_II = [0.7421, 0.6387, 0.4918, 0.3214, 0.1749, 0.0853, 0.0413, 0.0203,
             0.0101, 0.0050, 0.0025, 0.0013, 0.0006, 0.0003, 0.0002, 0.0001]
@@ -77,8 +77,8 @@ def test_criterion_3_mi_difference_table():
              for i in range(1, 11)]
     for i, (got, want) in enumerate(zip(diffs, TABLE_I_DIFFS), start=1):
         assert got == pytest.approx(want, abs=5e-5), f"level {i}"
-    d_bob = divergence_stats(bob.row1, bob.row0, "bits").kl
-    d_willie = divergence_stats(willie.row1, willie.row0, "bits").kl
+    d_bob = divergence_stats(bob.row1, bob.row0).kl / LN2
+    d_willie = divergence_stats(willie.row1, willie.row0).kl / LN2
     assert d_bob == pytest.approx(1.2000, abs=5e-4)
     assert d_willie == pytest.approx(1.0830, abs=5e-4)
     print("\nACCEPTANCE 3 PASS: 10-level MI differences and divergences "
@@ -147,7 +147,7 @@ def test_criterion_6_decoder_permutation_invariance():
         for ell in (8, 64):
             k = max(1, int(0.4 * level_capacity(ch, i, "bits") * ell))
             sampler = make_level_llr_sampler(ch, i)
-            code = construct_code(sampler, ell, k, 400, rng, level=i)
+            code = construct_code(sampler, ell, k, 400, rng)
             for _ in range(100):
                 bits = rng.integers(0, 2, size=k, dtype=np.uint8)
                 u = np.zeros(ell, dtype=np.uint8)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    detector_statistic,
     distinct_columns_reference,
     exact_tv,
     pw_from_joint_codebook,
@@ -25,7 +26,6 @@ from covertppm.adversary import (
     random_linear_code,
     srl_bound,
 )
-from covertppm.adversary import test_statistic as detector_statistic
 from covertppm.channels import bac, bsc, divergence_stats, make_dmc
 from covertppm.codec import build_session
 from covertppm.extractor import ExtractorConfig, int_to_bits, inv, make_field

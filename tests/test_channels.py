@@ -73,7 +73,7 @@ class TestChannelTable:
 
     def test_stats_are_divergence_stats_in_nats(self):
         ch = bac(0.1, 0.4)
-        assert ch.stats == divergence_stats(ch.row1, ch.row0, base="nats")
+        assert ch.stats == divergence_stats(ch.row1, ch.row0)
 
     def test_cached_and_read_only(self):
         ch = bsc(0.1)
@@ -87,13 +87,13 @@ class TestChannelTable:
 
 class TestDivergenceStats:
     def test_bsc02_kl_bits(self):
-        st_ = divergence_stats([0.8, 0.2], [0.2, 0.8], base="bits")
-        assert st_.kl == pytest.approx(1.2, abs=1e-12)
+        st_ = divergence_stats([0.8, 0.2], [0.2, 0.8])
+        assert st_.kl / LN2 == pytest.approx(1.2, abs=1e-12)
 
     def test_bac_willie_kl_bits(self):
         willie = bac(0.1, 0.4)
-        st_ = divergence_stats(willie.row1, willie.row0, base="bits")
-        assert st_.kl == pytest.approx(1.083, abs=5e-4)
+        st_ = divergence_stats(willie.row1, willie.row0)
+        assert st_.kl / LN2 == pytest.approx(1.083, abs=5e-4)
 
     def test_identical_distributions(self):
         st_ = divergence_stats([0.3, 0.3, 0.4], [0.3, 0.3, 0.4])
@@ -120,15 +120,6 @@ class TestDivergenceStats:
         rev = divergence_stats(willie.row0, willie.row1).kl
         assert abs(fwd - rev) > 1e-3
 
-    def test_mu_fields(self):
-        st_ = divergence_stats([0.7, 0.3, 0.0], [0.5, 0.25, 0.25])
-        assert st_.mu0 == pytest.approx(0.25)
-        assert st_.mu1 == pytest.approx(0.3)
-
-    def test_bad_base(self):
-        with pytest.raises(ValueError):
-            divergence_stats([0.5, 0.5], [0.5, 0.5], base="dits")
-
 
 @st.composite
 def distribution_pairs(draw, size=4):
@@ -144,7 +135,7 @@ class TestDivergenceProperties:
     @settings(max_examples=200, deadline=None)
     def test_pinsker(self, pq):
         p, q = pq
-        st_ = divergence_stats(p, q, base="nats")
+        st_ = divergence_stats(p, q)
         assert st_.kl >= 2.0 * st_.tv**2 - 1e-12
 
     @given(distribution_pairs())

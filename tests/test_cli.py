@@ -1,9 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from covertppm.cli import load_channel_file, main, parse_channel
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv) -> int:
@@ -226,3 +231,40 @@ class TestCovertness:
         assert a.read_bytes() == b.read_bytes()
         report = json.loads(a.read_text())
         assert report["baseline"] == "ppm-mixture"
+
+    def test_sampled_mode_uses_the_planned_blocklength(self, tmp_path):
+        # without --ell the estimate runs at the planner's blocklength:
+        # floor(2 * 32 * 0.5 / (64/9)) = 4 super-symbols
+        out = tmp_path / "c.json"
+        assert run_cli("covertness", "--bob", "bsc:0.05", "--willie", "bsc:0.1",
+                       "--levels", "5", "--delta", "0.5", "--degraded",
+                       "--construction-trials", "100", "--trials", "10",
+                       "--seed", "21", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["ell"] == 4
+
+    def test_exact_mode_defaults_to_one_super_symbol(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert run_cli("covertness", "--willie", "bsc:0.1", "--exact",
+                       "--order", "2", "--source", "single:1", "--seed", "1",
+                       "--out", str(out)) == 0
+        assert json.loads(out.read_text())["ell"] == 1
+
+
+def readme_commands() -> list[list[str]]:
+    """The covertppm commands of the README's command-line ``sh`` block."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    text = next(b for b in blocks if "covertppm " in b).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("covertppm ")]
+
+
+def test_readme_commands_run(tmp_path):
+    # every documented command still parses and runs: a removed flag or
+    # keyword cannot leave the README broken
+    commands = readme_commands()
+    assert len(commands) >= 7
+    for argv in commands:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+        assert main(argv) == 0, argv
+        assert Path(argv[at]).stat().st_size > 0

@@ -18,6 +18,7 @@ from covertppm.codec import (
     transmit_block,
 )
 from covertppm.levels import (
+    DEFAULT_LLR_MAX,
     _llrs_from_counts,
     level_llrs,
     msd_rate_plan,
@@ -319,10 +320,11 @@ class TestLevelLlrSampler:
 
     def test_sampler_is_histograms_through_llrs(self):
         ch = TERNARY
-        sampler = make_level_llr_sampler(ch, 3, llr_max=7.0)
+        sampler = make_level_llr_sampler(ch, 3)
         got = sampler(500, np.random.default_rng(8))
         c0, c1 = _draw_half_histograms(ch, 3, 500, np.random.default_rng(8))
-        np.testing.assert_array_equal(got, _llrs_from_counts(c0, c1, ch.lam, 7.0))
+        np.testing.assert_array_equal(
+            got, _llrs_from_counts(c0, c1, ch.lam, DEFAULT_LLR_MAX))
 
     @pytest.mark.parametrize("ch", [bsc(0.05), TERNARY, NOISELESS],
                              ids=["bsc0.05", "ternary", "noiseless"])

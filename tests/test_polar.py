@@ -9,16 +9,9 @@ from hypothesis import strategies as st
 from conftest import genie_decision_llrs_reference, sc_decode_reference
 from covertppm import polar
 from covertppm.channels import bsc
-from covertppm.codec import build_session, make_level_llr_sampler
+from covertppm.codec import build_session, encode_block, make_level_llr_sampler
 from covertppm.levels import DEFAULT_LLR_MAX, level_capacity, level_llrs, msd_rate_plan
-from covertppm.polar import (
-    PolarLevelCode,
-    all_frozen_code,
-    construct_code,
-    polar_transform,
-    resolvability_encode,
-    sc_decode,
-)
+from covertppm.polar import PolarLevelCode, construct_code, polar_transform, sc_decode
 
 
 def noiseless_llrs(codeword: np.ndarray) -> np.ndarray:
@@ -85,10 +78,14 @@ class TestTransform:
 
 class TestScDecode:
     def test_all_frozen_returns_frozen_values(self, rng):
-        values = rng.integers(0, 2, size=32, dtype=np.uint8)
-        code = all_frozen_code(32, values=values)
+        # frozen positions decode to zero, and nonzero known values are pins
+        code = PolarLevelCode(ell=32, message=np.array([], dtype=np.int64))
         llrs = rng.normal(size=32)
         u_hat, info = sc_decode(llrs, code)
+        np.testing.assert_array_equal(u_hat, np.zeros(32, np.uint8))
+        assert info.size == 0
+        values = rng.integers(0, 2, size=32, dtype=np.uint8)
+        u_hat, info = sc_decode(llrs, code, pins=(np.arange(32), values))
         np.testing.assert_array_equal(u_hat, values)
         assert info.size == 0
 
@@ -120,7 +117,7 @@ class TestScDecode:
         np.testing.assert_array_equal(decoded[10:], payload)
 
     def test_wrong_length_rejected(self, rng):
-        code = all_frozen_code(16)
+        code = PolarLevelCode(ell=16, message=np.array([], dtype=np.int64))
         with pytest.raises(ValueError):
             sc_decode(np.zeros(8), code)
 
@@ -129,7 +126,7 @@ class TestScDecode:
     def test_rate_one_ties_follow_sc(self, llrs):
         # f(0, -1) = 0 decides bit 0 where the sign product says 1; the
         # rate-1 shortcut must not apply to such nodes
-        code = _code(2, np.array([], dtype=np.int64), np.array([], dtype=np.uint8))
+        code = _code(2, np.array([], dtype=np.int64))
         got = sc_decode(np.array(llrs), code)
         want = sc_decode_reference(np.array(llrs), code)
         np.testing.assert_array_equal(got[0], want[0])
@@ -145,12 +142,8 @@ LLR_POOL = np.concatenate([LLR_POOL, -LLR_POOL])
 LLR_EXTREME = np.array([1e300, -1e300, np.inf, -np.inf, np.nan])
 
 
-def _code(ell: int, frozen: np.ndarray, values: np.ndarray) -> PolarLevelCode:
-    return PolarLevelCode(
-        ell=ell, level=1, frozen=frozen, frozen_values=values,
-        message=np.setdiff1d(np.arange(ell), frozen),
-        randomized=np.array([], dtype=np.int64),
-    )
+def _code(ell: int, frozen: np.ndarray) -> PolarLevelCode:
+    return PolarLevelCode(ell=ell, message=np.setdiff1d(np.arange(ell), frozen))
 
 
 def _frozen_set(kind: str, ell: int, rng: np.random.Generator) -> np.ndarray:
@@ -176,9 +169,7 @@ def _channel_llrs(source: str, code: PolarLevelCode, pins, rng) -> np.ndarray:
         return rng.choice(np.concatenate([LLR_POOL, LLR_EXTREME]), size=ell)
     # a codeword consistent with the known positions, through a level channel
     u = rng.integers(0, 2, size=ell, dtype=np.uint8)
-    u[code.frozen] = code.frozen_values
-    if pins is not None:
-        u[pins[0]] = pins[1]
+    u[pins[0]] = pins[1]
     sampler = make_level_llr_sampler(bsc(float(rng.uniform(0.01, 0.3))),
                                      int(rng.integers(1, 5)))
     llrs = sampler(ell, rng) * (1.0 - 2.0 * polar_transform(u))
@@ -199,12 +190,12 @@ def test_sc_decode_bitwise_equals_reference(log_ell, mask_kind, source,
     rng = np.random.default_rng(seed)
     ell = 1 << log_ell
     frozen = _frozen_set(mask_kind, ell, rng)
-    code = _code(ell, frozen, rng.integers(0, 2, size=frozen.shape[0],
-                                           dtype=np.uint8))
-    pins = None
-    if pin_share:
-        idx = code.message[rng.random(code.message.shape[0]) < pin_share]
-        pins = (idx, rng.integers(0, 2, size=idx.shape[0], dtype=np.uint8))
+    code = _code(ell, frozen)
+    # known values, zero and nonzero: every frozen position is pinned to a
+    # random bit, and a share of the message positions too
+    idx = np.concatenate([frozen, code.message[rng.random(code.message.shape[0])
+                                               < pin_share]])
+    pins = (idx, rng.integers(0, 2, size=idx.shape[0], dtype=np.uint8))
     llrs = _channel_llrs(source, code, pins, rng)
     with np.errstate(invalid="ignore", over="ignore"):
         u_hat, info = sc_decode(llrs, code, pins=pins)
@@ -255,7 +246,7 @@ class TestConstruction:
     def test_target_zero_all_frozen(self, rng):
         sampler = make_level_llr_sampler(bsc(0.1), 1)
         code = construct_code(sampler, 64, 0, 200, rng)
-        assert code.info_count == 0
+        assert code.message.shape[0] == 0
         assert code.frozen.shape[0] == 64
 
     def test_target_full_no_frozen(self, rng):
@@ -327,32 +318,26 @@ class TestConstruction:
 
 
 class TestResolvability:
-    def test_all_randomized_output_uniform(self, rng):
+    def test_all_randomized_output_uniform(self):
         # a full-rank transform of uniform input is uniform: exhaust ell = 8
-        code = PolarLevelCode(
-            ell=8, level=2,
-            frozen=np.array([], dtype=np.int64),
-            frozen_values=np.array([], dtype=np.uint8),
-            message=np.array([], dtype=np.int64),
-            randomized=np.arange(8),
-            mode="resolvability",
-        )
         seen = set()
         for r in range(256):
             bits = np.array([(r >> t) & 1 for t in range(8)], dtype=np.uint8)
-            seen.add(tuple(resolvability_encode(code, None, bits).tolist()))
+            seen.add(tuple(polar_transform(bits).tolist()))
         assert len(seen) == 256
 
-    def test_zero_inputs_zero_codeword(self):
-        code = all_frozen_code(16)
-        out = resolvability_encode(code, None, np.array([], dtype=np.uint8))
-        np.testing.assert_array_equal(out, np.zeros(16, np.uint8))
-
-    def test_private_bit_count_checked(self, rng):
-        sampler = make_level_llr_sampler(bsc(0.1), 2)
-        code = construct_code(sampler, 32, 12, 300, rng, mode="resolvability")
-        with pytest.raises(ValueError):
-            resolvability_encode(code, None, np.zeros(5, np.uint8))
+    def test_zero_inputs_zero_codeword(self, rng):
+        # frozen positions are zero, so an all-zero payload gives the
+        # all-zero codeword on every level: the codeword the genie
+        # construction assumes
+        plan = msd_rate_plan(bsc(0.05), bsc(0.1), 3, 1.0, 1, ell_override=16)
+        sess = build_session(plan, bsc(0.05), bsc(0.1), rng, construction_trials=50)
+        msgs = {i: np.zeros(lay.n_msg + lay.n_sec, np.uint8)
+                for i, lay in sess.layouts.items()}
+        keys = {i: np.zeros(lay.n_key, np.uint8) for i, lay in sess.layouts.items()}
+        assert any(code.frozen.size for code in sess.codes.values())
+        _, tx = encode_block(sess, msgs, keys, rng)
+        np.testing.assert_array_equal(tx.level_bits[:sess.u], 0)
 
     def test_output_distribution_approaches_uniform_product(self):
         # two-sample quantile-binned statistic between coded and uniform
@@ -376,11 +361,10 @@ class TestResolvability:
         for ell in (8, 16, 64):
             sampler = make_level_llr_sampler(ch, 2)
             k = int(np.ceil(ell * iz))
-            code = construct_code(sampler, ell, k, 4000, rng,
-                                  mode="resolvability")
+            code = construct_code(sampler, ell, k, 4000, rng)
             n = 30000
             u = np.zeros((n, ell), dtype=np.uint8)
-            u[:, code.randomized] = rng.integers(
+            u[:, code.message] = rng.integers(
                 0, 2, size=(n, k), dtype=np.uint8
             )
             coded = batch_stats(batch_transform(u).astype(np.int64))
@@ -393,13 +377,17 @@ class TestResolvability:
         assert tvs[0] > tvs[1] > tvs[2]
 
 
-class TestSerialisation:
-    def test_partition_validated(self):
-        with pytest.raises(ValueError):
-            PolarLevelCode(
-                ell=4, level=1,
-                frozen=np.array([0, 1]),
-                frozen_values=np.zeros(2, np.uint8),
-                message=np.array([1, 2]),  # overlaps frozen
-                randomized=np.array([3]),
-            )
+class TestPolarLevelCode:
+    def test_message_sorted_and_frozen_is_complement(self):
+        code = PolarLevelCode(ell=8, message=np.array([6, 1, 3]))
+        np.testing.assert_array_equal(code.message, [1, 3, 6])
+        np.testing.assert_array_equal(code.frozen, [0, 2, 4, 5, 7])
+
+    def test_invalid_codes_rejected(self):
+        for ell, message in [(4, [1, 2, 1]),   # duplicate index
+                             (4, [0, 4]),      # past the end
+                             (4, [-1, 2]),     # negative
+                             (6, [0, 1]),      # length not a power of two
+                             (0, [])]:
+            with pytest.raises(ValueError):
+                PolarLevelCode(ell=ell, message=np.array(message, dtype=np.int64))

@@ -7,21 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covertppm.channels import bsc, bac, divergence_stats, make_dmc
+from covertppm.levels import level_llrs
 from covertppm.ppm import (
     EnumerationBudgetError,
     PpmFrame,
-    decimal_map,
-    decimal_unmap,
     frame_from_bits,
-    index_set,
-    likelihood_ratios,
     monte_carlo_divergence,
     ppm_divergence_bound,
     ppm_output_divergence,
     transmit_super,
 )
 
-from conftest import brute_ppm_divergence
+from conftest import brute_ppm_divergence, decimal_map, index_set
+
+
+def _bit_columns(values, q: int) -> np.ndarray:
+    """(q, n) level-bit matrix of the given decimal values, LSB first."""
+    values = np.asarray(values, dtype=np.int64)
+    return ((values[None, :] >> np.arange(q)[:, None]) & 1).astype(np.uint8)
 
 
 class TestDecimalMap:
@@ -29,23 +32,34 @@ class TestDecimalMap:
     # significant bit, position = decimal + 1
     def test_all_zero(self):
         assert decimal_map([0, 0, 0, 0]) == 0
+        np.testing.assert_array_equal(
+            frame_from_bits(np.zeros((4, 1), np.uint8)).positions, [1])
 
     def test_lsb_first(self):
         assert decimal_map([1, 0, 0, 0]) == 1
+        np.testing.assert_array_equal(
+            frame_from_bits(np.array([[1], [0], [0], [0]], np.uint8)).positions, [2])
 
     def test_all_one(self):
         assert decimal_map([1, 1, 1, 1]) == 15
+        np.testing.assert_array_equal(
+            frame_from_bits(np.ones((4, 1), np.uint8)).positions, [16])
 
     @given(st.integers(1, 12), st.data())
     @settings(max_examples=100, deadline=None)
     def test_round_trip(self, q, data):
         value = data.draw(st.integers(0, (1 << q) - 1))
-        assert decimal_map(decimal_unmap(value, q)) == value
+        bits = _bit_columns([value], q)
+        assert decimal_map(bits[:, 0]) == value
+        assert frame_from_bits(bits).positions[0] == value + 1
 
     def test_round_trip_exhaustive_small(self):
         for q in range(1, 13):
-            for v in range(1 << q) if q <= 8 else range(0, 1 << q, 97):
-                assert decimal_map(decimal_unmap(v, q)) == v
+            values = np.arange(1 << q) if q <= 8 else np.arange(0, 1 << q, 97)
+            bits = _bit_columns(values, q)
+            np.testing.assert_array_equal(frame_from_bits(bits).positions,
+                                          values + 1)
+            assert [decimal_map(col) for col in bits.T] == values.tolist()
 
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
@@ -64,13 +78,19 @@ class TestIndexSet:
         np.testing.assert_array_equal(index_set(3, {}), np.arange(1, 9))
 
     def test_partition_property(self):
-        # over all assignments of x_S the sets tile [1, 2^q] in equal blocks
+        # over all assignments of x_S the sets tile [1, 2^q] in equal blocks,
+        # each the positions frame_from_bits gives the matching bit vectors
         q = 5
+        bits = _bit_columns(np.arange(1 << q), q)
+        positions = frame_from_bits(bits).positions
         for S in ([2], [1, 4], [2, 3, 5]):
             seen = []
-            for bits in itertools.product([0, 1], repeat=len(S)):
-                part = index_set(q, dict(zip(S, bits)))
+            for assignment in itertools.product([0, 1], repeat=len(S)):
+                part = index_set(q, dict(zip(S, assignment)))
                 assert part.shape[0] == (1 << q) >> len(S)
+                match = np.all([bits[t - 1] == b for t, b in zip(S, assignment)],
+                               axis=0)
+                np.testing.assert_array_equal(part, np.sort(positions[match]))
                 seen.extend(part.tolist())
             assert sorted(seen) == list(range(1, (1 << q) + 1))
 
@@ -102,6 +122,21 @@ class TestTransmitSuper:
         assert p1 == pytest.approx(0.9, abs=0.01)
         off = (out.symbols[:, 1] == 1).mean()
         assert off == pytest.approx(0.1, abs=0.01)
+
+    def test_symbols_equal_inverse_cdf_draws(self):
+        # bitwise the inverse-CDF draws of one uniform per coordinate, the
+        # pulse coordinate through row1, stored as int64
+        ch = make_dmc([0.5, 0.3, 0.2], [0.1, 0.3, 0.6])
+        frame = PpmFrame(q=3, positions=np.array([1, 8, 4, 4, 2]))
+        out = transmit_super(ch, frame, np.random.default_rng(11))
+        u = np.random.default_rng(11).random((5, 8))
+        want = np.empty((5, 8), dtype=np.int64)
+        for r in range(5):
+            for c in range(8):
+                cdf = ch.cdf1 if c == frame.positions[r] - 1 else ch.cdf0
+                want[r, c] = int(np.searchsorted(cdf, u[r, c], side="right"))
+        assert out.symbols.dtype == np.int64
+        np.testing.assert_array_equal(out.symbols, want)
 
     def test_position_bounds_checked(self):
         with pytest.raises(ValueError):
@@ -211,22 +246,20 @@ class TestDivergenceBound:
 
 class TestLikelihoodRatios:
     def test_bsc_values(self):
-        lam = likelihood_ratios(bsc(0.1), [1, 0])
-        np.testing.assert_allclose(lam, [9.0, 1.0 / 9.0])
+        np.testing.assert_allclose(bsc(0.1).lam[[1, 0]], [9.0, 1.0 / 9.0])
 
     def test_identical_rows_all_one(self):
         ch = make_dmc([0.25, 0.75], [0.25, 0.75])
-        np.testing.assert_allclose(likelihood_ratios(ch, [0, 1, 1, 0]), 1.0)
+        np.testing.assert_allclose(ch.lam[[0, 1, 1, 0]], 1.0)
 
     def test_bac_values(self):
-        lam = likelihood_ratios(bac(0.1, 0.4), [1, 0])
-        np.testing.assert_allclose(lam, [6.0, 4.0 / 9.0])
+        np.testing.assert_allclose(bac(0.1, 0.4).lam[[1, 0]], [6.0, 4.0 / 9.0])
 
     def test_infinite_marker(self):
         ch = make_dmc([1.0, 0.0], [0.5, 0.5])
-        lam = likelihood_ratios(ch, [1])
-        assert math.isinf(lam[0])
+        assert math.isinf(ch.lam[1])
 
     def test_out_of_alphabet(self):
-        with pytest.raises(ValueError):
-            likelihood_ratios(bsc(0.1), [2])
+        # the receiver refuses output symbols outside the channel's alphabet
+        with pytest.raises(ValueError, match="alphabet"):
+            level_llrs([[2, 0]], bsc(0.1).lam)
