@@ -237,4 +237,5 @@ def sample_outputs(dmc: Dmc, x: int, size, rng: np.random.Generator) -> np.ndarr
     if x not in (0, 1):
         raise ChannelError(f"input must be a bit, got {x!r}")
     cdf = dmc.cdf1 if x else dmc.cdf0
-    return np.searchsorted(cdf, rng.random(size), side="right").astype(np.int64)
+    draws = np.searchsorted(cdf, rng.random(size), side="right")
+    return draws.astype(np.int64, copy=False)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Dmc
+from .channels import Dmc, sample_outputs
 from .extractor import (
     ExtractorConfig,
     bits_to_int,
@@ -92,7 +92,7 @@ def _draw_half_histograms(dmc: Dmc, i: int, count: int, rng: np.random.Generator
     """
     half = 1 << (i - 1)
     c0 = rng.multinomial(half - 1, dmc.row0, size=count)
-    pulse = np.searchsorted(dmc.cdf1, rng.random(count), side="right")
+    pulse = sample_outputs(dmc, 1, count, rng)
     c0[np.arange(count), pulse] += 1
     c1 = rng.multinomial(half, dmc.row0, size=count)
     return c0, c1

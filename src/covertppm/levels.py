@@ -14,7 +14,11 @@ is a half-sum of per-coordinate likelihood ratios, so
     per-coordinate ratios, no sort);
   * the level capacity has the closed form
         C_i = D(P_ppm^(2^(i-1)) || P0^(2^(i-1))) - D(P_ppm^(2^i) || P0^(2^i)),
-    independent of the total number of levels q >= i.
+    independent of the total number of levels q >= i, when P1 has no mass
+    outside the support of P0.  Otherwise an output off that support (mass
+    pi under P1) comes only from the pulse and reveals the level bit, and
+    its occurrence is independent of the bit; so C_i = pi ln 2 + (1 - pi) C_i',
+    where C_i' is the closed form for P1 restricted to P0's support.
 
 The planner turns the per-level mutual-information tables for Bob and Willie
 into per-level rate triples (message, secret surplus, key deficit) and a
@@ -28,96 +32,41 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import LN2, Dmc, DivergenceStats
-from .ppm import binomial_logpmf, ppm_output_divergence
+from .channels import LN2, Dmc, DivergenceStats, make_dmc
+from .ppm import ppm_output_divergence
 
 #: decoder LLR saturation, nats; only active off the support assumptions
 DEFAULT_LLR_MAX = 40.0
-#: output blocks :func:`level_channel_rows` enumerates at most
-_MAX_ENUMERATED_OUTPUTS = 1 << 20
 
 
 class RatePlanError(ValueError):
     """Raised when no feasible rate plan exists for the requested parameters."""
 
 
-def level_channel_rows(dmc: Dmc, i: int):
-    """Transition rows of the level-i equivalent channel by full enumeration.
-
-    Returns (row for bit 0, row for bit 1) over all alphabet^(2^i) output
-    blocks, ordered with the last coordinate fastest.  Exponential in 2^i;
-    refuses more than 2^20 output blocks.  Used as the fallback capacity path
-    for non-binary channels outside the divergence identity's support
-    condition, and by the symmetry and permutation-invariance checks.
-    """
-    width = 1 << i
-    a = dmc.alphabet_size
-    n_out = a ** width
-    if n_out > _MAX_ENUMERATED_OUTPUTS:
-        raise ValueError(f"{n_out} output blocks exceed the enumeration budget")
-    grids = np.indices((a,) * width).reshape(width, n_out).T  # (n_out, width)
-    p0 = dmc.row0[grids]  # (n_out, width)
-    p1 = dmc.row1[grids]
-    # w_j = P1(y_j) * prod_{t != j} P0(y_t), stable as direct products
-    w = np.empty_like(p0)
-    for j in range(width):
-        cols = [p1[:, t] if t == j else p0[:, t] for t in range(width)]
-        w[:, j] = np.prod(np.stack(cols, axis=1), axis=1)
-    half = width // 2
-    row_bit0 = w[:, :half].sum(axis=1) / half
-    row_bit1 = w[:, half:].sum(axis=1) / half
-    return row_bit0, row_bit1
-
-
-def _binary_input_mi(row_a: np.ndarray, row_b: np.ndarray, base: str) -> float:
-    mix = 0.5 * (row_a + row_b)
-
-    def ent(v):
-        pos = v > 0
-        return -float(np.sum(v[pos] * np.log(v[pos])))
-
-    mi = ent(mix) - 0.5 * (ent(row_a) + ent(row_b))
-    return mi / LN2 if base == "bits" else mi
-
-
-def _ones_count_mi(dmc: Dmc, i: int, base: str) -> float:
-    """Level-i mutual information of a binary-output channel over (k0, k1).
-
-    Under level bit 0 the ones counts of the two halves are independent,
-    k0 ~ Bern(P1(1)) + Bin(h-1, P0(1)) and k1 ~ Bin(h, P0(1)) with
-    h = 2^(i-1); bit 1 swaps the halves.  The pair is a sufficient statistic
-    for the level bit, so the mutual information over its (h+1)^2 atoms
-    (restricted to their support) equals that over the 2^i-symbol outputs.
-    """
-    h = 1 << (i - 1)
-    inner = np.exp(binomial_logpmf(h - 1, float(dmc.row0[1])))
-    first = np.zeros(h + 1)
-    first[:h] += dmc.row1[0] * inner
-    first[1:] += dmc.row1[1] * inner
-    second = np.exp(binomial_logpmf(h, float(dmc.row0[1])))
-    sup = (first > 0) | (second > 0)
-    a, b = first[sup], second[sup]
-    return _binary_input_mi(np.outer(a, b).ravel(), np.outer(b, a).ravel(), base)
-
-
 def level_capacity(dmc: Dmc, i: int, base: str = "nats") -> float:
-    """Exact capacity of level ``i`` via the divergence-difference identity.
+    """Exact capacity of level ``i``, valid for any total number of levels q >= i.
 
-    Valid for any total number of levels q >= i (the level channel is
-    stationary).  When P1 has mass outside the support of P0 both divergences
-    are infinite and the identity degenerates; the capacity is then the
-    mutual information over the exact law of the per-half ones counts for a
-    binary output alphabet, and otherwise comes from enumerating the
-    equivalent channel directly (small 2^i only).
+    Let pi = P1(outputs outside the support of P0).  Such an output can only
+    come from the pulse, so it reveals the level bit, and whether one occurs
+    does not depend on the bit; hence
+
+        C_i = pi * ln 2 + (1 - pi) * C_i(P0, P1'),
+
+    with P1' = P1 restricted to the support of P0 and renormalised, whose
+    capacity is the divergence difference of the module docstring.
     """
     if i < 1:
         raise ValueError("level index must be >= 1")
+    if not dmc.stats.finite:
+        full = 1.0 if base == "bits" else LN2
+        on_support = np.where(dmc.row0 > 0, dmc.row1, 0.0)
+        kept = float(on_support.sum())
+        if kept == 0.0:
+            return full
+        inner = make_dmc(dmc.row0, on_support / kept)
+        return (1.0 - kept) * full + kept * level_capacity(inner, i, base)
     hi = ppm_output_divergence(dmc, 1 << (i - 1), base)
     lo = ppm_output_divergence(dmc, 1 << i, base)
-    if math.isinf(hi) or math.isinf(lo):
-        if dmc.alphabet_size == 2:
-            return _ones_count_mi(dmc, i, base)
-        return _binary_input_mi(*level_channel_rows(dmc, i), base)
     return max(hi - lo, 0.0)
 
 

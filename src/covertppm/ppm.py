@@ -19,9 +19,9 @@ module computes: in particular
     D(P_ppm || P0^m) = E_{P0^m}[ R log R ],
 
 which depends on the output sequence only through its symbol histogram.  The
-exact divergence is therefore a sum over histogram type classes weighted by
-multinomial probabilities; for a binary output alphabet this collapses to a
-single O(m) loop over the count of '1' outputs.
+exact divergence is therefore one vectorised sum over the histograms of m
+draws on the support of P0, weighted by their multinomial probabilities, for
+every alphabet size (m + 1 histograms for a binary alphabet).
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlog1py
 
-from .channels import LN2, Dmc
+from .channels import LN2, Dmc, sample_outputs
 
-#: type classes enumerated before the exact DP refuses and suggests Monte Carlo
+#: histograms summed before the exact divergence refuses and suggests Monte Carlo
 DEFAULT_TYPE_BUDGET = 2_000_000
-#: largest output alphabet handled by the exact DP
+#: largest output alphabet handled by the exact divergence
 MAX_ALPHABET = 6
 
 
@@ -115,84 +115,16 @@ def transmit_super(dmc: Dmc, frame: PpmFrame, rng: np.random.Generator) -> Super
     return SuperOutput(q=frame.q, symbols=symbols)
 
 
-def _xlogx(r: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(r)
-    pos = r > 0
-    out[pos] = r[pos] * np.log(r[pos])
-    return out
-
-
-def binomial_logpmf(n: int, p: float) -> np.ndarray:
-    """log P(K = k) for K ~ Bin(n, p), k = 0..n, stable for large n."""
-    if p in (0.0, 1.0):
-        logpmf = np.full(n + 1, -np.inf)
-        logpmf[int(round(p * n))] = 0.0
-        return logpmf
-    k = np.arange(n + 1, dtype=np.float64)
-    return (
-        gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-        + k * math.log(p) + (n - k) * math.log1p(-p)
-    )
-
-
-def _binary_divergence(dmc: Dmc, m: int) -> float:
-    """Exact D(P_ppm^m || P0^m) in nats for a binary output alphabet.
-
-    Loops over k = number of '1' outputs.  The mean likelihood ratio for a
-    sequence with k ones is r(k) = (k lam1 + (m-k) lam0)/m and
-
-        D = sum_k P0-binomial(k) * r(k) log r(k)
-          = sum_k Pppm-weight(k) * log r(k),
-
-    both forms being equal; the first is used for stability.
-    """
-    if not dmc.stats.finite:
-        return float("inf")
-    lam0, lam1 = dmc.lam
-    k = np.arange(m + 1, dtype=np.float64)
-    logpmf = binomial_logpmf(m, float(dmc.row0[1]))
-    r = (k * lam1 + (m - k) * lam0) / m
-    terms = np.where(r > 0, np.exp(logpmf) * _xlogx(r), 0.0)
-    return float(terms.sum())
-
-
-def _compositions(total: int, parts: int):
-    """Yield all histograms (t_1..t_parts) with sum == total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _type_class_divergence(dmc: Dmc, m: int, type_budget: int) -> float:
-    """Exact D(P_ppm^m || P0^m) in nats by enumerating output histograms."""
-    a = dmc.alphabet_size
-    n_types = math.comb(m + a - 1, a - 1)
-    if n_types > type_budget:
-        raise EnumerationBudgetError(
-            f"{n_types} type classes exceed budget {type_budget}; "
-            "use monte_carlo_divergence"
-        )
-    if not dmc.stats.finite:
-        return float("inf")
-    row0 = dmc.row0
-    lam = np.where(row0 > 0, dmc.lam, 0.0)  # no 0 * inf for symbols off both supports
-    logp0 = np.where(row0 > 0, np.log(np.where(row0 > 0, row0, 1.0)), -np.inf)
-    total = 0.0
-    log_mfact = gammaln(m + 1)
-    for t in _compositions(m, a):
-        tv = np.array(t, dtype=np.float64)
-        if np.any((tv > 0) & (row0 == 0)):
-            continue  # zero probability under P0^m (and under P_ppm)
-        logw = log_mfact - gammaln(tv + 1).sum() + float(
-            np.sum(np.where(tv > 0, tv * logp0, 0.0))
-        )
-        r = float(np.dot(tv, lam)) / m
-        if r > 0:
-            total += math.exp(logw) * r * math.log(r)
-    return total
+def _histograms(m: int, s: int) -> list[np.ndarray]:
+    """Every histogram of m draws over s symbols, as s columns of counts."""
+    cols: list[np.ndarray] = []
+    left = np.array([m])
+    for _ in range(s - 1):
+        reps = left + 1
+        first = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        cols = [np.repeat(c, reps) for c in cols] + [first]
+        left = np.repeat(left, reps) - first
+    return cols + [left]
 
 
 def ppm_output_divergence(
@@ -204,26 +136,48 @@ def ppm_output_divergence(
 ) -> float:
     """Exact per-super-symbol divergence D(P_ppm^m || P0^m).
 
-    ``m`` must be a power of two (the PPM order).  Binary output alphabets
-    use the O(m) ones-count loop; larger alphabets enumerate histogram type
-    classes, refusing with :class:`EnumerationBudgetError` when the class
-    count exceeds ``type_budget`` or the alphabet exceeds ``MAX_ALPHABET``.
-    Returns ``inf`` when P1 has mass outside the support of P0.
+    ``m`` must be a power of two (the PPM order).  One sum over the
+    histograms t of m draws on the support of P0, for every alphabet:
+
+        D = sum_t Mult(m, P0)(t) * (r log r - r + 1),   r(t) = (t . lam) / m,
+
+    which equals E[r log r] because the weights and E[r] both sum to one.
+    Every term is nonnegative, so the sum does not cancel; r - 1 is formed
+    from the centred ratio, so terms with r near 1 keep their digits.
+
+    Refuses with :class:`EnumerationBudgetError` when the alphabet exceeds
+    ``MAX_ALPHABET`` or the histogram count exceeds ``type_budget``.  Returns
+    ``inf`` when P1 has mass outside the support of P0.
     """
     if m < 1 or (m & (m - 1)) != 0:
         raise ValueError(f"m must be a power of two, got {m}")
     if base not in ("nats", "bits"):
         raise ValueError(f"base must be 'nats' or 'bits', got {base!r}")
-    if dmc.alphabet_size == 2:
-        value = _binary_divergence(dmc, m)
-    elif dmc.alphabet_size > MAX_ALPHABET:
+    if dmc.alphabet_size > MAX_ALPHABET:
         raise EnumerationBudgetError(
-            f"alphabet size {dmc.alphabet_size} exceeds the exact-DP limit "
+            f"alphabet size {dmc.alphabet_size} exceeds the exact-sum limit "
             f"{MAX_ALPHABET}; use monte_carlo_divergence"
         )
-    else:
-        value = _type_class_divergence(dmc, m, type_budget)
-    value = max(value, 0.0)
+    if not dmc.stats.finite:
+        return float("inf")
+    support = dmc.row0 > 0
+    size = int(np.count_nonzero(support))
+    n_types = math.comb(m + size - 1, size - 1)
+    if n_types > type_budget:
+        raise EnumerationBudgetError(
+            f"{n_types} type classes exceed budget {type_budget}; "
+            "use monte_carlo_divergence"
+        )
+    log_fact = gammaln(np.arange(m + 1) + 1.0)
+    log_w = np.full(n_types, log_fact[m])
+    excess = np.zeros(n_types)  # r - 1
+    for t, p0, centred in zip(_histograms(m, size), dmc.row0[support],
+                              dmc.centred_ratio[support]):
+        log_w += t * math.log(p0) - log_fact[t]
+        excess += t * centred
+    excess /= m
+    terms = xlog1py(1.0 + excess, excess) - excess
+    value = max(float(np.sum(np.exp(log_w) * terms)), 0.0)
     return value / LN2 if base == "bits" else value
 
 
@@ -242,15 +196,14 @@ def monte_carlo_divergence(
     """
     if m < 1 or (m & (m - 1)) != 0:
         raise ValueError(f"m must be a power of two, got {m}")
-    lam, cdf0, cdf1 = dmc.lam, dmc.cdf0, dmc.cdf1
+    lam = dmc.lam
     batch = max(1, min(trials, (1 << 22) // max(m, 1)))
     acc = np.empty(trials, dtype=np.float64)
     done = 0
     while done < trials:
         n = min(batch, trials - done)
-        pulse = np.searchsorted(cdf1, rng.random(n), side="right")
-        rest = np.searchsorted(cdf0, rng.random((n, m - 1)), side="right") \
-            if m > 1 else np.empty((n, 0), dtype=np.int64)
+        pulse = sample_outputs(dmc, 1, n, rng)
+        rest = sample_outputs(dmc, 0, (n, m - 1), rng)
         r = (lam[pulse] + lam[rest].sum(axis=1)) / m
         acc[done:done + n] = np.log(r)
         done += n

@@ -17,6 +17,12 @@ for ``frame_from_bits`` and ``select_positions_batch``;
 in sorted order, and
 ``level_llr_sampler_reference`` draws all 2^i outputs of a level subblock:
 the histogram-based ``level_llrs`` and level sampler must agree with them.
+``binary_divergence_reference`` (the ones-count loop) and
+``type_class_divergence_reference`` (one histogram at a time) are the loops
+that the vectorised histogram sum of ``ppm_output_divergence`` must match,
+and ``level_channel_rows`` with ``binary_input_mi`` (full enumeration) and
+``ones_count_mi`` (the binary (k0, k1) atom law) the mutual informations the
+erasure split of ``level_capacity`` must match.
 ``bits_to_int_reference``/``int_to_bits_reference`` are the bit-by-bit loops
 behind the packed extractor helpers, and ``search_irreducible_reference``
 the modulus search without the Swan skip.  ``exact_tv`` and the ``pw_from_*``
@@ -30,6 +36,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import multinomial
 
 from covertppm.channels import Dmc
@@ -306,6 +313,130 @@ def brute_ppm_divergence(dmc: Dmc, m: int, base: str = "nats") -> float:
         return float("inf")
     val = float(np.sum(ppm[sup] * np.log(ppm[sup] / p0[sup])))
     return val / LN2 if base == "bits" else val
+
+
+def binomial_logpmf(n: int, p: float) -> np.ndarray:
+    """log P(K = k) for K ~ Bin(n, p), k = 0..n, stable for large n."""
+    if p in (0.0, 1.0):
+        logpmf = np.full(n + 1, -np.inf)
+        logpmf[int(round(p * n))] = 0.0
+        return logpmf
+    k = np.arange(n + 1, dtype=np.float64)
+    return (
+        gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+        + k * math.log(p) + (n - k) * math.log1p(-p)
+    )
+
+
+def _xlogx(r: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(r)
+    pos = r > 0
+    out[pos] = r[pos] * np.log(r[pos])
+    return out
+
+
+def binary_divergence_reference(dmc: Dmc, m: int) -> float:
+    """D(P_ppm^m || P0^m) in nats for a binary alphabet, by a loop over the
+    count k of '1' outputs: sum_k Bin(m, P0(1))(k) * r(k) log r(k) with
+    r(k) = (k lam1 + (m - k) lam0) / m.  Returns NaN when P0 is a point mass
+    (0 * inf), which the library's support-restricted sum avoids.
+    """
+    if not dmc.stats.finite:
+        return float("inf")
+    lam0, lam1 = dmc.lam
+    k = np.arange(m + 1, dtype=np.float64)
+    logpmf = binomial_logpmf(m, float(dmc.row0[1]))
+    r = (k * lam1 + (m - k) * lam0) / m
+    terms = np.where(r > 0, np.exp(logpmf) * _xlogx(r), 0.0)
+    return float(terms.sum())
+
+
+def _compositions(total: int, parts: int):
+    """Yield all histograms (t_1..t_parts) with sum == total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def type_class_divergence_reference(dmc: Dmc, m: int) -> float:
+    """D(P_ppm^m || P0^m) in nats, one output histogram at a time."""
+    if not dmc.stats.finite:
+        return float("inf")
+    row0 = dmc.row0
+    lam = np.where(row0 > 0, dmc.lam, 0.0)  # no 0 * inf for symbols off both supports
+    logp0 = np.where(row0 > 0, np.log(np.where(row0 > 0, row0, 1.0)), -np.inf)
+    total = 0.0
+    log_mfact = gammaln(m + 1)
+    for t in _compositions(m, dmc.alphabet_size):
+        tv = np.array(t, dtype=np.float64)
+        if np.any((tv > 0) & (row0 == 0)):
+            continue  # zero probability under P0^m (and under P_ppm)
+        with np.errstate(invalid="ignore"):  # 0 * -inf, masked by the where
+            logw = log_mfact - gammaln(tv + 1).sum() + float(
+                np.sum(np.where(tv > 0, tv * logp0, 0.0))
+            )
+        r = float(np.dot(tv, lam)) / m
+        if r > 0:
+            total += math.exp(logw) * r * math.log(r)
+    return total
+
+
+def level_channel_rows(dmc: Dmc, i: int):
+    """Transition rows of the level-i equivalent channel by full enumeration.
+
+    Returns (row for bit 0, row for bit 1) over all alphabet^(2^i) output
+    blocks, ordered with the last coordinate fastest.  Exponential in 2^i.
+    """
+    width = 1 << i
+    a = dmc.alphabet_size
+    n_out = a ** width
+    grids = np.indices((a,) * width).reshape(width, n_out).T  # (n_out, width)
+    p0 = dmc.row0[grids]  # (n_out, width)
+    p1 = dmc.row1[grids]
+    # w_j = P1(y_j) * prod_{t != j} P0(y_t), stable as direct products
+    w = np.empty_like(p0)
+    for j in range(width):
+        cols = [p1[:, t] if t == j else p0[:, t] for t in range(width)]
+        w[:, j] = np.prod(np.stack(cols, axis=1), axis=1)
+    half = width // 2
+    row_bit0 = w[:, :half].sum(axis=1) / half
+    row_bit1 = w[:, half:].sum(axis=1) / half
+    return row_bit0, row_bit1
+
+
+def binary_input_mi(row_a: np.ndarray, row_b: np.ndarray, base: str) -> float:
+    """Mutual information of a binary-input channel with uniform input."""
+    mix = 0.5 * (row_a + row_b)
+
+    def ent(v):
+        pos = v > 0
+        return -float(np.sum(v[pos] * np.log(v[pos])))
+
+    mi = ent(mix) - 0.5 * (ent(row_a) + ent(row_b))
+    return mi / LN2 if base == "bits" else mi
+
+
+def ones_count_mi(dmc: Dmc, i: int, base: str) -> float:
+    """Level-i mutual information of a binary-output channel over (k0, k1).
+
+    Under level bit 0 the ones counts of the two halves are independent,
+    k0 ~ Bern(P1(1)) + Bin(h-1, P0(1)) and k1 ~ Bin(h, P0(1)) with
+    h = 2^(i-1); bit 1 swaps the halves.  The pair is a sufficient statistic
+    for the level bit, so the mutual information over its (h+1)^2 atoms
+    (restricted to their support) equals that over the 2^i-symbol outputs.
+    """
+    h = 1 << (i - 1)
+    inner = np.exp(binomial_logpmf(h - 1, float(dmc.row0[1])))
+    first = np.zeros(h + 1)
+    first[:h] += dmc.row1[0] * inner
+    first[1:] += dmc.row1[1] * inner
+    second = np.exp(binomial_logpmf(h, float(dmc.row0[1])))
+    sup = (first > 0) | (second > 0)
+    a, b = first[sup], second[sup]
+    return binary_input_mi(np.outer(a, b).ravel(), np.outer(b, a).ravel(), base)
 
 
 def distinct_columns_reference(generator) -> np.ndarray:

@@ -130,6 +130,12 @@ class TestDetect:
         with pytest.raises(ValueError, match="outside the support of Q0"):
             detect_linear_code(identity_prefix_code(32, 8), bac(0.0, 0.3), 100, rng)
 
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_too_few_trials_rejected(self, rng, trials):
+        # the sample variances need two trials
+        with pytest.raises(ValueError, match=f"at least 2 trials, got {trials}"):
+            detect_linear_code(identity_prefix_code(32, 8), bsc(0.1), trials, rng)
+
     def test_empirical_rates_within_bounds(self, rng):
         willie = bsc(0.1)
         code = identity_prefix_code(256, 64)
@@ -272,6 +278,11 @@ class TestCovertnessEstimate:
         est = covertness_estimate(sess, 4000, rng, bins=8)
         sigma = math.sqrt(8 / (4 * 4000))  # quantile-bin multinomial scale
         assert est.level_tv[1] == pytest.approx(exact, abs=3 * sigma)
+
+    def test_zero_blocks_rejected(self, rng):
+        sess = tiny_single_codeword_session(rng)
+        with pytest.raises(ValueError, match="at least 1 block, got 0"):
+            covertness_estimate(sess, 0, rng)
 
     def test_advantage_bounded_by_exact_tv_vs_innocent(self, rng):
         sess = tiny_single_codeword_session(rng)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -65,7 +66,7 @@ class TestTables:
 
     def test_off_support_warden_levels(self, tmp_path):
         # Willie's divergences are infinite; the level MIs come from the
-        # per-half ones counts instead of enumerating 2^(2^i) outputs
+        # erasure split instead of enumerating 2^(2^i) outputs
         out = tmp_path / "t.csv"
         assert run_cli("tables", "--bob", "bsc:0.05", "--willie", "bac:0,0.3",
                        "--levels", "6", "--out", str(out)) == 0
@@ -73,6 +74,20 @@ class TestTables:
                 if ln[:1].isdigit()]
         assert len(rows) == 6
         assert all(0.0 < float(r[2]) <= 1.0 for r in rows)
+
+    @pytest.mark.parametrize("rows", ["1 0\n1 0\n", "0.9 0.1 0\n0.1 0.4 0.5\n"])
+    def test_zero_mass_symbols_give_finite_values(self, tmp_path, rows):
+        # a symbol P0 never emits: the first channel printed nan, the
+        # second (off-support mass) stopped at level 4 on an enumeration budget
+        chan = tmp_path / "chan.txt"
+        chan.write_text(rows)
+        out = tmp_path / "t.csv"
+        assert run_cli("tables", "--bob", str(chan), "--levels", "6",
+                       "--out", str(out)) == 0
+        values = [ln.split(",")[1:4] for ln in out.read_text().splitlines()
+                  if ln[:1].isdigit()]
+        assert len(values) == 6
+        assert all(math.isfinite(float(v)) for row in values for v in row)
 
     def test_unit_tag_in_header(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -184,6 +199,16 @@ class TestDetect:
         assert json.loads(out.read_text())["undetectable"] is True
         assert "undetectable" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("trials", ["0", "1"])
+    def test_too_few_trials_is_clear_error(self, tmp_path, capsys, trials):
+        # one trial wrote "var_t_h0": NaN, zero trials NaN rates
+        out = tmp_path / "r.json"
+        assert run_cli("detect", "--willie", "bsc:0.1", "--generator",
+                       "identity:64,8", "--trials", trials, "--seed", "1",
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_warden_off_support_is_clear_error(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run_cli("detect", "--willie", "bac:0,0.3", "--generator",
@@ -241,6 +266,16 @@ class TestCovertness:
                        "--construction-trials", "100", "--trials", "10",
                        "--seed", "21", "--out", str(out)) == 0
         assert json.loads(out.read_text())["ell"] == 4
+
+    def test_zero_trials_is_clear_error(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert run_cli("covertness", "--bob", "bsc:0.05", "--willie", "bsc:0.1",
+                       "--levels", "2", "--delta", "2.0", "--degraded", "--ell",
+                       "16", "--construction-trials", "50", "--trials", "0",
+                       "--seed", "12", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "got 0" in err
+        assert not out.exists()
 
     def test_exact_mode_defaults_to_one_super_symbol(self, tmp_path):
         out = tmp_path / "c.json"

@@ -12,11 +12,8 @@ from covertppm.levels import (
     LevelRates,
     RatePlan,
     RatePlanError,
-    _binary_input_mi,
-    _ones_count_mi,
     level_capacity,
     level_capacity_bound,
-    level_channel_rows,
     level_llrs,
     level_mi_table,
     msd_rate_plan,
@@ -28,10 +25,13 @@ from covertppm.levels import (
 
 from conftest import (
     LN2,
+    binary_input_mi,
     brute_conditional_mi,
     brute_set_mi,
     index_set,
+    level_channel_rows,
     level_llrs_reference,
+    ones_count_mi,
     plan_from_text,
     select_positions,
 )
@@ -58,8 +58,9 @@ class TestLevelCapacity:
                     assert abs(closed - brute) < 1e-10
 
     def test_noiseless_channel_fallback(self):
-        # supports differ -> the divergence identity degenerates; the
-        # ones-count fallback must give one full bit per level
+        # supports differ -> the divergence identity degenerates; every
+        # output is off P0's support under input 1, so the erasure split
+        # must give one full bit per level
         ch = make_dmc([1.0, 0.0], [0.0, 1.0])
         for i in (1, 2, 3, 16):
             assert level_capacity(ch, i, "bits") == pytest.approx(1.0, abs=1e-12)
@@ -71,19 +72,37 @@ class TestLevelCapacity:
         # the (k0, k1) atom law carries the whole level channel: its mutual
         # information equals that of the enumerated 2^i-symbol outputs
         for i in range(1, 5):
-            want = _binary_input_mi(*level_channel_rows(ch, i), "bits")
-            assert _ones_count_mi(ch, i, "bits") == pytest.approx(want, abs=1e-12)
+            want = binary_input_mi(*level_channel_rows(ch, i), "bits")
+            assert ones_count_mi(ch, i, "bits") == pytest.approx(want, abs=1e-12)
 
     def test_off_support_warden_reaches_high_levels(self):
-        # infinite divergences at every level: the fallback stays O(2^i)
+        # infinite divergences at every level: the erasure split stays cheap
         # where the enumeration would need |Z|^(2^i) outputs
         ch = bac(0.0, 0.3)
         for i in range(1, 5):
-            want = _binary_input_mi(*level_channel_rows(ch, i), "nats")
+            want = binary_input_mi(*level_channel_rows(ch, i), "nats")
             assert level_capacity(ch, i) == pytest.approx(want, abs=1e-12)
         caps = [level_capacity(ch, i, "bits") for i in range(1, 17)]
         assert all(0.0 < c <= 1.0 for c in caps)
         assert all(a >= b for a, b in zip(caps, caps[1:]))
+
+    @pytest.mark.parametrize("rows", [
+        ([0.9, 0.1], [0.2, 0.8]),
+        ([1.0, 0.0], [1.0, 0.0]),             # shared zero: no 0 * inf
+        ([1.0, 0.0], [0.3, 0.7]),             # off-support mass
+        ([0.5, 0.3, 0.2], [0.2, 0.2, 0.6]),
+        ([0.6, 0.4, 0.0], [0.3, 0.7, 0.0]),
+        ([0.9, 0.1, 0.0], [0.1, 0.4, 0.5]),
+        ([0.0, 0.0, 1.0], [0.2, 0.3, 0.5]),
+        ([0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]),
+        ([0.5, 0.5, 0.0, 0.0], [0.2, 0.3, 0.1, 0.4]),
+        ([0.0, 0.5, 0.5, 0.0], [0.0, 0.2, 0.8, 0.0]),
+    ])
+    def test_equals_enumerated_level_channel(self, rows):
+        ch = make_dmc(*rows)
+        for i in (1, 2, 3):
+            want = binary_input_mi(*level_channel_rows(ch, i), "nats")
+            assert level_capacity(ch, i) == pytest.approx(want, abs=1e-12)
 
 
 class TestLevelCapacityBound:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from covertppm.ppm import (
     transmit_super,
 )
 
-from conftest import brute_ppm_divergence, decimal_map, index_set
+from conftest import (
+    binary_divergence_reference,
+    brute_ppm_divergence,
+    decimal_map,
+    index_set,
+    type_class_divergence_reference,
+)
 
 
 def _bit_columns(values, q: int) -> np.ndarray:
@@ -190,6 +197,53 @@ class TestPpmOutputDivergence:
         assert ppm_output_divergence(ch, m) == pytest.approx(
             brute_ppm_divergence(ch, m), rel=1e-11, abs=1e-13
         )
+
+    @pytest.mark.parametrize("ch", [bsc(0.1), bac(0.1, 0.4), bsc(0.35)])
+    def test_binary_sum_equals_ones_count_loop(self, ch):
+        for t in range(13):
+            assert ppm_output_divergence(ch, 1 << t) == pytest.approx(
+                binary_divergence_reference(ch, 1 << t), rel=1e-10, abs=0.0
+            )
+
+    def test_near_identical_rows_keep_their_digits(self):
+        # 40-digit Decimal sum: the signed sum E[r log r] loses about 2e-10
+        # of D here to cancellation; the nonnegative terms do not
+        ch = make_dmc([0.55, 0.45], [0.6, 0.4])
+        m = 4096
+        with localcontext() as ctx:
+            ctx.prec = 40
+            p0 = [Decimal(float(v)) for v in ch.row0]
+            lam = [Decimal(float(v)) / p for v, p in zip(ch.row1, p0)]
+            want = Decimal(0)
+            for k in range(m + 1):
+                r = (k * lam[1] + (m - k) * lam[0]) / m
+                want += math.comb(m, k) * p0[1] ** k * p0[0] ** (m - k) * r * r.ln()
+        got = ppm_output_divergence(ch, m)
+        assert got == pytest.approx(float(want), rel=1e-10, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sum_equals_type_class_loop(self, data):
+        # rows with zeros in P0 (and then in P1), and zeros in P1 alone
+        size = data.draw(st.integers(2, 5))
+        w0 = data.draw(st.lists(st.integers(0, 9), min_size=size, max_size=size)
+                       .filter(any))
+        w1 = data.draw(st.lists(st.integers(0, 9), min_size=size, max_size=size))
+        w1 = [b if a else 0 for a, b in zip(w0, w1)]
+        if not any(w1):
+            w1 = w0
+        ch = make_dmc(np.divide(w0, sum(w0)), np.divide(w1, sum(w1)))
+        # m <= 64 with at most a few thousand histograms for the Python loop
+        m = 1 << data.draw(st.integers(0, {2: 6, 3: 6, 4: 5, 5: 4}[size]))
+        want = type_class_divergence_reference(ch, m)
+        # the loop adds signed terms of size up to ~1: 1e-14 covers its rounding
+        assert ppm_output_divergence(ch, m) == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+    def test_point_mass_row0_gives_zero(self):
+        # P0 = P1 = (1, 0): the only histogram has r = 1, and no 0 * inf term
+        ch = make_dmc([1.0, 0.0], [1.0, 0.0])
+        for m in (1, 16, 1024):
+            assert ppm_output_divergence(ch, m) == 0.0
 
     def test_support_violation_infinite(self):
         ch = make_dmc([1.0, 0.0], [0.5, 0.5])
