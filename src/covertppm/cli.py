@@ -223,6 +223,9 @@ def cmd_covertness(args) -> int:
         }
         _write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return 0
+    if args.trials < 1:
+        # before the session build, which takes seconds at real geometries
+        raise CliError(f"covertness estimate needs at least 1 block, got {args.trials}")
     bob = parse_channel(args.bob)
     plan = levels.msd_rate_plan(
         bob, willie, args.levels, args.delta, 1, args.epsilon,

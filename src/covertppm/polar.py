@@ -11,20 +11,40 @@ frozen to zero, which the symmetric level channels allow; a bit the receiver
 knows to be nonzero (a key bit) is a pin of the decoder instead.
 
 The decoder is successive cancellation (SC) organised as simplified SC
-(Alamdar-Yazdi & Kschischang, IEEE Comm. Letters 2011): a subtree whose
-positions are all frozen or pinned (rate 0) emits its known values without
-visiting its leaves, and a subtree with none of them (rate 1) takes hard
-decisions on its LLRs followed by one transform.  The rate-1 shortcut is
-taken only when it provably reproduces SC bit for bit: for a node of size
-2^d every LLR must satisfy d*ln2 + 1 <= |L| <= 2^20.  The exact check-node
-map keeps |f(a, b)| >= log cosh(min(|a|, |b|)) >= min(|a|, |b|) - ln2, and
-inside a rate-1 node the bit-node map adds same-signed terms, so every
-intermediate LLR keeps a magnitude of at least 1; the upper bound keeps the
-rounding error of f far below that margin.  No zero ties or sign flips can
-occur, and the SC decisions equal the hard decisions.  Otherwise the node
-recurses exactly as plain SC, so the output is identical to SC for every
-input, zero and non-finite LLRs included.  Repetition and single-parity-check
-nodes are deliberately absent: they are maximum-likelihood, not SC, decoders.
+(Alamdar-Yazdi & Kschischang, IEEE Comm. Letters 2011).  Each node returns
+its partial sums x (the transform of its slice of u), and u is recovered
+from the root's x with one transform, since G is an involution.  Every node
+rule reproduces SC bit for bit, for every input, zero and non-finite LLRs
+included:
+
+- Rate 0 (all positions frozen or pinned): the node yields the transform of
+  its known values without visiting its leaves.
+- Rate 1 (none of them): hard decisions on its LLRs, taken only when they
+  provably equal SC's: for a node of size 2^d every LLR must satisfy
+  d*ln2 + 1 <= |L| <= 2^20.  The exact check-node map keeps
+  |f(a, b)| >= log cosh(min(|a|, |b|)) >= min(|a|, |b|) - ln2, and inside a
+  rate-1 node the bit-node map adds same-signed terms, so every
+  intermediate LLR keeps a magnitude of at least 1; the upper bound keeps
+  the rounding error of f far below that margin.  No zero ties or sign
+  flips can occur.
+- Repetition with zero known values (all positions but the last frozen or
+  pinned, all of them to zero; a leaf is the case of size 1): in SC every
+  left child is then rate 0 with zero partial sums, so every g(a, b, 0) is
+  b + 1.0*a = b + a, and the last leaf's LLR is the stage-by-stage half sum
+  v <- v[h:] + v[:h], in that pairing; the node's x is its one bit
+  repeated.  This is SC's own arithmetic, not the maximum-likelihood sum of
+  a repetition decoder.  For the same reason g after any rate-0 left child
+  with zero known values is b + a.  Single-parity-check nodes are absent:
+  their usual decoder is maximum likelihood, not SC.
+- Otherwise the node splits as plain SC.
+
+Nodes of at most ``_FLOAT_NODE`` LLRs take the same rules on a list of
+Python floats, which saves numpy's per-call overhead where the arrays are
+short.  Every operation there is the IEEE double operation numpy performs
+(+, -, *, abs and comparisons), and f's logaddexp is ``_logaddexp``, which
+mirrors numpy's npy_logaddexp branch for branch on the same libm exp and
+log1p, so the two paths give the same LLRs (up to the sign of a NaN, which
+no decision reads) and the same decisions.
 
 Construction is genie-aided Monte Carlo: transmit the all-zero codeword,
 compute every successive-cancellation decision LLR with all previous bits
@@ -87,15 +107,6 @@ def polar_transform(u) -> np.ndarray:
     return _butterfly(x)
 
 
-def _f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # exact check-node combination log((1+e^(a+b))/(e^a+e^b)), stable form
-    return np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
-
-
-def _g(a: np.ndarray, b: np.ndarray, x1: np.ndarray) -> np.ndarray:
-    return b + (1.0 - 2.0 * x1) * a
-
-
 @dataclass(frozen=True)
 class PolarLevelCode:
     """A polar code for one level channel: its length and message set.
@@ -128,52 +139,147 @@ class PolarLevelCode:
 # node of size 2^d; the cap keeps the rounding error of f far below 1
 _LN2 = math.log(2.0)
 _RATE1_LLR_CAP = float(1 << 20)
+# nodes of at most this many LLRs decode on Python floats (module docstring);
+# 16 and 32 measured alike on chain-workload decodes, 4, 8 and 64 slower
+_FLOAT_NODE = 16
 
 
-def _emit_known(start: int, end: int, nonzero: list, vals: np.ndarray,
-                u: np.ndarray, x: np.ndarray):
-    # rate-0 node: every position frozen or pinned, whatever the LLRs say
-    u[start:end] = vals[start:end]
-    x[start:end] = u[start:end]
-    if nonzero[end] != nonzero[start]:
-        _butterfly(x[start:end])
+def _logaddexp(x: float, y: float) -> float:
+    # numpy's npy_logaddexp branch for branch, on the libm exp and log1p
+    # behind its float64 loop; math.log(2.0) is its NPY_LOGE2
+    if x == y:
+        return x + _LN2
+    tmp = x - y
+    if tmp > 0:
+        return x + math.log1p(math.exp(-tmp))
+    if tmp <= 0:
+        return y + math.log1p(math.exp(tmp))
+    return tmp
 
 
-def _ssc(llr: np.ndarray, start: int, fixed: list, nonzero: list,
-         vals: np.ndarray, u: np.ndarray, x: np.ndarray):
-    """Decode the node covering [start, start + len(llr)) into u and x.
+class _ArrayNode:
+    """Node arithmetic on numpy arrays, for nodes above ``_FLOAT_NODE``."""
+
+    add = staticmethod(np.add)
+    from_array = staticmethod(np.asarray)
+
+    @staticmethod
+    def f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # exact check-node combination log((1+e^(a+b))/(e^a+e^b)), stable form
+        return np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
+
+    @staticmethod
+    def g(a: np.ndarray, b: np.ndarray, x1: np.ndarray) -> np.ndarray:
+        return b + (1.0 - 2.0 * x1) * a
+
+    @staticmethod
+    def certified(llr: np.ndarray, low: float) -> bool:
+        mag = np.abs(llr)
+        return mag.min() >= low and mag.max() <= _RATE1_LLR_CAP
+
+    @staticmethod
+    def hard(llr: np.ndarray) -> np.ndarray:
+        return (llr < 0.0).view(np.uint8)
+
+    @staticmethod
+    def repeat(bit: int, n: int) -> np.ndarray:
+        return np.full(n, bit, dtype=np.uint8)
+
+    @staticmethod
+    def combine(xl: np.ndarray, xr: np.ndarray) -> np.ndarray:
+        return np.concatenate((xl ^ xr, xr))
+
+
+class _FloatNode:
+    """The same operations on lists of Python floats and bits, one IEEE
+    double operation for each of numpy's."""
+
+    from_array = staticmethod(np.ndarray.tolist)
+
+    @staticmethod
+    def f(a: list, b: list) -> list:
+        return [_logaddexp(0.0, p + q) - _logaddexp(p, q) for p, q in zip(a, b)]
+
+    @staticmethod
+    def g(a: list, b: list, x1: list) -> list:
+        return [q + (1.0 - 2.0 * s) * p for p, q, s in zip(a, b, x1)]
+
+    @staticmethod
+    def add(a: list, b: list) -> list:
+        return [p + q for p, q in zip(a, b)]
+
+    @staticmethod
+    def certified(llr: list, low: float) -> bool:
+        # not min/max: they skip a NaN or not depending on where it sits
+        return all(low <= abs(v) <= _RATE1_LLR_CAP for v in llr)
+
+    @staticmethod
+    def hard(llr: list) -> list:
+        return [1 if v < 0.0 else 0 for v in llr]
+
+    @staticmethod
+    def repeat(bit: int, n: int) -> list:
+        return [bit] * n
+
+    @staticmethod
+    def combine(xl: list, xr: list) -> list:
+        return [p ^ q for p, q in zip(xl, xr)] + xr
+
+
+def _known(start: int, end: int, nonzero: list, vals: np.ndarray, k):
+    # partial sums of a rate-0 node: the transform of its known values
+    if nonzero[end] == nonzero[start]:
+        return k.repeat(0, end - start)
+    return k.from_array(_butterfly(vals[start:end].copy()))
+
+
+def _ssc(llr, start: int, fixed: list, nonzero: list, vals: np.ndarray):
+    """Partial sums of the node covering [start, start + len(llr)).
 
     The node holds at least one free position.  ``fixed`` and ``nonzero``
     are prefix sums of the frozen-or-pinned mask and of the nonzero known
-    values, so each node is classified in O(1); a rate-0 child is emitted
-    without computing its LLRs.  ``x`` receives the node's partial sums
-    (the transform of its slice of ``u``).
+    values, so each node is classified in O(1); a rate-0 child yields its
+    known values without computing its LLRs.  ``llr`` is a numpy array, or a
+    list of floats from ``_FLOAT_NODE`` down; the partial sums come back in
+    the same kind.
     """
-    n = llr.shape[0]
-    if n == 1:
-        u[start] = x[start] = 0 if llr[0] >= 0.0 else 1
-        return
+    n = len(llr)
+    if type(llr) is list:
+        k = _FloatNode
+    elif n <= _FLOAT_NODE:
+        return np.array(_ssc(llr.tolist(), start, fixed, nonzero, vals),
+                        dtype=np.uint8)
+    else:
+        k = _ArrayNode
     end = start + n
-    if fixed[end] == fixed[start]:
-        mag = np.abs(llr)
-        if (mag.min() >= (n.bit_length() - 1) * _LN2 + 1.0
-                and mag.max() <= _RATE1_LLR_CAP):
-            np.less(llr, 0.0, out=x[start:end], casting="unsafe")
-            u[start:end] = x[start:end]
-            _butterfly(u[start:end])
-            return
+    if fixed[end - 1] - fixed[start] == n - 1 \
+            and nonzero[end - 1] == nonzero[start]:
+        # repetition node with zero known values (leaves included): every g
+        # on the way to the last leaf is b + a
+        v = llr
+        while len(v) > 1:
+            h = len(v) // 2
+            v = k.add(v[h:], v[:h])
+        return k.repeat(0 if v[0] >= 0.0 else 1, n)
+    if fixed[end] == fixed[start] \
+            and k.certified(llr, (n.bit_length() - 1) * _LN2 + 1.0):
+        return k.hard(llr)
     half = n // 2
     mid = start + half
     a, b = llr[:half], llr[half:]
-    if fixed[mid] - fixed[start] == half:
-        _emit_known(start, mid, nonzero, vals, u, x)
+    left_known = fixed[mid] - fixed[start] == half
+    if left_known:
+        xl = _known(start, mid, nonzero, vals, k)
     else:
-        _ssc(_f(a, b), start, fixed, nonzero, vals, u, x)
+        xl = _ssc(k.f(a, b), start, fixed, nonzero, vals)
     if fixed[end] - fixed[mid] == half:
-        _emit_known(mid, end, nonzero, vals, u, x)
+        xr = _known(mid, end, nonzero, vals, k)
+    elif left_known and nonzero[mid] == nonzero[start]:
+        # zero left partial sums: g(a, b, 0) = b + a
+        xr = _ssc(k.add(b, a), mid, fixed, nonzero, vals)
     else:
-        _ssc(_g(a, b, x[start:mid]), mid, fixed, nonzero, vals, u, x)
-    x[start:mid] ^= x[mid:end]
+        xr = _ssc(k.g(a, b, xl), mid, fixed, nonzero, vals)
+    return k.combine(xl, xr)
 
 
 def sc_decode(
@@ -200,13 +306,12 @@ def sc_decode(
         mask[np.asarray(idx, dtype=np.int64)] = True
         vals[np.asarray(idx, dtype=np.int64)] = np.asarray(pv, dtype=np.uint8)
     fixed = [0, *np.cumsum(mask).tolist()]
-    nonzero = [0, *np.cumsum(vals != 0).tolist()]
-    u_hat = np.empty(code.ell, dtype=np.uint8)
-    x_hat = np.empty(code.ell, dtype=np.uint8)
     if fixed[-1] == code.ell:
-        _emit_known(0, code.ell, nonzero, vals, u_hat, x_hat)
+        u_hat = vals
     else:
-        _ssc(llr, 0, fixed, nonzero, vals, u_hat, x_hat)
+        nonzero = [0, *np.cumsum(vals != 0).tolist()]
+        # the codeword x = u G; G is an involution, so u = x G
+        u_hat = _butterfly(_ssc(llr, 0, fixed, nonzero, vals))
     return u_hat, u_hat[code.message]
 
 
@@ -234,8 +339,8 @@ def _genie_pass(src: np.ndarray, dst: np.ndarray) -> None:
         d = dst.reshape(rows, nodes, 2, half)
         a, b = s[:, :, 0], s[:, :, 1]
         left, right = d[:, :, 0], d[:, :, 1]
-        # the operations of _f and of a + b, in the same order, so the values
-        # equal the recursion's (module docstring)
+        # the operations of _ArrayNode.f and of a + b, in the same order, so
+        # the values equal the recursion's (module docstring)
         np.add(a, b, out=right)
         np.logaddexp(0.0, right, out=left)
         np.logaddexp(a, b, out=a)

@@ -193,9 +193,12 @@ def monte_carlo_divergence(
     Samples the pulse at coordinate 1 (the statistic is symmetric in the
     pulse position) and averages log of the mean likelihood ratio under
     P_ppm.  Returns ``(estimate, stderr)`` in the requested base.
+    ``trials`` must be at least 1.
     """
     if m < 1 or (m & (m - 1)) != 0:
         raise ValueError(f"m must be a power of two, got {m}")
+    if trials < 1:
+        raise ValueError(f"Monte-Carlo divergence needs at least 1 trial, got {trials}")
     lam = dmc.lam
     batch = max(1, min(trials, (1 << 22) // max(m, 1)))
     acc = np.empty(trials, dtype=np.float64)

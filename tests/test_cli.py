@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from covertppm import codec
 from covertppm.cli import load_channel_file, main, parse_channel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -276,6 +277,18 @@ class TestCovertness:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "got 0" in err
         assert not out.exists()
+
+    def test_zero_trials_rejected_before_session_build(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def build_session(*args, **kwargs):
+            raise AssertionError("session built for a rejected trial count")
+
+        monkeypatch.setattr(codec, "build_session", build_session)
+        assert run_cli("covertness", "--bob", "bsc:0.05", "--willie", "bsc:0.1",
+                       "--levels", "2", "--delta", "2.0", "--degraded", "--ell",
+                       "16", "--construction-trials", "50", "--trials", "0",
+                       "--seed", "12", "--out", str(tmp_path / "c.json")) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_exact_mode_defaults_to_one_super_symbol(self, tmp_path):
         out = tmp_path / "c.json"

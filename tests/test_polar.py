@@ -131,6 +131,17 @@ class TestScDecode:
         want = sc_decode_reference(np.array(llrs), code)
         np.testing.assert_array_equal(got[0], want[0])
 
+    @pytest.mark.parametrize("llrs", [(1.0, -1e-300, -1.0, 0.0),
+                                      (1e300, -3.0, -1e300, 1.0),
+                                      (1.0, 0.0, 3.0, -1e-300, -1.0, 0.0, -3.0, 0.0)])
+    def test_repetition_half_sum_follows_sc(self, llrs):
+        # a repetition node's leaf LLR is SC's stage-by-stage half sum
+        # v[h:] + v[:h]; other pairings of these values round to another bit
+        code = _code(len(llrs), np.arange(len(llrs) - 1))
+        got = sc_decode(np.array(llrs), code)
+        want = sc_decode_reference(np.array(llrs), code)
+        np.testing.assert_array_equal(got[0], want[0])
+
 
 # LLR magnitudes around every decision boundary of the decoder: signed
 # zeros, subnormal-scale and tiny values that tie or nearly tie in f, values
@@ -158,6 +169,9 @@ def _frozen_set(kind: str, ell: int, rng: np.random.Generator) -> np.ndarray:
         # Reed-Muller rule: large all-frozen and all-free subtrees
         weight = np.array([bin(i).count("1") for i in idx])
         return idx[weight < rng.integers(0, ell.bit_length() + 1)]
+    if kind == "repetition":
+        # all but the last position of every aligned block of 2^r
+        return idx[(idx + 1) % (1 << rng.integers(0, ell.bit_length())) != 0]
     return idx[rng.random(ell) < rng.random()]
 
 
@@ -179,24 +193,33 @@ def _channel_llrs(source: str, code: PolarLevelCode, pins, rng) -> np.ndarray:
     return llrs
 
 
-@pytest.mark.parametrize("mask_kind", ["all", "none", "prefix", "weight", "random"])
+@pytest.mark.parametrize("mask_kind", ["all", "none", "prefix", "weight",
+                                       "repetition", "random"])
 @pytest.mark.parametrize("log_ell", range(13))
 @settings(max_examples=8, deadline=None)
 @given(source=st.sampled_from(["pool", "sampler", "mixed", "extreme"]),
        pin_share=st.sampled_from([0.0, 0.3, 1.0]),
+       known=st.sampled_from(["random", "zero", "none"]),
        seed=st.integers(0, 2**32 - 1))
 def test_sc_decode_bitwise_equals_reference(log_ell, mask_kind, source,
-                                            pin_share, seed):
+                                            pin_share, known, seed):
     rng = np.random.default_rng(seed)
     ell = 1 << log_ell
     frozen = _frozen_set(mask_kind, ell, rng)
     code = _code(ell, frozen)
-    # known values, zero and nonzero: every frozen position is pinned to a
-    # random bit, and a share of the message positions too
+    # known values: every frozen position and a share of the message
+    # positions, pinned to random bits ("random") or to zeros ("zero"), which
+    # give repetition nodes and g after a rate-0 child their zero-known
+    # forms; "none" passes no pins and leaves the frozen positions zero
     idx = np.concatenate([frozen, code.message[rng.random(code.message.shape[0])
                                                < pin_share]])
-    pins = (idx, rng.integers(0, 2, size=idx.shape[0], dtype=np.uint8))
-    llrs = _channel_llrs(source, code, pins, rng)
+    if known == "none":
+        idx = frozen
+    values = rng.integers(0, 2, size=idx.shape[0], dtype=np.uint8)
+    if known != "random":
+        values[:] = 0
+    pins = None if known == "none" else (idx, values)
+    llrs = _channel_llrs(source, code, (idx, values), rng)
     with np.errstate(invalid="ignore", over="ignore"):
         u_hat, info = sc_decode(llrs, code, pins=pins)
         u_ref, info_ref = sc_decode_reference(llrs, code, pins=pins)
@@ -217,6 +240,21 @@ def _float_bits(x: np.ndarray) -> np.ndarray:
     # opposite sign), so every NaN is compared as the one canonical NaN;
     # every other value, signed zeros included, compares bit for bit
     return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
+def test_scalar_logaddexp_bitwise_equals_numpy():
+    # the float path of the decoder computes f with polar._logaddexp; a
+    # platform whose math and numpy libm calls differ fails here
+    rng = np.random.default_rng(11)
+    grid = np.array([0.0, 5e-324, 2.5e-310, np.finfo(float).tiny, 1e-300,
+                     1e300, np.inf, np.nan, 0.5, 1.0, 36.0, 745.0, 1e20])
+    grid = np.concatenate([grid, -grid, rng.normal(0.0, 4.0, 40),
+                           rng.normal(0.0, 50.0, 40)])
+    x, y = (v.ravel() for v in np.meshgrid(grid, grid))
+    got = np.array([polar._logaddexp(p, q) for p, q in zip(x.tolist(), y.tolist())])
+    with np.errstate(invalid="ignore"):
+        want = np.logaddexp(x, y)
+    np.testing.assert_array_equal(_float_bits(got), _float_bits(want))
 
 
 @pytest.mark.parametrize("log_ell", range(13))

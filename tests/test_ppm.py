@@ -266,6 +266,11 @@ class TestPpmOutputDivergence:
         est, se = monte_carlo_divergence(ch, 16, 40000, rng)
         assert abs(est - exact) <= 3.5 * se
 
+    def test_monte_carlo_rejects_zero_trials(self, rng):
+        # zero trials returned (nan, inf) with a RuntimeWarning
+        with pytest.raises(ValueError, match="got 0"):
+            monte_carlo_divergence(bsc(0.1), 4, 0, rng)
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             ppm_output_divergence(bsc(0.1), 3)
