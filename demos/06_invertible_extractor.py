@@ -19,7 +19,7 @@ rng = np.random.default_rng(2)
 
 field = make_field(16)
 cfg = ExtractorConfig(field=field, k=6)
-s = random_element(field, rng, nonzero=True)
+s = random_element(field, rng)
 print(f"GF(2^16), modulus {field.modulus:#x}, seed s = {s:#06x}, k = 6\n")
 
 print("Round trip: r -> x = inv(s, 0, r) -> ext(s, x) recovers the bin:")

@@ -57,7 +57,6 @@ from .polar import (
 from .ppm import (
     PpmFrame,
     SuperOutput,
-    monte_carlo_divergence,
     ppm_divergence_bound,
     ppm_output_divergence,
     transmit_super,

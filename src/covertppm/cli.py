@@ -72,7 +72,7 @@ def load_generator(spec: str, rng: np.random.Generator) -> adversary.LinearCode:
         if not line:
             continue
         rows.append([int(tok) for tok in line.split()])
-    return adversary.LinearCode(generator=np.array(rows, dtype=np.uint8))
+    return adversary.LinearCode(generator=np.array(rows))
 
 
 def _write(path: str | None, text: str):

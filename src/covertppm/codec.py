@@ -224,7 +224,7 @@ def build_session(
                      for i in range(plan.u + 1, plan.q + 1))
         k = min(w, _ceil_bits(ell, i_tail + _EXTRACTOR_MARGIN))
         extractor_cfg = ExtractorConfig(field=fld, k=k)
-        extractor_seed = random_element(fld, rng, nonzero=True)
+        extractor_seed = random_element(fld, rng)
 
     return Session(
         plan=plan, bob=bob, willie=willie, codes=codes, layouts=layouts,
@@ -385,10 +385,10 @@ def decode_block(
         if key.shape[0] != lay.n_key:
             raise SessionError(f"level {i}: expected {lay.n_key} key bits")
         pins = (code.message[:lay.n_key], key) if lay.n_key else None
-        u_hat, payload = sc_decode(llrs, code, pins=pins)
+        u_hat, x_hat[i - 1] = sc_decode(llrs, code, pins=pins)
+        payload = u_hat[code.message]
         decoded[i] = payload[lay.n_key:]
         decoded_secrets[i] = payload[lay.n_key + lay.n_msg:]
-        x_hat[i - 1] = polar_transform(u_hat)
         if tx is not None:
             errors[i] = bool(np.any(decoded[i] != tx.messages[i]))
 

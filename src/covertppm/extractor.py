@@ -14,10 +14,12 @@ with probability at most 2^-(w-k) (two-universality).
 
 Field elements are Python integers holding bit-packed GF(2) polynomials, so a
 single implementation covers widths from a few bits up to the multi-thousand
-bit aggregates produced by joining the resolvability-only levels.  Moduli come
-from a bundled table of low-weight irreducible polynomials (re-verified here
-for small widths); widths missing from the table are filled by sequential
-search with a Rabin irreducibility test, which skips the trinomials when 8
+bit aggregates produced by joining the resolvability-only levels.  The seed
+is drawn uniformly from the nonzero elements (``random_element``).  Moduli
+come from a bundled table of low-weight irreducible polynomials, each passing
+a Rabin irreducibility test the first time its width is used in a process;
+widths missing from the table are filled, once per width and process, by
+sequential search with the same test, which skips the trinomials when 8
 divides the width (Swan's theorem rules them all out).
 """
 
@@ -207,32 +209,25 @@ class BinaryField:
         return 1 << self.w
 
 
-# (w, modulus) pairs from the bundled table that passed the Rabin test in
-# this process; the table cannot change while it runs
-_VERIFIED_BUNDLED: set[tuple[int, int]] = set()
-# width -> modulus found by the search in this process
-_SEARCHED: dict[int, int] = {}
+@functools.cache
+def _modulus(w: int) -> int:
+    """The modulus of GF(2^w), once per width and process.
 
-
-def make_field(w: int, modulus: int | None = None) -> BinaryField:
-    """Build GF(2^w), looking the modulus up in the bundled table by default.
-
-    A bundled modulus is verified with the Rabin test the first time its
-    width is used in a process.  Widths missing from the table are filled
-    by a sequential low-weight search verified with the Rabin test, once
-    per width and process.
+    A bundled entry is returned after one Rabin test; a width missing from
+    the table is filled by the sequential low-weight search, itself verified
+    with the Rabin test.  A failure raises and is not cached.
     """
+    modulus = _bundled_moduli().get(w)
     if modulus is None:
-        modulus = _bundled_moduli().get(w)
-        if modulus is None:
-            if w not in _SEARCHED:
-                _SEARCHED[w] = _search_irreducible(w)
-            modulus = _SEARCHED[w]
-        elif (w, modulus) not in _VERIFIED_BUNDLED:
-            if not is_irreducible(modulus):
-                raise FieldError(f"bundled modulus for w={w} failed verification")
-            _VERIFIED_BUNDLED.add((w, modulus))
-    return BinaryField(w=w, modulus=modulus)
+        return _search_irreducible(w)
+    if not is_irreducible(modulus):
+        raise FieldError(f"bundled modulus for w={w} failed verification")
+    return modulus
+
+
+def make_field(w: int) -> BinaryField:
+    """GF(2^w) with the modulus from the bundled table or the search."""
+    return BinaryField(w=w, modulus=_modulus(w))
 
 
 def gf_mul(field: BinaryField, a: int, b: int) -> int:
@@ -356,11 +351,11 @@ def two_universal_check(
 # bit-vector packing helpers (LSB-first, matching the decimal map)
 # ---------------------------------------------------------------------------
 
-def random_element(field: BinaryField, rng, *, nonzero: bool = False) -> int:
-    """Uniform field element of arbitrary width from a numpy generator."""
+def random_element(field: BinaryField, rng) -> int:
+    """Uniform nonzero field element from a numpy generator (zero is redrawn)."""
     while True:
         value = bits_to_int(rng.integers(0, 2, size=field.w))
-        if value or not nonzero:
+        if value:
             return value
 
 

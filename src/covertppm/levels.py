@@ -189,7 +189,6 @@ def msd_rate_plan(
     base: str = "bits",
     *,
     degraded: bool = False,
-    u_floor: float | None = None,
     ell_override: int | None = None,
 ) -> RatePlan:
     """Build the multistage-decoding operating point.
@@ -206,9 +205,8 @@ def msd_rate_plan(
     chi2 of Willie's pair, unless ``ell_override`` is given; a warden whose
     chi2 is infinite (Q1 has mass outside the support of Q0) is rejected.
 
-    ``u`` defaults to the smallest cutoff for which the levels above it hold
-    less than 1% of the total Bob-side capacity; passing ``u_floor`` instead
-    selects the largest level with r_u at least that floor.
+    ``u`` is the smallest cutoff for which the levels above it hold less
+    than 1% of the total Bob-side capacity.
     """
     if delta < 0:
         raise RatePlanError("delta must be >= 0")
@@ -241,17 +239,13 @@ def msd_rate_plan(
     if all(lr.r_u == 0 and lr.r_v == 0 for lr in per_level):
         raise RatePlanError("all rates are zero: epsilon too large for this pair")
 
-    if u_floor is not None:
-        candidates = [lr.level for lr in per_level if lr.r_u >= u_floor]
-        u = max(candidates) if candidates else 1
-    else:
-        total = sum(row.i_y for row in mi)
-        u = q
-        for cut in range(1, q + 1):
-            tail = sum(row.i_y for row in mi if row.level > cut)
-            if total == 0 or tail < 0.01 * total:
-                u = cut
-                break
+    total = sum(row.i_y for row in mi)
+    u = q
+    for cut in range(1, q + 1):
+        tail = sum(row.i_y for row in mi if row.level > cut)
+        if total == 0 or tail < 0.01 * total:
+            u = cut
+            break
 
     return RatePlan(
         q=q, ell=ell, B=B, delta=delta, epsilon=epsilon, base=base,

@@ -13,7 +13,8 @@ knows to be nonzero (a key bit) is a pin of the decoder instead.
 The decoder is successive cancellation (SC) organised as simplified SC
 (Alamdar-Yazdi & Kschischang, IEEE Comm. Letters 2011).  Each node returns
 its partial sums x (the transform of its slice of u), and u is recovered
-from the root's x with one transform, since G is an involution.  Every node
+from the root's x with one transform, since G is an involution; the decoder
+returns both, so a multistage receiver needs no re-encoding.  Every node
 rule reproduces SC bit for bit, for every input, zero and non-finite LLRs
 included:
 
@@ -291,9 +292,10 @@ def sc_decode(
 
     ``pins`` optionally forces extra positions to known values (receiver-side
     key bits); pinned positions behave exactly like frozen ones.  Returns
-    ``(u_hat, info_bits)`` where ``info_bits`` are the message positions of
-    ``u_hat``.  Deterministic given its inputs; ties (LLR exactly zero)
-    resolve to bit 0.
+    ``(u_hat, x_hat)``: the decided input bits and their codeword
+    ``x_hat = u_hat G``, which the decoder holds as the root's partial sums;
+    the information bits are ``u_hat[code.message]``.  Deterministic given
+    its inputs; ties (LLR exactly zero) resolve to bit 0.
     """
     llr = np.asarray(channel_llrs, dtype=np.float64)
     if llr.shape != (code.ell,):
@@ -307,12 +309,11 @@ def sc_decode(
         vals[np.asarray(idx, dtype=np.int64)] = np.asarray(pv, dtype=np.uint8)
     fixed = [0, *np.cumsum(mask).tolist()]
     if fixed[-1] == code.ell:
-        u_hat = vals
-    else:
-        nonzero = [0, *np.cumsum(vals != 0).tolist()]
-        # the codeword x = u G; G is an involution, so u = x G
-        u_hat = _butterfly(_ssc(llr, 0, fixed, nonzero, vals))
-    return u_hat, u_hat[code.message]
+        return vals, _butterfly(vals.copy())
+    nonzero = [0, *np.cumsum(vals != 0).tolist()]
+    # the codeword x = u G; G is an involution, so u = x G
+    x_hat = _ssc(llr, 0, fixed, nonzero, vals)
+    return _butterfly(x_hat.copy()), x_hat
 
 
 # LLRs drawn per chunk of the construction; part of the random stream, since

@@ -21,7 +21,9 @@ module computes: in particular
 which depends on the output sequence only through its symbol histogram.  The
 exact divergence is therefore one vectorised sum over the histograms of m
 draws on the support of P0, weighted by their multinomial probabilities, for
-every alphabet size (m + 1 histograms for a binary alphabet).
+every alphabet size (m + 1 histograms for a binary alphabet).  It is the only
+divergence computed here: past ``MAX_ALPHABET`` output symbols or the
+histogram budget it refuses rather than estimate.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlog1py
 
-from .channels import LN2, Dmc, sample_outputs
+from .channels import LN2, Dmc
 
-#: histograms summed before the exact divergence refuses and suggests Monte Carlo
+#: histograms summed before the exact divergence refuses
 DEFAULT_TYPE_BUDGET = 2_000_000
 #: largest output alphabet handled by the exact divergence
 MAX_ALPHABET = 6
@@ -43,8 +45,8 @@ MAX_ALPHABET = 6
 class EnumerationBudgetError(RuntimeError):
     """Exact type-class enumeration would exceed the configured budget.
 
-    Raised by :func:`ppm_output_divergence`; use
-    :func:`monte_carlo_divergence` instead.
+    Raised by :func:`ppm_output_divergence` when the output alphabet or the
+    histogram count is too large for the exact sum.
     """
 
 
@@ -155,8 +157,8 @@ def ppm_output_divergence(
         raise ValueError(f"base must be 'nats' or 'bits', got {base!r}")
     if dmc.alphabet_size > MAX_ALPHABET:
         raise EnumerationBudgetError(
-            f"alphabet size {dmc.alphabet_size} exceeds the exact-sum limit "
-            f"{MAX_ALPHABET}; use monte_carlo_divergence"
+            f"alphabet size {dmc.alphabet_size} exceeds the exact-sum "
+            f"limit {MAX_ALPHABET}"
         )
     if not dmc.stats.finite:
         return float("inf")
@@ -165,8 +167,7 @@ def ppm_output_divergence(
     n_types = math.comb(m + size - 1, size - 1)
     if n_types > type_budget:
         raise EnumerationBudgetError(
-            f"{n_types} type classes exceed budget {type_budget}; "
-            "use monte_carlo_divergence"
+            f"{n_types} type classes exceed budget {type_budget}"
         )
     log_fact = gammaln(np.arange(m + 1) + 1.0)
     log_w = np.full(n_types, log_fact[m])
@@ -179,42 +180,6 @@ def ppm_output_divergence(
     terms = xlog1py(1.0 + excess, excess) - excess
     value = max(float(np.sum(np.exp(log_w) * terms)), 0.0)
     return value / LN2 if base == "bits" else value
-
-
-def monte_carlo_divergence(
-    dmc: Dmc,
-    m: int,
-    trials: int,
-    rng: np.random.Generator,
-    base: str = "nats",
-) -> tuple[float, float]:
-    """Monte-Carlo estimate of D(P_ppm^m || P0^m) with its standard error.
-
-    Samples the pulse at coordinate 1 (the statistic is symmetric in the
-    pulse position) and averages log of the mean likelihood ratio under
-    P_ppm.  Returns ``(estimate, stderr)`` in the requested base.
-    ``trials`` must be at least 1.
-    """
-    if m < 1 or (m & (m - 1)) != 0:
-        raise ValueError(f"m must be a power of two, got {m}")
-    if trials < 1:
-        raise ValueError(f"Monte-Carlo divergence needs at least 1 trial, got {trials}")
-    lam = dmc.lam
-    batch = max(1, min(trials, (1 << 22) // max(m, 1)))
-    acc = np.empty(trials, dtype=np.float64)
-    done = 0
-    while done < trials:
-        n = min(batch, trials - done)
-        pulse = sample_outputs(dmc, 1, n, rng)
-        rest = sample_outputs(dmc, 0, (n, m - 1), rng)
-        r = (lam[pulse] + lam[rest].sum(axis=1)) / m
-        acc[done:done + n] = np.log(r)
-        done += n
-    mean = float(acc.mean())
-    stderr = float(acc.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
-    if base == "bits":
-        return mean / LN2, stderr / LN2
-    return mean, stderr
 
 
 def ppm_divergence_bound(chi2: float, m: int, ell: int) -> float:

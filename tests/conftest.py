@@ -189,8 +189,8 @@ def sc_decode_reference(channel_llrs, code, pins=None):
     """Plain successive cancellation, one leaf at a time.
 
     Visits every leaf of the decoding tree, with no node specialisation; the
-    library's ``sc_decode`` must return the same ``(u_hat, info_bits)`` bit
-    for bit.
+    library's ``sc_decode`` must return the same ``(u_hat, x_hat)`` bit for
+    bit.
     """
     llr = np.asarray(channel_llrs, dtype=np.float64)
     mask = np.ones(code.ell, dtype=bool)
@@ -200,8 +200,7 @@ def sc_decode_reference(channel_llrs, code, pins=None):
         idx, pv = pins
         mask[np.asarray(idx, dtype=np.int64)] = True
         vals[np.asarray(idx, dtype=np.int64)] = np.asarray(pv, dtype=np.uint8)
-    u_hat, _ = _sc_recurse(llr, mask, vals, 0)
-    return u_hat, u_hat[code.message]
+    return _sc_recurse(llr, mask, vals, 0)
 
 
 def decimal_map(x_bits) -> int:

@@ -179,7 +179,7 @@ def test_criterion_7_extractor_suite():
         field = make_field(w)
         cfg = ExtractorConfig(field=field, k=k)
         for _ in range(3334):
-            s = random_element(field, rng, nonzero=True)
+            s = random_element(field, rng)
             b = int(rng.integers(0, 1 << cfg.b_width))
             r = int(rng.integers(0, 1 << k))
             x = inv(cfg, s, b, r)

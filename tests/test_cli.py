@@ -210,6 +210,29 @@ class TestDetect:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["identity:10,20", "identity:10,0"])
+    def test_identity_dimension_out_of_range_is_clear_error(self, tmp_path,
+                                                            capsys, spec):
+        # k > n raised IndexError and k = 0 ZeroDivisionError (a traceback)
+        out = tmp_path / "r.json"
+        assert run_cli("detect", "--willie", "bsc:0.1", "--generator", spec,
+                       "--trials", "100", "--seed", "1", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1 <= k <= n" in err
+        assert not out.exists()
+
+    def test_generator_entry_other_than_a_bit_is_clear_error(self, tmp_path,
+                                                             capsys):
+        # the entry 2 was silently read as 0
+        g = tmp_path / "gen.txt"
+        g.write_text("1 0 2 0\n0 1 1 0\n")
+        out = tmp_path / "r.json"
+        assert run_cli("detect", "--willie", "bsc:0.1", "--generator", str(g),
+                       "--trials", "100", "--seed", "1", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "0 or 1" in err
+        assert not out.exists()
+
     def test_warden_off_support_is_clear_error(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run_cli("detect", "--willie", "bac:0,0.3", "--generator",
@@ -245,6 +268,17 @@ class TestCovertness:
                        "--order", "8", "--ell", "4", "--source", "uniform",
                        "--seed", "1") == 1
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["uniform", "single:1"])
+    def test_exact_order_zero_is_clear_error(self, tmp_path, capsys, source):
+        # the uniform law raised ZeroDivisionError (a traceback)
+        out = tmp_path / "c.json"
+        assert run_cli("covertness", "--willie", "bsc:0.1", "--exact",
+                       "--order", "0", "--source", source, "--seed", "1",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "order" in err
+        assert not out.exists()
 
     def test_sampled_mode_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -199,8 +200,9 @@ class TestChaining:
 
     def test_infeasible_chain_signalled(self, rng):
         # secrets scaled to zero while keys remain: B > 1 must refuse
-        plan = msd_rate_plan(bsc(0.2), bac(0.1, 0.4), 5, delta=2.0,
-                             epsilon=0.02, ell_override=64, u_floor=0.05)
+        plan = dataclasses.replace(
+            msd_rate_plan(bsc(0.2), bac(0.1, 0.4), 5, delta=2.0,
+                          epsilon=0.02, ell_override=64), u=4)
         sess = build_session(plan, bsc(0.2), bac(0.1, 0.4), rng,
                              construction_trials=300, rate_scale=0.3)
         assert sess.total_secret_bits() < sess.total_key_bits()
@@ -216,8 +218,9 @@ class TestChaining:
 
 class TestResolvabilityLevels:
     def _tail_session(self, rng, resolvability):
-        plan = msd_rate_plan(bsc(0.2), bac(0.1, 0.4), 4, delta=2.0,
-                             epsilon=0.02, ell_override=256, u_floor=0.15)
+        plan = dataclasses.replace(
+            msd_rate_plan(bsc(0.2), bac(0.1, 0.4), 4, delta=2.0,
+                          epsilon=0.02, ell_override=256), u=3)
         return build_session(plan, bsc(0.2), bac(0.1, 0.4), rng,
                              construction_trials=2000, rate_scale=0.6,
                              resolvability=resolvability)

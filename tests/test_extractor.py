@@ -29,7 +29,7 @@ from covertppm.extractor import (
     _search_irreducible,
 )
 
-F8 = make_field(8, modulus=(1 << 8) | (1 << 4) | (1 << 3) | (1 << 1) | 1)
+F8 = BinaryField(8, (1 << 8) | (1 << 4) | (1 << 3) | (1 << 1) | 1)
 F16 = make_field(16)
 F24 = make_field(24)
 
@@ -110,7 +110,7 @@ class TestField:
         assert is_irreducible(field.modulus)
 
     def test_bundled_modulus_verified_once_per_process(self, monkeypatch):
-        monkeypatch.setattr(extractor, "_VERIFIED_BUNDLED", set())
+        extractor._modulus.cache_clear()
         tested = []
 
         def counting(f):
@@ -123,7 +123,7 @@ class TestField:
         assert tested == [_bundled_moduli()[1024]]
 
     def test_searched_modulus_found_once_per_process(self, monkeypatch):
-        monkeypatch.setattr(extractor, "_SEARCHED", {})
+        extractor._modulus.cache_clear()
         tested = []
 
         def counting(f):
@@ -151,6 +151,7 @@ class TestField:
         make_field(128)  # the genuine entry is verified and remembered
         table = dict(_bundled_moduli())
         table[128] = (1 << 128) | 1  # x^128 + 1 = (x + 1)^128
+        extractor._modulus.cache_clear()  # forget the genuine entry
         monkeypatch.setattr(extractor, "_bundled_moduli", lambda: table)
         for _ in range(2):  # a failed check is not remembered
             with pytest.raises(FieldError):
@@ -161,7 +162,7 @@ class TestExtInv:
     def test_construction_inverts_to_zero_output(self, rng):
         cfg = ExtractorConfig(field=F16, k=6)
         for _ in range(50):
-            s = random_element(F16, rng, nonzero=True)
+            s = random_element(F16, rng)
             r = int(rng.integers(0, 1 << 6))
             x = gf_mul(F16, s, r << cfg.b_width)  # s * (0 || r)
             assert ext(cfg, s, x) == 0
@@ -169,7 +170,7 @@ class TestExtInv:
     def test_full_rate_empty_output(self, rng):
         cfg = ExtractorConfig(field=F8, k=8)
         for _ in range(20):
-            s = random_element(F8, rng, nonzero=True)
+            s = random_element(F8, rng)
             assert ext(cfg, s, int(rng.integers(0, 256))) == 0
             assert cfg.b_width == 0
 
@@ -177,7 +178,7 @@ class TestExtInv:
     def test_round_trip(self, field, k, rng):
         cfg = ExtractorConfig(field=field, k=k)
         for _ in range(10_000 // field.w):
-            s = random_element(field, rng, nonzero=True)
+            s = random_element(field, rng)
             b = int(rng.integers(0, 1 << cfg.b_width))
             r = int(rng.integers(0, 1 << k))
             x = inv(cfg, s, b, r)
@@ -198,7 +199,7 @@ class TestExtInv:
 
     def test_codebook_injective_in_r(self, rng):
         cfg = ExtractorConfig(field=F8, k=4)
-        s = random_element(F8, rng, nonzero=True)
+        s = random_element(F8, rng)
         codebook = {inv(cfg, s, 0, r) for r in range(16)}
         assert len(codebook) == 16
 
@@ -247,7 +248,7 @@ class TestSeedBInvariance:
         # xor-shift s * ((b ^ b') || 0), making the choice of b irrelevant
         cfg = ExtractorConfig(field=F16, k=5)
         for _ in range(100):
-            s = random_element(F16, rng, nonzero=True)
+            s = random_element(F16, rng)
             b = int(rng.integers(0, 1 << cfg.b_width))
             bp = int(rng.integers(0, 1 << cfg.b_width))
             shift = gf_mul(F16, s, b ^ bp)

@@ -188,11 +188,6 @@ class TestMsdRatePlan:
         with pytest.raises(RatePlanError, match="blocklength zero"):
             msd_rate_plan(bsc(0.05), bsc(0.1), 4, delta=0.0, degraded=True)
 
-    def test_u_floor_override(self):
-        plan = msd_rate_plan(bsc(0.2), bac(0.1, 0.4), 5, delta=2.0,
-                             epsilon=0.02, u_floor=0.15)
-        assert plan.u == 3
-
     def test_feasibility_brute_forced_small_q(self):
         # for every subset S of levels: sum of message+secret rates is below
         # the conditional set MI of Bob, and message+key rates exceed the

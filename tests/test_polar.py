@@ -81,13 +81,13 @@ class TestScDecode:
         # frozen positions decode to zero, and nonzero known values are pins
         code = PolarLevelCode(ell=32, message=np.array([], dtype=np.int64))
         llrs = rng.normal(size=32)
-        u_hat, info = sc_decode(llrs, code)
+        u_hat, x_hat = sc_decode(llrs, code)
         np.testing.assert_array_equal(u_hat, np.zeros(32, np.uint8))
-        assert info.size == 0
+        np.testing.assert_array_equal(x_hat, np.zeros(32, np.uint8))
         values = rng.integers(0, 2, size=32, dtype=np.uint8)
-        u_hat, info = sc_decode(llrs, code, pins=(np.arange(32), values))
+        u_hat, x_hat = sc_decode(llrs, code, pins=(np.arange(32), values))
         np.testing.assert_array_equal(u_hat, values)
-        assert info.size == 0
+        np.testing.assert_array_equal(x_hat, polar_transform(values))
 
     @pytest.mark.parametrize("ell", [64, 512, 4096])
     def test_noiseless_round_trip(self, ell, rng):
@@ -98,8 +98,9 @@ class TestScDecode:
         u = np.zeros(ell, dtype=np.uint8)
         u[code.message] = bits
         x = polar_transform(u)
-        _, decoded = sc_decode(noiseless_llrs(x), code)
-        np.testing.assert_array_equal(decoded, bits)
+        u_hat, x_hat = sc_decode(noiseless_llrs(x), code)
+        np.testing.assert_array_equal(u_hat[code.message], bits)
+        np.testing.assert_array_equal(x_hat, x)
 
     def test_noiseless_round_trip_with_pins(self, rng):
         ell, k = 128, 60
@@ -111,8 +112,9 @@ class TestScDecode:
         u[code.message[:10]] = key
         u[code.message[10:]] = payload
         x = polar_transform(u)
-        _, decoded = sc_decode(noiseless_llrs(x), code,
-                               pins=(code.message[:10], key))
+        u_hat, _ = sc_decode(noiseless_llrs(x), code,
+                             pins=(code.message[:10], key))
+        decoded = u_hat[code.message]
         np.testing.assert_array_equal(decoded[:10], key)
         np.testing.assert_array_equal(decoded[10:], payload)
 
@@ -221,11 +223,12 @@ def test_sc_decode_bitwise_equals_reference(log_ell, mask_kind, source,
     pins = None if known == "none" else (idx, values)
     llrs = _channel_llrs(source, code, (idx, values), rng)
     with np.errstate(invalid="ignore", over="ignore"):
-        u_hat, info = sc_decode(llrs, code, pins=pins)
-        u_ref, info_ref = sc_decode_reference(llrs, code, pins=pins)
-    assert u_hat.dtype == np.uint8 and info.dtype == np.uint8
+        u_hat, x_hat = sc_decode(llrs, code, pins=pins)
+        u_ref, x_ref = sc_decode_reference(llrs, code, pins=pins)
+    assert u_hat.dtype == np.uint8 and x_hat.dtype == np.uint8
     np.testing.assert_array_equal(u_hat, u_ref)
-    np.testing.assert_array_equal(info, info_ref)
+    np.testing.assert_array_equal(x_hat, x_ref)
+    np.testing.assert_array_equal(x_hat, polar_transform(u_hat))
 
 
 # inputs of the genie pass: signed zeros, tiny and huge magnitudes, and the
@@ -314,8 +317,8 @@ class TestConstruction:
             rows = np.arange(ell)
             pulse = x.astype(np.int64)
             sym[rows, pulse] = np.searchsorted(cdf1, draw[rows, pulse])
-            _, decoded = sc_decode(level_llrs(sym, lam), code)
-            errors += int(np.any(decoded != bits))
+            u_hat, _ = sc_decode(level_llrs(sym, lam), code)
+            errors += int(np.any(u_hat[code.message] != bits))
         assert errors / blocks < 1e-2
 
     def test_construction_consistency_across_seeds(self):
