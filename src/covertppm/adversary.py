@@ -23,6 +23,7 @@ entropy over the full output space (dimensionally hopeless).  Instead:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -148,10 +149,6 @@ class DetectionReport:
     chi3: float
     undetectable: bool = False
 
-    def to_dict(self) -> dict:
-        return {k: (v if not isinstance(v, (np.floating, np.integer)) else float(v))
-                for k, v in self.__dict__.items()}
-
 
 #: trials drawn per batch; part of the random stream
 _TRIAL_CHUNK = 4096
@@ -197,7 +194,6 @@ def detect_linear_code(
         )
     gamma = chi2 / 4.0
 
-    cdf0, cdf1 = willie.cdf0, willie.cdf1
     g_s = code.generator[:, S].astype(np.float32)
 
     def h0_stats(n: int) -> np.ndarray:
@@ -206,12 +202,8 @@ def detect_linear_code(
 
     def h1_stats(n: int) -> np.ndarray:
         v = rng.integers(0, 2, size=(n, code.k)).astype(np.float32)
-        bits = np.mod(np.rint(v @ g_s), 2.0).astype(np.uint8)
-        u = rng.random((n, s_size))
-        z0 = np.searchsorted(cdf0, u, side="right")
-        z1 = np.searchsorted(cdf1, u, side="right")
-        z = np.where(bits == 1, z1, z0)
-        return ratio[z].mean(axis=1)
+        ones = np.mod(np.rint(v @ g_s), 2.0) == 1.0
+        return ratio[sample_outputs(willie, ones, (n, s_size), rng)].mean(axis=1)
 
     t0 = np.empty(trials)
     t1 = np.empty(trials)
@@ -262,6 +254,13 @@ def srl_bound(delta: float, n: int, tv_q1_q0: float) -> tuple[float, float]:
 # exact tiny-instance oracle
 # ---------------------------------------------------------------------------
 
+def _check_geometry(m: int, ell: int) -> None:
+    if m < 1:
+        raise ValueError(f"PPM order must be >= 1, got {m}")
+    if ell < 1:
+        raise ValueError(f"need at least one super-symbol, got ell={ell}")
+
+
 def pw_single(positions) -> dict[tuple[int, ...], float]:
     """Position distribution of a single fixed codeword."""
     return {tuple(int(p) for p in positions): 1.0}
@@ -269,22 +268,8 @@ def pw_single(positions) -> dict[tuple[int, ...], float]:
 
 def pw_uniform(m: int, ell: int) -> dict[tuple[int, ...], float]:
     """Uniform distribution over all position tuples (fully uniform inputs)."""
-    if m < 1:
-        raise ValueError(f"PPM order must be >= 1, got {m}")
-    weight = 1.0 / (m ** ell)
-    out: dict[tuple[int, ...], float] = {}
-    tup = [1] * ell
-
-    def rec(i):
-        if i == ell:
-            out[tuple(tup)] = weight
-            return
-        for p in range(1, m + 1):
-            tup[i] = p
-            rec(i + 1)
-
-    rec(0)
-    return out
+    _check_geometry(m, ell)
+    return dict.fromkeys(itertools.product(range(1, m + 1), repeat=ell), 1.0 / m**ell)
 
 
 def _kron_all(vecs) -> np.ndarray:
@@ -334,8 +319,7 @@ def exact_kl_oracle(
     output; anything beyond ``max_outputs`` raises
     :class:`OracleBudgetError`.
     """
-    if m < 1:
-        raise ValueError(f"PPM order must be >= 1, got {m}")
+    _check_geometry(m, ell)
     n_out = willie.alphabet_size ** (m * ell)
     if n_out > max_outputs:
         raise OracleBudgetError(
@@ -406,21 +390,6 @@ class CovertnessEstimate:
     d_qppm_q0_exact: float    # nats, exact per-block divergence of uniform PPM
     d_qppm_q0_bound: float    # nats, leading-order ell*chi2/(2m)
     bins: int
-
-    def to_dict(self) -> dict:
-        return {
-            "blocks": self.blocks,
-            "level_tv": {str(k): v for k, v in self.level_tv.items()},
-            "level_tv_sum": self.level_tv_sum,
-            "lrt_alpha": self.lrt_alpha,
-            "lrt_beta": self.lrt_beta,
-            "lrt_advantage": self.lrt_advantage,
-            "lrt_ci3": self.lrt_ci3,
-            "baseline": self.baseline,
-            "d_qppm_q0_exact": self.d_qppm_q0_exact,
-            "d_qppm_q0_bound": self.d_qppm_q0_bound,
-            "bins": self.bins,
-        }
 
 
 def _level_statistics(

@@ -16,9 +16,9 @@ sampler, receiver, detector and planner reads: the output CDFs ``cdf0`` and
 ``cdf1`` (last entry exactly 1, for inverse-CDF sampling), the likelihood
 ratio ``lam`` = row1/row0 and the centred ratio (row1 - row0)/row0 (both
 ``inf`` off the support of row0), and ``stats``, the divergence functionals of
-(row1, row0) in nats.  The table arrays are read-only.  Everything here is
-pure and immutable; ``sample_outputs`` mutates only the caller-supplied random
-generator.
+(row1, row0) in nats.  The table arrays are read-only; only ``sample_outputs``
+searches the CDFs.  Everything here is pure and immutable; ``sample_outputs``
+mutates only the caller-supplied random generator.
 """
 
 from __future__ import annotations
@@ -229,13 +229,23 @@ def verify_degradation(bob: Dmc, willie: Dmc, intermediate) -> tuple[bool, float
     return residual <= 1e-9, residual
 
 
-def sample_outputs(dmc: Dmc, x: int, size, rng: np.random.Generator) -> np.ndarray:
-    """Iid output symbol indices drawn from row ``x``, with the given shape.
+def sample_outputs(dmc: Dmc, x, size, rng: np.random.Generator) -> np.ndarray:
+    """Output symbol indices of the given shape for the channel inputs ``x``.
 
-    Uses inverse-CDF sampling so a single uniform stream drives any alphabet.
+    ``x`` is one bit for every entry, or the entries whose input is 1 as a
+    boolean mask of shape ``size`` or as an index tuple; all other entries
+    have input 0.  One uniform per entry drives inverse-CDF sampling, so any
+    alphabet and any input pattern draw the same stream, and row1's CDF is
+    searched only at the entries whose input is 1.  This is the package's
+    only sampler of channel outputs.
     """
-    if x not in (0, 1):
+    if isinstance(x, tuple) or np.ndim(x):
+        ones = x if isinstance(x, tuple) else np.asarray(x, dtype=bool)
+        u = rng.random(size)
+        draws = np.searchsorted(dmc.cdf0, u, side="right")
+        draws[ones] = np.searchsorted(dmc.cdf1, u[ones], side="right")
+    elif x in (0, 1):
+        draws = np.searchsorted(dmc.cdf1 if x else dmc.cdf0, rng.random(size), side="right")
+    else:
         raise ChannelError(f"input must be a bit, got {x!r}")
-    cdf = dmc.cdf1 if x else dmc.cdf0
-    draws = np.searchsorted(cdf, rng.random(size), side="right")
     return draws.astype(np.int64, copy=False)

@@ -13,6 +13,7 @@ channel file holds two whitespace-separated probability rows, one per line
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -38,16 +39,17 @@ def parse_channel(spec: str) -> Dmc:
     return load_channel_file(spec)
 
 
-def load_channel_file(path: str) -> Dmc:
+def _read_rows(path: str, kind: str, parse) -> list[list]:
+    """Whitespace-separated rows of a text file, '#' starting a comment."""
     p = Path(path)
     if not p.exists():
-        raise CliError(f"channel file not found: {path}")
-    rows = []
-    for line in p.read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        rows.append([float(tok) for tok in line.split()])
+        raise CliError(f"{kind} file not found: {path}")
+    lines = (line.split("#", 1)[0].split() for line in p.read_text().splitlines())
+    return [[parse(tok) for tok in toks] for toks in lines if toks]
+
+
+def load_channel_file(path: str) -> Dmc:
+    rows = _read_rows(path, "channel", float)
     if len(rows) != 2:
         raise CliError(f"channel file {path} must hold exactly two rows")
     try:
@@ -57,22 +59,16 @@ def load_channel_file(path: str) -> Dmc:
 
 
 def load_generator(spec: str, rng: np.random.Generator) -> adversary.LinearCode:
-    if spec.startswith("random:"):
-        n, k = (int(v) for v in spec[7:].split(","))
+    kind, colon, dims = spec.partition(":")
+    if not (colon and kind in ("random", "identity")):
+        return adversary.LinearCode(generator=np.array(_read_rows(spec, "generator", int)))
+    try:
+        n, k = (int(v) for v in dims.split(","))
+    except ValueError:
+        raise CliError(f"bad generator spec {spec!r}: expected {kind}:n,k") from None
+    if kind == "random":
         return adversary.random_linear_code(n, k, rng)
-    if spec.startswith("identity:"):
-        n, k = (int(v) for v in spec[9:].split(","))
-        return adversary.identity_prefix_code(n, k)
-    p = Path(spec)
-    if not p.exists():
-        raise CliError(f"generator file not found: {spec}")
-    rows = []
-    for line in p.read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        rows.append([int(tok) for tok in line.split()])
-    return adversary.LinearCode(generator=np.array(rows))
+    return adversary.identity_prefix_code(n, k)
 
 
 def _write(path: str | None, text: str):
@@ -80,6 +76,18 @@ def _write(path: str | None, text: str):
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _record(value):
+    """JSON-ready data of a result dataclass: field names become keys, dict
+    keys strings, tuples lists and numpy scalars Python numbers."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _record(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _record(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_record(v) for v in value]
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _jsonl(records) -> str:
@@ -165,7 +173,7 @@ def cmd_simulate(args) -> int:
         "construction_trials": args.trials,
         "genie_levels": list(report.genie_levels),
     }
-    body = report.to_dict()
+    body = _record(report)
     blocks = body.pop("blocks")
     records = [header] + blocks + [{"summary": body}]
     _write(args.out, _jsonl(records))
@@ -184,7 +192,7 @@ def cmd_detect(args) -> int:
         "generator": args.generator,
         "units": "base-free statistic",
         "n": code.n, "k": code.k,
-        **report.to_dict(),
+        **_record(report),
     }
     _write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     if report.undetectable:
@@ -212,13 +220,8 @@ def cmd_covertness(args) -> int:
             "seed": args.seed,
             "willie": repr(willie),
             "source": args.source,
-            "m": m, "ell": ell, "units": "nats",
-            "d_pz_q0": report.d_pz_q0,
-            "d_pz_qppm": report.d_pz_qppm,
-            "tv_pz_qppm": report.tv_pz_qppm,
-            "d_qppm_q0": report.d_qppm_q0,
-            "max_log_ratio": report.max_log_ratio,
-            "bound_rhs": report.bound_rhs,
+            "units": "nats",
+            **_record(report),
             "inequality_holds": report.inequality_holds(),
         }
         _write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -243,7 +246,7 @@ def cmd_covertness(args) -> int:
         "willie": repr(willie),
         "q": plan.q, "m": plan.m, "ell": session.ell,
         "units": "nats",
-        **estimate.to_dict(),
+        **_record(estimate),
     }
     _write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0

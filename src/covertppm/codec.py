@@ -27,7 +27,7 @@ keys, level-ascending on both ends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +49,13 @@ from .levels import (
     select_positions_batch,
 )
 from .polar import PolarLevelCode, construct_code, polar_transform, sc_decode
-from .ppm import PpmFrame, SuperOutput, frame_from_bits, transmit_super
+from .ppm import (
+    PpmFrame,
+    SuperOutput,
+    frame_from_bits,
+    ppm_divergence_bound,
+    transmit_super,
+)
 
 
 class SessionError(ValueError):
@@ -168,7 +174,6 @@ def build_session(
     *,
     resolvability: str = "full_uniform",
     construction_trials: int = 2000,
-    rate_overrides: dict[int, float] | None = None,
     rate_scale: float = 1.0,
 ) -> Session:
     """Construct per-level polar codes and assemble a runnable session.
@@ -178,9 +183,7 @@ def build_session(
     length (``delta_effective``).  The plan's rates are asymptotic operating
     points; ``rate_scale`` backs the message and secret payloads off for
     finite blocks (key counts stay at their ceiling: they are a covertness
-    requirement, not a reliability one).  ``rate_overrides`` replaces the
-    payload rate of selected levels outright, which the experiment drivers
-    use to pin operating points.
+    requirement, not a reliability one).
     """
     if resolvability not in ("full_uniform", "extractor"):
         raise SessionError(f"unknown resolvability source {resolvability!r}")
@@ -193,22 +196,17 @@ def build_session(
             "no blocklength is covert"
         )
     ell = 1 << (plan.ell.bit_length() - 1)  # largest power of two <= plan.ell
-    delta_effective = plan.B * ell * willie.stats.chi2 / (2.0 * plan.m)
-    plan = plan.with_blocklength(ell)
+    delta_effective = ppm_divergence_bound(willie.stats.chi2, plan.m, plan.B * ell)
+    plan = replace(plan, ell=ell)
 
     layouts: dict[int, LevelLayout] = {}
     codes: dict[int, PolarLevelCode] = {}
     for lr in plan.per_level:
         if lr.level > plan.u:
             continue
-        if rate_overrides and lr.level in rate_overrides:
-            n_key, n_sec = 0, 0
-            n_msg = _floor_bits(ell, rate_overrides[lr.level])
-        else:
-            n_key = _ceil_bits(ell, lr.r_k)
-            n_msg = _floor_bits(ell, lr.r_u * rate_scale)
-            n_sec = _floor_bits(ell, lr.r_v * rate_scale)
-        lay = LevelLayout(level=lr.level, n_key=n_key, n_msg=n_msg, n_sec=n_sec)
+        lay = LevelLayout(level=lr.level, n_key=_ceil_bits(ell, lr.r_k),
+                          n_msg=_floor_bits(ell, lr.r_u * rate_scale),
+                          n_sec=_floor_bits(ell, lr.r_v * rate_scale))
         if lay.n_payload > ell:
             raise SessionError(f"level {lr.level} payload exceeds blocklength")
         layouts[lr.level] = lay
@@ -434,24 +432,6 @@ class ChainReport:
     covert_throughput: float
     key_throughput: float
     genie_levels: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "blocks": [
-                {"block": b.block,
-                 "level_errors": {str(k): v for k, v in b.level_errors.items()},
-                 "any_error": b.any_error, "tainted": b.tainted}
-                for b in self.blocks
-            ],
-            "cumulative_error": self.cumulative_error,
-            "message_bits": self.message_bits,
-            "key_bits_first_block": self.key_bits_first_block,
-            "key_bits_amortized": self.key_bits_amortized,
-            "extractor_r_bits": self.extractor_r_bits,
-            "covert_throughput": self.covert_throughput,
-            "key_throughput": self.key_throughput,
-            "genie_levels": list(self.genie_levels),
-        }
 
 
 def _draw_bits(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -28,12 +28,12 @@ super-channel blocklength matched to the covertness budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import LN2, Dmc, DivergenceStats, make_dmc
-from .ppm import ppm_output_divergence
+from .ppm import decimal_values, ppm_output_divergence
 
 #: decoder LLR saturation, nats; only active off the support assumptions
 DEFAULT_LLR_MAX = 40.0
@@ -157,10 +157,6 @@ class RatePlan:
 
     def sum_rk(self) -> float:
         return sum(lr.r_k for lr in self.per_level)
-
-    def with_blocklength(self, ell: int) -> "RatePlan":
-        """Same operating point at a different blocklength (e.g. a power of two)."""
-        return replace(self, ell=ell)
 
 
 def planned_blocklength(m: int, delta: float, B: int, chi2_willie: float) -> int:
@@ -326,8 +322,7 @@ def select_positions_batch(symbols: np.ndarray, high_bits: np.ndarray, i: int) -
     q = int(round(math.log2(m)))
     if high_bits.shape != (q - i, ell):
         raise ValueError("high_bits must have shape (q - i, ell)")
-    weights = (1 << np.arange(q - i, dtype=np.int64))[:, None]
-    slot = (high_bits.astype(np.int64) * weights).sum(axis=0)
+    slot = decimal_values(high_bits)
     return symbols.reshape(ell, m >> i, 1 << i)[np.arange(ell), slot]
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlog1py
 
-from .channels import LN2, Dmc
+from .channels import LN2, Dmc, sample_outputs
 
 #: histograms summed before the exact divergence refuses
 DEFAULT_TYPE_BUDGET = 2_000_000
@@ -94,27 +94,28 @@ class SuperOutput:
         return int(self.symbols.shape[0])
 
 
+def decimal_values(bits) -> np.ndarray:
+    """The LSB-first decimal map d(x) = sum_t x_t 2^(t-1) of every column of a
+    (t, n) bit matrix whose row 0 holds x_1; zero rows give zeros."""
+    bits = np.asarray(bits, dtype=np.int64)
+    weights = (1 << np.arange(bits.shape[0], dtype=np.int64))[:, None]
+    return (bits * weights).sum(axis=0)
+
+
 def frame_from_bits(level_bits) -> PpmFrame:
     """Build a frame from a (q, ell) bit matrix whose row i-1 is level i."""
     bits = np.asarray(level_bits, dtype=np.int64)
     if bits.ndim != 2:
         raise ValueError("level_bits must be a (q, ell) matrix")
-    q = bits.shape[0]
-    weights = (1 << np.arange(q, dtype=np.int64))[:, None]
-    positions = (bits * weights).sum(axis=0) + 1
-    return PpmFrame(q=q, positions=positions)
+    return PpmFrame(q=bits.shape[0], positions=decimal_values(bits) + 1)
 
 
 def transmit_super(dmc: Dmc, frame: PpmFrame, rng: np.random.Generator) -> SuperOutput:
     """Send a frame through the super channel: the pulse coordinate of each
     super-symbol is drawn from row1, all other coordinates from row0."""
-    ell, m = frame.ell, frame.m
-    u = rng.random((ell, m))
-    symbols = np.searchsorted(dmc.cdf0, u, side="right")
-    rows = np.arange(ell)
-    cols = frame.positions - 1
-    symbols[rows, cols] = np.searchsorted(dmc.cdf1, u[rows, cols], side="right")
-    return SuperOutput(q=frame.q, symbols=symbols)
+    pulses = (np.arange(frame.ell), frame.positions - 1)
+    return SuperOutput(q=frame.q,
+                       symbols=sample_outputs(dmc, pulses, (frame.ell, frame.m), rng))
 
 
 def _histograms(m: int, s: int) -> list[np.ndarray]:

@@ -11,8 +11,10 @@ breadth-first genie pass of ``construct_code`` must match, and
 ``distinct_column_set`` must match.  ``decimal_map``, ``index_set`` and
 ``select_positions`` spell out the PPM position layout one symbol at a time,
 for ``frame_from_bits`` and ``select_positions_batch``;
-``detector_statistic`` is the warden's statistic of one observation, and
-``plan_from_text`` parses the document ``plan_to_text`` writes.
+``detector_statistic`` is the warden's statistic of one observation,
+``plan_from_text`` parses the document ``plan_to_text`` writes, and
+``pin_rates`` fixes a plan's per-level operating points for the sessions
+that tests build at chosen rates.
 ``level_llrs_reference`` sums each half's per-coordinate likelihood ratios
 in sorted order, and
 ``level_llr_sampler_reference`` draws all 2^i outputs of a level subblock:
@@ -31,6 +33,7 @@ position-law helpers enumerate tiny covertness instances.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -295,6 +298,17 @@ def plan_from_text(text: str) -> RatePlan:
         per_level=per_level,
         degraded=kv.get("degraded", "false") == "true",
     )
+
+
+def pin_rates(plan: RatePlan, rates: dict[int, float]) -> RatePlan:
+    """The plan with level i's rates pinned to (r_u, r_v, r_k) = (rates[i], 0, 0).
+
+    At ``rate_scale`` 1 a session built from it gives level i
+    floor(ell * rates[i]) message bits and no key or secret bits.
+    """
+    return dataclasses.replace(plan, per_level=tuple(
+        LevelRates(lr.level, rates[lr.level], 0.0, 0.0) if lr.level in rates else lr
+        for lr in plan.per_level))
 
 
 def brute_ppm_divergence(dmc: Dmc, m: int, base: str = "nats") -> float:

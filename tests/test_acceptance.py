@@ -40,7 +40,7 @@ from covertppm.extractor import (
 from covertppm.levels import level_capacity, level_llrs, msd_rate_plan
 from covertppm.polar import construct_code, polar_transform, sc_decode
 
-from conftest import LN2, brute_conditional_mi
+from conftest import LN2, brute_conditional_mi, pin_rates
 
 TABLE_II = [0.7421, 0.6387, 0.4918, 0.3214, 0.1749, 0.0853, 0.0413, 0.0203,
             0.0101, 0.0050, 0.0025, 0.0013, 0.0006, 0.0003, 0.0002, 0.0001]
@@ -230,15 +230,14 @@ def test_criterion_9_end_to_end_error_trend():
     start = time.time()
     bob, willie = bsc(0.05), bsc(0.1)
     caps = [level_capacity(bob, i, "bits") for i in range(1, 5)]
-    overrides = {i: 0.7 * caps[i - 1] for i in range(1, 5)}
+    rates = {i: 0.7 * caps[i - 1] for i in range(1, 5)}
 
     def run(ell, seed, trials):
         rng = np.random.default_rng(seed)
         plan = msd_rate_plan(bob, willie, 4, delta=1.0, epsilon=0.05,
                              degraded=True, ell_override=ell)
-        sess = build_session(plan, bob, willie, rng,
-                             construction_trials=trials,
-                             rate_overrides=overrides)
+        sess = build_session(pin_rates(plan, rates), bob, willie, rng,
+                             construction_trials=trials)
         blocks = 300
         block_errs = 0
         level_errs = {i: 0 for i in range(1, 5)}

@@ -204,6 +204,18 @@ class TestExactOracle:
         with pytest.raises(OracleBudgetError):
             exact_kl_oracle(bsc(0.1), 4, 3, pw_uniform(4, 3), max_outputs=100)
 
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_no_super_symbols_rejected(self, ell):
+        with pytest.raises(ValueError, match="at least one super-symbol"):
+            pw_uniform(2, ell)
+        with pytest.raises(ValueError, match="at least one super-symbol"):
+            exact_kl_oracle(bsc(0.1), 2, ell, {(): 1.0})
+
+    def test_uniform_law_in_lexicographic_order(self):
+        pw = pw_uniform(3, 2)
+        assert list(pw) == [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+        assert set(pw.values()) == {1.0 / 9}
+
     def test_weights_must_normalise(self):
         with pytest.raises(ValueError):
             exact_kl_oracle(bsc(0.1), 2, 1, {(1,): 0.7})
@@ -262,8 +274,7 @@ def tiny_single_codeword_session(rng):
     plan = RatePlan(q=1, ell=1, B=1, delta=1.0, epsilon=0.01, base="bits",
                     u=1, per_level=(LevelRates(1, 0.0, 0.0, 0.0),),
                     degraded=True)
-    return build_session(plan, bsc(0.1), bsc(0.1), rng,
-                         construction_trials=50, rate_overrides={1: 0.0})
+    return build_session(plan, bsc(0.1), bsc(0.1), rng, construction_trials=50)
 
 
 class TestCovertnessEstimate:
@@ -301,9 +312,7 @@ class TestCovertnessEstimate:
         plan = RatePlan(q=2, ell=4, B=1, delta=4.0, epsilon=0.01, base="bits",
                         u=2, per_level=(LevelRates(1, 1.0, 0.0, 0.0),
                                         LevelRates(2, 1.0, 0.0, 0.0)))
-        sess = build_session(plan, bsc(0.1), bsc(0.1), rng,
-                             construction_trials=50,
-                             rate_overrides={1: 1.0, 2: 1.0})
+        sess = build_session(plan, bsc(0.1), bsc(0.1), rng, construction_trials=50)
         est = covertness_estimate(sess, 3000, rng, bins=8)
         noise = 3 * math.sqrt(8 / (4 * 3000))
         assert est.level_tv_sum <= 2 * noise + 0.05

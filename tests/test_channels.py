@@ -211,3 +211,43 @@ class TestSampling:
     def test_bad_input_bit(self, rng):
         with pytest.raises(ChannelError):
             sample_outputs(bsc(0.1), 2, 5, rng)
+
+
+@st.composite
+def channels_and_inputs(draw):
+    """A channel of 2-6 output symbols (some possibly of zero mass), a shape,
+    and a mask of the entries whose input is 1: none, all or random."""
+    size = draw(st.integers(2, 6))
+    weights = st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any)
+    row0, row1 = (np.array(draw(weights), dtype=float) for _ in range(2))
+    ch = make_dmc(row0 / row0.sum(), row1 / row1.sum())
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 9)))
+    kind = draw(st.sampled_from(["none", "all", "random"]))
+    if kind == "random":
+        flat = draw(st.lists(st.booleans(), min_size=shape[0] * shape[1],
+                             max_size=shape[0] * shape[1]))
+        mask = np.array(flat).reshape(shape)
+    else:
+        mask = np.full(shape, kind == "all")
+    return ch, mask, draw(st.integers(0, 2**32 - 1))
+
+
+class TestMaskedSampling:
+    @given(channels_and_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_mask_and_index_match_per_entry_inverse_cdf(self, case):
+        # the same uniforms, row1's CDF where the input is 1 and row0's elsewhere
+        ch, mask, seed = case
+        u = np.random.default_rng(seed).random(mask.shape)
+        want = np.where(mask, np.searchsorted(ch.cdf1, u, side="right"),
+                        np.searchsorted(ch.cdf0, u, side="right"))
+        for ones in (mask, np.nonzero(mask)):
+            got = sample_outputs(ch, ones, mask.shape, np.random.default_rng(seed))
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        if not mask.any() or mask.all():
+            bit = int(mask.all())
+            np.testing.assert_array_equal(
+                sample_outputs(ch, bit, mask.shape, np.random.default_rng(seed)), want)
+        # a zero-mass symbol is never drawn
+        assert np.all(np.where(mask, ch.row1[want], ch.row0[want]) > 0)

@@ -221,6 +221,20 @@ class TestDetect:
         assert err.startswith("error:") and "1 <= k <= n" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["identity:10", "random:10,x",
+                                      "random:10,5,2"])
+    def test_malformed_dimension_spec_is_clear_error(self, tmp_path, capsys,
+                                                     spec):
+        # "identity:10" failed with "not enough values to unpack" and
+        # "random:10,x" with "invalid literal for int()"
+        out = tmp_path / "r.json"
+        assert run_cli("detect", "--willie", "bsc:0.1", "--generator", spec,
+                       "--trials", "100", "--seed", "1", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        kind = spec.split(":")[0]
+        assert err.startswith("error:") and f"expected {kind}:n,k" in err
+        assert not out.exists()
+
     def test_generator_entry_other_than_a_bit_is_clear_error(self, tmp_path,
                                                              capsys):
         # the entry 2 was silently read as 0
@@ -278,6 +292,19 @@ class TestCovertness:
                        "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "order" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ell", ["-1", "0"])
+    def test_exact_without_super_symbols_is_clear_error(self, tmp_path, capsys,
+                                                        ell):
+        # ell = -1 raised IndexError (a traceback) and ell = 0 wrote a report
+        # for zero super-symbols
+        out = tmp_path / "c.json"
+        assert run_cli("covertness", "--willie", "bsc:0.1", "--exact",
+                       "--order", "2", f"--ell={ell}", "--seed", "1",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "super-symbol" in err
         assert not out.exists()
 
     def test_sampled_mode_determinism(self, tmp_path):

@@ -31,15 +31,18 @@ from covertppm.ppm import frame_from_bits, transmit_super
 from conftest import (
     half_histogram_pmf,
     level_llr_sampler_reference,
+    pin_rates,
     super_channel_matrix,
 )
 
 NOISELESS = make_dmc([1.0, 0.0], [0.0, 1.0])
 
 
-def noiseless_session(q, ell, rng, **kwargs):
+def noiseless_session(q, ell, rng, rates=None, **kwargs):
     plan = msd_rate_plan(NOISELESS, bsc(0.1), q, delta=8.0, epsilon=0.05,
                          degraded=True, ell_override=ell)
+    if rates:
+        plan = pin_rates(plan, rates)
     return build_session(plan, NOISELESS, bsc(0.1), rng, construction_trials=300,
                          **kwargs)
 
@@ -55,7 +58,7 @@ def random_payloads(session, rng):
 
 class TestEncodeBlock:
     def test_all_zero_inputs_map_to_position_one(self, rng):
-        sess = noiseless_session(2, 2, rng, rate_overrides={1: 1.0, 2: 1.0})
+        sess = noiseless_session(2, 2, rng, rates={1: 1.0, 2: 1.0})
         msgs = {1: np.zeros(2, np.uint8), 2: np.zeros(2, np.uint8)}
         frame, _ = encode_block(sess, msgs, {}, rng)
         np.testing.assert_array_equal(frame.positions, [1, 1])
@@ -64,7 +67,7 @@ class TestEncodeBlock:
         # level bits x1 = (1,1), x2 = (0,1) must select positions (2, 4);
         # with all positions informational the payload is the transform
         # preimage of the wanted codeword (the transform is involutive)
-        sess = noiseless_session(2, 2, rng, rate_overrides={1: 1.0, 2: 1.0})
+        sess = noiseless_session(2, 2, rng, rates={1: 1.0, 2: 1.0})
         msgs = {
             1: polar_transform(np.array([1, 1], np.uint8)),
             2: polar_transform(np.array([0, 1], np.uint8)),

@@ -12,6 +12,7 @@ from covertppm.levels import level_llrs
 from covertppm.ppm import (
     EnumerationBudgetError,
     PpmFrame,
+    decimal_values,
     frame_from_bits,
     ppm_divergence_bound,
     ppm_output_divergence,
@@ -70,6 +71,16 @@ class TestDecimalMap:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             decimal_map([0, 2])
+
+    @given(st.integers(0, 10), st.integers(1, 20), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_decimal_values_match_per_column_map(self, t, n, data):
+        bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=t * n,
+                                           max_size=t * n)), dtype=np.uint8)
+        bits = bits.reshape(t, n)
+        got = decimal_values(bits)
+        assert got.dtype == np.int64
+        assert got.tolist() == [decimal_map(col) for col in bits.T]
 
 
 class TestIndexSet:
