@@ -16,9 +16,9 @@ from .channels import (
     bac,
     bsc,
     divergence_stats,
+    is_degraded,
     make_dmc,
     sample_outputs,
-    verify_degradation,
 )
 from .codec import (
     BlockResult,

@@ -197,13 +197,12 @@ def detect_linear_code(
     g_s = code.generator[:, S].astype(np.float32)
 
     def h0_stats(n: int) -> np.ndarray:
-        z = sample_outputs(willie, 0, (n, s_size), rng)
-        return ratio[z].mean(axis=1)
+        return ratio.take(sample_outputs(willie, 0, (n, s_size), rng)).mean(axis=1)
 
     def h1_stats(n: int) -> np.ndarray:
         v = rng.integers(0, 2, size=(n, code.k)).astype(np.float32)
         ones = np.mod(np.rint(v @ g_s), 2.0) == 1.0
-        return ratio[sample_outputs(willie, ones, (n, s_size), rng)].mean(axis=1)
+        return ratio.take(sample_outputs(willie, ones, (n, s_size), rng)).mean(axis=1)
 
     t0 = np.empty(trials)
     t1 = np.empty(trials)
@@ -434,7 +433,8 @@ def covertness_estimate(
     lam = willie.lam
 
     def mixture_stat(outputs: np.ndarray) -> float:
-        mean_lam = lam[outputs].mean(axis=1)
+        # take gathers by a uint8 index faster than lam[outputs], same values
+        mean_lam = lam.take(outputs).mean(axis=1)
         return float(np.sum(np.log(mean_lam)))
 
     for b in range(blocks):
@@ -474,8 +474,8 @@ def covertness_estimate(
         r = np.concatenate(ref_stats[i])
         pooled = np.concatenate([a, r])
         edges = np.quantile(pooled, np.linspace(0, 1, bins + 1)[1:-1])
-        ha = np.bincount(np.searchsorted(edges, a), minlength=bins)
-        hr = np.bincount(np.searchsorted(edges, r), minlength=bins)
+        ha = np.bincount(np.digitize(a, edges, right=True), minlength=bins)
+        hr = np.bincount(np.digitize(r, edges, right=True), minlength=bins)
         level_tv[i] = 0.5 * float(
             np.abs(ha / a.shape[0] - hr / r.shape[0]).sum()
         )

@@ -17,8 +17,10 @@ sampler, receiver, detector and planner reads: the output CDFs ``cdf0`` and
 ratio ``lam`` = row1/row0 and the centred ratio (row1 - row0)/row0 (both
 ``inf`` off the support of row0), and ``stats``, the divergence functionals of
 (row1, row0) in nats.  The table arrays are read-only; only ``sample_outputs``
-searches the CDFs.  Everything here is pure and immutable; ``sample_outputs``
-mutates only the caller-supplied random generator.
+reads the CDFs, comparing each uniform with their interior entries.
+``is_degraded`` decides exactly whether one channel is a garbling of another.
+Everything here is pure and immutable; ``sample_outputs`` mutates only the
+caller-supplied random generator.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ def _ratio(num: np.ndarray, row0: np.ndarray) -> np.ndarray:
 
 def _cdf(row: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(row)
+    # from the last symbol of positive mass on the sum is 1, though rounding
+    # may leave it just below: lift it, or u = 1 - 2^-53 draws a zero-mass symbol
+    last = np.flatnonzero(row)[-1]
+    cdf[last:] = np.maximum(cdf[last:], 1.0)
     cdf[-1] = 1.0
     return _read_only(cdf)
 
@@ -199,34 +205,41 @@ def divergence_stats(p, q) -> DivergenceStats:
     return DivergenceStats(kl=kl, chi2=chi2, chi3=chi3, theta=theta, rho=rho, tv=tv)
 
 
-def verify_degradation(bob: Dmc, willie: Dmc, intermediate) -> tuple[bool, float]:
-    """Check whether willie = bob composed with the given intermediate channel.
+def _roc(dmc: Dmc) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices (row0 mass, row1 mass) of the upper ROC curve of row1 against row0.
 
-    ``intermediate`` is a |Y| x |Z| transition matrix (rows are probability
-    vectors).  Returns ``(ok, residual)`` where ``residual`` is the max-abs
-    entry difference between the composed channel and willie's rows, and
-    ``ok`` is True iff residual <= 1e-9.  The residual is reported regardless
-    of the verdict.  The search for a degrading channel is out of scope:
-    callers supply the intermediate.
+    The outputs enter in decreasing likelihood ratio; those off the support of
+    row0 enter together as the first vertex, so the row0 masses increase
+    strictly after it.
     """
-    t = np.asarray(intermediate, dtype=np.float64)
-    if t.ndim != 2 or t.shape[0] != bob.alphabet_size:
-        raise ChannelError(
-            f"intermediate must be {bob.alphabet_size} x {willie.alphabet_size}"
-        )
-    if t.shape[1] != willie.alphabet_size:
-        raise ChannelError(
-            f"intermediate must be {bob.alphabet_size} x {willie.alphabet_size}"
-        )
-    if np.any(t < 0) or np.any(np.abs(t.sum(axis=1) - 1.0) > ROW_SUM_TOL):
-        raise ChannelError("intermediate rows must be probability vectors")
-    composed0 = bob.row0 @ t
-    composed1 = bob.row1 @ t
-    residual = float(
-        max(np.abs(composed0 - willie.row0).max(),
-            np.abs(composed1 - willie.row1).max())
-    )
-    return residual <= 1e-9, residual
+    on = dmc.row0 > 0
+    order = np.argsort(-dmc.lam[on], kind="stable")
+    fa = np.concatenate([[0.0], np.cumsum(dmc.row0[on][order])])
+    det = np.concatenate([[0.0], np.cumsum(dmc.row1[on][order])])
+    return fa, det + dmc.row1[~on].sum()
+
+
+def is_degraded(bob: Dmc, willie: Dmc) -> bool:
+    """Whether willie = bob followed by some channel, for any output alphabets.
+
+    For binary inputs this holds iff bob's ROC curve (the best detection
+    probability at each false-alarm level) lies on or above willie's
+    (Blackwell 1953).  Both curves are concave and piecewise linear, so it is
+    enough to compare them at willie's vertices, up to the row-sum tolerance
+    the rows are given to.
+    """
+    fa_b, det_b = _roc(bob)
+    fa_w, det_w = _roc(willie)
+    return bool(np.all(np.interp(fa_w, fa_b, det_b) >= det_w - ROW_SUM_TOL))
+
+
+def _symbols(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The number of interior CDF entries at most each uniform, in the
+    smallest unsigned dtype that holds |Z| - 1."""
+    out = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.shape[0] - 1))
+    for c in cdf[:-1]:
+        out += u >= c
+    return out
 
 
 def sample_outputs(dmc: Dmc, x, size, rng: np.random.Generator) -> np.ndarray:
@@ -234,18 +247,25 @@ def sample_outputs(dmc: Dmc, x, size, rng: np.random.Generator) -> np.ndarray:
 
     ``x`` is one bit for every entry, or the entries whose input is 1 as a
     boolean mask of shape ``size`` or as an index tuple; all other entries
-    have input 0.  One uniform per entry drives inverse-CDF sampling, so any
-    alphabet and any input pattern draw the same stream, and row1's CDF is
-    searched only at the entries whose input is 1.  This is the package's
-    only sampler of channel outputs.
+    have input 0.  One uniform u per entry drives inverse-CDF sampling: the
+    symbol is the number of entries cdf[k], k < |Z| - 1, with u >= cdf[k].
+    The running sums do not decrease (an entry may round up past 1 before
+    the last, which is exactly 1), so for every u in [0, 1) the comparisons
+    hold for a prefix of k and the count is ``searchsorted(cdf, u,
+    side="right")``.  A zero-mass symbol is never drawn: its interval
+    [cdf[k-1], cdf[k]) is empty, or starts at 1 when it trails the last
+    symbol of positive mass.  Any alphabet and any input pattern draw the
+    same stream, and row1's CDF is read only at the entries whose input is
+    1.  Symbols come in ``np.min_scalar_type(|Z| - 1)``: uint8, one byte
+    each, for up to 256 symbols.  This is the package's only sampler of
+    channel outputs.
     """
     if isinstance(x, tuple) or np.ndim(x):
         ones = x if isinstance(x, tuple) else np.asarray(x, dtype=bool)
         u = rng.random(size)
-        draws = np.searchsorted(dmc.cdf0, u, side="right")
-        draws[ones] = np.searchsorted(dmc.cdf1, u[ones], side="right")
-    elif x in (0, 1):
-        draws = np.searchsorted(dmc.cdf1 if x else dmc.cdf0, rng.random(size), side="right")
-    else:
-        raise ChannelError(f"input must be a bit, got {x!r}")
-    return draws.astype(np.int64, copy=False)
+        draws = _symbols(dmc.cdf0, u)
+        draws[ones] = _symbols(dmc.cdf1, u[ones])
+        return draws
+    if x in (0, 1):
+        return _symbols(dmc.cdf1 if x else dmc.cdf0, rng.random(size))
+    raise ChannelError(f"input must be a bit, got {x!r}")

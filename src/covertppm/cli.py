@@ -61,7 +61,12 @@ def load_channel_file(path: str) -> Dmc:
 def load_generator(spec: str, rng: np.random.Generator) -> adversary.LinearCode:
     kind, colon, dims = spec.partition(":")
     if not (colon and kind in ("random", "identity")):
-        return adversary.LinearCode(generator=np.array(_read_rows(spec, "generator", int)))
+        rows = _read_rows(spec, "generator", int)
+        for r, row in enumerate(rows[1:], start=2):
+            if len(row) != len(rows[0]):
+                raise CliError(f"generator file {spec}: row {r} has {len(row)} entries, "
+                               f"row 1 has {len(rows[0])}")
+        return adversary.LinearCode(generator=np.array(rows))
     try:
         n, k = (int(v) for v in dims.split(","))
     except ValueError:

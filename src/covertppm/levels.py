@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LN2, Dmc, DivergenceStats, make_dmc
+from .channels import LN2, Dmc, DivergenceStats, is_degraded, make_dmc
 from .ppm import decimal_values, ppm_output_divergence
 
 #: decoder LLR saturation, nats; only active off the support assumptions
@@ -197,9 +197,13 @@ def msd_rate_plan(
 
     all clamped at zero.  In the degraded case (Willie's channel a further
     degradation of Bob's) the plan simplifies to r_u = I_Y - eps/q with no
-    secrets and no keys.  The blocklength is floor(2 m delta / (B chi2)) with
-    chi2 of Willie's pair, unless ``ell_override`` is given; a warden whose
-    chi2 is infinite (Q1 has mass outside the support of Q0) is rejected.
+    secrets and no keys.  The claim is checked with
+    :func:`~covertppm.channels.is_degraded`, and a false one raises
+    ``RatePlanError``; a warden off the support of Q0 is left to the chi2
+    checks below or in the session build.  The blocklength is
+    floor(2 m delta / (B chi2)) with chi2 of Willie's pair, unless
+    ``ell_override`` is given; a warden whose chi2 is infinite (Q1 has mass
+    outside the support of Q0) is rejected.
 
     ``u`` is the smallest cutoff for which the levels above it hold less
     than 1% of the total Bob-side capacity.
@@ -218,6 +222,12 @@ def msd_rate_plan(
     if ell < 1:
         raise RatePlanError(
             "blocklength zero: delta too small for the chosen order and block count"
+        )
+
+    if degraded and willie.stats.finite and not is_degraded(bob, willie):
+        raise RatePlanError(
+            "degraded plan asked for, but Willie's channel is not a degraded "
+            "version of Bob's (Bob's ROC curve does not dominate Willie's)"
         )
 
     mi = level_mi_table(bob, willie, q, base)
@@ -358,23 +368,28 @@ def _llrs_from_counts(c0: np.ndarray, c1: np.ndarray, lam: np.ndarray,
 def level_llrs(symbols, lam: np.ndarray, llr_max: float = DEFAULT_LLR_MAX) -> np.ndarray:
     """Level LLRs, natural log, for rows of selected-subblock output symbols.
 
-    ``symbols`` holds (n, 2^i) output indices (one row is accepted too) and
+    ``symbols`` holds (n, 2^i) integer output indices in any integer dtype
+    (one row is accepted too; the sampler's uint8 is the cheapest) and
     ``lam`` the per-symbol likelihood ratios row1/row0.  The LLR for bit 0
     versus 1 is log(sum of ratios over the first half / sum over the second
     half), saturated at +-``llr_max``, and is computed from each half's
-    symbol histogram.  An infinite ratio saturates its half, both halves
-    infinite give 0, and both halves of zero likelihood or a symbol outside
-    the alphabet raise ``ValueError``.
+    symbol histogram: symbols 1..|Z|-1 are counted with one comparison pass
+    each and symbol 0 takes the rest of the half.  An infinite ratio
+    saturates its half, both halves infinite give 0, and both halves of zero
+    likelihood, a non-integer array or a symbol outside 0..|Z|-1 raise
+    ``ValueError``.
     """
     symbols = np.atleast_2d(np.asarray(symbols))
     n, width = symbols.shape
     if width < 2 or (width & (width - 1)) != 0:
         raise ValueError("row length must be a power of two >= 2")
-    halves = symbols.reshape(n, 2, width // 2)
-    counts = np.stack([np.count_nonzero(halves == a, axis=2)
-                       for a in range(lam.shape[0])], axis=2)  # (n, 2, |Z|)
-    if np.any(counts.sum(axis=2) != width // 2):
+    if not np.issubdtype(symbols.dtype, np.integer):
+        raise ValueError(f"output symbols must be integers, got dtype {symbols.dtype}")
+    if symbols.size and (symbols.min() < 0 or symbols.max() >= lam.shape[0]):
         raise ValueError("output symbol outside the alphabet")
+    halves = symbols.reshape(n, 2, width // 2)
+    rest = [np.count_nonzero(halves == a, axis=2) for a in range(1, lam.shape[0])]
+    counts = np.stack([width // 2 - sum(rest)] + rest, axis=2)  # (n, 2, |Z|)
     return _llrs_from_counts(counts[:, 0], counts[:, 1], lam, llr_max)
 
 

@@ -78,13 +78,17 @@ class PpmFrame:
 
 @dataclass(frozen=True)
 class SuperOutput:
-    """Received super-symbols: an (ell, 2^q) array of output-alphabet indices."""
+    """Received super-symbols: an (ell, 2^q) integer array of output-alphabet
+    indices, kept in the dtype it comes in (``sample_outputs`` gives uint8 for
+    alphabets of up to 256 symbols, one byte per channel use)."""
 
     q: int
     symbols: np.ndarray
 
     def __post_init__(self):
-        sym = np.asarray(self.symbols, dtype=np.int64)
+        sym = np.asarray(self.symbols)
+        if not np.issubdtype(sym.dtype, np.integer):
+            raise ValueError(f"symbols must be integers, got dtype {sym.dtype}")
         if sym.ndim != 2 or sym.shape[1] != (1 << self.q):
             raise ValueError(f"symbols must have shape (ell, {1 << self.q})")
         object.__setattr__(self, "symbols", sym)

@@ -29,6 +29,9 @@ erasure split of ``level_capacity`` must match.
 behind the packed extractor helpers, and ``search_irreducible_reference``
 the modulus search without the Swan skip.  ``exact_tv`` and the ``pw_from_*``
 position-law helpers enumerate tiny covertness instances.
+``verify_degradation`` composes a channel with a given intermediate channel,
+and ``degradation_residual_lp`` finds the best intermediate by a linear
+program: the ROC test of ``is_degraded`` must agree with them.
 """
 
 from __future__ import annotations
@@ -39,15 +42,67 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.special import gammaln
 from scipy.stats import multinomial
 
-from covertppm.channels import Dmc
+from covertppm.channels import ROW_SUM_TOL, ChannelError, Dmc
 from covertppm.extractor import is_irreducible
 from covertppm.levels import DEFAULT_LLR_MAX, PLAN_HEADER, LevelRates, RatePlan
 from covertppm.ppm import frame_from_bits
 
 LN2 = math.log(2.0)
+
+
+def verify_degradation(bob: Dmc, willie: Dmc, intermediate) -> tuple[bool, float]:
+    """Check whether willie = bob composed with the given intermediate channel.
+
+    ``intermediate`` is a |Y| x |Z| transition matrix (rows are probability
+    vectors).  Returns ``(ok, residual)`` where ``residual`` is the max-abs
+    entry difference between the composed channel and willie's rows, and
+    ``ok`` is True iff residual <= 1e-9.
+    """
+    t = np.asarray(intermediate, dtype=np.float64)
+    if t.ndim != 2 or t.shape != (bob.alphabet_size, willie.alphabet_size):
+        raise ChannelError(
+            f"intermediate must be {bob.alphabet_size} x {willie.alphabet_size}"
+        )
+    if np.any(t < 0) or np.any(np.abs(t.sum(axis=1) - 1.0) > ROW_SUM_TOL):
+        raise ChannelError("intermediate rows must be probability vectors")
+    composed0 = bob.row0 @ t
+    composed1 = bob.row1 @ t
+    residual = float(
+        max(np.abs(composed0 - willie.row0).max(),
+            np.abs(composed1 - willie.row1).max())
+    )
+    return residual <= 1e-9, residual
+
+
+def degradation_residual_lp(bob: Dmc, willie: Dmc) -> float:
+    """The least max-abs residual of willie against bob composed with any
+    intermediate channel T (|Y| x |Z|, rows probability vectors): 0 iff
+    willie is a garbling of bob.  A linear program in (T, r): minimise r
+    subject to |row_x @ T - willie.row_x| <= r entrywise, for x = 0, 1.
+    """
+    ny, nz = bob.alphabet_size, willie.alphabet_size
+    nvar = ny * nz + 1
+    a_ub, b_ub = [], []
+    for row, target in ((bob.row0, willie.row0), (bob.row1, willie.row1)):
+        for z in range(nz):
+            coef = np.zeros(nvar)
+            coef[z:ny * nz:nz] = row  # T[y, z] sits at y * nz + z
+            for sign in (1.0, -1.0):
+                a_ub.append(np.concatenate([sign * coef[:-1], [-1.0]]))
+                b_ub.append(sign * target[z])
+    a_eq = np.zeros((ny, nvar))
+    for y in range(ny):
+        a_eq[y, y * nz:(y + 1) * nz] = 1.0
+    cost = np.zeros(nvar)
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=np.array(a_ub), b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(ny),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 def all_outputs(alphabet: int, width: int) -> np.ndarray:

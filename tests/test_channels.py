@@ -10,10 +10,11 @@ from covertppm.channels import (
     bac,
     bsc,
     divergence_stats,
+    is_degraded,
     make_dmc,
     sample_outputs,
-    verify_degradation,
 )
+from conftest import degradation_residual_lp, verify_degradation
 
 LN2 = math.log(2.0)
 
@@ -188,6 +189,59 @@ class TestDegradation:
             verify_degradation(bsc(0.1), bsc(0.2), [[0.9, 0.2], [0.1, 0.8]])
 
 
+@st.composite
+def channel_pairs(draw, sizes=st.integers(2, 5)):
+    """Two channels of 2-5 output symbols each, with small integer weights
+    (zero-mass symbols and exact ties included)."""
+    def channel():
+        size = draw(sizes)
+        weights = st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any)
+        row0, row1 = (np.array(draw(weights), dtype=float) for _ in range(2))
+        return make_dmc(row0 / row0.sum(), row1 / row1.sum())
+    return channel(), channel()
+
+
+class TestIsDegraded:
+    @pytest.mark.parametrize("bob, willie, want", [
+        (bsc(0.05), bsc(0.1), True),
+        (bsc(0.1), bsc(0.05), False),
+        (bsc(0.1), bsc(0.1), True),
+        (bac(0.15, 0.3), bac(0.15, 0.3), True),
+        (bsc(0.1), bsc(0.9), True),                       # outputs relabelled
+        (make_dmc([1.0, 0.0], [0.0, 1.0]), bsc(0.1), True),  # noiseless Bob
+        (bsc(0.1), make_dmc([0.5, 0.5], [0.5, 0.5]), True),  # useless Willie
+        (make_dmc([1.0, 0.0], [0.0, 1.0]), bac(0.0, 0.3), True),
+        (bsc(0.05), bac(0.0, 0.3), False),                # Willie off Q0's support
+        (bsc(0.2), bac(0.1, 0.4), False),                 # the paper's table pair
+        (make_dmc([0.7, 0.2, 0.1], [0.1, 0.2, 0.7]), bsc(0.2), True),
+        (make_dmc([0.7, 0.2, 0.1], [0.1, 0.2, 0.7]), bsc(0.1), False),
+    ])
+    def test_known_pairs(self, bob, willie, want):
+        assert is_degraded(bob, willie) is want
+
+    @given(channel_pairs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_composition_is_degraded(self, pair, data):
+        bob, _ = pair
+        nz = data.draw(st.integers(2, 4))
+        t = np.array([data.draw(st.lists(st.integers(0, 5), min_size=nz, max_size=nz)
+                                .filter(any)) for _ in range(bob.alphabet_size)], float)
+        t /= t.sum(axis=1, keepdims=True)
+        willie = make_dmc(bob.row0 @ t, bob.row1 @ t)
+        assert verify_degradation(bob, willie, t)[0]
+        assert is_degraded(bob, willie)
+
+    @given(channel_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_linear_program(self, pair):
+        bob, willie = pair
+        residual = degradation_residual_lp(bob, willie)
+        if residual < 1e-10:
+            assert is_degraded(bob, willie)
+        elif residual > 1e-7:
+            assert not is_degraded(bob, willie)
+
+
 class TestSampling:
     def test_deterministic_channel(self, rng):
         ch = make_dmc([1.0, 0.0], [0.0, 1.0])
@@ -243,7 +297,7 @@ class TestMaskedSampling:
                         np.searchsorted(ch.cdf0, u, side="right"))
         for ones in (mask, np.nonzero(mask)):
             got = sample_outputs(ch, ones, mask.shape, np.random.default_rng(seed))
-            assert got.dtype == np.int64
+            assert got.dtype == np.uint8
             np.testing.assert_array_equal(got, want)
         if not mask.any() or mask.all():
             bit = int(mask.all())
@@ -251,3 +305,83 @@ class TestMaskedSampling:
                 sample_outputs(ch, bit, mask.shape, np.random.default_rng(seed)), want)
         # a zero-mass symbol is never drawn
         assert np.all(np.where(mask, ch.row1[want], ch.row0[want]) > 0)
+
+
+class _Uniforms:
+    """A generator stub whose ``random`` returns the given values in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size):
+        return self.values[:int(np.prod(size))].reshape(size).copy()
+
+
+def boundary_uniforms(ch) -> np.ndarray:
+    """Every CDF entry of the channel, its two neighbouring doubles, 0.0 and
+    the largest double below 1: every uniform the generator can return at
+    which a comparison could go either way."""
+    edges = np.concatenate([ch.cdf0, ch.cdf1, [0.0, 1.0]])
+    u = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+    return np.unique(u[(u >= 0.0) & (u < 1.0)])
+
+
+@st.composite
+def boundary_channels(draw):
+    """A channel of 2-6 output symbols, some of zero mass, with rational or
+    arbitrary masses, and a mask over its boundary uniforms."""
+    size = draw(st.integers(2, 6))
+    mass = st.one_of(st.integers(0, 4), st.floats(1e-6, 1.0))
+    weights = st.lists(mass, min_size=size, max_size=size).filter(any)
+    row0, row1 = (np.array(draw(weights), dtype=float) for _ in range(2))
+    ch = make_dmc(row0 / row0.sum(), row1 / row1.sum())
+    u = boundary_uniforms(ch)
+    mask = np.array(draw(st.lists(st.booleans(), min_size=u.size, max_size=u.size)))
+    return ch, u, mask
+
+
+class TestSamplingAtCdfBoundaries:
+    @given(boundary_channels())
+    @settings(max_examples=300, deadline=None)
+    def test_comparison_count_equals_searchsorted(self, case):
+        ch, u, mask = case
+        want0 = np.searchsorted(ch.cdf0, u, side="right")
+        want1 = np.searchsorted(ch.cdf1, u, side="right")
+        for bit, want in ((0, want0), (1, want1)):
+            got = sample_outputs(ch, bit, u.shape, _Uniforms(u))
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, want)
+        want = np.where(mask, want1, want0)
+        for ones in (mask, np.nonzero(mask)):
+            got = sample_outputs(ch, ones, u.shape, _Uniforms(u))
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, want)
+        # a zero-mass symbol is never drawn, even at the boundaries
+        assert np.all(np.where(mask, ch.row1[want], ch.row0[want]) > 0)
+
+    def test_running_sum_past_one(self):
+        # row1's running sums reach 1 + 2^-52 before the forced final 1.0
+        ch = make_dmc([0.1] * 10, [0.7, 0.2, 0.1] + [0.0] * 7)
+        u = boundary_uniforms(ch)
+        for bit, cdf in ((0, ch.cdf0), (1, ch.cdf1)):
+            got = sample_outputs(ch, bit, u.shape, _Uniforms(u))
+            np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="right"))
+        assert sample_outputs(ch, 1, u.shape, _Uniforms(u)).max() == 2
+
+    def test_zero_mass_symbol_after_a_sum_below_one_is_never_drawn(self):
+        # ten masses of 0.1 sum to 1 - 2^-53; with that running sum in the
+        # CDF the largest uniform below 1 drew the zero-mass symbol 10
+        ch = make_dmc([0.1] * 10 + [0.0], [0.0] + [0.1] * 10)
+        assert np.cumsum(ch.row0)[9] < 1.0
+        u = np.array([np.nextafter(1.0, 0.0)])
+        assert sample_outputs(ch, 0, 1, _Uniforms(u))[0] == 9
+
+    @pytest.mark.parametrize("size, dtype", [(2, np.uint8), (256, np.uint8),
+                                             (257, np.uint16)])
+    def test_symbol_dtype_is_the_smallest_that_holds_the_alphabet(self, size, dtype):
+        row = np.full(size, 1.0 / size)
+        ch = make_dmc(row, row)
+        u = boundary_uniforms(ch)
+        got = sample_outputs(ch, 0, u.shape, _Uniforms(u))
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, np.searchsorted(ch.cdf0, u, side="right"))

@@ -117,6 +117,19 @@ class TestPlan:
                        "--levels", "4", "--delta", "0") == 1
         assert "blocklength zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["plan", "simulate", "covertness"])
+    def test_false_degraded_claim_is_clear_error(self, tmp_path, capsys, command):
+        # Willie bsc(0.05) is less noisy than Bob bsc(0.1): the plan had
+        # r_k = 0 on every level
+        out = tmp_path / "out.txt"
+        extra = ("--seed", "1") if command != "plan" else ()
+        assert run_cli(command, "--bob", "bsc:0.1", "--willie", "bsc:0.05",
+                       "--levels", "4", "--delta", "1.0", "--degraded",
+                       "--ell", "16", *extra, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not a degraded version" in err
+        assert not out.exists()
+
 
 class TestSimulate:
     ARGS = ("simulate", "--bob", "bsc:0.05", "--willie", "bsc:0.1",
@@ -233,6 +246,19 @@ class TestDetect:
         err = capsys.readouterr().err
         kind = spec.split(":")[0]
         assert err.startswith("error:") and f"expected {kind}:n,k" in err
+        assert not out.exists()
+
+    def test_ragged_generator_file_is_clear_error(self, tmp_path, capsys):
+        # rows of unequal length reached np.array, whose message named
+        # neither the file nor the row
+        g = tmp_path / "ragged.txt"
+        g.write_text("# a comment\n1 0 1\n0 1 1\n0 1\n1 1 1 1\n")
+        out = tmp_path / "r.json"
+        assert run_cli("detect", "--willie", "bsc:0.1", "--generator", str(g),
+                       "--trials", "10", "--seed", "1", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: generator file {g}: row 3 has 2 entries, "
+                              "row 1 has 3")
         assert not out.exists()
 
     def test_generator_entry_other_than_a_bit_is_clear_error(self, tmp_path,

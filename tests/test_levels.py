@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from covertppm.channels import bac, bsc, divergence_stats, make_dmc
 from covertppm.levels import (
     DEFAULT_LLR_MAX,
+    _llrs_from_counts,
     LevelRates,
     RatePlan,
     RatePlanError,
@@ -360,6 +361,36 @@ def test_level_llrs_matches_sorted_sum_reference(lam_idx, log_width, data):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * width)
 
 
+@settings(max_examples=200, deadline=None)
+@given(lam_idx=st.integers(0, len(LAM_ROWS) - 1), log_width=st.integers(1, 8),
+       data=st.data())
+def test_level_llrs_bitwise_equal_to_full_histogram_in_any_integer_dtype(
+        lam_idx, log_width, data):
+    # symbol 0's count as the half width minus the others gives the same
+    # histograms, so the same LLRs bit for bit, whatever the symbol dtype
+    lam = LAM_ROWS[lam_idx]
+    width = 1 << log_width
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(0, 30))
+    p = rng.dirichlet(np.full(lam.shape[0], data.draw(st.sampled_from([0.05, 0.5, 5.0]))))
+    symbols = rng.choice(lam.shape[0], size=(n, width), p=p)
+    halves = symbols.reshape(n, 2, width // 2)
+    counts = (halves[..., None] == np.arange(lam.shape[0])).sum(axis=2)
+    try:
+        with np.errstate(over="ignore"):
+            want = _llrs_from_counts(counts[:, 0], counts[:, 1], lam, DEFAULT_LLR_MAX)
+    except ValueError:
+        want = None
+    for dtype in (np.uint8, np.int8, np.uint16, np.int64):
+        if want is None:
+            with pytest.raises(ValueError, match="zero likelihood"):
+                level_llrs(symbols.astype(dtype), lam)
+        else:
+            with np.errstate(over="ignore"):
+                got = level_llrs(symbols.astype(dtype), lam)
+            np.testing.assert_array_equal(got, want)
+
+
 class TestLevelLlr:
     def test_symmetric_evidence_zero(self):
         assert level_llrs([0, 0, 0, 0], np.array([2.0, 0.5]))[0] == 0.0
@@ -387,6 +418,18 @@ class TestLevelLlr:
     def test_symbol_outside_alphabet_rejected(self):
         with pytest.raises(ValueError, match="alphabet"):
             level_llrs([0, 2, 1, 1], np.array([2.0, 0.5]))
+
+    @pytest.mark.parametrize("dtype, bad", [(np.int64, -1), (np.int64, 2),
+                                            (np.uint8, 2), (np.uint8, 255)])
+    def test_symbol_outside_alphabet_rejected_in_any_dtype(self, dtype, bad):
+        # 255 is -1 stored in uint8; the range check sees both ends
+        sym = np.array([[0, 1, 1, 0], [0, bad, 1, 1]]).astype(dtype)
+        with pytest.raises(ValueError, match="alphabet"):
+            level_llrs(sym, np.array([2.0, 0.5]))
+
+    def test_non_integer_symbols_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            level_llrs(np.array([0.0, 1.0, 1.0, 0.5]), np.array([2.0, 0.5]))
 
     def test_within_half_permutation_is_bitwise_invariant(self, rng):
         lam = rng.random(4) + 0.01

@@ -12,6 +12,7 @@ from covertppm.levels import level_llrs
 from covertppm.ppm import (
     EnumerationBudgetError,
     PpmFrame,
+    SuperOutput,
     decimal_values,
     frame_from_bits,
     ppm_divergence_bound,
@@ -142,7 +143,7 @@ class TestTransmitSuper:
 
     def test_symbols_equal_inverse_cdf_draws(self):
         # bitwise the inverse-CDF draws of one uniform per coordinate, the
-        # pulse coordinate through row1, stored as int64
+        # pulse coordinate through row1, stored as uint8
         ch = make_dmc([0.5, 0.3, 0.2], [0.1, 0.3, 0.6])
         frame = PpmFrame(q=3, positions=np.array([1, 8, 4, 4, 2]))
         out = transmit_super(ch, frame, np.random.default_rng(11))
@@ -152,8 +153,15 @@ class TestTransmitSuper:
             for c in range(8):
                 cdf = ch.cdf1 if c == frame.positions[r] - 1 else ch.cdf0
                 want[r, c] = int(np.searchsorted(cdf, u[r, c], side="right"))
-        assert out.symbols.dtype == np.int64
+        assert out.symbols.dtype == np.uint8
         np.testing.assert_array_equal(out.symbols, want)
+
+    def test_super_output_keeps_integer_dtype_and_rejects_others(self):
+        sym = np.zeros((3, 4), dtype=np.uint8)
+        assert SuperOutput(q=2, symbols=sym).symbols.dtype == np.uint8
+        assert SuperOutput(q=2, symbols=sym.astype(np.int64)).symbols.dtype == np.int64
+        with pytest.raises(ValueError, match="integers"):
+            SuperOutput(q=2, symbols=np.zeros((3, 4)))
 
     def test_position_bounds_checked(self):
         with pytest.raises(ValueError):
