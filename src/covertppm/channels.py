@@ -255,16 +255,29 @@ def sample_outputs(dmc: Dmc, x, size, rng: np.random.Generator) -> np.ndarray:
     side="right")``.  A zero-mass symbol is never drawn: its interval
     [cdf[k-1], cdf[k]) is empty, or starts at 1 when it trails the last
     symbol of positive mass.  Any alphabet and any input pattern draw the
-    same stream, and row1's CDF is read only at the entries whose input is
-    1.  Symbols come in ``np.min_scalar_type(|Z| - 1)``: uint8, one byte
-    each, for up to 256 symbols.  This is the package's only sampler of
-    channel outputs.
+    same stream.  An index tuple reads row1's CDF only at its entries, a
+    gather and a scatter.  A mask counts every uniform against both CDFs,
+    a and b, then selects per entry without branches, a ^= (a ^ b) & m with
+    m all ones where the input is 1: the same comparisons on the same
+    uniforms, with no gather or scatter.  Symbols come in
+    ``np.min_scalar_type(|Z| - 1)``: uint8, one byte each, for up to 256
+    symbols.  This is the package's only sampler of channel outputs.
     """
-    if isinstance(x, tuple) or np.ndim(x):
-        ones = x if isinstance(x, tuple) else np.asarray(x, dtype=bool)
+    if isinstance(x, tuple):
         u = rng.random(size)
         draws = _symbols(dmc.cdf0, u)
-        draws[ones] = _symbols(dmc.cdf1, u[ones])
+        draws[x] = _symbols(dmc.cdf1, u[x])
+        return draws
+    if np.ndim(x):
+        ones = np.asarray(x, dtype=bool)
+        u = rng.random(size)
+        if ones.shape != u.shape:
+            raise ChannelError(f"mask of shape {ones.shape} for outputs of shape {u.shape}")
+        draws = _symbols(dmc.cdf0, u)
+        flip = _symbols(dmc.cdf1, u)
+        flip ^= draws
+        flip &= -ones.astype(draws.dtype)   # all bits set where the input is 1
+        draws ^= flip
         return draws
     if x in (0, 1):
         return _symbols(dmc.cdf1 if x else dmc.cdf0, rng.random(size))

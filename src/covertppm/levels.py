@@ -159,6 +159,14 @@ class RatePlan:
         return sum(lr.r_k for lr in self.per_level)
 
 
+def _check_finite_chi2(chi2_willie: float) -> None:
+    if math.isinf(chi2_willie):
+        raise RatePlanError(
+            "Willie's chi2 is infinite (Q1 has mass outside the support of Q0): "
+            "no blocklength is covert"
+        )
+
+
 def planned_blocklength(m: int, delta: float, B: int, chi2_willie: float) -> int:
     """Super-channel blocklength floor(2 m delta / (B chi2)) for the budget.
 
@@ -167,11 +175,7 @@ def planned_blocklength(m: int, delta: float, B: int, chi2_willie: float) -> int
     """
     if chi2_willie <= 0:
         raise RatePlanError("Willie's chi2 is zero: any blocklength is covert")
-    if math.isinf(chi2_willie):
-        raise RatePlanError(
-            "Willie's chi2 is infinite (Q1 has mass outside the support of Q0): "
-            "no blocklength is covert"
-        )
+    _check_finite_chi2(chi2_willie)
     return int(math.floor(2.0 * m * delta / (B * chi2_willie) + 1e-9))
 
 
@@ -199,11 +203,10 @@ def msd_rate_plan(
     degradation of Bob's) the plan simplifies to r_u = I_Y - eps/q with no
     secrets and no keys.  The claim is checked with
     :func:`~covertppm.channels.is_degraded`, and a false one raises
-    ``RatePlanError``; a warden off the support of Q0 is left to the chi2
-    checks below or in the session build.  The blocklength is
-    floor(2 m delta / (B chi2)) with chi2 of Willie's pair, unless
-    ``ell_override`` is given; a warden whose chi2 is infinite (Q1 has mass
-    outside the support of Q0) is rejected.
+    ``RatePlanError``.  The blocklength is floor(2 m delta / (B chi2)) with
+    chi2 of Willie's pair, unless ``ell_override`` is given.  A warden whose
+    chi2 is infinite (Q1 has mass outside the support of Q0) is rejected
+    whatever the blocklength, before the degradedness check.
 
     ``u`` is the smallest cutoff for which the levels above it hold less
     than 1% of the total Bob-side capacity.
@@ -215,6 +218,7 @@ def msd_rate_plan(
     if B < 1:
         raise RatePlanError("B must be >= 1")
 
+    _check_finite_chi2(willie.stats.chi2)
     if ell_override is not None:
         ell = int(ell_override)
     else:
@@ -224,7 +228,7 @@ def msd_rate_plan(
             "blocklength zero: delta too small for the chosen order and block count"
         )
 
-    if degraded and willie.stats.finite and not is_degraded(bob, willie):
+    if degraded and not is_degraded(bob, willie):
         raise RatePlanError(
             "degraded plan asked for, but Willie's channel is not a degraded "
             "version of Bob's (Bob's ROC curve does not dominate Willie's)"

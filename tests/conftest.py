@@ -11,7 +11,13 @@ breadth-first genie pass of ``construct_code`` must match, and
 ``distinct_column_set`` must match.  ``decimal_map``, ``index_set`` and
 ``select_positions`` spell out the PPM position layout one symbol at a time,
 for ``frame_from_bits`` and ``select_positions_batch``;
-``detector_statistic`` is the warden's statistic of one observation,
+``detector_statistic`` is the warden's statistic of one observation;
+``gf2_rank_reference`` (row elimination), ``gf2_product_reference`` (a
+float32 product mod 2) and ``masked_outputs_reference`` (a gather and a
+scatter) are the paths that ``gf2_rank``, the packed ``gf2_multiplier`` and
+the branch-free masked ``sample_outputs`` must match, and
+``detect_linear_code_reference`` puts the last two together into the
+detector's report;
 ``plan_from_text`` parses the document ``plan_to_text`` writes, and
 ``pin_rates`` fixes a plan's per-level operating points for the sessions
 that tests build at chosen rates.
@@ -46,6 +52,7 @@ from scipy.optimize import linprog
 from scipy.special import gammaln
 from scipy.stats import multinomial
 
+from covertppm.adversary import DetectionReport
 from covertppm.channels import ROW_SUM_TOL, ChannelError, Dmc
 from covertppm.extractor import is_irreducible
 from covertppm.levels import DEFAULT_LLR_MAX, PLAN_HEADER, LevelRates, RatePlan
@@ -320,6 +327,82 @@ def detector_statistic(z, S, willie: Dmc) -> float:
     if S.size and (S.min() < 0 or S.max() >= z.shape[0]):
         raise ValueError("S indexes outside the observation")
     return float(willie.centred_ratio[z[S]].mean())
+
+
+def gf2_rank_reference(mat) -> int:
+    """Rank over GF(2) by Gaussian elimination with XOR row operations."""
+    m = (np.asarray(mat, dtype=np.uint8) & 1).copy()
+    rows, cols = m.shape
+    rank = 0
+    for c in range(cols):
+        pivot = None
+        for r in range(rank, rows):
+            if m[r, c]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[[rank, pivot]] = m[[pivot, rank]]
+        for r in range(rows):
+            if r != rank and m[r, c]:
+                m[r] ^= m[rank]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def gf2_product_reference(v, g) -> np.ndarray:
+    """v g over GF(2) as a boolean array, by a float32 product reduced mod 2
+    (exact while k < 2^24)."""
+    prod = np.asarray(v).astype(np.float32) @ np.asarray(g).astype(np.float32)
+    return np.mod(np.rint(prod), 2.0) == 1.0
+
+
+def masked_outputs_reference(dmc: Dmc, mask, rng: np.random.Generator) -> np.ndarray:
+    """Channel outputs for input 1 on ``mask`` and 0 elsewhere: one uniform
+    per entry, row0's CDF searched everywhere, then row1's gathered at the
+    masked entries and scattered back."""
+    mask = np.asarray(mask, dtype=bool)
+    u = rng.random(mask.shape)
+    draws = np.searchsorted(dmc.cdf0, u, side="right")
+    draws[mask] = np.searchsorted(dmc.cdf1, u[mask], side="right")
+    return draws
+
+
+def detect_linear_code_reference(code, willie: Dmc, trials: int,
+                                 rng: np.random.Generator):
+    """``detect_linear_code`` for a warden of finite, positive chi2, with
+    codewords from ``gf2_product_reference`` and H1 outputs from
+    ``masked_outputs_reference``: the same stream (chunks of 4096 trial
+    pairs, H0 then H1 per chunk, int64 message bits) and the same report."""
+    chi2, chi3 = willie.stats.chi2, willie.stats.chi3
+    if not 0.0 < chi2 < math.inf:
+        raise ValueError("the reference needs 0 < chi2 < inf")
+    S = distinct_columns_reference(code.generator)
+    s, k = S.shape[0], code.k
+    ratio = willie.centred_ratio
+    t0, t1 = [], []
+    for done in range(0, trials, 4096):
+        n = min(4096, trials - done)
+        z0 = np.searchsorted(willie.cdf0, rng.random((n, s)), side="right")
+        t0.append(ratio[z0].mean(axis=1))
+        ones = gf2_product_reference(rng.integers(0, 2, size=(n, k)),
+                                     code.generator[:, S])
+        t1.append(ratio[masked_outputs_reference(willie, ones, rng)].mean(axis=1))
+    t0, t1 = np.concatenate(t0), np.concatenate(t1)
+    gamma = chi2 / 4.0
+    b_s = 16.0 / (s * chi2) + 8.0 * chi3 / (s * chi2**2) - 4.0 / s
+    b_k = (16.0 / chi2 + 8.0 * chi3 / chi2**2 - 4.0) / k
+    return DetectionReport(
+        gamma=gamma, trials=trials, s_size=s, k=k,
+        alpha_hat=float(np.mean(t0 > gamma)), beta_hat=float(np.mean(t1 < gamma)),
+        alpha_bound_s=16.0 / (s * chi2), beta_bound_s=max(b_s, 0.0),
+        alpha_bound_k=16.0 / (k * chi2), beta_bound_k=max(b_k, 0.0),
+        mean_t_h0=float(t0.mean()), mean_t_h1=float(t1.mean()),
+        var_t_h0=float(t0.var(ddof=1)), var_t_h1=float(t1.var(ddof=1)),
+        chi2=chi2, chi3=chi3,
+    )
 
 
 def plan_from_text(text: str) -> RatePlan:

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    detect_linear_code_reference,
     detector_statistic,
     distinct_columns_reference,
     exact_tv,
+    gf2_product_reference,
+    gf2_rank_reference,
     pw_from_joint_codebook,
     pw_from_level_sources,
 )
@@ -19,6 +22,7 @@ from covertppm.adversary import (
     detect_linear_code,
     distinct_column_set,
     exact_kl_oracle,
+    gf2_multiplier,
     gf2_rank,
     identity_prefix_code,
     pw_single,
@@ -82,6 +86,69 @@ class TestLinearCodes:
         S = distinct_column_set(LinearCode(generator=g))
         assert S.dtype == np.int64
         np.testing.assert_array_equal(S, distinct_columns_reference(g))
+
+@st.composite
+def gf2_matrices(draw, max_rows=70, max_cols=70):
+    """A 0/1 matrix with some rows all zero, all ones or repeats of earlier
+    rows, and others random (so it may be rank-deficient)."""
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+    for r in range(rows):
+        kind = draw(st.sampled_from("rrzoc"))
+        if kind == "z":
+            m[r] = 0
+        elif kind == "o":
+            m[r] = 1
+        elif kind == "c" and r:
+            m[r] = m[int(rng.integers(r))]
+    return m
+
+
+class TestGf2Arithmetic:
+    @settings(max_examples=200, deadline=None)
+    @given(g=gf2_matrices(), data=st.data())
+    def test_packed_product_matches_float_product(self, g, data):
+        n = data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        v = rng.integers(0, 2, size=(n, g.shape[0]))
+        v[0] = data.draw(st.sampled_from([0, 1]))  # all-zero or all-ones message
+        got = gf2_multiplier(g)(v)
+        assert got.dtype == bool and got.shape == (n, g.shape[1])
+        np.testing.assert_array_equal(got, gf2_product_reference(v, g))
+
+    @settings(max_examples=300, deadline=None)
+    @given(gf2_matrices())
+    def test_rank_matches_row_elimination(self, m):
+        assert gf2_rank(m) == gf2_rank_reference(m)
+        assert gf2_rank(m.T) == gf2_rank_reference(m)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (3, 70), (70, 3)])
+    def test_rank_of_thin_matrices(self, shape):
+        for m in (np.zeros(shape), np.ones(shape), np.eye(*shape)):
+            assert gf2_rank(m) == gf2_rank_reference(m)
+
+    def test_entries_read_mod_2(self):
+        assert gf2_rank([[2, 1], [0, 3]]) == 1
+
+
+class TestDetectorReference:
+    @pytest.mark.parametrize("make_code", [
+        lambda rng: identity_prefix_code(300, 40),
+        lambda rng: random_linear_code(100, 21, rng),
+        lambda rng: random_linear_code(130, 45, rng),
+    ], ids=["identity-300-40", "random-100-21", "random-130-45"])
+    @pytest.mark.parametrize("willie", [
+        bsc(0.1), make_dmc([0.7, 0.2, 0.1], [0.2, 0.3, 0.5])
+    ], ids=["bsc0.1", "ternary"])
+    def test_report_equals_float_and_scatter_reference(self, make_code, willie):
+        # 5000 trials span two chunks, the second one partial
+        code = make_code(np.random.default_rng(5))
+        got = detect_linear_code(code, willie, 5000, np.random.default_rng(9))
+        want = detect_linear_code_reference(code, willie, 5000,
+                                            np.random.default_rng(9))
+        assert got == want
 
 
 class TestStatistic:

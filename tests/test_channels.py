@@ -14,7 +14,7 @@ from covertppm.channels import (
     make_dmc,
     sample_outputs,
 )
-from conftest import degradation_residual_lp, verify_degradation
+from conftest import degradation_residual_lp, masked_outputs_reference, verify_degradation
 
 LN2 = math.log(2.0)
 
@@ -305,6 +305,21 @@ class TestMaskedSampling:
                 sample_outputs(ch, bit, mask.shape, np.random.default_rng(seed)), want)
         # a zero-mass symbol is never drawn
         assert np.all(np.where(mask, ch.row1[want], ch.row0[want]) > 0)
+
+    @pytest.mark.parametrize("size", [2, 256, 257, 300])
+    def test_mask_select_in_every_symbol_dtype(self, size):
+        # the select mask must set every bit of the symbol dtype, uint16 too
+        rng = np.random.default_rng(size)
+        ch = make_dmc(rng.dirichlet(np.ones(size)), rng.dirichlet(np.ones(size)))
+        mask = rng.integers(0, 2, size=(40, 50)).astype(bool)
+        got = sample_outputs(ch, mask, mask.shape, np.random.default_rng(1))
+        want = masked_outputs_reference(ch, mask, np.random.default_rng(1))
+        assert got.dtype == np.min_scalar_type(size - 1)
+        np.testing.assert_array_equal(got, want)
+
+    def test_mask_of_another_shape_rejected(self, rng):
+        with pytest.raises(ChannelError, match="mask of shape"):
+            sample_outputs(bsc(0.1), np.ones(4, dtype=bool), (3, 4), rng)
 
 
 class _Uniforms:

@@ -130,6 +130,17 @@ class TestPlan:
         assert err.startswith("error:") and "not a degraded version" in err
         assert not out.exists()
 
+    def test_warden_off_support_with_set_blocklength_fails(self, tmp_path, capsys):
+        # with --ell the planner used to skip both the chi2 and the degraded
+        # check, writing r_k = 0 and printing "capacity nan"
+        out = tmp_path / "plan.txt"
+        assert run_cli("plan", "--bob", "bsc:0.05", "--willie", "bac:0,0.3",
+                       "--levels", "2", "--delta", "1", "--ell", "32",
+                       "--degraded", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "infinite" in err
+        assert not out.exists()
+
 
 class TestSimulate:
     ARGS = ("simulate", "--bob", "bsc:0.05", "--willie", "bsc:0.1",

@@ -284,10 +284,11 @@ class TestBuildSession:
             build_session(plan, bsc(0.05), bsc(0.1), rng)
 
     def test_infinite_warden_chi2_rejected(self, rng):
-        # an ell_override plan skips the planner's chi2 check; the session
-        # must not restate the covertness budget as delta_effective = inf
+        # the planner rejects this warden itself, so plan for a finite one:
+        # the session must not restate the covertness budget as
+        # delta_effective = inf
         warden = bac(0.0, 0.3)
-        plan = msd_rate_plan(bsc(0.05), warden, 2, delta=1.0, epsilon=0.05,
+        plan = msd_rate_plan(bsc(0.05), bsc(0.1), 2, delta=1.0, epsilon=0.05,
                              degraded=True, ell_override=32)
         with pytest.raises(SessionError, match="infinite"):
             build_session(plan, bsc(0.05), warden, rng, construction_trials=50)

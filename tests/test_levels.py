@@ -185,6 +185,12 @@ class TestMsdRatePlan:
         with pytest.raises(RatePlanError, match="infinite"):
             msd_rate_plan(bsc(0.05), bac(0.0, 0.3), 3, 1.0)
 
+    @pytest.mark.parametrize("degraded", [False, True])
+    def test_warden_off_support_rejected_at_any_blocklength(self, degraded):
+        with pytest.raises(RatePlanError, match="infinite"):
+            msd_rate_plan(bsc(0.05), bac(0.0, 0.3), 2, 1.0, degraded=degraded,
+                          ell_override=32)
+
     def test_delta_zero_rejected(self):
         with pytest.raises(RatePlanError, match="blocklength zero"):
             msd_rate_plan(bsc(0.05), bsc(0.1), 4, delta=0.0, degraded=True)
