@@ -14,7 +14,7 @@ from covertppm.channels import LN2
 from covertppm.levels import level_capacity_bound
 
 ch = bsc(0.1)
-caps = [level_capacity(ch, i, "bits") for i in range(1, 17)]
+caps = [level_capacity(ch, i) for i in range(1, 17)]
 total = sum(caps)
 
 print("Level capacities for BSC(0.1), bits per super-symbol use:")
@@ -28,7 +28,7 @@ print(f"  first 5 levels hold {100 * sum(caps[:5]) / total:.1f}% of the total\n"
 st = divergence_stats(ch.row1, ch.row0)  # nats, for the analytic bound
 print("Closed-form upper bound vs exact value (nats):")
 for i in (6, 9, 12, 15):
-    print(f"  level {i:2d}: exact {level_capacity(ch, i):.6f}"
+    print(f"  level {i:2d}: exact {level_capacity(ch, i) * LN2:.6f}"
           f"  bound {level_capacity_bound(st, i):.6f}")
 
 print("\nBob = BSC(0.2) vs Willie = BAC(0.1, 0.4), 10 levels:")

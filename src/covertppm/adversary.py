@@ -42,7 +42,7 @@ from .ppm import (
 
 
 class OracleBudgetError(RuntimeError):
-    """The requested exact enumeration exceeds the configured budget."""
+    """The requested exact enumeration exceeds ``ORACLE_MAX_OUTPUTS``."""
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +288,10 @@ def srl_bound(delta: float, n: int, tv_q1_q0: float) -> tuple[float, float]:
 # exact tiny-instance oracle
 # ---------------------------------------------------------------------------
 
+#: warden output sequences the exact oracle enumerates before it refuses
+ORACLE_MAX_OUTPUTS = 1 << 20
+
+
 def _check_geometry(m: int, ell: int) -> None:
     if m < 1:
         raise ValueError(f"PPM order must be >= 1, got {m}")
@@ -342,22 +346,20 @@ def exact_kl_oracle(
     m: int,
     ell: int,
     position_weights: dict[tuple[int, ...], float],
-    *,
-    max_outputs: int = 1 << 20,
 ) -> OracleReport:
     """Exact covertness decomposition by full output enumeration.
 
     Builds the induced distribution over all |Z|^(m ell) warden observations
     from the distribution of pulse-position tuples, then evaluates every term
     of the covertness bound exactly.  Intended for m <= 4, ell <= 3, binary
-    output; anything beyond ``max_outputs`` raises
+    output; anything beyond ``ORACLE_MAX_OUTPUTS`` raises
     :class:`OracleBudgetError`.
     """
     _check_geometry(m, ell)
     n_out = willie.alphabet_size ** (m * ell)
-    if n_out > max_outputs:
+    if n_out > ORACLE_MAX_OUTPUTS:
         raise OracleBudgetError(
-            f"{n_out} output sequences exceed the oracle budget {max_outputs}"
+            f"{n_out} output sequences exceed the oracle budget {ORACLE_MAX_OUTPUTS}"
         )
     # per pulse position 1..m, the super-symbol output law
     sym_dist = [
@@ -530,7 +532,7 @@ def covertness_estimate(
         lrt_advantage=adv,
         lrt_ci3=ci3,
         baseline="ppm-mixture",
-        d_qppm_q0_exact=ell * ppm_output_divergence(willie, m, "nats"),
+        d_qppm_q0_exact=ell * ppm_output_divergence(willie, m),
         d_qppm_q0_bound=ppm_divergence_bound(willie.stats.chi2, m, ell),
         bins=bins,
     )

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary, codec, levels
-from .channels import Dmc, bac, bsc, make_dmc
+from .channels import LN2, Dmc, bac, bsc, make_dmc
 
 
 class CliError(Exception):
@@ -110,22 +110,23 @@ def _fmt(x: float) -> str:
 def cmd_tables(args) -> int:
     bob = parse_channel(args.bob)
     willie = parse_channel(args.willie) if args.willie else bob
-    rows = levels.level_mi_table(bob, willie, args.levels, args.base)
-    conv = 1.0 if args.base == "nats" else 1.0 / np.log(2.0)
+    rows = levels.level_mi_table(bob, willie, args.levels)
+    # the capacities come in bits, the divergences and the bound in nats
+    per_bit = LN2 if args.base == "nats" else 1.0
+    per_nat = 1.0 if args.base == "nats" else 1.0 / LN2
     lines = [
         f"# covertppm tables: levels={args.levels} base={args.base}",
         f"# bob={bob!r}",
         f"# willie={willie!r}",
-        f"# D(P1||P0)={_fmt(bob.stats.kl * conv)} "
-        f"D(Q1||Q0)={_fmt(willie.stats.kl * conv)} ({args.base})",
+        f"# D(P1||P0)={_fmt(bob.stats.kl * per_nat)} "
+        f"D(Q1||Q0)={_fmt(willie.stats.kl * per_nat)} ({args.base})",
         f"level,I_Y ({args.base}),I_Z ({args.base}),diff ({args.base}),"
         f"C_bound ({args.base})",
     ]
     for row in rows:
-        bound = levels.level_capacity_bound(bob.stats, row.level) * conv
-        lines.append(
-            f"{row.level},{row.i_y:.4f},{row.i_z:.4f},{row.diff:.4f},{bound:.4f}"
-        )
+        i_y, i_z, diff = (v * per_bit for v in (row.i_y, row.i_z, row.diff))
+        bound = levels.level_capacity_bound(bob.stats, row.level) * per_nat
+        lines.append(f"{row.level},{i_y:.4f},{i_z:.4f},{diff:.4f},{bound:.4f}")
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -144,7 +145,7 @@ def cmd_plan(args) -> int:
     print(f"keys required: {_fmt(key_bits)} bits/block "
           f"(secret surplus {_fmt(plan.ell * plan.sum_rv())} bits/block)")
     print(f"covert throughput {_fmt(summary.covert_throughput)} "
-          f"vs capacity {_fmt(summary.covert_capacity)} ({plan.base}/sqrt(n delta))")
+          f"vs capacity {_fmt(summary.covert_capacity)} (bits/sqrt(n delta))")
     print(f"key throughput {_fmt(summary.key_throughput)} "
           f"vs capacity {_fmt(summary.key_capacity)}")
     return 0

@@ -41,7 +41,6 @@ from .extractor import (
     random_element,
 )
 from .levels import (
-    DEFAULT_LLR_MAX,
     RatePlan,
     _llrs_from_counts,
     level_capacity,
@@ -122,7 +121,7 @@ def make_level_llr_sampler(dmc: Dmc, i: int):
 
     def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
         c0, c1 = _draw_half_histograms(dmc, i, count, rng)
-        return _llrs_from_counts(c0, c1, lam, DEFAULT_LLR_MAX)
+        return _llrs_from_counts(c0, c1, lam)
 
     return sampler
 
@@ -140,9 +139,9 @@ class Session:
     codes: dict[int, PolarLevelCode]
     layouts: dict[int, LevelLayout]
     resolvability: str  # 'full_uniform' or 'extractor'
+    delta_effective: float  # covertness budget, nats, of plan.B blocks of length ell
     extractor_cfg: ExtractorConfig | None = None
     extractor_seed: int | None = None
-    delta_effective: float | None = None
 
     @property
     def q(self) -> int:
@@ -187,8 +186,6 @@ def build_session(
     """
     if resolvability not in ("full_uniform", "extractor"):
         raise SessionError(f"unknown resolvability source {resolvability!r}")
-    if plan.base != "bits":
-        raise SessionError("sessions need a plan in bits")
 
     if not willie.stats.finite:
         raise SessionError(
@@ -218,8 +215,7 @@ def build_session(
     if plan.u < plan.q and resolvability == "extractor":
         w = (plan.q - plan.u) * ell
         fld = make_field(w)
-        i_tail = sum(level_capacity(willie, i, "bits")
-                     for i in range(plan.u + 1, plan.q + 1))
+        i_tail = sum(level_capacity(willie, i) for i in range(plan.u + 1, plan.q + 1))
         k = min(w, _ceil_bits(ell, i_tail + _EXTRACTOR_MARGIN))
         extractor_cfg = ExtractorConfig(field=fld, k=k)
         extractor_seed = random_element(fld, rng)
@@ -461,7 +457,9 @@ def run_chain(
     (otherwise chaining is infeasible and a :class:`SessionError` is raised).
     ``message_source(level, count, block)`` supplies payload bits; the
     default draws them uniformly from ``rng``.  Block 1's fresh keys come
-    from ``rng``.
+    from ``rng``.  The throughputs are bits per sqrt(n * delta_effective),
+    with n = B * m * ell channel uses and the budget the session states for
+    its (power-of-two) blocklength; a zero budget gives zero.
     """
     if B < 1:
         raise SessionError("B must be >= 1")
@@ -515,7 +513,8 @@ def run_chain(
     key_first = n_key
     key_amortized = key_first + (B - 1) * max(n_key - n_sec, 0)
     n = B * session.plan.m * session.ell
-    norm = math.sqrt(n * session.plan.delta) if session.plan.delta > 0 else float("inf")
+    delta = session.delta_effective
+    norm = math.sqrt(n * delta) if delta > 0 else float("inf")
     return ChainReport(
         blocks=tuple(records),
         cumulative_error=failed_before,

@@ -17,8 +17,13 @@ is a half-sum of per-coordinate likelihood ratios, so
     independent of the total number of levels q >= i, when P1 has no mass
     outside the support of P0.  Otherwise an output off that support (mass
     pi under P1) comes only from the pulse and reveals the level bit, and
-    its occurrence is independent of the bit; so C_i = pi ln 2 + (1 - pi) C_i',
-    where C_i' is the closed form for P1 restricted to P0's support.
+    its occurrence is independent of the bit; so C_i = pi + (1 - pi) C_i'
+    bits, where C_i' is the closed form for P1 restricted to P0's support.
+
+Units are fixed by the quantity: level capacities, mutual-information tables
+and plan rates are bits per super-symbol use (the bits a level code carries)
+and throughputs bits per sqrt(n delta); divergences, the chi2 capacity bound
+and LLRs are nats.
 
 The planner turns the per-level mutual-information tables for Bob and Willie
 into per-level rate triples (message, secret surplus, key deficit) and a
@@ -43,30 +48,31 @@ class RatePlanError(ValueError):
     """Raised when no feasible rate plan exists for the requested parameters."""
 
 
-def level_capacity(dmc: Dmc, i: int, base: str = "nats") -> float:
-    """Exact capacity of level ``i``, valid for any total number of levels q >= i.
+def level_capacity(dmc: Dmc, i: int) -> float:
+    """Exact capacity of level ``i`` in bits, valid for any total number of
+    levels q >= i.
 
     Let pi = P1(outputs outside the support of P0).  Such an output can only
     come from the pulse, so it reveals the level bit, and whether one occurs
     does not depend on the bit; hence
 
-        C_i = pi * ln 2 + (1 - pi) * C_i(P0, P1'),
+        C_i = pi + (1 - pi) * C_i(P0, P1'),
 
     with P1' = P1 restricted to the support of P0 and renormalised, whose
-    capacity is the divergence difference of the module docstring.
+    capacity is the divergence difference of the module docstring (in nats)
+    divided by ln 2.
     """
     if i < 1:
         raise ValueError("level index must be >= 1")
     if not dmc.stats.finite:
-        full = 1.0 if base == "bits" else LN2
         on_support = np.where(dmc.row0 > 0, dmc.row1, 0.0)
         kept = float(on_support.sum())
         if kept == 0.0:
-            return full
+            return 1.0
         inner = make_dmc(dmc.row0, on_support / kept)
-        return (1.0 - kept) * full + kept * level_capacity(inner, i, base)
-    hi = ppm_output_divergence(dmc, 1 << (i - 1), base)
-    lo = ppm_output_divergence(dmc, 1 << i, base)
+        return (1.0 - kept) + kept * level_capacity(inner, i)
+    hi = ppm_output_divergence(dmc, 1 << (i - 1)) / LN2
+    lo = ppm_output_divergence(dmc, 1 << i) / LN2
     return max(hi - lo, 0.0)
 
 
@@ -95,14 +101,15 @@ class LevelMiRow:
     diff: float  # i_z - i_y
 
 
-def level_mi_table(bob: Dmc, willie: Dmc, q: int, base: str = "bits") -> list[LevelMiRow]:
-    """Per-level mutual informations for both channels and their difference."""
+def level_mi_table(bob: Dmc, willie: Dmc, q: int) -> list[LevelMiRow]:
+    """Per-level mutual informations for both channels and their difference,
+    in bits."""
     if q < 1:
         raise ValueError("q must be >= 1")
     rows = []
     for i in range(1, q + 1):
-        iy = level_capacity(bob, i, base)
-        iz = level_capacity(willie, i, base)
+        iy = level_capacity(bob, i)
+        iz = level_capacity(willie, i)
         rows.append(LevelMiRow(level=i, i_y=iy, i_z=iz, diff=iz - iy))
     return rows
 
@@ -119,7 +126,7 @@ class LevelRates:
 class RatePlan:
     """Operating point of the multilevel scheme.
 
-    Rates are in ``base`` per super-symbol use.  ``u`` is the highest level
+    Rates are in bits per super-symbol use.  ``u`` is the highest level
     coded for reliability; levels u+1..q are resolvability-only.  At most one
     of ``r_v``/``r_k`` is positive on each level.
     """
@@ -129,7 +136,6 @@ class RatePlan:
     B: int
     delta: float
     epsilon: float
-    base: str
     u: int
     per_level: tuple[LevelRates, ...]
     degraded: bool = False
@@ -186,7 +192,6 @@ def msd_rate_plan(
     delta: float,
     B: int = 1,
     epsilon: float = 0.05,
-    base: str = "bits",
     *,
     degraded: bool = False,
     ell_override: int | None = None,
@@ -234,7 +239,7 @@ def msd_rate_plan(
             "version of Bob's (Bob's ROC curve does not dominate Willie's)"
         )
 
-    mi = level_mi_table(bob, willie, q, base)
+    mi = level_mi_table(bob, willie, q)
     eps_q = epsilon / q
     per_level = []
     for row in mi:
@@ -258,8 +263,8 @@ def msd_rate_plan(
             break
 
     return RatePlan(
-        q=q, ell=ell, B=B, delta=delta, epsilon=epsilon, base=base,
-        u=u, per_level=tuple(per_level), degraded=degraded,
+        q=q, ell=ell, B=B, delta=delta, epsilon=epsilon, u=u,
+        per_level=tuple(per_level), degraded=degraded,
     )
 
 
@@ -272,7 +277,6 @@ class ThroughputSummary:
     message_bits: float
     key_bits: float
     n: int
-    base: str
     degenerate: bool = False
 
 
@@ -287,25 +291,25 @@ def throughput_summary(
     first-block cost  ell*sum(r_k) + (B-1) * ell * (sum(r_k) - sum(r_v))^+ .
     Both are normalised by sqrt(n * delta) with n = B * m * ell channel uses.
     Capacities are sqrt(2/chi2) * D(P1||P0)  and  the clamped key analogue
-    sqrt(2/chi2) * (D(Q1||Q0) - D(P1||P0))^+, in the plan's rate base.
+    sqrt(2/chi2) * (D(Q1||Q0) - D(P1||P0))^+, in bits like the plan's rates.
     """
     n = plan.B * plan.m * plan.ell
     if n == 0:
         raise RatePlanError("zero blocklength")
     chi2 = willie_stats.chi2
-    conv = 1.0 / LN2 if plan.base == "bits" else 1.0
     if chi2 == 0.0 or plan.delta == 0.0:
         return ThroughputSummary(
             covert_throughput=0.0, key_throughput=0.0,
             covert_capacity=0.0, key_capacity=0.0,
             message_bits=plan.B * plan.ell * (plan.sum_ru() + plan.sum_rv()),
-            key_bits=0.0, n=n, base=plan.base, degenerate=True,
+            key_bits=0.0, n=n, degenerate=True,
         )
     norm = math.sqrt(n * plan.delta)
     message_bits = plan.B * plan.ell * (plan.sum_ru() + plan.sum_rv())
     key_bits = plan.ell * plan.sum_rk() \
         + (plan.B - 1) * plan.ell * max(plan.sum_rk() - plan.sum_rv(), 0.0)
     scale = math.sqrt(2.0 / chi2)
+    conv = 1.0 / LN2  # the divergences are in nats
     return ThroughputSummary(
         covert_throughput=message_bits / norm,
         key_throughput=key_bits / norm,
@@ -313,7 +317,7 @@ def throughput_summary(
         key_capacity=max(scale * (willie_stats.kl - bob_stats.kl) * conv, 0.0),
         message_bits=message_bits,
         key_bits=key_bits,
-        n=n, base=plan.base,
+        n=n,
     )
 
 
@@ -340,15 +344,15 @@ def select_positions_batch(symbols: np.ndarray, high_bits: np.ndarray, i: int) -
     return symbols.reshape(ell, m >> i, 1 << i)[np.arange(ell), slot]
 
 
-def _llrs_from_counts(c0: np.ndarray, c1: np.ndarray, lam: np.ndarray,
-                      llr_max: float) -> np.ndarray:
+def _llrs_from_counts(c0: np.ndarray, c1: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Level LLRs from (n, |Z|) output-symbol histograms of the two halves.
 
     Each half-sum is sum_a c_a * lam_a, where a 0 * inf term counts as 0.
     Both halves infinite give 0; one half infinite, or the other half zero,
-    gives +-``llr_max``; both halves zero is an error.  The LLR depends on a
-    row only through its two histograms, so it is bitwise invariant under
-    permutations within each half.
+    gives +-``DEFAULT_LLR_MAX``, as does any finite LLR beyond it; both
+    halves zero is an error.  The LLR depends on a row only through its two
+    histograms, so it is bitwise invariant under permutations within each
+    half.
     """
     def half_sum(c: np.ndarray) -> np.ndarray:
         total = np.zeros(c.shape[0])
@@ -366,19 +370,19 @@ def _llrs_from_counts(c0: np.ndarray, c1: np.ndarray, lam: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.log(s0 / s1)
     out[np.isnan(out)] = 0.0  # both halves infinite
-    return np.clip(out, -llr_max, llr_max)
+    return np.clip(out, -DEFAULT_LLR_MAX, DEFAULT_LLR_MAX)
 
 
-def level_llrs(symbols, lam: np.ndarray, llr_max: float = DEFAULT_LLR_MAX) -> np.ndarray:
+def level_llrs(symbols, lam: np.ndarray) -> np.ndarray:
     """Level LLRs, natural log, for rows of selected-subblock output symbols.
 
     ``symbols`` holds (n, 2^i) integer output indices in any integer dtype
     (one row is accepted too; the sampler's uint8 is the cheapest) and
     ``lam`` the per-symbol likelihood ratios row1/row0.  The LLR for bit 0
     versus 1 is log(sum of ratios over the first half / sum over the second
-    half), saturated at +-``llr_max``, and is computed from each half's
-    symbol histogram: symbols 1..|Z|-1 are counted with one comparison pass
-    each and symbol 0 takes the rest of the half.  An infinite ratio
+    half), saturated at +-``DEFAULT_LLR_MAX``, and is computed from each
+    half's symbol histogram: symbols 1..|Z|-1 are counted with one comparison
+    pass each and symbol 0 takes the rest of the half.  An infinite ratio
     saturates its half, both halves infinite give 0, and both halves of zero
     likelihood, a non-integer array or a symbol outside 0..|Z|-1 raise
     ``ValueError``.
@@ -394,7 +398,7 @@ def level_llrs(symbols, lam: np.ndarray, llr_max: float = DEFAULT_LLR_MAX) -> np
     halves = symbols.reshape(n, 2, width // 2)
     rest = [np.count_nonzero(halves == a, axis=2) for a in range(1, lam.shape[0])]
     counts = np.stack([width // 2 - sum(rest)] + rest, axis=2)  # (n, 2, |Z|)
-    return _llrs_from_counts(counts[:, 0], counts[:, 1], lam, llr_max)
+    return _llrs_from_counts(counts[:, 0], counts[:, 1], lam)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +411,7 @@ PLAN_HEADER = "covertppm-rateplan v1"
 def plan_to_text(plan: RatePlan) -> str:
     lines = [
         PLAN_HEADER,
-        f"base = {plan.base}",
+        "base = bits",
         f"q = {plan.q}",
         f"m = {plan.m}",
         f"ell = {plan.ell}",

@@ -75,7 +75,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -113,8 +112,8 @@ class PolarLevelCode:
     """A polar code for one level channel: its length and message set.
 
     ``message`` (sorted on construction) holds the positions that carry
-    payload bits; the remaining positions, ``frozen``, are always zero, which
-    is valid because the level channels are symmetric.  A position the
+    payload bits; the remaining (frozen) positions are always zero, which is
+    valid because the level channels are symmetric.  A position the
     receiver knows to hold another value (a key bit) is passed to
     :func:`sc_decode` as a pin.
     """
@@ -129,11 +128,6 @@ class PolarLevelCode:
                 or np.any(ms[1:] == ms[:-1]):
             raise ValueError("message must hold distinct positions in [0, ell)")
         object.__setattr__(self, "message", ms)
-
-    @cached_property
-    def frozen(self) -> np.ndarray:
-        """The positions outside the message set, ascending."""
-        return np.setdiff1d(np.arange(self.ell), self.message)
 
 
 # rate-1 certification (module docstring): d*ln2 + 1 <= |L| <= 2^20 for a

@@ -22,8 +22,8 @@ which depends on the output sequence only through its symbol histogram.  The
 exact divergence is therefore one vectorised sum over the histograms of m
 draws on the support of P0, weighted by their multinomial probabilities, for
 every alphabet size (m + 1 histograms for a binary alphabet).  It is the only
-divergence computed here: past ``MAX_ALPHABET`` output symbols or the
-histogram budget it refuses rather than estimate.
+divergence computed here, always in nats: past ``MAX_ALPHABET`` output
+symbols or the histogram budget it refuses rather than estimate.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlog1py
 
-from .channels import LN2, Dmc, sample_outputs
+from .channels import Dmc, sample_outputs
 
 #: histograms summed before the exact divergence refuses
 DEFAULT_TYPE_BUDGET = 2_000_000
@@ -43,7 +43,7 @@ MAX_ALPHABET = 6
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Exact type-class enumeration would exceed the configured budget.
+    """Exact type-class enumeration would exceed its budget.
 
     Raised by :func:`ppm_output_divergence` when the output alphabet or the
     histogram count is too large for the exact sum.
@@ -134,14 +134,8 @@ def _histograms(m: int, s: int) -> list[np.ndarray]:
     return cols + [left]
 
 
-def ppm_output_divergence(
-    dmc: Dmc,
-    m: int,
-    base: str = "nats",
-    *,
-    type_budget: int = DEFAULT_TYPE_BUDGET,
-) -> float:
-    """Exact per-super-symbol divergence D(P_ppm^m || P0^m).
+def ppm_output_divergence(dmc: Dmc, m: int) -> float:
+    """Exact per-super-symbol divergence D(P_ppm^m || P0^m), in nats.
 
     ``m`` must be a power of two (the PPM order).  One sum over the
     histograms t of m draws on the support of P0, for every alphabet:
@@ -153,13 +147,11 @@ def ppm_output_divergence(
     from the centred ratio, so terms with r near 1 keep their digits.
 
     Refuses with :class:`EnumerationBudgetError` when the alphabet exceeds
-    ``MAX_ALPHABET`` or the histogram count exceeds ``type_budget``.  Returns
-    ``inf`` when P1 has mass outside the support of P0.
+    ``MAX_ALPHABET`` or the histogram count exceeds ``DEFAULT_TYPE_BUDGET``.
+    Returns ``inf`` when P1 has mass outside the support of P0.
     """
     if m < 1 or (m & (m - 1)) != 0:
         raise ValueError(f"m must be a power of two, got {m}")
-    if base not in ("nats", "bits"):
-        raise ValueError(f"base must be 'nats' or 'bits', got {base!r}")
     if dmc.alphabet_size > MAX_ALPHABET:
         raise EnumerationBudgetError(
             f"alphabet size {dmc.alphabet_size} exceeds the exact-sum "
@@ -170,9 +162,9 @@ def ppm_output_divergence(
     support = dmc.row0 > 0
     size = int(np.count_nonzero(support))
     n_types = math.comb(m + size - 1, size - 1)
-    if n_types > type_budget:
+    if n_types > DEFAULT_TYPE_BUDGET:
         raise EnumerationBudgetError(
-            f"{n_types} type classes exceed budget {type_budget}"
+            f"{n_types} type classes exceed budget {DEFAULT_TYPE_BUDGET}"
         )
     log_fact = gammaln(np.arange(m + 1) + 1.0)
     log_w = np.full(n_types, log_fact[m])
@@ -183,8 +175,7 @@ def ppm_output_divergence(
         excess += t * centred
     excess /= m
     terms = xlog1py(1.0 + excess, excess) - excess
-    value = max(float(np.sum(np.exp(log_w) * terms)), 0.0)
-    return value / LN2 if base == "bits" else value
+    return max(float(np.sum(np.exp(log_w) * terms)), 0.0)
 
 
 def ppm_divergence_bound(chi2: float, m: int, ell: int) -> float:

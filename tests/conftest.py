@@ -135,8 +135,9 @@ def super_channel_matrix(dmc: Dmc, q: int) -> np.ndarray:
     return mat
 
 
-def brute_conditional_mi(dmc: Dmc, i: int, q: int, base: str = "bits") -> float:
-    """I(X_i ; Y_block | X_{i+1:q}) for uniform level bits, by enumeration."""
+def brute_conditional_mi(dmc: Dmc, i: int, q: int) -> float:
+    """I(X_i ; Y_block | X_{i+1:q}) in bits for uniform level bits, by
+    enumeration."""
     m = 1 << q
     w = super_channel_matrix(dmc, q)             # (m, n_out)
     px = 1.0 / m
@@ -162,12 +163,12 @@ def brute_conditional_mi(dmc: Dmc, i: int, q: int, base: str = "bits") -> float:
             return -float(np.sum(v[pos] * np.log(v[pos])))
 
         total += (p_key * px) * (ent(mix) - 0.5 * (ent(w0) + ent(w1)))
-    return total / LN2 if base == "bits" else total
+    return total / LN2
 
 
-def brute_set_mi(dmc: Dmc, q: int, S: set[int], conditional: bool,
-                 base: str = "bits") -> float:
-    """I(X_S ; Y_block | X_{S^c}) (conditional=True) or I(X_S ; Y_block)."""
+def brute_set_mi(dmc: Dmc, q: int, S: set[int], conditional: bool) -> float:
+    """I(X_S ; Y_block | X_{S^c}) (conditional=True) or I(X_S ; Y_block), in
+    bits."""
     m = 1 << q
     w = super_channel_matrix(dmc, q)
 
@@ -202,7 +203,7 @@ def brute_set_mi(dmc: Dmc, q: int, S: set[int], conditional: bool,
             rows = w[members].mean(axis=0)
             avg += (len(members) / m) * ent(rows)
         total = ent(mix_all) - avg
-    return total / LN2 if base == "bits" else total
+    return total / LN2
 
 
 def _sc_f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -431,7 +432,6 @@ def plan_from_text(text: str) -> RatePlan:
         B=int(kv["B"]),
         delta=float(kv["delta"]),
         epsilon=float(kv["epsilon"]),
-        base=kv["base"],
         u=int(kv["u"]),
         per_level=per_level,
         degraded=kv.get("degraded", "false") == "true",
@@ -449,8 +449,8 @@ def pin_rates(plan: RatePlan, rates: dict[int, float]) -> RatePlan:
         for lr in plan.per_level))
 
 
-def brute_ppm_divergence(dmc: Dmc, m: int, base: str = "nats") -> float:
-    """D(P_ppm^m || P0^m) by direct summation over every output block."""
+def brute_ppm_divergence(dmc: Dmc, m: int) -> float:
+    """D(P_ppm^m || P0^m) in nats by direct summation over every output block."""
     outs = all_outputs(dmc.alphabet_size, m)
     p0 = dmc.row0[outs].prod(axis=1)
     pulse = np.empty((m, outs.shape[0]))
@@ -462,8 +462,7 @@ def brute_ppm_divergence(dmc: Dmc, m: int, base: str = "nats") -> float:
     sup = ppm > 0
     if np.any(p0[sup] == 0):
         return float("inf")
-    val = float(np.sum(ppm[sup] * np.log(ppm[sup] / p0[sup])))
-    return val / LN2 if base == "bits" else val
+    return float(np.sum(ppm[sup] * np.log(ppm[sup] / p0[sup])))
 
 
 def binomial_logpmf(n: int, p: float) -> np.ndarray:
@@ -558,20 +557,21 @@ def level_channel_rows(dmc: Dmc, i: int):
     return row_bit0, row_bit1
 
 
-def binary_input_mi(row_a: np.ndarray, row_b: np.ndarray, base: str) -> float:
-    """Mutual information of a binary-input channel with uniform input."""
+def binary_input_mi(row_a: np.ndarray, row_b: np.ndarray) -> float:
+    """Mutual information, in bits, of a binary-input channel with uniform
+    input."""
     mix = 0.5 * (row_a + row_b)
 
     def ent(v):
         pos = v > 0
         return -float(np.sum(v[pos] * np.log(v[pos])))
 
-    mi = ent(mix) - 0.5 * (ent(row_a) + ent(row_b))
-    return mi / LN2 if base == "bits" else mi
+    return (ent(mix) - 0.5 * (ent(row_a) + ent(row_b))) / LN2
 
 
-def ones_count_mi(dmc: Dmc, i: int, base: str) -> float:
-    """Level-i mutual information of a binary-output channel over (k0, k1).
+def ones_count_mi(dmc: Dmc, i: int) -> float:
+    """Level-i mutual information, in bits, of a binary-output channel over
+    (k0, k1).
 
     Under level bit 0 the ones counts of the two halves are independent,
     k0 ~ Bern(P1(1)) + Bin(h-1, P0(1)) and k1 ~ Bin(h, P0(1)) with
@@ -587,7 +587,7 @@ def ones_count_mi(dmc: Dmc, i: int, base: str) -> float:
     second = np.exp(binomial_logpmf(h, float(dmc.row0[1])))
     sup = (first > 0) | (second > 0)
     a, b = first[sup], second[sup]
-    return binary_input_mi(np.outer(a, b).ravel(), np.outer(b, a).ravel(), base)
+    return binary_input_mi(np.outer(a, b).ravel(), np.outer(b, a).ravel())
 
 
 def distinct_columns_reference(generator) -> np.ndarray:
@@ -601,7 +601,7 @@ def distinct_columns_reference(generator) -> np.ndarray:
     return np.array(sorted(seen.values()), dtype=np.int64)
 
 
-def level_llrs_reference(lams, llr_max: float = DEFAULT_LLR_MAX) -> np.ndarray:
+def level_llrs_reference(lams) -> np.ndarray:
     """Level LLRs from rows of per-coordinate likelihood ratios.
 
     Each half is summed in sorted order, which makes the sum invariant under
@@ -623,16 +623,15 @@ def level_llrs_reference(lams, llr_max: float = DEFAULT_LLR_MAX) -> np.ndarray:
     out[both_inf] = 0.0
     pos = inf0 & ~inf1 | ((s1 == 0) & ~inf0 & (s0 > 0))
     neg = inf1 & ~inf0 | ((s0 == 0) & ~inf1 & (s1 > 0))
-    out[pos] = llr_max
-    out[neg] = -llr_max
+    out[pos] = DEFAULT_LLR_MAX
+    out[neg] = -DEFAULT_LLR_MAX
     rest = ~(both_inf | pos | neg)
     with np.errstate(divide="ignore"):
         out[rest] = np.log(s0[rest] / s1[rest])
-    return np.clip(out, -llr_max, llr_max)
+    return np.clip(out, -DEFAULT_LLR_MAX, DEFAULT_LLR_MAX)
 
 
-def level_llr_sampler_reference(dmc: Dmc, i: int,
-                                llr_max: float = DEFAULT_LLR_MAX):
+def level_llr_sampler_reference(dmc: Dmc, i: int):
     """Level-i LLR sampler that draws all 2^i outputs of each subblock.
 
     Under level bit 0 every coordinate is drawn from row0 except a pulse,
@@ -646,7 +645,7 @@ def level_llr_sampler_reference(dmc: Dmc, i: int,
         pulse = rng.integers(0, width // 2, size=count)
         rows = np.arange(count)
         sym[rows, pulse] = np.searchsorted(dmc.cdf1, u[rows, pulse], side="right")
-        return level_llrs_reference(dmc.lam[sym], llr_max)
+        return level_llrs_reference(dmc.lam[sym])
 
     return sampler
 

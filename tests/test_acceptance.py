@@ -51,7 +51,7 @@ TABLE_I_DIFFS = [-0.0905, -0.0452, -0.0084, 0.0077, 0.0084, 0.0052, 0.0028,
 def test_criterion_1_capacity_table_reproduction():
     start = time.time()
     ch = bsc(0.1)
-    caps = [level_capacity(ch, i, "bits") for i in range(1, 17)]
+    caps = [level_capacity(ch, i) for i in range(1, 17)]
     elapsed = time.time() - start
     for i, (got, want) in enumerate(zip(caps, TABLE_II), start=1):
         assert got == pytest.approx(want, abs=5e-5), f"level {i}"
@@ -62,7 +62,7 @@ def test_criterion_1_capacity_table_reproduction():
 
 def test_criterion_2_capacity_concentration():
     ch = bsc(0.1)
-    caps = [level_capacity(ch, i, "bits") for i in range(1, 17)]
+    caps = [level_capacity(ch, i) for i in range(1, 17)]
     total = sum(caps)
     ratio = sum(caps[:5]) / total
     assert 2.534 <= total <= 2.537
@@ -73,7 +73,7 @@ def test_criterion_2_capacity_concentration():
 
 def test_criterion_3_mi_difference_table():
     bob, willie = bsc(0.2), bac(0.1, 0.4)
-    diffs = [level_capacity(willie, i, "bits") - level_capacity(bob, i, "bits")
+    diffs = [level_capacity(willie, i) - level_capacity(bob, i)
              for i in range(1, 11)]
     for i, (got, want) in enumerate(zip(diffs, TABLE_I_DIFFS), start=1):
         assert got == pytest.approx(want, abs=5e-5), f"level {i}"
@@ -126,9 +126,9 @@ def test_criterion_5_stationarity_oracle():
     worst = 0.0
     for ch in (bsc(0.1), bac(0.1, 0.4)):
         for i in (1, 2):
-            closed = level_capacity(ch, i, "bits")
+            closed = level_capacity(ch, i)
             for q in range(i, 4):
-                brute = brute_conditional_mi(ch, i, q, "bits")
+                brute = brute_conditional_mi(ch, i, q)
                 worst = max(worst, abs(closed - brute))
                 assert abs(closed - brute) < 1e-10, (i, q)
     print(f"\nACCEPTANCE 5 PASS: stationarity verified against the full "
@@ -145,7 +145,7 @@ def test_criterion_6_decoder_permutation_invariance():
         width = 1 << i
         half = width // 2
         for ell in (8, 64):
-            k = max(1, int(0.4 * level_capacity(ch, i, "bits") * ell))
+            k = max(1, int(0.4 * level_capacity(ch, i) * ell))
             sampler = make_level_llr_sampler(ch, i)
             code = construct_code(sampler, ell, k, 400, rng)
             for _ in range(100):
@@ -229,7 +229,7 @@ def test_criterion_8_tiny_covertness_oracle():
 def test_criterion_9_end_to_end_error_trend():
     start = time.time()
     bob, willie = bsc(0.05), bsc(0.1)
-    caps = [level_capacity(bob, i, "bits") for i in range(1, 5)]
+    caps = [level_capacity(bob, i) for i in range(1, 5)]
     rates = {i: 0.7 * caps[i - 1] for i in range(1, 5)}
 
     def run(ell, seed, trials):

@@ -269,7 +269,8 @@ class TestExactOracle:
 
     def test_budget_exceeded(self):
         with pytest.raises(OracleBudgetError):
-            exact_kl_oracle(bsc(0.1), 4, 3, pw_uniform(4, 3), max_outputs=100)
+            # 2^(4 * 6) = 2^24 binary outputs against 2^20
+            exact_kl_oracle(bsc(0.1), 4, 6, pw_uniform(4, 6))
 
     @pytest.mark.parametrize("ell", [0, -1])
     def test_no_super_symbols_rejected(self, ell):
@@ -338,7 +339,7 @@ class TestTelescoping:
 def tiny_single_codeword_session(rng):
     # one level, one super-symbol, all-frozen code: the scheme always sends
     # pulse position 1, inducing Q1 x Q0 at the warden
-    plan = RatePlan(q=1, ell=1, B=1, delta=1.0, epsilon=0.01, base="bits",
+    plan = RatePlan(q=1, ell=1, B=1, delta=1.0, epsilon=0.01,
                     u=1, per_level=(LevelRates(1, 0.0, 0.0, 0.0),),
                     degraded=True)
     return build_session(plan, bsc(0.1), bsc(0.1), rng, construction_trials=50)
@@ -376,7 +377,7 @@ class TestCovertnessEstimate:
         # all positions informational and payloads uniform: the scheme output
         # IS the uniform-PPM product, so every per-level TV sits at the
         # estimator's noise floor and the detector has no edge
-        plan = RatePlan(q=2, ell=4, B=1, delta=4.0, epsilon=0.01, base="bits",
+        plan = RatePlan(q=2, ell=4, B=1, delta=4.0, epsilon=0.01,
                         u=2, per_level=(LevelRates(1, 1.0, 0.0, 0.0),
                                         LevelRates(2, 1.0, 0.0, 0.0)))
         sess = build_session(plan, bsc(0.1), bsc(0.1), rng, construction_trials=50)

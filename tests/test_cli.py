@@ -90,6 +90,29 @@ class TestTables:
         assert len(values) == 6
         assert all(math.isfinite(float(v)) for row in values for v in row)
 
+    @pytest.mark.parametrize("pair", [["--bob", "bsc:0.1"],
+                                      ["--bob", "bsc:0.2", "--willie", "bac:0.1,0.4"],
+                                      ["--bob", "bac:0,0.3", "--willie", "bac:0.2,0"]])
+    def test_nats_rows_are_bits_rows_times_ln2(self, tmp_path, pair):
+        # capacities are computed in bits and the bound in nats; either way
+        # the two tables differ by ln 2 up to the rounding of both prints
+        tables = {}
+        for base in ("bits", "nats"):
+            out = tmp_path / f"{base}.csv"
+            assert run_cli("tables", *pair, "--levels", "16", "--base", base,
+                           "--out", str(out)) == 0
+            tables[base] = [[float(v) for v in ln.split(",")]
+                            for ln in out.read_text().splitlines() if ln[:1].isdigit()]
+        assert len(tables["bits"]) == len(tables["nats"]) == 16
+        ln2 = math.log(2.0)
+        for bits_row, nats_row in zip(tables["bits"], tables["nats"]):
+            assert nats_row[0] == bits_row[0]
+            for b, n in zip(bits_row[1:], nats_row[1:]):
+                if math.isnan(b):  # the bound of a Bob off P0's support
+                    assert math.isnan(n)
+                else:
+                    assert abs(n - b * ln2) <= 0.5e-4 * (1.0 + ln2) + 1e-12
+
     def test_unit_tag_in_header(self, tmp_path):
         out = tmp_path / "t.csv"
         run_cli("tables", "--bob", "bsc:0.1", "--levels", "2", "--base",

@@ -19,7 +19,6 @@ from covertppm.codec import (
     transmit_block,
 )
 from covertppm.levels import (
-    DEFAULT_LLR_MAX,
     _llrs_from_counts,
     level_llrs,
     msd_rate_plan,
@@ -201,6 +200,22 @@ class TestChaining:
             kt = run_chain(sess, B, rng).key_throughput
             assert kt * math.sqrt(B) == pytest.approx(base, rel=0.02)
 
+    def test_throughputs_normalised_by_stated_budget(self, rng):
+        # a 100-symbol override rounds down to 64-symbol blocks, whose
+        # budget is not the plan's delta: the report divides by
+        # sqrt(n * delta_effective), the budget the session states
+        sess = keyed_noiseless_session(rng, ell=100)
+        assert sess.ell == 64
+        assert sess.delta_effective != pytest.approx(sess.plan.delta)
+        B = 2
+        report = run_chain(sess, B, rng)
+        norm = math.sqrt(B * sess.plan.m * sess.ell * sess.delta_effective)
+        assert report.key_bits_amortized > 0
+        assert report.covert_throughput == pytest.approx(
+            report.message_bits / norm, rel=1e-12)
+        assert report.key_throughput == pytest.approx(
+            (report.key_bits_amortized + report.extractor_r_bits) / norm, rel=1e-12)
+
     def test_infeasible_chain_signalled(self, rng):
         # secrets scaled to zero while keys remain: B > 1 must refuse
         plan = dataclasses.replace(
@@ -276,13 +291,6 @@ class TestBuildSession:
             build_session(plan, bsc(0.05), bsc(0.1), rng,
                           resolvability="psychic")
 
-    def test_nats_plan_rejected(self, rng):
-        plan = msd_rate_plan(bsc(0.05), bsc(0.1), 2, delta=4.0,
-                             epsilon=0.05, base="nats", degraded=True,
-                             ell_override=16)
-        with pytest.raises(SessionError):
-            build_session(plan, bsc(0.05), bsc(0.1), rng)
-
     def test_infinite_warden_chi2_rejected(self, rng):
         # the planner rejects this warden itself, so plan for a finite one:
         # the session must not restate the covertness budget as
@@ -331,7 +339,7 @@ class TestLevelLlrSampler:
         got = sampler(500, np.random.default_rng(8))
         c0, c1 = _draw_half_histograms(ch, 3, 500, np.random.default_rng(8))
         np.testing.assert_array_equal(
-            got, _llrs_from_counts(c0, c1, ch.lam, DEFAULT_LLR_MAX))
+            got, _llrs_from_counts(c0, c1, ch.lam))
 
     @pytest.mark.parametrize("ch", [bsc(0.05), TERNARY, NOISELESS],
                              ids=["bsc0.05", "ternary", "noiseless"])

@@ -45,7 +45,7 @@ class TestLevelCapacity:
     def test_identical_rows_zero(self):
         ch = make_dmc([0.6, 0.4], [0.6, 0.4])
         for i in range(1, 7):
-            assert level_capacity(ch, i, "bits") == pytest.approx(0.0, abs=1e-12)
+            assert level_capacity(ch, i) == pytest.approx(0.0, abs=1e-12)
 
     def test_stationarity_against_full_super_channel(self):
         # the level channel does not depend on the total number of levels:
@@ -53,9 +53,9 @@ class TestLevelCapacity:
         # full super channel for every q >= i
         for ch in (bsc(0.1), bac(0.1, 0.4)):
             for i in (1, 2):
-                closed = level_capacity(ch, i, "bits")
+                closed = level_capacity(ch, i)
                 for q in range(i, 4):
-                    brute = brute_conditional_mi(ch, i, q, "bits")
+                    brute = brute_conditional_mi(ch, i, q)
                     assert abs(closed - brute) < 1e-10
 
     def test_noiseless_channel_fallback(self):
@@ -64,7 +64,7 @@ class TestLevelCapacity:
         # must give one full bit per level
         ch = make_dmc([1.0, 0.0], [0.0, 1.0])
         for i in (1, 2, 3, 16):
-            assert level_capacity(ch, i, "bits") == pytest.approx(1.0, abs=1e-12)
+            assert level_capacity(ch, i) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("ch", [make_dmc([1.0, 0.0], [0.0, 1.0]), bac(0.0, 0.3),
                                     make_dmc([0.0, 1.0], [0.4, 0.6]),
@@ -73,17 +73,17 @@ class TestLevelCapacity:
         # the (k0, k1) atom law carries the whole level channel: its mutual
         # information equals that of the enumerated 2^i-symbol outputs
         for i in range(1, 5):
-            want = binary_input_mi(*level_channel_rows(ch, i), "bits")
-            assert ones_count_mi(ch, i, "bits") == pytest.approx(want, abs=1e-12)
+            want = binary_input_mi(*level_channel_rows(ch, i))
+            assert ones_count_mi(ch, i) == pytest.approx(want, abs=1e-12)
 
     def test_off_support_warden_reaches_high_levels(self):
         # infinite divergences at every level: the erasure split stays cheap
         # where the enumeration would need |Z|^(2^i) outputs
         ch = bac(0.0, 0.3)
         for i in range(1, 5):
-            want = binary_input_mi(*level_channel_rows(ch, i), "nats")
+            want = binary_input_mi(*level_channel_rows(ch, i))
             assert level_capacity(ch, i) == pytest.approx(want, abs=1e-12)
-        caps = [level_capacity(ch, i, "bits") for i in range(1, 17)]
+        caps = [level_capacity(ch, i) for i in range(1, 17)]
         assert all(0.0 < c <= 1.0 for c in caps)
         assert all(a >= b for a, b in zip(caps, caps[1:]))
 
@@ -102,7 +102,7 @@ class TestLevelCapacity:
     def test_equals_enumerated_level_channel(self, rows):
         ch = make_dmc(*rows)
         for i in (1, 2, 3):
-            want = binary_input_mi(*level_channel_rows(ch, i), "nats")
+            want = binary_input_mi(*level_channel_rows(ch, i))
             assert level_capacity(ch, i) == pytest.approx(want, abs=1e-12)
 
 
@@ -114,7 +114,7 @@ class TestLevelCapacityBound:
         ch = bsc(0.1)
         st_ = divergence_stats(ch.row1, ch.row0)
         violations = [i for i in range(4, 17)
-                      if level_capacity(ch, i, "nats") > level_capacity_bound(st_, i)]
+                      if level_capacity(ch, i) * LN2 > level_capacity_bound(st_, i)]
         assert violations == []
 
     def test_leading_term_dominates_asymptotically(self):
@@ -239,7 +239,7 @@ class TestThroughputSummary:
 
     def test_identical_channels_degenerate(self):
         ch = make_dmc([0.5, 0.5], [0.5, 0.5])
-        plan = RatePlan(q=2, ell=8, B=1, delta=1.0, epsilon=0.01, base="bits",
+        plan = RatePlan(q=2, ell=8, B=1, delta=1.0, epsilon=0.01,
                         u=1, per_level=(LevelRates(1, 0.5, 0.0, 0.0),
                                         LevelRates(2, 0.5, 0.0, 0.0)))
         s = throughput_summary(plan, ch.stats, ch.stats)
@@ -345,15 +345,14 @@ def test_level_llrs_matches_sorted_sum_reference(lam_idx, log_width, data):
     symbols = rng.choice(lam.shape[0], size=(n, width), p=p)
     if data.draw(st.booleans()):  # some rows with identical halves: exact ties
         symbols[::2, width // 2:] = symbols[::2, :width // 2]
-    llr_max = data.draw(st.sampled_from([DEFAULT_LLR_MAX, 5.0]))
     try:
         with np.errstate(over="ignore"):  # 1e300 / 1e-300 saturates
-            want = level_llrs_reference(lam[symbols], llr_max)
+            want = level_llrs_reference(lam[symbols])
     except ValueError:
         with pytest.raises(ValueError, match="zero likelihood"):
-            level_llrs(symbols, lam, llr_max)
+            level_llrs(symbols, lam)
         return
-    got = level_llrs(symbols, lam, llr_max)
+    got = level_llrs(symbols, lam)
     # bitwise where both paths are exact: saturation, halves with equal
     # histograms (ties) and halves both infinite.  A zero LLR reached through
     # unequal histograms of equal mathematical sum rounds differently in the
@@ -362,9 +361,25 @@ def test_level_llrs_matches_sorted_sum_reference(lam_idx, log_width, data):
     counts = (halves[..., None] == np.arange(lam.shape[0])).sum(axis=2)
     ties = np.all(counts[:, 0] == counts[:, 1], axis=1)
     both_inf = np.isinf(lam)[halves].any(axis=2).all(axis=1)
-    exact = (np.abs(want) == llr_max) | ties | both_inf
+    exact = (np.abs(want) == DEFAULT_LLR_MAX) | ties | both_inf
     np.testing.assert_array_equal(got[exact], want[exact])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * width)
+
+
+def test_level_llrs_clip_finite_llrs_at_default_llr_max():
+    # symbol 1 has likelihood ratio 1e20 against symbol 0, above e^40: a half
+    # holding it against one without has a finite LLR of about 45 nats,
+    # which saturates at +-40; a ratio of half-sums near 2 does not
+    ch = make_dmc([1.0 - 1e-20, 1e-20], [0.5, 0.5])
+    assert ch.lam[1] / ch.lam[0] > math.exp(DEFAULT_LLR_MAX)
+    symbols = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [1, 1, 0, 1], [0, 0, 0, 0]])
+    halves = ch.lam[symbols].reshape(4, 2, 2).sum(axis=2)
+    unclipped = np.log(halves[:, 0] / halves[:, 1])
+    assert np.all(np.isfinite(unclipped)) and unclipped[0] > DEFAULT_LLR_MAX
+    got = level_llrs(symbols, ch.lam)
+    np.testing.assert_array_equal(got[:2], [DEFAULT_LLR_MAX, -DEFAULT_LLR_MAX])
+    np.testing.assert_array_equal(got[2:], unclipped[2:])
+    np.testing.assert_array_equal(got, level_llrs_reference(ch.lam[symbols]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -384,7 +399,7 @@ def test_level_llrs_bitwise_equal_to_full_histogram_in_any_integer_dtype(
     counts = (halves[..., None] == np.arange(lam.shape[0])).sum(axis=2)
     try:
         with np.errstate(over="ignore"):
-            want = _llrs_from_counts(counts[:, 0], counts[:, 1], lam, DEFAULT_LLR_MAX)
+            want = _llrs_from_counts(counts[:, 0], counts[:, 1], lam)
     except ValueError:
         want = None
     for dtype in (np.uint8, np.int8, np.uint16, np.int64):
@@ -515,7 +530,9 @@ class TestPlanSerialisation:
     def test_round_trip(self):
         plan = msd_rate_plan(bsc(0.2), bac(0.1, 0.4), 5, delta=2.0,
                              epsilon=0.02)
-        again = plan_from_text(plan_to_text(plan))
+        text = plan_to_text(plan)
+        assert "base = bits" in text.splitlines()
+        again = plan_from_text(text)
         assert again == plan
 
     def test_rejects_foreign_document(self):

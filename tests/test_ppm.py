@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covertppm.channels import bsc, bac, divergence_stats, make_dmc
+from covertppm.channels import LN2, bsc, bac, divergence_stats, make_dmc
 from covertppm.levels import level_llrs
 from covertppm.ppm import (
+    DEFAULT_TYPE_BUDGET,
     EnumerationBudgetError,
     PpmFrame,
     SuperOutput,
@@ -193,8 +194,8 @@ class TestPpmOutputDivergence:
     def test_table_level_one_relation(self):
         # D(P1||P0) - D(P_ppm^2 || P0^2) is the first-level capacity 0.7421
         ch = bsc(0.1)
-        d1 = ppm_output_divergence(ch, 1, "bits")
-        d2 = ppm_output_divergence(ch, 2, "bits")
+        d1 = ppm_output_divergence(ch, 1) / LN2
+        d2 = ppm_output_divergence(ch, 2) / LN2
         assert d1 - d2 == pytest.approx(0.7421, abs=5e-5)
 
     def test_monotone_decreasing_in_m(self):
@@ -274,9 +275,11 @@ class TestPpmOutputDivergence:
             ppm_output_divergence(ch, 4)
 
     def test_type_budget_signals_monte_carlo(self):
+        # 2050 * 2049 / 2 = 2,100,225 histograms of 2048 draws on 3 symbols
         ch = make_dmc([0.5, 0.3, 0.2], [0.2, 0.2, 0.6])
+        assert math.comb(2048 + 2, 2) > DEFAULT_TYPE_BUDGET
         with pytest.raises(EnumerationBudgetError):
-            ppm_output_divergence(ch, 1024, type_budget=100)
+            ppm_output_divergence(ch, 2048)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
