@@ -38,5 +38,5 @@ print(f"  per-block key need {session.total_key_bits()} bits, secret "
 for B in (1, 2, 4, 8):
     report = run_chain(session, B, rng)
     print(f"  B = {B}: fresh key bits {report.key_bits_amortized:.0f}, key "
-          f"throughput {report.key_throughput:.4f} (shrinks like 1/sqrt(B)), "
+          f"throughput {report.key_throughput:.4f} (shrinks like 1/B), "
           f"errors: {report.cumulative_error}")

@@ -32,8 +32,9 @@ import numpy as np
 
 from . import codec
 from .channels import Dmc, sample_outputs
-from .levels import level_llrs, select_positions_batch
+from .levels import _likelihood_sums, level_llrs, select_positions_batch
 from .ppm import (
+    SuperOutput,
     frame_from_bits,
     ppm_divergence_bound,
     ppm_output_divergence,
@@ -430,14 +431,20 @@ class CovertnessEstimate:
 
 def _level_statistics(
     willie: Dmc,
-    outputs: np.ndarray,
+    output: SuperOutput,
     level_bits: np.ndarray,
     i: int,
 ) -> np.ndarray:
     """Per-super-symbol level-i LLR statistic given the true higher bits."""
     q = level_bits.shape[0]
-    sub = select_positions_batch(outputs, level_bits[i:q], i)
-    return level_llrs(sub, willie.lam)
+    return level_llrs(select_positions_batch(output, level_bits[i:q], i), willie.lam)
+
+
+def _mixture_statistic(willie: Dmc, output: SuperOutput) -> float:
+    """sum over super-symbols of log((1/m) sum_j lam(z_j)), each row's
+    likelihood sum read from its root histogram."""
+    root = output.block_histograms(output.q, np.zeros((output.ell, 1), dtype=np.int64))
+    return float(np.sum(np.log(_likelihood_sums(root[:, 0], willie.lam) / (1 << output.q))))
 
 
 def covertness_estimate(
@@ -467,13 +474,6 @@ def covertness_estimate(
     scheme_lr = np.empty(blocks)
     innocent_lr = np.empty(blocks)
 
-    lam = willie.lam
-
-    def mixture_stat(outputs: np.ndarray) -> float:
-        # take gathers by a uint8 index faster than lam[outputs], same values
-        mean_lam = lam.take(outputs).mean(axis=1)
-        return float(np.sum(np.log(mean_lam)))
-
     for b in range(blocks):
         messages = {
             i: rng.integers(0, 2,
@@ -490,20 +490,21 @@ def covertness_estimate(
         willie_out = codec.transmit_block(session, frame, rng, to_willie=True)
         for i in range(1, q + 1):
             scheme_stats[i].append(
-                _level_statistics(willie, willie_out.symbols, tx.level_bits, i)
+                _level_statistics(willie, willie_out, tx.level_bits, i)
             )
-        scheme_lr[b] = mixture_stat(willie_out.symbols)
+        scheme_lr[b] = _mixture_statistic(willie, willie_out)
 
         ref_bits = rng.integers(0, 2, size=(q, ell), dtype=np.uint8)
         ref_frame = frame_from_bits(ref_bits)
         ref_out = transmit_super(willie, ref_frame, rng)
         for i in range(1, q + 1):
             ref_stats[i].append(
-                _level_statistics(willie, ref_out.symbols, ref_bits, i)
+                _level_statistics(willie, ref_out, ref_bits, i)
             )
 
-        innocent = sample_outputs(willie, 0, (ell, m), rng)
-        innocent_lr[b] = mixture_stat(innocent)
+        innocent = SuperOutput(q=q, symbols=sample_outputs(willie, 0, (ell, m), rng),
+                               alphabet_size=willie.alphabet_size)
+        innocent_lr[b] = _mixture_statistic(willie, innocent)
 
     level_tv: dict[int, float] = {}
     for i in range(1, q + 1):

@@ -8,16 +8,19 @@ as the next block's key material.  Levels u+1..q carry no message; they are
 filled either with fully uniform bits or with the invertible-extractor output
 driven by a short shared random string.
 
-The receiver decodes level q down to level 1.  For each reliability level it
-selects the output subblock indicated by the already recovered higher-level
-bits, forms the level LLRs from the output-symbol histograms of the
-subblock's two halves, and runs successive cancellation with the key
-positions pinned.  Code construction samples the same statistic: each level
-LLR comes from a pair of histograms drawn directly from their multinomial
-law, never from 2^i individual outputs.  Resolvability levels
-are reconstructed from the shared extractor input when available; in the
-fully uniform mode the simulation reveals them to the receiver and flags the
-result, so reliability numbers are always scoped honestly.
+The receiver decodes level q down to level 1.  It reads the received block
+through its histogram pyramid (``SuperOutput.pyramid``: each row's output
+histogram of every aligned width-2^j block, built once by pairwise adds).
+For each reliability level it gathers the histograms of the two halves of
+the subblock indicated by the already recovered higher-level bits from one
+pyramid level, forms the level LLRs from them, and runs successive
+cancellation with the key positions pinned.  Code construction samples the
+same statistic: each level LLR comes from a pair of histograms drawn
+directly from their multinomial law, never from 2^i individual outputs.
+Resolvability levels are reconstructed from the shared extractor input when
+available; in the fully uniform mode the simulation reveals them to the
+receiver and flags the result, so reliability numbers are always scoped
+honestly.
 
 Chaining feeds the secret bits recovered from block j (the receiver uses its
 own decisions, so one failure taints the blocks after it) in as block j+1's
@@ -372,8 +375,8 @@ def decode_block(
     for i in range(u, 0, -1):
         lay = session.layouts[i]
         code = session.codes[i]
-        sub = select_positions_batch(received.symbols, x_hat[i:q], i)
-        llrs = level_llrs(sub, session.bob.lam)
+        halves = select_positions_batch(received, x_hat[i:q], i)
+        llrs = level_llrs(halves, session.bob.lam)
         key = np.asarray(keys.get(i, np.zeros(lay.n_key, dtype=np.uint8)),
                          dtype=np.uint8)
         if key.shape[0] != lay.n_key:
@@ -457,9 +460,11 @@ def run_chain(
     (otherwise chaining is infeasible and a :class:`SessionError` is raised).
     ``message_source(level, count, block)`` supplies payload bits; the
     default draws them uniformly from ``rng``.  Block 1's fresh keys come
-    from ``rng``.  The throughputs are bits per sqrt(n * delta_effective),
-    with n = B * m * ell channel uses and the budget the session states for
-    its (power-of-two) blocklength; a zero budget gives zero.
+    from ``rng``.  The throughputs are bits per sqrt(n * delta_B), with
+    n = B * m * ell channel uses and delta_B = B * ell * chi2 / (2m) the
+    budget of the B blocks run at the session's (power-of-two) blocklength,
+    which is ``delta_effective`` when B equals the plan's block count; a zero
+    budget gives zero.
     """
     if B < 1:
         raise SessionError("B must be >= 1")
@@ -513,7 +518,7 @@ def run_chain(
     key_first = n_key
     key_amortized = key_first + (B - 1) * max(n_key - n_sec, 0)
     n = B * session.plan.m * session.ell
-    delta = session.delta_effective
+    delta = ppm_divergence_bound(session.willie.stats.chi2, session.plan.m, B * session.ell)
     norm = math.sqrt(n * delta) if delta > 0 else float("inf")
     return ChainReport(
         blocks=tuple(records),

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import LN2, Dmc, DivergenceStats, is_degraded, make_dmc
-from .ppm import decimal_values, ppm_output_divergence
+from .ppm import SuperOutput, decimal_values, ppm_output_divergence
 
 #: decoder LLR saturation, nats; only active off the support assumptions
 DEFAULT_LLR_MAX = 40.0
@@ -81,10 +81,13 @@ def level_capacity_bound(stats: DivergenceStats, i: int) -> float:
 
     ``stats`` are the divergence statistics of the pair (P1, P0).  The bound
     is an asymptotic expansion; for small i it may fall below the exact value,
-    which the tests record rather than assert away.
+    which the tests record rather than assert away.  When P1 has mass outside
+    the support of P0 (chi2 infinite) it is the vacuous bound ``inf``.
     """
     if i < 1:
         raise ValueError("level index must be >= 1")
+    if not stats.finite:
+        return float("inf")
     c2, th, rh = stats.chi2, stats.theta, stats.rho
     return (
         c2 / (1 << i)
@@ -325,46 +328,48 @@ def throughput_summary(
 # equivalent-channel receiver primitives
 # ---------------------------------------------------------------------------
 
-def select_positions_batch(symbols: np.ndarray, high_bits: np.ndarray, i: int) -> np.ndarray:
-    """Subblocks of received super-symbols selected by decoded higher bits.
+def select_positions_batch(output: SuperOutput, high_bits: np.ndarray, i: int) -> np.ndarray:
+    """Output histograms of the two halves of each selected level-i subblock.
 
-    ``symbols`` is (ell, 2^q); ``high_bits`` is (q - i, ell) with row t being
-    level i+1+t.  Returns the (ell, 2^i) selected subblocks: the 2^i
-    coordinates of each row whose level bits i+1..q match the higher bits, in
-    ascending index order, so that the first half corresponds to level bit
-    x_i = 0.  They form one of the 2^(q-i) contiguous width-2^i slices of the
-    row, so the row is read as (2^(q-i), 2^i) and the slice picked by the
-    higher bits' value.
+    ``high_bits`` is (q - i, ell) with row t being level i+1+t.  Each row's
+    subblock is the 2^i coordinates whose level bits i+1..q match the higher
+    bits: the aligned width-2^i block at index d(higher bits), whose first
+    half belongs to level bit x_i = 0.  Its halves are the aligned
+    width-2^(i-1) blocks 2d and 2d+1, so the returned (ell, 2, |Z|) counts
+    are one gather from level i-1 of the output's histogram pyramid.
     """
-    ell, m = symbols.shape
-    q = int(round(math.log2(m)))
+    q, ell = output.q, output.ell
+    if not 1 <= i <= q:
+        raise ValueError(f"level must lie in [1, {q}], got {i}")
     if high_bits.shape != (q - i, ell):
         raise ValueError("high_bits must have shape (q - i, ell)")
-    slot = decimal_values(high_bits)
-    return symbols.reshape(ell, m >> i, 1 << i)[np.arange(ell), slot]
+    first = 2 * decimal_values(high_bits)
+    return output.block_histograms(i - 1, np.stack([first, first + 1], axis=1))
+
+
+def _likelihood_sums(counts: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """sum_a c_a * lam_a for each (n, |Z|) histogram row, where a 0 * inf
+    term counts as 0.  Symbol by symbol in a fixed order, so equal
+    histograms give equal sums."""
+    total = np.zeros(counts.shape[0])
+    for a, ratio in enumerate(lam):
+        if np.isinf(ratio):
+            total[counts[:, a] > 0] = np.inf
+        else:
+            total += counts[:, a] * ratio
+    return total
 
 
 def _llrs_from_counts(c0: np.ndarray, c1: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Level LLRs from (n, |Z|) output-symbol histograms of the two halves.
 
-    Each half-sum is sum_a c_a * lam_a, where a 0 * inf term counts as 0.
-    Both halves infinite give 0; one half infinite, or the other half zero,
-    gives +-``DEFAULT_LLR_MAX``, as does any finite LLR beyond it; both
-    halves zero is an error.  The LLR depends on a row only through its two
-    histograms, so it is bitwise invariant under permutations within each
-    half.
+    Each half-sum is :func:`_likelihood_sums`.  Both halves infinite give 0;
+    one half infinite, or the other half zero, gives +-``DEFAULT_LLR_MAX``,
+    as does any finite LLR beyond it; both halves zero is an error.  The LLR
+    depends on a row only through its two histograms, so it is bitwise
+    invariant under permutations within each half.
     """
-    def half_sum(c: np.ndarray) -> np.ndarray:
-        total = np.zeros(c.shape[0])
-        # symbol by symbol in a fixed order: equal histograms give equal sums
-        for a, ratio in enumerate(lam):
-            if np.isinf(ratio):
-                total[c[:, a] > 0] = np.inf
-            else:
-                total += c[:, a] * ratio
-        return total
-
-    s0, s1 = half_sum(c0), half_sum(c1)
+    s0, s1 = _likelihood_sums(c0, lam), _likelihood_sums(c1, lam)
     if np.any((s0 == 0) & (s1 == 0)):
         raise ValueError("both halves have zero likelihood")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -373,32 +378,22 @@ def _llrs_from_counts(c0: np.ndarray, c1: np.ndarray, lam: np.ndarray) -> np.nda
     return np.clip(out, -DEFAULT_LLR_MAX, DEFAULT_LLR_MAX)
 
 
-def level_llrs(symbols, lam: np.ndarray) -> np.ndarray:
-    """Level LLRs, natural log, for rows of selected-subblock output symbols.
+def level_llrs(halves: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Level LLRs, natural log, from the (n, 2, |Z|) half histograms that
+    :func:`select_positions_batch` returns.
 
-    ``symbols`` holds (n, 2^i) integer output indices in any integer dtype
-    (one row is accepted too; the sampler's uint8 is the cheapest) and
-    ``lam`` the per-symbol likelihood ratios row1/row0.  The LLR for bit 0
-    versus 1 is log(sum of ratios over the first half / sum over the second
-    half), saturated at +-``DEFAULT_LLR_MAX``, and is computed from each
-    half's symbol histogram: symbols 1..|Z|-1 are counted with one comparison
-    pass each and symbol 0 takes the rest of the half.  An infinite ratio
-    saturates its half, both halves infinite give 0, and both halves of zero
-    likelihood, a non-integer array or a symbol outside 0..|Z|-1 raise
-    ``ValueError``.
+    ``lam`` holds the per-symbol likelihood ratios row1/row0.  The LLR for
+    bit 0 versus 1 is log(sum of ratios over the first half / sum over the
+    second half), saturated at +-``DEFAULT_LLR_MAX``, with each half-sum
+    formed from the half's histogram (:func:`_llrs_from_counts`).  An
+    infinite ratio saturates its half, both halves infinite give 0, and both
+    halves of zero likelihood or histograms over another alphabet than
+    ``lam``'s raise ``ValueError``.
     """
-    symbols = np.atleast_2d(np.asarray(symbols))
-    n, width = symbols.shape
-    if width < 2 or (width & (width - 1)) != 0:
-        raise ValueError("row length must be a power of two >= 2")
-    if not np.issubdtype(symbols.dtype, np.integer):
-        raise ValueError(f"output symbols must be integers, got dtype {symbols.dtype}")
-    if symbols.size and (symbols.min() < 0 or symbols.max() >= lam.shape[0]):
-        raise ValueError("output symbol outside the alphabet")
-    halves = symbols.reshape(n, 2, width // 2)
-    rest = [np.count_nonzero(halves == a, axis=2) for a in range(1, lam.shape[0])]
-    counts = np.stack([width // 2 - sum(rest)] + rest, axis=2)  # (n, 2, |Z|)
-    return _llrs_from_counts(counts[:, 0], counts[:, 1], lam)
+    if halves.ndim != 3 or halves.shape[1:] != (2, lam.shape[0]):
+        raise ValueError(f"half histograms must have shape (n, 2, {lam.shape[0]}), "
+                         f"got {halves.shape}")
+    return _llrs_from_counts(halves[:, 0], halves[:, 1], lam)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln, xlog1py
@@ -76,26 +77,83 @@ class PpmFrame:
         return int(self.positions.shape[0])
 
 
+def _one_hot(symbols: np.ndarray, size: int) -> np.ndarray:
+    """Counts of symbols 1..size-1 in one-symbol blocks, on a new last axis;
+    for a binary alphabet the symbol is its own count of symbol 1 (a view)."""
+    if size == 2:
+        return symbols[..., None]
+    return (symbols[..., None] == np.arange(1, size)).view(np.uint8)
+
+
 @dataclass(frozen=True)
 class SuperOutput:
-    """Received super-symbols: an (ell, 2^q) integer array of output-alphabet
-    indices, kept in the dtype it comes in (``sample_outputs`` gives uint8 for
-    alphabets of up to 256 symbols, one byte per channel use)."""
+    """Received super-symbols and their histogram pyramid.
+
+    ``symbols`` is an (ell, 2^q) array of output-alphabet indices in
+    0..alphabet_size-1, kept in the integer dtype it comes in
+    (``sample_outputs`` gives uint8 for alphabets of up to 256 symbols, one
+    byte per channel use).
+
+    Every statistic of the receivers reads the symbols through ``pyramid``,
+    built once on first use: level j holds each row's histogram over symbols
+    1..|Z|-1 of every aligned width-2^j block, an (ell, 2^(q-j), |Z|-1) array
+    in the smallest unsigned dtype that holds 2^j, and symbol 0's count is
+    the rest of the block.  Level j+1 adds the neighbouring blocks of level j
+    in pairs.  Level 0 is the symbol array itself, no copy: its one-symbol
+    blocks read as one-hot histograms, and a binary symbol is its own count
+    of symbol 1.  Levels 1..q take about (|Z|-1) bytes per channel use, at
+    most twice that.  :meth:`block_histograms` gathers whole histograms from
+    one level.
+    """
 
     q: int
     symbols: np.ndarray
+    alphabet_size: int
 
     def __post_init__(self):
         sym = np.asarray(self.symbols)
         if not np.issubdtype(sym.dtype, np.integer):
             raise ValueError(f"symbols must be integers, got dtype {sym.dtype}")
+        if self.q < 1:
+            raise ValueError("q must be >= 1")
         if sym.ndim != 2 or sym.shape[1] != (1 << self.q):
             raise ValueError(f"symbols must have shape (ell, {1 << self.q})")
+        if self.alphabet_size < 2:
+            raise ValueError("the output alphabet needs at least 2 symbols")
+        if sym.size and (sym.min() < 0 or sym.max() >= self.alphabet_size):
+            raise ValueError("output symbol outside the alphabet")
         object.__setattr__(self, "symbols", sym)
 
     @property
     def ell(self) -> int:
         return int(self.symbols.shape[0])
+
+    @cached_property
+    def pyramid(self) -> tuple[np.ndarray, ...]:
+        pairs = self.symbols.reshape(self.ell, 1 << (self.q - 1), 2)
+        level = np.add(_one_hot(pairs[:, :, 0], self.alphabet_size),
+                       _one_hot(pairs[:, :, 1], self.alphabet_size),
+                       dtype=np.uint8, casting="unsafe")
+        levels = [self.symbols, level]
+        for j in range(2, self.q + 1):
+            pairs = level.reshape(self.ell, 1 << (self.q - j), 2, level.shape[2])
+            level = np.add(pairs[:, :, 0], pairs[:, :, 1],
+                           dtype=np.min_scalar_type(1 << j))
+            levels.append(level)
+        return tuple(levels)
+
+    def block_histograms(self, j: int, blocks: np.ndarray) -> np.ndarray:
+        """Output histograms of chosen aligned width-2^j blocks of each row.
+
+        ``blocks`` is an (ell, k) array whose row r holds block indices in
+        0..2^(q-j)-1 of super-symbol r.  Returns the (ell, k, |Z|) counts of
+        those blocks, symbol 0 first: one gather from pyramid level j.
+        """
+        picked = self.pyramid[j][np.arange(self.ell)[:, None], blocks]
+        if j == 0:
+            picked = _one_hot(picked, self.alphabet_size)
+        rest = (1 << j) - picked.sum(axis=2, keepdims=True)
+        return np.concatenate([rest, picked], axis=2)
 
 
 def decimal_values(bits) -> np.ndarray:
@@ -119,7 +177,8 @@ def transmit_super(dmc: Dmc, frame: PpmFrame, rng: np.random.Generator) -> Super
     super-symbol is drawn from row1, all other coordinates from row0."""
     pulses = (np.arange(frame.ell), frame.positions - 1)
     return SuperOutput(q=frame.q,
-                       symbols=sample_outputs(dmc, pulses, (frame.ell, frame.m), rng))
+                       symbols=sample_outputs(dmc, pulses, (frame.ell, frame.m), rng),
+                       alphabet_size=dmc.alphabet_size)
 
 
 def _histograms(m: int, s: int) -> list[np.ndarray]:

@@ -25,6 +25,12 @@ that tests build at chosen rates.
 in sorted order, and
 ``level_llr_sampler_reference`` draws all 2^i outputs of a level subblock:
 the histogram-based ``level_llrs`` and level sampler must agree with them.
+``select_positions_batch_symbols`` (slicing the symbol subblock),
+``level_llrs_symbols`` (counting each half's symbols) and
+``mixture_statistic_reference`` (a gather and a row mean of the ratios) are
+the symbol paths that the histogram pyramid of ``SuperOutput`` replaced;
+``pyramid_level_llrs`` runs rows of subblock symbols through the library's
+pyramid path, for the tests that hold symbols.
 ``binary_divergence_reference`` (the ones-count loop) and
 ``type_class_divergence_reference`` (one histogram at a time) are the loops
 that the vectorised histogram sum of ``ppm_output_divergence`` must match,
@@ -55,8 +61,16 @@ from scipy.stats import multinomial
 from covertppm.adversary import DetectionReport
 from covertppm.channels import ROW_SUM_TOL, ChannelError, Dmc
 from covertppm.extractor import is_irreducible
-from covertppm.levels import DEFAULT_LLR_MAX, PLAN_HEADER, LevelRates, RatePlan
-from covertppm.ppm import frame_from_bits
+from covertppm.levels import (
+    DEFAULT_LLR_MAX,
+    PLAN_HEADER,
+    LevelRates,
+    RatePlan,
+    _llrs_from_counts,
+    level_llrs,
+    select_positions_batch,
+)
+from covertppm.ppm import SuperOutput, decimal_values, frame_from_bits
 
 LN2 = math.log(2.0)
 
@@ -629,6 +643,52 @@ def level_llrs_reference(lams) -> np.ndarray:
     with np.errstate(divide="ignore"):
         out[rest] = np.log(s0[rest] / s1[rest])
     return np.clip(out, -DEFAULT_LLR_MAX, DEFAULT_LLR_MAX)
+
+
+def select_positions_batch_symbols(symbols, high_bits, i: int) -> np.ndarray:
+    """The (ell, 2^i) symbol subblocks selected by the higher bits.
+
+    Each row of the (ell, 2^q) symbols is read as (2^(q-i), 2^i) and the
+    slice at d(higher bits) taken: the symbol-slicing path that the pyramid
+    gather of ``select_positions_batch`` replaced.
+    """
+    symbols = np.asarray(symbols)
+    ell, m = symbols.shape
+    slot = decimal_values(np.asarray(high_bits).reshape(-1, ell))
+    return symbols.reshape(ell, m >> i, 1 << i)[np.arange(ell), slot]
+
+
+def level_llrs_symbols(symbols, lam) -> np.ndarray:
+    """Level LLRs of (n, 2^i) rows of subblock symbols, counting each half.
+
+    Symbols 1..|Z|-1 are counted with one comparison pass each and symbol 0
+    takes the rest of the half; the counts go through the library's
+    ``_llrs_from_counts``.  The path that the pyramid's half histograms
+    replaced.
+    """
+    symbols = np.atleast_2d(np.asarray(symbols))
+    n, width = symbols.shape
+    halves = symbols.reshape(n, 2, width // 2)
+    rest = [np.count_nonzero(halves == a, axis=2) for a in range(1, lam.shape[0])]
+    counts = np.stack([width // 2 - sum(rest)] + rest, axis=2)
+    return _llrs_from_counts(counts[:, 0], counts[:, 1], lam)
+
+
+def mixture_statistic_reference(lam, outputs) -> float:
+    """The warden's mixture statistic sum_r log((1/m) sum_j lam(z_rj)) by a
+    gather of every coordinate's ratio and a row mean."""
+    return float(np.sum(np.log(np.asarray(lam).take(outputs).mean(axis=1))))
+
+
+def pyramid_level_llrs(symbols, lam) -> np.ndarray:
+    """The library's level LLRs of (n, 2^i) rows of subblock symbols: each
+    row is a super-symbol of order 2^i whose top level (no higher bits) goes
+    through ``select_positions_batch`` and ``level_llrs``."""
+    sym = np.atleast_2d(np.asarray(symbols))
+    q = sym.shape[1].bit_length() - 1
+    out = SuperOutput(q=q, symbols=sym, alphabet_size=lam.shape[0])
+    no_bits = np.zeros((0, out.ell), dtype=np.uint8)
+    return level_llrs(select_positions_batch(out, no_bits, q), lam)
 
 
 def level_llr_sampler_reference(dmc: Dmc, i: int):

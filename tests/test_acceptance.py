@@ -37,10 +37,10 @@ from covertppm.extractor import (
     random_element,
     two_universal_check,
 )
-from covertppm.levels import level_capacity, level_llrs, msd_rate_plan
+from covertppm.levels import level_capacity, msd_rate_plan
 from covertppm.polar import construct_code, polar_transform, sc_decode
 
-from conftest import LN2, brute_conditional_mi, pin_rates
+from conftest import LN2, brute_conditional_mi, pin_rates, pyramid_level_llrs
 
 TABLE_II = [0.7421, 0.6387, 0.4918, 0.3214, 0.1749, 0.0853, 0.0413, 0.0203,
             0.0101, 0.0050, 0.0025, 0.0013, 0.0006, 0.0003, 0.0002, 0.0001]
@@ -158,14 +158,14 @@ def test_criterion_6_decoder_permutation_invariance():
                 pulse = half * x + rng.integers(0, half, size=ell)
                 rows = np.arange(ell)
                 sym[rows, pulse] = np.searchsorted(cdf1, draw[rows, pulse])
-                plain, _ = sc_decode(level_llrs(sym, lam), code)
+                plain, _ = sc_decode(pyramid_level_llrs(sym, lam), code)
                 perms = np.stack([
                     np.concatenate([rng.permutation(half),
                                     half + rng.permutation(half)])
                     for _ in range(ell)
                 ])
                 permuted = np.take_along_axis(sym, perms, axis=1)
-                twisted, _ = sc_decode(level_llrs(permuted, lam), code)
+                twisted, _ = sc_decode(pyramid_level_llrs(permuted, lam), code)
                 np.testing.assert_array_equal(plain, twisted)
                 checked += 1
     print(f"\nACCEPTANCE 6 PASS: {checked} permuted decodes identical, "

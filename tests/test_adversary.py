@@ -12,11 +12,13 @@ from conftest import (
     exact_tv,
     gf2_product_reference,
     gf2_rank_reference,
+    mixture_statistic_reference,
     pw_from_joint_codebook,
     pw_from_level_sources,
 )
 from covertppm.adversary import (
     LinearCode,
+    _mixture_statistic,
     OracleBudgetError,
     covertness_estimate,
     detect_linear_code,
@@ -30,10 +32,11 @@ from covertppm.adversary import (
     random_linear_code,
     srl_bound,
 )
-from covertppm.channels import bac, bsc, divergence_stats, make_dmc
+from covertppm.channels import bac, bsc, divergence_stats, make_dmc, sample_outputs
 from covertppm.codec import build_session
 from covertppm.extractor import ExtractorConfig, int_to_bits, inv, make_field
 from covertppm.levels import LevelRates, RatePlan
+from covertppm.ppm import SuperOutput, frame_from_bits, transmit_super
 
 
 class TestLinearCodes:
@@ -346,6 +349,29 @@ def tiny_single_codeword_session(rng):
 
 
 class TestCovertnessEstimate:
+    @pytest.mark.parametrize("willie", [bsc(0.1), make_dmc([0.5, 0.3, 0.2], [0.2, 0.8, 0.0])],
+                             ids=["bsc0.1", "ternary-zero-ratio"])
+    def test_mixture_sign_equals_gather_oracle(self, willie, rng):
+        # 2000 blocks near the decision boundary (q=6, ell=4), half sent
+        # through the pulse path and half innocent: the root-histogram
+        # statistic takes the sign of the gather/mean statistic every time
+        q, ell = 6, 4
+        signs = []
+        for b in range(2000):
+            if b % 2:
+                bits = rng.integers(0, 2, size=(q, ell), dtype=np.uint8)
+                out = transmit_super(willie, frame_from_bits(bits), rng)
+            else:
+                out = SuperOutput(q=q, symbols=sample_outputs(willie, 0, (ell, 1 << q), rng),
+                                  alphabet_size=willie.alphabet_size)
+            got = _mixture_statistic(willie, out)
+            with np.errstate(divide="ignore"):
+                want = mixture_statistic_reference(willie.lam, out.symbols)
+            assert (got > 0.0) == (want > 0.0)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+            signs.append(want > 0.0)
+        assert 0 < sum(signs) < len(signs)
+
     def test_tiny_instance_matches_exact_tv(self, rng):
         # exact level-statistic TV for the single-codeword instance is the
         # full TV = 0.4 (the statistic loses nothing here: the collapsed

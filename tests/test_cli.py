@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 from covertppm import codec
-from covertppm.cli import load_channel_file, main, parse_channel
+from covertppm.channels import bsc
+from covertppm.cli import CliError, _check_block_draw, load_channel_file, main, parse_channel
+from covertppm.levels import msd_rate_plan
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -76,6 +79,16 @@ class TestTables:
         assert len(rows) == 6
         assert all(0.0 < float(r[2]) <= 1.0 for r in rows)
 
+    def test_off_support_bob_bound_is_vacuous(self, tmp_path):
+        # P1 has mass outside P0's support: chi2 is infinite and the bound
+        # column reads inf, not the nan of inf - inf
+        out = tmp_path / "t.csv"
+        assert run_cli("tables", "--bob", "bac:0,0.3", "--willie", "bac:0.2,0",
+                       "--levels", "4", "--out", str(out)) == 0
+        rows = [ln for ln in out.read_text().splitlines() if ln[:1].isdigit()]
+        assert len(rows) == 4
+        assert all(r.endswith(",inf") for r in rows)
+
     @pytest.mark.parametrize("rows", ["1 0\n1 0\n", "0.9 0.1 0\n0.1 0.4 0.5\n"])
     def test_zero_mass_symbols_give_finite_values(self, tmp_path, rows):
         # a symbol P0 never emits: the first channel printed nan, the
@@ -108,8 +121,8 @@ class TestTables:
         for bits_row, nats_row in zip(tables["bits"], tables["nats"]):
             assert nats_row[0] == bits_row[0]
             for b, n in zip(bits_row[1:], nats_row[1:]):
-                if math.isnan(b):  # the bound of a Bob off P0's support
-                    assert math.isnan(n)
+                if math.isinf(b):  # the vacuous bound of a Bob off P0's support
+                    assert n == b
                 else:
                     assert abs(n - b * ln2) <= 0.5e-4 * (1.0 + ln2) + 1e-12
 
@@ -207,6 +220,38 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "infinite" in err
         assert not out.exists()
+
+
+class TestBlockDrawLimit:
+    @pytest.mark.parametrize("command", [
+        ("simulate", "--blocks", "1", "--trials", "50"),
+        ("covertness", "--construction-trials", "50", "--trials", "1"),
+    ], ids=["simulate", "covertness"])
+    def test_oversized_geometry_fails_before_session_build(
+            self, tmp_path, capsys, monkeypatch, command):
+        # 4096 super-symbols of order 2^16 draw 2^28 channel uses per block,
+        # about 3 GiB of uniforms, symbols and pyramid
+        def build_session(*args, **kwargs):
+            raise AssertionError("session built for an oversized geometry")
+
+        monkeypatch.setattr(codec, "build_session", build_session)
+        out = tmp_path / "o.json"
+        assert run_cli(command[0], "--bob", "bsc:0.05", "--willie", "bsc:0.1",
+                       "--levels", "16", "--ell", "4096", "--delta", "1.0",
+                       "--degraded", *command[1:], "--seed", "1",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "GiB limit" in err
+        assert not out.exists()
+
+    def test_limit_admits_the_largest_fitting_blocklength(self):
+        # ell * 2^q * 11 bytes for a binary pair: q = 10 fits ell = 2^16
+        # (704 MiB) and refuses ell = 2^17
+        bob, willie = bsc(0.05), bsc(0.1)
+        plan = msd_rate_plan(bob, willie, 10, 1.0, degraded=True, ell_override=1 << 16)
+        _check_block_draw(plan, bob, willie)
+        with pytest.raises(CliError, match="GiB limit"):
+            _check_block_draw(dataclasses.replace(plan, ell=1 << 17), bob, willie)
 
 
 class TestDetect:

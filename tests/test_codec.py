@@ -125,8 +125,7 @@ class TestMsdEquivalence:
         bits = rng.integers(0, 2, size=(q, ell), dtype=np.uint8)
         frame = frame_from_bits(bits)
         received = transmit_super(ch, frame, rng)
-        sub = select_positions_batch(received.symbols, bits[i:q], i)
-        got = level_llrs(sub, lam)
+        got = level_llrs(select_positions_batch(received, bits[i:q], i), lam)
         for j in range(ell):
             high = bits[i:q, j]
             members0, members1 = [], []
@@ -154,10 +153,8 @@ class TestFaultInjection:
         frame, tx = encode_block(sess, msgs, keys, rng)
         received = transmit_block(sess, frame, rng)
         lam = ch.row1 / ch.row0
-        good = select_positions_batch(received.symbols,
-                                      tx.level_bits[1:2], 1)
-        corrupt = select_positions_batch(received.symbols,
-                                         tx.level_bits[1:2] ^ 1, 1)
+        good = select_positions_batch(received, tx.level_bits[1:2], 1)
+        corrupt = select_positions_batch(received, tx.level_bits[1:2] ^ 1, 1)
         assert not np.array_equal(good, corrupt)
         llr_good = level_llrs(good, lam)
         llr_bad = level_llrs(corrupt, lam)
@@ -193,24 +190,39 @@ class TestChaining:
         assert report.key_bits_first_block == sess.total_key_bits()
         assert len(report.blocks) == 1
 
-    def test_key_throughput_scales_inverse_sqrt_blocks(self, rng):
+    def test_key_throughput_scales_inverse_blocks(self, rng):
+        # keys are paid once while n and the budget of the B blocks run both
+        # grow like B: the normaliser sqrt(n * delta_B) grows like B
         sess = keyed_noiseless_session(rng)
         base = run_chain(sess, 1, rng).key_throughput
         for B in (2, 4, 8):
             kt = run_chain(sess, B, rng).key_throughput
-            assert kt * math.sqrt(B) == pytest.approx(base, rel=0.02)
+            assert kt * B == pytest.approx(base, rel=1e-12)
 
     def test_throughputs_normalised_by_stated_budget(self, rng):
         # a 100-symbol override rounds down to 64-symbol blocks, whose
-        # budget is not the plan's delta: the report divides by
-        # sqrt(n * delta_effective), the budget the session states
+        # budget is not the plan's delta: a chain of the plan's B blocks
+        # divides by sqrt(n * delta_effective), the budget the session states
         sess = keyed_noiseless_session(rng, ell=100)
         assert sess.ell == 64
         assert sess.delta_effective != pytest.approx(sess.plan.delta)
-        B = 2
+        B = sess.plan.B
         report = run_chain(sess, B, rng)
         norm = math.sqrt(B * sess.plan.m * sess.ell * sess.delta_effective)
         assert report.key_bits_amortized > 0
+        assert report.covert_throughput == report.message_bits / norm
+        assert report.key_throughput == (
+            report.key_bits_amortized + report.extractor_r_bits) / norm
+
+    @pytest.mark.parametrize("B", [2, 5])
+    def test_throughputs_normalised_by_budget_of_blocks_run(self, rng, B):
+        # B differs from the plan's block count: the budget is that of the B
+        # blocks run, B * ell * chi2 / (2m), not delta_effective
+        sess = keyed_noiseless_session(rng, ell=100)
+        assert sess.plan.B != B
+        report = run_chain(sess, B, rng)
+        chi2, m = sess.willie.stats.chi2, sess.plan.m
+        norm = math.sqrt(B * m * sess.ell * B * sess.ell * chi2 / (2 * m))
         assert report.covert_throughput == pytest.approx(
             report.message_bits / norm, rel=1e-12)
         assert report.key_throughput == pytest.approx(

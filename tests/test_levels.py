@@ -23,6 +23,7 @@ from covertppm.levels import (
     select_positions_batch,
     throughput_summary,
 )
+from covertppm.ppm import SuperOutput, frame_from_bits, transmit_super
 
 from conftest import (
     LN2,
@@ -32,9 +33,12 @@ from conftest import (
     index_set,
     level_channel_rows,
     level_llrs_reference,
+    level_llrs_symbols,
     ones_count_mi,
     plan_from_text,
+    pyramid_level_llrs,
     select_positions,
+    select_positions_batch_symbols,
 )
 
 TABLE_BSC01 = [0.7421, 0.6387, 0.4918, 0.3214, 0.1749, 0.0853, 0.0413, 0.0203,
@@ -255,11 +259,25 @@ class TestThroughputSummary:
 
 
 def _select_one(block, high_bits) -> np.ndarray:
-    """select_positions_batch on a single super-symbol."""
+    """The coordinates of one super-symbol that select_positions_batch picks.
+
+    ``block`` holds distinct symbols, so each half's histogram names the
+    coordinates in it: the halves' symbols in ascending order, first half
+    first (the block's symbols ascend with the coordinate).
+    """
     block = np.asarray(block)
     high = np.asarray(high_bits, dtype=np.uint8).reshape(-1, 1)
     q = block.shape[0].bit_length() - 1
-    return select_positions_batch(block[None, :], high, q - high.shape[0])[0]
+    out = SuperOutput(q=q, symbols=block[None, :], alphabet_size=int(block.max()) + 1)
+    halves = select_positions_batch(out, high, q - high.shape[0])[0]
+    return np.concatenate([np.flatnonzero(h) for h in halves])
+
+
+def _histograms(symbols, size) -> np.ndarray:
+    """(n, 2, size) symbol counts of the two halves of each row."""
+    symbols = np.asarray(symbols)
+    halves = symbols.reshape(symbols.shape[0], 2, -1)
+    return (halves[..., None] == np.arange(size)).sum(axis=2)
 
 
 class TestSelectPositions:
@@ -287,10 +305,10 @@ class TestSelectPositions:
         q, i, ell = 4, 2, 10
         symbols = rng.integers(0, 3, size=(ell, 16))
         high = rng.integers(0, 2, size=(q - i, ell), dtype=np.uint8)
-        batch = select_positions_batch(symbols, high, i)
+        batch = select_positions_batch(SuperOutput(q, symbols, 3), high, i)
         for j in range(ell):
             np.testing.assert_array_equal(
-                batch[j], select_positions(symbols[j], high[:, j])
+                batch[j], _histograms([select_positions(symbols[j], high[:, j])], 3)[0]
             )
 
 
@@ -307,16 +325,60 @@ def _select_positions_batch_reference(symbols, high_bits, i):
 @settings(max_examples=60, deadline=None)
 @given(q=st.integers(1, 8), data=st.data())
 def test_select_positions_batch_bitwise_equals_gather(q, data):
+    # the pyramid's half histograms count the symbols of the gathered subblock
     i = data.draw(st.integers(1, q))
     ell = data.draw(st.integers(1, 9))
     dtype = data.draw(st.sampled_from([np.int64, np.int32, np.uint8]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     symbols = rng.integers(0, 5, size=(ell, 1 << q)).astype(dtype)
     high = rng.integers(0, 2, size=(q - i, ell), dtype=np.uint8)
-    got = select_positions_batch(symbols, high, i)
-    want = _select_positions_batch_reference(symbols, high, i)
-    assert got.dtype == want.dtype and got.shape == want.shape
+    got = select_positions_batch(SuperOutput(q, symbols, 5), high, i)
+    want = _histograms(_select_positions_batch_reference(symbols, high, i), 5)
+    assert got.shape == want.shape
     np.testing.assert_array_equal(got, want)
+
+
+def _outcome(compute):
+    """The LLRs, or the message of the ValueError that refuses them."""
+    try:
+        return compute()
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=st.integers(2, 6), q=st.integers(1, 10), data=st.data())
+def test_pyramid_llrs_bitwise_equal_symbol_oracles(size, q, data):
+    # channels with zero-mass symbols (zero and infinite ratios), every
+    # level, the true higher bits and wrong ones
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = rng.dirichlet(np.ones(size), size=2)
+    for row in rows:
+        row[rng.random(size) < 0.3] = 0.0
+        if not row.any():
+            row[rng.integers(size)] = 1.0
+    ch = make_dmc(rows[0] / rows[0].sum(), rows[1] / rows[1].sum())
+    ell = data.draw(st.integers(1, 12))
+    bits = rng.integers(0, 2, size=(q, ell), dtype=np.uint8)
+    out = transmit_super(ch, frame_from_bits(bits), rng)
+    for i in range(1, q + 1):
+        wrong = bits[i:] ^ rng.integers(0, 2, size=(q - i, ell), dtype=np.uint8)
+        for high in (bits[i:], wrong):
+            halves = select_positions_batch(out, high, i)
+            sub = select_positions_batch_symbols(out.symbols, high, i)
+            np.testing.assert_array_equal(halves, _histograms(sub, size))
+            got = _outcome(lambda: level_llrs(halves, ch.lam))
+            want = _outcome(lambda: level_llrs_symbols(sub, ch.lam))
+            if isinstance(want, str):
+                assert got == want
+            else:
+                np.testing.assert_array_equal(got, want)
+
+
+def test_level_llrs_reject_histograms_over_another_alphabet():
+    halves = np.array([[[1, 0, 0], [0, 1, 0]]])
+    with pytest.raises(ValueError, match=r"\(n, 2, 2\)"):
+        level_llrs(halves, bsc(0.1).lam)
 
 
 #: likelihood-ratio rows over 2-5 symbols, with zero and infinite entries
@@ -350,9 +412,9 @@ def test_level_llrs_matches_sorted_sum_reference(lam_idx, log_width, data):
             want = level_llrs_reference(lam[symbols])
     except ValueError:
         with pytest.raises(ValueError, match="zero likelihood"):
-            level_llrs(symbols, lam)
+            pyramid_level_llrs(symbols, lam)
         return
-    got = level_llrs(symbols, lam)
+    got = pyramid_level_llrs(symbols, lam)
     # bitwise where both paths are exact: saturation, halves with equal
     # histograms (ties) and halves both infinite.  A zero LLR reached through
     # unequal histograms of equal mathematical sum rounds differently in the
@@ -376,7 +438,7 @@ def test_level_llrs_clip_finite_llrs_at_default_llr_max():
     halves = ch.lam[symbols].reshape(4, 2, 2).sum(axis=2)
     unclipped = np.log(halves[:, 0] / halves[:, 1])
     assert np.all(np.isfinite(unclipped)) and unclipped[0] > DEFAULT_LLR_MAX
-    got = level_llrs(symbols, ch.lam)
+    got = pyramid_level_llrs(symbols, ch.lam)
     np.testing.assert_array_equal(got[:2], [DEFAULT_LLR_MAX, -DEFAULT_LLR_MAX])
     np.testing.assert_array_equal(got[2:], unclipped[2:])
     np.testing.assert_array_equal(got, level_llrs_reference(ch.lam[symbols]))
@@ -405,40 +467,41 @@ def test_level_llrs_bitwise_equal_to_full_histogram_in_any_integer_dtype(
     for dtype in (np.uint8, np.int8, np.uint16, np.int64):
         if want is None:
             with pytest.raises(ValueError, match="zero likelihood"):
-                level_llrs(symbols.astype(dtype), lam)
+                pyramid_level_llrs(symbols.astype(dtype), lam)
         else:
             with np.errstate(over="ignore"):
-                got = level_llrs(symbols.astype(dtype), lam)
+                got = pyramid_level_llrs(symbols.astype(dtype), lam)
             np.testing.assert_array_equal(got, want)
 
 
 class TestLevelLlr:
     def test_symmetric_evidence_zero(self):
-        assert level_llrs([0, 0, 0, 0], np.array([2.0, 0.5]))[0] == 0.0
+        assert pyramid_level_llrs([0, 0, 0, 0], np.array([2.0, 0.5]))[0] == 0.0
 
     def test_level_one_bsc(self):
         lam = bsc(0.1).lam
-        assert level_llrs([1, 0], lam)[0] == pytest.approx(math.log(81.0))
+        assert pyramid_level_llrs([1, 0], lam)[0] == pytest.approx(math.log(81.0))
 
     def test_swap_negates(self, rng):
         lam = rng.random(3) + 0.05
         sym = rng.integers(0, 3, size=8)
         swapped = np.concatenate([sym[4:], sym[:4]])
-        assert level_llrs(swapped, lam)[0] == pytest.approx(-level_llrs(sym, lam)[0])
+        assert pyramid_level_llrs(swapped, lam)[0] == pytest.approx(
+            -pyramid_level_llrs(sym, lam)[0])
 
     def test_saturation(self):
         lam = np.array([np.inf, 1.0, 0.0])
-        assert level_llrs([0, 1, 1, 1], lam)[0] == 40.0
-        assert level_llrs([2, 2, 1, 1], lam)[0] == -40.0
-        assert level_llrs([0, 1, 0, 1], lam)[0] == 0.0
+        assert pyramid_level_llrs([0, 1, 1, 1], lam)[0] == 40.0
+        assert pyramid_level_llrs([2, 2, 1, 1], lam)[0] == -40.0
+        assert pyramid_level_llrs([0, 1, 0, 1], lam)[0] == 0.0
 
     def test_both_halves_zero_rejected(self):
         with pytest.raises(ValueError):
-            level_llrs([1, 1, 1, 1], np.array([2.0, 0.0]))
+            pyramid_level_llrs([1, 1, 1, 1], np.array([2.0, 0.0]))
 
     def test_symbol_outside_alphabet_rejected(self):
         with pytest.raises(ValueError, match="alphabet"):
-            level_llrs([0, 2, 1, 1], np.array([2.0, 0.5]))
+            pyramid_level_llrs([0, 2, 1, 1], np.array([2.0, 0.5]))
 
     @pytest.mark.parametrize("dtype, bad", [(np.int64, -1), (np.int64, 2),
                                             (np.uint8, 2), (np.uint8, 255)])
@@ -446,19 +509,19 @@ class TestLevelLlr:
         # 255 is -1 stored in uint8; the range check sees both ends
         sym = np.array([[0, 1, 1, 0], [0, bad, 1, 1]]).astype(dtype)
         with pytest.raises(ValueError, match="alphabet"):
-            level_llrs(sym, np.array([2.0, 0.5]))
+            pyramid_level_llrs(sym, np.array([2.0, 0.5]))
 
     def test_non_integer_symbols_rejected(self):
         with pytest.raises(ValueError, match="integers"):
-            level_llrs(np.array([0.0, 1.0, 1.0, 0.5]), np.array([2.0, 0.5]))
+            pyramid_level_llrs(np.array([0.0, 1.0, 1.0, 0.5]), np.array([2.0, 0.5]))
 
     def test_within_half_permutation_is_bitwise_invariant(self, rng):
         lam = rng.random(4) + 0.01
         sym = rng.integers(0, 4, size=(50, 8))
-        base = level_llrs(sym, lam)
+        base = pyramid_level_llrs(sym, lam)
         for _ in range(20):
             perm = np.concatenate([rng.permutation(4), 4 + rng.permutation(4)])
-            again = level_llrs(sym[:, perm], lam)
+            again = pyramid_level_llrs(sym[:, perm], lam)
             np.testing.assert_array_equal(base, again)
 
 

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import genie_decision_llrs_reference, sc_decode_reference
+from conftest import genie_decision_llrs_reference, pyramid_level_llrs, sc_decode_reference
 from covertppm import polar
 from covertppm.channels import bsc
 from covertppm.codec import build_session, encode_block, make_level_llr_sampler
-from covertppm.levels import DEFAULT_LLR_MAX, level_capacity, level_llrs, msd_rate_plan
+from covertppm.levels import DEFAULT_LLR_MAX, level_capacity, msd_rate_plan
 from covertppm.polar import PolarLevelCode, construct_code, polar_transform, sc_decode
 
 
@@ -322,7 +322,7 @@ class TestConstruction:
             rows = np.arange(ell)
             pulse = x.astype(np.int64)
             sym[rows, pulse] = np.searchsorted(cdf1, draw[rows, pulse])
-            u_hat, _ = sc_decode(level_llrs(sym, lam), code)
+            u_hat, _ = sc_decode(pyramid_level_llrs(sym, lam), code)
             errors += int(np.any(u_hat[code.message] != bits))
         assert errors / blocks < 1e-2
 
@@ -401,7 +401,8 @@ class TestResolvability:
             pulse = 2 * xmat + rng.integers(0, 2, size=(n, ell))
             nn, ee = np.meshgrid(np.arange(n), np.arange(ell), indexing="ij")
             sym[nn, ee, pulse] = np.searchsorted(cdf1, draw[nn, ee, pulse])
-            return level_llrs(sym.reshape(-1, 4), lam).reshape(n, ell).sum(axis=1)
+            llrs = pyramid_level_llrs(sym.reshape(-1, 4), lam)
+            return llrs.reshape(n, ell).sum(axis=1)
 
         tvs = []
         for ell in (8, 16, 64):

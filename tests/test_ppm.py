@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covertppm.channels import LN2, bsc, bac, divergence_stats, make_dmc
-from covertppm.levels import level_llrs
 from covertppm.ppm import (
     DEFAULT_TYPE_BUDGET,
     EnumerationBudgetError,
@@ -26,6 +25,7 @@ from conftest import (
     brute_ppm_divergence,
     decimal_map,
     index_set,
+    pyramid_level_llrs,
     type_class_divergence_reference,
 )
 
@@ -159,14 +159,54 @@ class TestTransmitSuper:
 
     def test_super_output_keeps_integer_dtype_and_rejects_others(self):
         sym = np.zeros((3, 4), dtype=np.uint8)
-        assert SuperOutput(q=2, symbols=sym).symbols.dtype == np.uint8
-        assert SuperOutput(q=2, symbols=sym.astype(np.int64)).symbols.dtype == np.int64
+        assert SuperOutput(q=2, symbols=sym, alphabet_size=2).symbols.dtype == np.uint8
+        assert SuperOutput(q=2, symbols=sym.astype(np.int64),
+                           alphabet_size=2).symbols.dtype == np.int64
         with pytest.raises(ValueError, match="integers"):
-            SuperOutput(q=2, symbols=np.zeros((3, 4)))
+            SuperOutput(q=2, symbols=np.zeros((3, 4)), alphabet_size=2)
+        with pytest.raises(ValueError, match="alphabet"):
+            SuperOutput(q=2, symbols=sym + 2, alphabet_size=2)
 
     def test_position_bounds_checked(self):
         with pytest.raises(ValueError):
             PpmFrame(q=2, positions=np.array([5]))
+
+
+class TestHistogramPyramid:
+    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize("q", [9, 10, 12])
+    def test_root_counts_of_nonzero_rows_are_exact(self, size, q, rng):
+        # 2^q counts of symbols other than 0 overflow uint8 from q = 8 on
+        symbols = rng.integers(1, size, size=(3, 1 << q)).astype(np.uint8)
+        out = SuperOutput(q=q, symbols=symbols, alphabet_size=size)
+        root = out.block_histograms(q, np.zeros((3, 1), dtype=np.int64))[:, 0]
+        assert np.all(root[:, 0] == 0) and np.all(root.sum(axis=1) == 1 << q)
+        want = np.stack([np.bincount(r, minlength=size) for r in symbols])
+        np.testing.assert_array_equal(root, want)
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
+    def test_pyramid_takes_at_most_two_bytes_per_use_and_symbol(self, size, rng):
+        for q in range(1, 17):
+            symbols = rng.integers(0, size, size=(2, 1 << q)).astype(np.uint8)
+            out = SuperOutput(q=q, symbols=symbols, alphabet_size=size)
+            pyramid = out.pyramid
+            assert pyramid[0] is out.symbols and len(pyramid) == q + 1
+            for j in range(1, q + 1):
+                assert pyramid[j].shape == (2, 1 << (q - j), size - 1)
+                assert pyramid[j].dtype == np.min_scalar_type(1 << j)
+            total = sum(level.nbytes for level in pyramid[1:])
+            assert total <= (size - 1) * 2 * symbols.nbytes
+
+    def test_block_histograms_count_every_block(self, rng):
+        q, size = 5, 3
+        symbols = rng.integers(0, size, size=(4, 1 << q))
+        out = SuperOutput(q=q, symbols=symbols, alphabet_size=size)
+        for j in range(q + 1):
+            blocks = np.tile(np.arange(1 << (q - j)), (4, 1))
+            got = out.block_histograms(j, blocks)
+            cut = symbols.reshape(4, 1 << (q - j), 1 << j)
+            want = (cut[..., None] == np.arange(size)).sum(axis=2)
+            np.testing.assert_array_equal(got, want)
 
 
 class TestFrameFromBits:
@@ -331,4 +371,4 @@ class TestLikelihoodRatios:
     def test_out_of_alphabet(self):
         # the receiver refuses output symbols outside the channel's alphabet
         with pytest.raises(ValueError, match="alphabet"):
-            level_llrs([[2, 0]], bsc(0.1).lam)
+            pyramid_level_llrs([[2, 0]], bsc(0.1).lam)
