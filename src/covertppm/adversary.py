@@ -32,7 +32,7 @@ import numpy as np
 
 from . import codec
 from .channels import Dmc, sample_outputs
-from .levels import _likelihood_sums, level_llrs, select_positions_batch
+from .levels import level_llrs, likelihood_sums, select_positions_batch
 from .ppm import (
     SuperOutput,
     frame_from_bits,
@@ -429,22 +429,11 @@ class CovertnessEstimate:
     bins: int
 
 
-def _level_statistics(
-    willie: Dmc,
-    output: SuperOutput,
-    level_bits: np.ndarray,
-    i: int,
-) -> np.ndarray:
-    """Per-super-symbol level-i LLR statistic given the true higher bits."""
-    q = level_bits.shape[0]
-    return level_llrs(select_positions_batch(output, level_bits[i:q], i), willie.lam)
-
-
 def _mixture_statistic(willie: Dmc, output: SuperOutput) -> float:
     """sum over super-symbols of log((1/m) sum_j lam(z_j)), each row's
     likelihood sum read from its root histogram."""
     root = output.block_histograms(output.q, np.zeros((output.ell, 1), dtype=np.int64))
-    return float(np.sum(np.log(_likelihood_sums(root[:, 0], willie.lam) / (1 << output.q))))
+    return float(np.sum(np.log(likelihood_sums(root[:, 0], willie.lam) / (1 << output.q))))
 
 
 def covertness_estimate(
@@ -489,18 +478,16 @@ def covertness_estimate(
         frame, tx = codec.encode_block(session, messages, keys, rng)
         willie_out = codec.transmit_block(session, frame, rng, to_willie=True)
         for i in range(1, q + 1):
-            scheme_stats[i].append(
-                _level_statistics(willie, willie_out, tx.level_bits, i)
-            )
+            scheme_stats[i].append(level_llrs(
+                *select_positions_batch(willie_out, tx.level_bits[i:], i), willie.lam))
         scheme_lr[b] = _mixture_statistic(willie, willie_out)
 
         ref_bits = rng.integers(0, 2, size=(q, ell), dtype=np.uint8)
         ref_frame = frame_from_bits(ref_bits)
         ref_out = transmit_super(willie, ref_frame, rng)
         for i in range(1, q + 1):
-            ref_stats[i].append(
-                _level_statistics(willie, ref_out, ref_bits, i)
-            )
+            ref_stats[i].append(level_llrs(
+                *select_positions_batch(ref_out, ref_bits[i:], i), willie.lam))
 
         innocent = SuperOutput(q=q, symbols=sample_outputs(willie, 0, (ell, m), rng),
                                alphabet_size=willie.alphabet_size)

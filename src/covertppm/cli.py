@@ -28,28 +28,6 @@ class CliError(Exception):
     pass
 
 
-#: largest channel draw of one block that ``simulate`` and ``covertness``
-#: accept, bytes
-MAX_BLOCK_DRAW_BYTES = 1 << 30
-
-
-def _check_block_draw(plan: levels.RatePlan, bob: Dmc, willie: Dmc) -> None:
-    """Refuse a geometry whose per-block channel draw exceeds
-    ``MAX_BLOCK_DRAW_BYTES``: ell * 2^q float64 uniforms, the symbols and
-    their histogram pyramid (at most 2(|Z| - 1) times the symbols' bytes),
-    at the session's power-of-two blocklength."""
-    uses = (1 << (plan.ell.bit_length() - 1)) * plan.m
-    size = max(bob.alphabet_size, willie.alphabet_size)
-    symbol_bytes = np.min_scalar_type(size - 1).itemsize
-    need = uses * (8 + symbol_bytes * (1 + 2 * (size - 1)))
-    if need > MAX_BLOCK_DRAW_BYTES:
-        raise CliError(
-            f"a block of {uses} channel uses (ell={plan.ell}, q={plan.q}) draws "
-            f"about {need / 2**30:.1f} GiB, above the "
-            f"{MAX_BLOCK_DRAW_BYTES / 2**30:g} GiB limit"
-        )
-
-
 def parse_channel(spec: str) -> Dmc:
     if spec.startswith("bsc:"):
         return bsc(float(spec[4:]))
@@ -181,7 +159,6 @@ def cmd_simulate(args) -> int:
         bob, willie, args.levels, args.delta, args.blocks, args.epsilon,
         degraded=args.degraded, ell_override=args.ell,
     )
-    _check_block_draw(plan, bob, willie)
     session = codec.build_session(
         plan, bob, willie, rng,
         resolvability=args.resolvability,
@@ -255,6 +232,8 @@ def cmd_covertness(args) -> int:
         }
         _write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return 0
+    if args.bob is None:
+        raise CliError("covertness estimate needs --bob (only --exact runs without it)")
     if args.trials < 1:
         # before the session build, which takes seconds at real geometries
         raise CliError(f"covertness estimate needs at least 1 block, got {args.trials}")
@@ -263,7 +242,6 @@ def cmd_covertness(args) -> int:
         bob, willie, args.levels, args.delta, 1, args.epsilon,
         degraded=args.degraded, ell_override=args.ell,
     )
-    _check_block_draw(plan, bob, willie)
     session = codec.build_session(
         plan, bob, willie, rng, resolvability=args.resolvability,
         construction_trials=args.construction_trials,

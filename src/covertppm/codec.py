@@ -14,13 +14,10 @@ histogram of every aligned width-2^j block, built once by pairwise adds).
 For each reliability level it gathers the histograms of the two halves of
 the subblock indicated by the already recovered higher-level bits from one
 pyramid level, forms the level LLRs from them, and runs successive
-cancellation with the key positions pinned.  Code construction samples the
-same statistic: each level LLR comes from a pair of histograms drawn
-directly from their multinomial law, never from 2^i individual outputs.
-Resolvability levels are reconstructed from the shared extractor input when
-available; in the fully uniform mode the simulation reveals them to the
-receiver and flags the result, so reliability numbers are always scoped
-honestly.
+cancellation with the key positions pinned.  Resolvability levels are
+reconstructed from the shared extractor input when available; in the fully
+uniform mode the simulation reveals them to the receiver and flags the
+result, so reliability numbers are always scoped honestly.
 
 Chaining feeds the secret bits recovered from block j (the receiver uses its
 own decisions, so one failure taints the blocks after it) in as block j+1's
@@ -34,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import Dmc, sample_outputs
+from .channels import Dmc
 from .extractor import (
     ExtractorConfig,
     bits_to_int,
@@ -45,9 +42,9 @@ from .extractor import (
 )
 from .levels import (
     RatePlan,
-    _llrs_from_counts,
     level_capacity,
     level_llrs,
+    make_level_llr_sampler,
     select_positions_batch,
 )
 from .polar import PolarLevelCode, construct_code, polar_transform, sc_decode
@@ -82,6 +79,9 @@ class LevelLayout:
 #: per super-symbol
 _EXTRACTOR_MARGIN = 0.1
 
+#: largest channel draw of one block that ``build_session`` accepts, bytes
+MAX_BLOCK_DRAW_BYTES = 1 << 30
+
 
 def _floor_bits(ell: int, rate: float) -> int:
     return int(math.floor(ell * rate + 1e-9))
@@ -89,44 +89,6 @@ def _floor_bits(ell: int, rate: float) -> int:
 
 def _ceil_bits(ell: int, rate: float) -> int:
     return int(math.ceil(ell * rate - 1e-9))
-
-
-def _draw_half_histograms(dmc: Dmc, i: int, count: int, rng: np.random.Generator):
-    """``count`` pairs of level-i output-symbol histograms under level bit 0.
-
-    The first half holds the pulse, an output of row1, plus 2^(i-1) - 1
-    outputs of row0; the second half holds 2^(i-1) outputs of row0.  Returns
-    the two (count, |Z|) count arrays.
-    """
-    half = 1 << (i - 1)
-    c0 = rng.multinomial(half - 1, dmc.row0, size=count)
-    pulse = sample_outputs(dmc, 1, count, rng)
-    c0[np.arange(count), pulse] += 1
-    c1 = rng.multinomial(half, dmc.row0, size=count)
-    return c0, c1
-
-
-def make_level_llr_sampler(dmc: Dmc, i: int):
-    """Sampler of iid level-i LLRs under input bit 0 (lower levels uniform).
-
-    Conditioned on the decoded higher levels, the pulse falls uniformly in
-    the first half of the selected 2^i-coordinate subblock when the level bit
-    is 0.  The LLR depends on the subblock only through the output-symbol
-    histograms of its two halves, so the returned ``sampler(count, rng)``
-    draws those histograms from their exact law (two multinomials and one
-    pulse output per LLR, whatever i) and turns them into LLRs as the
-    receiver does, saturated at the same ``DEFAULT_LLR_MAX``.  Each LLR costs
-    O(|Z|), not 2^i draws.
-    """
-    if i < 1:
-        raise ValueError("level index must be >= 1")
-    lam = dmc.lam
-
-    def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
-        c0, c1 = _draw_half_histograms(dmc, i, count, rng)
-        return _llrs_from_counts(c0, c1, lam)
-
-    return sampler
 
 
 @dataclass(frozen=True)
@@ -182,10 +144,14 @@ def build_session(
 
     A planner blocklength that is not a power of two is rounded down for the
     polar blocks and the covertness budget is restated for the rounded
-    length (``delta_effective``).  The plan's rates are asymptotic operating
-    points; ``rate_scale`` backs the message and secret payloads off for
-    finite blocks (key counts stay at their ceiling: they are a covertness
-    requirement, not a reliability one).
+    length (``delta_effective``).  A geometry whose per-block channel draw
+    at that length exceeds ``MAX_BLOCK_DRAW_BYTES`` is refused before any
+    code is constructed: ell * 2^q float64 uniforms, the symbols and their
+    histogram pyramid (at most 2(|Z| - 1) times the symbols' bytes).  The
+    plan's rates are asymptotic operating points; ``rate_scale`` backs the
+    message and secret payloads off for finite blocks (key counts stay at
+    their ceiling: they are a covertness requirement, not a reliability
+    one).
     """
     if resolvability not in ("full_uniform", "extractor"):
         raise SessionError(f"unknown resolvability source {resolvability!r}")
@@ -196,6 +162,15 @@ def build_session(
             "no blocklength is covert"
         )
     ell = 1 << (plan.ell.bit_length() - 1)  # largest power of two <= plan.ell
+    uses = ell * plan.m
+    size = max(bob.alphabet_size, willie.alphabet_size)
+    need = uses * (8 + np.min_scalar_type(size - 1).itemsize * (1 + 2 * (size - 1)))
+    if need > MAX_BLOCK_DRAW_BYTES:
+        raise SessionError(
+            f"a block of {uses} channel uses (ell={plan.ell}, q={plan.q}) draws "
+            f"about {need / 2**30:.1f} GiB, above the "
+            f"{MAX_BLOCK_DRAW_BYTES / 2**30:g} GiB limit"
+        )
     delta_effective = ppm_divergence_bound(willie.stats.chi2, plan.m, plan.B * ell)
     plan = replace(plan, ell=ell)
 
@@ -256,10 +231,15 @@ class BlockResult:
         return any(self.block_errors.values())
 
 
-def _spread_tail_bits(session: Session, flat: np.ndarray) -> np.ndarray:
-    """(q-u)*ell flat vector -> (q-u, ell) level rows, symbol-major LSB-first."""
-    span = session.q - session.u
-    return flat.reshape(session.ell, span).T
+def _extractor_levels(session: Session, r: np.ndarray) -> np.ndarray:
+    """Levels u+1..q filled by the extractor's inverse of the k shared input
+    bits ``r``: its w = (q-u)*ell output bits as (q-u, ell) level rows,
+    symbol-major LSB-first."""
+    cfg = session.extractor_cfg
+    if len(r) != cfg.k:
+        raise SessionError(f"extractor input must be {cfg.k} bits")
+    x = inv(cfg, session.extractor_seed, 0, bits_to_int(r))
+    return int_to_bits(x, cfg.w).reshape(session.ell, session.q - session.u).T
 
 
 def encode_block(
@@ -308,10 +288,7 @@ def encode_block(
                 r_used = rng.integers(0, 2, size=cfg.k, dtype=np.uint8)
             else:
                 r_used = np.asarray(extractor_r, dtype=np.uint8)
-                if r_used.shape[0] != cfg.k:
-                    raise SessionError(f"extractor input must be {cfg.k} bits")
-            x = inv(cfg, session.extractor_seed, 0, bits_to_int(r_used))
-            bits[session.u:] = _spread_tail_bits(session, int_to_bits(x, cfg.w))
+            bits[session.u:] = _extractor_levels(session, r_used)
         else:
             bits[session.u:] = rng.integers(
                 0, 2, size=(q - session.u, ell), dtype=np.uint8
@@ -352,14 +329,12 @@ def decode_block(
     genie: list[int] = []
     if u < q:
         if session.resolvability == "extractor":
-            cfg = session.extractor_cfg
             r = extractor_r
             if r is None and tx is not None:
                 r = tx.extractor_r
             if r is None:
                 raise SessionError("extractor mode needs the shared input bits")
-            x = inv(cfg, session.extractor_seed, 0, bits_to_int(r))
-            x_hat[u:] = _spread_tail_bits(session, int_to_bits(x, cfg.w))
+            x_hat[u:] = _extractor_levels(session, r)
         else:
             if tx is None:
                 raise SessionError(
@@ -375,8 +350,8 @@ def decode_block(
     for i in range(u, 0, -1):
         lay = session.layouts[i]
         code = session.codes[i]
-        halves = select_positions_batch(received, x_hat[i:q], i)
-        llrs = level_llrs(halves, session.bob.lam)
+        llrs = level_llrs(*select_positions_batch(received, x_hat[i:q], i),
+                          session.bob.lam)
         key = np.asarray(keys.get(i, np.zeros(lay.n_key, dtype=np.uint8)),
                          dtype=np.uint8)
         if key.shape[0] != lay.n_key:
@@ -505,12 +480,9 @@ def run_chain(
         ))
         failed_before = failed_before or any_err
         if j < B and n_key > 0:
-            tx_flat = np.concatenate(
-                [tx.secrets[i] for i in range(1, session.u + 1)]
-            ) if session.u else np.array([], dtype=np.uint8)
+            tx_flat = np.concatenate([tx.secrets[i] for i in range(1, session.u + 1)])
             rx_flat = np.concatenate(
-                [result.decoded_secrets[i] for i in range(1, session.u + 1)]
-            ) if session.u else np.array([], dtype=np.uint8)
+                [result.decoded_secrets[i] for i in range(1, session.u + 1)])
             tx_keys = _split_keys(session, tx_flat[:n_key])
             rx_keys = _split_keys(session, rx_flat[:n_key])
 

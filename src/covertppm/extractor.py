@@ -89,25 +89,10 @@ def poly_gcd(a: int, b: int) -> int:
     return a
 
 
-_SPREAD = [0] * 256
-for _v in range(256):
-    _s = 0
-    for _t in range(8):
-        if (_v >> _t) & 1:
-            _s |= 1 << (2 * _t)
-    _SPREAD[_v] = _s
-del _v, _s, _t
-
-
 def _sqr_mod(a: int, f: int) -> int:
-    # squaring over GF(2) spreads the bits to even positions, byte at a time
-    s = 0
-    shift = 0
-    while a:
-        s |= _SPREAD[a & 0xFF] << shift
-        a >>= 8
-        shift += 16
-    return poly_mod(s, f)
+    # squaring over GF(2) spreads the bits to even positions: a 0 between
+    # every two binary digits
+    return poly_mod(int("0".join(format(a, "b")), 2), f)
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -11,7 +11,9 @@ is a half-sum of per-coordinate likelihood ratios, so
     and each half-sum is sum_a c_a * lam_a over that half's output-symbol
     histogram c: the two per-half histograms are a sufficient statistic for
     the level bit, and the receivers compute the LLR from them directly (no
-    per-coordinate ratios, no sort);
+    per-coordinate ratios, no sort).  Code construction samples the same
+    statistic: each level LLR comes from a pair of histograms drawn directly
+    from their multinomial law, never from 2^i individual outputs;
   * the level capacity has the closed form
         C_i = D(P_ppm^(2^(i-1)) || P0^(2^(i-1))) - D(P_ppm^(2^i) || P0^(2^i)),
     independent of the total number of levels q >= i, when P1 has no mass
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LN2, Dmc, DivergenceStats, is_degraded, make_dmc
+from .channels import LN2, Dmc, DivergenceStats, is_degraded, make_dmc, sample_outputs
 from .ppm import SuperOutput, decimal_values, ppm_output_divergence
 
 #: decoder LLR saturation, nats; only active off the support assumptions
@@ -325,18 +327,21 @@ def throughput_summary(
 
 
 # ---------------------------------------------------------------------------
-# equivalent-channel receiver primitives
+# the level channel: its statistic, its LLR and its sampler
 # ---------------------------------------------------------------------------
 
-def select_positions_batch(output: SuperOutput, high_bits: np.ndarray, i: int) -> np.ndarray:
+def select_positions_batch(
+    output: SuperOutput, high_bits: np.ndarray, i: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Output histograms of the two halves of each selected level-i subblock.
 
     ``high_bits`` is (q - i, ell) with row t being level i+1+t.  Each row's
     subblock is the 2^i coordinates whose level bits i+1..q match the higher
     bits: the aligned width-2^i block at index d(higher bits), whose first
     half belongs to level bit x_i = 0.  Its halves are the aligned
-    width-2^(i-1) blocks 2d and 2d+1, so the returned (ell, 2, |Z|) counts
-    are one gather from level i-1 of the output's histogram pyramid.
+    width-2^(i-1) blocks 2d and 2d+1, so the returned (ell, |Z|) counts of
+    the first and the second half are two views of one gather from level
+    i-1 of the output's histogram pyramid.
     """
     q, ell = output.q, output.ell
     if not 1 <= i <= q:
@@ -344,10 +349,11 @@ def select_positions_batch(output: SuperOutput, high_bits: np.ndarray, i: int) -
     if high_bits.shape != (q - i, ell):
         raise ValueError("high_bits must have shape (q - i, ell)")
     first = 2 * decimal_values(high_bits)
-    return output.block_histograms(i - 1, np.stack([first, first + 1], axis=1))
+    halves = output.block_histograms(i - 1, np.stack([first, first + 1], axis=1))
+    return halves[:, 0], halves[:, 1]
 
 
-def _likelihood_sums(counts: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def likelihood_sums(counts: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """sum_a c_a * lam_a for each (n, |Z|) histogram row, where a 0 * inf
     term counts as 0.  Symbol by symbol in a fixed order, so equal
     histograms give equal sums."""
@@ -360,16 +366,26 @@ def _likelihood_sums(counts: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return total
 
 
-def _llrs_from_counts(c0: np.ndarray, c1: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Level LLRs from (n, |Z|) output-symbol histograms of the two halves.
+def level_llrs(first: np.ndarray, second: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Level LLRs, natural log, from the (n, |Z|) output-symbol histograms of
+    the first and the second half of each subblock, as
+    :func:`select_positions_batch` returns them.
 
-    Each half-sum is :func:`_likelihood_sums`.  Both halves infinite give 0;
-    one half infinite, or the other half zero, gives +-``DEFAULT_LLR_MAX``,
-    as does any finite LLR beyond it; both halves zero is an error.  The LLR
+    ``lam`` holds the per-symbol likelihood ratios row1/row0.  The LLR for
+    bit 0 versus 1 is log(sum of ratios over the first half / sum over the
+    second half), each half-sum formed from the half's histogram
+    (:func:`likelihood_sums`).  Both halves infinite give 0; one half
+    infinite, or the other half zero, gives +-``DEFAULT_LLR_MAX``, as does
+    any finite LLR beyond it.  Both halves of zero likelihood, or histograms
+    over another alphabet than ``lam``'s, raise ``ValueError``.  The LLR
     depends on a row only through its two histograms, so it is bitwise
     invariant under permutations within each half.
     """
-    s0, s1 = _likelihood_sums(c0, lam), _likelihood_sums(c1, lam)
+    shape = (first.shape[0], lam.shape[0])
+    if first.shape != shape or second.shape != shape:
+        raise ValueError(f"half histograms must have shape (n, {lam.shape[0]}), "
+                         f"got {first.shape} and {second.shape}")
+    s0, s1 = likelihood_sums(first, lam), likelihood_sums(second, lam)
     if np.any((s0 == 0) & (s1 == 0)):
         raise ValueError("both halves have zero likelihood")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -378,22 +394,40 @@ def _llrs_from_counts(c0: np.ndarray, c1: np.ndarray, lam: np.ndarray) -> np.nda
     return np.clip(out, -DEFAULT_LLR_MAX, DEFAULT_LLR_MAX)
 
 
-def level_llrs(halves: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Level LLRs, natural log, from the (n, 2, |Z|) half histograms that
-    :func:`select_positions_batch` returns.
+def _draw_half_histograms(dmc: Dmc, i: int, count: int, rng: np.random.Generator):
+    """``count`` pairs of level-i output-symbol histograms under level bit 0.
 
-    ``lam`` holds the per-symbol likelihood ratios row1/row0.  The LLR for
-    bit 0 versus 1 is log(sum of ratios over the first half / sum over the
-    second half), saturated at +-``DEFAULT_LLR_MAX``, with each half-sum
-    formed from the half's histogram (:func:`_llrs_from_counts`).  An
-    infinite ratio saturates its half, both halves infinite give 0, and both
-    halves of zero likelihood or histograms over another alphabet than
-    ``lam``'s raise ``ValueError``.
+    The first half holds the pulse, an output of row1, plus 2^(i-1) - 1
+    outputs of row0; the second half holds 2^(i-1) outputs of row0.  Returns
+    the two (count, |Z|) count arrays.
     """
-    if halves.ndim != 3 or halves.shape[1:] != (2, lam.shape[0]):
-        raise ValueError(f"half histograms must have shape (n, 2, {lam.shape[0]}), "
-                         f"got {halves.shape}")
-    return _llrs_from_counts(halves[:, 0], halves[:, 1], lam)
+    half = 1 << (i - 1)
+    c0 = rng.multinomial(half - 1, dmc.row0, size=count)
+    pulse = sample_outputs(dmc, 1, count, rng)
+    c0[np.arange(count), pulse] += 1
+    c1 = rng.multinomial(half, dmc.row0, size=count)
+    return c0, c1
+
+
+def make_level_llr_sampler(dmc: Dmc, i: int):
+    """Sampler of iid level-i LLRs under input bit 0 (lower levels uniform).
+
+    Conditioned on the decoded higher levels, the pulse falls uniformly in
+    the first half of the selected 2^i-coordinate subblock when the level bit
+    is 0.  The LLR depends on the subblock only through the output-symbol
+    histograms of its two halves, so the returned ``sampler(count, rng)``
+    draws those histograms from their exact law (two multinomials and one
+    pulse output per LLR, whatever i) and turns them into LLRs with
+    :func:`level_llrs`, as the receiver does.  Each LLR costs O(|Z|), not
+    2^i draws.
+    """
+    if i < 1:
+        raise ValueError("level index must be >= 1")
+
+    def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
+        return level_llrs(*_draw_half_histograms(dmc, i, count, rng), dmc.lam)
+
+    return sampler
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,6 @@ from covertppm.levels import (
     PLAN_HEADER,
     LevelRates,
     RatePlan,
-    _llrs_from_counts,
     level_llrs,
     select_positions_batch,
 )
@@ -663,15 +662,14 @@ def level_llrs_symbols(symbols, lam) -> np.ndarray:
 
     Symbols 1..|Z|-1 are counted with one comparison pass each and symbol 0
     takes the rest of the half; the counts go through the library's
-    ``_llrs_from_counts``.  The path that the pyramid's half histograms
-    replaced.
+    ``level_llrs``.  The path that the pyramid's half histograms replaced.
     """
     symbols = np.atleast_2d(np.asarray(symbols))
     n, width = symbols.shape
     halves = symbols.reshape(n, 2, width // 2)
     rest = [np.count_nonzero(halves == a, axis=2) for a in range(1, lam.shape[0])]
     counts = np.stack([width // 2 - sum(rest)] + rest, axis=2)
-    return _llrs_from_counts(counts[:, 0], counts[:, 1], lam)
+    return level_llrs(counts[:, 0], counts[:, 1], lam)
 
 
 def mixture_statistic_reference(lam, outputs) -> float:
@@ -688,7 +686,7 @@ def pyramid_level_llrs(symbols, lam) -> np.ndarray:
     q = sym.shape[1].bit_length() - 1
     out = SuperOutput(q=q, symbols=sym, alphabet_size=lam.shape[0])
     no_bits = np.zeros((0, out.ell), dtype=np.uint8)
-    return level_llrs(select_positions_batch(out, no_bits, q), lam)
+    return level_llrs(*select_positions_batch(out, no_bits, q), lam)
 
 
 def level_llr_sampler_reference(dmc: Dmc, i: int):

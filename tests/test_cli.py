@@ -1,8 +1,11 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +13,11 @@ import pytest
 
 from covertppm import codec
 from covertppm.channels import bsc
-from covertppm.cli import CliError, _check_block_draw, load_channel_file, main, parse_channel
+from covertppm.cli import load_channel_file, main, parse_channel
 from covertppm.levels import msd_rate_plan
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run_cli(*argv) -> int:
@@ -227,14 +231,14 @@ class TestBlockDrawLimit:
         ("simulate", "--blocks", "1", "--trials", "50"),
         ("covertness", "--construction-trials", "50", "--trials", "1"),
     ], ids=["simulate", "covertness"])
-    def test_oversized_geometry_fails_before_session_build(
+    def test_oversized_geometry_fails_before_code_construction(
             self, tmp_path, capsys, monkeypatch, command):
         # 4096 super-symbols of order 2^16 draw 2^28 channel uses per block,
         # about 3 GiB of uniforms, symbols and pyramid
-        def build_session(*args, **kwargs):
-            raise AssertionError("session built for an oversized geometry")
+        def construct_code(*args, **kwargs):
+            raise AssertionError("code constructed for an oversized geometry")
 
-        monkeypatch.setattr(codec, "build_session", build_session)
+        monkeypatch.setattr(codec, "construct_code", construct_code)
         out = tmp_path / "o.json"
         assert run_cli(command[0], "--bob", "bsc:0.05", "--willie", "bsc:0.1",
                        "--levels", "16", "--ell", "4096", "--delta", "1.0",
@@ -244,14 +248,23 @@ class TestBlockDrawLimit:
         assert err.startswith("error:") and "GiB limit" in err
         assert not out.exists()
 
-    def test_limit_admits_the_largest_fitting_blocklength(self):
+    def test_limit_admits_the_largest_fitting_blocklength(self, monkeypatch):
         # ell * 2^q * 11 bytes for a binary pair: q = 10 fits ell = 2^16
         # (704 MiB) and refuses ell = 2^17
+        class Constructed(Exception):
+            pass
+
+        def construct_code(*args, **kwargs):
+            raise Constructed
+
+        monkeypatch.setattr(codec, "construct_code", construct_code)
         bob, willie = bsc(0.05), bsc(0.1)
         plan = msd_rate_plan(bob, willie, 10, 1.0, degraded=True, ell_override=1 << 16)
-        _check_block_draw(plan, bob, willie)
-        with pytest.raises(CliError, match="GiB limit"):
-            _check_block_draw(dataclasses.replace(plan, ell=1 << 17), bob, willie)
+        rng = np.random.default_rng(0)
+        with pytest.raises(Constructed):
+            codec.build_session(plan, bob, willie, rng)
+        with pytest.raises(codec.SessionError, match="GiB limit"):
+            codec.build_session(dataclasses.replace(plan, ell=1 << 17), bob, willie, rng)
 
 
 class TestDetect:
@@ -455,6 +468,21 @@ class TestCovertness:
                        "16", "--construction-trials", "50", "--trials", "0",
                        "--seed", "12", "--out", str(tmp_path / "c.json")) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_sampled_mode_without_bob_is_clear_error(self, tmp_path):
+        # parse_channel(None) raised AttributeError (a traceback)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        out = tmp_path / "c.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "covertppm.cli", "covertness", "--willie", "bsc:0.1",
+             "--trials", "2", "--seed", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "--bob" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_exact_mode_defaults_to_one_super_symbol(self, tmp_path):
         out = tmp_path / "c.json"

@@ -6,21 +6,21 @@ import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
 
+from covertppm import codec, levels
 from covertppm.channels import bac, bsc, make_dmc
 from covertppm.codec import (
     Session,
     SessionError,
-    _draw_half_histograms,
     build_session,
     decode_block,
     encode_block,
-    make_level_llr_sampler,
     run_chain,
     transmit_block,
 )
 from covertppm.levels import (
-    _llrs_from_counts,
+    _draw_half_histograms,
     level_llrs,
+    make_level_llr_sampler,
     msd_rate_plan,
     select_positions_batch,
 )
@@ -125,7 +125,7 @@ class TestMsdEquivalence:
         bits = rng.integers(0, 2, size=(q, ell), dtype=np.uint8)
         frame = frame_from_bits(bits)
         received = transmit_super(ch, frame, rng)
-        got = level_llrs(select_positions_batch(received, bits[i:q], i), lam)
+        got = level_llrs(*select_positions_batch(received, bits[i:q], i), lam)
         for j in range(ell):
             high = bits[i:q, j]
             members0, members1 = [], []
@@ -156,8 +156,8 @@ class TestFaultInjection:
         good = select_positions_batch(received, tx.level_bits[1:2], 1)
         corrupt = select_positions_batch(received, tx.level_bits[1:2] ^ 1, 1)
         assert not np.array_equal(good, corrupt)
-        llr_good = level_llrs(good, lam)
-        llr_bad = level_llrs(corrupt, lam)
+        llr_good = level_llrs(*good, lam)
+        llr_bad = level_llrs(*corrupt, lam)
         assert not np.array_equal(llr_good, llr_bad)
 
 
@@ -277,6 +277,18 @@ class TestResolvabilityLevels:
         for i in sess.layouts:
             np.testing.assert_array_equal(result.decoded_bits[i], msgs[i])
 
+    def test_extractor_input_of_wrong_length_refused_on_both_ends(self, rng):
+        # the receiver rebuilt wrong resolvability levels from a short input
+        sess = self._tail_session(rng, "extractor")
+        msgs, keys = random_payloads(sess, rng)
+        frame, tx = encode_block(sess, msgs, keys, rng)
+        received = transmit_block(sess, frame, rng)
+        for r in (tx.extractor_r[:-1], np.append(tx.extractor_r, 0)):
+            with pytest.raises(SessionError, match="extractor input"):
+                encode_block(sess, msgs, keys, rng, extractor_r=r)
+            with pytest.raises(SessionError, match="extractor input"):
+                decode_block(sess, received, keys=keys, extractor_r=r)
+
     def test_extractor_tail_bits_are_reproducible(self, rng):
         sess = self._tail_session(rng, "extractor")
         msgs, keys = random_payloads(sess, rng)
@@ -312,6 +324,19 @@ class TestBuildSession:
                              degraded=True, ell_override=32)
         with pytest.raises(SessionError, match="infinite"):
             build_session(plan, bsc(0.05), warden, rng, construction_trials=50)
+
+    def test_oversized_block_draw_refused_before_code_construction(self, rng,
+                                                                    monkeypatch):
+        # 4096 super-symbols of order 2^16 draw about 3 GiB per block; the
+        # library refuses it, not only the command line
+        def construct_code(*args, **kwargs):
+            raise AssertionError("code constructed for an oversized geometry")
+
+        monkeypatch.setattr(codec, "construct_code", construct_code)
+        plan = msd_rate_plan(bsc(0.05), bsc(0.1), 16, delta=1.0, degraded=True,
+                             ell_override=4096)
+        with pytest.raises(SessionError, match="GiB limit"):
+            build_session(plan, bsc(0.05), bsc(0.1), rng, construction_trials=50)
 
 
 TERNARY = make_dmc([0.7, 0.2, 0.1], [0.2, 0.3, 0.5])
@@ -350,8 +375,11 @@ class TestLevelLlrSampler:
         sampler = make_level_llr_sampler(ch, 3)
         got = sampler(500, np.random.default_rng(8))
         c0, c1 = _draw_half_histograms(ch, 3, 500, np.random.default_rng(8))
-        np.testing.assert_array_equal(
-            got, _llrs_from_counts(c0, c1, ch.lam))
+        np.testing.assert_array_equal(got, level_llrs(c0, c1, ch.lam))
+
+    def test_codec_builds_sessions_with_the_level_sampler(self):
+        # the benchmark's tracer looks the factory up in codec
+        assert codec.make_level_llr_sampler is levels.make_level_llr_sampler
 
     @pytest.mark.parametrize("ch", [bsc(0.05), TERNARY, NOISELESS],
                              ids=["bsc0.05", "ternary", "noiseless"])

@@ -48,6 +48,15 @@ class TestPolynomialArithmetic:
                 r ^= f << (r.bit_length() - f.bit_length())
             assert poly_mod(a, f) == r
 
+    @settings(max_examples=300, deadline=None)
+    @given(w=st.integers(1, 1100), data=st.data())
+    def test_sqr_mod_equals_reduced_carry_less_square(self, w, data):
+        # squaring spreads the bits to the even positions; any modulus of
+        # degree w, the operands 0 and 1 and a drawn one below 2^w
+        f = (1 << w) | data.draw(st.integers(0, (1 << w) - 1))
+        for a in (0, 1, data.draw(st.integers(0, (1 << w) - 1))):
+            assert extractor._sqr_mod(a, f) == poly_mod(clmul(a, a), f)
+
     def test_is_irreducible_degree_two(self):
         # x^2 + x + 1 is the only irreducible quadratic
         assert is_irreducible(0b111)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from covertppm.channels import bac, bsc, divergence_stats, make_dmc
 from covertppm.levels import (
     DEFAULT_LLR_MAX,
-    _llrs_from_counts,
     LevelRates,
     RatePlan,
     RatePlanError,
@@ -269,8 +268,8 @@ def _select_one(block, high_bits) -> np.ndarray:
     high = np.asarray(high_bits, dtype=np.uint8).reshape(-1, 1)
     q = block.shape[0].bit_length() - 1
     out = SuperOutput(q=q, symbols=block[None, :], alphabet_size=int(block.max()) + 1)
-    halves = select_positions_batch(out, high, q - high.shape[0])[0]
-    return np.concatenate([np.flatnonzero(h) for h in halves])
+    first, second = select_positions_batch(out, high, q - high.shape[0])
+    return np.concatenate([np.flatnonzero(first[0]), np.flatnonzero(second[0])])
 
 
 def _histograms(symbols, size) -> np.ndarray:
@@ -305,11 +304,11 @@ class TestSelectPositions:
         q, i, ell = 4, 2, 10
         symbols = rng.integers(0, 3, size=(ell, 16))
         high = rng.integers(0, 2, size=(q - i, ell), dtype=np.uint8)
-        batch = select_positions_batch(SuperOutput(q, symbols, 3), high, i)
+        first, second = select_positions_batch(SuperOutput(q, symbols, 3), high, i)
         for j in range(ell):
-            np.testing.assert_array_equal(
-                batch[j], _histograms([select_positions(symbols[j], high[:, j])], 3)[0]
-            )
+            want = _histograms([select_positions(symbols[j], high[:, j])], 3)[0]
+            np.testing.assert_array_equal(first[j], want[0])
+            np.testing.assert_array_equal(second[j], want[1])
 
 
 def _select_positions_batch_reference(symbols, high_bits, i):
@@ -332,10 +331,11 @@ def test_select_positions_batch_bitwise_equals_gather(q, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     symbols = rng.integers(0, 5, size=(ell, 1 << q)).astype(dtype)
     high = rng.integers(0, 2, size=(q - i, ell), dtype=np.uint8)
-    got = select_positions_batch(SuperOutput(q, symbols, 5), high, i)
+    first, second = select_positions_batch(SuperOutput(q, symbols, 5), high, i)
     want = _histograms(_select_positions_batch_reference(symbols, high, i), 5)
-    assert got.shape == want.shape
-    np.testing.assert_array_equal(got, want)
+    assert first.shape == second.shape == want[:, 0].shape
+    np.testing.assert_array_equal(first, want[:, 0])
+    np.testing.assert_array_equal(second, want[:, 1])
 
 
 def _outcome(compute):
@@ -364,10 +364,12 @@ def test_pyramid_llrs_bitwise_equal_symbol_oracles(size, q, data):
     for i in range(1, q + 1):
         wrong = bits[i:] ^ rng.integers(0, 2, size=(q - i, ell), dtype=np.uint8)
         for high in (bits[i:], wrong):
-            halves = select_positions_batch(out, high, i)
+            first, second = select_positions_batch(out, high, i)
             sub = select_positions_batch_symbols(out.symbols, high, i)
-            np.testing.assert_array_equal(halves, _histograms(sub, size))
-            got = _outcome(lambda: level_llrs(halves, ch.lam))
+            want = _histograms(sub, size)
+            np.testing.assert_array_equal(first, want[:, 0])
+            np.testing.assert_array_equal(second, want[:, 1])
+            got = _outcome(lambda: level_llrs(first, second, ch.lam))
             want = _outcome(lambda: level_llrs_symbols(sub, ch.lam))
             if isinstance(want, str):
                 assert got == want
@@ -376,9 +378,9 @@ def test_pyramid_llrs_bitwise_equal_symbol_oracles(size, q, data):
 
 
 def test_level_llrs_reject_histograms_over_another_alphabet():
-    halves = np.array([[[1, 0, 0], [0, 1, 0]]])
-    with pytest.raises(ValueError, match=r"\(n, 2, 2\)"):
-        level_llrs(halves, bsc(0.1).lam)
+    first, second = np.array([[1, 0, 0]]), np.array([[0, 1, 0]])
+    with pytest.raises(ValueError, match=r"\(n, 2\)"):
+        level_llrs(first, second, bsc(0.1).lam)
 
 
 #: likelihood-ratio rows over 2-5 symbols, with zero and infinite entries
@@ -461,7 +463,7 @@ def test_level_llrs_bitwise_equal_to_full_histogram_in_any_integer_dtype(
     counts = (halves[..., None] == np.arange(lam.shape[0])).sum(axis=2)
     try:
         with np.errstate(over="ignore"):
-            want = _llrs_from_counts(counts[:, 0], counts[:, 1], lam)
+            want = level_llrs(counts[:, 0], counts[:, 1], lam)
     except ValueError:
         want = None
     for dtype in (np.uint8, np.int8, np.uint16, np.int64):
