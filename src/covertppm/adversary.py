@@ -9,7 +9,10 @@ representative position per distinct nonzero generator column:
 declaring communication when T exceeds gamma = chi2(Q1||Q0)/4.  Under the
 innocent distribution T has mean 0 and variance chi2/|S|; under uniformly
 coded transmission it has mean chi2/2, which is what makes every linear code
-detectable once its dimension grows.
+detectable once its dimension grows.  T reads a trial only through its
+output histogram on S, which is drawn directly: Multinomial(|S|, Q0) under H0,
+Multinomial(w, Q1) + Multinomial(|S| - w, Q0) under H1 for a codeword of
+weight w on S, the popcount of its packed product.
 
 Covertness of the multilevel scheme is never measured by plug-in relative
 entropy over the full output space (dimensionally hopeless).  Instead:
@@ -70,15 +73,16 @@ def gf2_rank(mat) -> int:
 
 
 def gf2_multiplier(g: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The map v -> v g over GF(2) for a k x s 0/1 matrix ``g``.
+    """The map v -> v g over GF(2) for a k x s 0/1 matrix ``g``, on packed bits.
 
-    Four Russians tables: ``g``'s rows are packed 8 columns to a byte, and
-    for each byte of message bits a 256-entry table holds the packed XOR of
-    the rows that byte selects, built by doubling (8 vectorised XORs).  The
-    tables take ceil(k/8) * 256 * ceil(s/8), about 4 k s, bytes.  The
-    returned function takes an n x k array of 0/1 integers and returns the
-    n x s boolean array of codeword bits: one table row XORed per message
-    byte, then unpacked.
+    Four Russians tables: ``g``'s rows, packed 8 columns to a byte and padded
+    with zero rows to a multiple of 8, give for each byte of message bits a
+    256-entry table of the packed XOR of the rows that byte selects, built by
+    doubling (8 vectorised XORs); they take ceil(k/8) * 256 * ceil(s/8), about
+    4 k s, bytes.  The returned function maps n x ceil(k/8) message bytes (bit
+    t of byte j, least significant first, is message bit 8j + t; bits past k
+    select zero rows) to the n x ceil(s/8) codeword rows as ``np.packbits``
+    packs them, one table row XORed per message byte.
     """
     k, s = g.shape
     rows = np.zeros((-(-k // 8) * 8, -(-s // 8)), dtype=np.uint8)
@@ -89,15 +93,22 @@ def gf2_multiplier(g: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         h = 1 << t
         np.bitwise_xor(tables[:, :h], rows[:, t, None], out=tables[:, h:2 * h])
 
-    def multiply(v: np.ndarray) -> np.ndarray:
-        # bit t of message byte j selects row 8j + t, as the tables were built
-        vp = np.packbits(v.astype(np.uint8), axis=1, bitorder="little")
+    def multiply(vp: np.ndarray) -> np.ndarray:
         acc = tables[0].take(vp[:, 0], axis=0)
         for j in range(1, vp.shape[1]):
             acc ^= tables[j].take(vp[:, j], axis=0)
-        return np.unpackbits(acc, axis=1, count=s).view(bool)
+        return acc
 
     return multiply
+
+
+#: the number of set bits in each byte value
+_BYTE_WEIGHTS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def packed_weights(rows: np.ndarray) -> np.ndarray:
+    """The Hamming weight of each row of packed bits, by a 256-entry table."""
+    return _BYTE_WEIGHTS.take(rows).sum(axis=1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -183,6 +194,25 @@ class DetectionReport:
 _TRIAL_CHUNK = 4096
 
 
+def _trial_statistics(g: np.ndarray, willie: Dmc, trials: int,
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """T of ``trials`` H0 and H1 trials on the |S| columns of ``g``.  Per chunk
+    of n trials: the H0 histograms, then n packed-byte messages, whose
+    codeword weights w give the H1 histograms (module docstring)."""
+    k, s = g.shape
+    codeword = gf2_multiplier(g)
+    # Q1 has no mass off Q0's support (chi2 is finite): those counts are 0
+    ratio = np.where(willie.row0 > 0, willie.centred_ratio, 0.0)
+    t0, t1 = np.empty(trials), np.empty(trials)
+    for done in range(0, trials, _TRIAL_CHUNK):
+        n = min(_TRIAL_CHUNK, trials - done)
+        t0[done:done + n] = rng.multinomial(s, willie.row0, size=n) @ ratio
+        w = packed_weights(codeword(rng.integers(0, 256, (n, -(-k // 8)), np.uint8)))
+        hist = rng.multinomial(w, willie.row1) + rng.multinomial(s - w, willie.row0)
+        t1[done:done + n] = hist @ ratio
+    return t0 / s, t1 / s
+
+
 def detect_linear_code(
     code: LinearCode,
     willie: Dmc,
@@ -201,12 +231,10 @@ def detect_linear_code(
     the statistic unbounded, and so is a trial count below two, whose sample
     variances are undefined.
 
-    The H1 codewords are formed in packed GF(2) arithmetic by
-    :func:`gf2_multiplier` on the |S| distinct columns: its tables, built
-    once per call, take about 4 k |S| bytes (5.7 MB at k = 700, |S| = 2048),
-    and the products are exact for every k.  The masked channel draw then
-    compares each uniform with both rows' CDFs and selects without branches
-    (:func:`~covertppm.channels.sample_outputs`).
+    Trials are output histograms on S (module docstring): a chunk of n trials
+    holds n x |Z| counts and n x ceil(|S|/8) codeword bytes, not n x |S|
+    symbols.  The tables of :func:`gf2_multiplier`, built once per call, take
+    about 4 k |S| bytes (5.7 MB at k = 700, |S| = 2048).
     """
     if trials < 2:
         raise ValueError(f"detection needs at least 2 trials, got {trials}")
@@ -217,7 +245,6 @@ def detect_linear_code(
         )
     S = distinct_column_set(code)
     s_size = int(S.shape[0])
-    ratio = willie.centred_ratio
     chi2, chi3 = willie.stats.chi2, willie.stats.chi3
     if chi2 == 0.0:
         return DetectionReport(
@@ -229,25 +256,7 @@ def detect_linear_code(
             chi2=chi2, chi3=chi3, undetectable=True,
         )
     gamma = chi2 / 4.0
-
-    codeword = gf2_multiplier(code.generator[:, S])
-
-    def h0_stats(n: int) -> np.ndarray:
-        return ratio.take(sample_outputs(willie, 0, (n, s_size), rng)).mean(axis=1)
-
-    def h1_stats(n: int) -> np.ndarray:
-        # int64 message bits: the dtype is part of the random stream
-        ones = codeword(rng.integers(0, 2, size=(n, code.k)))
-        return ratio.take(sample_outputs(willie, ones, (n, s_size), rng)).mean(axis=1)
-
-    t0 = np.empty(trials)
-    t1 = np.empty(trials)
-    done = 0
-    while done < trials:
-        n = min(_TRIAL_CHUNK, trials - done)
-        t0[done:done + n] = h0_stats(n)
-        t1[done:done + n] = h1_stats(n)
-        done += n
+    t0, t1 = _trial_statistics(code.generator[:, S], willie, trials, rng)
 
     alpha_hat = float(np.mean(t0 > gamma))
     beta_hat = float(np.mean(t1 < gamma))

@@ -170,7 +170,9 @@ class RatePlan:
         return sum(lr.r_k for lr in self.per_level)
 
 
-def _check_finite_chi2(chi2_willie: float) -> None:
+def _check_budget(delta: float, chi2_willie: float) -> None:
+    if not (math.isfinite(delta) and delta >= 0):
+        raise RatePlanError(f"delta must be finite and >= 0, got {delta}")
     if math.isinf(chi2_willie):
         raise RatePlanError(
             "Willie's chi2 is infinite (Q1 has mass outside the support of Q0): "
@@ -182,11 +184,12 @@ def planned_blocklength(m: int, delta: float, B: int, chi2_willie: float) -> int
     """Super-channel blocklength floor(2 m delta / (B chi2)) for the budget.
 
     The floor carries a 1e-9 guard so exactly-integer operating points (the
-    BSC designs hit them) do not lose a unit to floating-point fuzz.
+    BSC designs hit them) do not lose a unit to floating-point fuzz.  delta
+    must be finite and non-negative.
     """
+    _check_budget(delta, chi2_willie)
     if chi2_willie <= 0:
         raise RatePlanError("Willie's chi2 is zero: any blocklength is covert")
-    _check_finite_chi2(chi2_willie)
     return int(math.floor(2.0 * m * delta / (B * chi2_willie) + 1e-9))
 
 
@@ -216,19 +219,19 @@ def msd_rate_plan(
     ``RatePlanError``.  The blocklength is floor(2 m delta / (B chi2)) with
     chi2 of Willie's pair, unless ``ell_override`` is given.  A warden whose
     chi2 is infinite (Q1 has mass outside the support of Q0) is rejected
-    whatever the blocklength, before the degradedness check.
+    whatever the blocklength, before the degradedness check, and so are a
+    delta that is not finite and non-negative and an epsilon that is not
+    finite and positive.
 
     ``u`` is the smallest cutoff for which the levels above it hold less
     than 1% of the total Bob-side capacity.
     """
-    if delta < 0:
-        raise RatePlanError("delta must be >= 0")
-    if epsilon <= 0:
-        raise RatePlanError("epsilon must be > 0")
+    _check_budget(delta, willie.stats.chi2)
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise RatePlanError(f"epsilon must be finite and > 0, got {epsilon}")
     if B < 1:
         raise RatePlanError("B must be >= 1")
 
-    _check_finite_chi2(willie.stats.chi2)
     if ell_override is not None:
         ell = int(ell_override)
     else:

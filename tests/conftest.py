@@ -12,12 +12,13 @@ breadth-first genie pass of ``construct_code`` must match, and
 ``select_positions`` spell out the PPM position layout one symbol at a time,
 for ``frame_from_bits`` and ``select_positions_batch``;
 ``detector_statistic`` is the warden's statistic of one observation;
-``gf2_rank_reference`` (row elimination), ``gf2_product_reference`` (a
-float32 product mod 2) and ``masked_outputs_reference`` (a gather and a
-scatter) are the paths that ``gf2_rank``, the packed ``gf2_multiplier`` and
-the branch-free masked ``sample_outputs`` must match, and
-``detect_linear_code_reference`` puts the last two together into the
-detector's report;
+``gf2_rank_reference`` (row elimination) and ``gf2_product_reference`` (a
+float32 product mod 2) are the paths that ``gf2_rank`` and the packed
+``gf2_multiplier`` must match, ``detect_linear_code_reference`` takes each
+codeword weight from the float product into the detector's report, and
+``detector_statistic_law`` enumerates the exact law of the statistic;
+``masked_outputs_reference`` (every entry's inverse CDF, then a boolean-mask
+scatter) is what the index-tuple ``sample_outputs`` must match;
 ``plan_from_text`` parses the document ``plan_to_text`` writes, and
 ``pin_rates`` fixes a plan's per-level operating points for the sessions
 that tests build at chosen rates.
@@ -387,23 +388,25 @@ def masked_outputs_reference(dmc: Dmc, mask, rng: np.random.Generator) -> np.nda
 def detect_linear_code_reference(code, willie: Dmc, trials: int,
                                  rng: np.random.Generator):
     """``detect_linear_code`` for a warden of finite, positive chi2, with
-    codewords from ``gf2_product_reference`` and H1 outputs from
-    ``masked_outputs_reference``: the same stream (chunks of 4096 trial
-    pairs, H0 then H1 per chunk, int64 message bits) and the same report."""
+    each codeword weight from the unpacked message bits, a
+    ``gf2_product_reference`` product and a sum: the same stream (chunks of
+    4096 trial pairs; per chunk the H0 histograms, the packed message bytes,
+    then the H1 histograms from row1 and row0) and the same report."""
     chi2, chi3 = willie.stats.chi2, willie.stats.chi3
     if not 0.0 < chi2 < math.inf:
         raise ValueError("the reference needs 0 < chi2 < inf")
     S = distinct_columns_reference(code.generator)
     s, k = S.shape[0], code.k
-    ratio = willie.centred_ratio
+    ratio = np.where(willie.row0 > 0, willie.centred_ratio, 0.0)
     t0, t1 = [], []
     for done in range(0, trials, 4096):
         n = min(4096, trials - done)
-        z0 = np.searchsorted(willie.cdf0, rng.random((n, s)), side="right")
-        t0.append(ratio[z0].mean(axis=1))
-        ones = gf2_product_reference(rng.integers(0, 2, size=(n, k)),
-                                     code.generator[:, S])
-        t1.append(ratio[masked_outputs_reference(willie, ones, rng)].mean(axis=1))
+        t0.append(rng.multinomial(s, willie.row0, size=n) @ ratio / s)
+        msg = rng.integers(0, 256, size=(n, -(-k // 8)), dtype=np.uint8)
+        v = np.unpackbits(msg, axis=1, count=k, bitorder="little")
+        w = gf2_product_reference(v, code.generator[:, S]).sum(axis=1)
+        hist = rng.multinomial(w, willie.row1) + rng.multinomial(s - w, willie.row0)
+        t1.append(hist @ ratio / s)
     t0, t1 = np.concatenate(t0), np.concatenate(t1)
     gamma = chi2 / 4.0
     b_s = 16.0 / (s * chi2) + 8.0 * chi3 / (s * chi2**2) - 4.0 / s
@@ -417,6 +420,35 @@ def detect_linear_code_reference(code, willie: Dmc, trials: int,
         var_t_h0=float(t0.var(ddof=1)), var_t_h1=float(t1.var(ddof=1)),
         chi2=chi2, chi3=chi3,
     )
+
+
+def detector_statistic_law(g, willie: Dmc):
+    """The exact law of the detector statistic on the columns of ``g`` (a
+    k x |S| generator restricted to S), by enumerating every output sequence
+    on S: T of a sequence is its mean centred ratio, under H0 its probability
+    is a product of row0 entries, and under H1 the product for each of the
+    2^k codewords, averaged.  Returns (atoms, p0, p1): the distinct values
+    of T in increasing order, values within 1e-9 of the last kept one merged
+    into it, and their probabilities under each hypothesis."""
+    g = np.asarray(g, dtype=np.int64)
+    k, s = g.shape
+    z = all_outputs(willie.alphabet_size, s)
+    ratio = np.where(willie.row0 > 0, willie.centred_ratio, 0.0)
+    t = ratio[z].mean(axis=1)
+    rows = np.stack([willie.row0, willie.row1])
+    p0 = rows[0][z].prod(axis=1)
+    p1 = np.zeros_like(p0)
+    for v in all_outputs(2, k):
+        c = (v @ g) % 2
+        p1 += rows[c, z].prod(axis=1)
+    p1 /= 2**k
+    order = np.argsort(t, kind="stable")
+    t, p0, p1 = t[order], p0[order], p1[order]
+    start = [0]
+    for j in range(1, t.shape[0]):
+        if t[j] - t[start[-1]] > 1e-9:
+            start.append(j)
+    return t[start], np.add.reduceat(p0, start), np.add.reduceat(p1, start)
 
 
 def plan_from_text(text: str) -> RatePlan:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from conftest import (
     detect_linear_code_reference,
     detector_statistic,
+    detector_statistic_law,
     distinct_columns_reference,
     exact_tv,
     gf2_product_reference,
@@ -19,6 +21,7 @@ from conftest import (
 from covertppm.adversary import (
     LinearCode,
     _mixture_statistic,
+    _trial_statistics,
     OracleBudgetError,
     covertness_estimate,
     detect_linear_code,
@@ -27,6 +30,7 @@ from covertppm.adversary import (
     gf2_multiplier,
     gf2_rank,
     identity_prefix_code,
+    packed_weights,
     pw_single,
     pw_uniform,
     random_linear_code,
@@ -109,6 +113,16 @@ def gf2_matrices(draw, max_rows=70, max_cols=70):
     return m
 
 
+def message_bytes(v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Message bits packed as ``gf2_multiplier`` reads them, with random
+    padding bits past k: they must select zero rows."""
+    k = v.shape[1]
+    vp = np.packbits(v.astype(np.uint8), axis=1, bitorder="little")
+    if k % 8:
+        vp[:, -1] |= rng.integers(0, 256, size=vp.shape[0], dtype=np.uint8) << (k % 8)
+    return vp
+
+
 class TestGf2Arithmetic:
     @settings(max_examples=200, deadline=None)
     @given(g=gf2_matrices(), data=st.data())
@@ -117,9 +131,26 @@ class TestGf2Arithmetic:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         v = rng.integers(0, 2, size=(n, g.shape[0]))
         v[0] = data.draw(st.sampled_from([0, 1]))  # all-zero or all-ones message
-        got = gf2_multiplier(g)(v)
-        assert got.dtype == bool and got.shape == (n, g.shape[1])
-        np.testing.assert_array_equal(got, gf2_product_reference(v, g))
+        got = gf2_multiplier(g)(message_bytes(v, rng))
+        assert got.dtype == np.uint8 and got.shape == (n, -(-g.shape[1] // 8))
+        np.testing.assert_array_equal(np.unpackbits(got, axis=1, count=g.shape[1]),
+                                      gf2_product_reference(v, g))
+        # the bits past s stay zero
+        np.testing.assert_array_equal(np.unpackbits(got, axis=1)[:, g.shape[1]:], 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=gf2_matrices(), data=st.data())
+    def test_packed_weights_match_float_product(self, g, data):
+        # any message bytes, padding bits past k set or not
+        n = data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        k = g.shape[0]
+        vp = rng.integers(0, 256, size=(n, -(-k // 8)), dtype=np.uint8)
+        vp[0] = data.draw(st.sampled_from([0, 255]))
+        v = np.unpackbits(vp, axis=1, count=k, bitorder="little")
+        got = packed_weights(gf2_multiplier(g)(vp))
+        assert got.dtype == np.int64 and got.shape == (n,)
+        np.testing.assert_array_equal(got, gf2_product_reference(v, g).sum(axis=1))
 
     @settings(max_examples=300, deadline=None)
     @given(gf2_matrices())
@@ -146,12 +177,46 @@ class TestDetectorReference:
         bsc(0.1), make_dmc([0.7, 0.2, 0.1], [0.2, 0.3, 0.5])
     ], ids=["bsc0.1", "ternary"])
     def test_report_equals_float_and_scatter_reference(self, make_code, willie):
-        # 5000 trials span two chunks, the second one partial
+        # 5000 trials span two chunks, the second one partial; the reference
+        # weighs each codeword by a float product of the unpacked message
         code = make_code(np.random.default_rng(5))
         got = detect_linear_code(code, willie, 5000, np.random.default_rng(9))
         want = detect_linear_code_reference(code, willie, 5000,
                                             np.random.default_rng(9))
         assert got == want
+
+
+class TestDetectorLaw:
+    @pytest.mark.parametrize("make_code", [
+        lambda: identity_prefix_code(6, 3),
+        lambda: random_linear_code(8, 4, np.random.default_rng(11)),
+    ], ids=["identity-6-3", "random-8-4"])
+    @pytest.mark.parametrize("willie", [
+        bsc(0.1),
+        make_dmc([0.7, 0.2, 0.1], [0.2, 0.3, 0.5]),
+        # a symbol neither row emits: its centred ratio is inf, its count 0
+        make_dmc([0.6, 0.0, 0.4], [0.25, 0.0, 0.75]),
+    ], ids=["bsc0.1", "ternary", "ternary-zero-mass"])
+    def test_statistic_law_matches_enumeration(self, make_code, willie):
+        code = make_code()
+        g = code.generator[:, distinct_column_set(code)]
+        atoms, p0, p1 = detector_statistic_law(g, willie)
+        trials = 20_000
+        t0, t1 = _trial_statistics(g, willie, trials, np.random.default_rng(17))
+        for t, p in ((t0, p0), (t1, p1)):
+            # every draw is an atom of positive probability
+            at = np.clip(np.searchsorted(atoms, t), 1, atoms.size - 1)
+            nearest = np.where(t - atoms[at - 1] < atoms[at] - t, at - 1, at)
+            assert np.abs(t - atoms[nearest]).max() < 1e-9
+            assert (p[nearest] > 0).all()
+            # Pearson's test, atoms expected fewer than 5 times pooled
+            observed = np.bincount(nearest, minlength=atoms.size)
+            expected = trials * p
+            big = expected >= 5
+            observed = np.append(observed[big], observed[~big].sum())
+            expected = np.append(expected[big], expected[~big].sum())
+            keep = expected > 0
+            assert chisquare(observed[keep], expected[keep]).pvalue > 1e-3
 
 
 class TestStatistic:

@@ -295,10 +295,11 @@ class TestMaskedSampling:
         u = np.random.default_rng(seed).random(mask.shape)
         want = np.where(mask, np.searchsorted(ch.cdf1, u, side="right"),
                         np.searchsorted(ch.cdf0, u, side="right"))
-        for ones in (mask, np.nonzero(mask)):
-            got = sample_outputs(ch, ones, mask.shape, np.random.default_rng(seed))
-            assert got.dtype == np.uint8
-            np.testing.assert_array_equal(got, want)
+        got = sample_outputs(ch, np.nonzero(mask), mask.shape, np.random.default_rng(seed))
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            masked_outputs_reference(ch, mask, np.random.default_rng(seed)), want)
         if not mask.any() or mask.all():
             bit = int(mask.all())
             np.testing.assert_array_equal(
@@ -308,18 +309,21 @@ class TestMaskedSampling:
 
     @pytest.mark.parametrize("size", [2, 256, 257, 300])
     def test_mask_select_in_every_symbol_dtype(self, size):
-        # the select mask must set every bit of the symbol dtype, uint16 too
+        # the index tuple of a mask's entries scatters in every symbol dtype,
+        # uint16 too
         rng = np.random.default_rng(size)
         ch = make_dmc(rng.dirichlet(np.ones(size)), rng.dirichlet(np.ones(size)))
         mask = rng.integers(0, 2, size=(40, 50)).astype(bool)
-        got = sample_outputs(ch, mask, mask.shape, np.random.default_rng(1))
+        got = sample_outputs(ch, np.nonzero(mask), mask.shape, np.random.default_rng(1))
         want = masked_outputs_reference(ch, mask, np.random.default_rng(1))
         assert got.dtype == np.min_scalar_type(size - 1)
         np.testing.assert_array_equal(got, want)
 
     def test_mask_of_another_shape_rejected(self, rng):
-        with pytest.raises(ChannelError, match="mask of shape"):
-            sample_outputs(bsc(0.1), np.ones(4, dtype=bool), (3, 4), rng)
+        # a boolean mask is not an input: pass its entries as an index tuple
+        for mask in (np.ones(4, dtype=bool), np.ones((3, 4), dtype=bool)):
+            with pytest.raises(ChannelError, match="a bit or an index tuple"):
+                sample_outputs(bsc(0.1), mask, (3, 4), rng)
 
 
 class _Uniforms:
@@ -367,10 +371,9 @@ class TestSamplingAtCdfBoundaries:
             assert got.dtype == np.uint8
             np.testing.assert_array_equal(got, want)
         want = np.where(mask, want1, want0)
-        for ones in (mask, np.nonzero(mask)):
-            got = sample_outputs(ch, ones, u.shape, _Uniforms(u))
-            assert got.dtype == np.uint8
-            np.testing.assert_array_equal(got, want)
+        got = sample_outputs(ch, np.nonzero(mask), u.shape, _Uniforms(u))
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, want)
         # a zero-mass symbol is never drawn, even at the boundaries
         assert np.all(np.where(mask, ch.row1[want], ch.row0[want]) > 0)
 

@@ -170,6 +170,21 @@ class TestPlan:
         assert err.startswith("error:") and "not a degraded version" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", [("--epsilon", "nan"), ("--delta", "inf"),
+                                        ("--delta", "nan")],
+                             ids=["epsilon-nan", "delta-inf", "delta-nan"])
+    def test_non_finite_budget_is_clear_error(self, tmp_path, capsys, option):
+        # --epsilon nan wrote r_u = nan, --delta inf ended in an OverflowError
+        # traceback and --delta nan said "cannot convert float NaN to integer"
+        out = tmp_path / "plan.txt"
+        args = {"--delta": "1", "--epsilon": "0.05", option[0]: option[1]}
+        assert run_cli("plan", "--bob", "bsc:0.05", "--willie", "bsc:0.1",
+                       "--levels", "3", "--degraded", *(x for kv in args.items() for x in kv),
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option[0][2:]} must be finite")
+        assert not out.exists()
+
     def test_warden_off_support_with_set_blocklength_fails(self, tmp_path, capsys):
         # with --ell the planner used to skip both the chi2 and the degraded
         # check, writing r_k = 0 and printing "capacity nan"
@@ -265,6 +280,25 @@ class TestBlockDrawLimit:
             codec.build_session(plan, bob, willie, rng)
         with pytest.raises(codec.SessionError, match="GiB limit"):
             codec.build_session(dataclasses.replace(plan, ell=1 << 17), bob, willie, rng)
+
+
+class TestRateScale:
+    @pytest.mark.parametrize("scale", ["-1", "nan"])
+    def test_out_of_range_scale_fails_before_code_construction(
+            self, tmp_path, capsys, monkeypatch, scale):
+        # -1 failed inside construct_code with "target_info must lie in [0, 16]"
+        def construct_code(*args, **kwargs):
+            raise AssertionError("code constructed for a bad rate scale")
+
+        monkeypatch.setattr(codec, "construct_code", construct_code)
+        out = tmp_path / "chain.jsonl"
+        assert run_cli("simulate", "--bob", "bsc:0.05", "--willie", "bsc:0.1",
+                       "--levels", "2", "--delta", "2", "--ell", "16", "--degraded",
+                       "--trials", "50", "--rate-scale", scale, "--seed", "1",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rate_scale must lie in (0, 1]")
+        assert not out.exists()
 
 
 class TestDetect:

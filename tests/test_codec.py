@@ -338,6 +338,14 @@ class TestBuildSession:
         with pytest.raises(SessionError, match="GiB limit"):
             build_session(plan, bsc(0.05), bsc(0.1), rng, construction_trials=50)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, 1.5, math.inf, math.nan])
+    def test_rate_scale_outside_unit_interval_refused(self, rng, scale):
+        plan = msd_rate_plan(bsc(0.05), bsc(0.1), 2, delta=4.0,
+                             epsilon=0.05, degraded=True, ell_override=16)
+        with pytest.raises(SessionError, match=r"rate_scale must lie in \(0, 1\]"):
+            build_session(plan, bsc(0.05), bsc(0.1), rng, construction_trials=50,
+                          rate_scale=scale)
+
 
 TERNARY = make_dmc([0.7, 0.2, 0.1], [0.2, 0.3, 0.5])
 

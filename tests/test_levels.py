@@ -198,6 +198,24 @@ class TestMsdRatePlan:
         with pytest.raises(RatePlanError, match="blocklength zero"):
             msd_rate_plan(bsc(0.05), bsc(0.1), 4, delta=0.0, degraded=True)
 
+    @pytest.mark.parametrize("ell", [None, 32], ids=["planned", "override"])
+    @pytest.mark.parametrize("name, value", [
+        ("delta", math.inf), ("delta", math.nan), ("delta", -1.0),
+        ("epsilon", math.nan), ("epsilon", math.inf), ("epsilon", 0.0),
+    ])
+    def test_non_finite_or_out_of_range_budget_rejected(self, name, value, ell):
+        # NaN epsilon wrote r_u = nan on every level, inf delta overflowed in
+        # int() and NaN delta failed with "cannot convert float NaN to integer"
+        kwargs = {"delta": 1.0, "epsilon": 0.05, name: value}
+        with pytest.raises(RatePlanError, match=f"^{name} must be"):
+            msd_rate_plan(bsc(0.05), bsc(0.1), 3, degraded=True, ell_override=ell,
+                          **kwargs)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, -1.0])
+    def test_planned_blocklength_rejects_bad_delta(self, delta):
+        with pytest.raises(RatePlanError, match="^delta must be"):
+            planned_blocklength(1024, delta, 1, 64.0 / 9.0)
+
     def test_feasibility_brute_forced_small_q(self):
         # for every subset S of levels: sum of message+secret rates is below
         # the conditional set MI of Bob, and message+key rates exceed the
