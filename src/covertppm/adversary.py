@@ -34,15 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
-from .channels import Dmc, sample_outputs
-from .levels import level_llrs, likelihood_sums, select_positions_batch
-from .ppm import (
-    SuperOutput,
-    frame_from_bits,
-    ppm_divergence_bound,
-    ppm_output_divergence,
-    transmit_super,
-)
+from .channels import Dmc
+from .levels import draw_half_histograms, level_llrs, likelihood_sums, select_positions_batch
+from .ppm import SuperOutput, ppm_divergence_bound, ppm_output_divergence
 
 
 class OracleBudgetError(RuntimeError):
@@ -438,11 +432,31 @@ class CovertnessEstimate:
     bins: int
 
 
-def _mixture_statistic(willie: Dmc, output: SuperOutput) -> float:
+def _root_mixture_statistic(willie: Dmc, roots: np.ndarray, m: int) -> float:
     """sum over super-symbols of log((1/m) sum_j lam(z_j)), each row's
-    likelihood sum read from its root histogram."""
+    likelihood sum read from its (ell, |Z|) root histogram."""
+    return float(np.sum(np.log(likelihood_sums(roots, willie.lam) / m)))
+
+
+def _mixture_statistic(willie: Dmc, output: SuperOutput) -> float:
+    """The mixture statistic of a channel output, read from its pyramid root."""
     root = output.block_histograms(output.q, np.zeros((output.ell, 1), dtype=np.int64))
-    return float(np.sum(np.log(likelihood_sums(root[:, 0], willie.lam) / (1 << output.q))))
+    return _root_mixture_statistic(willie, root[:, 0], 1 << output.q)
+
+
+def _reference_halves(willie: Dmc, i: int, bits: np.ndarray, rng: np.random.Generator):
+    """Level-i half histograms of uniform PPM with level bits ``bits``: one
+    bit-0 pair per row from the level sampler's own draw, its halves swapped
+    where the bit is 1 (the LLR is then a swap, never a negation, so it lands
+    on the same atoms as the scheme side's)."""
+    c0, c1 = draw_half_histograms(willie, i, bits.shape[0], rng)
+    swap = bits[:, None] == 1
+    return np.where(swap, c1, c0), np.where(swap, c0, c1)
+
+
+def _innocent_roots(willie: Dmc, m: int, ell: int, rng: np.random.Generator) -> np.ndarray:
+    """Root histograms of ``ell`` innocent super-symbols, Multinomial(m, Q0) each."""
+    return rng.multinomial(m, willie.row0, size=ell)
 
 
 def covertness_estimate(
@@ -455,15 +469,26 @@ def covertness_estimate(
     """Measure covertness of a session at moderate scale.
 
     Per level, estimates the total variation between the scheme and the
-    uniform-PPM reference on the level LLR statistic (quantile-binned), then
-    telescopes the per-level values.  Also runs the per-coordinate mixture
-    likelihood-ratio test against the innocent hypothesis, reporting its
-    advantage 1 - alpha - beta with a 3-sigma interval; the mixture baseline
-    is a strong suboptimal detector, exact only in the enumerable regime.
-    ``blocks`` must be at least 1.
+    uniform-PPM reference on the level LLR statistic (quantile-binned into
+    ``bins`` >= 2 cells), then telescopes the per-level values.  Also runs
+    the per-coordinate mixture likelihood-ratio test against the innocent
+    hypothesis, reporting its advantage 1 - alpha - beta with a 3-sigma
+    interval; the mixture baseline is a strong suboptimal detector, exact
+    only in the enumerable regime.  ``blocks`` must be at least 1.
+
+    Each sampled block of the scheme is encoded and sent through Willie's
+    channel symbol by symbol.  The two other sides are drawn in the
+    statistics they are read through: the reference's level-i statistic
+    from a pair of half histograms per super-symbol (``_reference_halves``),
+    the innocent mixture statistic from one Multinomial(m, Q0) root
+    histogram per super-symbol.  Each per-level TV reads one level's
+    marginal and alpha the root histograms only, so every reported law is
+    that of whole channel outputs.
     """
     if blocks < 1:
         raise ValueError(f"covertness estimate needs at least 1 block, got {blocks}")
+    if bins < 2:
+        raise ValueError(f"covertness estimate needs bins >= 2, got {bins}")
     q, ell, m = session.q, session.ell, session.plan.m
     willie = session.willie
 
@@ -492,15 +517,12 @@ def covertness_estimate(
         scheme_lr[b] = _mixture_statistic(willie, willie_out)
 
         ref_bits = rng.integers(0, 2, size=(q, ell), dtype=np.uint8)
-        ref_frame = frame_from_bits(ref_bits)
-        ref_out = transmit_super(willie, ref_frame, rng)
         for i in range(1, q + 1):
             ref_stats[i].append(level_llrs(
-                *select_positions_batch(ref_out, ref_bits[i:], i), willie.lam))
+                *_reference_halves(willie, i, ref_bits[i - 1], rng), willie.lam))
 
-        innocent = SuperOutput(q=q, symbols=sample_outputs(willie, 0, (ell, m), rng),
-                               alphabet_size=willie.alphabet_size)
-        innocent_lr[b] = _mixture_statistic(willie, innocent)
+        innocent_lr[b] = _root_mixture_statistic(
+            willie, _innocent_roots(willie, m, ell, rng), m)
 
     level_tv: dict[int, float] = {}
     for i in range(1, q + 1):

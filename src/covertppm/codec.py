@@ -151,10 +151,13 @@ def build_session(
     plan's rates are asymptotic operating points; ``rate_scale`` backs the
     message and secret payloads off for finite blocks (key counts stay at
     their ceiling: they are a covertness requirement, not a reliability
-    one); it must lie in (0, 1].
+    one); it must lie in (0, 1].  ``construction_trials`` (Monte-Carlo
+    blocks per level code) must be at least 1.
     """
     if not 0.0 < rate_scale <= 1.0:
         raise SessionError(f"rate_scale must lie in (0, 1], got {rate_scale}")
+    if construction_trials < 1:
+        raise SessionError(f"construction_trials must be >= 1, got {construction_trials}")
     if resolvability not in ("full_uniform", "extractor"):
         raise SessionError(f"unknown resolvability source {resolvability!r}")
 

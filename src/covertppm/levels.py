@@ -11,9 +11,10 @@ is a half-sum of per-coordinate likelihood ratios, so
     and each half-sum is sum_a c_a * lam_a over that half's output-symbol
     histogram c: the two per-half histograms are a sufficient statistic for
     the level bit, and the receivers compute the LLR from them directly (no
-    per-coordinate ratios, no sort).  Code construction samples the same
-    statistic: each level LLR comes from a pair of histograms drawn directly
-    from their multinomial law, never from 2^i individual outputs;
+    per-coordinate ratios, no sort).  Code construction and the warden's
+    uniform-PPM reference sample the same statistic: each level LLR comes
+    from a pair of histograms drawn directly from their multinomial law,
+    never from 2^i individual outputs;
   * the level capacity has the closed form
         C_i = D(P_ppm^(2^(i-1)) || P0^(2^(i-1))) - D(P_ppm^(2^i) || P0^(2^i)),
     independent of the total number of levels q >= i, when P1 has no mass
@@ -397,12 +398,13 @@ def level_llrs(first: np.ndarray, second: np.ndarray, lam: np.ndarray) -> np.nda
     return np.clip(out, -DEFAULT_LLR_MAX, DEFAULT_LLR_MAX)
 
 
-def _draw_half_histograms(dmc: Dmc, i: int, count: int, rng: np.random.Generator):
+def draw_half_histograms(dmc: Dmc, i: int, count: int, rng: np.random.Generator):
     """``count`` pairs of level-i output-symbol histograms under level bit 0.
 
     The first half holds the pulse, an output of row1, plus 2^(i-1) - 1
     outputs of row0; the second half holds 2^(i-1) outputs of row0.  Returns
-    the two (count, |Z|) count arrays.
+    the two (count, |Z|) count arrays.  Code construction and the warden's
+    uniform-PPM reference (``adversary.covertness_estimate``) both draw here.
     """
     half = 1 << (i - 1)
     c0 = rng.multinomial(half - 1, dmc.row0, size=count)
@@ -428,7 +430,7 @@ def make_level_llr_sampler(dmc: Dmc, i: int):
         raise ValueError("level index must be >= 1")
 
     def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
-        return level_llrs(*_draw_half_histograms(dmc, i, count, rng), dmc.lam)
+        return level_llrs(*draw_half_histograms(dmc, i, count, rng), dmc.lam)
 
     return sampler
 

@@ -42,6 +42,9 @@ erasure split of ``level_capacity`` must match.
 behind the packed extractor helpers, and ``search_irreducible_reference``
 the modulus search without the Swan skip.  ``exact_tv`` and the ``pw_from_*``
 position-law helpers enumerate tiny covertness instances.
+``half_histogram_pmf`` and ``multinomial_pmf`` are the exact laws of the
+drawn half-histogram pairs and root histograms, which ``atom_counts`` and
+``pooled_chi2_pvalue`` test samples against.
 ``verify_degradation`` composes a channel with a given intermediate channel,
 and ``degradation_residual_lp`` finds the best intermediate by a linear
 program: the ROC test of ``is_degraded`` must agree with them.
@@ -57,7 +60,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 from scipy.special import gammaln
-from scipy.stats import multinomial
+from scipy.stats import chisquare, multinomial
 
 from covertppm.adversary import DetectionReport
 from covertppm.channels import ROW_SUM_TOL, ChannelError, Dmc
@@ -740,6 +743,13 @@ def level_llr_sampler_reference(dmc: Dmc, i: int):
     return sampler
 
 
+def multinomial_pmf(total: int, row):
+    """Exact Multinomial(total, row) law: every (n_atoms, |Z|) histogram of
+    ``total`` outputs and its probability."""
+    atoms = np.array(list(_compositions(total, len(row))), dtype=np.int64)
+    return atoms, multinomial.pmf(atoms, total, row)
+
+
 def half_histogram_pmf(dmc: Dmc, i: int):
     """Exact law of a level-i subblock's two per-half histograms under bit 0.
 
@@ -749,12 +759,9 @@ def half_histogram_pmf(dmc: Dmc, i: int):
     2^(i-1) row0 outputs, all independent.
     """
     h = 1 << (i - 1)
-    a = dmc.alphabet_size
-    grid = np.array([t for t in itertools.product(range(h + 1), repeat=a)
-                     if sum(t) == h], dtype=np.int64)
-    second = multinomial.pmf(grid, h, dmc.row0)
+    grid, second = multinomial_pmf(h, dmc.row0)
     first = np.zeros(grid.shape[0])
-    for sym in range(a):
+    for sym in range(dmc.alphabet_size):
         rest = grid.copy()
         rest[:, sym] -= 1
         ok = rest[:, sym] >= 0
@@ -762,6 +769,30 @@ def half_histogram_pmf(dmc: Dmc, i: int):
     n = grid.shape[0]
     atoms = np.stack([np.repeat(grid, n, axis=0), np.tile(grid, (n, 1))], axis=1)
     return atoms, np.outer(first, second).ravel()
+
+
+def atom_counts(atoms, drawn) -> np.ndarray:
+    """How many of the ``drawn`` histograms (any trailing shape) equal each
+    of ``atoms``; every drawn histogram must be one of them."""
+    flat = atoms.reshape(atoms.shape[0], -1)
+    drawn = drawn.reshape(drawn.shape[0], -1)
+    radix = (int(max(flat.max(), drawn.max(initial=0))) + 1) ** np.arange(flat.shape[1])
+    keys, got = flat @ radix, drawn @ radix
+    order = np.argsort(keys)
+    at = order[np.clip(np.searchsorted(keys[order], got), 0, keys.size - 1)]
+    assert np.array_equal(keys[at], got), "a drawn histogram is not an atom"
+    return np.bincount(at, minlength=atoms.shape[0])
+
+
+def pooled_chi2_pvalue(observed, expected) -> float:
+    """Pearson's goodness-of-fit p-value, with the cells expected fewer than
+    5 times pooled into one and empty expected cells dropped."""
+    observed, expected = np.asarray(observed), np.asarray(expected, dtype=float)
+    big = expected >= 5
+    observed = np.append(observed[big], observed[~big].sum())
+    expected = np.append(expected[big], expected[~big].sum())
+    keep = expected > 0
+    return float(chisquare(observed[keep], expected[keep]).pvalue)
 
 
 def search_irreducible_reference(w: int) -> int:

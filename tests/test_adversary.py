@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare
 
 from conftest import (
+    atom_counts,
     detect_linear_code_reference,
     detector_statistic,
     detector_statistic_law,
@@ -14,13 +14,18 @@ from conftest import (
     exact_tv,
     gf2_product_reference,
     gf2_rank_reference,
+    half_histogram_pmf,
     mixture_statistic_reference,
+    multinomial_pmf,
+    pooled_chi2_pvalue,
     pw_from_joint_codebook,
     pw_from_level_sources,
 )
 from covertppm.adversary import (
     LinearCode,
+    _innocent_roots,
     _mixture_statistic,
+    _reference_halves,
     _trial_statistics,
     OracleBudgetError,
     covertness_estimate,
@@ -39,7 +44,7 @@ from covertppm.adversary import (
 from covertppm.channels import bac, bsc, divergence_stats, make_dmc, sample_outputs
 from covertppm.codec import build_session
 from covertppm.extractor import ExtractorConfig, int_to_bits, inv, make_field
-from covertppm.levels import LevelRates, RatePlan
+from covertppm.levels import LevelRates, RatePlan, draw_half_histograms, level_llrs
 from covertppm.ppm import SuperOutput, frame_from_bits, transmit_super
 
 
@@ -211,12 +216,7 @@ class TestDetectorLaw:
             assert (p[nearest] > 0).all()
             # Pearson's test, atoms expected fewer than 5 times pooled
             observed = np.bincount(nearest, minlength=atoms.size)
-            expected = trials * p
-            big = expected >= 5
-            observed = np.append(observed[big], observed[~big].sum())
-            expected = np.append(expected[big], expected[~big].sum())
-            keep = expected > 0
-            assert chisquare(observed[keep], expected[keep]).pvalue > 1e-3
+            assert pooled_chi2_pvalue(observed, trials * p) > 1e-3
 
 
 class TestStatistic:
@@ -454,6 +454,13 @@ class TestCovertnessEstimate:
         with pytest.raises(ValueError, match="at least 1 block, got 0"):
             covertness_estimate(sess, 0, rng)
 
+    @pytest.mark.parametrize("bins", [1, 0, -3])
+    def test_fewer_than_two_bins_rejected(self, rng, bins):
+        # 0 reported TV 0 on every level; -3 failed inside np.linspace
+        sess = tiny_single_codeword_session(rng)
+        with pytest.raises(ValueError, match=rf"bins >= 2, got {bins}"):
+            covertness_estimate(sess, 3, rng, bins=bins)
+
     def test_advantage_bounded_by_exact_tv_vs_innocent(self, rng):
         sess = tiny_single_codeword_session(rng)
         willie = sess.willie
@@ -479,3 +486,55 @@ class TestCovertnessEstimate:
         # uniform scheme is covert only at the planned delta, not per se);
         # only the per-level distances to the uniform-PPM product vanish
         assert est.lrt_advantage > 0.5
+
+
+TERNARY = make_dmc([0.7, 0.2, 0.1], [0.2, 0.3, 0.5])
+
+
+class TestSufficientStatisticSides:
+    """The uniform-PPM reference and the innocent side of
+    ``covertness_estimate``, drawn as histograms instead of channel outputs."""
+
+    @pytest.mark.parametrize("willie", [bsc(0.05), TERNARY], ids=["bsc0.05", "ternary"])
+    @pytest.mark.parametrize("i", range(1, 5))
+    def test_reference_halves_follow_mirrored_atom_law(self, willie, i):
+        # rows with bit 0 follow the bit-0 pair law, rows with bit 1 the same
+        # law with the halves mirrored: one Pearson test over both groups
+        atoms, pmf = half_histogram_pmf(willie, i)
+        n = 40_000
+        bits = np.random.default_rng(30 + i).integers(0, 2, size=n, dtype=np.uint8)
+        first, second = _reference_halves(willie, i, bits, np.random.default_rng(40 + i))
+        h = 1 << (i - 1)
+        assert np.all(first.sum(axis=1) == h) and np.all(second.sum(axis=1) == h)
+        one = bits == 1
+        observed = np.concatenate([
+            atom_counts(atoms, np.stack([first[~one], second[~one]], axis=1)),
+            atom_counts(atoms[:, ::-1], np.stack([first[one], second[one]], axis=1)),
+        ])
+        expected = np.concatenate([(~one).sum() * pmf, one.sum() * pmf])
+        assert pooled_chi2_pvalue(observed, expected) > 1e-4
+
+    @pytest.mark.parametrize("willie", [bsc(0.05), TERNARY], ids=["bsc0.05", "ternary"])
+    @pytest.mark.parametrize("i", range(1, 5))
+    def test_reference_statistic_is_the_swapped_pair_bit_for_bit(self, willie, i):
+        # the same generator state draws the same bit-0 pairs; a bit-1 row's
+        # statistic is level_llrs of its swapped halves, not a negated LLR
+        n = 2000
+        bits = np.random.default_rng(i).integers(0, 2, size=n, dtype=np.uint8)
+        got = level_llrs(*_reference_halves(willie, i, bits, np.random.default_rng(9)),
+                         willie.lam)
+        c0, c1 = draw_half_histograms(willie, i, n, np.random.default_rng(9))
+        one = bits == 1
+        assert one.any() and (~one).any()
+        np.testing.assert_array_equal(got[~one], level_llrs(c0, c1, willie.lam)[~one])
+        np.testing.assert_array_equal(got[one], level_llrs(c1, c0, willie.lam)[one])
+
+    @pytest.mark.parametrize("willie", [bsc(0.05), TERNARY], ids=["bsc0.05", "ternary"])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_innocent_roots_follow_multinomial_law(self, willie, q):
+        m, n = 1 << q, 20_000
+        roots = _innocent_roots(willie, m, n, np.random.default_rng(50 + q))
+        assert roots.shape == (n, willie.alphabet_size)
+        atoms, pmf = multinomial_pmf(m, willie.row0)
+        assert pooled_chi2_pvalue(atom_counts(atoms, roots), n * pmf) > 1e-4
+

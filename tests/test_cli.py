@@ -301,6 +301,28 @@ class TestRateScale:
         assert not out.exists()
 
 
+class TestConstructionTrials:
+    @pytest.mark.parametrize("command", [
+        ("covertness", "--construction-trials", "0", "--trials", "4"),
+        ("simulate", "--trials", "0"),
+    ], ids=["covertness", "simulate"])
+    def test_zero_trials_fail_before_code_construction(
+            self, tmp_path, capsys, monkeypatch, command):
+        # covertness printed construct_code's "trials must be >= 1", which
+        # reads like its own --trials (sampled blocks)
+        def construct_code(*args, **kwargs):
+            raise AssertionError("code constructed for zero construction trials")
+
+        monkeypatch.setattr(codec, "construct_code", construct_code)
+        out = tmp_path / "o.json"
+        assert run_cli(command[0], "--bob", "bsc:0.05", "--willie", "bsc:0.1",
+                       "--levels", "2", "--delta", "2", "--ell", "16", "--degraded",
+                       *command[1:], "--seed", "1", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: construction_trials must be >= 1, got 0")
+        assert not out.exists()
+
+
 class TestDetect:
     def test_report_and_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -4,7 +4,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.stats import chi2 as chi2_dist
 
 from covertppm import codec, levels
 from covertppm.channels import bac, bsc, make_dmc
@@ -18,7 +17,7 @@ from covertppm.codec import (
     transmit_block,
 )
 from covertppm.levels import (
-    _draw_half_histograms,
+    draw_half_histograms,
     level_llrs,
     make_level_llr_sampler,
     msd_rate_plan,
@@ -28,9 +27,11 @@ from covertppm.polar import polar_transform
 from covertppm.ppm import frame_from_bits, transmit_super
 
 from conftest import (
+    atom_counts,
     half_histogram_pmf,
     level_llr_sampler_reference,
     pin_rates,
+    pooled_chi2_pvalue,
     super_channel_matrix,
 )
 
@@ -346,6 +347,17 @@ class TestBuildSession:
             build_session(plan, bsc(0.05), bsc(0.1), rng, construction_trials=50,
                           rate_scale=scale)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_construction_trials_below_one_refused(self, rng, monkeypatch, trials):
+        def construct_code(*args, **kwargs):
+            raise AssertionError("code constructed for a bad trial count")
+
+        monkeypatch.setattr(codec, "construct_code", construct_code)
+        plan = msd_rate_plan(bsc(0.05), bsc(0.1), 2, delta=4.0,
+                             epsilon=0.05, degraded=True, ell_override=16)
+        with pytest.raises(SessionError, match=rf"construction_trials must be >= 1, got {trials}"):
+            build_session(plan, bsc(0.05), bsc(0.1), rng, construction_trials=trials)
+
 
 TERNARY = make_dmc([0.7, 0.2, 0.1], [0.2, 0.3, 0.5])
 
@@ -359,30 +371,17 @@ class TestLevelLlrSampler:
         # times are pooled into one cell
         atoms, pmf = half_histogram_pmf(ch, i)
         n = 40_000
-        c0, c1 = _draw_half_histograms(ch, i, n, np.random.default_rng(100 + i))
-        a, h = ch.alphabet_size, 1 << (i - 1)
+        c0, c1 = draw_half_histograms(ch, i, n, np.random.default_rng(100 + i))
+        h = 1 << (i - 1)
         assert np.all(c0.sum(axis=1) == h) and np.all(c1.sum(axis=1) == h)
-
-        def code(hist):  # mixed-radix index of a (.., 2, |Z|) histogram pair
-            digits = hist.reshape(hist.shape[0], 2 * a)
-            return digits @ ((h + 1) ** np.arange(2 * a))
-
-        index = {int(k): j for j, k in enumerate(code(atoms))}
-        drawn = np.array([index[int(k)] for k in code(np.stack([c0, c1], axis=1))])
-        observed = np.bincount(drawn, minlength=pmf.shape[0])
-        expected = n * pmf
-        big = expected >= 5
-        obs = np.append(observed[big], observed[~big].sum())
-        exp = np.append(expected[big], expected[~big].sum())
-        keep = exp > 0
-        stat = float(np.sum((obs[keep] - exp[keep]) ** 2 / exp[keep]))
-        assert chi2_dist.sf(stat, keep.sum() - 1) > 1e-4
+        observed = atom_counts(atoms, np.stack([c0, c1], axis=1))
+        assert pooled_chi2_pvalue(observed, n * pmf) > 1e-4
 
     def test_sampler_is_histograms_through_llrs(self):
         ch = TERNARY
         sampler = make_level_llr_sampler(ch, 3)
         got = sampler(500, np.random.default_rng(8))
-        c0, c1 = _draw_half_histograms(ch, 3, 500, np.random.default_rng(8))
+        c0, c1 = draw_half_histograms(ch, 3, 500, np.random.default_rng(8))
         np.testing.assert_array_equal(got, level_llrs(c0, c1, ch.lam))
 
     def test_codec_builds_sessions_with_the_level_sampler(self):
