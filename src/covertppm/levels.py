@@ -186,12 +186,18 @@ def planned_blocklength(m: int, delta: float, B: int, chi2_willie: float) -> int
 
     The floor carries a 1e-9 guard so exactly-integer operating points (the
     BSC designs hit them) do not lose a unit to floating-point fuzz.  delta
-    must be finite and non-negative.
+    must be finite and non-negative, and small enough that the quotient is
+    finite.
     """
     _check_budget(delta, chi2_willie)
     if chi2_willie <= 0:
         raise RatePlanError("Willie's chi2 is zero: any blocklength is covert")
-    return int(math.floor(2.0 * m * delta / (B * chi2_willie) + 1e-9))
+    ell = 2.0 * m * delta / (B * chi2_willie)
+    if not math.isfinite(ell):
+        raise RatePlanError(
+            f"delta = {delta!r} is too large: the blocklength "
+            f"2 m delta / (B chi2) is not finite")
+    return int(math.floor(ell + 1e-9))
 
 
 def msd_rate_plan(
@@ -313,7 +319,8 @@ def throughput_summary(
             message_bits=plan.B * plan.ell * (plan.sum_ru() + plan.sum_rv()),
             key_bits=0.0, n=n, degenerate=True,
         )
-    norm = math.sqrt(n * plan.delta)
+    # the product n * delta can overflow where the two roots do not
+    norm = math.sqrt(n) * math.sqrt(plan.delta)
     message_bits = plan.B * plan.ell * (plan.sum_ru() + plan.sum_rv())
     key_bits = plan.ell * plan.sum_rk() \
         + (plan.B - 1) * plan.ell * max(plan.sum_rk() - plan.sum_rv(), 0.0)

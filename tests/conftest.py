@@ -6,7 +6,9 @@ own algorithms, so the tests compare two genuinely different computational
 paths.  ``sc_decode_reference`` is the plain leaf-by-leaf successive
 cancellation decoder that the library's simplified schedule must match,
 ``genie_decision_llrs_reference`` the node-by-node recursion that the
-breadth-first genie pass of ``construct_code`` must match, and
+breadth-first genie pass of ``construct_code`` must match (with the genie's
+box-plus check node ``genie_f``, or the decoder's logaddexp form ``sc_f`` as
+an independent oracle), and
 ``distinct_columns_reference`` the column-by-column scan that the packed-key
 ``distinct_column_set`` must match.  ``decimal_map``, ``index_set`` and
 ``select_positions`` spell out the PPM position layout one symbol at a time,
@@ -223,9 +225,22 @@ def brute_set_mi(dmc: Dmc, q: int, S: set[int], conditional: bool) -> float:
     return total / LN2
 
 
-def _sc_f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # the library's exact check-node formula, so that outputs compare bitwise
+def sc_f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # the decoder's exact check-node formula, so that outputs compare bitwise
     return np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
+
+
+def genie_f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The genie pass's box-plus check node, one ufunc for each of its own.
+
+    sgn(ab) [min(|a|, |b|) + (log1p(e^-(|a|+|b|)) - log1p(e^-||a|-|b||))],
+    with exp and log1p on contiguous arrays as in the library, so that
+    outputs compare bitwise.
+    """
+    ma, mb = np.abs(a), np.abs(b)
+    t1 = np.log1p(np.exp(-(ma + mb)))
+    t2 = np.log1p(np.exp(-np.abs(ma - mb)))
+    return np.copysign(np.minimum(ma, mb) + (t1 - t2), a * b)
 
 
 def _sc_g(a: np.ndarray, b: np.ndarray, x1: np.ndarray) -> np.ndarray:
@@ -244,28 +259,30 @@ def _sc_recurse(llr: np.ndarray, mask: np.ndarray, vals: np.ndarray,
         return bit, bit.copy()
     half = n // 2
     a, b = llr[:half], llr[half:]
-    u_left, x_left = _sc_recurse(_sc_f(a, b), mask, vals, start)
+    u_left, x_left = _sc_recurse(sc_f(a, b), mask, vals, start)
     u_right, x_right = _sc_recurse(_sc_g(a, b, x_left.astype(np.float64)),
                                    mask, vals, start + half)
     return (np.concatenate([u_left, u_right]),
             np.concatenate([x_left ^ x_right, x_right]))
 
 
-def genie_decision_llrs_reference(llrs: np.ndarray) -> np.ndarray:
+def genie_decision_llrs_reference(llrs: np.ndarray, f=genie_f) -> np.ndarray:
     """Genie decision LLRs by the depth-first recursion, one node at a time.
 
     ``llrs`` is (trials, ell); the left child gets f(a, b), the right child
-    a + b, and the children's outputs are concatenated.  The library's
-    breadth-first in-place pass must return the same array bit for bit, up
-    to the sign of a NaN.
+    a + b, and the children's outputs are concatenated.  With ``genie_f``
+    the library's breadth-first position-major pass must return the
+    transpose of this array bit for bit, up to the sign of a NaN; with
+    ``sc_f`` it is the recursion in the decoder's logaddexp form, which the
+    pass must match to rounding.
     """
     n = llrs.shape[1]
     if n == 1:
         return llrs
     half = n // 2
     a, b = llrs[:, :half], llrs[:, half:]
-    return np.concatenate([genie_decision_llrs_reference(_sc_f(a, b)),
-                           genie_decision_llrs_reference(a + b)], axis=1)
+    return np.concatenate([genie_decision_llrs_reference(f(a, b), f),
+                           genie_decision_llrs_reference(a + b, f)], axis=1)
 
 
 def sc_decode_reference(channel_llrs, code, pins=None):

@@ -185,6 +185,25 @@ class TestPlan:
         assert err.startswith(f"error: {option[0][2:]} must be finite")
         assert not out.exists()
 
+    def test_delta_with_infinite_blocklength_is_clear_error(self, tmp_path, capsys):
+        # 2 m delta / (B chi2) overflows at delta = 1.7e308: this ended in an
+        # OverflowError traceback
+        out = tmp_path / "plan.txt"
+        assert run_cli("plan", "--bob", "bsc:0.05", "--willie", "bsc:0.1",
+                       "--levels", "2", "--delta", "1.7e308", "--degraded",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: delta = 1.7e+308 is too large")
+        assert not out.exists()
+
+    def test_huge_delta_reports_nonzero_throughput(self, capsys):
+        # sqrt(n * delta) overflowed and the report read "covert throughput 0"
+        assert run_cli("plan", "--bob", "bsc:0.05", "--willie", "bsc:0.1",
+                       "--levels", "2", "--delta", "1e300", "--degraded") == 0
+        report = capsys.readouterr().out
+        assert "covert throughput " in report
+        assert "covert throughput 0 " not in report
+
     def test_warden_off_support_with_set_blocklength_fails(self, tmp_path, capsys):
         # with --ell the planner used to skip both the chi2 and the degraded
         # check, writing r_k = 0 and printing "capacity nan"

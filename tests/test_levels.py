@@ -216,6 +216,14 @@ class TestMsdRatePlan:
         with pytest.raises(RatePlanError, match="^delta must be"):
             planned_blocklength(1024, delta, 1, 64.0 / 9.0)
 
+    def test_planned_blocklength_rejects_delta_with_infinite_quotient(self):
+        # a finite delta whose 2 m delta / (B chi2) overflows ended in an
+        # OverflowError from int()
+        with pytest.raises(RatePlanError, match="^delta = 1.7e\\+308 is too large"):
+            planned_blocklength(4, 1.7e308, 1, 0.5)
+        with pytest.raises(RatePlanError, match="^delta = "):
+            msd_rate_plan(bsc(0.05), bsc(0.1), 2, 1.7e308, degraded=True)
+
     def test_feasibility_brute_forced_small_q(self):
         # for every subset S of levels: sum of message+secret rates is below
         # the conditional set MI of Bob, and message+key rates exceed the
@@ -266,6 +274,14 @@ class TestThroughputSummary:
         s = throughput_summary(plan, ch.stats, ch.stats)
         assert s.degenerate
         assert s.covert_capacity == 0.0
+
+    def test_huge_delta_throughput_is_finite(self):
+        # sqrt(n * delta) overflowed to inf and the throughput read 0
+        plan = msd_rate_plan(bsc(0.05), bsc(0.1), 2, 1e300, degraded=True)
+        s = throughput_summary(plan, bsc(0.05).stats, bsc(0.1).stats)
+        assert math.isinf(plan.B * plan.m * plan.ell * plan.delta)
+        assert 0.0 < s.covert_throughput < math.inf
+        assert s.covert_throughput == s.message_bits / (math.sqrt(s.n) * math.sqrt(1e300))
 
     def test_key_capacity_clamped_at_zero(self):
         # D(Q1||Q0) < D(P1||P0) for this pair: no key needed asymptotically

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import genie_decision_llrs_reference, pyramid_level_llrs, sc_decode_reference
+from conftest import (
+    genie_decision_llrs_reference,
+    pyramid_level_llrs,
+    sc_decode_reference,
+    sc_f,
+)
 from covertppm import polar
 from covertppm.channels import bsc
 from covertppm.codec import build_session, encode_block, make_level_llr_sampler
@@ -265,12 +270,25 @@ def test_scalar_logaddexp_bitwise_equals_numpy():
     np.testing.assert_array_equal(_float_bits(got), _float_bits(want))
 
 
+def _genie(llrs: np.ndarray, workers: int, tile: int) -> np.ndarray:
+    # the library's pass on a copy of (trials, ell) LLRs, as (trials, ell)
+    if workers == 1:
+        return polar._genie_decision_llrs(llrs.copy(), None, 1, tile).T
+    with ThreadPoolExecutor(workers) as pool:
+        return polar._genie_decision_llrs(llrs.copy(), pool, workers, tile).T
+
+
 @pytest.mark.parametrize("log_ell", range(13))
 @settings(max_examples=10, deadline=None)
 @given(rows=st.integers(1, 9), workers=st.integers(1, 4),
+       extra=st.integers(0, 70),
        source=st.sampled_from(["pool", "normal", "mixed"]),
        seed=st.integers(0, 2**32 - 1))
-def test_genie_pass_bitwise_equals_reference(log_ell, rows, workers, source, seed):
+def test_genie_pass_bitwise_equals_reference(log_ell, rows, workers, extra,
+                                             source, seed):
+    # any tile size from one position row (rows + extra elements) and any
+    # worker count: tiles run whole nodes, runs of positions, and uneven
+    # last tiles
     rng = np.random.default_rng(seed)
     ell = 1 << log_ell
     if source == "pool":
@@ -282,10 +300,65 @@ def test_genie_pass_bitwise_equals_reference(log_ell, rows, workers, source, see
             llrs[hit] = rng.choice(GENIE_POOL, size=int(hit.sum()))
     with np.errstate(all="ignore"):
         want = genie_decision_llrs_reference(llrs.copy())
-        with ThreadPoolExecutor(workers) as pool:
-            got = polar._genie_decision_llrs(llrs.copy(), np.empty_like(llrs),
-                                             pool, workers)
+        got = _genie(llrs, workers, rows + extra)
     np.testing.assert_array_equal(_float_bits(got), _float_bits(want))
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+@pytest.mark.parametrize("ell", [64, 4096])
+def test_genie_pass_agrees_with_the_logaddexp_recursion(level, ell):
+    # on sampled level LLRs the box-plus pass and the decoder's logaddexp
+    # form give the same decision LLRs up to rounding
+    rows = 8 if ell == 4096 else 64
+    sampler = make_level_llr_sampler(bsc(0.05), level)
+    llrs = sampler(rows * ell, np.random.default_rng(level)).reshape(rows, ell)
+    got = _genie(llrs, 2, polar._TILE)
+    want = genie_decision_llrs_reference(llrs.copy(), sc_f)
+    assert np.all(np.isfinite(want))
+    assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want)))
+
+
+_EPS = np.finfo(np.float64).eps
+
+
+def _box_plus_longdouble(a: float, b: float) -> float:
+    x, y = np.longdouble(a), np.longdouble(b)
+    mx, my = abs(x), abs(y)
+    mag = min(mx, my) + np.log1p(np.exp(-(mx + my))) \
+        - np.log1p(np.exp(-abs(mx - my)))
+    return np.sign(x) * np.sign(y) * mag
+
+
+_LLR = st.floats(-2e5, 2e5, allow_nan=False)
+
+
+@st.composite
+def _check_node_pairs(draw):
+    a = draw(_LLR)
+    kind = draw(st.sampled_from(["free", "mirror", "near"]))
+    if kind == "free":
+        return a, draw(_LLR)
+    # |b| close to |a|: the two log1p terms nearly cancel
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    if kind == "mirror":
+        return a, sign * a * (1.0 + draw(st.floats(-1e-6, 1e-6)))
+    return a, sign * a + draw(st.floats(-1e-3, 1e-3))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= _EPS,
+                    reason="longdouble is plain double here")
+@settings(max_examples=2000, deadline=None)
+@given(pair=_check_node_pairs())
+def test_check_node_is_accurate_and_symmetric(pair):
+    a, b = pair
+    # one call evaluates f(a, b), f(b, a) and f(-a, b)
+    x, y = np.array([a, b, -a]), np.array([b, a, b])
+    left, right, s1, s2 = (np.empty(3) for _ in range(4))
+    polar._check_node(x, y, left, right, s1, s2)
+    want = _box_plus_longdouble(a, b)
+    assert abs(np.longdouble(left[0]) - want) <= 2 * _EPS * max(1.0, abs(want))
+    assert left[1].tobytes() == left[0].tobytes()
+    assert left[2].tobytes() == (-left[0]).tobytes()
 
 
 class TestConstruction:
