@@ -309,8 +309,17 @@ def pw_single(positions) -> dict[tuple[int, ...], float]:
 
 
 def pw_uniform(m: int, ell: int) -> dict[tuple[int, ...], float]:
-    """Uniform distribution over all position tuples (fully uniform inputs)."""
+    """Uniform distribution over all position tuples (fully uniform inputs).
+
+    The oracle enumerates |Z|^(m ell) >= 2^(m ell) >= m^ell outputs, so a
+    geometry with 2^(m ell) > ``ORACLE_MAX_OUTPUTS`` raises
+    :class:`OracleBudgetError` here, before any tuple is built.
+    """
     _check_geometry(m, ell)
+    if m * ell >= ORACLE_MAX_OUTPUTS.bit_length():
+        raise OracleBudgetError(
+            f"m ell = {m * ell}: at least 2^{m * ell} output sequences exceed "
+            f"the oracle budget {ORACLE_MAX_OUTPUTS}")
     return dict.fromkeys(itertools.product(range(1, m + 1), repeat=ell), 1.0 / m**ell)
 
 
@@ -401,7 +410,8 @@ def exact_kl_oracle(
     d_pz_qppm = _kl_nats(p_z, qppm_full)
     tv = 0.5 * float(np.abs(p_z - qppm_full).sum())
     d_qppm_q0 = ell * _kl_nats(qppm_sym, q0_sym)
-    rhs = d_pz_qppm + 2.0 * tv * ell * max_log + d_qppm_q0
+    # the middle term vanishes with the TV even where max_log is infinite
+    rhs = d_pz_qppm + (2.0 * tv * ell * max_log if tv > 0 else 0.0) + d_qppm_q0
     return OracleReport(
         m=m, ell=ell,
         d_pz_q0=_kl_nats(p_z, q0_full),

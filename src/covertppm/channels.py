@@ -46,7 +46,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _ratio(num: np.ndarray, row0: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _read_only(np.where(row0 > 0, num / row0, np.inf))
 
 
@@ -142,7 +142,8 @@ def make_dmc(row0, row1) -> Dmc:
     Rows must have the same length >= 2, nonnegative entries, and sum to one
     within ``1e-9``; they are renormalised so each sums to exactly one in
     double precision.  Identical rows (a channel that reveals nothing) are
-    accepted.
+    accepted.  On the support of row0 the ratio row1/row0 must be finite: a
+    row0 entry so small that it overflows has no usable likelihood ratio.
     """
     r0 = _as_prob_vector(row0, "row0")
     r1 = _as_prob_vector(row1, "row1")
@@ -150,7 +151,12 @@ def make_dmc(row0, row1) -> Dmc:
         raise ChannelError(
             f"row length mismatch: {r0.shape[0]} vs {r1.shape[0]}"
         )
-    return Dmc(row0=_read_only(r0), row1=_read_only(r1))
+    dmc = Dmc(row0=_read_only(r0), row1=_read_only(r1))
+    if np.isinf(dmc.lam[r0 > 0]).any():
+        raise ChannelError(
+            "row1/row0 overflows on the support of row0: a row0 entry is "
+            "too small for a finite likelihood ratio")
+    return dmc
 
 
 def bsc(p: float) -> Dmc:
@@ -173,6 +179,8 @@ def divergence_stats(p, q) -> DivergenceStats:
     Argument order matters: this is D(p || q) and chi_t(p || q).  Terms with
     q(z) = 0 and p(z) = 0 contribute nothing; q(z) = 0 with p(z) > 0 yields
     the infinite result state (``finite=False``) rather than an exception.
+    On the support a functional too large for a double is ``inf``, without a
+    warning, and ``finite`` stays True.
     """
     pv = np.asarray(p, dtype=np.float64)
     qv = np.asarray(q, dtype=np.float64)
@@ -193,10 +201,11 @@ def divergence_stats(p, q) -> DivergenceStats:
     ps, qs = pv[sup], qv[sup]
     diff = ps - qs
     ratio = diff / qs
-    chi2 = float(np.sum(diff * ratio))
-    chi3 = float(np.sum(diff * ratio * ratio))
-    theta = float(np.sum(ps * ratio * ratio))
-    rho = float(np.sum(ps * ratio * ratio * ratio))
+    with np.errstate(over="ignore"):
+        chi2 = float(np.sum(diff * ratio))
+        chi3 = float(np.sum(diff * ratio * ratio))
+        theta = float(np.sum(ps * ratio * ratio))
+        rho = float(np.sum(ps * ratio * ratio * ratio))
     kl_terms = np.zeros_like(ps)
     pos = ps > 0
     kl_terms[pos] = ps[pos] * np.log(ps[pos] / qs[pos])

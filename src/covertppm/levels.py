@@ -85,18 +85,23 @@ def level_capacity_bound(stats: DivergenceStats, i: int) -> float:
     ``stats`` are the divergence statistics of the pair (P1, P0).  The bound
     is an asymptotic expansion; for small i it may fall below the exact value,
     which the tests record rather than assert away.  When P1 has mass outside
-    the support of P0 (chi2 infinite) it is the vacuous bound ``inf``.
+    the support of P0 (chi2 infinite), or a term overflows, it is the
+    vacuous bound ``inf``.
     """
     if i < 1:
         raise ValueError("level index must be >= 1")
     if not stats.finite:
         return float("inf")
     c2, th, rh = stats.chi2, stats.theta, stats.rho
-    return (
-        c2 / (1 << i)
-        - (th - c2 - 2.0 * c2**3) / (1 << (2 * i - 1))
-        + (rh - 3.0 * c2) / (3.0 * (1 << (3 * (i - 1))))
-    )
+    try:
+        bound = (
+            c2 / (1 << i)
+            - (th - c2 - 2.0 * c2**3) / (1 << (2 * i - 1))
+            + (rh - 3.0 * c2) / (3.0 * (1 << (3 * (i - 1))))
+        )
+    except OverflowError:
+        return float("inf")
+    return bound if math.isfinite(bound) else float("inf")
 
 
 @dataclass(frozen=True)
@@ -192,7 +197,10 @@ def planned_blocklength(m: int, delta: float, B: int, chi2_willie: float) -> int
     _check_budget(delta, chi2_willie)
     if chi2_willie <= 0:
         raise RatePlanError("Willie's chi2 is zero: any blocklength is covert")
-    ell = 2.0 * m * delta / (B * chi2_willie)
+    try:
+        ell = 2.0 * m * delta / (B * chi2_willie)
+    except OverflowError:           # m too large for a float
+        ell = math.inf
     if not math.isfinite(ell):
         raise RatePlanError(
             f"delta = {delta!r} is too large: the blocklength "
@@ -233,6 +241,8 @@ def msd_rate_plan(
     ``u`` is the smallest cutoff for which the levels above it hold less
     than 1% of the total Bob-side capacity.
     """
+    if q < 1:
+        raise RatePlanError(f"need at least one level, got q = {q}")
     _check_budget(delta, willie.stats.chi2)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise RatePlanError(f"epsilon must be finite and > 0, got {epsilon}")

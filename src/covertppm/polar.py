@@ -59,11 +59,8 @@ chunk of (trials, ell) LLRs from the sampler is copied, transposed, into an
 (ell, trials) buffer, and the sampler's own array becomes the second buffer;
 stage s views a buffer as (2^s nodes, 2, half, trials) and writes the
 children into the other, so every ufunc runs over contiguous runs of trials.
-Each stage is cut into tiles (whole nodes, or runs of positions within one
-node) that worker threads share in contiguous runs, since numpy releases the
-GIL inside ufunc loops; each worker owns two small scratch tiles.  The LLRs
-are drawn and the error counts reduced on the calling thread in a fixed
-order.
+Each stage runs in tiles (whole nodes, or runs of positions within one
+node) through two small scratch tiles, which keep the working set in cache.
 
 The genie's check node is the box-plus form (Hagenauer, Offer & Papke, IEEE
 Trans. IT 1996)
@@ -85,21 +82,17 @@ module, whose exp and log1p are libm's, and numpy's SIMD exp and log1p
 differ from libm in the last bit on some inputs, so only logaddexp, which
 numpy evaluates with libm, keeps the two paths and leaf-by-leaf SC equal bit
 for bit.  In the genie pass every operation is elementwise and exp and log1p
-always run over contiguous scratch, so any tiling and any split among
-threads give the same decision LLRs bit for bit, up to the sign of a NaN
-(IEEE 754 leaves it open, and numpy's loops set it by memory layout; a NaN
-of either sign counts as no error and ranks last).
+always run over contiguous scratch, so any tiling gives the same decision
+LLRs bit for bit, up to the sign of a NaN (IEEE 754 leaves it open, and
+numpy's loops set it by memory layout; a NaN of either sign counts as no
+error and ranks last).
 
 LLRs are natural-log throughout; decision convention is L >= 0 -> bit 0.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,10 +332,7 @@ def sc_decode(
 # LLRs drawn per chunk of the construction; part of the random stream, since
 # the sampler is called once per chunk
 _CHUNK = 1 << 19
-# threads for the genie pass; stages split bitwise-safely (module docstring)
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-# elements of one genie tile: each worker owns two scratch tiles of this size
+# elements of one genie tile: the pass owns two scratch tiles of this size
 # (or of one position row, if longer); of 2^13 to 2^16, 2^15 measured fastest
 # on (500, 512) chunks and within 3% of the fastest on (128, 4096) chunks
 _TILE = 1 << 15
@@ -392,16 +382,7 @@ def _stage_tiles(nodes: int, half: int, rows: int, tile: int) -> list:
             for n in range(nodes) for h in range(0, half, per)]
 
 
-def _run_tiles(views: tuple, tiles: list, scratch: np.ndarray) -> None:
-    a, b, left, right = views
-    for t in tiles:
-        at = a[t]
-        s1, s2 = (x[:at.size].reshape(at.shape) for x in scratch)
-        _check_node(at, b[t], left[t], right[t], s1, s2)
-
-
-def _genie_decision_llrs(llrs: np.ndarray, pool: ThreadPoolExecutor | None,
-                         workers: int, tile: int) -> np.ndarray:
+def _genie_decision_llrs(llrs: np.ndarray, tile: int) -> np.ndarray:
     """Decision LLRs of every synthetic channel under the all-zero codeword.
 
     With all previous bits forced to zero the partial sums vanish, so the
@@ -409,37 +390,25 @@ def _genie_decision_llrs(llrs: np.ndarray, pool: ThreadPoolExecutor | None,
     ``llrs`` (trials, ell) is copied, transposed, into a new buffer and then
     serves as the second buffer, so it is overwritten.  Stage s views the
     buffers as (2^s nodes, 2, half, trials) and writes each node's children
-    f(a, b) and a + b into the other buffer, tile by tile; the buffers then
-    swap.  Each of the ``workers`` gets two scratch tiles of
-    max(``tile``, trials) elements; with a ``pool`` each stage's tiles are
-    shared among the workers in contiguous runs, each in a copy of the
-    caller's context (which carries numpy's error state).  The copy and the
-    scratch are made here, after the draw, so that they do not add to the
-    sampler's peak memory.  Returns the (ell, trials) buffer that holds the
-    result.
+    f(a, b) and a + b into the other buffer, tile by tile, through two
+    scratch tiles of max(``tile``, trials) elements; the buffers then swap.
+    The copy and the scratch are made here, after the draw, so that they do
+    not add to the sampler's peak memory.  Returns the (ell, trials) buffer
+    that holds the result.
     """
     rows, ell = llrs.shape
     src = llrs.T.copy()
     dst = llrs.reshape(ell, rows)
-    tile = max(tile, rows)
-    scratch = np.empty((workers, 2, tile), dtype=np.float64)
+    scratch = np.empty((2, max(tile, rows)), dtype=np.float64)
     nodes, half = 1, ell // 2
     while half:
         s = src.reshape(nodes, 2, half, rows)
         d = dst.reshape(nodes, 2, half, rows)
-        views = s[:, 0], s[:, 1], d[:, 0], d[:, 1]
-        tiles = _stage_tiles(nodes, half, rows, tile)
-        if pool is None:
-            _run_tiles(views, tiles, scratch[0])
-        else:
-            cuts = [len(tiles) * k // workers for k in range(workers + 1)]
-            futures = [
-                pool.submit(contextvars.copy_context().run, _run_tiles,
-                            views, tiles[lo:hi], part)
-                for lo, hi, part in zip(cuts[:-1], cuts[1:], scratch) if hi > lo
-            ]
-            for fut in futures:
-                fut.result()
+        a, b, left, right = s[:, 0], s[:, 1], d[:, 0], d[:, 1]
+        for t in _stage_tiles(nodes, half, rows, tile):
+            at = a[t]
+            s1, s2 = (x[:at.size].reshape(at.shape) for x in scratch)
+            _check_node(at, b[t], left[t], right[t], s1, s2)
         src, dst = dst, src
         nodes, half = 2 * nodes, half // 2
     return src
@@ -460,8 +429,8 @@ def construct_code(
     ``target_info`` most reliable synthetic channels become the message set;
     the remainder are frozen to zero.  At least 1000 trials are recommended.
 
-    LLRs are drawn in chunks of about 2^19 on the calling thread; each stage
-    of the genie pass over a chunk is split across the available cores.
+    LLRs are drawn in chunks of about 2^19 and run through the genie pass
+    one chunk at a time.
     """
     _check_power_of_two(ell)
     if not 0 <= target_info <= ell:
@@ -471,20 +440,15 @@ def construct_code(
     err = np.zeros(ell, dtype=np.float64)
     llr_sum = np.zeros(ell, dtype=np.float64)
     rows_per_chunk = min(max(1, _CHUNK // ell), trials)
-    # threads only where a stage holds two full tiles or more; a tile holds
-    # at least one position row
-    workers = max(1, min(_WORKERS, rows_per_chunk * (ell // 2)
-                         // max(_TILE, rows_per_chunk)))
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        done = 0
-        while done < trials:
-            n = min(rows_per_chunk, trials - done)
-            llrs = np.asarray(level_sampler(n * ell, rng),
-                              dtype=np.float64).reshape(n, ell)
-            dec = _genie_decision_llrs(llrs, pool, workers, _TILE)
-            err += (dec < 0).sum(axis=1) + 0.5 * (dec == 0).sum(axis=1)
-            llr_sum += dec.sum(axis=1)
-            done += n
+    done = 0
+    while done < trials:
+        n = min(rows_per_chunk, trials - done)
+        llrs = np.asarray(level_sampler(n * ell, rng),
+                          dtype=np.float64).reshape(n, ell)
+        dec = _genie_decision_llrs(llrs, _TILE)
+        err += (dec < 0).sum(axis=1) + 0.5 * (dec == 0).sum(axis=1)
+        llr_sum += dec.sum(axis=1)
+        done += n
     # error count first; ties (channels too good to fail in `trials` runs)
     # broken by the mean decision LLR, a smooth reliability proxy
     order = np.lexsort((np.arange(ell), -llr_sum, err))

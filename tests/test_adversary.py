@@ -340,6 +340,29 @@ class TestExactOracle:
             # 2^(4 * 6) = 2^24 binary outputs against 2^20
             exact_kl_oracle(bsc(0.1), 4, 6, pw_uniform(4, 6))
 
+    @pytest.mark.parametrize("m, ell", [(3, 10**20), (1, 10**20), (1, 21),
+                                        (3, 7), (4, 6), (21, 1)])
+    def test_uniform_law_over_budget_refused_before_enumeration(self, m, ell):
+        # 2^(m ell) > 2^20: the oracle refuses any such geometry, so the law
+        # is refused before its m^ell tuples (ell = 10^20 ended in an
+        # OverflowError from itertools.product)
+        with pytest.raises(OracleBudgetError, match=f"m ell = {m * ell}:"):
+            pw_uniform(m, ell)
+
+    @pytest.mark.parametrize("m, ell", [(1, 20), (2, 10), (4, 5), (20, 1)])
+    def test_uniform_law_at_the_budget_reaches_the_oracle(self, m, ell):
+        assert len(pw_uniform(m, ell)) == m**ell
+        report = exact_kl_oracle(bsc(0.1), m, ell, pw_single([1] * ell))
+        assert report.m == m and report.ell == ell
+
+    def test_uniform_inputs_on_an_off_support_warden_bound_is_not_nan(self):
+        # P_Z equals the uniform-PPM product, so its TV is 0, while the log
+        # ratio is infinite: 0 * inf wrote bound_rhs = NaN
+        report = exact_kl_oracle(bsc(0.0), 3, 1, pw_uniform(3, 1))
+        assert report.tv_pz_qppm == 0.0 and report.max_log_ratio == math.inf
+        assert report.bound_rhs == report.d_qppm_q0 == math.inf
+        assert report.inequality_holds()
+
     @pytest.mark.parametrize("ell", [0, -1])
     def test_no_super_symbols_rejected(self, ell):
         with pytest.raises(ValueError, match="at least one super-symbol"):

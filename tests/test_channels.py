@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,22 @@ class TestMakeDmc:
     def test_sum_out_of_tolerance(self):
         with pytest.raises(ChannelError):
             make_dmc([0.6, 0.5], [0.5, 0.5])
+
+    @pytest.mark.parametrize("p", [1e-320, 5e-324])
+    def test_overflowing_ratio_on_support_rejected(self, p):
+        # row1/row0 = 1/p overflows to inf on a symbol of row0's support,
+        # which left every table column and the plan's r_u at nan
+        with pytest.raises(ChannelError, match="row1/row0 overflows"):
+            bsc(p)
+        with pytest.raises(ChannelError, match="row1/row0 overflows"):
+            make_dmc([0.5, 0.5 - p, p], [0.25, 0.25, 0.5])
+
+    def test_tiny_entries_with_finite_ratio_accepted(self):
+        ch = bsc(1e-300)
+        assert np.all(np.isfinite(ch.lam)) and ch.stats.finite
+        # a zero row0 entry is off the support: an infinite ratio is the
+        # documented off-support state, not an overflow
+        assert bsc(0.0).lam[1] == np.inf
 
 
 class TestChannelTable:
@@ -108,6 +125,14 @@ class TestDivergenceStats:
         willie = bsc(0.1)
         st_ = divergence_stats(willie.row1, willie.row0)
         assert st_.chi2 == pytest.approx(64.0 / 9.0, rel=1e-12)
+
+    def test_overflowing_functionals_are_inf_without_a_warning(self):
+        ch = bsc(1e-200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st_ = divergence_stats(ch.row1, ch.row0)
+        assert st_.finite and math.isfinite(st_.chi2)
+        assert st_.chi3 == st_.theta == st_.rho == math.inf
 
     def test_support_violation_is_flagged_not_raised(self):
         st_ = divergence_stats([0.5, 0.5], [1.0, 0.0])

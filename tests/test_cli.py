@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -6,10 +8,13 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertppm import codec
 from covertppm.channels import bsc
@@ -565,6 +570,53 @@ class TestCovertness:
                        "--order", "2", "--source", "single:1", "--seed", "1",
                        "--out", str(out)) == 0
         assert json.loads(out.read_text())["ell"] == 1
+
+
+# boundary values of each option, with one ordinary value so that the
+# commands also reach their reports
+_CHANNELS = [f"bsc:{p}" for p in ("0", "1e-320", "1e-200", "0.1", "0.5", "1", "nan")]
+_LEVELS = ["-1", "0", "1", "3", "21", "2000"]
+_REALS = ["0", "-1", "nan", "inf", "-inf", "1e308"]
+
+
+@st.composite
+def boundary_command(draw) -> list[str]:
+    """A tables, plan or exact covertness command line of boundary options."""
+    def pick(values):
+        return draw(st.sampled_from(values))
+
+    command = pick(["tables", "plan", "covertness"])
+    if command == "tables":
+        return ["tables", f"--bob={pick(_CHANNELS)}", f"--levels={pick(_LEVELS)}"]
+    if command == "plan":
+        argv = ["plan", f"--bob={pick(_CHANNELS)}", f"--willie={pick(_CHANNELS)}",
+                f"--levels={pick(_LEVELS)}", f"--delta={pick(_REALS + ['1'])}",
+                f"--epsilon={pick(_REALS + ['0.05'])}"]
+        ell = pick([None, "-1", "0", "1", "3", str(1 << 40)])
+        argv += [] if ell is None else [f"--ell={ell}"]
+        return argv + (["--degraded"] if draw(st.booleans()) else [])
+    return ["covertness", f"--willie={pick(_CHANNELS)}", "--exact", "--seed=1",
+            f"--order={pick(['0', '3', '16'])}",
+            f"--ell={pick(['-1', '0', '1', '3', str(10**20)])}"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=boundary_command())
+def test_boundary_options_give_a_report_or_an_error(argv):
+    # in process: each case either exits 0 with no nan in its report or exits
+    # 1 with stderr starting "error:"; an exception fails the test as the
+    # traceback it would print.  Warnings are part of stderr, as they would
+    # be printed ahead of the error line.
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    if code == 0:
+        assert not re.search(r"\bnan\b", out.getvalue() + err.getvalue(), re.I)
+    else:
+        assert code == 1 and err.getvalue().startswith("error:")
 
 
 def readme_commands() -> list[list[str]]:

@@ -133,6 +133,13 @@ class TestLevelCapacityBound:
         st_ = divergence_stats(ch.row1, ch.row0)
         assert level_capacity_bound(st_, 5) == 0.0
 
+    @pytest.mark.parametrize("p", [1e-103, 1e-200, 1e-300])
+    def test_overflowing_terms_give_the_vacuous_bound(self, p):
+        # chi2 ~ 1/p: c2**3 raised OverflowError from 1e-103 down, and
+        # inf - inf would be nan where theta and rho overflow
+        st_ = bsc(p).stats
+        assert [level_capacity_bound(st_, i) for i in (1, 2, 16)] == [math.inf] * 3
+
 
 class TestLevelMiTable:
     def test_identical_channels_zero_diffs(self):
@@ -215,6 +222,22 @@ class TestMsdRatePlan:
     def test_planned_blocklength_rejects_bad_delta(self, delta):
         with pytest.raises(RatePlanError, match="^delta must be"):
             planned_blocklength(1024, delta, 1, 64.0 / 9.0)
+
+    @pytest.mark.parametrize("q", [0, -1, -2])
+    def test_fewer_than_one_level_rejected(self, q):
+        # q = -2 failed with "negative shift count", q = 0 with "blocklength zero"
+        with pytest.raises(RatePlanError, match=f"got q = {q}$"):
+            msd_rate_plan(bsc(0.05), bsc(0.1), q, 1.0, degraded=True)
+        with pytest.raises(RatePlanError, match=f"got q = {q}$"):
+            msd_rate_plan(bsc(0.05), bsc(0.1), q, 1.0, degraded=True,
+                          ell_override=32)
+
+    def test_planned_blocklength_rejects_an_order_too_large_for_a_float(self):
+        # 2.0 * 2^2000 raised "int too large to convert to float"
+        with pytest.raises(RatePlanError, match="is not finite"):
+            planned_blocklength(1 << 2000, 1.0, 1, 0.5)
+        with pytest.raises(RatePlanError, match="is not finite"):
+            msd_rate_plan(bsc(0.05), bsc(0.1), 2000, 1.0, degraded=True)
 
     def test_planned_blocklength_rejects_delta_with_infinite_quotient(self):
         # a finite delta whose 2 m delta / (B chi2) overflows ended in an

@@ -1,6 +1,3 @@
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,25 +267,19 @@ def test_scalar_logaddexp_bitwise_equals_numpy():
     np.testing.assert_array_equal(_float_bits(got), _float_bits(want))
 
 
-def _genie(llrs: np.ndarray, workers: int, tile: int) -> np.ndarray:
+def _genie(llrs: np.ndarray, tile: int) -> np.ndarray:
     # the library's pass on a copy of (trials, ell) LLRs, as (trials, ell)
-    if workers == 1:
-        return polar._genie_decision_llrs(llrs.copy(), None, 1, tile).T
-    with ThreadPoolExecutor(workers) as pool:
-        return polar._genie_decision_llrs(llrs.copy(), pool, workers, tile).T
+    return polar._genie_decision_llrs(llrs.copy(), tile).T
 
 
 @pytest.mark.parametrize("log_ell", range(13))
 @settings(max_examples=10, deadline=None)
-@given(rows=st.integers(1, 9), workers=st.integers(1, 4),
-       extra=st.integers(0, 70),
+@given(rows=st.integers(1, 9), extra=st.integers(0, 70),
        source=st.sampled_from(["pool", "normal", "mixed"]),
        seed=st.integers(0, 2**32 - 1))
-def test_genie_pass_bitwise_equals_reference(log_ell, rows, workers, extra,
-                                             source, seed):
-    # any tile size from one position row (rows + extra elements) and any
-    # worker count: tiles run whole nodes, runs of positions, and uneven
-    # last tiles
+def test_genie_pass_bitwise_equals_reference(log_ell, rows, extra, source, seed):
+    # any tile size from one position row (rows + extra elements): tiles run
+    # whole nodes, runs of positions, and uneven last tiles
     rng = np.random.default_rng(seed)
     ell = 1 << log_ell
     if source == "pool":
@@ -300,7 +291,7 @@ def test_genie_pass_bitwise_equals_reference(log_ell, rows, workers, extra,
             llrs[hit] = rng.choice(GENIE_POOL, size=int(hit.sum()))
     with np.errstate(all="ignore"):
         want = genie_decision_llrs_reference(llrs.copy())
-        got = _genie(llrs, workers, rows + extra)
+        got = _genie(llrs, rows + extra)
     np.testing.assert_array_equal(_float_bits(got), _float_bits(want))
 
 
@@ -312,7 +303,7 @@ def test_genie_pass_agrees_with_the_logaddexp_recursion(level, ell):
     rows = 8 if ell == 4096 else 64
     sampler = make_level_llr_sampler(bsc(0.05), level)
     llrs = sampler(rows * ell, np.random.default_rng(level)).reshape(rows, ell)
-    got = _genie(llrs, 2, polar._TILE)
+    got = _genie(llrs, polar._TILE)
     want = genie_decision_llrs_reference(llrs.copy(), sc_f)
     assert np.all(np.isfinite(want))
     assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want)))
@@ -409,26 +400,36 @@ class TestConstruction:
         overlap = len(set(_frozen(code_a).tolist()) & set(_frozen(code_b).tolist()))
         assert overlap / _frozen(code_a).shape[0] >= 0.90
 
-    @pytest.mark.parametrize("ell,trials", [(16, 5000), (64, 9000), (1024, 700)])
-    def test_worker_count_does_not_change_the_code(self, ell, trials, monkeypatch):
-        # rows split across threads: the same codes as the inline pass, over
-        # several chunks and a short last chunk
+    @pytest.mark.parametrize("ell,trials", [(16, 70_000), (64, 9000), (1024, 700)])
+    def test_code_equals_the_reference_ranking_of_its_draws(self, ell, trials):
+        # several chunks and a short last one (32768 + 32768 + 4464,
+        # 8192 + 808 and 512 + 188 trials): the error counts and the
+        # mean-LLR tie-break, recomputed chunk by chunk from the recorded
+        # draws with the node-by-node recursion, rank the channels exactly
+        # as the construction does
         sampler = make_level_llr_sampler(bsc(0.1), 2)
-        codes = []
-        for workers in (1, 3):
-            monkeypatch.setattr(polar, "_WORKERS", workers)
-            codes.append(construct_code(sampler, ell, ell // 2, trials,
-                                        np.random.default_rng(7)))
-        np.testing.assert_array_equal(codes[0].message, codes[1].message)
-        np.testing.assert_array_equal(_frozen(codes[0]), _frozen(codes[1]))
+        draws = []
 
-    def test_build_session_leaves_no_thread_running(self, monkeypatch):
-        monkeypatch.setattr(polar, "_WORKERS", 3)
-        before = threading.active_count()
-        plan = msd_rate_plan(bsc(0.05), bsc(0.1), 2, 1.0, 1, ell_override=256)
-        build_session(plan, bsc(0.05), bsc(0.1), np.random.default_rng(3),
-                      construction_trials=300)
-        assert threading.active_count() == before
+        def recording(count, rng):
+            llrs = sampler(count, rng)
+            draws.append(llrs.copy())
+            return llrs
+
+        code = construct_code(recording, ell, ell // 2, trials,
+                              np.random.default_rng(7))
+        rows = polar._CHUNK // ell
+        sizes = [min(rows, trials - done) * ell for done in range(0, trials, rows)]
+        assert len(sizes) >= 2 and [d.size for d in draws] == sizes
+        err = np.zeros(ell)
+        llr_sum = np.zeros(ell)
+        for llrs in draws:
+            # position-major, so the sums add in the construction's order
+            dec = np.ascontiguousarray(
+                genie_decision_llrs_reference(llrs.reshape(-1, ell)).T)
+            err += (dec < 0).sum(axis=1) + 0.5 * (dec == 0).sum(axis=1)
+            llr_sum += dec.sum(axis=1)
+        order = np.lexsort((np.arange(ell), -llr_sum, err))
+        np.testing.assert_array_equal(code.message, np.sort(order[:ell // 2]))
 
     def test_target_out_of_range(self, rng):
         sampler = make_level_llr_sampler(bsc(0.1), 1)
