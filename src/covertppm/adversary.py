@@ -250,21 +250,30 @@ def detect_linear_code(
             chi2=chi2, chi3=chi3, undetectable=True,
         )
     gamma = chi2 / 4.0
-    t0, t1 = _trial_statistics(code.generator[:, S], willie, trials, rng)
+    # a statistic or moment past the float range is inf (t >= -1; a variance
+    # of infinite statistics reads nan), without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        t0, t1 = _trial_statistics(code.generator[:, S], willie, trials, rng)
+        moments = [float(v) for t in (t0, t1) for v in (t.mean(), t.var(ddof=1))]
+    mean0, var0, mean1, var1 = (math.inf if math.isnan(v) else v for v in moments)
 
     alpha_hat = float(np.mean(t0 > gamma))
     beta_hat = float(np.mean(t1 < gamma))
     a_s = 16.0 / (s_size * chi2)
-    b_s = 16.0 / (s_size * chi2) + 8.0 * chi3 / (s_size * chi2**2) - 4.0 / s_size
     a_k = 16.0 / (code.k * chi2)
-    b_k = (16.0 / chi2 + 8.0 * chi3 / chi2**2 - 4.0) / code.k
+    # the missed-detection bounds divide by chi2^2 times |S| or k: where that
+    # leaves the float range they are the vacuous inf, never nan
+    b_s = b_k = math.inf
+    if 0.0 < chi2 * chi2 * max(s_size, code.k) < math.inf:
+        b_s = max(16.0 / (s_size * chi2) + 8.0 * chi3 / (s_size * chi2**2)
+                  - 4.0 / s_size, 0.0)
+        b_k = max((16.0 / chi2 + 8.0 * chi3 / chi2**2 - 4.0) / code.k, 0.0)
     return DetectionReport(
         gamma=gamma, trials=trials, s_size=s_size, k=code.k,
         alpha_hat=alpha_hat, beta_hat=beta_hat,
-        alpha_bound_s=a_s, beta_bound_s=max(b_s, 0.0),
-        alpha_bound_k=a_k, beta_bound_k=max(b_k, 0.0),
-        mean_t_h0=float(t0.mean()), mean_t_h1=float(t1.mean()),
-        var_t_h0=float(t0.var(ddof=1)), var_t_h1=float(t1.var(ddof=1)),
+        alpha_bound_s=a_s, beta_bound_s=b_s,
+        alpha_bound_k=a_k, beta_bound_k=b_k,
+        mean_t_h0=mean0, mean_t_h1=mean1, var_t_h0=var0, var_t_h1=var1,
         chi2=chi2, chi3=chi3,
     )
 

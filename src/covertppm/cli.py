@@ -131,13 +131,15 @@ def cmd_tables(args) -> int:
     return 0
 
 
+def _plan(args, bob: Dmc, willie: Dmc, blocks: int) -> levels.RatePlan:
+    return levels.msd_rate_plan(bob, willie, args.levels, args.delta, blocks, args.epsilon,
+                                degraded=args.degraded, ell_override=args.ell)
+
+
 def cmd_plan(args) -> int:
     bob = parse_channel(args.bob)
     willie = parse_channel(args.willie)
-    plan = levels.msd_rate_plan(
-        bob, willie, args.levels, args.delta, args.blocks, args.epsilon,
-        degraded=args.degraded, ell_override=args.ell,
-    )
+    plan = _plan(args, bob, willie, args.blocks)
     summary = levels.throughput_summary(plan, bob.stats, willie.stats)
     _write(args.out, levels.plan_to_text(plan))
     key_bits = plan.ell * plan.sum_rk()
@@ -155,10 +157,7 @@ def cmd_simulate(args) -> int:
     bob = parse_channel(args.bob)
     willie = parse_channel(args.willie)
     rng = np.random.default_rng(args.seed)
-    plan = levels.msd_rate_plan(
-        bob, willie, args.levels, args.delta, args.blocks, args.epsilon,
-        degraded=args.degraded, ell_override=args.ell,
-    )
+    plan = _plan(args, bob, willie, args.blocks)
     session = codec.build_session(
         plan, bob, willie, rng,
         resolvability=args.resolvability,
@@ -238,10 +237,7 @@ def cmd_covertness(args) -> int:
         # before the session build, which takes seconds at real geometries
         raise CliError(f"covertness estimate needs at least 1 block, got {args.trials}")
     bob = parse_channel(args.bob)
-    plan = levels.msd_rate_plan(
-        bob, willie, args.levels, args.delta, 1, args.epsilon,
-        degraded=args.degraded, ell_override=args.ell,
-    )
+    plan = _plan(args, bob, willie, 1)
     session = codec.build_session(
         plan, bob, willie, rng, resolvability=args.resolvability,
         construction_trials=args.construction_trials,
@@ -264,11 +260,21 @@ def cmd_covertness(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_channel_args(p, need_bob=True, need_willie=True):
-    p.add_argument("--bob", required=need_bob,
+def _add_channel_args(p, need_willie=True):
+    p.add_argument("--bob", required=True,
                    help="Bob's channel: bsc:p, bac:p01,p10, or a file")
     p.add_argument("--willie", required=need_willie,
                    help="Willie's channel, same formats")
+
+
+def _add_plan_args(p):
+    """Both channels and the rate plan's options, as plan and simulate take them."""
+    _add_channel_args(p)
+    p.add_argument("--levels", type=int, required=True)
+    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--blocks", type=int, default=1)
+    p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--degraded", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,24 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("plan", help="MSD rate plan and throughput summary")
-    _add_channel_args(p)
-    p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--blocks", type=int, default=1)
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--degraded", action="store_true")
+    _add_plan_args(p)
     p.add_argument("--ell", type=int, default=None,
                    help="override the planned blocklength")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("simulate", help="run a chained end-to-end simulation (JSONL)")
-    _add_channel_args(p)
-    p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--blocks", type=int, default=1)
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--degraded", action="store_true")
+    _add_plan_args(p)
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--resolvability", choices=["full_uniform", "extractor"],
                    default="full_uniform")

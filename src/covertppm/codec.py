@@ -14,9 +14,10 @@ histogram of every aligned width-2^j block, built once by pairwise adds).
 For each reliability level it gathers the histograms of the two halves of
 the subblock indicated by the already recovered higher-level bits from one
 pyramid level, forms the level LLRs from them, and runs successive
-cancellation with the key positions pinned.  Resolvability levels are
-reconstructed from the shared extractor input when available; in the fully
-uniform mode the simulation reveals them to the receiver and flags the
+cancellation with the key positions pinned.  Besides the channel output it
+takes each keyed level's key bits and, in extractor mode, the shared
+extractor input, from which it rebuilds the resolvability levels; in the
+fully uniform mode the simulation reveals those levels and flags the
 result, so reliability numbers are always scoped honestly.
 
 Chaining feeds the secret bits recovered from block j (the receiver uses its
@@ -96,6 +97,8 @@ class Session:
     """Everything needed to run blocks: plan, channels, codes and layouts.
 
     Keys are not session state: callers pass each block's keys explicitly.
+    ``extractor_cfg`` is set exactly when levels u+1..q are filled by the
+    extractor; otherwise they carry fully uniform bits.
     """
 
     plan: RatePlan
@@ -103,7 +106,6 @@ class Session:
     willie: Dmc
     codes: dict[int, PolarLevelCode]
     layouts: dict[int, LevelLayout]
-    resolvability: str  # 'full_uniform' or 'extractor'
     delta_effective: float  # covertness budget, nats, of plan.B blocks of length ell
     extractor_cfg: ExtractorConfig | None = None
     extractor_seed: int | None = None
@@ -205,8 +207,8 @@ def build_session(
 
     return Session(
         plan=plan, bob=bob, willie=willie, codes=codes, layouts=layouts,
-        resolvability=resolvability, extractor_cfg=extractor_cfg,
-        extractor_seed=extractor_seed, delta_effective=delta_effective,
+        extractor_cfg=extractor_cfg, extractor_seed=extractor_seed,
+        delta_effective=delta_effective,
     )
 
 
@@ -220,15 +222,13 @@ class TxRecord:
 
     level_bits: np.ndarray              # (q, ell) codeword bit matrix
     messages: dict[int, np.ndarray]     # message+secret payload per level
-    secrets: dict[int, np.ndarray]      # the secret suffix of each payload
     extractor_r: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class BlockResult:
-    decoded_bits: dict[int, np.ndarray]
+    decoded_bits: dict[int, np.ndarray]  # message+secret payload per level
     block_errors: dict[int, bool]
-    decoded_secrets: dict[int, np.ndarray]
     genie_levels: tuple[int, ...]
 
     @property
@@ -245,6 +245,15 @@ def _extractor_levels(session: Session, r: np.ndarray) -> np.ndarray:
         raise SessionError(f"extractor input must be {cfg.k} bits")
     x = inv(cfg, session.extractor_seed, 0, bits_to_int(r))
     return int_to_bits(x, cfg.w).reshape(session.ell, session.q - session.u).T
+
+
+def _level_bits(values: dict[int, np.ndarray], i: int, n: int, what: str) -> np.ndarray:
+    """Level i's ``what`` bits from ``values`` as uint8; a level left out
+    holds none, and any count other than ``n`` is refused."""
+    bits = np.asarray(values.get(i, []), dtype=np.uint8)
+    if bits.shape[0] != n:
+        raise SessionError(f"level {i}: expected {n} {what} bits, got {bits.shape[0]}")
+    return bits
 
 
 def encode_block(
@@ -264,117 +273,82 @@ def encode_block(
     """
     q, ell = session.q, session.ell
     bits = np.zeros((q, ell), dtype=np.uint8)
-    secrets: dict[int, np.ndarray] = {}
+    payloads: dict[int, np.ndarray] = {}
     for i in range(1, session.u + 1):
         lay = session.layouts[i]
         code = session.codes[i]
-        msg = np.asarray(messages.get(i, []), dtype=np.uint8)
-        key = np.asarray(keys.get(i, []), dtype=np.uint8)
-        if msg.shape[0] != lay.n_msg + lay.n_sec:
-            raise SessionError(
-                f"level {i}: expected {lay.n_msg + lay.n_sec} payload bits, "
-                f"got {msg.shape[0]}"
-            )
-        if key.shape[0] != lay.n_key:
-            raise SessionError(
-                f"level {i}: expected {lay.n_key} key bits, got {key.shape[0]}"
-            )
+        msg = _level_bits(messages, i, lay.n_msg + lay.n_sec, "payload")
         u_vec = np.zeros(ell, dtype=np.uint8)
-        u_vec[code.message[:lay.n_key]] = key
+        u_vec[code.message[:lay.n_key]] = _level_bits(keys, i, lay.n_key, "key")
         u_vec[code.message[lay.n_key:]] = msg
         bits[i - 1] = polar_transform(u_vec)
-        secrets[i] = msg[lay.n_msg:]
+        payloads[i] = msg
 
     r_used = None
-    if session.u < q:
-        if session.resolvability == "extractor":
-            cfg = session.extractor_cfg
-            if extractor_r is None:
-                r_used = rng.integers(0, 2, size=cfg.k, dtype=np.uint8)
-            else:
-                r_used = np.asarray(extractor_r, dtype=np.uint8)
-            bits[session.u:] = _extractor_levels(session, r_used)
+    if session.extractor_cfg is not None:
+        if extractor_r is None:
+            r_used = rng.integers(0, 2, size=session.extractor_cfg.k, dtype=np.uint8)
         else:
-            bits[session.u:] = rng.integers(
-                0, 2, size=(q - session.u, ell), dtype=np.uint8
-            )
+            r_used = np.asarray(extractor_r, dtype=np.uint8)
+        bits[session.u:] = _extractor_levels(session, r_used)
+    elif session.u < q:
+        bits[session.u:] = rng.integers(0, 2, size=(q - session.u, ell), dtype=np.uint8)
 
-    record = TxRecord(
-        level_bits=bits,
-        messages={i: np.asarray(messages.get(i, []), dtype=np.uint8)
-                  for i in range(1, session.u + 1)},
-        secrets=secrets,
-        extractor_r=r_used,
-    )
-    return frame_from_bits(bits), record
+    return frame_from_bits(bits), TxRecord(level_bits=bits, messages=payloads,
+                                           extractor_r=r_used)
 
 
 def decode_block(
     session: Session,
     received: SuperOutput,
     *,
-    keys: dict[int, np.ndarray] | None = None,
+    keys: dict[int, np.ndarray],
     extractor_r: np.ndarray | None = None,
     tx: TxRecord | None = None,
 ) -> BlockResult:
     """Multistage decode of one received block, level q down to level 1.
 
-    ``keys`` are the receiver's key bits (pinned during decoding); a level
-    missing from them is pinned to all-zero keys.  Resolvability levels come
-    from the shared extractor input when the session runs in extractor mode,
-    and from the transmitter record otherwise (genie, reported in
-    ``genie_levels``).
+    ``keys`` are the receiver's key bits, pinned during decoding; every
+    keyed level needs its own.  In extractor mode the resolvability levels
+    are rebuilt from ``extractor_r``, the shared extractor input, which is
+    then required; in the fully uniform mode they come from the transmitter
+    record (genie, reported in ``genie_levels``).
     Errors surface as per-level payload mismatches against ``tx`` when given.
     """
     q, ell, u = session.q, session.ell, session.u
     if received.q != q or received.ell != ell:
         raise SessionError("received block does not match the session geometry")
-    keys = keys if keys is not None else {}
     x_hat = np.zeros((q, ell), dtype=np.uint8)
     genie: list[int] = []
-    if u < q:
-        if session.resolvability == "extractor":
-            r = extractor_r
-            if r is None and tx is not None:
-                r = tx.extractor_r
-            if r is None:
-                raise SessionError("extractor mode needs the shared input bits")
-            x_hat[u:] = _extractor_levels(session, r)
-        else:
-            if tx is None:
-                raise SessionError(
-                    "full_uniform resolvability needs the transmitter record "
-                    "(genie) to run the lower-level decoder"
-                )
-            x_hat[u:] = tx.level_bits[u:]
-            genie = list(range(u + 1, q + 1))
+    if session.extractor_cfg is not None:
+        if extractor_r is None:
+            raise SessionError("extractor mode needs the shared input bits")
+        x_hat[u:] = _extractor_levels(session, extractor_r)
+    elif u < q:
+        if tx is None:
+            raise SessionError(
+                "full_uniform resolvability needs the transmitter record "
+                "(genie) to run the lower-level decoder"
+            )
+        x_hat[u:] = tx.level_bits[u:]
+        genie = list(range(u + 1, q + 1))
 
     decoded: dict[int, np.ndarray] = {}
-    decoded_secrets: dict[int, np.ndarray] = {}
     errors: dict[int, bool] = {}
     for i in range(u, 0, -1):
         lay = session.layouts[i]
         code = session.codes[i]
         llrs = level_llrs(*select_positions_batch(received, x_hat[i:q], i),
                           session.bob.lam)
-        key = np.asarray(keys.get(i, np.zeros(lay.n_key, dtype=np.uint8)),
-                         dtype=np.uint8)
-        if key.shape[0] != lay.n_key:
-            raise SessionError(f"level {i}: expected {lay.n_key} key bits")
+        key = _level_bits(keys, i, lay.n_key, "key")
         pins = (code.message[:lay.n_key], key) if lay.n_key else None
         u_hat, x_hat[i - 1] = sc_decode(llrs, code, pins=pins)
-        payload = u_hat[code.message]
-        decoded[i] = payload[lay.n_key:]
-        decoded_secrets[i] = payload[lay.n_key + lay.n_msg:]
+        decoded[i] = u_hat[code.message[lay.n_key:]]
         if tx is not None:
             errors[i] = bool(np.any(decoded[i] != tx.messages[i]))
 
-    return BlockResult(
-        decoded_bits=decoded,
-        block_errors=errors,
-        decoded_secrets=decoded_secrets,
-        genie_levels=tuple(genie),
-    )
+    return BlockResult(decoded_bits=decoded, block_errors=errors,
+                       genie_levels=tuple(genie))
 
 
 def transmit_block(
@@ -427,6 +401,13 @@ def _split_keys(session: Session, flat: np.ndarray) -> dict[int, np.ndarray]:
     return out
 
 
+def _next_keys(session: Session, payloads: dict[int, np.ndarray],
+               n_key: int) -> dict[int, np.ndarray]:
+    # the first n_key secret bits, each level's payload past its message
+    secrets = [payloads[i][session.layouts[i].n_msg:] for i in range(1, session.u + 1)]
+    return _split_keys(session, np.concatenate(secrets)[:n_key])
+
+
 def run_chain(
     session: Session,
     B: int,
@@ -476,7 +457,8 @@ def run_chain(
         if tx.extractor_r is not None:
             extractor_bits += int(tx.extractor_r.shape[0])
         received = transmit_block(session, frame, rng)
-        result = decode_block(session, received, keys=rx_keys, tx=tx)
+        result = decode_block(session, received, keys=rx_keys,
+                              extractor_r=tx.extractor_r, tx=tx)
         genie = result.genie_levels
         any_err = result.any_error
         records.append(ChainBlockRecord(
@@ -485,11 +467,8 @@ def run_chain(
         ))
         failed_before = failed_before or any_err
         if j < B and n_key > 0:
-            tx_flat = np.concatenate([tx.secrets[i] for i in range(1, session.u + 1)])
-            rx_flat = np.concatenate(
-                [result.decoded_secrets[i] for i in range(1, session.u + 1)])
-            tx_keys = _split_keys(session, tx_flat[:n_key])
-            rx_keys = _split_keys(session, rx_flat[:n_key])
+            tx_keys = _next_keys(session, tx.messages, n_key)
+            rx_keys = _next_keys(session, result.decoded_bits, n_key)
 
     message_bits = B * (session.total_message_bits() + session.total_secret_bits())
     key_first = n_key

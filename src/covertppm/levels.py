@@ -41,8 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import LN2, Dmc, DivergenceStats, is_degraded, make_dmc, sample_outputs
-from .ppm import SuperOutput, decimal_values, ppm_output_divergence
+from .ppm import EnumerationBudgetError, SuperOutput, decimal_values, ppm_output_divergence
 
+#: most levels a table holds: it forms the top level's order 2^q first
+MAX_LEVELS = 1 << 16
 #: decoder LLR saturation, nats; only active off the support assumptions
 DEFAULT_LLR_MAX = 40.0
 
@@ -74,8 +76,12 @@ def level_capacity(dmc: Dmc, i: int) -> float:
             return 1.0
         inner = make_dmc(dmc.row0, on_support / kept)
         return (1.0 - kept) + kept * level_capacity(inner, i)
+    # the larger order first: a refused budget stops before any sum
+    try:
+        lo = ppm_output_divergence(dmc, 1 << i) / LN2
+    except EnumerationBudgetError as e:
+        raise EnumerationBudgetError(f"level {i}: {e}") from None
     hi = ppm_output_divergence(dmc, 1 << (i - 1)) / LN2
-    lo = ppm_output_divergence(dmc, 1 << i) / LN2
     return max(hi - lo, 0.0)
 
 
@@ -114,15 +120,19 @@ class LevelMiRow:
 
 def level_mi_table(bob: Dmc, willie: Dmc, q: int) -> list[LevelMiRow]:
     """Per-level mutual informations for both channels and their difference,
-    in bits."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    in bits, level 1 first.
+
+    Computed from level q down, so that a level past the exact divergence's
+    budget is refused before any sum is formed; q is bounded by
+    ``MAX_LEVELS`` before the top level's order 2^q is formed."""
+    if not 1 <= q <= MAX_LEVELS:
+        raise ValueError(f"q must lie in [1, {MAX_LEVELS}], got {q}")
     rows = []
-    for i in range(1, q + 1):
+    for i in range(q, 0, -1):
         iy = level_capacity(bob, i)
         iz = level_capacity(willie, i)
         rows.append(LevelMiRow(level=i, i_y=iy, i_z=iz, diff=iz - iy))
-    return rows
+    return rows[::-1]
 
 
 @dataclass(frozen=True)

@@ -372,14 +372,12 @@ def _check_node(a: np.ndarray, b: np.ndarray, left: np.ndarray,
 
 def _stage_tiles(nodes: int, half: int, rows: int, tile: int) -> list:
     # (node, position) index pairs that cover one stage's (nodes, half, rows)
-    # views in tiles of at most max(tile, rows) elements: whole nodes while
-    # a node fits, else runs of positions within one node
+    # views in tiles of at most max(tile, rows) elements: runs of step whole
+    # nodes while a node fits, else runs of per positions within one node
     per = max(1, tile // rows)
-    if half <= per:
-        step = per // half
-        return [(slice(n, n + step), slice(None)) for n in range(0, nodes, step)]
-    return [(slice(n, n + 1), slice(h, h + per))
-            for n in range(nodes) for h in range(0, half, per)]
+    step = max(1, per // half)
+    return [(slice(n, n + step), slice(h, h + per))
+            for n in range(0, nodes, step) for h in range(0, half, per)]
 
 
 def _genie_decision_llrs(llrs: np.ndarray, tile: int) -> np.ndarray:

@@ -98,11 +98,12 @@ class SuperOutput:
     built once on first use: level j holds each row's histogram over symbols
     1..|Z|-1 of every aligned width-2^j block, an (ell, 2^(q-j), |Z|-1) array
     in the smallest unsigned dtype that holds 2^j, and symbol 0's count is
-    the rest of the block.  Level j+1 adds the neighbouring blocks of level j
-    in pairs.  Level 0 is the symbol array itself, no copy: its one-symbol
-    blocks read as one-hot histograms, and a binary symbol is its own count
-    of symbol 1.  Levels 1..q take about (|Z|-1) bytes per channel use, at
-    most twice that.  :meth:`block_histograms` gathers whole histograms from
+    the rest of the block.  Level 0 is the symbol array itself, no copy: its
+    one-symbol blocks read as one-hot histograms (a binary symbol is its own
+    count of symbol 1), and one loop builds each level j >= 1 by adding the
+    neighbouring blocks of level j-1, starting from that one-hot view, in
+    pairs.  Levels 1..q take about (|Z|-1) bytes per channel use, at most
+    twice that.  :meth:`block_histograms` gathers whole histograms from
     one level.
     """
 
@@ -130,15 +131,13 @@ class SuperOutput:
 
     @cached_property
     def pyramid(self) -> tuple[np.ndarray, ...]:
-        pairs = self.symbols.reshape(self.ell, 1 << (self.q - 1), 2)
-        level = np.add(_one_hot(pairs[:, :, 0], self.alphabet_size),
-                       _one_hot(pairs[:, :, 1], self.alphabet_size),
-                       dtype=np.uint8, casting="unsafe")
-        levels = [self.symbols, level]
-        for j in range(2, self.q + 1):
+        level = _one_hot(self.symbols, self.alphabet_size)
+        levels = [self.symbols]
+        for j in range(1, self.q + 1):
             pairs = level.reshape(self.ell, 1 << (self.q - j), 2, level.shape[2])
+            # unsafe: level 0 keeps the symbols' integer dtype, signed or wide
             level = np.add(pairs[:, :, 0], pairs[:, :, 1],
-                           dtype=np.min_scalar_type(1 << j))
+                           dtype=np.min_scalar_type(1 << j), casting="unsafe")
             levels.append(level)
         return tuple(levels)
 
@@ -220,10 +219,13 @@ def ppm_output_divergence(dmc: Dmc, m: int) -> float:
         return float("inf")
     support = dmc.row0 > 0
     size = int(np.count_nonzero(support))
+    if size == 1:  # P1 = P0, both on P0's one-point support
+        return 0.0
     n_types = math.comb(m + size - 1, size - 1)
     if n_types > DEFAULT_TYPE_BUDGET:
+        count = n_types if n_types < 1 << 64 else f"at least 2^{n_types.bit_length() - 1}"
         raise EnumerationBudgetError(
-            f"{n_types} type classes exceed budget {DEFAULT_TYPE_BUDGET}"
+            f"{count} type classes exceed budget {DEFAULT_TYPE_BUDGET}"
         )
     log_fact = gammaln(np.arange(m + 1) + 1.0)
     log_w = np.full(n_types, log_fact[m])

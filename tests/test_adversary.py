@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -279,6 +280,19 @@ class TestDetect:
         assert report.alpha_hat <= report.alpha_bound_s + slack
         assert report.beta_hat <= report.beta_bound_s + slack
         assert report.alpha_bound_k >= report.alpha_bound_s
+
+    @pytest.mark.parametrize("p", [1e-100, 1e-160, 1e-200, 1e-300])
+    def test_huge_finite_chi2_gives_vacuous_bounds_not_nan(self, rng, p):
+        # chi2 ~ 1/p is finite but chi2^2 (or |S| chi2^2) leaves the float
+        # range: the missed-detection bounds are the vacuous inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = detect_linear_code(identity_prefix_code(16, 4), bsc(p), 100, rng)
+        assert math.isfinite(report.chi2)
+        values = [v for v in vars(report).values() if isinstance(v, float)]
+        assert not any(math.isnan(v) for v in values)
+        if p < 1e-154:
+            assert report.beta_bound_s == report.beta_bound_k == math.inf
 
     def test_bound_halves_when_dimension_doubles(self, rng):
         willie = bsc(0.1)

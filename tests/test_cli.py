@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covertppm import codec
@@ -581,11 +581,30 @@ _REALS = ["0", "-1", "nan", "inf", "-inf", "1e308"]
 
 @st.composite
 def boundary_command(draw) -> list[str]:
-    """A tables, plan or exact covertness command line of boundary options."""
+    """A command line of boundary options for every subcommand, covertness
+    both exact and sampled.  Sessions stay at q <= 3 and ell <= 16."""
     def pick(values):
         return draw(st.sampled_from(values))
 
-    command = pick(["tables", "plan", "covertness"])
+    command = pick(["tables", "plan", "covertness", "detect", "simulate", "estimate"])
+    if command == "detect":
+        n = pick([0, 1, 3, 16, 64])
+        generator = f"{pick(['identity', 'random'])}:{n},{pick([-1, 0, 1, 3, n, n + 1])}"
+        return ["detect", f"--willie={pick(_CHANNELS)}", f"--generator={generator}",
+                f"--trials={pick(['-1', '0', '1', '2', '100'])}", "--seed=1"]
+    if command in ("simulate", "estimate"):
+        argv = [f"--bob={pick(_CHANNELS)}", f"--willie={pick(_CHANNELS)}",
+                f"--levels={pick(['1', '2', '3'])}", "--delta=1",
+                f"--ell={pick(['1', '2', '3', '16'])}",
+                f"--resolvability={pick(['full_uniform', 'extractor'])}", "--seed=1"]
+        argv += ["--degraded"] if draw(st.booleans()) else []
+        construction = pick(["-1", "0", "1", "50"])
+        if command == "simulate":
+            return ["simulate", *argv, f"--blocks={pick(['-1', '0', '1', '2'])}",
+                    f"--trials={construction}",
+                    f"--rate-scale={pick(['0', '-1', 'nan', 'inf', '0.5', '1'])}"]
+        return ["covertness", *argv, f"--construction-trials={construction}",
+                f"--trials={pick(['-1', '0', '1', '3'])}"]
     if command == "tables":
         return ["tables", f"--bob={pick(_CHANNELS)}", f"--levels={pick(_LEVELS)}"]
     if command == "plan":
@@ -600,8 +619,13 @@ def boundary_command(draw) -> list[str]:
             f"--ell={pick(['-1', '0', '1', '3', str(10**20)])}"]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(argv=boundary_command())
+@example(argv=["detect", "--willie=bsc:1e-200", "--generator=identity:16,4",
+               "--trials=100", "--seed=1"])
+@example(argv=["simulate", "--bob=bsc:0.1", "--willie=bsc:0.1", "--levels=3", "--delta=1",
+               "--ell=16", "--resolvability=extractor", "--seed=1", "--degraded",
+               "--blocks=2", "--trials=50", "--rate-scale=0.5"])
 def test_boundary_options_give_a_report_or_an_error(argv):
     # in process: each case either exits 0 with no nan in its report or exits
     # 1 with stderr starting "error:"; an exception fails the test as the

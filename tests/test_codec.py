@@ -298,6 +298,47 @@ class TestResolvabilityLevels:
         _, tx_b = encode_block(sess, msgs, keys, rng, extractor_r=r)
         np.testing.assert_array_equal(tx_a.level_bits, tx_b.level_bits)
 
+    def test_keyed_level_left_out_of_keys_refused(self, rng):
+        # the receiver has no default keys: a keyed level needs its own
+        sess = self._tail_session(rng, "full_uniform")
+        msgs, keys = random_payloads(sess, rng)
+        keyed = [i for i, lay in sess.layouts.items() if lay.n_key]
+        assert keyed
+        frame, tx = encode_block(sess, msgs, keys, rng)
+        received = transmit_block(sess, frame, rng)
+        for i in keyed:
+            partial = {j: v for j, v in keys.items() if j != i}
+            with pytest.raises(SessionError, match=f"level {i}: expected "
+                                                   f"{sess.layouts[i].n_key} key bits"):
+                decode_block(sess, received, keys=partial, tx=tx)
+
+    def test_extractor_input_comes_only_from_extractor_r(self, rng):
+        # the transmitter record is the genie's, not the receiver's input
+        sess = self._tail_session(rng, "extractor")
+        msgs, keys = random_payloads(sess, rng)
+        frame, tx = encode_block(sess, msgs, keys, rng)
+        received = transmit_block(sess, frame, rng)
+        with pytest.raises(SessionError, match="shared input"):
+            decode_block(sess, received, keys=keys, tx=tx)
+        result = decode_block(sess, received, keys=keys, extractor_r=tx.extractor_r, tx=tx)
+        assert result.genie_levels == ()
+
+    def test_run_chain_rebuilds_extractor_levels(self, rng):
+        # a noiseless Bob decodes every block, so any error would come from
+        # resolvability levels rebuilt from the wrong extractor input
+        plan = dataclasses.replace(
+            msd_rate_plan(NOISELESS, bsc(0.1), 4, delta=8.0, epsilon=0.05,
+                          degraded=True, ell_override=64), u=2)
+        sess = build_session(plan, NOISELESS, bsc(0.1), rng, construction_trials=300,
+                             resolvability="extractor")
+        assert sess.u < sess.q and sess.extractor_cfg is not None
+        B = 3
+        report = run_chain(sess, B, rng)
+        assert not report.cumulative_error
+        assert not any(block.any_error for block in report.blocks)
+        assert report.genie_levels == ()
+        assert report.extractor_r_bits == B * sess.extractor_cfg.k
+
 
 class TestBuildSession:
     def test_blocklength_rounded_down_to_power_of_two(self, rng):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covertppm import levels
 from covertppm.channels import bac, bsc, divergence_stats, make_dmc
 from covertppm.levels import (
     DEFAULT_LLR_MAX,
@@ -22,7 +23,13 @@ from covertppm.levels import (
     select_positions_batch,
     throughput_summary,
 )
-from covertppm.ppm import SuperOutput, frame_from_bits, transmit_super
+from covertppm.ppm import (
+    EnumerationBudgetError,
+    SuperOutput,
+    frame_from_bits,
+    ppm_output_divergence,
+    transmit_super,
+)
 
 from conftest import (
     LN2,
@@ -154,6 +161,47 @@ class TestLevelMiTable:
         d = divergence_stats(ch.row1, ch.row0).kl / LN2
         assert total == pytest.approx(2.5359, abs=1e-3)
         assert abs(total - d) < 1e-3
+
+
+    @pytest.mark.parametrize("q", [21, 2000])
+    def test_refused_before_any_divergence_sum(self, monkeypatch, q):
+        # top down: the level past the budget is met before any sum completes
+        completed = []
+
+        def spy(dmc, m):
+            value = ppm_output_divergence(dmc, m)
+            completed.append(m)
+            return value
+
+        monkeypatch.setattr(levels, "ppm_output_divergence", spy)
+        with pytest.raises(EnumerationBudgetError, match=f"^level {q}: ") as caught:
+            level_mi_table(bsc(0.1), bsc(0.1), q)
+        assert completed == []
+        assert "\n" not in str(caught.value) and len(str(caught.value)) < 80
+
+    @pytest.mark.parametrize("p,q", [(0.0, levels.MAX_LEVELS + 1), (0.1, 30_000_000_000)])
+    def test_levels_past_the_limit_refused_before_2_to_the_q(self, p, q):
+        # a noiseless channel needs no sum at any level, and the top level's
+        # order 2^q takes gigabytes at q = 3e10: the limit refuses both
+        with pytest.raises(ValueError, match=f"q must lie in \\[1, {levels.MAX_LEVELS}\\]"):
+            level_mi_table(bsc(p), bsc(p), q)
+
+    def test_rows_ascend_with_the_same_values(self):
+        # computed top down, listed bottom up, as level_capacity gives them
+        bob, willie = bsc(0.2), bac(0.1, 0.4)
+        rows = level_mi_table(bob, willie, 6)
+        assert [r.level for r in rows] == list(range(1, 7))
+        for r in rows:
+            assert (r.i_y, r.i_z) == (level_capacity(bob, r.level),
+                                      level_capacity(willie, r.level))
+
+    def test_one_point_support_has_zero_divergence_at_any_order(self):
+        # P1 = P0 on P0's one support point: no histogram sum is needed, and
+        # every level of bac(0, 0.3) keeps the 0.7 bits of its off-support
+        # outputs, at orders far past the budget
+        assert ppm_output_divergence(make_dmc([1.0, 0.0], [1.0, 0.0]), 1 << 2000) == 0.0
+        rows = level_mi_table(bac(0.0, 0.3), bac(0.0, 0.3), 2000)
+        assert [r.i_y for r in rows] == pytest.approx([0.7] * 2000)
 
 
 class TestMsdRatePlan:
