@@ -149,7 +149,8 @@ def build_session(
     length (``delta_effective``).  A geometry whose per-block channel draw
     at that length exceeds ``MAX_BLOCK_DRAW_BYTES`` is refused before any
     code is constructed: ell * 2^q float64 uniforms, the symbols and their
-    histogram pyramid (at most 2(|Z| - 1) times the symbols' bytes).  The
+    histogram pyramid (at most 2(|Z| - 1) times the symbols' bytes).  So
+    is, in extractor mode, a field width that ``make_field`` refuses.  The
     plan's rates are asymptotic operating points; ``rate_scale`` backs the
     message and secret payloads off for finite blocks (key counts stay at
     their ceiling: they are a covertness requirement, not a reliability
@@ -180,6 +181,11 @@ def build_session(
         )
     delta_effective = ppm_divergence_bound(willie.stats.chi2, plan.m, plan.B * ell)
     plan = replace(plan, ell=ell)
+    # the field draws no randomness, so it is built before the codes: a
+    # refused width costs no construction and every stream stays the same
+    fld = None
+    if plan.u < plan.q and resolvability == "extractor":
+        fld = make_field((plan.q - plan.u) * ell)
 
     layouts: dict[int, LevelLayout] = {}
     codes: dict[int, PolarLevelCode] = {}
@@ -197,11 +203,9 @@ def build_session(
 
     extractor_cfg = None
     extractor_seed = None
-    if plan.u < plan.q and resolvability == "extractor":
-        w = (plan.q - plan.u) * ell
-        fld = make_field(w)
+    if fld is not None:
         i_tail = sum(level_capacity(willie, i) for i in range(plan.u + 1, plan.q + 1))
-        k = min(w, _ceil_bits(ell, i_tail + _EXTRACTOR_MARGIN))
+        k = min(fld.w, _ceil_bits(ell, i_tail + _EXTRACTOR_MARGIN))
         extractor_cfg = ExtractorConfig(field=fld, k=k)
         extractor_seed = random_element(fld, rng)
 

@@ -20,7 +20,8 @@ come from a bundled table of low-weight irreducible polynomials, each passing
 a Rabin irreducibility test the first time its width is used in a process;
 widths missing from the table are filled, once per width and process, by
 sequential search with the same test, which skips the trinomials when 8
-divides the width (Swan's theorem rules them all out).
+divides the width (Swan's theorem rules them all out).  The search is
+refused above ``MAX_SEARCH_WIDTH`` bits, where it can run for minutes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from importlib import resources
 import numpy as np
 
 MODULI_RESOURCE = "gf2_moduli.txt"
+#: widest field whose modulus is searched for when the table lacks it
+MAX_SEARCH_WIDTH = 1024
 
 
 class FieldError(ValueError):
@@ -200,10 +203,17 @@ def _modulus(w: int) -> int:
 
     A bundled entry is returned after one Rabin test; a width missing from
     the table is filled by the sequential low-weight search, itself verified
-    with the Rabin test.  A failure raises and is not cached.
+    with the Rabin test, up to ``MAX_SEARCH_WIDTH`` bits.  Past that width
+    the search is refused before any test.  A failure raises and is not
+    cached.
     """
     modulus = _bundled_moduli().get(w)
     if modulus is None:
+        if w > MAX_SEARCH_WIDTH:
+            raise FieldError(
+                f"no bundled modulus for w={w}, and widths above "
+                f"{MAX_SEARCH_WIDTH} are not searched"
+            )
         return _search_irreducible(w)
     if not is_irreducible(modulus):
         raise FieldError(f"bundled modulus for w={w} failed verification")
@@ -211,7 +221,8 @@ def _modulus(w: int) -> int:
 
 
 def make_field(w: int) -> BinaryField:
-    """GF(2^w) with the modulus from the bundled table or the search."""
+    """GF(2^w) with the modulus from the bundled table or the search;
+    an unbundled width above ``MAX_SEARCH_WIDTH`` raises ``FieldError``."""
     return BinaryField(w=w, modulus=_modulus(w))
 
 

@@ -405,23 +405,22 @@ def level_llrs(first: np.ndarray, second: np.ndarray, lam: np.ndarray) -> np.nda
     ``lam`` holds the per-symbol likelihood ratios row1/row0.  The LLR for
     bit 0 versus 1 is log(sum of ratios over the first half / sum over the
     second half), each half-sum formed from the half's histogram
-    (:func:`likelihood_sums`).  Both halves infinite give 0; one half
-    infinite, or the other half zero, gives +-``DEFAULT_LLR_MAX``, as does
-    any finite LLR beyond it.  Both halves of zero likelihood, or histograms
-    over another alphabet than ``lam``'s, raise ``ValueError``.  The LLR
-    depends on a row only through its two histograms, so it is bitwise
-    invariant under permutations within each half.
+    (:func:`likelihood_sums`).  Both halves infinite, or both zero, give 0:
+    the halves are then equally likely.  One half infinite, or the other
+    half zero, gives +-``DEFAULT_LLR_MAX``, as does any finite LLR beyond
+    it.  Histograms over another alphabet than ``lam``'s raise
+    ``ValueError``.  The LLR depends on a row only through its two
+    histograms, so it is bitwise invariant under permutations within each
+    half.
     """
     shape = (first.shape[0], lam.shape[0])
     if first.shape != shape or second.shape != shape:
         raise ValueError(f"half histograms must have shape (n, {lam.shape[0]}), "
                          f"got {first.shape} and {second.shape}")
     s0, s1 = likelihood_sums(first, lam), likelihood_sums(second, lam)
-    if np.any((s0 == 0) & (s1 == 0)):
-        raise ValueError("both halves have zero likelihood")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.log(s0 / s1)
-    out[np.isnan(out)] = 0.0  # both halves infinite
+    out[np.isnan(out)] = 0.0  # both halves infinite, or both zero
     return np.clip(out, -DEFAULT_LLR_MAX, DEFAULT_LLR_MAX)
 
 

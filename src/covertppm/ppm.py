@@ -23,7 +23,9 @@ exact divergence is therefore one vectorised sum over the histograms of m
 draws on the support of P0, weighted by their multinomial probabilities, for
 every alphabet size (m + 1 histograms for a binary alphabet).  It is the only
 divergence computed here, always in nats: past ``MAX_ALPHABET`` output
-symbols or the histogram budget it refuses rather than estimate.
+symbols or the histogram budget it refuses rather than estimate.  The
+multinomial weights use log-factorials from ``math.lgamma``, so the module
+needs numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln, xlog1py
 
 from .channels import Dmc, sample_outputs
 
@@ -202,7 +203,13 @@ def ppm_output_divergence(dmc: Dmc, m: int) -> float:
 
     which equals E[r log r] because the weights and E[r] both sum to one.
     Every term is nonnegative, so the sum does not cancel; r - 1 is formed
-    from the centred ratio, so terms with r near 1 keep their digits.
+    from the centred ratio, so terms with r near 1 keep their digits.  The
+    multinomial weights come from a table of log-factorials log k! =
+    ``math.lgamma(k + 1)``, k = 0..m; a histogram with r = 0 contributes
+    0 log 0 = 0.  Where r log r would pass the largest double (r near 1/P0
+    for a row0 entry near the float floor), the term w (r log r - r + 1) is
+    regrouped as (w r)(log r - 1) + w: every term is at most the sum, which
+    is at most D(P1 || P0), so w r stays finite and no 0 * inf makes a NaN.
 
     Refuses with :class:`EnumerationBudgetError` when the alphabet exceeds
     ``MAX_ALPHABET`` or the histogram count exceeds ``DEFAULT_TYPE_BUDGET``.
@@ -227,16 +234,24 @@ def ppm_output_divergence(dmc: Dmc, m: int) -> float:
         raise EnumerationBudgetError(
             f"{count} type classes exceed budget {DEFAULT_TYPE_BUDGET}"
         )
-    log_fact = gammaln(np.arange(m + 1) + 1.0)
+    log_fact = np.fromiter(map(math.lgamma, range(1, m + 2)), float, m + 1)
     log_w = np.full(n_types, log_fact[m])
     excess = np.zeros(n_types)  # r - 1
     for t, p0, centred in zip(_histograms(m, size), dmc.row0[support],
                               dmc.centred_ratio[support]):
         log_w += t * math.log(p0) - log_fact[t]
-        excess += t * centred
-    excess /= m
-    terms = xlog1py(1.0 + excess, excess) - excess
-    return max(float(np.sum(np.exp(log_w) * terms)), 0.0)
+        excess += t * (centred / m)  # t/m <= 1: no overflow before the sum
+    weights = np.exp(log_w)
+    r = 1.0 + excess
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_r = np.log1p(excess)
+        terms = np.where(r > 0, r * log_r, 0.0) - excess  # 0 log 0 = 0
+        products = weights * terms
+    # r log r past the largest double: w (r log r - r + 1) regrouped as
+    # (w r)(log r - 1) + w, whose factors stay finite
+    big = np.isinf(terms)
+    products[big] = weights[big] * r[big] * (log_r[big] - 1.0) + weights[big]
+    return max(float(np.sum(products)), 0.0)
 
 
 def ppm_divergence_bound(chi2: float, m: int, ell: int) -> float:

@@ -671,7 +671,7 @@ def level_llrs_reference(lams) -> np.ndarray:
 
     Each half is summed in sorted order, which makes the sum invariant under
     within-half permutations.  Infinite ratios saturate; a row whose halves
-    both sum to zero raises ``ValueError``.
+    both sum to zero, or both to infinity, gives 0.
     """
     lams = np.atleast_2d(np.asarray(lams, dtype=np.float64))
     n, width = lams.shape
@@ -680,17 +680,15 @@ def level_llrs_reference(lams) -> np.ndarray:
     half = width // 2
     s0 = np.sum(np.sort(lams[:, :half], axis=-1), axis=-1)
     s1 = np.sum(np.sort(lams[:, half:], axis=-1), axis=-1)
-    if np.any((s0 == 0) & (s1 == 0)):
-        raise ValueError("both halves have zero likelihood")
     out = np.empty(n, dtype=np.float64)
     inf0, inf1 = np.isinf(s0), np.isinf(s1)
-    both_inf = inf0 & inf1
-    out[both_inf] = 0.0
+    even = (inf0 & inf1) | ((s0 == 0) & (s1 == 0))
+    out[even] = 0.0
     pos = inf0 & ~inf1 | ((s1 == 0) & ~inf0 & (s0 > 0))
     neg = inf1 & ~inf0 | ((s0 == 0) & ~inf1 & (s1 > 0))
     out[pos] = DEFAULT_LLR_MAX
     out[neg] = -DEFAULT_LLR_MAX
-    rest = ~(both_inf | pos | neg)
+    rest = ~(even | pos | neg)
     with np.errstate(divide="ignore"):
         out[rest] = np.log(s0[rest] / s1[rest])
     return np.clip(out, -DEFAULT_LLR_MAX, DEFAULT_LLR_MAX)

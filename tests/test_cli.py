@@ -574,7 +574,8 @@ class TestCovertness:
 
 # boundary values of each option, with one ordinary value so that the
 # commands also reach their reports
-_CHANNELS = [f"bsc:{p}" for p in ("0", "1e-320", "1e-200", "0.1", "0.5", "1", "nan")]
+_CHANNELS = [f"bsc:{p}" for p in
+             ("0", "1e-320", "1e-306", "1e-200", "0.1", "0.5", "1", "nan")]
 _LEVELS = ["-1", "0", "1", "3", "21", "2000"]
 _REALS = ["0", "-1", "nan", "inf", "-inf", "1e308"]
 
@@ -626,6 +627,8 @@ def boundary_command(draw) -> list[str]:
 @example(argv=["simulate", "--bob=bsc:0.1", "--willie=bsc:0.1", "--levels=3", "--delta=1",
                "--ell=16", "--resolvability=extractor", "--seed=1", "--degraded",
                "--blocks=2", "--trials=50", "--rate-scale=0.5"])
+# r log r overflows a double for this row0 entry: capacities, not nan
+@example(argv=["tables", "--bob=bsc:1e-306", "--levels=3"])
 def test_boundary_options_give_a_report_or_an_error(argv):
     # in process: each case either exits 0 with no nan in its report or exits
     # 1 with stderr starting "error:"; an exception fails the test as the
@@ -661,3 +664,48 @@ def test_readme_commands_run(tmp_path):
         argv[at] = str(tmp_path / argv[at])
         assert main(argv) == 0, argv
         assert Path(argv[at]).stat().st_size > 0
+
+
+# every subcommand at q <= 3 and ell <= 16, exact and sampled covertness and
+# both resolvability modes; run with scipy unimportable
+_WITHOUT_SCIPY = [
+    ["tables", "--bob", "bsc:0.1", "--levels", "3"],
+    ["plan", "--bob", "bsc:0.05", "--willie", "bsc:0.1", "--levels", "3",
+     "--delta", "1", "--degraded", "--ell", "16"],
+    *(["simulate", "--bob", "bsc:0.05", "--willie", "bsc:0.1", "--levels", "3",
+       "--delta", "1", "--degraded", "--ell", "16", "--trials", "50", "--seed", "1",
+       "--resolvability", mode] for mode in ("full_uniform", "extractor")),
+    ["detect", "--willie", "bsc:0.1", "--generator", "identity:16,4",
+     "--trials", "100", "--seed", "1"],
+    ["covertness", "--willie", "bsc:0.1", "--exact", "--order", "2", "--ell", "1",
+     "--seed", "1"],
+    ["covertness", "--bob", "bsc:0.05", "--willie", "bsc:0.1", "--levels", "3",
+     "--delta", "1", "--degraded", "--ell", "16", "--construction-trials", "50",
+     "--trials", "3", "--seed", "1"],
+]
+
+
+def test_library_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with it unimportable the package
+    # imports, every subcommand exits 0, and no scipy module is loaded
+    commands = [[*argv, "--out", str(tmp_path / f"{k}.out")]
+                for k, argv in enumerate(_WITHOUT_SCIPY)]
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # every scipy import raises ImportError\n"
+        "import covertppm\n"
+        "from covertppm.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "loaded = [m for m, mod in sys.modules.items()\n"
+        "          if mod is not None and m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert all((tmp_path / f"{k}.out").stat().st_size > 0
+               for k in range(len(commands)))

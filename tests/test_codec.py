@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from covertppm import codec, levels
+from covertppm import codec, extractor, levels
 from covertppm.channels import bac, bsc, make_dmc
 from covertppm.codec import (
     Session,
@@ -16,9 +16,11 @@ from covertppm.codec import (
     run_chain,
     transmit_block,
 )
+from covertppm.extractor import FieldError
 from covertppm.levels import (
     draw_half_histograms,
     level_llrs,
+    likelihood_sums,
     make_level_llr_sampler,
     msd_rate_plan,
     select_positions_batch,
@@ -229,6 +231,37 @@ class TestChaining:
         assert report.key_throughput == pytest.approx(
             (report.key_bits_amortized + report.extractor_r_bits) / norm, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_z_channel_bob_chain_reports_its_block_errors(self, seed, monkeypatch):
+        # row1 has no mass on symbol 0: after a wrong higher-level decision
+        # the selected subblock can hold no pulse, so both half-sums are 0.
+        # Those LLRs are 0, the chain completes, and each block's error flag
+        # is the comparison of its decoded and sent payloads
+        bob, willie = bac(0.05, 0.0), bac(0.2, 0.1)
+        plan = msd_rate_plan(bob, willie, 3, 2.0, 20, 0.05, ell_override=64)
+        rng = np.random.default_rng(seed)
+        sess = build_session(plan, bob, willie, rng, construction_trials=100)
+        both_zero, wrong = [], []
+
+        def llrs(first, second, lam):
+            both_zero.append(np.any((likelihood_sums(first, lam) == 0)
+                                    & (likelihood_sums(second, lam) == 0)))
+            return level_llrs(first, second, lam)
+
+        def decode(session, received, **kwargs):
+            result = decode_block(session, received, **kwargs)
+            sent = kwargs["tx"].messages
+            wrong.append(any(not np.array_equal(result.decoded_bits[i], sent[i])
+                             for i in sent))
+            return result
+
+        monkeypatch.setattr(codec, "level_llrs", llrs)
+        monkeypatch.setattr(codec, "decode_block", decode)
+        report = run_chain(sess, 20, rng)
+        assert any(both_zero)
+        assert [b.any_error for b in report.blocks] == wrong
+        assert any(wrong)
+
     def test_infeasible_chain_signalled(self, rng):
         # secrets scaled to zero while keys remain: B > 1 must refuse
         plan = dataclasses.replace(
@@ -379,6 +412,24 @@ class TestBuildSession:
                              ell_override=4096)
         with pytest.raises(SessionError, match="GiB limit"):
             build_session(plan, bsc(0.05), bsc(0.1), rng, construction_trials=50)
+
+    def test_unsearched_field_width_refused_before_code_construction(self, rng,
+                                                                     monkeypatch):
+        # q - u = 3 resolvability levels of ell = 512 need GF(2^1536), which
+        # has no bundled modulus: refused before any irreducibility test or
+        # code construction, not after minutes of both
+        calls = []
+        monkeypatch.setattr(codec, "construct_code",
+                            lambda *a, **k: calls.append("construct_code"))
+        monkeypatch.setattr(extractor, "is_irreducible",
+                            lambda f: calls.append("is_irreducible"))
+        plan = msd_rate_plan(bsc(0.05), bsc(0.1), 12, delta=1.0, degraded=True,
+                             ell_override=512)
+        assert (plan.q - plan.u) * plan.ell == 1536
+        with pytest.raises(FieldError, match="w=1536"):
+            build_session(plan, bsc(0.05), bsc(0.1), rng, construction_trials=50,
+                          resolvability="extractor")
+        assert calls == []
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, 1.5, math.inf, math.nan])
     def test_rate_scale_outside_unit_interval_refused(self, rng, scale):

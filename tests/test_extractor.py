@@ -13,6 +13,7 @@ from covertppm.extractor import (
     BinaryField,
     ExtractorConfig,
     FieldError,
+    MAX_SEARCH_WIDTH,
     bits_to_int,
     clmul,
     ext,
@@ -155,6 +156,17 @@ class TestField:
         assert found == _bundled_moduli()[w]
         if w % 8 == 0:
             assert bin(found).count("1") == 5
+
+    def test_unbundled_width_above_search_limit_refused_at_once(self, monkeypatch):
+        # the search past 1024 bits can run for over a minute (w = 1088 makes
+        # 1530 Rabin tests)
+        tested = []
+        monkeypatch.setattr(extractor, "is_irreducible", tested.append)
+        for w in (MAX_SEARCH_WIDTH + 1, 1088, 1536):
+            assert w not in _bundled_moduli()
+            with pytest.raises(FieldError, match=f"w={w}"):
+                make_field(w)
+        assert tested == []
 
     def test_corrupted_bundled_modulus_rejected(self, monkeypatch):
         make_field(128)  # the genuine entry is verified and remembered

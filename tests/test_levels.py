@@ -115,6 +115,16 @@ class TestLevelCapacity:
             want = binary_input_mi(*level_channel_rows(ch, i))
             assert level_capacity(ch, i) == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [1e-306, 1e-307, 1e-308])
+    def test_row0_entry_near_the_float_floor(self, p):
+        # r log r passes the largest double once r nears 1/p: the divergence
+        # stays finite, D(P1 || P0) at m = 1, and the near-noiseless channel
+        # carries a bit per level
+        ch = bsc(p)
+        assert ppm_output_divergence(ch, 1) == pytest.approx(ch.stats.kl, rel=1e-12)
+        for i in (1, 2, 3, 8):
+            assert level_capacity(ch, i) == pytest.approx(1.0, abs=1e-9)
+
 
 class TestLevelCapacityBound:
     def test_upper_bounds_exact_value(self):
@@ -514,23 +524,20 @@ def test_level_llrs_matches_sorted_sum_reference(lam_idx, log_width, data):
     symbols = rng.choice(lam.shape[0], size=(n, width), p=p)
     if data.draw(st.booleans()):  # some rows with identical halves: exact ties
         symbols[::2, width // 2:] = symbols[::2, :width // 2]
-    try:
-        with np.errstate(over="ignore"):  # 1e300 / 1e-300 saturates
-            want = level_llrs_reference(lam[symbols])
-    except ValueError:
-        with pytest.raises(ValueError, match="zero likelihood"):
-            pyramid_level_llrs(symbols, lam)
-        return
+    with np.errstate(over="ignore"):  # 1e300 / 1e-300 saturates
+        want = level_llrs_reference(lam[symbols])
     got = pyramid_level_llrs(symbols, lam)
     # bitwise where both paths are exact: saturation, halves with equal
-    # histograms (ties) and halves both infinite.  A zero LLR reached through
-    # unequal histograms of equal mathematical sum rounds differently in the
-    # sorted per-coordinate sum and the per-symbol histogram sum.
+    # histograms (ties), halves both infinite and halves both zero.  A zero
+    # LLR reached through unequal histograms of equal mathematical sum rounds
+    # differently in the sorted per-coordinate sum and the per-symbol
+    # histogram sum.
     halves = symbols.reshape(n, 2, width // 2)
     counts = (halves[..., None] == np.arange(lam.shape[0])).sum(axis=2)
     ties = np.all(counts[:, 0] == counts[:, 1], axis=1)
     both_inf = np.isinf(lam)[halves].any(axis=2).all(axis=1)
-    exact = (np.abs(want) == DEFAULT_LLR_MAX) | ties | both_inf
+    both_zero = (lam[halves] == 0).all(axis=(1, 2))
+    exact = (np.abs(want) == DEFAULT_LLR_MAX) | ties | both_inf | both_zero
     np.testing.assert_array_equal(got[exact], want[exact])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * width)
 
@@ -566,19 +573,12 @@ def test_level_llrs_bitwise_equal_to_full_histogram_in_any_integer_dtype(
     symbols = rng.choice(lam.shape[0], size=(n, width), p=p)
     halves = symbols.reshape(n, 2, width // 2)
     counts = (halves[..., None] == np.arange(lam.shape[0])).sum(axis=2)
-    try:
-        with np.errstate(over="ignore"):
-            want = level_llrs(counts[:, 0], counts[:, 1], lam)
-    except ValueError:
-        want = None
+    with np.errstate(over="ignore"):
+        want = level_llrs(counts[:, 0], counts[:, 1], lam)
     for dtype in (np.uint8, np.int8, np.uint16, np.int64):
-        if want is None:
-            with pytest.raises(ValueError, match="zero likelihood"):
-                pyramid_level_llrs(symbols.astype(dtype), lam)
-        else:
-            with np.errstate(over="ignore"):
-                got = pyramid_level_llrs(symbols.astype(dtype), lam)
-            np.testing.assert_array_equal(got, want)
+        with np.errstate(over="ignore"):
+            got = pyramid_level_llrs(symbols.astype(dtype), lam)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestLevelLlr:
@@ -602,9 +602,12 @@ class TestLevelLlr:
         assert pyramid_level_llrs([2, 2, 1, 1], lam)[0] == -40.0
         assert pyramid_level_llrs([0, 1, 0, 1], lam)[0] == 0.0
 
-    def test_both_halves_zero_rejected(self):
-        with pytest.raises(ValueError):
-            pyramid_level_llrs([1, 1, 1, 1], np.array([2.0, 0.0]))
+    def test_both_halves_zero_give_zero(self):
+        # no pulse in either half (a Z-channel pulse off the selected
+        # subblock): the halves are equally likely
+        assert pyramid_level_llrs([1, 1, 1, 1], np.array([2.0, 0.0]))[0] == 0.0
+        np.testing.assert_array_equal(
+            level_llrs_reference(np.zeros((1, 4))), [0.0])
 
     def test_symbol_outside_alphabet_rejected(self):
         with pytest.raises(ValueError, match="alphabet"):
