@@ -67,6 +67,11 @@ def level_capacity(dmc: Dmc, i: int) -> float:
     capacity is the divergence difference of the module docstring (in nats)
     divided by ln 2.
     """
+    return _level_capacity(dmc, i, ppm_output_divergence)
+
+
+def _level_capacity(dmc: Dmc, i: int, divergence) -> float:
+    # level_capacity with D(P_ppm^m || P0^m) in nats from divergence(dmc, m)
     if i < 1:
         raise ValueError("level index must be >= 1")
     if not dmc.stats.finite:
@@ -75,14 +80,18 @@ def level_capacity(dmc: Dmc, i: int) -> float:
         if kept == 0.0:
             return 1.0
         inner = make_dmc(dmc.row0, on_support / kept)
-        return (1.0 - kept) + kept * level_capacity(inner, i)
-    # the larger order first: a refused budget stops before any sum
-    try:
-        lo = ppm_output_divergence(dmc, 1 << i) / LN2
-    except EnumerationBudgetError as e:
-        raise EnumerationBudgetError(f"level {i}: {e}") from None
-    hi = ppm_output_divergence(dmc, 1 << (i - 1)) / LN2
-    return max(hi - lo, 0.0)
+        cap = (1.0 - kept) + kept * _level_capacity(inner, i, divergence)
+    else:
+        # the larger order first: a refused budget stops before any sum
+        try:
+            lo = divergence(dmc, 1 << i) / LN2
+        except EnumerationBudgetError as e:
+            raise EnumerationBudgetError(f"level {i}: {e}") from None
+        cap = divergence(dmc, 1 << (i - 1)) / LN2 - lo
+    # a level bit is binary, so its capacity lies in [0, 1] bits; the
+    # divergence difference rounds past 1 on near-noiseless channels (by
+    # 5.5e-11 for bsc(1e-300) at level 1)
+    return min(max(cap, 0.0), 1.0)
 
 
 def level_capacity_bound(stats: DivergenceStats, i: int) -> float:
@@ -127,10 +136,20 @@ def level_mi_table(bob: Dmc, willie: Dmc, q: int) -> list[LevelMiRow]:
     ``MAX_LEVELS`` before the top level's order 2^q is formed."""
     if not 1 <= q <= MAX_LEVELS:
         raise ValueError(f"q must lie in [1, {MAX_LEVELS}], got {q}")
+    # each order once per distinct channel: levels i and i + 1 share the
+    # order 2^i, and Bob's and Willie's channels may be the same
+    sums: dict[tuple, float] = {}
+
+    def divergence(dmc: Dmc, m: int) -> float:
+        key = (dmc.row0.tobytes(), dmc.row1.tobytes(), m)
+        if key not in sums:
+            sums[key] = ppm_output_divergence(dmc, m)
+        return sums[key]
+
     rows = []
     for i in range(q, 0, -1):
-        iy = level_capacity(bob, i)
-        iz = level_capacity(willie, i)
+        iy = _level_capacity(bob, i, divergence)
+        iz = _level_capacity(willie, i, divergence)
         rows.append(LevelMiRow(level=i, i_y=iy, i_z=iz, diff=iz - iy))
     return rows[::-1]
 

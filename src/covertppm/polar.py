@@ -39,13 +39,22 @@ included:
   their usual decoder is maximum likelihood, not SC.
 - Otherwise the node splits as plain SC.
 
-Nodes of at most ``_FLOAT_NODE`` LLRs take the same rules on a list of
-Python floats, which saves numpy's per-call overhead where the arrays are
-short.  Every operation there is the IEEE double operation numpy performs
-(+, -, *, abs and comparisons), and f's logaddexp is ``_logaddexp``, which
-mirrors numpy's npy_logaddexp branch for branch on the same libm exp and
-log1p, so the two paths give the same LLRs (up to the sign of a NaN, which
-no decision reads) and the same decisions.
+Nodes of at most ``_FLOAT_NODE`` LLRs run a straight-line Python function
+instead, in the manner of the unrolled decoders of Giard, Sarkis, Thibeault
+& Gross (Fast software polar decoders, ICASSP 2014): plain SC written out for
+one pattern of free, frozen and pinned positions, on local floats, with no
+recursion, lists or numpy calls.  Each code generates the function for a
+pattern the first time a node with it is decoded and keeps it, so the number
+of functions is bounded by the code's node patterns; pin values are
+arguments, never part of the source, so keyed blocks with fresh key bits
+reuse them.  The function keeps the rules above: a known child yields the
+transform of its values, g after a frozen-zero partial sum is b + a (which
+also gives a repetition node's half sums), and a free node tests the rate-1
+certificate at run time before it splits.  Every operation there is the
+IEEE double operation numpy performs (+, -, *, abs and comparisons), and f's
+logaddexp is ``_logaddexp``, which mirrors numpy's npy_logaddexp branch for
+branch on the same libm exp and log1p, so the two give the same LLRs (up to
+the sign of a NaN, which no decision reads) and the same decisions.
 
 Construction is genie-aided Monte Carlo: transmit the all-zero codeword,
 compute every successive-cancellation decision LLR with all previous bits
@@ -77,8 +86,8 @@ reached 6.5e4 eps.  It is exactly symmetric and odd in each argument
 (f(-a, b) = -f(a, b) bit for bit), so LLRs that cancel in exact arithmetic
 cancel to 0, a tie that counts half an error, where the logaddexp form
 leaves a residue of order eps whose sign rounding picks.  The decoder
-keeps the logaddexp form: its float path computes f with Python's math
-module, whose exp and log1p are libm's, and numpy's SIMD exp and log1p
+keeps the logaddexp form: its subtree functions compute f with Python's
+math module, whose exp and log1p are libm's, and numpy's SIMD exp and log1p
 differ from libm in the last bit on some inputs, so only logaddexp, which
 numpy evaluates with libm, keeps the two paths and leaf-by-leaf SC equal bit
 for bit.  In the genie pass every operation is elementwise and exp and log1p
@@ -92,8 +101,9 @@ LLRs are natural-log throughout; decision convention is L >= 0 -> bit 0.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,6 +149,9 @@ class PolarLevelCode:
 
     ell: int
     message: np.ndarray
+    # subtree decoders generated by sc_decode, by pattern (``_subtree_source``)
+    _subtrees: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         _check_power_of_two(self.ell)
@@ -153,9 +166,15 @@ class PolarLevelCode:
 # node of size 2^d; the cap keeps the rounding error of f far below 1
 _LN2 = math.log(2.0)
 _RATE1_LLR_CAP = float(1 << 20)
-# nodes of at most this many LLRs decode on Python floats (module docstring);
-# 16 and 32 measured alike on chain-workload decodes, 4, 8 and 64 slower
+# nodes of at most this many LLRs run generated straight-line code on Python
+# floats (module docstring).  On chain-workload decodes 16, 32 and 64 took
+# 0.61, 0.58 and 0.63 of the time of list-of-floats nodes up to 16, but a
+# chain session's codes met 52, 72 and 91 patterns, whose code compiled in
+# 2.5, 5.9 and 13.5 ms each, and chain blocks/s measured alike at 16 and 32
 _FLOAT_NODE = 16
+# a position of a subtree pattern: free, frozen to zero, or pinned to a value
+# the decoder reads at run time
+_FREE, _FROZEN, _PINNED = 0, 1, 2
 
 
 def _logaddexp(x: float, y: float) -> float:
@@ -171,129 +190,148 @@ def _logaddexp(x: float, y: float) -> float:
     return tmp
 
 
-class _ArrayNode:
-    """Node arithmetic on numpy arrays, for nodes above ``_FLOAT_NODE``."""
+def _subtree_source(pattern: bytes) -> str:
+    """Source of ``decode(l, v, s)`` for a subtree with this pattern.
 
-    add = staticmethod(np.add)
-    from_array = staticmethod(np.asarray)
+    ``pattern`` holds one of ``_FREE``, ``_FROZEN`` or ``_PINNED`` per
+    position.  The function takes the subtree's LLRs as a list of floats,
+    the decoder's known values ``v`` and the subtree's first position ``s``
+    (a pinned position i reads ``v[s + i]``), and returns the subtree's
+    partial sums as a tuple of bits.  It is plain SC unrolled, with the node
+    rules of ``_ssc``: a known child yields the transform of its values, a
+    check node is f = logaddexp(0, a + b) - logaddexp(a, b), a bit node is
+    g = b + (1 - 2 s) a, folded to b + a after a frozen-zero left partial
+    sum, and a free node of two or more positions tests the rate-1
+    certificate at run time before it splits.
+    """
+    lines = []
+    names = itertools.count()
 
-    @staticmethod
-    def f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # exact check-node combination log((1+e^(a+b))/(e^a+e^b)), stable form
-        return np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
+    def fresh() -> str:
+        return f"t{next(names)}"
 
-    @staticmethod
-    def g(a: np.ndarray, b: np.ndarray, x1: np.ndarray) -> np.ndarray:
-        return b + (1.0 - 2.0 * x1) * a
+    def emit(depth: int, text: str):
+        lines.append("    " * depth + text)
 
-    @staticmethod
-    def certified(llr: np.ndarray, low: float) -> bool:
-        mag = np.abs(llr)
-        return mag.min() >= low and mag.max() <= _RATE1_LLR_CAP
+    def combine(xl: list, xr: list, depth: int) -> list:
+        out = []
+        for p, q in zip(xl, xr):
+            if p == "0" or q == "0":
+                out.append(q if p == "0" else p)
+            else:
+                out.append(fresh())
+                emit(depth, f"{out[-1]} = {p} ^ {q}")
+        return out + xr
 
-    @staticmethod
-    def hard(llr: np.ndarray) -> np.ndarray:
-        return (llr < 0.0).view(np.uint8)
+    def transform(xs: list, depth: int) -> list:
+        if len(xs) == 1:
+            return xs
+        h = len(xs) // 2
+        return combine(transform(xs[:h], depth), transform(xs[h:], depth), depth)
 
-    @staticmethod
-    def repeat(bit: int, n: int) -> np.ndarray:
-        return np.full(n, bit, dtype=np.uint8)
+    def node(lo: int, n: int, llrs: list, depth: int) -> list:
+        # partial sums of the node [lo, lo + n); llrs are empty if it is known
+        kinds = set(pattern[lo:lo + n])
+        if _FREE not in kinds:
+            xs = ["0"] * n
+            for i in range(n):
+                if pattern[lo + i] == _PINNED:
+                    xs[i] = fresh()
+                    emit(depth, f"{xs[i]} = v[s + {lo + i}]")
+            return transform(xs, depth)
+        if n == 1:
+            out = fresh()
+            emit(depth, f"{out} = 0 if {llrs[0]} >= 0.0 else 1")
+            return [out]
+        if kinds != {_FREE}:
+            return split(lo, llrs, depth)
+        outs = [fresh() for _ in range(n)]
+        low = (n.bit_length() - 1) * _LN2 + 1.0
+        emit(depth, "if " + " and ".join(
+            f"{low!r} <= abs({x}) <= {_RATE1_LLR_CAP!r}" for x in llrs) + ":")
+        for out, x in zip(outs, llrs):
+            emit(depth + 1, f"{out} = 1 if {x} < 0.0 else 0")
+        emit(depth, "else:")
+        for out, x in zip(outs, split(lo, llrs, depth + 1)):
+            emit(depth + 1, f"{out} = {x}")
+        return outs
 
-    @staticmethod
-    def combine(xl: np.ndarray, xr: np.ndarray) -> np.ndarray:
-        return np.concatenate((xl ^ xr, xr))
+    def split(lo: int, llrs: list, depth: int) -> list:
+        h = len(llrs) // 2
+        a, b = llrs[:h], llrs[h:]
+        left, right = [], []
+        if _FREE in pattern[lo:lo + h]:
+            for p, q in zip(a, b):
+                left.append(fresh())
+                emit(depth, f"{left[-1]} = _logaddexp(0.0, {p} + {q})"
+                            f" - _logaddexp({p}, {q})")
+        xl = node(lo, h, left, depth)
+        if _FREE in pattern[lo + h:lo + 2 * h]:
+            for p, q, x in zip(a, b, xl):
+                right.append(fresh())
+                emit(depth, f"{right[-1]} = {q} + {p}" if x == "0"
+                     else f"{right[-1]} = {q} + (1.0 - 2.0 * {x}) * {p}")
+        return combine(xl, node(lo + h, h, right, depth), depth)
+
+    llrs = [f"l{i}" for i in range(len(pattern))]
+    out = node(0, len(llrs), llrs, 1)
+    return "\n".join(["def decode(l, v, s):", f"    {', '.join(llrs)}, = l",
+                      *lines, f"    return ({', '.join(out)},)"])
 
 
-class _FloatNode:
-    """The same operations on lists of Python floats and bits, one IEEE
-    double operation for each of numpy's."""
-
-    from_array = staticmethod(np.ndarray.tolist)
-
-    @staticmethod
-    def f(a: list, b: list) -> list:
-        return [_logaddexp(0.0, p + q) - _logaddexp(p, q) for p, q in zip(a, b)]
-
-    @staticmethod
-    def g(a: list, b: list, x1: list) -> list:
-        return [q + (1.0 - 2.0 * s) * p for p, q, s in zip(a, b, x1)]
-
-    @staticmethod
-    def add(a: list, b: list) -> list:
-        return [p + q for p, q in zip(a, b)]
-
-    @staticmethod
-    def certified(llr: list, low: float) -> bool:
-        # not min/max: they skip a NaN or not depending on where it sits
-        return all(low <= abs(v) <= _RATE1_LLR_CAP for v in llr)
-
-    @staticmethod
-    def hard(llr: list) -> list:
-        return [1 if v < 0.0 else 0 for v in llr]
-
-    @staticmethod
-    def repeat(bit: int, n: int) -> list:
-        return [bit] * n
-
-    @staticmethod
-    def combine(xl: list, xr: list) -> list:
-        return [p ^ q for p, q in zip(xl, xr)] + xr
-
-
-def _known(start: int, end: int, nonzero: list, vals: np.ndarray, k):
+def _known(start: int, end: int, nonzero: list, vals: np.ndarray) -> np.ndarray:
     # partial sums of a rate-0 node: the transform of its known values
     if nonzero[end] == nonzero[start]:
-        return k.repeat(0, end - start)
-    return k.from_array(_butterfly(vals[start:end].copy()))
+        return np.zeros(end - start, dtype=np.uint8)
+    return _butterfly(vals[start:end].copy())
 
 
-def _ssc(llr, start: int, fixed: list, nonzero: list, vals: np.ndarray):
+def _ssc(llr: np.ndarray, start: int, fixed: list, nonzero: list,
+         vals: np.ndarray, subtree) -> np.ndarray:
     """Partial sums of the node covering [start, start + len(llr)).
 
     The node holds at least one free position.  ``fixed`` and ``nonzero``
     are prefix sums of the frozen-or-pinned mask and of the nonzero known
     values, so each node is classified in O(1); a rate-0 child yields its
-    known values without computing its LLRs.  ``llr`` is a numpy array, or a
-    list of floats from ``_FLOAT_NODE`` down; the partial sums come back in
-    the same kind.
+    known values without computing its LLRs.  A node of at most
+    ``_FLOAT_NODE`` LLRs is decoded by ``subtree(llr, start)``.
     """
-    n = len(llr)
-    if type(llr) is list:
-        k = _FloatNode
-    elif n <= _FLOAT_NODE:
-        return np.array(_ssc(llr.tolist(), start, fixed, nonzero, vals),
-                        dtype=np.uint8)
-    else:
-        k = _ArrayNode
+    n = llr.shape[0]
+    if n <= _FLOAT_NODE:
+        return subtree(llr, start)
     end = start + n
     if fixed[end - 1] - fixed[start] == n - 1 \
             and nonzero[end - 1] == nonzero[start]:
-        # repetition node with zero known values (leaves included): every g
-        # on the way to the last leaf is b + a
+        # repetition node with zero known values: every g on the way to the
+        # last leaf is b + a
         v = llr
-        while len(v) > 1:
-            h = len(v) // 2
-            v = k.add(v[h:], v[:h])
-        return k.repeat(0 if v[0] >= 0.0 else 1, n)
-    if fixed[end] == fixed[start] \
-            and k.certified(llr, (n.bit_length() - 1) * _LN2 + 1.0):
-        return k.hard(llr)
+        while v.shape[0] > 1:
+            h = v.shape[0] // 2
+            v = v[h:] + v[:h]
+        return np.full(n, 0 if v[0] >= 0.0 else 1, dtype=np.uint8)
+    if fixed[end] == fixed[start]:
+        mag = np.abs(llr)
+        if mag.min() >= (n.bit_length() - 1) * _LN2 + 1.0 \
+                and mag.max() <= _RATE1_LLR_CAP:
+            return (llr < 0.0).view(np.uint8)
     half = n // 2
     mid = start + half
     a, b = llr[:half], llr[half:]
     left_known = fixed[mid] - fixed[start] == half
     if left_known:
-        xl = _known(start, mid, nonzero, vals, k)
+        xl = _known(start, mid, nonzero, vals)
     else:
-        xl = _ssc(k.f(a, b), start, fixed, nonzero, vals)
+        # exact check-node combination log((1+e^(a+b))/(e^a+e^b)), stable form
+        f = np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
+        xl = _ssc(f, start, fixed, nonzero, vals, subtree)
     if fixed[end] - fixed[mid] == half:
-        xr = _known(mid, end, nonzero, vals, k)
+        xr = _known(mid, end, nonzero, vals)
     elif left_known and nonzero[mid] == nonzero[start]:
         # zero left partial sums: g(a, b, 0) = b + a
-        xr = _ssc(k.add(b, a), mid, fixed, nonzero, vals)
+        xr = _ssc(b + a, mid, fixed, nonzero, vals, subtree)
     else:
-        xr = _ssc(k.g(a, b, xl), mid, fixed, nonzero, vals)
-    return k.combine(xl, xr)
+        xr = _ssc(b + (1.0 - 2.0 * xl) * a, mid, fixed, nonzero, vals, subtree)
+    return np.concatenate((xl ^ xr, xr))
 
 
 def sc_decode(
@@ -313,19 +351,32 @@ def sc_decode(
     llr = np.asarray(channel_llrs, dtype=np.float64)
     if llr.shape != (code.ell,):
         raise ValueError(f"need {code.ell} channel LLRs, got {llr.shape}")
-    mask = np.ones(code.ell, dtype=bool)
-    mask[code.message] = False
+    status = np.full(code.ell, _FROZEN, dtype=np.uint8)
+    status[code.message] = _FREE
     vals = np.zeros(code.ell, dtype=np.uint8)
+    known = None
     if pins is not None:
         idx, pv = pins
-        mask[np.asarray(idx, dtype=np.int64)] = True
+        status[np.asarray(idx, dtype=np.int64)] = _PINNED
         vals[np.asarray(idx, dtype=np.int64)] = np.asarray(pv, dtype=np.uint8)
-    fixed = [0, *np.cumsum(mask).tolist()]
+        known = vals.tolist()
+    fixed = [0, *np.cumsum(status != _FREE).tolist()]
     if fixed[-1] == code.ell:
         return vals, _butterfly(vals.copy())
     nonzero = [0, *np.cumsum(vals != 0).tolist()]
+    patterns = status.tobytes()
+
+    def subtree(l: np.ndarray, start: int) -> np.ndarray:
+        pattern = patterns[start:start + l.shape[0]]
+        decode = code._subtrees.get(pattern)
+        if decode is None:  # the code's first node with this pattern
+            scope = {"_logaddexp": _logaddexp}
+            exec(_subtree_source(pattern), scope)
+            decode = code._subtrees[pattern] = scope["decode"]
+        return np.array(decode(l.tolist(), known, start), dtype=np.uint8)
+
     # the codeword x = u G; G is an involution, so u = x G
-    x_hat = _ssc(llr, 0, fixed, nonzero, vals)
+    x_hat = _ssc(llr, 0, fixed, nonzero, vals, subtree)
     return _butterfly(x_hat.copy()), x_hat
 
 

@@ -125,6 +125,12 @@ class TestLevelCapacity:
         for i in (1, 2, 3, 8):
             assert level_capacity(ch, i) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("p,i", [(1e-300, 1), (1e-306, 3)])
+    def test_capped_at_one_bit(self, p, i):
+        # the divergence difference rounds to 1 + 5.5e-11 here; a level
+        # carries one binary input, so its capacity is at most one bit
+        assert level_capacity(bsc(p), i) == 1.0
+
 
 class TestLevelCapacityBound:
     def test_upper_bounds_exact_value(self):
@@ -172,6 +178,23 @@ class TestLevelMiTable:
         assert total == pytest.approx(2.5359, abs=1e-3)
         assert abs(total - d) < 1e-3
 
+
+    @pytest.mark.parametrize("same", [True, False])
+    def test_each_order_summed_once(self, monkeypatch, same):
+        # 21 orders 2^20 .. 2^0 for one channel, whether Willie's channel is
+        # Bob's object (as the tables command passes it) or an equal one;
+        # summed top down, so the largest order is still met first
+        completed = []
+
+        def spy(dmc, m):
+            completed.append(m)
+            return ppm_output_divergence(dmc, m)
+
+        monkeypatch.setattr(levels, "ppm_output_divergence", spy)
+        bob = bsc(0.1)
+        rows = level_mi_table(bob, bob if same else bsc(0.1), 20)
+        assert completed == [1 << j for j in range(20, -1, -1)]
+        assert [r.i_y for r in rows] == [level_capacity(bob, i) for i in range(1, 21)]
 
     @pytest.mark.parametrize("q", [21, 2000])
     def test_refused_before_any_divergence_sum(self, monkeypatch, q):

@@ -238,6 +238,49 @@ def test_sc_decode_bitwise_equals_reference(log_ell, mask_kind, source,
     np.testing.assert_array_equal(x_hat, polar_transform(u_hat))
 
 
+def test_keyed_blocks_reuse_generated_decoders(monkeypatch):
+    # a keyed level pins the same message positions in every block with
+    # fresh key bits; pin values are arguments of the generated subtree
+    # decoders, not part of their source, so only the first block generates
+    rng = np.random.default_rng(21)
+    ell, n_key = 1024, 48
+    code = construct_code(make_level_llr_sampler(bsc(0.1), 2), ell, 600, 200, rng)
+    generated = []
+    source = polar._subtree_source
+
+    def spy(pattern):
+        generated.append(pattern)
+        return source(pattern)
+
+    monkeypatch.setattr(polar, "_subtree_source", spy)
+    frozen, idx = _frozen(code), code.message[:n_key]
+    counts = []
+    for _ in range(20):
+        key = rng.integers(0, 2, size=n_key, dtype=np.uint8)
+        known = (np.concatenate([frozen, idx]),
+                 np.concatenate([np.zeros(frozen.shape[0], np.uint8), key]))
+        llrs = _channel_llrs("mixed", code, known, rng)
+        got = sc_decode(llrs, code, pins=(idx, key))
+        want = sc_decode_reference(llrs, code, pins=(idx, key))
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        counts.append(len(generated))
+    assert counts[0] > 0 and counts == counts[:1] * 20
+    assert any(polar._PINNED in pattern for pattern in generated)
+    assert len(code._subtrees) == counts[0]
+
+
+def test_codes_share_no_generated_decoders(rng):
+    message = np.flatnonzero(rng.random(256) < 0.5)
+    first, second = (PolarLevelCode(ell=256, message=message) for _ in range(2))
+    llrs = rng.normal(1.0, 2.0, size=256)
+    sc_decode(llrs, first)
+    assert first._subtrees and not second._subtrees
+    np.testing.assert_array_equal(sc_decode(llrs, second)[1], sc_decode(llrs, first)[1])
+    assert first._subtrees.keys() == second._subtrees.keys()
+    assert all(first._subtrees[k] is not second._subtrees[k] for k in first._subtrees)
+
+
 # inputs of the genie pass: signed zeros, tiny and huge magnitudes, and the
 # non-finite values that turn f into NaN
 GENIE_POOL = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, np.inf, -np.inf,
