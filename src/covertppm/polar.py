@@ -366,14 +366,14 @@ def sc_decode(
     nonzero = [0, *np.cumsum(vals != 0).tolist()]
     patterns = status.tobytes()
 
-    def subtree(l: np.ndarray, start: int) -> np.ndarray:
-        pattern = patterns[start:start + l.shape[0]]
+    def subtree(part: np.ndarray, start: int) -> np.ndarray:
+        pattern = patterns[start:start + part.shape[0]]
         decode = code._subtrees.get(pattern)
         if decode is None:  # the code's first node with this pattern
             scope = {"_logaddexp": _logaddexp}
             exec(_subtree_source(pattern), scope)
             decode = code._subtrees[pattern] = scope["decode"]
-        return np.array(decode(l.tolist(), known, start), dtype=np.uint8)
+        return np.array(decode(part.tolist(), known, start), dtype=np.uint8)
 
     # the codeword x = u G; G is an involution, so u = x G
     x_hat = _ssc(llr, 0, fixed, nonzero, vals, subtree)
