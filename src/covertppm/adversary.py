@@ -30,6 +30,7 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,9 +106,10 @@ def packed_weights(rows: np.ndarray) -> np.ndarray:
     return _BYTE_WEIGHTS.take(rows).sum(axis=1, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearCode:
-    """An (n, k) binary linear code given by a full-rank generator matrix."""
+    """An (n, k) binary linear code given by a full-rank, read-only generator
+    matrix; compared and hashed by identity."""
 
     generator: np.ndarray
 
@@ -120,6 +122,7 @@ class LinearCode:
         g = g.astype(np.uint8)
         if gf2_rank(g) != g.shape[0]:
             raise ValueError("generator must have full row rank over GF(2)")
+        g.flags.writeable = False
         object.__setattr__(self, "generator", g)
 
     @property
@@ -129,6 +132,14 @@ class LinearCode:
     @property
     def n(self) -> int:
         return int(self.generator.shape[1])
+
+    @cached_property
+    def distinct_columns(self) -> np.ndarray:
+        """:func:`distinct_column_set`, computed on first use and kept
+        (read-only, like ``generator``, so it cannot go stale)."""
+        s = distinct_column_set(self)
+        s.flags.writeable = False
+        return s
 
 
 def random_linear_code(n: int, k: int, rng: np.random.Generator) -> LinearCode:
@@ -227,8 +238,9 @@ def detect_linear_code(
 
     Trials are output histograms on S (module docstring): a chunk of n trials
     holds n x |Z| counts and n x ceil(|S|/8) codeword bytes, not n x |S|
-    symbols.  The tables of :func:`gf2_multiplier`, built once per call, take
-    about 4 k |S| bytes (5.7 MB at k = 700, |S| = 2048).
+    symbols.  S is kept per code (:attr:`LinearCode.distinct_columns`); the
+    tables of :func:`gf2_multiplier`, built once per call, take about
+    4 k |S| bytes (5.7 MB at k = 700, |S| = 2048).
     """
     if trials < 2:
         raise ValueError(f"detection needs at least 2 trials, got {trials}")
@@ -237,7 +249,7 @@ def detect_linear_code(
             "Willie's Q1 has mass outside the support of Q0: chi2 is infinite "
             "and the detector statistic is unbounded"
         )
-    S = distinct_column_set(code)
+    S = code.distinct_columns
     s_size = int(S.shape[0])
     chi2, chi3 = willie.stats.chi2, willie.stats.chi3
     if chi2 == 0.0:

@@ -60,13 +60,14 @@ def _cdf(row: np.ndarray) -> np.ndarray:
     return _read_only(cdf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dmc:
     """A binary-input DMC given by its two output rows.
 
     ``row0`` is the output distribution for input 0, ``row1`` for input 1.
     Rows are validated and renormalised by :func:`make_dmc`; do not construct
     directly unless the rows are already exact probability vectors.
+    Compared and hashed by identity, since its arrays have no truth value.
     """
 
     row0: np.ndarray

@@ -220,17 +220,20 @@ def build_session(
 # one block
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TxRecord:
-    """Transmitter-side truth for one block (payloads and codeword bits)."""
+    """Transmitter-side truth for one block (payloads and codeword bits),
+    compared and hashed by identity."""
 
     level_bits: np.ndarray              # (q, ell) codeword bit matrix
     messages: dict[int, np.ndarray]     # message+secret payload per level
     extractor_r: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockResult:
+    """Receiver-side outcome of one block, compared and hashed by identity."""
+
     decoded_bits: dict[int, np.ndarray]  # message+secret payload per level
     block_errors: dict[int, bool]
     genie_levels: tuple[int, ...]
@@ -265,15 +268,14 @@ def encode_block(
     messages: dict[int, np.ndarray],
     keys: dict[int, np.ndarray],
     rng: np.random.Generator,
-    *,
-    extractor_r: np.ndarray | None = None,
 ) -> tuple[PpmFrame, TxRecord]:
     """Encode per-level payloads into one frame of pulse positions.
 
     ``messages[i]`` holds the message+secret payload (n_msg + n_sec bits) and
     ``keys[i]`` the n_key key bits for each reliability level i <= u.  Levels
-    above u consume fresh uniform bits, or the extractor output of
-    ``extractor_r`` (drawn from ``rng`` when absent) in extractor mode.
+    above u consume fresh uniform bits, or in extractor mode the extractor
+    output of k uniform input bits drawn from ``rng``, which the record keeps
+    as ``extractor_r``.
     """
     q, ell = session.q, session.ell
     bits = np.zeros((q, ell), dtype=np.uint8)
@@ -290,10 +292,7 @@ def encode_block(
 
     r_used = None
     if session.extractor_cfg is not None:
-        if extractor_r is None:
-            r_used = rng.integers(0, 2, size=session.extractor_cfg.k, dtype=np.uint8)
-        else:
-            r_used = np.asarray(extractor_r, dtype=np.uint8)
+        r_used = rng.integers(0, 2, size=session.extractor_cfg.k, dtype=np.uint8)
         bits[session.u:] = _extractor_levels(session, r_used)
     elif session.u < q:
         bits[session.u:] = rng.integers(0, 2, size=(q - session.u, ell), dtype=np.uint8)

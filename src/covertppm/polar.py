@@ -28,16 +28,14 @@ included:
   intermediate LLR keeps a magnitude of at least 1; the upper bound keeps
   the rounding error of f far below that margin.  No zero ties or sign
   flips can occur.
-- Repetition with zero known values (all positions but the last frozen or
-  pinned, all of them to zero; a leaf is the case of size 1): in SC every
-  left child is then rate 0 with zero partial sums, so every g(a, b, 0) is
-  b + 1.0*a = b + a, and the last leaf's LLR is the stage-by-stage half sum
-  v <- v[h:] + v[:h], in that pairing; the node's x is its one bit
-  repeated.  This is SC's own arithmetic, not the maximum-likelihood sum of
-  a repetition decoder.  For the same reason g after any rate-0 left child
-  with zero known values is b + a.  Single-parity-check nodes are absent:
-  their usual decoder is maximum likelihood, not SC.
 - Otherwise the node splits as plain SC.
+
+A repetition node with zero known values (all positions but the last frozen
+or pinned, all to zero) needs no rule of its own: its left children are
+rate 0 with zero partial sums, so each g(a, b, 0) = b + 1.0*a is b + a, and
+the split computes SC's half sums v <- v[h:] + v[:h] in that pairing, as
+does the generated frozen-zero fold (below).  Single-parity-check nodes are
+absent too: their usual decoder is maximum likelihood, not SC.
 
 Nodes of at most ``_FLOAT_NODE`` LLRs run a straight-line Python function
 instead, in the manner of the unrolled decoders of Giard, Sarkis, Thibeault
@@ -48,13 +46,13 @@ pattern the first time a node with it is decoded and keeps it, so the number
 of functions is bounded by the code's node patterns; pin values are
 arguments, never part of the source, so keyed blocks with fresh key bits
 reuse them.  The function keeps the rules above: a known child yields the
-transform of its values, g after a frozen-zero partial sum is b + a (which
-also gives a repetition node's half sums), and a free node tests the rate-1
+transform of its values, g after a frozen-zero partial sum is folded to
+b + a (bit for bit the general g), and a free node tests the rate-1
 certificate at run time before it splits.  Every operation there is the
-IEEE double operation numpy performs (+, -, *, abs and comparisons), and f's
-logaddexp is ``_logaddexp``, which mirrors numpy's npy_logaddexp branch for
-branch on the same libm exp and log1p, so the two give the same LLRs (up to
-the sign of a NaN, which no decision reads) and the same decisions.
+IEEE double operation numpy performs (+, -, *, abs and comparisons), and
+f's logaddexp is ``_logaddexp``, which mirrors numpy's npy_logaddexp branch
+for branch on the same libm exp and log1p, so the two give the same LLRs (up
+to the sign of a NaN, which no decision reads) and the same decisions.
 
 Construction is genie-aided Monte Carlo: transmit the all-zero codeword,
 compute every successive-cancellation decision LLR with all previous bits
@@ -136,7 +134,7 @@ def polar_transform(u) -> np.ndarray:
     return _butterfly(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarLevelCode:
     """A polar code for one level channel: its length and message set.
 
@@ -144,14 +142,13 @@ class PolarLevelCode:
     payload bits; the remaining (frozen) positions are always zero, which is
     valid because the level channels are symmetric.  A position the
     receiver knows to hold another value (a key bit) is passed to
-    :func:`sc_decode` as a pin.
+    :func:`sc_decode` as a pin.  Compared and hashed by identity.
     """
 
     ell: int
     message: np.ndarray
     # subtree decoders generated by sc_decode, by pattern (``_subtree_source``)
-    _subtrees: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    _subtrees: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         _check_power_of_two(self.ell)
@@ -290,25 +287,17 @@ def _ssc(llr: np.ndarray, start: int, fixed: list, nonzero: list,
          vals: np.ndarray, subtree) -> np.ndarray:
     """Partial sums of the node covering [start, start + len(llr)).
 
-    The node holds at least one free position.  ``fixed`` and ``nonzero``
-    are prefix sums of the frozen-or-pinned mask and of the nonzero known
-    values, so each node is classified in O(1); a rate-0 child yields its
-    known values without computing its LLRs.  A node of at most
-    ``_FLOAT_NODE`` LLRs is decoded by ``subtree(llr, start)``.
+    A node need not hold a free position: a rate-0 root splits into known
+    halves, and a rate-0 child yields its known values without computing
+    its LLRs.  ``fixed`` and ``nonzero`` are prefix sums of the
+    frozen-or-pinned mask and of the nonzero known values, so each node is
+    classified in O(1).  A node of at most ``_FLOAT_NODE`` LLRs is decoded
+    by ``subtree(llr, start)``.
     """
     n = llr.shape[0]
     if n <= _FLOAT_NODE:
         return subtree(llr, start)
     end = start + n
-    if fixed[end - 1] - fixed[start] == n - 1 \
-            and nonzero[end - 1] == nonzero[start]:
-        # repetition node with zero known values: every g on the way to the
-        # last leaf is b + a
-        v = llr
-        while v.shape[0] > 1:
-            h = v.shape[0] // 2
-            v = v[h:] + v[:h]
-        return np.full(n, 0 if v[0] >= 0.0 else 1, dtype=np.uint8)
     if fixed[end] == fixed[start]:
         mag = np.abs(llr)
         if mag.min() >= (n.bit_length() - 1) * _LN2 + 1.0 \
@@ -317,8 +306,7 @@ def _ssc(llr: np.ndarray, start: int, fixed: list, nonzero: list,
     half = n // 2
     mid = start + half
     a, b = llr[:half], llr[half:]
-    left_known = fixed[mid] - fixed[start] == half
-    if left_known:
+    if fixed[mid] - fixed[start] == half:
         xl = _known(start, mid, nonzero, vals)
     else:
         # exact check-node combination log((1+e^(a+b))/(e^a+e^b)), stable form
@@ -326,9 +314,6 @@ def _ssc(llr: np.ndarray, start: int, fixed: list, nonzero: list,
         xl = _ssc(f, start, fixed, nonzero, vals, subtree)
     if fixed[end] - fixed[mid] == half:
         xr = _known(mid, end, nonzero, vals)
-    elif left_known and nonzero[mid] == nonzero[start]:
-        # zero left partial sums: g(a, b, 0) = b + a
-        xr = _ssc(b + a, mid, fixed, nonzero, vals, subtree)
     else:
         xr = _ssc(b + (1.0 - 2.0 * xl) * a, mid, fixed, nonzero, vals, subtree)
     return np.concatenate((xl ^ xr, xr))
@@ -361,8 +346,6 @@ def sc_decode(
         vals[np.asarray(idx, dtype=np.int64)] = np.asarray(pv, dtype=np.uint8)
         known = vals.tolist()
     fixed = [0, *np.cumsum(status != _FREE).tolist()]
-    if fixed[-1] == code.ell:
-        return vals, _butterfly(vals.copy())
     nonzero = [0, *np.cumsum(vals != 0).tolist()]
     patterns = status.tobytes()
 

@@ -52,9 +52,10 @@ class EnumerationBudgetError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PpmFrame:
-    """A block of ell PPM symbols of order 2^q, stored as 1-based pulse positions."""
+    """A block of ell PPM symbols of order 2^q, stored as 1-based pulse
+    positions; compared and hashed by identity."""
 
     q: int
     positions: np.ndarray
@@ -86,7 +87,7 @@ def _one_hot(symbols: np.ndarray, size: int) -> np.ndarray:
     return (symbols[..., None] == np.arange(1, size)).view(np.uint8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuperOutput:
     """Received super-symbols and their histogram pyramid.
 
@@ -105,7 +106,7 @@ class SuperOutput:
     neighbouring blocks of level j-1, starting from that one-hot view, in
     pairs.  Levels 1..q take about (|Z|-1) bytes per channel use, at most
     twice that.  :meth:`block_histograms` gathers whole histograms from
-    one level.
+    one level.  Compared and hashed by identity.
     """
 
     q: int

@@ -22,6 +22,7 @@ from conftest import (
     pw_from_joint_codebook,
     pw_from_level_sources,
 )
+from covertppm import adversary
 from covertppm.adversary import (
     LinearCode,
     _innocent_roots,
@@ -260,6 +261,27 @@ class TestDetect:
         code = identity_prefix_code(32, 8)
         report = detect_linear_code(code, willie, 100, rng)
         assert report.undetectable
+
+    def test_distinct_columns_computed_once_per_code(self, rng, monkeypatch):
+        calls = []
+
+        def spy(code):
+            calls.append(code)
+            return distinct_column_set(code)
+
+        monkeypatch.setattr(adversary, "distinct_column_set", spy)
+        code = random_linear_code(40, 12, rng)
+        reports = [detect_linear_code(code, bsc(0.1), 100, rng) for _ in range(3)]
+        assert calls == [code]
+        assert {r.s_size for r in reports} == {distinct_column_set(code).shape[0]}
+        np.testing.assert_array_equal(code.distinct_columns, distinct_column_set(code))
+
+    def test_generator_and_column_set_read_only(self, rng):
+        # the cached column set cannot go stale through a write to either
+        code = random_linear_code(40, 12, rng)
+        for a in (code.generator, code.distinct_columns):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1 - a[0]
 
     def test_warden_off_support_rejected(self, rng):
         # Q1 puts mass on a symbol Q0 never emits: chi2 is infinite

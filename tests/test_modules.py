@@ -1,9 +1,18 @@
-"""The library's modules use each other only through public names."""
+"""Library-wide properties: the modules use each other only through public
+names, and the records that hold arrays compare by identity."""
 
 import ast
+import copy
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from covertppm.adversary import identity_prefix_code
+from covertppm.channels import bsc
+from covertppm.codec import BlockResult, TxRecord
+from covertppm.polar import PolarLevelCode
+from covertppm.ppm import PpmFrame, SuperOutput
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "covertppm"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -46,3 +55,29 @@ def test_checker_sees_both_forms():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_module_uses_another_modules_private_names(path):
     assert private_uses(path.read_text()) == []
+
+
+RECORDS = {
+    "Dmc": lambda: bsc(0.1),
+    "PolarLevelCode": lambda: PolarLevelCode(ell=8, message=np.array([3, 5, 7])),
+    "LinearCode": lambda: identity_prefix_code(8, 4),
+    "PpmFrame": lambda: PpmFrame(q=2, positions=np.array([1, 4, 2])),
+    "SuperOutput": lambda: SuperOutput(q=1, symbols=np.zeros((3, 2), dtype=np.uint8),
+                                       alphabet_size=2),
+    "TxRecord": lambda: TxRecord(level_bits=np.zeros((2, 4), dtype=np.uint8),
+                                 messages={1: np.ones(2, dtype=np.uint8)},
+                                 extractor_r=np.zeros(3, dtype=np.uint8)),
+    "BlockResult": lambda: BlockResult(decoded_bits={1: np.ones(2, dtype=np.uint8)},
+                                       block_errors={1: False}, genie_levels=()),
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+def test_array_records_compare_and_hash_by_identity(make):
+    # a field-wise == would ask an array for one truth value, and hash an array
+    x = make()
+    twin = copy.deepcopy(x)
+    assert x == x
+    assert x != twin
+    assert hash(x) == hash(x)
+    assert len({x, twin}) == 2

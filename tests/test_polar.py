@@ -39,6 +39,14 @@ def batch_transform(u: np.ndarray) -> np.ndarray:
     return x
 
 
+def signed_zeros_with(n: int, spikes: dict) -> tuple:
+    """n alternating +0.0 and -0.0 LLRs with ``spikes`` written over them."""
+    v = [0.0, -0.0] * (n // 2)
+    for i, x in spikes.items():
+        v[i] = x
+    return tuple(v)
+
+
 class TestTransform:
     def test_kernel_by_hand(self):
         np.testing.assert_array_equal(polar_transform([1, 0]), [1, 0])
@@ -137,10 +145,15 @@ class TestScDecode:
 
     @pytest.mark.parametrize("llrs", [(1.0, -1e-300, -1.0, 0.0),
                                       (1e300, -3.0, -1e300, 1.0),
-                                      (1.0, 0.0, 3.0, -1e-300, -1.0, 0.0, -3.0, 0.0)])
+                                      (1.0, 0.0, 3.0, -1e-300, -1.0, 0.0, -3.0, 0.0),
+                                      signed_zeros_with(32, {0: 1e300, 1: -1e-300,
+                                                             16: -1e300}),
+                                      signed_zeros_with(64, {0: 1e300, 16: -1e300,
+                                                             32: -1e-300})])
     def test_repetition_half_sum_follows_sc(self, llrs):
         # a repetition node's leaf LLR is SC's stage-by-stage half sum
-        # v[h:] + v[:h]; other pairings of these values round to another bit
+        # v[h:] + v[:h]; other pairings of these values round to another bit.
+        # Above 16 LLRs the half sum comes from the generic split
         code = _code(len(llrs), np.arange(len(llrs) - 1))
         got = sc_decode(np.array(llrs), code)
         want = sc_decode_reference(np.array(llrs), code)
