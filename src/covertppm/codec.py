@@ -248,19 +248,23 @@ def _extractor_levels(session: Session, r: np.ndarray) -> np.ndarray:
     bits ``r``: its w = (q-u)*ell output bits as (q-u, ell) level rows,
     symbol-major LSB-first."""
     cfg = session.extractor_cfg
-    if len(r) != cfg.k:
-        raise SessionError(f"extractor input must be {cfg.k} bits")
+    r = np.asarray(r)
+    if r.shape != (cfg.k,) or not np.all((r == 0) | (r == 1)):
+        raise SessionError(f"extractor input must be {cfg.k} bits, each 0 or 1")
     x = inv(cfg, session.extractor_seed, 0, bits_to_int(r))
     return int_to_bits(x, cfg.w).reshape(session.ell, session.q - session.u).T
 
 
 def _level_bits(values: dict[int, np.ndarray], i: int, n: int, what: str) -> np.ndarray:
     """Level i's ``what`` bits from ``values`` as uint8; a level left out
-    holds none, and any count other than ``n`` is refused."""
-    bits = np.asarray(values.get(i, []), dtype=np.uint8)
+    holds none.  Any count other than ``n``, and any entry other than 0 or 1,
+    is refused before the cast, which would read 257 as 1."""
+    bits = np.asarray(values.get(i, []))
     if bits.shape[0] != n:
         raise SessionError(f"level {i}: expected {n} {what} bits, got {bits.shape[0]}")
-    return bits
+    if not np.all((bits == 0) | (bits == 1)):
+        raise SessionError(f"level {i}: {what} bits must be 0 or 1")
+    return bits.astype(np.uint8)
 
 
 def encode_block(
@@ -453,7 +457,7 @@ def run_chain(
             lay = session.layouts[i]
             count = lay.n_msg + lay.n_sec
             if message_source is not None:
-                messages[i] = np.asarray(message_source(i, count, j), dtype=np.uint8)
+                messages[i] = message_source(i, count, j)
             else:
                 messages[i] = _draw_bits(rng, count)
         frame, tx = encode_block(session, messages, tx_keys, rng)

@@ -39,20 +39,20 @@ absent too: their usual decoder is maximum likelihood, not SC.
 
 Nodes of at most ``_FLOAT_NODE`` LLRs run a straight-line Python function
 instead, in the manner of the unrolled decoders of Giard, Sarkis, Thibeault
-& Gross (Fast software polar decoders, ICASSP 2014): plain SC written out for
-one pattern of free, frozen and pinned positions, on local floats, with no
-recursion, lists or numpy calls.  Each code generates the function for a
-pattern the first time a node with it is decoded and keeps it, so the number
-of functions is bounded by the code's node patterns; pin values are
-arguments, never part of the source, so keyed blocks with fresh key bits
-reuse them.  The function keeps the rules above: a known child yields the
-transform of its values, g after a frozen-zero partial sum is folded to
-b + a (bit for bit the general g), and a free node tests the rate-1
-certificate at run time before it splits.  Every operation there is the
-IEEE double operation numpy performs (+, -, *, abs and comparisons), and
-f's logaddexp is ``_logaddexp``, which mirrors numpy's npy_logaddexp branch
-for branch on the same libm exp and log1p, so the two give the same LLRs (up
-to the sign of a NaN, which no decision reads) and the same decisions.
+& Gross (Fast software polar decoders, ICASSP 2014): plain SC written out
+for one pattern of free, frozen and pinned positions, on local floats, with
+no recursion, lists or numpy calls.  It depends on the pattern, not the
+code, so it is generated the first time any code meets the pattern and kept
+per process (``_subtree_decoder``); pin values are arguments, never part of
+the source, so keyed blocks with fresh key bits reuse it.  The function
+keeps the rules above: a known child yields the transform of its values, g
+after a frozen-zero partial sum is folded to b + a (bit for bit the general
+g), and a free node tests the rate-1 certificate at run time before it
+splits.  Every operation there is the IEEE double operation numpy performs
+(+, -, *, abs and comparisons), and f's logaddexp is ``_logaddexp``, which
+mirrors numpy's npy_logaddexp branch for branch on the same libm exp and
+log1p, so the two give the same LLRs (up to the sign of a NaN, which no
+decision reads) and the same decisions.
 
 Construction is genie-aided Monte Carlo: transmit the all-zero codeword,
 compute every successive-cancellation decision LLR with all previous bits
@@ -99,9 +99,10 @@ LLRs are natural-log throughout; decision convention is L >= 0 -> bit 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,13 +143,12 @@ class PolarLevelCode:
     payload bits; the remaining (frozen) positions are always zero, which is
     valid because the level channels are symmetric.  A position the
     receiver knows to hold another value (a key bit) is passed to
-    :func:`sc_decode` as a pin.  Compared and hashed by identity.
+    :func:`sc_decode` as a pin.  Its generated decoders are kept per pattern
+    and process, not per code.  Compared and hashed by identity.
     """
 
     ell: int
     message: np.ndarray
-    # subtree decoders generated by sc_decode, by pattern (``_subtree_source``)
-    _subtrees: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         _check_power_of_two(self.ell)
@@ -276,29 +276,39 @@ def _subtree_source(pattern: bytes) -> str:
                       *lines, f"    return ({', '.join(out)},)"])
 
 
-def _known(start: int, end: int, nonzero: list, vals: np.ndarray) -> np.ndarray:
+# the generated decode(l, v, s) of a pattern, shared by all codes.  The cap
+# bounds memory (a 16-LLR decoder of free and frozen positions takes about
+# 10 kB); the chain, covert and keyed CI sessions meet 16, 17 and 4 patterns
+@functools.lru_cache(maxsize=1024)
+def _subtree_decoder(pattern: bytes):
+    scope = {"_logaddexp": _logaddexp}
+    exec(_subtree_source(pattern), scope)
+    return scope["decode"]
+
+
+def _known(start: int, end: int, known: list | None) -> np.ndarray:
     # partial sums of a rate-0 node: the transform of its known values
-    if nonzero[end] == nonzero[start]:
+    if known is None or not any(known[start:end]):
         return np.zeros(end - start, dtype=np.uint8)
-    return _butterfly(vals[start:end].copy())
+    return _butterfly(np.array(known[start:end], dtype=np.uint8))
 
 
-def _ssc(llr: np.ndarray, start: int, fixed: list, nonzero: list,
-         vals: np.ndarray, subtree) -> np.ndarray:
+def _ssc(llr: np.ndarray, start: int, pattern: bytes, known: list | None) -> np.ndarray:
     """Partial sums of the node covering [start, start + len(llr)).
 
-    A node need not hold a free position: a rate-0 root splits into known
-    halves, and a rate-0 child yields its known values without computing
-    its LLRs.  ``fixed`` and ``nonzero`` are prefix sums of the
-    frozen-or-pinned mask and of the nonzero known values, so each node is
-    classified in O(1).  A node of at most ``_FLOAT_NODE`` LLRs is decoded
-    by ``subtree(llr, start)``.
+    ``pattern`` holds every position's class (``_FREE``, ``_FROZEN`` or
+    ``_PINNED``) and ``known`` every position's known value, or is ``None``
+    without pins.  A node need not hold a free position: a rate-0 root
+    splits into known halves, and a rate-0 child yields its known values
+    without computing its LLRs.  A node of at most ``_FLOAT_NODE`` LLRs runs
+    its pattern's generated decoder.
     """
     n = llr.shape[0]
-    if n <= _FLOAT_NODE:
-        return subtree(llr, start)
     end = start + n
-    if fixed[end] == fixed[start]:
+    if n <= _FLOAT_NODE:
+        decode = _subtree_decoder(pattern[start:end])
+        return np.array(decode(llr.tolist(), known, start), dtype=np.uint8)
+    if pattern.count(_FREE, start, end) == n:
         mag = np.abs(llr)
         if mag.min() >= (n.bit_length() - 1) * _LN2 + 1.0 \
                 and mag.max() <= _RATE1_LLR_CAP:
@@ -306,16 +316,16 @@ def _ssc(llr: np.ndarray, start: int, fixed: list, nonzero: list,
     half = n // 2
     mid = start + half
     a, b = llr[:half], llr[half:]
-    if fixed[mid] - fixed[start] == half:
-        xl = _known(start, mid, nonzero, vals)
+    if pattern.find(_FREE, start, mid) < 0:
+        xl = _known(start, mid, known)
     else:
         # exact check-node combination log((1+e^(a+b))/(e^a+e^b)), stable form
         f = np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
-        xl = _ssc(f, start, fixed, nonzero, vals, subtree)
-    if fixed[end] - fixed[mid] == half:
-        xr = _known(mid, end, nonzero, vals)
+        xl = _ssc(f, start, pattern, known)
+    if pattern.find(_FREE, mid, end) < 0:
+        xr = _known(mid, end, known)
     else:
-        xr = _ssc(b + (1.0 - 2.0 * xl) * a, mid, fixed, nonzero, vals, subtree)
+        xr = _ssc(b + (1.0 - 2.0 * xl) * a, mid, pattern, known)
     return np.concatenate((xl ^ xr, xr))
 
 
@@ -327,8 +337,8 @@ def sc_decode(
     """Successive-cancellation decode (simplified-SC schedule, same output).
 
     ``pins`` optionally forces extra positions to known values (receiver-side
-    key bits); pinned positions behave exactly like frozen ones.  Returns
-    ``(u_hat, x_hat)``: the decided input bits and their codeword
+    key bits, each 0 or 1); pinned positions behave exactly like frozen ones.
+    Returns ``(u_hat, x_hat)``: the decided input bits and their codeword
     ``x_hat = u_hat G``, which the decoder holds as the root's partial sums;
     the information bits are ``u_hat[code.message]``.  Deterministic given
     its inputs; ties (LLR exactly zero) resolve to bit 0.
@@ -336,30 +346,19 @@ def sc_decode(
     llr = np.asarray(channel_llrs, dtype=np.float64)
     if llr.shape != (code.ell,):
         raise ValueError(f"need {code.ell} channel LLRs, got {llr.shape}")
-    status = np.full(code.ell, _FROZEN, dtype=np.uint8)
-    status[code.message] = _FREE
-    vals = np.zeros(code.ell, dtype=np.uint8)
+    pattern = np.full(code.ell, _FROZEN, dtype=np.uint8)
+    pattern[code.message] = _FREE
     known = None
     if pins is not None:
-        idx, pv = pins
-        status[np.asarray(idx, dtype=np.int64)] = _PINNED
-        vals[np.asarray(idx, dtype=np.int64)] = np.asarray(pv, dtype=np.uint8)
+        idx, values = np.asarray(pins[0], dtype=np.int64), np.asarray(pins[1])
+        if not np.all((values == 0) | (values == 1)):
+            raise ValueError("pin values must be 0 or 1")
+        pattern[idx] = _PINNED
+        vals = np.zeros(code.ell, dtype=np.uint8)
+        vals[idx] = values
         known = vals.tolist()
-    fixed = [0, *np.cumsum(status != _FREE).tolist()]
-    nonzero = [0, *np.cumsum(vals != 0).tolist()]
-    patterns = status.tobytes()
-
-    def subtree(part: np.ndarray, start: int) -> np.ndarray:
-        pattern = patterns[start:start + part.shape[0]]
-        decode = code._subtrees.get(pattern)
-        if decode is None:  # the code's first node with this pattern
-            scope = {"_logaddexp": _logaddexp}
-            exec(_subtree_source(pattern), scope)
-            decode = code._subtrees[pattern] = scope["decode"]
-        return np.array(decode(part.tolist(), known, start), dtype=np.uint8)
-
     # the codeword x = u G; G is an involution, so u = x G
-    x_hat = _ssc(llr, 0, fixed, nonzero, vals, subtree)
+    x_hat = _ssc(llr, 0, pattern.tobytes(), known)
     return _butterfly(x_hat.copy()), x_hat
 
 
@@ -414,7 +413,7 @@ def _stage_tiles(nodes: int, half: int, rows: int, tile: int) -> list:
             for n in range(0, nodes, step) for h in range(0, half, per)]
 
 
-def _genie_decision_llrs(llrs: np.ndarray, tile: int) -> np.ndarray:
+def _genie_decision_llrs(llrs: np.ndarray) -> np.ndarray:
     """Decision LLRs of every synthetic channel under the all-zero codeword.
 
     With all previous bits forced to zero the partial sums vanish, so the
@@ -423,7 +422,7 @@ def _genie_decision_llrs(llrs: np.ndarray, tile: int) -> np.ndarray:
     serves as the second buffer, so it is overwritten.  Stage s views the
     buffers as (2^s nodes, 2, half, trials) and writes each node's children
     f(a, b) and a + b into the other buffer, tile by tile, through two
-    scratch tiles of max(``tile``, trials) elements; the buffers then swap.
+    scratch tiles of max(``_TILE``, trials) elements; the buffers then swap.
     The copy and the scratch are made here, after the draw, so that they do
     not add to the sampler's peak memory.  Returns the (ell, trials) buffer
     that holds the result.
@@ -431,13 +430,13 @@ def _genie_decision_llrs(llrs: np.ndarray, tile: int) -> np.ndarray:
     rows, ell = llrs.shape
     src = llrs.T.copy()
     dst = llrs.reshape(ell, rows)
-    scratch = np.empty((2, max(tile, rows)), dtype=np.float64)
+    scratch = np.empty((2, max(_TILE, rows)), dtype=np.float64)
     nodes, half = 1, ell // 2
     while half:
         s = src.reshape(nodes, 2, half, rows)
         d = dst.reshape(nodes, 2, half, rows)
         a, b, left, right = s[:, 0], s[:, 1], d[:, 0], d[:, 1]
-        for t in _stage_tiles(nodes, half, rows, tile):
+        for t in _stage_tiles(nodes, half, rows, _TILE):
             at = a[t]
             s1, s2 = (x[:at.size].reshape(at.shape) for x in scratch)
             _check_node(at, b[t], left[t], right[t], s1, s2)
@@ -477,7 +476,7 @@ def construct_code(
         n = min(rows_per_chunk, trials - done)
         llrs = np.asarray(level_sampler(n * ell, rng),
                           dtype=np.float64).reshape(n, ell)
-        dec = _genie_decision_llrs(llrs, _TILE)
+        dec = _genie_decision_llrs(llrs)
         err += (dec < 0).sum(axis=1) + 0.5 * (dec == 0).sum(axis=1)
         llr_sum += dec.sum(axis=1)
         done += n

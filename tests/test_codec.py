@@ -280,6 +280,48 @@ class TestChaining:
         assert plan.sum_rv() > plan.sum_rk()
 
 
+class TestBitEntries:
+    # payload and key entries other than 0 and 1 are refused where they
+    # enter, before a uint8 cast can read 257 as 1
+
+    @pytest.mark.parametrize("what", ["payload", "key"])
+    def test_encode_block_refuses_them(self, rng, what):
+        # a payload 3 went out as a 1 but was recorded as a 3, so the
+        # receiver's correct decode was flagged as a block error
+        sess = keyed_noiseless_session(rng)
+        msgs, keys = random_payloads(sess, rng)
+        values = msgs if what == "payload" else keys
+        i = max(i for i, v in values.items() if v.size)
+        values[i] = values[i].astype(np.int64)
+        values[i][-1] = 3
+        with pytest.raises(SessionError, match=f"level {i}: {what} bits must be 0 or 1"):
+            encode_block(sess, msgs, keys, rng)
+
+    def test_decode_block_refuses_them_in_keys(self, rng):
+        # a pinned 2 reached the decided codeword, by which the lower levels
+        # select their subblocks
+        sess = keyed_noiseless_session(rng)
+        msgs, keys = random_payloads(sess, rng)
+        frame, tx = encode_block(sess, msgs, keys, rng)
+        received = transmit_block(sess, frame, rng)
+        i = max(i for i, v in keys.items() if v.size)
+        bad = {**keys, i: keys[i].astype(np.int64)}
+        bad[i][0] = 2
+        with pytest.raises(SessionError, match=f"level {i}: key bits must be 0 or 1"):
+            decode_block(sess, received, keys=bad, tx=tx)
+
+    def test_run_chain_refuses_them_from_the_message_source(self, rng):
+        sess = keyed_noiseless_session(rng)
+
+        def source(level, count, block):
+            bits = rng.integers(0, 2, size=count)
+            bits[:1] = 257
+            return bits
+
+        with pytest.raises(SessionError, match="payload bits must be 0 or 1"):
+            run_chain(sess, 2, rng, message_source=source)
+
+
 class TestResolvabilityLevels:
     def _tail_session(self, rng, resolvability):
         plan = dataclasses.replace(
@@ -320,6 +362,18 @@ class TestResolvabilityLevels:
         for r in (tx.extractor_r[:-1], np.append(tx.extractor_r, 0)):
             with pytest.raises(SessionError, match="extractor input"):
                 decode_block(sess, received, keys=keys, extractor_r=r)
+
+    def test_extractor_input_entries_other_than_bits_refused(self, rng):
+        # the extractor reads the low bit of each entry, so a 2 would
+        # silently rebuild the levels of a 0
+        sess = self._tail_session(rng, "extractor")
+        msgs, keys = random_payloads(sess, rng)
+        frame, tx = encode_block(sess, msgs, keys, rng)
+        received = transmit_block(sess, frame, rng)
+        r = tx.extractor_r.astype(np.int64)
+        r[0] += 2
+        with pytest.raises(SessionError, match="extractor input must be .* each 0 or 1"):
+            decode_block(sess, received, keys=keys, extractor_r=r)
 
     def test_extractor_tail_bits_are_reproducible(self, rng):
         # equally seeded generators draw the same extractor input and bits

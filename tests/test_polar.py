@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from conftest import (
 )
 from covertppm import polar
 from covertppm.channels import bsc
-from covertppm.codec import build_session, encode_block, make_level_llr_sampler
+from covertppm.codec import build_session, encode_block, make_level_llr_sampler, run_chain
 from covertppm.levels import DEFAULT_LLR_MAX, level_capacity, msd_rate_plan
 from covertppm.polar import PolarLevelCode, construct_code, polar_transform, sc_decode
 
@@ -133,6 +135,14 @@ class TestScDecode:
         with pytest.raises(ValueError):
             sc_decode(np.zeros(8), code)
 
+    @pytest.mark.parametrize("value", [2, 257, -1, 0.5])
+    def test_pin_values_other_than_bits_rejected(self, value):
+        # a uint8 cast would read 257 as 1, and a pinned 2 would leave a 2
+        # in the codeword the multistage receiver selects subblocks by
+        code = PolarLevelCode(ell=32, message=np.arange(8, 32))
+        with pytest.raises(ValueError, match="pin values"):
+            sc_decode(np.ones(32), code, pins=(np.array([8, 20]), np.array([1, value])))
+
     @pytest.mark.parametrize("llrs", [(0.0, -1.0), (1e-9, -1e-9), (-0.0, -40.0),
                                       (1e-300, -1e-300)])
     def test_rate_one_ties_follow_sc(self, llrs):
@@ -251,13 +261,10 @@ def test_sc_decode_bitwise_equals_reference(log_ell, mask_kind, source,
     np.testing.assert_array_equal(x_hat, polar_transform(u_hat))
 
 
-def test_keyed_blocks_reuse_generated_decoders(monkeypatch):
-    # a keyed level pins the same message positions in every block with
-    # fresh key bits; pin values are arguments of the generated subtree
-    # decoders, not part of their source, so only the first block generates
-    rng = np.random.default_rng(21)
-    ell, n_key = 1024, 48
-    code = construct_code(make_level_llr_sampler(bsc(0.1), 2), ell, 600, 200, rng)
+def _generated_patterns(monkeypatch) -> list:
+    """Clear the process's generated decoders; returns the list of patterns
+    that are generated from then on."""
+    polar._subtree_decoder.cache_clear()
     generated = []
     source = polar._subtree_source
 
@@ -266,6 +273,17 @@ def test_keyed_blocks_reuse_generated_decoders(monkeypatch):
         return source(pattern)
 
     monkeypatch.setattr(polar, "_subtree_source", spy)
+    return generated
+
+
+def test_keyed_blocks_reuse_generated_decoders(monkeypatch):
+    # a keyed level pins the same message positions in every block with
+    # fresh key bits; pin values are arguments of the generated subtree
+    # decoders, not part of their source, so only the first block generates
+    rng = np.random.default_rng(21)
+    ell, n_key = 1024, 48
+    code = construct_code(make_level_llr_sampler(bsc(0.1), 2), ell, 600, 200, rng)
+    generated = _generated_patterns(monkeypatch)
     frozen, idx = _frozen(code), code.message[:n_key]
     counts = []
     for _ in range(20):
@@ -280,18 +298,45 @@ def test_keyed_blocks_reuse_generated_decoders(monkeypatch):
         counts.append(len(generated))
     assert counts[0] > 0 and counts == counts[:1] * 20
     assert any(polar._PINNED in pattern for pattern in generated)
-    assert len(code._subtrees) == counts[0]
+    assert len(set(generated)) == counts[0]
 
 
-def test_codes_share_no_generated_decoders(rng):
-    message = np.flatnonzero(rng.random(256) < 0.5)
-    first, second = (PolarLevelCode(ell=256, message=message) for _ in range(2))
-    llrs = rng.normal(1.0, 2.0, size=256)
-    sc_decode(llrs, first)
-    assert first._subtrees and not second._subtrees
-    np.testing.assert_array_equal(sc_decode(llrs, second)[1], sc_decode(llrs, first)[1])
-    assert first._subtrees.keys() == second._subtrees.keys()
-    assert all(first._subtrees[k] is not second._subtrees[k] for k in first._subtrees)
+def test_chain_session_generates_each_pattern_once(monkeypatch):
+    # the benchmark's chain geometry (q=4, ell=4096): its four codes meet 52
+    # node patterns of at most 16 positions but only 16 distinct ones, and a
+    # generated decoder depends on the pattern alone, so each is made once
+    bob, willie = bsc(0.05), bsc(0.1)
+    plan = msd_rate_plan(bob, willie, 4, 2.0, 2, degraded=True, ell_override=4096)
+    session = build_session(plan, bob, willie, np.random.default_rng([1, 1]),
+                            construction_trials=500, rate_scale=0.6)
+    generated = _generated_patterns(monkeypatch)
+    report = run_chain(session, 2, np.random.default_rng([1, 3, 0]))
+    assert not report.cumulative_error
+    assert len(generated) == len(set(generated)) == 16
+    assert polar._subtree_decoder.cache_info().currsize == 16
+
+
+def test_generated_decoders_stay_within_the_cache_cap(monkeypatch):
+    # every pattern of 8 positions in free, frozen or pinned, one per code,
+    # until more have been generated than the cache keeps; the first ones
+    # are then decoded again after their decoders were dropped
+    generated = _generated_patterns(monkeypatch)
+    cap = polar._subtree_decoder.cache_info().maxsize
+    rng = np.random.default_rng(5)
+    digits = 3 ** np.arange(8)
+    for number in [*range(cap + 40), *range(20)]:
+        pattern = number // digits % 3
+        code = PolarLevelCode(ell=8, message=np.flatnonzero(pattern != polar._FROZEN))
+        idx = np.flatnonzero(pattern == polar._PINNED)
+        pins = (idx, rng.integers(0, 2, size=idx.shape[0], dtype=np.uint8))
+        llrs = rng.choice(LLR_POOL, size=8)
+        got = sc_decode(llrs, code, pins=pins)
+        want = sc_decode_reference(llrs, code, pins=pins)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+    assert polar._subtree_decoder.cache_info().currsize == cap
+    assert len(generated) == cap + 60
+    assert len(set(generated)) == cap + 40
 
 
 # inputs of the genie pass: signed zeros, tiny and huge magnitudes, and the
@@ -324,8 +369,10 @@ def test_scalar_logaddexp_bitwise_equals_numpy():
 
 
 def _genie(llrs: np.ndarray, tile: int) -> np.ndarray:
-    # the library's pass on a copy of (trials, ell) LLRs, as (trials, ell)
-    return polar._genie_decision_llrs(llrs.copy(), tile).T
+    # the library's pass on a copy of (trials, ell) LLRs, as (trials, ell),
+    # in tiles of ``tile`` elements
+    with patch.object(polar, "_TILE", tile):
+        return polar._genie_decision_llrs(llrs.copy()).T
 
 
 @pytest.mark.parametrize("log_ell", range(13))
