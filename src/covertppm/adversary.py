@@ -36,7 +36,7 @@ import numpy as np
 
 from . import codec
 from .channels import Dmc
-from .levels import draw_half_histograms, level_llrs, likelihood_sums, select_positions_batch
+from .levels import level_law, level_llrs, likelihood_sums, select_positions_batch
 from .ppm import SuperOutput, ppm_divergence_bound, ppm_output_divergence
 
 
@@ -476,13 +476,14 @@ def _mixture_statistic(willie: Dmc, output: SuperOutput) -> float:
 
 
 def _reference_halves(willie: Dmc, i: int, bits: np.ndarray, rng: np.random.Generator):
-    """Level-i half histograms of uniform PPM with level bits ``bits``: one
-    bit-0 pair per row from the level sampler's own draw, its halves swapped
-    where the bit is 1 (the LLR is then a swap, never a negation, so it lands
-    on the same atoms as the scheme side's)."""
-    c0, c1 = draw_half_histograms(willie, i, bits.shape[0], rng)
-    swap = bits[:, None] == 1
-    return np.where(swap, c1, c0), np.where(swap, c0, c1)
+    """Atom indices into ``level_law(willie, i)`` of the level-i half
+    histograms of uniform PPM with level bits ``bits``: one bit-0 pair per
+    row from the law's own draw, its halves swapped where the bit is 1 (the
+    LLR is then one of swapped sums, never a negation, so it lands on the
+    same atoms as the scheme side's)."""
+    pulse, plain = level_law(willie, i).draw(bits.shape[0], rng)
+    one = bits == 1
+    return np.where(one, plain, pulse), np.where(one, pulse, plain)
 
 
 def _innocent_roots(willie: Dmc, m: int, ell: int, rng: np.random.Generator) -> np.ndarray:
@@ -510,7 +511,8 @@ def covertness_estimate(
     Each sampled block of the scheme is encoded and sent through Willie's
     channel symbol by symbol.  The two other sides are drawn in the
     statistics they are read through: the reference's level-i statistic
-    from a pair of half histograms per super-symbol (``_reference_halves``),
+    from a pair of half histograms per super-symbol, drawn as atoms of the
+    level's exact law (``_reference_halves``, ``levels.level_law``),
     the innocent mixture statistic from one Multinomial(m, Q0) root
     histogram per super-symbol.  Each per-level TV reads one level's
     marginal and alpha the root histograms only, so every reported law is
@@ -549,8 +551,8 @@ def covertness_estimate(
 
         ref_bits = rng.integers(0, 2, size=(q, ell), dtype=np.uint8)
         for i in range(1, q + 1):
-            ref_stats[i].append(level_llrs(
-                *_reference_halves(willie, i, ref_bits[i - 1], rng), willie.lam))
+            ref_stats[i].append(level_law(willie, i).llrs(
+                *_reference_halves(willie, i, ref_bits[i - 1], rng)))
 
         innocent_lr[b] = _root_mixture_statistic(
             willie, _innocent_roots(willie, m, ell, rng), m)

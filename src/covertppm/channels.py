@@ -50,7 +50,9 @@ def _ratio(num: np.ndarray, row0: np.ndarray) -> np.ndarray:
         return _read_only(np.where(row0 > 0, num / row0, np.inf))
 
 
-def _cdf(row: np.ndarray) -> np.ndarray:
+def running_cdf(row: np.ndarray) -> np.ndarray:
+    """Read-only CDF of a pmf for inverse-CDF sampling: its running sum, set
+    to exactly 1 from the last entry of positive mass on."""
     cdf = np.cumsum(row)
     # from the last symbol of positive mass on the sum is 1, though rounding
     # may leave it just below: lift it, or u = 1 - 2^-53 draws a zero-mass symbol
@@ -79,11 +81,11 @@ class Dmc:
 
     @cached_property
     def cdf0(self) -> np.ndarray:
-        return _cdf(self.row0)
+        return running_cdf(self.row0)
 
     @cached_property
     def cdf1(self) -> np.ndarray:
-        return _cdf(self.row1)
+        return running_cdf(self.row1)
 
     @cached_property
     def lam(self) -> np.ndarray:
@@ -268,7 +270,8 @@ def sample_outputs(dmc: Dmc, x, size, rng: np.random.Generator) -> np.ndarray:
     its entries, a gather and a scatter.  Symbols come in
     ``np.min_scalar_type(|Z| - 1)``: uint8, one byte each, for up to 256
     symbols.  This is the package's only sampler of output symbols; the
-    detector and the level sampler draw output histograms.
+    detector draws output histograms, and the level sampler atoms of the
+    level law's table of them.
     """
     if isinstance(x, tuple):
         u = rng.random(size)

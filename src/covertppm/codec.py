@@ -257,9 +257,13 @@ def _extractor_levels(session: Session, r: np.ndarray) -> np.ndarray:
 
 def _level_bits(values: dict[int, np.ndarray], i: int, n: int, what: str) -> np.ndarray:
     """Level i's ``what`` bits from ``values`` as uint8; a level left out
-    holds none.  Any count other than ``n``, and any entry other than 0 or 1,
-    is refused before the cast, which would read 257 as 1."""
+    holds none.  Anything but a 1-D array of ``n`` entries, and any entry
+    other than 0 or 1, is refused before the cast, which would read 257 as
+    1."""
     bits = np.asarray(values.get(i, []))
+    if bits.ndim != 1:
+        raise SessionError(f"level {i}: {what} bits must be a 1-D array, "
+                           f"got shape {bits.shape}")
     if bits.shape[0] != n:
         raise SessionError(f"level {i}: expected {n} {what} bits, got {bits.shape[0]}")
     if not np.all((bits == 0) | (bits == 1)):

@@ -11,10 +11,13 @@ is a half-sum of per-coordinate likelihood ratios, so
     and each half-sum is sum_a c_a * lam_a over that half's output-symbol
     histogram c: the two per-half histograms are a sufficient statistic for
     the level bit, and the receivers compute the LLR from them directly (no
-    per-coordinate ratios, no sort).  Code construction and the warden's
-    uniform-PPM reference sample the same statistic: each level LLR comes
-    from a pair of histograms drawn directly from their multinomial law,
-    never from 2^i individual outputs;
+    per-coordinate ratios, no sort).  The law of that statistic under
+    level bit 0 depends on i alone (the channel is stationary):
+    :func:`level_law` tabulates it exactly, as the histograms of 2^(i-1)
+    draws with their probabilities in the half that holds the pulse and in
+    the plain half, and code construction and the warden's uniform-PPM
+    reference draw atom index pairs from that table by inverse CDF, never
+    2^i individual outputs;
   * the level capacity has the closed form
         C_i = D(P_ppm^(2^(i-1)) || P0^(2^(i-1))) - D(P_ppm^(2^i) || P0^(2^i)),
     independent of the total number of levels q >= i, when P1 has no mass
@@ -37,11 +40,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .channels import LN2, Dmc, DivergenceStats, is_degraded, make_dmc, sample_outputs
-from .ppm import EnumerationBudgetError, SuperOutput, decimal_values, ppm_output_divergence
+from .channels import LN2, Dmc, DivergenceStats, is_degraded, make_dmc, running_cdf
+from .ppm import (
+    DEFAULT_TYPE_BUDGET,
+    EnumerationBudgetError,
+    SuperOutput,
+    all_histograms,
+    decimal_values,
+    ppm_output_divergence,
+)
 
 #: most levels a table holds: it forms the top level's order 2^q first
 MAX_LEVELS = 1 << 16
@@ -424,39 +435,184 @@ def level_llrs(first: np.ndarray, second: np.ndarray, lam: np.ndarray) -> np.nda
     ``lam`` holds the per-symbol likelihood ratios row1/row0.  The LLR for
     bit 0 versus 1 is log(sum of ratios over the first half / sum over the
     second half), each half-sum formed from the half's histogram
-    (:func:`likelihood_sums`).  Both halves infinite, or both zero, give 0:
-    the halves are then equally likely.  One half infinite, or the other
-    half zero, gives +-``DEFAULT_LLR_MAX``, as does any finite LLR beyond
-    it.  Histograms over another alphabet than ``lam``'s raise
-    ``ValueError``.  The LLR depends on a row only through its two
-    histograms, so it is bitwise invariant under permutations within each
-    half.
+    (:func:`likelihood_sums`) and the pair turned into an LLR by
+    :func:`llrs_from_sums`.  Histograms over another alphabet than
+    ``lam``'s raise ``ValueError``.  The LLR depends on a row only through
+    its two histograms, so it is bitwise invariant under permutations within
+    each half.
     """
     shape = (first.shape[0], lam.shape[0])
     if first.shape != shape or second.shape != shape:
         raise ValueError(f"half histograms must have shape (n, {lam.shape[0]}), "
                          f"got {first.shape} and {second.shape}")
-    s0, s1 = likelihood_sums(first, lam), likelihood_sums(second, lam)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.log(s0 / s1)
-    out[np.isnan(out)] = 0.0  # both halves infinite, or both zero
-    return np.clip(out, -DEFAULT_LLR_MAX, DEFAULT_LLR_MAX)
+    return llrs_from_sums(likelihood_sums(first, lam), likelihood_sums(second, lam))
 
 
-def draw_half_histograms(dmc: Dmc, i: int, count: int, rng: np.random.Generator):
-    """``count`` pairs of level-i output-symbol histograms under level bit 0.
+def llrs_from_sums(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Level LLRs log(first / second) from the two halves' likelihood sums.
 
-    The first half holds the pulse, an output of row1, plus 2^(i-1) - 1
-    outputs of row0; the second half holds 2^(i-1) outputs of row0.  Returns
-    the two (count, |Z|) count arrays.  Code construction and the warden's
-    uniform-PPM reference (``adversary.covertness_estimate``) both draw here.
+    Both halves infinite, or both zero, give 0: the halves are then equally
+    likely.  One half infinite, or the other half zero, gives
+    +-``DEFAULT_LLR_MAX``, as does any finite LLR beyond it.  The receivers
+    (:func:`level_llrs`) and the level law's draws (:meth:`LevelLaw.llrs`)
+    both end here, so equal sums give bitwise equal LLRs.
     """
-    half = 1 << (i - 1)
-    c0 = rng.multinomial(half - 1, dmc.row0, size=count)
-    pulse = sample_outputs(dmc, 1, count, rng)
-    c0[np.arange(count), pulse] += 1
-    c1 = rng.multinomial(half, dmc.row0, size=count)
-    return c0, c1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.log(first / second)
+    out[np.isnan(out)] = 0.0  # both halves infinite, or both zero
+    return np.clip(out, -DEFAULT_LLR_MAX, DEFAULT_LLR_MAX, out=out)
+
+
+#: guide-table buckets of a :class:`TableSampler`: the power of two at least
+#: four per atom, within these bounds
+_GUIDE_BUCKETS = (1 << 10, 1 << 16)
+
+
+@dataclass(frozen=True, eq=False)
+class TableSampler:
+    """Exact inverse-CDF draws of atom indices from a pmf, through a guide
+    table (Chen & Asau, AIIE Trans. 1974).
+
+    ``cdf`` is the pmf's running sum, lifted to exactly 1 from its last atom
+    of positive mass on (as the channel CDFs are), so an atom of zero mass is
+    never drawn.  The atom of a uniform u in [0, 1) is
+    ``searchsorted(cdf, u, side="right")``, bit for bit.  ``guide`` splits
+    [0, 1) into K = 2^b buckets [k/K, (k + 1)/K); k = floor(u K) is exact,
+    since K is a power of two.  Every u of bucket k draws an atom between
+    the atoms of its two edges, so a bucket whose edges draw the same atom
+    holds it in ``guide``, and the few u in the other buckets (holding -1)
+    run the binary search.  Compared and hashed by identity.
+    """
+
+    cdf: np.ndarray
+    guide: np.ndarray
+
+    @classmethod
+    def from_pmf(cls, pmf: np.ndarray) -> TableSampler:
+        cdf = running_cdf(pmf)
+        lo, hi = _GUIDE_BUCKETS
+        buckets = min(max(1 << (4 * cdf.size - 1).bit_length(), lo), hi)
+        edge = np.searchsorted(cdf, np.arange(buckets + 1) / buckets, side="right")
+        guide = np.where(edge[1:] == edge[:-1], edge[:-1], -1)
+        guide.flags.writeable = False
+        return cls(cdf=cdf, guide=guide)
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """The atom index of each uniform in ``u`` (each in [0, 1))."""
+        out = self.guide[(u * self.guide.size).astype(np.intp)]
+        split = np.flatnonzero(out < 0)
+        out[split] = np.searchsorted(self.cdf, u[split], side="right")
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class LevelLaw:
+    """Exact law of level i's sufficient statistic under level bit 0.
+
+    ``histograms`` holds, one per row, every output histogram of 2^(i-1)
+    draws with positive mass in either half; ``pulse_pmf`` is its law in the
+    first half (one row1 output and 2^(i-1) - 1 row0 outputs) and
+    ``plain_pmf`` in the second half (2^(i-1) row0 outputs), and the two
+    halves are independent.  ``sums`` are the histograms' likelihood sums
+    (:func:`likelihood_sums`).  Arrays are read-only; compared and hashed by
+    identity.
+    """
+
+    histograms: np.ndarray
+    pulse_pmf: np.ndarray
+    plain_pmf: np.ndarray
+    sums: np.ndarray
+    pulse: TableSampler
+    plain: TableSampler
+
+    def draw(self, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """``count`` atom index pairs (first half, second half) under level
+        bit 0, from two uniforms each: the pulse halves' first."""
+        u = rng.random((2, count))
+        return self.pulse.draw(u[0]), self.plain.draw(u[1])
+
+    def llrs(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """Level LLRs of subblocks whose halves hold the atoms ``first`` and
+        ``second``: bitwise the receivers' :func:`level_llrs` of the two
+        histograms."""
+        return llrs_from_sums(self.sums[first], self.sums[second])
+
+
+#: level laws kept in memory, least recently used out first; a session
+#: reads at most one per level for each channel
+LAW_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=LAW_CACHE_SIZE)
+def level_law(dmc: Dmc, i: int) -> LevelLaw:
+    """The exact law of level ``i``'s pair of half histograms under bit 0.
+
+    With h = 2^(i-1) and Mult(h, row0) the plain half's law, the pulse
+    half's law at a histogram t on row0's support is
+
+        sum_a row1[a] Mult(h - 1, row0)(t - e_a) = Mult(h, row0)(t) S(t) / h,
+
+    S(t) = sum_a t_a lam_a its likelihood sum; off that support the pulse
+    alone puts one output a there, with mass row1[a] Mult(h - 1, row0).
+    Probabilities come from log-factorials ``math.lgamma(k + 1)`` as in
+    :func:`~covertppm.ppm.ppm_output_divergence`, so none underflows before
+    its product.  Cached per (channel, level), by identity, in a cache of
+    ``LAW_CACHE_SIZE`` laws.
+
+    Refuses with :class:`~covertppm.ppm.EnumerationBudgetError`, before
+    any table is built, when the histograms, or the draws h whose
+    log-factorials it tabulates, number more than ``DEFAULT_TYPE_BUDGET``.
+    A channel on row0's support has the C(h+s-1, s-1) histograms of h draws
+    on its s >= 2 symbols, fewer than the planner's exact divergence at
+    order 2^q >= 2h enumerates, so no warden the planner accepts reaches the
+    budget.  A channel with mass off row0's support adds the pulse's
+    histograms that hold one such output.
+    """
+    if i < 1:
+        raise ValueError("level index must be >= 1")
+    h = 1 << (i - 1)
+    on = np.flatnonzero(dmc.row0 > 0)
+    off = np.flatnonzero((dmc.row0 == 0) & (dmc.row1 > 0))
+    s = on.size
+    if h > DEFAULT_TYPE_BUDGET:  # and C(h+s-1, s-1) > h for s >= 2
+        over = f"{h} draws per half"
+    else:
+        n = math.comb(h + s - 1, s - 1) + off.size * math.comb(h + s - 2, s - 1)
+        over = f"{n} histograms" if n > DEFAULT_TYPE_BUDGET else None
+    if over:
+        raise EnumerationBudgetError(
+            f"level {i}: {over} exceed budget {DEFAULT_TYPE_BUDGET}")
+
+    log_fact = np.fromiter(map(math.lgamma, range(1, h + 2)), float, h + 1)
+
+    def on_support(draws: int) -> tuple[np.ndarray, np.ndarray]:
+        # every histogram of ``draws`` row0 outputs and its log probability
+        cols = all_histograms(draws, s)
+        table = np.zeros((cols[0].size, dmc.alphabet_size), dtype=np.int64)
+        log_p = np.full(cols[0].size, log_fact[draws])
+        for a, t in zip(on, cols):
+            table[:, a] = t
+            log_p += t * math.log(dmc.row0[a]) - log_fact[t]
+        return table, log_p
+
+    table, log_plain = on_support(h)
+    tables, log_plains, log_pulses = [table], [log_plain], []
+    for a in off:  # the pulse's output a with h - 1 row0 outputs
+        rest, log_rest = on_support(h - 1)
+        rest[:, a] = 1
+        tables.append(rest)
+        log_plains.append(np.full(rest.shape[0], -np.inf))
+        log_pulses.append(log_rest + math.log(dmc.row1[a]))
+    table = np.concatenate(tables)
+    sums = likelihood_sums(table, dmc.lam)
+    with np.errstate(divide="ignore"):  # a zero sum: no pulse output fits
+        log_pulses.insert(0, log_plain + np.log(sums[:log_plain.size] / h))
+    pulse = np.exp(np.concatenate(log_pulses))
+    plain = np.exp(np.concatenate(log_plains))
+    for arr in (table, pulse, plain, sums):
+        arr.flags.writeable = False
+    return LevelLaw(histograms=table, pulse_pmf=pulse, plain_pmf=plain, sums=sums,
+                    pulse=TableSampler.from_pmf(pulse), plain=TableSampler.from_pmf(plain))
 
 
 def make_level_llr_sampler(dmc: Dmc, i: int):
@@ -466,16 +622,14 @@ def make_level_llr_sampler(dmc: Dmc, i: int):
     the first half of the selected 2^i-coordinate subblock when the level bit
     is 0.  The LLR depends on the subblock only through the output-symbol
     histograms of its two halves, so the returned ``sampler(count, rng)``
-    draws those histograms from their exact law (two multinomials and one
-    pulse output per LLR, whatever i) and turns them into LLRs with
-    :func:`level_llrs`, as the receiver does.  Each LLR costs O(|Z|), not
-    2^i draws.
+    draws an atom pair from their exact law (:func:`level_law`, two uniforms
+    per LLR whatever i) and turns it into the LLR the receiver computes from
+    those histograms.  The law is built, or refused, here.
     """
-    if i < 1:
-        raise ValueError("level index must be >= 1")
+    law = level_law(dmc, i)
 
     def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
-        return level_llrs(*draw_half_histograms(dmc, i, count, rng), dmc.lam)
+        return law.llrs(*law.draw(count, rng))
 
     return sampler
 

@@ -338,7 +338,8 @@ def sc_decode(
 
     ``pins`` optionally forces extra positions to known values (receiver-side
     key bits, each 0 or 1); pinned positions behave exactly like frozen ones.
-    Returns ``(u_hat, x_hat)``: the decided input bits and their codeword
+    A pin value other than 0 or 1, and a pin position outside [0, ell) or
+    given twice, raise ``ValueError``.  Returns ``(u_hat, x_hat)``: the decided input bits and their codeword
     ``x_hat = u_hat G``, which the decoder holds as the root's partial sums;
     the information bits are ``u_hat[code.message]``.  Deterministic given
     its inputs; ties (LLR exactly zero) resolve to bit 0.
@@ -353,6 +354,12 @@ def sc_decode(
         idx, values = np.asarray(pins[0], dtype=np.int64), np.asarray(pins[1])
         if not np.all((values == 0) | (values == 1)):
             raise ValueError("pin values must be 0 or 1")
+        outside = idx[(idx < 0) | (idx >= code.ell)]
+        if outside.size:
+            raise ValueError(f"pin position {outside[0]} outside [0, {code.ell})")
+        seen, counts = np.unique(idx, return_counts=True)
+        if np.any(counts > 1):
+            raise ValueError(f"pin position {seen[counts > 1][0]} given twice")
         pattern[idx] = _PINNED
         vals = np.zeros(code.ell, dtype=np.uint8)
         vals[idx] = values

@@ -182,7 +182,7 @@ def transmit_super(dmc: Dmc, frame: PpmFrame, rng: np.random.Generator) -> Super
                        alphabet_size=dmc.alphabet_size)
 
 
-def _histograms(m: int, s: int) -> list[np.ndarray]:
+def all_histograms(m: int, s: int) -> list[np.ndarray]:
     """Every histogram of m draws over s symbols, as s columns of counts."""
     cols: list[np.ndarray] = []
     left = np.array([m])
@@ -238,7 +238,7 @@ def ppm_output_divergence(dmc: Dmc, m: int) -> float:
     log_fact = np.fromiter(map(math.lgamma, range(1, m + 2)), float, m + 1)
     log_w = np.full(n_types, log_fact[m])
     excess = np.zeros(n_types)  # r - 1
-    for t, p0, centred in zip(_histograms(m, size), dmc.row0[support],
+    for t, p0, centred in zip(all_histograms(m, size), dmc.row0[support],
                               dmc.centred_ratio[support]):
         log_w += t * math.log(p0) - log_fact[t]
         excess += t * (centred / m)  # t/m <= 1: no overflow before the sum

@@ -46,7 +46,7 @@ from covertppm.adversary import (
 from covertppm.channels import bac, bsc, divergence_stats, make_dmc, sample_outputs
 from covertppm.codec import build_session
 from covertppm.extractor import ExtractorConfig, int_to_bits, inv, make_field
-from covertppm.levels import LevelRates, RatePlan, draw_half_histograms, level_llrs
+from covertppm.levels import LevelRates, RatePlan, level_law, level_llrs
 from covertppm.ppm import SuperOutput, frame_from_bits, transmit_super
 
 
@@ -558,11 +558,14 @@ class TestSufficientStatisticSides:
     @pytest.mark.parametrize("i", range(1, 5))
     def test_reference_halves_follow_mirrored_atom_law(self, willie, i):
         # rows with bit 0 follow the bit-0 pair law, rows with bit 1 the same
-        # law with the halves mirrored: one Pearson test over both groups
+        # law with the halves mirrored: one Pearson test over both groups of
+        # drawn atom indices, read as their histograms
         atoms, pmf = half_histogram_pmf(willie, i)
         n = 40_000
         bits = np.random.default_rng(30 + i).integers(0, 2, size=n, dtype=np.uint8)
         first, second = _reference_halves(willie, i, bits, np.random.default_rng(40 + i))
+        table = level_law(willie, i).histograms
+        first, second = table[first], table[second]
         h = 1 << (i - 1)
         assert np.all(first.sum(axis=1) == h) and np.all(second.sum(axis=1) == h)
         one = bits == 1
@@ -576,17 +579,23 @@ class TestSufficientStatisticSides:
     @pytest.mark.parametrize("willie", [bsc(0.05), TERNARY], ids=["bsc0.05", "ternary"])
     @pytest.mark.parametrize("i", range(1, 5))
     def test_reference_statistic_is_the_swapped_pair_bit_for_bit(self, willie, i):
-        # the same generator state draws the same bit-0 pairs; a bit-1 row's
-        # statistic is level_llrs of its swapped halves, not a negated LLR
+        # the same generator state draws the same bit-0 atom pairs; a bit-1
+        # row holds them swapped, and its statistic is level_llrs of the
+        # swapped histograms, not a negated LLR
         n = 2000
         bits = np.random.default_rng(i).integers(0, 2, size=n, dtype=np.uint8)
-        got = level_llrs(*_reference_halves(willie, i, bits, np.random.default_rng(9)),
-                         willie.lam)
-        c0, c1 = draw_half_histograms(willie, i, n, np.random.default_rng(9))
+        first, second = _reference_halves(willie, i, bits, np.random.default_rng(9))
+        law = level_law(willie, i)
+        pulse, plain = law.draw(n, np.random.default_rng(9))
         one = bits == 1
         assert one.any() and (~one).any()
-        np.testing.assert_array_equal(got[~one], level_llrs(c0, c1, willie.lam)[~one])
-        np.testing.assert_array_equal(got[one], level_llrs(c1, c0, willie.lam)[one])
+        np.testing.assert_array_equal(first, np.where(one, plain, pulse))
+        np.testing.assert_array_equal(second, np.where(one, pulse, plain))
+        got, table = law.llrs(first, second), law.histograms
+        np.testing.assert_array_equal(
+            got[~one], level_llrs(table[pulse], table[plain], willie.lam)[~one])
+        np.testing.assert_array_equal(
+            got[one], level_llrs(table[plain], table[pulse], willie.lam)[one])
 
     @pytest.mark.parametrize("willie", [bsc(0.05), TERNARY], ids=["bsc0.05", "ternary"])
     @pytest.mark.parametrize("q", [1, 2, 3])

@@ -18,7 +18,7 @@ from covertppm.codec import (
 )
 from covertppm.extractor import FieldError
 from covertppm.levels import (
-    draw_half_histograms,
+    level_law,
     level_llrs,
     likelihood_sums,
     make_level_llr_sampler,
@@ -26,7 +26,7 @@ from covertppm.levels import (
     select_positions_batch,
 )
 from covertppm.polar import polar_transform
-from covertppm.ppm import frame_from_bits, transmit_super
+from covertppm.ppm import EnumerationBudgetError, frame_from_bits, transmit_super
 
 from conftest import (
     atom_counts,
@@ -297,6 +297,29 @@ class TestBitEntries:
         with pytest.raises(SessionError, match=f"level {i}: {what} bits must be 0 or 1"):
             encode_block(sess, msgs, keys, rng)
 
+    @pytest.mark.parametrize("what", ["payload", "key"])
+    @pytest.mark.parametrize("shape", ["scalar", "2-D"])
+    def test_encode_block_refuses_bits_that_are_not_1d(self, rng, what, shape):
+        # a scalar ended in "IndexError: tuple index out of range"
+        sess = keyed_noiseless_session(rng)
+        msgs, keys = random_payloads(sess, rng)
+        values = msgs if what == "payload" else keys
+        i = max(i for i, v in values.items() if v.size)
+        values[i] = values[i][0] if shape == "scalar" else values[i][None, :]
+        with pytest.raises(SessionError, match=f"level {i}: {what} bits must be a 1-D array"):
+            encode_block(sess, msgs, keys, rng)
+
+    @pytest.mark.parametrize("shape", ["scalar", "2-D"])
+    def test_decode_block_refuses_keys_that_are_not_1d(self, rng, shape):
+        sess = keyed_noiseless_session(rng)
+        msgs, keys = random_payloads(sess, rng)
+        frame, tx = encode_block(sess, msgs, keys, rng)
+        received = transmit_block(sess, frame, rng)
+        i = max(i for i, v in keys.items() if v.size)
+        bad = {**keys, i: keys[i][0] if shape == "scalar" else keys[i][None, :]}
+        with pytest.raises(SessionError, match=f"level {i}: key bits must be a 1-D array"):
+            decode_block(sess, received, keys=bad, tx=tx)
+
     def test_decode_block_refuses_them_in_keys(self, rng):
         # a pinned 2 reached the decided codeword, by which the lower levels
         # select their subblocks
@@ -511,23 +534,34 @@ class TestLevelLlrSampler:
     @pytest.mark.parametrize("ch", [bsc(0.05), TERNARY], ids=["bsc0.05", "ternary"])
     @pytest.mark.parametrize("i", range(1, 7))
     def test_half_histograms_follow_exact_atom_law(self, ch, i):
-        # chi-square goodness of fit of the drawn (first half, second half)
-        # histograms against their exact pmf; atoms expected fewer than 5
-        # times are pooled into one cell
+        # chi-square goodness of fit of the drawn atom index pairs, read as
+        # their (first half, second half) histograms, against the exact pmf
+        # of the multinomial oracle; atoms expected fewer than 5 times are
+        # pooled into one cell
         atoms, pmf = half_histogram_pmf(ch, i)
         n = 40_000
-        c0, c1 = draw_half_histograms(ch, i, n, np.random.default_rng(100 + i))
+        law = level_law(ch, i)
+        first, second = law.draw(n, np.random.default_rng(100 + i))
+        c0, c1 = law.histograms[first], law.histograms[second]
         h = 1 << (i - 1)
         assert np.all(c0.sum(axis=1) == h) and np.all(c1.sum(axis=1) == h)
         observed = atom_counts(atoms, np.stack([c0, c1], axis=1))
         assert pooled_chi2_pvalue(observed, n * pmf) > 1e-4
 
-    def test_sampler_is_histograms_through_llrs(self):
+    def test_sampler_is_law_draws_through_level_llrs(self):
+        # bitwise the receivers' LLRs of the drawn atoms' histograms
         ch = TERNARY
         sampler = make_level_llr_sampler(ch, 3)
         got = sampler(500, np.random.default_rng(8))
-        c0, c1 = draw_half_histograms(ch, 3, 500, np.random.default_rng(8))
-        np.testing.assert_array_equal(got, level_llrs(c0, c1, ch.lam))
+        law = level_law(ch, 3)
+        first, second = law.draw(500, np.random.default_rng(8))
+        np.testing.assert_array_equal(
+            got, level_llrs(law.histograms[first], law.histograms[second], ch.lam))
+
+    def test_sampler_past_the_law_budget_refused_when_made(self):
+        # refused before any code construction draws from it
+        with pytest.raises(EnumerationBudgetError, match="level 12: "):
+            make_level_llr_sampler(TERNARY, 12)
 
     def test_codec_builds_sessions_with_the_level_sampler(self):
         # the benchmark's tracer looks the factory up in codec

@@ -10,11 +10,14 @@ from covertppm import levels
 from covertppm.channels import bac, bsc, divergence_stats, make_dmc
 from covertppm.levels import (
     DEFAULT_LLR_MAX,
+    LAW_CACHE_SIZE,
     LevelRates,
     RatePlan,
     RatePlanError,
+    TableSampler,
     level_capacity,
     level_capacity_bound,
+    level_law,
     level_llrs,
     level_mi_table,
     msd_rate_plan,
@@ -24,6 +27,7 @@ from covertppm.levels import (
     throughput_summary,
 )
 from covertppm.ppm import (
+    DEFAULT_TYPE_BUDGET,
     EnumerationBudgetError,
     SuperOutput,
     frame_from_bits,
@@ -36,6 +40,7 @@ from conftest import (
     binary_input_mi,
     brute_conditional_mi,
     brute_set_mi,
+    half_histogram_pmf,
     index_set,
     level_channel_rows,
     level_llrs_reference,
@@ -656,6 +661,155 @@ class TestLevelLlr:
             perm = np.concatenate([rng.permutation(4), 4 + rng.permutation(4)])
             again = pyramid_level_llrs(sym[:, perm], lam)
             np.testing.assert_array_equal(base, again)
+
+
+TERNARY = make_dmc([0.7, 0.2, 0.1], [0.2, 0.3, 0.5])
+NOISELESS = make_dmc([1.0, 0.0], [0.0, 1.0])
+#: channels whose level laws have a zero likelihood sum (bac: row1 puts no
+#: mass on symbol 0) or an infinite one (noiseless: row1 lies off row0's
+#: support), so pairs of sums give 0/0, x/0 and inf/x
+LAW_CHANNELS = [bsc(0.05), TERNARY, NOISELESS, bac(0.05, 0.0)]
+LAW_IDS = ["bsc0.05", "ternary", "noiseless", "bac0.05,0"]
+
+
+def _uniforms_at_every_edge(sampler: TableSampler, rng) -> np.ndarray:
+    """Random uniforms, every guide bucket edge, and every CDF entry, each
+    with the double just below it, kept in [0, 1)."""
+    buckets = sampler.guide.size
+    edges = np.arange(buckets) / buckets
+    points = np.concatenate([edges, sampler.cdf])
+    u = np.concatenate([rng.random(100_000), points, np.nextafter(points, 0.0),
+                        [np.nextafter(1.0, 0.0)]])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestTableSampler:
+    @pytest.mark.parametrize("pmf", [
+        # zero-mass atoms first, between and last
+        np.array([0.0, 0.3, 0.0, 0.0, 0.2, 0.5, 0.0, 0.0]),
+        # one dominant atom: the thousands of others share a few buckets
+        np.concatenate([[1.0 - 1e-3], np.full(4999, 1e-3 / 4999)]),
+        # a dominant atom last, behind a run of tiny ones
+        np.concatenate([np.full(3000, 1e-6), [1.0 - 3e-3]]),
+    ], ids=["zero-mass", "dominant-first", "dominant-last"])
+    def test_bitwise_equal_to_searchsorted(self, pmf):
+        sampler = TableSampler.from_pmf(pmf / pmf.sum())
+        u = _uniforms_at_every_edge(sampler, np.random.default_rng(0))
+        got = sampler.draw(u)
+        np.testing.assert_array_equal(got, np.searchsorted(sampler.cdf, u, side="right"))
+        assert np.all(pmf[got] > 0), "an atom of zero mass was drawn"
+        # both paths ran: buckets that hold their atom, and split buckets
+        assert (sampler.guide >= 0).any() and (sampler.guide < 0).any()
+
+    def test_guide_is_a_power_of_two_within_bounds(self):
+        for n in (1, 2, 255, 256, 257, 100_000):
+            buckets = TableSampler.from_pmf(np.full(n, 1.0 / n)).guide.size
+            assert buckets & (buckets - 1) == 0
+            assert 1 << 10 <= buckets <= 1 << 16
+            assert buckets >= min(4 * n, 1 << 16)
+
+
+def _pair_llrs(ch, i):
+    """The law's LLR of every atom pair, and level_llrs of the pair's two
+    histograms."""
+    law = level_law(ch, i)
+    n = law.histograms.shape[0]
+    first, second = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    return (law.llrs(first, second),
+            level_llrs(law.histograms[first], law.histograms[second], ch.lam))
+
+
+class TestLevelLaw:
+    @pytest.mark.parametrize("ch", LAW_CHANNELS, ids=LAW_IDS)
+    @pytest.mark.parametrize("i", [1, 2, 3, 4])
+    def test_every_atom_pair_llr_is_the_receivers(self, ch, i):
+        got, want = _pair_llrs(ch, i)
+        np.testing.assert_array_equal(got, want)
+
+    def test_pairs_cover_zero_and_infinite_sums(self):
+        # the channels above reach every special case of the LLR
+        noiseless, _ = _pair_llrs(NOISELESS, 2)
+        z_channel, _ = _pair_llrs(bac(0.05, 0.0), 2)
+        assert {-DEFAULT_LLR_MAX, 0.0, DEFAULT_LLR_MAX} <= set(noiseless.tolist())
+        assert {0.0, DEFAULT_LLR_MAX, -DEFAULT_LLR_MAX} <= set(z_channel.tolist())
+
+    @pytest.mark.parametrize("ch", LAW_CHANNELS, ids=LAW_IDS)
+    @pytest.mark.parametrize("i", [1, 2, 3, 4, 5])
+    def test_marginals_match_multinomial_oracle(self, ch, i):
+        # each half's pmf against the oracle's scipy multinomial pmfs; every
+        # histogram the oracle gives positive mass is in the table, once
+        law = level_law(ch, i)
+        atoms, pmf = half_histogram_pmf(ch, i)
+        n = math.isqrt(pmf.size)
+        grid = atoms[::n, 0]
+        joint = pmf.reshape(n, n)
+        oracle = {tuple(t): (p0, p1) for t, p0, p1 in
+                  zip(grid.tolist(), joint.sum(axis=1), joint.sum(axis=0))}
+        rows = [tuple(t) for t in law.histograms.tolist()]
+        assert len(set(rows)) == len(rows)
+        assert all(sum(t) == 1 << (i - 1) for t in rows)
+        assert {t for t, (p0, p1) in oracle.items() if p0 > 0 or p1 > 0} <= set(rows)
+        want = np.array([oracle[t] for t in rows])
+        np.testing.assert_allclose(law.pulse_pmf, want[:, 0], rtol=1e-10, atol=1e-300)
+        np.testing.assert_allclose(law.plain_pmf, want[:, 1], rtol=1e-10, atol=1e-300)
+
+    @pytest.mark.parametrize("p", [0.05, 0.1, 0.3])
+    def test_level_bit_information_is_the_level_capacity(self, p):
+        # I(X_i; halves) with X_i uniform, read from the law's two pmfs: the
+        # paper's stationary closed form, checked through the sufficient
+        # statistic.  The mixture 0.5 P0 + 0.5 P1 is formed as (P0 + P1) / 2
+        # inside each log, so a denormal atom never underflows to 0
+        ch = bsc(p)
+        for i in range(1, 11):
+            law = level_law(ch, i)
+            p0 = np.outer(law.pulse_pmf, law.plain_pmf)
+            p1 = p0.T
+            both = p0 + p1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = [np.where(pb > 0, pb * np.log2(2.0 * pb / both), 0.0)
+                         for pb in (p0, p1)]
+            mi = 0.5 * float(terms[0].sum() + terms[1].sum())
+            assert mi == pytest.approx(level_capacity(ch, i), abs=1e-12), i
+
+    def test_cached_per_channel_and_level_and_bounded(self):
+        level_law.cache_clear()
+        ch = bsc(0.1)
+        law = level_law(ch, 3)
+        assert level_law(ch, 3) is law and level_law(ch, 2) is not law
+        assert level_law.cache_info().maxsize == LAW_CACHE_SIZE
+        for _ in range(LAW_CACHE_SIZE):
+            level_law(bsc(0.1), 1)
+        assert level_law.cache_info().currsize == LAW_CACHE_SIZE
+        assert level_law(ch, 3) is not law  # evicted, rebuilt
+
+    def test_tables_read_only(self):
+        law = level_law(TERNARY, 3)
+        for arr in (law.histograms, law.pulse_pmf, law.plain_pmf, law.sums,
+                    law.pulse.cdf, law.pulse.guide, law.plain.cdf, law.plain.guide):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("ch, i, named", [
+        (TERNARY, 12, "level 12: 2100225 histograms exceed budget"),
+        (bsc(0.1), 22, "level 22: 2097152 draws per half exceed budget"),
+        (NOISELESS, 40, "level 40: 549755813888 draws per half exceed budget"),
+    ])
+    def test_budget_refused_before_any_table(self, monkeypatch, ch, i, named):
+        def enumerate_histograms(*args):
+            raise AssertionError("histograms enumerated past the budget")
+
+        monkeypatch.setattr(levels, "all_histograms", enumerate_histograms)
+        assert DEFAULT_TYPE_BUDGET == 2_000_000
+        with pytest.raises(EnumerationBudgetError, match=named):
+            level_law(ch, i)
+
+    def test_largest_levels_within_budget_build(self):
+        assert level_law(TERNARY, 11).histograms.shape == (math.comb(1026, 2), 3)
+        assert level_law(NOISELESS, 21).histograms.shape == (2, 2)
+
+    @pytest.mark.parametrize("i", [0, -1])
+    def test_level_below_one_refused(self, i):
+        with pytest.raises(ValueError, match="level index"):
+            level_law(bsc(0.1), i)
 
 
 class TestLevelChannelLemmas:

@@ -143,6 +143,18 @@ class TestScDecode:
         with pytest.raises(ValueError, match="pin values"):
             sc_decode(np.ones(32), code, pins=(np.array([8, 20]), np.array([1, value])))
 
+    @pytest.mark.parametrize("positions, named", [
+        ([8, -1], r"pin position -1 outside \[0, 32\)"),
+        ([8, 32], r"pin position 32 outside \[0, 32\)"),
+        ([20, 8, 20], "pin position 20 given twice"),
+    ])
+    def test_pin_positions_outside_the_block_or_repeated_rejected(self, positions, named):
+        # -1 silently pinned position ell - 1 and ell ended in numpy's
+        # IndexError; a repeated pin kept whichever value came last
+        code = PolarLevelCode(ell=32, message=np.arange(8, 32))
+        with pytest.raises(ValueError, match=named):
+            sc_decode(np.ones(32), code, pins=(np.array(positions), np.ones(len(positions))))
+
     @pytest.mark.parametrize("llrs", [(0.0, -1.0), (1e-9, -1e-9), (-0.0, -40.0),
                                       (1e-300, -1e-300)])
     def test_rate_one_ties_follow_sc(self, llrs):
