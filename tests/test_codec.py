@@ -548,7 +548,7 @@ class TestLevelLlrSampler:
         observed = atom_counts(atoms, np.stack([c0, c1], axis=1))
         assert pooled_chi2_pvalue(observed, n * pmf) > 1e-4
 
-    def test_sampler_is_law_draws_through_level_llrs(self):
+    def test_sampler_is_histograms_through_llrs(self):
         # bitwise the receivers' LLRs of the drawn atoms' histograms
         ch = TERNARY
         sampler = make_level_llr_sampler(ch, 3)

@@ -757,8 +757,8 @@ class TestLevelLaw:
     def test_level_bit_information_is_the_level_capacity(self, p):
         # I(X_i; halves) with X_i uniform, read from the law's two pmfs: the
         # paper's stationary closed form, checked through the sufficient
-        # statistic.  The mixture 0.5 P0 + 0.5 P1 is formed as (P0 + P1) / 2
-        # inside each log, so a denormal atom never underflows to 0
+        # statistic.  Each log reads P / M, M = 0.5 P0 + 0.5 P1, as
+        # 2 P / (P0 + P1): halving a denormal atom could round M to 0
         ch = bsc(p)
         for i in range(1, 11):
             law = level_law(ch, i)
