@@ -509,7 +509,8 @@ def covertness_estimate(
     only in the enumerable regime.  ``blocks`` must be at least 1.
 
     Each sampled block of the scheme is encoded and sent through Willie's
-    channel symbol by symbol.  The two other sides are drawn in the
+    channel along its pulse paths (``ppm.transmit_super``), and every
+    statistic reads its path histograms.  The two other sides are drawn in the
     statistics they are read through: the reference's level-i statistic
     from a pair of half histograms per super-symbol, drawn as atoms of the
     level's exact law (``_reference_halves``, ``levels.level_law``),

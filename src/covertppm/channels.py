@@ -269,9 +269,10 @@ def sample_outputs(dmc: Dmc, x, size, rng: np.random.Generator) -> np.ndarray:
     pattern draw the same stream.  An index tuple reads row1's CDF only at
     its entries, a gather and a scatter.  Symbols come in
     ``np.min_scalar_type(|Z| - 1)``: uint8, one byte each, for up to 256
-    symbols.  This is the package's only sampler of output symbols; the
-    detector draws output histograms, and the level sampler atoms of the
-    level law's table of them.
+    symbols.  This is the package's only sampler of output symbols;
+    ``transmit_super`` draws its pulse outputs here and every other output
+    as histograms, the detector draws output histograms, and the level
+    sampler atoms of the level law's table of them.
     """
     if isinstance(x, tuple):
         u = rng.random(size)

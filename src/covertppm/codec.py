@@ -9,12 +9,15 @@ filled either with fully uniform bits or with the invertible-extractor output
 driven by a short shared random string.
 
 The receiver decodes level q down to level 1.  It reads the received block
-through its histogram pyramid (``SuperOutput.pyramid``: each row's output
-histogram of every aligned width-2^j block, built once by pairwise adds).
-For each reliability level it gathers the histograms of the two halves of
-the subblock indicated by the already recovered higher-level bits from one
-pyramid level, forms the level LLRs from them, and runs successive
-cancellation with the key positions pinned.  Besides the channel output it
+only through output histograms of aligned blocks
+(``SuperOutput.block_histograms``).  For each reliability level it reads
+the histograms of the two halves of the subblock indicated by the already
+recovered higher-level bits, forms the level LLRs from them, and runs
+successive cancellation with the key positions pinned.  The channel draws
+each super-symbol along its pulse path (``ppm.transmit_super``), so with
+the higher bits right those halves are histograms already drawn; a row
+read elsewhere, after a wrong higher-level decision, has its symbols laid
+out once, consistently with every other read.  Besides the channel output it
 takes each keyed level's key bits and, in extractor mode, the shared
 extractor input, from which it rebuilds the resolvability levels; in the
 fully uniform mode the simulation reveals those levels and flags the
@@ -80,7 +83,8 @@ class LevelLayout:
 #: per super-symbol
 _EXTRACTOR_MARGIN = 0.1
 
-#: largest channel draw of one block that ``build_session`` accepts, bytes
+#: largest worst-case block (every row's symbols laid out) that
+#: ``build_session`` accepts, bytes
 MAX_BLOCK_DRAW_BYTES = 1 << 30
 
 
@@ -146,15 +150,17 @@ def build_session(
 
     A planner blocklength that is not a power of two is rounded down for the
     polar blocks and the covertness budget is restated for the rounded
-    length (``delta_effective``).  A geometry whose per-block channel draw
-    at that length exceeds ``MAX_BLOCK_DRAW_BYTES`` is refused before any
-    code is constructed: ell * 2^q float64 uniforms, the symbols and their
-    histogram pyramid (at most 2(|Z| - 1) times the symbols' bytes).  So
-    is, in extractor mode, a field width that ``make_field`` refuses.  The
-    plan's rates are asymptotic operating points; ``rate_scale`` backs the
-    message and secret payloads off for finite blocks (key counts stay at
-    their ceiling: they are a covertness requirement, not a reliability
-    one); it must lie in (0, 1].  ``construction_trials`` (Monte-Carlo
+    length (``delta_effective``).  A geometry whose worst-case block at
+    that length exceeds ``MAX_BLOCK_DRAW_BYTES`` is refused before any code
+    is constructed.  A block draws O(ell q |Z|) bytes along its pulse paths,
+    but a receiver that reads every row off its path lays out all ell * 2^q
+    symbols and their histogram pyramid (at most 2(|Z| - 1) times the
+    symbols' bytes); 8 bytes per channel use more cover the layout's
+    scratch.  So is, in extractor mode, a field width that ``make_field``
+    refuses.  The plan's rates are asymptotic operating points;
+    ``rate_scale`` backs the message and secret payloads off for finite
+    blocks (key counts stay at their ceiling: they are a covertness
+    requirement, not a reliability one); it must lie in (0, 1].  ``construction_trials`` (Monte-Carlo
     blocks per level code) must be at least 1.
     """
     if not 0.0 < rate_scale <= 1.0:

@@ -583,7 +583,10 @@ def level_law(dmc: Dmc, i: int) -> LevelLaw:
         raise EnumerationBudgetError(
             f"level {i}: {over} exceed budget {DEFAULT_TYPE_BUDGET}")
 
-    log_fact = np.fromiter(map(math.lgamma, range(1, h + 2)), float, h + 1)
+    # log k! for k <= h; with one symbol on row0's support every histogram
+    # of k draws is (k), whose coefficient log k! - log k! is 0: no loop
+    log_fact = (np.fromiter(map(math.lgamma, range(1, h + 2)), float, h + 1)
+                if s > 1 else np.zeros(h + 1))
 
     def on_support(draws: int) -> tuple[np.ndarray, np.ndarray]:
         # every histogram of ``draws`` row0 outputs and its log probability

@@ -25,9 +25,7 @@ scatter) is what the index-tuple ``sample_outputs`` must match;
 ``pin_rates`` fixes a plan's per-level operating points for the sessions
 that tests build at chosen rates.
 ``level_llrs_reference`` sums each half's per-coordinate likelihood ratios
-in sorted order, and
-``level_llr_sampler_reference`` draws all 2^i outputs of a level subblock:
-the histogram-based ``level_llrs`` and level sampler must agree with them.
+in sorted order: the histogram-based ``level_llrs`` must agree with it.
 ``select_positions_batch_symbols`` (slicing the symbol subblock),
 ``level_llrs_symbols`` (counting each half's symbols) and
 ``mixture_statistic_reference`` (a gather and a row mean of the ratios) are
@@ -737,25 +735,6 @@ def pyramid_level_llrs(symbols, lam) -> np.ndarray:
     out = SuperOutput(q=q, symbols=sym, alphabet_size=lam.shape[0])
     no_bits = np.zeros((0, out.ell), dtype=np.uint8)
     return level_llrs(*select_positions_batch(out, no_bits, q), lam)
-
-
-def level_llr_sampler_reference(dmc: Dmc, i: int):
-    """Level-i LLR sampler that draws all 2^i outputs of each subblock.
-
-    Under level bit 0 every coordinate is drawn from row0 except a pulse,
-    placed uniformly in the first half, which is drawn from row1.
-    """
-    width = 1 << i
-
-    def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random((count, width))
-        sym = np.searchsorted(dmc.cdf0, u, side="right")
-        pulse = rng.integers(0, width // 2, size=count)
-        rows = np.arange(count)
-        sym[rows, pulse] = np.searchsorted(dmc.cdf1, u[rows, pulse], side="right")
-        return level_llrs_reference(dmc.lam[sym])
-
-    return sampler
 
 
 def multinomial_pmf(total: int, row):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from covertppm.ppm import (
 
 from conftest import (
     LN2,
+    atom_counts,
     binary_input_mi,
     brute_conditional_mi,
     brute_set_mi,
@@ -47,6 +49,7 @@ from conftest import (
     level_llrs_symbols,
     ones_count_mi,
     plan_from_text,
+    pooled_chi2_pvalue,
     pyramid_level_llrs,
     select_positions,
     select_positions_batch_symbols,
@@ -810,6 +813,54 @@ class TestLevelLaw:
     def test_level_below_one_refused(self, i):
         with pytest.raises(ValueError, match="level index"):
             level_law(bsc(0.1), i)
+
+
+class TestReceiverPath:
+    """The receiver's channel, transmit_super then select_positions_batch
+    with the true higher bits, is the level law."""
+
+    @pytest.mark.parametrize("ch", [bsc(0.05), TERNARY, bac(0.05, 0.0)],
+                             ids=["bsc0.05", "ternary", "bac0.05,0"])
+    @pytest.mark.parametrize("q", [4, 6])
+    def test_halves_follow_the_level_law(self, ch, q):
+        # Pearson test of each level's (pulse half, plain half) atom pairs
+        # against pulse_pmf x plain_pmf; atoms expected fewer than 5 times
+        # are pooled into one cell
+        ell = 20_000
+        rng = np.random.default_rng(60 + q)
+        bits = rng.integers(0, 2, size=(q, ell), dtype=np.uint8)
+        out = transmit_super(ch, frame_from_bits(bits), rng)
+        for i in range(1, 5):
+            law = level_law(ch, i)
+            first, second = select_positions_batch(out, bits[i:], i)
+            one = (bits[i - 1] == 1)[:, None]
+            halves = np.stack([np.where(one, second, first),
+                               np.where(one, first, second)], axis=1).astype(np.int64)
+            n = law.histograms.shape[0]
+            pairs = np.stack([np.repeat(law.histograms, n, axis=0),
+                              np.tile(law.histograms, (n, 1))], axis=1)
+            observed = atom_counts(pairs, halves)
+            expected = ell * np.outer(law.pulse_pmf, law.plain_pmf).ravel()
+            assert pooled_chi2_pvalue(observed, expected) > 1e-4, i
+
+    def test_q16_block_statistics_stay_small(self):
+        # one q=16, ell=1024 block and all 16 level statistics on the pulse
+        # path: its 2^26 symbols alone would take 64 MiB, and their float64
+        # uniforms 512 MiB
+        ch = bsc(0.05)
+        rng = np.random.default_rng(16)
+        bits = rng.integers(0, 2, size=(16, 1024), dtype=np.uint8)
+        frame = frame_from_bits(bits)
+        tracemalloc.start()
+        try:
+            out = transmit_super(ch, frame, rng)
+            llrs = [level_llrs(*select_positions_batch(out, bits[i:], i), ch.lam)
+                    for i in range(1, 17)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert all(np.isfinite(x).all() and x.shape == (1024,) for x in llrs)
 
 
 class TestLevelChannelLemmas:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from covertppm.channels import LN2, bsc, bac, divergence_stats, make_dmc
 from covertppm.ppm import (
+    CHILD_SEED_WORDS,
     DEFAULT_TYPE_BUDGET,
     EnumerationBudgetError,
     PpmFrame,
@@ -25,6 +26,7 @@ from conftest import (
     brute_ppm_divergence,
     decimal_map,
     index_set,
+    pooled_chi2_pvalue,
     pyramid_level_llrs,
     type_class_divergence_reference,
 )
@@ -143,19 +145,48 @@ class TestTransmitSuper:
         assert off == pytest.approx(0.1, abs=0.01)
 
     def test_symbols_equal_inverse_cdf_draws(self):
-        # bitwise the inverse-CDF draws of one uniform per coordinate, the
-        # pulse coordinate through row1, stored as uint8
+        # bitwise the documented draws: CHILD_SEED_WORDS uint64 words from
+        # the caller seed a child; from it the pulse outputs z by inverse
+        # CDF through row1, then one multinomial per height k = 0..q-1.  The
+        # path and sibling histograms are read without a draw; .symbols then
+        # lays each sibling out with one permuted per height, rows in order
         ch = make_dmc([0.5, 0.3, 0.2], [0.1, 0.3, 0.6])
         frame = PpmFrame(q=3, positions=np.array([1, 8, 4, 4, 2]))
-        out = transmit_super(ch, frame, np.random.default_rng(11))
-        u = np.random.default_rng(11).random((5, 8))
+        rng = np.random.default_rng(11)
+        out = transmit_super(ch, frame, rng)
+        ref = np.random.default_rng(11)
+        child = np.random.default_rng(
+            ref.integers(0, 2**64, size=CHILD_SEED_WORDS, dtype=np.uint64))
+        assert rng.random() == ref.random()  # the caller gave exactly the seed
+        z = np.searchsorted(ch.cdf1, child.random(5), side="right")
+        siblings = [child.multinomial(1 << k, ch.row0, size=5) for k in range(3)]
+        p = frame.positions - 1
+        path = np.eye(3, dtype=np.int64)[z]
+        for j in range(4):
+            blocks = np.stack([p >> j, (p >> j) ^ 1], axis=1)[:, :1 if j == 3 else 2]
+            got = out.block_histograms(j, blocks)
+            np.testing.assert_array_equal(got[:, 0], path)
+            if j < 3:
+                np.testing.assert_array_equal(got[:, 1], siblings[j])
+                path = path + siblings[j]
         want = np.empty((5, 8), dtype=np.int64)
-        for r in range(5):
-            for c in range(8):
-                cdf = ch.cdf1 if c == frame.positions[r] - 1 else ch.cdf0
-                want[r, c] = int(np.searchsorted(cdf, u[r, c], side="right"))
+        want[np.arange(5), p] = z
+        for k, counts in enumerate(siblings):
+            ordered = np.array([np.repeat(np.arange(3), c) for c in counts])
+            laid = child.permuted(ordered, axis=1)
+            for r in range(5):
+                start = ((p[r] >> k) ^ 1) << k
+                want[r, start:start + (1 << k)] = laid[r]
         assert out.symbols.dtype == np.uint8
         np.testing.assert_array_equal(out.symbols, want)
+
+    @pytest.mark.parametrize("q, ell", [(1, 1), (4, 7), (12, 300)])
+    def test_caller_stream_advances_by_the_seed_words_alone(self, q, ell):
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        frame = PpmFrame(q=q, positions=np.ones(ell, dtype=np.int64))
+        transmit_super(bsc(0.1), frame, rng)
+        ref.integers(0, 2**64, size=CHILD_SEED_WORDS, dtype=np.uint64)
+        assert rng.random() == ref.random()
 
     def test_super_output_keeps_integer_dtype_and_rejects_others(self):
         sym = np.zeros((3, 4), dtype=np.uint8)
@@ -170,6 +201,117 @@ class TestTransmitSuper:
     def test_position_bounds_checked(self):
         with pytest.raises(ValueError):
             PpmFrame(q=2, positions=np.array([5]))
+
+
+TERNARY = make_dmc([0.5, 0.3, 0.2], [0.1, 0.3, 0.6])
+
+
+def _every_block_histogram(symbols: np.ndarray, size: int, j: int) -> np.ndarray:
+    """(ell, 2^(q-j), size) counts of every aligned width-2^j block."""
+    cut = symbols.reshape(symbols.shape[0], -1, 1 << j)
+    return (cut[..., None] == np.arange(size)).sum(axis=2)
+
+
+class TestPulsePath:
+    @pytest.mark.parametrize("ch", [bsc(0.2), TERNARY], ids=["bsc0.2", "ternary"])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_materialized_symbols_follow_the_product_law(self, ch, q):
+        # Pearson test of every output pattern of a super-symbol, per pulse
+        # position, against row1 at the pulse and row0 elsewhere.  At q = 2
+        # the even rows are materialized first by an off-path query, the
+        # others by .symbols
+        m, size, per_position = 1 << q, ch.alphabet_size, 12_000
+        p = np.tile(np.arange(m), per_position)
+        out = transmit_super(ch, PpmFrame(q=q, positions=p + 1),
+                             np.random.default_rng(40 + q))
+        if q == 2:
+            off = np.arange(p.size) % 2 == 0
+            out.block_histograms(0, np.where(off, p ^ 2, p)[:, None])
+        pattern = out.symbols.astype(np.int64) @ size ** np.arange(m)
+        observed = np.bincount(p * size**m + pattern, minlength=m * size**m)
+        expected = np.empty(m * size**m)
+        for pulse in range(m):
+            for code, syms in enumerate(itertools.product(range(size), repeat=m)):
+                # product() varies the last coordinate fastest: read it reversed
+                rows = [ch.row1 if c == pulse else ch.row0 for c in range(m)]
+                expected[pulse * size**m + code] = per_position * math.prod(
+                    row[a] for row, a in zip(rows, syms[::-1]))
+        assert pooled_chi2_pvalue(observed, expected) > 1e-4
+
+    def test_answers_agree_on_the_path_off_it_and_in_the_symbols(self):
+        # one row read on its pulse path, then off it (wrong higher bits),
+        # then through .symbols: every level's histograms agree
+        q, ell, row = 5, 6, 3
+        rng = np.random.default_rng(7)
+        p = rng.integers(0, 1 << q, size=ell)
+        out = transmit_super(TERNARY, PpmFrame(q=q, positions=p + 1), rng)
+
+        def on_path(j):
+            blocks = np.stack([p >> j, (p >> j) ^ 1], axis=1)
+            return out.block_histograms(j, blocks[:, :1] if j == q else blocks)
+
+        before = [on_path(j) for j in range(q + 1)]
+        wrong = p.copy()
+        wrong[row] ^= 1 << (q - 1)  # the top level bit flipped
+        offs = [out.block_histograms(j, np.stack([wrong >> j], axis=1))
+                for j in range(q)]
+        for j in range(q + 1):
+            np.testing.assert_array_equal(on_path(j), before[j])
+        symbols = out.symbols
+        for j in range(q + 1):
+            every = _every_block_histogram(symbols, 3, j)
+            rows = np.arange(ell)[:, None]
+            blocks = np.stack([p >> j, (p >> j) ^ 1], axis=1)[:, :1 if j == q else 2]
+            np.testing.assert_array_equal(every[rows, blocks], before[j])
+            if j < q:
+                np.testing.assert_array_equal(every[rows, (wrong >> j)[:, None]], offs[j])
+            all_blocks = np.tile(np.arange(1 << (q - j)), (ell, 1))
+            np.testing.assert_array_equal(out.block_histograms(j, all_blocks), every)
+        np.testing.assert_array_equal(out.pyramid[0], symbols)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_query_sequence_agrees_with_the_symbols(self, data):
+        # queries at random levels and blocks, on the path, on its sibling
+        # or off it, in any order: every answer is the histogram of the
+        # symbols that .symbols finally lays out
+        q = data.draw(st.integers(1, 6))
+        size = data.draw(st.integers(2, 5))
+        ell = data.draw(st.integers(1, 8))
+        weights = st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any)
+        row0, row1 = (np.array(data.draw(weights), dtype=float) for _ in range(2))
+        ch = make_dmc(row0 / row0.sum(), row1 / row1.sum())
+        p = np.array(data.draw(st.lists(st.integers(0, (1 << q) - 1),
+                                        min_size=ell, max_size=ell)))
+        out = transmit_super(ch, PpmFrame(q=q, positions=p + 1),
+                             np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        answers = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            j = data.draw(st.integers(0, q))
+            k = data.draw(st.integers(1, 3))
+            near = np.stack([p >> j, (p >> j) ^ (j < q)] * 2, axis=1)[:, :k]
+            anywhere = np.array(data.draw(st.lists(
+                st.integers(0, (1 << (q - j)) - 1), min_size=ell * k, max_size=ell * k)))
+            pick = np.array(data.draw(st.lists(st.booleans(), min_size=ell * k,
+                                               max_size=ell * k))).reshape(ell, k)
+            blocks = np.where(pick, anywhere.reshape(ell, k), near)
+            answers.append((j, blocks, out.block_histograms(j, blocks)))
+        symbols = out.symbols
+        for j, blocks, got in answers:
+            every = _every_block_histogram(symbols, size, j)
+            np.testing.assert_array_equal(got, every[np.arange(ell)[:, None], blocks])
+
+    def test_pulse_path_histograms_sum_up_the_siblings(self):
+        # P_(j+1) = P_j + S_j, each in the smallest dtype that holds its count
+        out = transmit_super(TERNARY, PpmFrame(q=9, positions=np.array([1, 512, 5])),
+                             np.random.default_rng(2))
+        assert len(out.path) == 10 and len(out.siblings) == 9
+        np.testing.assert_array_equal(out.pulses, [0, 511, 4])
+        for j, (low, high) in enumerate(zip(out.path, out.path[1:])):
+            np.testing.assert_array_equal(high, low.astype(np.int64) + out.siblings[j])
+            assert out.siblings[j].dtype == np.min_scalar_type(1 << j)
+            assert high.dtype == np.min_scalar_type(1 << (j + 1))
+            assert high.shape == (3, 2) and np.all(high.sum(axis=1) <= 1 << (j + 1))
 
 
 class TestHistogramPyramid:
