@@ -37,7 +37,7 @@ import numpy as np
 from . import codec
 from .channels import Dmc
 from .levels import level_law, level_llrs, likelihood_sums, select_positions_batch
-from .ppm import SuperOutput, ppm_divergence_bound, ppm_output_divergence
+from .ppm import PpmFrame, SuperOutput, ppm_divergence_bound, ppm_output_divergence
 
 
 class OracleBudgetError(RuntimeError):
@@ -463,16 +463,29 @@ class CovertnessEstimate:
     bins: int
 
 
-def _root_mixture_statistic(willie: Dmc, roots: np.ndarray, m: int) -> float:
-    """sum over super-symbols of log((1/m) sum_j lam(z_j)), each row's
-    likelihood sum read from its (ell, |Z|) root histogram."""
-    return float(np.sum(np.log(likelihood_sums(roots, willie.lam) / m)))
+def _root_mixture_statistics(willie: Dmc, roots: np.ndarray, m: int,
+                             blocks: int) -> np.ndarray:
+    """Per block, the sum over its super-symbols of log((1/m) sum_j lam(z_j)),
+    each row's likelihood sum read from its root histogram; ``roots`` holds
+    the (ell, |Z|) root histograms of ``blocks`` blocks, one after another.
+    A row whose outputs Q1 never gives has likelihood sum 0, which makes its
+    block's statistic -inf: that block reads as innocent."""
+    with np.errstate(divide="ignore"):
+        logs = np.log(likelihood_sums(roots, willie.lam) / m)
+    return logs.reshape(blocks, -1).sum(axis=1)
+
+
+def _mixture_statistics(willie: Dmc, output: SuperOutput, blocks: int) -> np.ndarray:
+    """The mixture statistic of each of ``blocks`` blocks of equal length
+    whose rows a channel output holds one after another, read from the
+    output's pyramid root in one query."""
+    root = output.block_histograms(output.q, np.zeros((output.ell, 1), dtype=np.int64))
+    return _root_mixture_statistics(willie, root[:, 0], 1 << output.q, blocks)
 
 
 def _mixture_statistic(willie: Dmc, output: SuperOutput) -> float:
-    """The mixture statistic of a channel output, read from its pyramid root."""
-    root = output.block_histograms(output.q, np.zeros((output.ell, 1), dtype=np.int64))
-    return _root_mixture_statistic(willie, root[:, 0], 1 << output.q)
+    """The mixture statistic of a one-block channel output."""
+    return float(_mixture_statistics(willie, output, 1)[0])
 
 
 def _reference_halves(willie: Dmc, i: int, bits: np.ndarray, rng: np.random.Generator):
@@ -489,6 +502,13 @@ def _reference_halves(willie: Dmc, i: int, bits: np.ndarray, rng: np.random.Gene
 def _innocent_roots(willie: Dmc, m: int, ell: int, rng: np.random.Generator) -> np.ndarray:
     """Root histograms of ``ell`` innocent super-symbols, Multinomial(m, Q0) each."""
     return rng.multinomial(m, willie.row0, size=ell)
+
+
+#: super-symbols that ``covertness_estimate`` samples together, in whole
+#: blocks (at least one per chunk); part of the random stream
+_CHUNK_ROWS = 4096
+#: uint64 words of the caller's generator that seed the estimate's stage streams
+_STREAM_SEED_WORDS = 4
 
 
 def covertness_estimate(
@@ -508,16 +528,36 @@ def covertness_estimate(
     interval; the mixture baseline is a strong suboptimal detector, exact
     only in the enumerable regime.  ``blocks`` must be at least 1.
 
-    Each sampled block of the scheme is encoded and sent through Willie's
-    channel along its pulse paths (``ppm.transmit_super``), and every
-    statistic reads its path histograms.  The two other sides are drawn in the
-    statistics they are read through: the reference's level-i statistic
-    from a pair of half histograms per super-symbol, drawn as atoms of the
-    level's exact law (``_reference_halves``, ``levels.level_law``),
-    the innocent mixture statistic from one Multinomial(m, Q0) root
-    histogram per super-symbol.  Each per-level TV reads one level's
-    marginal and alpha the root histograms only, so every reported law is
-    that of whole channel outputs.
+    Each sampled block of the scheme is encoded on its own
+    (``codec.encode_block``).  Each level's statistic is iid across
+    super-symbols, so the blocks differ only in their rows: the blocks of a
+    chunk of at most ``_CHUNK_ROWS`` super-symbols (whole blocks, at least
+    one) go through Willie's channel as one frame, along their pulse paths
+    (``ppm.transmit_super``), and each level's statistic reads that frame's
+    path histograms once (``select_positions_batch``, ``level_llrs``), the
+    mixture statistic its root histograms once, summed per block.  The
+    chunks bound the working memory; the statistics kept for the TVs take
+    16 q bytes per super-symbol.  The two other sides are drawn, per chunk,
+    in the statistics they are read through: the reference's level-i
+    statistic from a pair of half histograms per super-symbol, drawn as
+    atoms of the level's exact law (``_reference_halves``,
+    ``levels.level_law``), the innocent mixture statistic from one
+    Multinomial(m, Q0) root histogram per super-symbol.  Each per-level TV
+    reads one level's marginal and alpha the root histograms only, so every
+    reported law is that of whole channel outputs.
+
+    Draw order: the four ``SeedSequence`` children of
+    ``_STREAM_SEED_WORDS`` words drawn from ``rng`` seed one generator per
+    stage, in this order.  Per chunk,
+
+    1. encoding: per block, each level's payload then each level's keys
+       (levels 1..u), then ``encode_block``'s own draws;
+    2. channel: one ``transmit_block`` of the chunk's frame;
+    3. reference: the (q, rows) uniform level bits, then each level's
+       atom pairs, levels 1..q;
+    4. innocent: one Multinomial(m, Q0) root histogram per row.
+
+    So a change to one stage's draws moves no other stage's fields.
     """
     if blocks < 1:
         raise ValueError(f"covertness estimate needs at least 1 block, got {blocks}")
@@ -525,44 +565,56 @@ def covertness_estimate(
         raise ValueError(f"covertness estimate needs bins >= 2, got {bins}")
     q, ell, m = session.q, session.ell, session.plan.m
     willie = session.willie
+    seed = np.random.SeedSequence(
+        rng.integers(0, 1 << 64, size=_STREAM_SEED_WORDS, dtype=np.uint64))
+    encoding, channel, reference, innocent = map(np.random.default_rng, seed.spawn(4))
 
-    scheme_stats: dict[int, list[np.ndarray]] = {i: [] for i in range(1, q + 1)}
-    ref_stats: dict[int, list[np.ndarray]] = {i: [] for i in range(1, q + 1)}
+    scheme_stats = np.empty((q, blocks * ell))
+    ref_stats = np.empty((q, blocks * ell))
     scheme_lr = np.empty(blocks)
     innocent_lr = np.empty(blocks)
 
-    for b in range(blocks):
-        messages = {
-            i: rng.integers(0, 2,
-                            size=session.layouts[i].n_msg + session.layouts[i].n_sec,
-                            dtype=np.uint8)
-            for i in range(1, session.u + 1)
-        }
-        keys = {
-            i: rng.integers(0, 2, size=session.layouts[i].n_key, dtype=np.uint8)
-            for i in range(1, session.u + 1)
-        }
-        # looked up per block, so a replaced codec.encode_block is the one run
-        frame, tx = codec.encode_block(session, messages, keys, rng)
-        willie_out = codec.transmit_block(session, frame, rng, to_willie=True)
+    per_chunk = max(1, _CHUNK_ROWS // ell)
+    for first in range(0, blocks, per_chunk):
+        n = min(per_chunk, blocks - first)
+        rows = slice(first * ell, (first + n) * ell)
+        positions, level_bits = [], []
+        for _ in range(n):
+            messages = {
+                i: encoding.integers(0, 2,
+                                     size=session.layouts[i].n_msg + session.layouts[i].n_sec,
+                                     dtype=np.uint8)
+                for i in range(1, session.u + 1)
+            }
+            keys = {
+                i: encoding.integers(0, 2, size=session.layouts[i].n_key, dtype=np.uint8)
+                for i in range(1, session.u + 1)
+            }
+            # looked up per block, so a replaced codec.encode_block is the one run
+            frame, tx = codec.encode_block(session, messages, keys, encoding)
+            positions.append(frame.positions)
+            level_bits.append(tx.level_bits)
+        bits = np.concatenate(level_bits, axis=1)
+        willie_out = codec.transmit_block(
+            session, PpmFrame(q, np.concatenate(positions)), channel, to_willie=True)
         for i in range(1, q + 1):
-            scheme_stats[i].append(level_llrs(
-                *select_positions_batch(willie_out, tx.level_bits[i:], i), willie.lam))
-        scheme_lr[b] = _mixture_statistic(willie, willie_out)
+            scheme_stats[i - 1, rows] = level_llrs(
+                *select_positions_batch(willie_out, bits[i:], i), willie.lam)
+        scheme_lr[first:first + n] = _mixture_statistics(willie, willie_out, n)
 
-        ref_bits = rng.integers(0, 2, size=(q, ell), dtype=np.uint8)
+        ref_bits = reference.integers(0, 2, size=(q, n * ell), dtype=np.uint8)
         for i in range(1, q + 1):
-            ref_stats[i].append(level_law(willie, i).llrs(
-                *_reference_halves(willie, i, ref_bits[i - 1], rng)))
+            ref_stats[i - 1, rows] = level_law(willie, i).llrs(
+                *_reference_halves(willie, i, ref_bits[i - 1], reference))
 
-        innocent_lr[b] = _root_mixture_statistic(
-            willie, _innocent_roots(willie, m, ell, rng), m)
+        innocent_lr[first:first + n] = _root_mixture_statistics(
+            willie, _innocent_roots(willie, m, n * ell, innocent), m, n)
 
     level_tv: dict[int, float] = {}
-    for i in range(1, q + 1):
-        a = np.concatenate(scheme_stats[i])
-        r = np.concatenate(ref_stats[i])
-        pooled = np.concatenate([a, r])
+    for i, (a, r) in enumerate(zip(scheme_stats, ref_stats), start=1):
+        # the same order statistics as the unsorted pool's, so the same
+        # edges, but np.quantile's partition of a sorted pool is far faster
+        pooled = np.sort(np.concatenate([a, r]))
         edges = np.quantile(pooled, np.linspace(0, 1, bins + 1)[1:-1])
         ha = np.bincount(np.digitize(a, edges, right=True), minlength=bins)
         hr = np.bincount(np.digitize(r, edges, right=True), minlength=bins)

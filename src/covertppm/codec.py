@@ -298,11 +298,10 @@ def encode_block(
         lay = session.layouts[i]
         code = session.codes[i]
         msg = _level_bits(messages, i, lay.n_msg + lay.n_sec, "payload")
-        u_vec = np.zeros(ell, dtype=np.uint8)
-        u_vec[code.message[:lay.n_key]] = _level_bits(keys, i, lay.n_key, "key")
-        u_vec[code.message[lay.n_key:]] = msg
-        bits[i - 1] = polar_transform(u_vec)
+        bits[i - 1, code.message[:lay.n_key]] = _level_bits(keys, i, lay.n_key, "key")
+        bits[i - 1, code.message[lay.n_key:]] = msg
         payloads[i] = msg
+    bits[:session.u] = polar_transform(bits[:session.u])
 
     r_used = None
     if session.extractor_cfg is not None:

@@ -113,8 +113,9 @@ def _check_power_of_two(n: int):
 
 
 def _butterfly(x: np.ndarray) -> np.ndarray:
-    # in place over a contiguous 1-D uint8 array of power-of-two length
-    n = x.shape[0]
+    # in place over the rows of a C-contiguous uint8 array whose power-of-two
+    # row length is its last axis: an aligned pair of blocks never spans rows
+    n = x.shape[-1]
     step = 1
     while step < n:
         v = x.reshape(-1, 2, step)
@@ -126,12 +127,15 @@ def _butterfly(x: np.ndarray) -> np.ndarray:
 def polar_transform(u) -> np.ndarray:
     """x = u G over GF(2) with G the polar kernel power; involutive.
 
-    O(n log n) butterfly; returns a fresh uint8 array.
+    ``u`` is one bit vector or a (k, n) matrix whose rows are transformed
+    each, in one pass of an O(n log n) butterfly over all of them; returns a
+    fresh uint8 array of ``u``'s shape.
     """
-    x = np.array(u, dtype=np.uint8) & 1
-    if x.ndim != 1:
-        raise ValueError("input must be a 1-D bit vector")
-    _check_power_of_two(x.shape[0])
+    x = np.array(u, dtype=np.uint8, order="C")  # rows contiguous: reshapes are views
+    x &= 1
+    if x.ndim not in (1, 2):
+        raise ValueError("input must be a bit vector or a matrix of bit rows")
+    _check_power_of_two(x.shape[-1])
     return _butterfly(x)
 
 

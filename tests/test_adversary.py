@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,11 +23,12 @@ from conftest import (
     pw_from_joint_codebook,
     pw_from_level_sources,
 )
-from covertppm import adversary
+from covertppm import adversary, codec
 from covertppm.adversary import (
     LinearCode,
     _innocent_roots,
     _mixture_statistic,
+    _mixture_statistics,
     _reference_halves,
     _trial_statistics,
     OracleBudgetError,
@@ -46,7 +48,7 @@ from covertppm.adversary import (
 from covertppm.channels import bac, bsc, divergence_stats, make_dmc, sample_outputs
 from covertppm.codec import build_session
 from covertppm.extractor import ExtractorConfig, int_to_bits, inv, make_field
-from covertppm.levels import LevelRates, RatePlan, level_law, level_llrs
+from covertppm.levels import LevelRates, RatePlan, level_law, level_llrs, msd_rate_plan
 from covertppm.ppm import SuperOutput, frame_from_bits, transmit_super
 
 
@@ -472,6 +474,29 @@ def tiny_single_codeword_session(rng):
     return build_session(plan, bsc(0.1), bsc(0.1), rng, construction_trials=50)
 
 
+def uniform_two_level_session(rng):
+    # q=2, ell=4, every position informational (as in
+    # test_uniform_scheme_has_vanishing_statistics)
+    plan = RatePlan(q=2, ell=4, B=1, delta=4.0, epsilon=0.01,
+                    u=2, per_level=(LevelRates(1, 1.0, 0.0, 0.0),
+                                    LevelRates(2, 1.0, 0.0, 0.0)))
+    return build_session(plan, bsc(0.1), bsc(0.1), rng, construction_trials=50)
+
+
+def frame_lengths_sent(monkeypatch) -> list[int]:
+    """The lengths of the frames ``codec.transmit_block`` sends from now on,
+    in order."""
+    lengths = []
+    transmit = codec.transmit_block
+
+    def counted(session, frame, *args, **kwargs):
+        lengths.append(frame.ell)
+        return transmit(session, frame, *args, **kwargs)
+
+    monkeypatch.setattr(codec, "transmit_block", counted)
+    return lengths
+
+
 class TestCovertnessEstimate:
     @pytest.mark.parametrize("willie", [bsc(0.1), make_dmc([0.5, 0.3, 0.2], [0.2, 0.8, 0.0])],
                              ids=["bsc0.1", "ternary-zero-ratio"])
@@ -496,6 +521,24 @@ class TestCovertnessEstimate:
             signs.append(want > 0.0)
         assert 0 < sum(signs) < len(signs)
 
+    @pytest.mark.parametrize("willie", [bsc(0.1), make_dmc([0.5, 0.3, 0.2], [0.2, 0.8, 0.0])],
+                             ids=["bsc0.1", "ternary-zero-ratio"])
+    def test_batched_root_matches_each_blocks_own_rows(self, willie, rng):
+        # 400 blocks near the decision boundary (q=6, ell=4) sent as one
+        # frame: each block's statistic from the one root read equals the
+        # gather/mean statistic of that block's own rows, sign included
+        q, ell, blocks = 6, 4, 400
+        bits = rng.integers(0, 2, size=(q, blocks * ell), dtype=np.uint8)
+        out = transmit_super(willie, frame_from_bits(bits), rng)
+        got = _mixture_statistics(willie, out, blocks)
+        assert got.shape == (blocks,)
+        with np.errstate(divide="ignore"):
+            want = np.array([mixture_statistic_reference(willie.lam, rows)
+                             for rows in out.symbols.reshape(blocks, ell, 1 << q)])
+        np.testing.assert_array_equal(got > 0.0, want > 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert 0 < np.count_nonzero(want > 0.0) < blocks
+
     def test_tiny_instance_matches_exact_tv(self, rng):
         # exact level-statistic TV for the single-codeword instance is the
         # full TV = 0.4 (the statistic loses nothing here: the collapsed
@@ -507,6 +550,110 @@ class TestCovertnessEstimate:
         est = covertness_estimate(sess, 4000, rng, bins=8)
         sigma = math.sqrt(8 / (4 * 4000))  # quantile-bin multinomial scale
         assert est.level_tv[1] == pytest.approx(exact, abs=3 * sigma)
+
+    def test_chunked_estimate_keeps_the_exact_tv_band(self, rng, monkeypatch):
+        # 7-row chunks: the 4000 one-row blocks of
+        # test_tiny_instance_matches_exact_tv go out as 572 frames, the last
+        # of 3 rows; the report counts every block and stays in that test's
+        # 3-sigma band, and a seeded rerun returns an equal report
+        monkeypatch.setattr(adversary, "_CHUNK_ROWS", 7)
+        sess = tiny_single_codeword_session(rng)
+        frames = frame_lengths_sent(monkeypatch)
+        est = covertness_estimate(sess, 4000, np.random.default_rng(11), bins=8)
+        assert frames == [7] * 571 + [3]
+        assert est.blocks == 4000
+        sigma = math.sqrt(8 / (4 * 4000))
+        assert est.level_tv[1] == pytest.approx(0.4, abs=3 * sigma)
+        assert covertness_estimate(sess, 4000, np.random.default_rng(11), bins=8) == est
+
+    @pytest.mark.parametrize("chunk, frames", [(3, [4] * 5), (8, [8, 8, 4]), (11, [8, 8, 4])])
+    def test_chunks_hold_whole_blocks(self, chunk, frames, rng, monkeypatch):
+        # ell=4: a chunk holds the whole blocks that fit, at least one
+        monkeypatch.setattr(adversary, "_CHUNK_ROWS", chunk)
+        sent = frame_lengths_sent(monkeypatch)
+        est = covertness_estimate(uniform_two_level_session(rng), 5, rng, bins=4)
+        assert sent == frames and est.blocks == 5
+
+    def test_each_stage_draws_from_its_own_stream(self, rng, monkeypatch):
+        # extra draws in the reference stage leave the encoded blocks, the
+        # channel outputs and the innocent roots of all 19 chunks as they were
+        sess = uniform_two_level_session(rng)
+
+        def record():
+            monkeypatch.setattr(adversary, "_CHUNK_ROWS", 64)
+            seen = []
+            encode, transmit = codec.encode_block, codec.transmit_block
+            innocent = adversary._innocent_roots
+
+            def encoded(*args):
+                frame, tx = encode(*args)
+                seen.append(tx.level_bits)
+                return frame, tx
+
+            def transmitted(*args, **kwargs):
+                out = transmit(*args, **kwargs)
+                seen.append(out.symbols)
+                return out
+
+            def roots(*args):
+                seen.append(innocent(*args))
+                return seen[-1]
+
+            monkeypatch.setattr(codec, "encode_block", encoded)
+            monkeypatch.setattr(codec, "transmit_block", transmitted)
+            monkeypatch.setattr(adversary, "_innocent_roots", roots)
+            return seen
+
+        seen = record()
+        before = covertness_estimate(sess, 300, np.random.default_rng(3))
+        monkeypatch.undo()
+        halves = adversary._reference_halves
+
+        def shifted(willie, i, bits, rng):
+            rng.random(5)
+            return halves(willie, i, bits, rng)
+
+        monkeypatch.setattr(adversary, "_reference_halves", shifted)
+        seen_again = record()
+        after = covertness_estimate(sess, 300, np.random.default_rng(3))
+        assert len(seen) == len(seen_again) == 300 + 2 * 19
+        for a, b in zip(seen, seen_again):
+            np.testing.assert_array_equal(a, b)
+        assert (after.lrt_alpha, after.lrt_beta) == (before.lrt_alpha, before.lrt_beta)
+        assert after.level_tv != before.level_tv
+
+    def test_warden_off_q1_support_warns_nothing(self):
+        # Q1 has no mass on symbol 2: a row of it alone has likelihood sum 0,
+        # and its block's mixture statistic -inf reads as innocent, silently
+        willie = make_dmc([0.5, 0.3, 0.2], [0.2, 0.8, 0.0])
+        plan = RatePlan(q=2, ell=8, B=1, delta=1.0, epsilon=0.01, u=1,
+                        per_level=(LevelRates(1, 0.5, 0.0, 0.0), LevelRates(2, 0.0, 0.0, 0.0)),
+                        degraded=True)
+        rng = np.random.default_rng(3)
+        sess = build_session(plan, bsc(0.1), willie, rng, construction_trials=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = covertness_estimate(sess, 200, rng)
+        assert est.blocks == 200 and 0.0 <= est.lrt_alpha <= 1.0
+
+    def test_q16_estimate_over_two_chunks_stays_small(self):
+        # q=16, ell=1024: 8 blocks span two chunks; the statistics read
+        # pulse-path histograms, so the whole estimate, level laws included,
+        # stays far below one block's 2^26 symbols
+        bob, willie = bsc(0.05), bsc(0.1)
+        plan = msd_rate_plan(bob, willie, 16, 1.0, 1, degraded=True, ell_override=1024)
+        sess = build_session(plan, bob, willie, np.random.default_rng(1),
+                             construction_trials=20)
+        blocks = 8
+        assert sess.ell == 1024 and blocks * sess.ell >= 2 * adversary._CHUNK_ROWS
+        tracemalloc.start()
+        try:
+            est = covertness_estimate(sess, blocks, np.random.default_rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert est.blocks == blocks and sorted(est.level_tv) == list(range(1, 17))
 
     def test_zero_blocks_rejected(self, rng):
         sess = tiny_single_codeword_session(rng)

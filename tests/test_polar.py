@@ -70,9 +70,20 @@ class TestTransform:
         with pytest.raises(ValueError):
             polar_transform([])
 
-    def test_rejects_two_dimensional_input(self):
+    @pytest.mark.parametrize("k, ell", [(1, 1), (3, 2), (8, 512), (5, 64), (0, 8)])
+    def test_matrix_rows_equal_one_dimensional_transforms(self, k, ell, rng):
+        # C-ordered, Fortran-ordered and strided matrices, entries read mod
+        # 2 as in 1-D
+        u = rng.integers(0, 4, size=(k, ell))
+        for mat in (u, np.asfortranarray(u), np.repeat(u, 2, axis=1)[:, ::2]):
+            got = polar_transform(mat)
+            assert got.shape == (k, ell) and got.dtype == np.uint8
+            for row, want in zip(got, u):
+                np.testing.assert_array_equal(row, polar_transform(want))
+
+    def test_rejects_three_dimensional_input(self):
         with pytest.raises(ValueError):
-            polar_transform(np.zeros((2, 4), dtype=np.uint8))
+            polar_transform(np.zeros((2, 2, 4), dtype=np.uint8))
 
     def test_accepts_list_input(self):
         out = polar_transform([0, 1, 1, 1])
