@@ -30,7 +30,7 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -509,6 +509,16 @@ def _innocent_roots(willie: Dmc, m: int, ell: int, rng: np.random.Generator) -> 
 _CHUNK_ROWS = 4096
 #: uint64 words of the caller's generator that seed the estimate's stage streams
 _STREAM_SEED_WORDS = 4
+#: exact divergences kept in memory, least recently used out first; an
+#: estimate reads one, of its warden at its session's order
+DIVERGENCE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=DIVERGENCE_CACHE_SIZE)
+def _exact_divergence(willie: Dmc, m: int) -> float:
+    # D(P_ppm^m || Q0^m) of one super-symbol; cached per (channel, m), by
+    # identity, as levels.level_law caches the level laws
+    return ppm_output_divergence(willie, m)
 
 
 def covertness_estimate(
@@ -544,7 +554,10 @@ def covertness_estimate(
     ``levels.level_law``), the innocent mixture statistic from one
     Multinomial(m, Q0) root histogram per super-symbol.  Each per-level TV
     reads one level's marginal and alpha the root histograms only, so every
-    reported law is that of whole channel outputs.
+    reported law is that of whole channel outputs.  The exact divergence
+    (``ppm.ppm_output_divergence``) depends on the warden and m alone: it
+    is computed once per (warden, m), by identity, and kept in a cache of
+    ``DIVERGENCE_CACHE_SIZE`` values.
 
     Draw order: the four ``SeedSequence`` children of
     ``_STREAM_SEED_WORDS`` words drawn from ``rng`` seed one generator per
@@ -637,7 +650,7 @@ def covertness_estimate(
         lrt_advantage=adv,
         lrt_ci3=ci3,
         baseline="ppm-mixture",
-        d_qppm_q0_exact=ell * ppm_output_divergence(willie, m),
+        d_qppm_q0_exact=ell * _exact_divergence(willie, m),
         d_qppm_q0_bound=ppm_divergence_bound(willie.stats.chi2, m, ell),
         bins=bins,
     )

@@ -44,6 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import parallel
 from .channels import LN2, Dmc, DivergenceStats, is_degraded, make_dmc, running_cdf
 from .ppm import (
     DEFAULT_TYPE_BUDGET,
@@ -528,7 +529,11 @@ class LevelLaw:
     def draw(self, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """``count`` atom index pairs (first half, second half) under level
         bit 0, from two uniforms each: the pulse halves' first."""
-        u = rng.random((2, count))
+        return self.atoms(rng.random((2, count)))
+
+    def atoms(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The atom index pairs of the uniform pairs ``u`` (2, n), as
+        :meth:`draw` maps them: each pair on its own."""
         return self.pulse.draw(u[0]), self.plain.draw(u[1])
 
     def llrs(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -618,6 +623,13 @@ def level_law(dmc: Dmc, i: int) -> LevelLaw:
                     pulse=TableSampler.from_pmf(pulse), plain=TableSampler.from_pmf(plain))
 
 
+#: LLRs per tile of the sampler's map from uniforms to LLRs, whose
+#: temporaries then stay in cache and are reused, not paged in afresh; one
+#: core mapped 2^19 level-2 LLRs in 20.4 ms at once and 9.3-9.5 ms in tiles
+#: of 2^13 to 2^16
+_LLR_TILE = 1 << 15
+
+
 def make_level_llr_sampler(dmc: Dmc, i: int):
     """Sampler of iid level-i LLRs under input bit 0 (lower levels uniform).
 
@@ -628,11 +640,26 @@ def make_level_llr_sampler(dmc: Dmc, i: int):
     draws an atom pair from their exact law (:func:`level_law`, two uniforms
     per LLR whatever i) and turns it into the LLR the receiver computes from
     those histograms.  The law is built, or refused, here.
+
+    The uniforms are drawn on the calling thread, as :meth:`LevelLaw.draw`
+    draws them; their map to LLRs runs by ranges of the output, one per
+    worker of the open pool (:mod:`~covertppm.parallel`), in tiles of
+    ``_LLR_TILE``.  It is elementwise, so the LLRs are bitwise
+    ``law.llrs(*law.draw(count, rng))`` however many workers there are.
     """
     law = level_law(dmc, i)
 
     def sampler(count: int, rng: np.random.Generator) -> np.ndarray:
-        return law.llrs(*law.draw(count, rng))
+        u = rng.random((2, count))
+        out = np.empty(count, dtype=np.float64)
+
+        def fill(span: slice):
+            for lo in range(span.start, span.stop, _LLR_TILE):
+                tile = slice(lo, min(lo + _LLR_TILE, span.stop))
+                out[tile] = law.llrs(*law.atoms(u[:, tile]))
+
+        parallel.run(fill, parallel.split(count, parallel.width()))
+        return out
 
     return sampler
 

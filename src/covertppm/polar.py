@@ -69,6 +69,22 @@ children into the other, so every ufunc runs over contiguous runs of trials.
 Each stage runs in tiles (whole nodes, or runs of positions within one
 node) through two small scratch tiles, which keep the working set in cache.
 
+The construction runs on every CPU the process may run on (at most
+``parallel.MAX_WORKERS``): it opens a pool of worker threads for the call
+and ends it on return or raise.  Each stage's tiles split into contiguous
+runs, one per worker, each worker with its own two scratch tiles, and the
+stage ends when every run has (a barrier); the transposed copy and the
+per-position error counts and LLR sums split by ranges of positions, and
+the level sampler's map from uniforms to LLRs by ranges of its output (its
+uniforms are drawn on the calling thread, so the stream does not change).
+numpy's ufuncs, ``take`` and ``searchsorted`` release the GIL, so the
+workers run in parallel.  Every operation is elementwise over disjoint
+slices, so any split gives the serial pass's bits (as any tiling does,
+below), and the message sets do not depend on the worker count.  numpy's error state
+does not reach new threads: each worker runs under its caller's
+(``np.geterr()``), so an ``errstate`` around the call rules the workers'
+warnings and errors, and the first error in tile order is the one raised.
+
 The genie's check node is the box-plus form (Hagenauer, Offer & Papke, IEEE
 Trans. IT 1996)
 
@@ -105,6 +121,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import parallel
 
 
 def _check_power_of_two(n: int):
@@ -432,25 +450,40 @@ def _genie_decision_llrs(llrs: np.ndarray) -> np.ndarray:
     ``llrs`` (trials, ell) is copied, transposed, into a new buffer and then
     serves as the second buffer, so it is overwritten.  Stage s views the
     buffers as (2^s nodes, 2, half, trials) and writes each node's children
-    f(a, b) and a + b into the other buffer, tile by tile, through two
-    scratch tiles of max(``_TILE``, trials) elements; the buffers then swap.
+    f(a, b) and a + b into the other buffer, tile by tile; the buffers then
+    swap.  The copy runs by ranges of positions, and each stage's tiles by
+    contiguous runs of tiles, one per worker of the open pool
+    (:mod:`~covertppm.parallel`), each with its own two scratch tiles of
+    max(``_TILE``, trials) elements; a stage ends when all its runs have.
     The copy and the scratch are made here, after the draw, so that they do
     not add to the sampler's peak memory.  Returns the (ell, trials) buffer
     that holds the result.
     """
     rows, ell = llrs.shape
-    src = llrs.T.copy()
+    src = np.empty((ell, rows), dtype=np.float64)
+
+    def transpose(span: slice):
+        src[span] = llrs[:, span].T
+
+    parallel.run(transpose, parallel.split(ell, parallel.width()))
     dst = llrs.reshape(ell, rows)
-    scratch = np.empty((2, max(_TILE, rows)), dtype=np.float64)
+    # a worker that gets no tile never touches its scratch's pages
+    scratch = np.empty((parallel.width(), 2, max(_TILE, rows)), dtype=np.float64)
     nodes, half = 1, ell // 2
     while half:
         s = src.reshape(nodes, 2, half, rows)
         d = dst.reshape(nodes, 2, half, rows)
         a, b, left, right = s[:, 0], s[:, 1], d[:, 0], d[:, 1]
-        for t in _stage_tiles(nodes, half, rows, _TILE):
-            at = a[t]
-            s1, s2 = (x[:at.size].reshape(at.shape) for x in scratch)
-            _check_node(at, b[t], left[t], right[t], s1, s2)
+        tiles = _stage_tiles(nodes, half, rows, _TILE)
+
+        def children(job: tuple[int, slice]):
+            worker, run = job
+            for t in tiles[run]:
+                at = a[t]
+                s1, s2 = (x[:at.size].reshape(at.shape) for x in scratch[worker])
+                _check_node(at, b[t], left[t], right[t], s1, s2)
+
+        parallel.run(children, list(enumerate(parallel.split(len(tiles), len(scratch)))))
         src, dst = dst, src
         nodes, half = 2 * nodes, half // 2
     return src
@@ -472,7 +505,18 @@ def construct_code(
     the remainder are frozen to zero.  At least 1000 trials are recommended.
 
     LLRs are drawn in chunks of about 2^19 and run through the genie pass
-    one chunk at a time.
+    one chunk at a time; the next chunk is drawn once the last is tallied,
+    so at most one is in memory.
+
+    The call opens a pool of ``parallel.worker_count()`` workers, the CPUs
+    the process may run on up to ``parallel.MAX_WORKERS``, and its threads
+    end with the call, on return or raise.  The genie pass, its transposed
+    copy, the per-position tallies and the level sampler's map after its
+    draw run on them in disjoint slices (module docstring); each operation
+    is elementwise, so the message set is bitwise the same for any worker
+    count.  The workers run under the caller's numpy error state, and an
+    exception of a worker is raised here: of several, the first in the
+    serial order.
     """
     _check_power_of_two(ell)
     if not 0 <= target_info <= ell:
@@ -483,14 +527,20 @@ def construct_code(
     llr_sum = np.zeros(ell, dtype=np.float64)
     rows_per_chunk = min(max(1, _CHUNK // ell), trials)
     done = 0
-    while done < trials:
-        n = min(rows_per_chunk, trials - done)
-        llrs = np.asarray(level_sampler(n * ell, rng),
-                          dtype=np.float64).reshape(n, ell)
-        dec = _genie_decision_llrs(llrs)
-        err += (dec < 0).sum(axis=1) + 0.5 * (dec == 0).sum(axis=1)
-        llr_sum += dec.sum(axis=1)
-        done += n
+    with parallel.pool():
+        while done < trials:
+            n = min(rows_per_chunk, trials - done)
+            llrs = np.asarray(level_sampler(n * ell, rng),
+                              dtype=np.float64).reshape(n, ell)
+            dec = _genie_decision_llrs(llrs)
+
+            def tally(span: slice):
+                d = dec[span]
+                err[span] += (d < 0).sum(axis=1) + 0.5 * (d == 0).sum(axis=1)
+                llr_sum[span] += d.sum(axis=1)
+
+            parallel.run(tally, parallel.split(ell, parallel.width()))
+            done += n
     # error count first; ties (channels too good to fail in `trials` runs)
     # broken by the mean decision LLR, a smooth reliability proxy
     order = np.lexsort((np.arange(ell), -llr_sum, err))

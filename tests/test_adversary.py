@@ -49,7 +49,7 @@ from covertppm.channels import bac, bsc, divergence_stats, make_dmc, sample_outp
 from covertppm.codec import build_session
 from covertppm.extractor import ExtractorConfig, int_to_bits, inv, make_field
 from covertppm.levels import LevelRates, RatePlan, level_law, level_llrs, msd_rate_plan
-from covertppm.ppm import SuperOutput, frame_from_bits, transmit_super
+from covertppm.ppm import SuperOutput, frame_from_bits, ppm_output_divergence, transmit_super
 
 
 class TestLinearCodes:
@@ -565,6 +565,26 @@ class TestCovertnessEstimate:
         sigma = math.sqrt(8 / (4 * 4000))
         assert est.level_tv[1] == pytest.approx(0.4, abs=3 * sigma)
         assert covertness_estimate(sess, 4000, np.random.default_rng(11), bins=8) == est
+
+    def test_exact_divergence_is_summed_once_per_warden_and_order(self, rng, monkeypatch):
+        # a repeated estimate reports the identical float without a second
+        # sum; another warden object (equal rows) is summed on its own
+        sums = []
+
+        def counted(dmc, m):
+            sums.append((dmc, m))
+            return ppm_output_divergence(dmc, m)
+
+        monkeypatch.setattr(adversary, "ppm_output_divergence", counted)
+        sess = uniform_two_level_session(rng)
+        first = covertness_estimate(sess, 2, rng, bins=4).d_qppm_q0_exact
+        again = covertness_estimate(sess, 3, rng, bins=4).d_qppm_q0_exact
+        assert sums == [(sess.willie, 4)]
+        assert again.hex() == first.hex()
+        assert first == sess.ell * ppm_output_divergence(sess.willie, 4)
+        other = uniform_two_level_session(rng)
+        assert covertness_estimate(other, 2, rng, bins=4).d_qppm_q0_exact == first
+        assert sums == [(sess.willie, 4), (other.willie, 4)]
 
     @pytest.mark.parametrize("chunk, frames", [(3, [4] * 5), (8, [8, 8, 4]), (11, [8, 8, 4])])
     def test_chunks_hold_whole_blocks(self, chunk, frames, rng, monkeypatch):

@@ -1,3 +1,5 @@
+import sys
+import threading
 from unittest.mock import patch
 
 import numpy as np
@@ -11,11 +13,15 @@ from conftest import (
     sc_decode_reference,
     sc_f,
 )
-from covertppm import polar
-from covertppm.channels import bsc
+from covertppm import levels, parallel, polar
+from covertppm.channels import bac, bsc, make_dmc
 from covertppm.codec import build_session, encode_block, make_level_llr_sampler, run_chain
-from covertppm.levels import DEFAULT_LLR_MAX, level_capacity, msd_rate_plan
+from covertppm.levels import DEFAULT_LLR_MAX, level_capacity, level_law, msd_rate_plan
 from covertppm.polar import PolarLevelCode, construct_code, polar_transform, sc_decode
+
+# the genie pass and the sampler run on worker threads: a warning there (an
+# error state the workers did not inherit) fails the test that caused it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def noiseless_llrs(codeword: np.ndarray) -> np.ndarray:
@@ -638,3 +644,155 @@ class TestPolarLevelCode:
                              (0, [])]:
             with pytest.raises(ValueError):
                 PolarLevelCode(ell=ell, message=np.array(message, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# worker threads (covertppm.parallel): any worker count gives the same bits
+# ---------------------------------------------------------------------------
+
+WORKER_COUNTS = (1, 2, 3)  # 3 splits 8 tiles, and 2^19 LLRs, unevenly
+
+
+def _with_workers(monkeypatch, count: int, fn):
+    """``fn()`` inside a pool of ``count`` workers."""
+    monkeypatch.setattr(parallel, "worker_count", lambda: count)
+    with parallel.pool():
+        assert parallel.width() == count
+        return fn()
+
+
+def _by_worker_count(monkeypatch, fn) -> list:
+    return [_with_workers(monkeypatch, count, fn) for count in WORKER_COUNTS]
+
+
+@pytest.mark.parametrize("rows,ell", [(5, 2), (9, 4), (40, 64), (3, 1024), (128, 4096),
+                                      ((1 << 15) + 3, 4)],
+                         ids=["ell2", "ell4", "ell64", "ell1024", "ell4096", "rows-over-tile"])
+@pytest.mark.parametrize("tile", [polar._TILE, 40], ids=["tile", "small-tile"])
+def test_genie_pass_is_bitwise_equal_for_any_worker_count(rows, ell, tile, monkeypatch):
+    # ell = 2 and 4 give fewer tiles per stage than workers; the (3 + 2^15,
+    # 4) chunk has more rows than a tile, so each tile is one position row
+    rng = np.random.default_rng(ell + rows)
+    llrs = rng.normal(2.0, 3.0, size=(rows, ell))
+    hit = rng.random((rows, ell)) < 0.3
+    llrs[hit] = rng.choice(GENIE_POOL, size=int(hit.sum()))
+    monkeypatch.setattr(polar, "_TILE", tile)
+    with np.errstate(all="ignore"):
+        got = _by_worker_count(monkeypatch, lambda: polar._genie_decision_llrs(llrs.copy()))
+    for dec in got[1:]:
+        np.testing.assert_array_equal(_float_bits(dec), _float_bits(got[0]))
+
+
+@pytest.mark.parametrize("ch", [bsc(0.05), make_dmc([0.7, 0.2, 0.1], [0.2, 0.3, 0.5]),
+                                bac(0.05, 0.0)], ids=["bsc0.05", "ternary", "z"])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_sampler_is_bitwise_equal_for_any_worker_count(ch, level, monkeypatch):
+    # three tiles of the map and five LLRs more: each split ends mid-tile
+    count = 3 * levels._LLR_TILE + 5
+    sampler = make_level_llr_sampler(ch, level)
+    got = _by_worker_count(monkeypatch, lambda: sampler(count, np.random.default_rng(level)))
+    law = level_law(ch, level)
+    want = law.llrs(*law.draw(count, np.random.default_rng(level)))
+    for llrs in got:
+        np.testing.assert_array_equal(llrs.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("q,ell,blocks,extra", [
+    (4, 4096, 2, {"rate_scale": 0.6}),  # the chain benchmark's session
+    (10, 512, 1, {"resolvability": "extractor"}),  # the covert benchmark's
+], ids=["chain", "covert"])
+def test_benchmark_sessions_build_equal_codes_for_any_worker_count(q, ell, blocks, extra,
+                                                                   monkeypatch):
+    bob, willie = bsc(0.05), bsc(0.1)
+    plan = msd_rate_plan(bob, willie, q, 2.0 if q == 4 else 1.0, blocks, degraded=True,
+                         ell_override=ell)
+
+    def messages():
+        session = build_session(plan, bob, willie, np.random.default_rng([1, 1]),
+                                construction_trials=500, **extra)
+        return {i: code.message.tolist() for i, code in session.codes.items()}
+
+    got = _by_worker_count(monkeypatch, messages)
+    assert len(got[0]) == (4 if q == 4 else 8)
+    assert got[1] == got[0] and got[2] == got[0]
+
+
+def _faulty_chunk() -> np.ndarray:
+    # a (128, 4096) chunk whose first stage has 8 tiles of 256 positions:
+    # 1e300 + 1e300 overflows in tile 4, inf + -inf is invalid in tile 7, so
+    # with 2 and 3 workers a worker other than the first meets each fault
+    llrs = np.random.default_rng(3).normal(2.0, 3.0, size=(128, 4096))
+    llrs[5, [1030, 1030 + 2048]] = 1e300
+    llrs[9, [1900, 1900 + 2048]] = np.inf, -np.inf
+    return llrs
+
+
+def test_threaded_pass_raises_the_serial_floating_point_error(monkeypatch):
+    # the caller's error state reaches the workers, and the first fault in
+    # tile order is the one raised
+    chunk = _faulty_chunk()
+
+    def construct():
+        with pytest.raises(FloatingPointError) as info:
+            with np.errstate(all="raise"):
+                construct_code(lambda count, rng: chunk.copy().ravel(), 4096, 10, 128,
+                               np.random.default_rng(0))
+        return str(info.value)
+
+    got = []
+    for count in WORKER_COUNTS:
+        monkeypatch.setattr(parallel, "worker_count", lambda count=count: count)
+        got.append(construct())
+    assert "overflow" in got[0]
+    assert got == [got[0]] * len(WORKER_COUNTS)
+    with np.errstate(all="ignore"):  # the caller's state, not the default's
+        construct_code(lambda count, rng: chunk.copy().ravel(), 4096, 10, 128,
+                       np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+def test_construction_threads_end_with_the_call(fail, monkeypatch):
+    # three workers: two threads, started by the first chunk and joined on
+    # return or raise; a sampler's exception reaches the caller
+    monkeypatch.setattr(parallel, "worker_count", lambda: 3)
+    sampler = make_level_llr_sampler(bsc(0.1), 2)
+    before = threading.active_count()
+    during = []
+
+    def counted(count, rng):
+        during.append(threading.active_count())
+        if fail and len(during) == 2:
+            raise ValueError("sampler failed")
+        return sampler(count, rng)
+
+    if fail:
+        with pytest.raises(ValueError, match="sampler failed"):
+            construct_code(counted, 1024, 512, 1536, np.random.default_rng(0))
+    else:
+        construct_code(counted, 1024, 512, 1536, np.random.default_rng(0))
+    assert during[0] == before and before < during[1] <= before + 2
+    assert threading.active_count() == before
+
+
+def test_more_workers_than_cores_under_fast_switching_give_the_serial_code(monkeypatch):
+    # five workers and a thread switch every microsecond: a write lost or
+    # made to another worker's slice would change the message set
+    sampler = make_level_llr_sampler(bsc(0.1), 2)
+
+    def construct():
+        return construct_code(sampler, 1024, 512, 1100, np.random.default_rng(4)).message
+
+    monkeypatch.setattr(parallel, "worker_count", lambda: 1)
+    want = construct()
+    monkeypatch.setattr(parallel, "worker_count", lambda: 5)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: got.append(construct()))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and len(got) == 1
+    np.testing.assert_array_equal(got[0], want)
