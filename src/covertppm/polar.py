@@ -11,7 +11,7 @@ frozen to zero, which the symmetric level channels allow; a bit the receiver
 knows to be nonzero (a key bit) is a pin of the decoder instead.
 
 The decoder is successive cancellation (SC) organised as simplified SC
-(Alamdar-Yazdi & Kschischang, IEEE Comm. Letters 2011).  Each node returns
+(Alamdar-Yazdi & Kschischang, IEEE Comm. Letters 2011).  Each node computes
 its partial sums x (the transform of its slice of u), and u is recovered
 from the root's x with one transform, since G is an involution; the decoder
 returns both, so a multistage receiver needs no re-encoding.  Every node
@@ -37,22 +37,45 @@ the split computes SC's half sums v <- v[h:] + v[:h] in that pairing, as
 does the generated frozen-zero fold (below).  Single-parity-check nodes are
 absent too: their usual decoder is maximum likelihood, not SC.
 
+Which rule a node takes depends on the pattern of free, frozen and pinned
+positions alone, so it is worked out once per pattern, in the manner of the
+unrolled decoders of Giard, Sarkis, Thibeault & Gross (Fast software polar
+decoders, ICASSP 2014).  A plan (``_decoder_plan``) is a tree of node
+records, each with its span, whether each child is known (rate 0) and
+whether that child holds a pin, the rate-1 certificate's bound if all its
+positions are free, and a leaf's generated function (below).  It is built
+on the first decode of its pattern and kept per process in a
+least-recently-used cache, shared by every code; pin values are read at run
+time, so keyed blocks with fresh key bits reuse it.
+
+A decode walks its plan over buffers of its own, so calls are re-entrant
+and nothing is concatenated; in the manner of the per-stage LLR memory of
+Sarkis, Giard, Vardy, Thibeault & Gross (Fast polar decoders: algorithm and
+implementation, IEEE JSAC 2014), there is one child-LLR buffer per node
+size, and one temporary that holds nothing across a call, so every node
+shares it.  One array of partial sums holds the known values on entry, and
+each node writes its span of it in place: a known child's span already
+holds its values, transformed in place if it holds a pin, and a split ends
+with one in-place xor of its halves.  The check node f(a, b) =
+logaddexp(0, a + b) - logaddexp(a, b) runs as add, logaddexp, logaddexp and
+subtract into the buffers, and the bit node g = b + (1 - 2 xl) a as b + a,
+then b - a where xl is 1 (bit for bit the same: 1.0*a is a, and b + -a is
+b - a), or as b + a alone after a frozen child.
+
 Nodes of at most ``_FLOAT_NODE`` LLRs run a straight-line Python function
-instead, in the manner of the unrolled decoders of Giard, Sarkis, Thibeault
-& Gross (Fast software polar decoders, ICASSP 2014): plain SC written out
-for one pattern of free, frozen and pinned positions, on local floats, with
-no recursion, lists or numpy calls.  It depends on the pattern, not the
+instead: plain SC written out for one pattern, on local floats, with no
+recursion, lists or numpy calls.  It too depends on the pattern, not the
 code, so it is generated the first time any code meets the pattern and kept
 per process (``_subtree_decoder``); pin values are arguments, never part of
-the source, so keyed blocks with fresh key bits reuse it.  The function
-keeps the rules above: a known child yields the transform of its values, g
-after a frozen-zero partial sum is folded to b + a (bit for bit the general
-g), and a free node tests the rate-1 certificate at run time before it
-splits.  Every operation there is the IEEE double operation numpy performs
-(+, -, *, abs and comparisons), and f's logaddexp is ``_logaddexp``, which
-mirrors numpy's npy_logaddexp branch for branch on the same libm exp and
-log1p, so the two give the same LLRs (up to the sign of a NaN, which no
-decision reads) and the same decisions.
+the source.  The function keeps the rules above: a known child yields the
+transform of its values, g after a frozen-zero partial sum is folded to
+b + a (bit for bit the general g), and a free node tests the rate-1
+certificate at run time before it splits.  Every operation there is the
+IEEE double operation numpy performs (+, -, *, abs and comparisons), and f
+is ``_check``, one call in which each logaddexp mirrors numpy's
+npy_logaddexp branch for branch on the same libm exp and log1p, so the two
+give the same LLRs (up to the sign of a NaN, which no decision reads) and
+the same decisions.
 
 Construction is genie-aided Monte Carlo: transmit the all-zero codeword,
 compute every successive-cancellation decision LLR with all previous bits
@@ -196,17 +219,32 @@ _FLOAT_NODE = 16
 _FREE, _FROZEN, _PINNED = 0, 1, 2
 
 
-def _logaddexp(x: float, y: float) -> float:
-    # numpy's npy_logaddexp branch for branch, on the libm exp and log1p
-    # behind its float64 loop; math.log(2.0) is its NPY_LOGE2
-    if x == y:
-        return x + _LN2
-    tmp = x - y
-    if tmp > 0:
-        return x + math.log1p(math.exp(-tmp))
-    if tmp <= 0:
-        return y + math.log1p(math.exp(tmp))
-    return tmp
+def _check(p: float, q: float) -> float:
+    """The check node f(p, q) = logaddexp(0, p + q) - logaddexp(p, q).
+
+    Each logaddexp is numpy's npy_logaddexp branch for branch, on the libm
+    exp and log1p behind its float64 loop (math.log(2.0) is its
+    NPY_LOGE2), so f is numpy's bit for bit up to the sign of a NaN.  In
+    the first one x is 0.0: its x == y test reads s == 0, its x - y is -s,
+    and its 0.0 + log1p(...) is the log1p alone, which is never -0.0.
+    """
+    s = p + q
+    if s == 0.0:
+        u = _LN2
+    elif s < 0:
+        u = math.log1p(math.exp(s))
+    elif s > 0:
+        u = s + math.log1p(math.exp(-s))
+    else:
+        u = s
+    if p == q:
+        return u - (p + _LN2)
+    t = p - q
+    if t > 0:
+        return u - (p + math.log1p(math.exp(-t)))
+    if t <= 0:
+        return u - (q + math.log1p(math.exp(t)))
+    return u - t
 
 
 def _subtree_source(pattern: bytes) -> str:
@@ -216,9 +254,9 @@ def _subtree_source(pattern: bytes) -> str:
     position.  The function takes the subtree's LLRs as a list of floats,
     the decoder's known values ``v`` and the subtree's first position ``s``
     (a pinned position i reads ``v[s + i]``), and returns the subtree's
-    partial sums as a tuple of bits.  It is plain SC unrolled, with the node
-    rules of ``_ssc``: a known child yields the transform of its values, a
-    check node is f = logaddexp(0, a + b) - logaddexp(a, b), a bit node is
+    partial sums as a tuple of bits.  It is plain SC unrolled, with the
+    decoder's node rules: a known child yields the transform of its
+    values, a check node is ``_check(a, b)``, a bit node is
     g = b + (1 - 2 s) a, folded to b + a after a frozen-zero left partial
     sum, and a free node of two or more positions tests the rate-1
     certificate at run time before it splits.
@@ -282,8 +320,7 @@ def _subtree_source(pattern: bytes) -> str:
         if _FREE in pattern[lo:lo + h]:
             for p, q in zip(a, b):
                 left.append(fresh())
-                emit(depth, f"{left[-1]} = _logaddexp(0.0, {p} + {q})"
-                            f" - _logaddexp({p}, {q})")
+                emit(depth, f"{left[-1]} = _check({p}, {q})")
         xl = node(lo, h, left, depth)
         if _FREE in pattern[lo + h:lo + 2 * h]:
             for p, q, x in zip(a, b, xl):
@@ -303,52 +340,121 @@ def _subtree_source(pattern: bytes) -> str:
 # 10 kB); the chain, covert and keyed CI sessions meet 16, 17 and 4 patterns
 @functools.lru_cache(maxsize=1024)
 def _subtree_decoder(pattern: bytes):
-    scope = {"_logaddexp": _logaddexp}
+    scope = {"_check": _check}
     exec(_subtree_source(pattern), scope)
     return scope["decode"]
 
 
-def _known(start: int, end: int, known: list | None) -> np.ndarray:
-    # partial sums of a rate-0 node: the transform of its known values
-    if known is None or not any(known[start:end]):
-        return np.zeros(end - start, dtype=np.uint8)
-    return _butterfly(np.array(known[start:end], dtype=np.uint8))
+class _Node:
+    """A node of a decoder plan: its span [start, end) and, fixed by its
+    pattern, what a decode does there.
 
-
-def _ssc(llr: np.ndarray, start: int, pattern: bytes, known: list | None) -> np.ndarray:
-    """Partial sums of the node covering [start, start + len(llr)).
-
-    ``pattern`` holds every position's class (``_FREE``, ``_FROZEN`` or
-    ``_PINNED``) and ``known`` every position's known value, or is ``None``
-    without pins.  A node need not hold a free position: a rate-0 root
-    splits into known halves, and a rate-0 child yields its known values
-    without computing its LLRs.  A node of at most ``_FLOAT_NODE`` LLRs runs
-    its pattern's generated decoder.
+    ``leaf`` is the generated decoder of a node of at most ``_FLOAT_NODE``
+    positions, which does all of it.  ``low`` is the rate-1 certificate's
+    lower bound of a node whose positions are all free, else ``None``.
+    ``left`` and ``right`` are the children's plans, ``None`` for a known
+    (rate-0) child; ``pinned_left`` and ``pinned_right`` say whether a
+    known child holds a pin, so its partial sums are the transform of its
+    values, not zeros.
     """
-    n = llr.shape[0]
-    end = start + n
-    if n <= _FLOAT_NODE:
-        decode = _subtree_decoder(pattern[start:end])
-        return np.array(decode(llr.tolist(), known, start), dtype=np.uint8)
-    if pattern.count(_FREE, start, end) == n:
-        mag = np.abs(llr)
-        if mag.min() >= (n.bit_length() - 1) * _LN2 + 1.0 \
-                and mag.max() <= _RATE1_LLR_CAP:
-            return (llr < 0.0).view(np.uint8)
-    half = n // 2
-    mid = start + half
-    a, b = llr[:half], llr[half:]
-    if pattern.find(_FREE, start, mid) < 0:
-        xl = _known(start, mid, known)
-    else:
+
+    __slots__ = ("start", "mid", "end", "leaf", "low", "left", "right",
+                 "pinned_left", "pinned_right")
+
+    def __init__(self, pattern: bytes, start: int, end: int):
+        n = end - start
+        self.start, self.mid, self.end = start, start + n // 2, end
+        self.leaf = self.low = self.left = self.right = None
+        self.pinned_left = self.pinned_right = False
+        if n <= _FLOAT_NODE:
+            self.leaf = _subtree_decoder(pattern[start:end])
+            return
+        if pattern.count(_FREE, start, end) == n:
+            self.low = (n.bit_length() - 1) * _LN2 + 1.0
+        if pattern.find(_FREE, start, self.mid) >= 0:
+            self.left = _Node(pattern, start, self.mid)
+        else:
+            self.pinned_left = pattern.find(_PINNED, start, self.mid) >= 0
+        if pattern.find(_FREE, self.mid, end) >= 0:
+            self.right = _Node(pattern, self.mid, end)
+        else:
+            self.pinned_right = pattern.find(_PINNED, self.mid, end) >= 0
+
+
+# the plan of a pattern, shared by all codes.  A plan of length ell holds at
+# most ell / 8 nodes of about 100 bytes (a chain code at ell=4096: 310) and
+# keeps its leaves' generated decoders alive; the chain and keyed CI
+# sessions meet 4 patterns each
+@functools.lru_cache(maxsize=64)
+def _decoder_plan(pattern: bytes) -> _Node:
+    return _Node(pattern, 0, len(pattern))
+
+
+def _walk(node: _Node, llr: np.ndarray, x: np.ndarray, known: list | None,
+          child: np.ndarray, scratch: np.ndarray):
+    """Write the partial sums of ``node`` into ``x[node.start:node.end]``.
+
+    ``llr`` holds the node's LLRs and ``x``, a bool array, the decoder's
+    known values, zeros elsewhere; ``known`` is ``x`` as a list of ints for
+    the generated leaves, or ``None`` without pins.  A child of size h gets
+    its LLRs in ``child[h:2h]``, which no node below it touches;
+    ``scratch`` holds no value across a call, so every node shares it.  A
+    known child's partial sums are its span of ``x``, transformed in place
+    if it holds a pin.
+    """
+    start, mid, end = node.start, node.mid, node.end
+    if node.leaf is not None:
+        x[start:end] = node.leaf(llr.tolist(), known, start)
+        return
+    if node.low is not None:
+        mag = np.abs(llr, out=scratch[:end - start])
+        if mag.min() >= node.low and mag.max() <= _RATE1_LLR_CAP:
+            np.less(llr, 0.0, out=x[start:end])
+            return
+    h = mid - start
+    a, b, c = llr[:h], llr[h:], child[h:2 * h]
+    xl, xr = x[start:mid], x[mid:end]
+    if node.left is not None:
         # exact check-node combination log((1+e^(a+b))/(e^a+e^b)), stable form
-        f = np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
-        xl = _ssc(f, start, pattern, known)
-    if pattern.find(_FREE, mid, end) < 0:
-        xr = _known(mid, end, known)
-    else:
-        xr = _ssc(b + (1.0 - 2.0 * xl) * a, mid, pattern, known)
-    return np.concatenate((xl ^ xr, xr))
+        t = scratch[:h]
+        np.add(a, b, out=c)
+        np.logaddexp(0.0, c, out=c)
+        np.logaddexp(a, b, out=t)
+        np.subtract(c, t, out=c)
+        _walk(node.left, c, x, known, child, scratch)
+    elif node.pinned_left:
+        _butterfly(xl)
+    if node.right is not None:
+        # g = b + (1 - 2 xl) a; 1.0 * a is a and b + -a is b - a
+        np.add(b, a, out=c)
+        if node.left is not None or node.pinned_left:
+            np.subtract(b, a, out=c, where=xl)
+        _walk(node.right, c, x, known, child, scratch)
+    elif node.pinned_right:
+        _butterfly(xr)
+    np.bitwise_xor(xl, xr, out=xl)
+
+
+def _pin_arrays(pins, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    # the positions and values of sc_decode's pins, checked
+    idx, values = np.asarray(pins[0]), np.asarray(pins[1])
+    if idx.ndim != 1:
+        raise ValueError(f"pin positions must be a 1-D array, got shape {idx.shape}")
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"pin positions must be integers, got {idx.dtype}")
+    if values.shape != idx.shape:
+        raise ValueError(f"pin values must be a 1-D array of one value per position "
+                         f"({idx.size}), got shape {values.shape}")
+    if not np.all((values == 0) | (values == 1)):
+        raise ValueError("pin values must be 0 or 1")
+    idx = idx.astype(np.int64)
+    outside = idx[(idx < 0) | (idx >= ell)]
+    if outside.size:
+        raise ValueError(f"pin position {outside[0]} outside [0, {ell})")
+    seen, counts = np.unique(idx, return_counts=True)
+    if np.any(counts > 1):
+        raise ValueError(f"pin position {seen[counts > 1][0]} given twice")
+    return idx, values
 
 
 def sc_decode(
@@ -360,34 +466,31 @@ def sc_decode(
 
     ``pins`` optionally forces extra positions to known values (receiver-side
     key bits, each 0 or 1); pinned positions behave exactly like frozen ones.
-    A pin value other than 0 or 1, and a pin position outside [0, ell) or
-    given twice, raise ``ValueError``.  Returns ``(u_hat, x_hat)``: the decided input bits and their codeword
+    The positions must be a 1-D integer array and the values a 1-D array of
+    the same length; other shapes or types, a pin value other than 0 or 1,
+    and a pin position outside [0, ell) or given twice raise ``ValueError``.
+    Returns ``(u_hat, x_hat)``: the decided input bits and their codeword
     ``x_hat = u_hat G``, which the decoder holds as the root's partial sums;
     the information bits are ``u_hat[code.message]``.  Deterministic given
-    its inputs; ties (LLR exactly zero) resolve to bit 0.
+    its inputs; ties (LLR exactly zero) resolve to bit 0.  Re-entrant: each
+    call works in buffers of its own, and the cached plans are read-only.
     """
     llr = np.asarray(channel_llrs, dtype=np.float64)
     if llr.shape != (code.ell,):
         raise ValueError(f"need {code.ell} channel LLRs, got {llr.shape}")
     pattern = np.full(code.ell, _FROZEN, dtype=np.uint8)
     pattern[code.message] = _FREE
+    x = np.zeros(code.ell, dtype=np.bool_)
     known = None
     if pins is not None:
-        idx, values = np.asarray(pins[0], dtype=np.int64), np.asarray(pins[1])
-        if not np.all((values == 0) | (values == 1)):
-            raise ValueError("pin values must be 0 or 1")
-        outside = idx[(idx < 0) | (idx >= code.ell)]
-        if outside.size:
-            raise ValueError(f"pin position {outside[0]} outside [0, {code.ell})")
-        seen, counts = np.unique(idx, return_counts=True)
-        if np.any(counts > 1):
-            raise ValueError(f"pin position {seen[counts > 1][0]} given twice")
+        idx, values = _pin_arrays(pins, code.ell)
         pattern[idx] = _PINNED
-        vals = np.zeros(code.ell, dtype=np.uint8)
-        vals[idx] = values
-        known = vals.tolist()
+        x[idx] = values
+        known = x.view(np.uint8).tolist()
+    _walk(_decoder_plan(pattern.tobytes()), llr, x, known,
+          np.empty(code.ell), np.empty(code.ell))
+    x_hat = x.view(np.uint8)
     # the codeword x = u G; G is an involution, so u = x G
-    x_hat = _ssc(llr, 0, pattern.tobytes(), known)
     return _butterfly(x_hat.copy()), x_hat
 
 
@@ -541,6 +644,9 @@ def construct_code(
 
             parallel.run(tally, parallel.split(ell, parallel.width()))
             done += n
+            # free this chunk's two buffers before the next draw, or they
+            # stay alive during it
+            del llrs, dec
     # error count first; ties (channels too good to fail in `trials` runs)
     # broken by the mean decision LLR, a smooth reliability proxy
     order = np.lexsort((np.arange(ell), -llr_sum, err))

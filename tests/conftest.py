@@ -228,6 +228,23 @@ def sc_f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
 
 
+def scalar_logaddexp(x: float, y: float) -> float:
+    """numpy's npy_logaddexp branch for branch, on Python's math module.
+
+    math's exp and log1p are the libm calls behind numpy's float64
+    logaddexp loop, and math.log(2.0) is its NPY_LOGE2; the decoder's
+    generated subtree functions compute f with this arithmetic.
+    """
+    if x == y:
+        return x + math.log(2.0)
+    tmp = x - y
+    if tmp > 0:
+        return x + math.log1p(math.exp(-tmp))
+    if tmp <= 0:
+        return y + math.log1p(math.exp(tmp))
+    return tmp
+
+
 def genie_f(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The genie pass's box-plus check node, one ufunc for each of its own.
 

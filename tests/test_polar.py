@@ -1,5 +1,6 @@
 import sys
 import threading
+import weakref
 from unittest.mock import patch
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     genie_decision_llrs_reference,
     pyramid_level_llrs,
+    scalar_logaddexp,
     sc_decode_reference,
     sc_f,
 )
@@ -172,6 +174,33 @@ class TestScDecode:
         with pytest.raises(ValueError, match=named):
             sc_decode(np.ones(32), code, pins=(np.array(positions), np.ones(len(positions))))
 
+    @pytest.mark.parametrize("positions, values, named", [
+        ([3.7, 5.2], [1, 1], "pin positions must be integers, got float64"),
+        ([3.0, 5.0], [1, 1], "pin positions must be integers, got float64"),
+        ([True, False], [1, 1], "pin positions must be integers, got bool"),
+        ([3, 5], 1, r"one value per position \(2\), got shape \(\)"),
+        ([3, 5], [1], r"one value per position \(2\), got shape \(1,\)"),
+        ([3, 5], [[1, 0]], r"one value per position \(2\), got shape \(1, 2\)"),
+        ([[3, 5]], [[1, 0]], r"pin positions must be a 1-D array, got shape \(1, 2\)"),
+        (3, 1, r"pin positions must be a 1-D array, got shape \(\)"),
+    ])
+    def test_malformed_pins_rejected(self, positions, values, named):
+        # a cast to int64 truncated 3.7 to 3, a scalar value was broadcast
+        # to every position, and 2-D arrays were read flat
+        code = PolarLevelCode(ell=32, message=np.arange(8, 32))
+        with pytest.raises(ValueError, match=named):
+            sc_decode(np.ones(32), code, pins=(np.array(positions), np.array(values)))
+
+    def test_pins_of_any_integer_type_and_empty_pins_accepted(self):
+        code = PolarLevelCode(ell=32, message=np.arange(8, 32))
+        llrs = np.linspace(-3.0, 3.0, 32)
+        want = sc_decode(llrs, code, pins=(np.array([9, 20]), np.array([1, 0])))
+        for idx in (np.array([9, 20], np.uint8), [9, 20], (9, 20)):
+            got = sc_decode(llrs, code, pins=(idx, np.array([True, False])))
+            np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(sc_decode(llrs, code, pins=([], []))[0],
+                                      sc_decode(llrs, code)[0])
+
     @pytest.mark.parametrize("llrs", [(0.0, -1.0), (1e-9, -1e-9), (-0.0, -40.0),
                                       (1e-300, -1e-300)])
     def test_rate_one_ties_follow_sc(self, llrs):
@@ -291,8 +320,10 @@ def test_sc_decode_bitwise_equals_reference(log_ell, mask_kind, source,
 
 
 def _generated_patterns(monkeypatch) -> list:
-    """Clear the process's generated decoders; returns the list of patterns
-    that are generated from then on."""
+    """Clear the process's generated decoders, and the decoder plans that
+    hold them; returns the list of patterns that are generated from then
+    on."""
+    polar._decoder_plan.cache_clear()
     polar._subtree_decoder.cache_clear()
     generated = []
     source = polar._subtree_source
@@ -368,6 +399,73 @@ def test_generated_decoders_stay_within_the_cache_cap(monkeypatch):
     assert len(set(generated)) == cap + 40
 
 
+def test_decoder_plans_stay_within_the_cache_cap():
+    # one plan per pattern of 32 positions (a split over two generated
+    # leaves), until more plans have been built than the cache keeps; the
+    # first ones are then decoded again after their plans were dropped
+    polar._decoder_plan.cache_clear()
+    cap = polar._decoder_plan.cache_info().maxsize
+    rng = np.random.default_rng(6)
+    for number in [*range(cap + 40), *range(20)]:
+        frozen = np.flatnonzero(number >> np.arange(8) & 1) * 4
+        code = _code(32, frozen)
+        pins = (frozen[::2], rng.integers(0, 2, size=frozen[::2].shape[0], dtype=np.uint8))
+        llrs = rng.choice(LLR_POOL, size=32)
+        got = sc_decode(llrs, code, pins=pins)
+        want = sc_decode_reference(llrs, code, pins=pins)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+    info = polar._decoder_plan.cache_info()
+    assert info.currsize == cap
+    assert info.misses == cap + 60
+
+
+def test_threads_decoding_at_once_give_the_serial_bits():
+    # the decoder keeps its buffers per call and its plans read-only: codes
+    # of several lengths and patterns, with pins and pool LLRs, decoded by
+    # more threads than cores under fast switching, each from a cold plan
+    # cache, give what one thread gives
+    rng = np.random.default_rng(8)
+    jobs = []
+    for log_ell in (5, 7, 9, 10, 11):
+        ell = 1 << log_ell
+        for kind in ("weight", "random"):
+            code = _code(ell, _frozen_set(kind, ell, rng))
+            idx = code.message[rng.random(code.message.shape[0]) < 0.2]
+            pins = (idx, rng.integers(0, 2, size=idx.shape[0], dtype=np.uint8))
+            jobs.append((rng.choice(LLR_POOL, size=ell), code, pins))
+    serial = [sc_decode(*job[:2], pins=job[2]) for job in jobs]
+    for (llrs, code, pins), (u_hat, x_hat) in zip(jobs, serial):
+        u_ref, x_ref = sc_decode_reference(llrs, code, pins=pins)
+        np.testing.assert_array_equal(u_hat, u_ref)
+        np.testing.assert_array_equal(x_hat, x_ref)
+    polar._decoder_plan.cache_clear()
+    results = [[] for _ in range(6)]
+
+    def decode_all(out: list, order: list):
+        for k in order:
+            out.append((k, sc_decode(*jobs[k][:2], pins=jobs[k][2])))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=decode_all,
+                                    args=(out, list(rng.permutation(len(jobs))) * 2))
+                   for out in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    for out in results:
+        assert len(out) == 2 * len(jobs)
+        for k, (u_hat, x_hat) in out:
+            np.testing.assert_array_equal(u_hat, serial[k][0])
+            np.testing.assert_array_equal(x_hat, serial[k][1])
+
+
 # inputs of the genie pass: signed zeros, tiny and huge magnitudes, and the
 # non-finite values that turn f into NaN
 GENIE_POOL = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, np.inf, -np.inf,
@@ -382,18 +480,34 @@ def _float_bits(x: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(x), np.nan, x).view(np.int64)
 
 
-def test_scalar_logaddexp_bitwise_equals_numpy():
-    # the float path of the decoder computes f with polar._logaddexp; a
-    # platform whose math and numpy libm calls differ fails here
+def _scalar_grid() -> tuple[np.ndarray, np.ndarray]:
+    # every pair of signed zeros, subnormals, +-inf, NaN, values either side
+    # of exp's underflow and overflow, and random normals
     rng = np.random.default_rng(11)
     grid = np.array([0.0, 5e-324, 2.5e-310, np.finfo(float).tiny, 1e-300,
                      1e300, np.inf, np.nan, 0.5, 1.0, 36.0, 745.0, 1e20])
     grid = np.concatenate([grid, -grid, rng.normal(0.0, 4.0, 40),
                            rng.normal(0.0, 50.0, 40)])
-    x, y = (v.ravel() for v in np.meshgrid(grid, grid))
-    got = np.array([polar._logaddexp(p, q) for p, q in zip(x.tolist(), y.tolist())])
+    return tuple(v.ravel() for v in np.meshgrid(grid, grid))
+
+
+def test_scalar_logaddexp_bitwise_equals_numpy():
+    # the generated subtree decoders compute logaddexp with math's exp and
+    # log1p; a platform whose math and numpy libm calls differ fails here
+    x, y = _scalar_grid()
+    got = np.array([scalar_logaddexp(p, q) for p, q in zip(x.tolist(), y.tolist())])
     with np.errstate(invalid="ignore"):
         want = np.logaddexp(x, y)
+    np.testing.assert_array_equal(_float_bits(got), _float_bits(want))
+
+
+def test_check_node_bitwise_equals_numpy():
+    # the generated subtree decoders' check node, one call for numpy's two
+    # logaddexp calls; every NaN counts as one value
+    x, y = _scalar_grid()
+    got = np.array([polar._check(p, q) for p, q in zip(x.tolist(), y.tolist())])
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.logaddexp(0.0, x + y) - np.logaddexp(x, y)
     np.testing.assert_array_equal(_float_bits(got), _float_bits(want))
 
 
@@ -562,6 +676,22 @@ class TestConstruction:
             llr_sum += dec.sum(axis=1)
         order = np.lexsort((np.arange(ell), -llr_sum, err))
         np.testing.assert_array_equal(code.message, np.sort(order[:ell // 2]))
+
+    def test_each_chunk_is_freed_before_the_next_draw(self):
+        # the construction holds one chunk at a time: when the sampler is
+        # called again, no array it returned before is alive (the previous
+        # chunk's LLRs, or the genie pass's buffers, which view them)
+        sampler = make_level_llr_sampler(bsc(0.1), 2)
+        returned = []
+
+        def watched(count, rng):
+            assert all(ref() is None for ref in returned)
+            llrs = sampler(count, rng)
+            returned.append(weakref.ref(llrs))
+            return llrs
+
+        construct_code(watched, 1024, 512, 1600, np.random.default_rng(7))
+        assert len(returned) == 4
 
     def test_target_out_of_range(self, rng):
         sampler = make_level_llr_sampler(bsc(0.1), 1)
