@@ -36,7 +36,14 @@ import numpy as np
 
 from . import codec
 from .channels import Dmc
-from .levels import level_law, level_llrs, likelihood_sums, select_positions_batch
+from .levels import (
+    LevelLaw,
+    level_law,
+    level_llrs,
+    likelihood_sums,
+    llrs_from_sums,
+    select_positions_batch,
+)
 from .ppm import PpmFrame, SuperOutput, ppm_divergence_bound, ppm_output_divergence
 
 
@@ -488,15 +495,96 @@ def _mixture_statistic(willie: Dmc, output: SuperOutput) -> float:
     return float(_mixture_statistics(willie, output, 1)[0])
 
 
-def _reference_halves(willie: Dmc, i: int, bits: np.ndarray, rng: np.random.Generator):
-    """Atom indices into ``level_law(willie, i)`` of the level-i half
-    histograms of uniform PPM with level bits ``bits``: one bit-0 pair per
-    row from the law's own draw, its halves swapped where the bit is 1 (the
-    LLR is then one of swapped sums, never a negation, so it lands on the
-    same atoms as the scheme side's)."""
-    pulse, plain = level_law(willie, i).draw(bits.shape[0], rng)
+def _level_statistics(willie: Dmc, output: SuperOutput, pulses: np.ndarray) -> np.ndarray:
+    """The (q, rows) level statistics of a channel output whose rows hold
+    their pulses at the 0-based positions ``pulses``: level i's halves are
+    gathered at the block index pulses >> i (``select_positions_batch``),
+    levels 1..q in turn, and one ``level_llrs`` call forms every level's
+    LLRs from the stacked halves."""
+    halves = [select_positions_batch(output, pulses >> i, i)
+              for i in range(1, output.q + 1)]
+    first, second = (np.concatenate(side) for side in zip(*halves))
+    return level_llrs(first, second, willie.lam).reshape(output.q, -1)
+
+
+def _reference_halves(law: LevelLaw, bits: np.ndarray, u: np.ndarray):
+    """Atom indices into ``law`` of the half histograms of uniform PPM with
+    level bits ``bits``: one bit-0 pair per row from the uniform pairs ``u``
+    (2, rows), mapped as ``law.draw`` maps them (``LevelLaw.atoms``), its
+    halves swapped where the bit is 1 (the LLR is then one of swapped sums,
+    never a negation, so it lands on the same atoms as the scheme side's)."""
+    pulse, plain = law.atoms(u)
     one = bits == 1
     return np.where(one, plain, pulse), np.where(one, pulse, plain)
+
+
+def _reference_statistics(willie: Dmc, q: int, rows: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """The (q, rows) level statistics of ``rows`` super-symbols of uniform
+    PPM, drawn from the level laws: the (q, rows) uniform level bits, then
+    every level's uniform pairs in one (q, 2, rows) draw, the stream of q
+    ``LevelLaw.draw`` calls of levels 1..q.  Each level maps its pairs to
+    likelihood sums through its own law (``_reference_halves``), and one
+    ``llrs_from_sums`` call forms every level's LLRs."""
+    bits = rng.integers(0, 2, size=(q, rows), dtype=np.uint8)
+    u = rng.random((q, 2, rows))
+    sums = np.empty((2, q, rows))
+    for i in range(1, q + 1):
+        law = level_law(willie, i)
+        for side, atoms in zip(sums, _reference_halves(law, bits[i - 1], u[i - 1])):
+            law.sums.take(atoms, out=side[i - 1])
+    return llrs_from_sums(*sums)
+
+
+def _quantile_edges(pooled: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """``np.quantile(row, probs)`` of each sorted row of ``pooled``, read
+    straight off its order statistics by numpy's default (``linear``) rule:
+    the virtual index v = (n - 1) p, the order statistics a and b at its
+    floor and the next index (both the last one where v >= n - 1, the floor
+    then taken as -1), gamma = v - floor, and a + (b - a) gamma, or
+    b - (b - a)(1 - gamma) where gamma >= 0.5.  Bitwise np.quantile's,
+    except that a zero edge of a row holding both -0.0 and 0.0 may differ in
+    sign: np.quantile reads the order statistics off a partition, which
+    may swap tied zeros."""
+    n = pooled.shape[1]
+    virtual = (n - 1) * probs
+    below = np.floor(virtual)
+    above = below + 1
+    top = virtual >= n - 1
+    below[top] = above[top] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    gamma = virtual - below
+    a, b = pooled[:, below], pooled[:, above]
+    diff = b - a
+    edges = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=edges, where=gamma >= 0.5)
+    return edges
+
+
+def _level_tvs(scheme: np.ndarray, reference: np.ndarray, bins: int) -> list[float]:
+    """Per level (row), the total variation between the scheme's and the
+    reference's statistics on ``bins`` cells cut at the pooled statistics'
+    quantiles, a cell holding the values above one edge and at most the
+    next.  The (q, 2N) pool is sorted once and every level's edges read off
+    it (``_quantile_edges``); each cell count comes from ``searchsorted``
+    on a sorted row, the reference's as the pool's less the scheme's.
+    Sorts both arrays in place."""
+    q, n = scheme.shape
+    pooled = np.concatenate([scheme, reference], axis=1)
+    pooled.sort(axis=1)
+    scheme.sort(axis=1)
+    edges = _quantile_edges(pooled, np.linspace(0, 1, bins + 1)[1:-1])
+    # per level, how many of the scheme's and of the reference's statistics
+    # are at most each edge (the pool's less the scheme's), from 0 below the
+    # first cell to n above the last
+    at_most = np.zeros((2, q, bins + 1), dtype=np.intp)
+    at_most[:, :, -1] = n
+    for i, cuts in enumerate(edges):
+        at_most[0, i, 1:-1] = np.searchsorted(scheme[i], cuts, side="right")
+        at_most[1, i, 1:-1] = np.searchsorted(pooled[i], cuts, side="right")
+    at_most[1, :, 1:-1] -= at_most[0, :, 1:-1]
+    cells = np.diff(at_most, axis=2) / n
+    return (0.5 * np.abs(cells[0] - cells[1]).sum(axis=1)).tolist()
 
 
 def _innocent_roots(willie: Dmc, m: int, ell: int, rng: np.random.Generator) -> np.ndarray:
@@ -543,21 +631,29 @@ def covertness_estimate(
     super-symbols, so the blocks differ only in their rows: the blocks of a
     chunk of at most ``_CHUNK_ROWS`` super-symbols (whole blocks, at least
     one) go through Willie's channel as one frame, along their pulse paths
-    (``ppm.transmit_super``), and each level's statistic reads that frame's
-    path histograms once (``select_positions_batch``, ``level_llrs``), the
-    mixture statistic its root histograms once, summed per block.  The
-    chunks bound the working memory; the statistics kept for the TVs take
-    16 q bytes per super-symbol.  The two other sides are drawn, per chunk,
-    in the statistics they are read through: the reference's level-i
-    statistic from a pair of half histograms per super-symbol, drawn as
-    atoms of the level's exact law (``_reference_halves``,
-    ``levels.level_law``), the innocent mixture statistic from one
-    Multinomial(m, Q0) root histogram per super-symbol.  Each per-level TV
-    reads one level's marginal and alpha the root histograms only, so every
-    reported law is that of whole channel outputs.  The exact divergence
-    (``ppm.ppm_output_divergence``) depends on the warden and m alone: it
-    is computed once per (warden, m), by identity, and kept in a cache of
-    ``DIVERGENCE_CACHE_SIZE`` values.
+    (``ppm.transmit_super``).  Every later step makes one pass over all q
+    levels, not one per level.  Per chunk, each level's halves are gathered
+    at the block index read from the frame's pulse positions
+    (``select_positions_batch``), and one ``level_llrs`` call forms every
+    level's statistics (``_level_statistics``); the mixture statistic reads
+    the root histograms once, summed per block.  The two other sides are
+    drawn in the statistics they are read through: the reference's level-i
+    statistic from a pair of half histograms per super-symbol, atoms of the
+    level's exact law (``levels.level_law``), every level's in one draw and
+    one ``llrs_from_sums`` call (``_reference_statistics``); the innocent
+    mixture statistic from one Multinomial(m, Q0) root histogram per
+    super-symbol.  After the last chunk, one sort of the (q, 2 blocks ell)
+    pool of both sides' statistics gives every level's quantile edges, read
+    straight off the order statistics by ``np.quantile``'s rule, and one
+    sort of the scheme's statistics gives, with the pool, every cell count
+    by ``searchsorted`` (``_level_tvs``).  The chunks bound the working
+    memory of the draws; the statistics kept for the TVs take 16 q bytes
+    per super-symbol, and their sorted pool as much again.  Each per-level
+    TV reads one level's marginal and alpha the root histograms only, so
+    every reported law is that of whole channel outputs.  The exact
+    divergence (``ppm.ppm_output_divergence``) depends on the warden and m
+    alone: it is computed once per (warden, m), by identity, and kept in a
+    cache of ``DIVERGENCE_CACHE_SIZE`` values.
 
     Draw order: the four ``SeedSequence`` children of
     ``_STREAM_SEED_WORDS`` words drawn from ``rng`` seed one generator per
@@ -566,8 +662,9 @@ def covertness_estimate(
     1. encoding: per block, each level's payload then each level's keys
        (levels 1..u), then ``encode_block``'s own draws;
     2. channel: one ``transmit_block`` of the chunk's frame;
-    3. reference: the (q, rows) uniform level bits, then each level's
-       atom pairs, levels 1..q;
+    3. reference: the (q, rows) uniform level bits, then the uniform atom
+       pairs of all levels in one (q, 2, rows) draw, level 1 first, which is
+       the stream of one ``LevelLaw.draw`` per level, levels 1..q;
     4. innocent: one Multinomial(m, Q0) root histogram per row.
 
     So a change to one stage's draws moves no other stage's fields.
@@ -591,7 +688,7 @@ def covertness_estimate(
     for first in range(0, blocks, per_chunk):
         n = min(per_chunk, blocks - first)
         rows = slice(first * ell, (first + n) * ell)
-        positions, level_bits = [], []
+        positions = []
         for _ in range(n):
             messages = {
                 i: encoding.integers(0, 2,
@@ -604,36 +701,17 @@ def covertness_estimate(
                 for i in range(1, session.u + 1)
             }
             # looked up per block, so a replaced codec.encode_block is the one run
-            frame, tx = codec.encode_block(session, messages, keys, encoding)
-            positions.append(frame.positions)
-            level_bits.append(tx.level_bits)
-        bits = np.concatenate(level_bits, axis=1)
-        willie_out = codec.transmit_block(
-            session, PpmFrame(q, np.concatenate(positions)), channel, to_willie=True)
-        for i in range(1, q + 1):
-            scheme_stats[i - 1, rows] = level_llrs(
-                *select_positions_batch(willie_out, bits[i:], i), willie.lam)
+            block, _ = codec.encode_block(session, messages, keys, encoding)
+            positions.append(block.positions)
+        frame = PpmFrame(q, np.concatenate(positions))
+        willie_out = codec.transmit_block(session, frame, channel, to_willie=True)
+        scheme_stats[:, rows] = _level_statistics(willie, willie_out, frame.positions - 1)
         scheme_lr[first:first + n] = _mixture_statistics(willie, willie_out, n)
-
-        ref_bits = reference.integers(0, 2, size=(q, n * ell), dtype=np.uint8)
-        for i in range(1, q + 1):
-            ref_stats[i - 1, rows] = level_law(willie, i).llrs(
-                *_reference_halves(willie, i, ref_bits[i - 1], reference))
-
+        ref_stats[:, rows] = _reference_statistics(willie, q, n * ell, reference)
         innocent_lr[first:first + n] = _root_mixture_statistics(
             willie, _innocent_roots(willie, m, n * ell, innocent), m, n)
 
-    level_tv: dict[int, float] = {}
-    for i, (a, r) in enumerate(zip(scheme_stats, ref_stats), start=1):
-        # the same order statistics as the unsorted pool's, so the same
-        # edges, but np.quantile's partition of a sorted pool is far faster
-        pooled = np.sort(np.concatenate([a, r]))
-        edges = np.quantile(pooled, np.linspace(0, 1, bins + 1)[1:-1])
-        ha = np.bincount(np.digitize(a, edges, right=True), minlength=bins)
-        hr = np.bincount(np.digitize(r, edges, right=True), minlength=bins)
-        level_tv[i] = 0.5 * float(
-            np.abs(ha / a.shape[0] - hr / r.shape[0]).sum()
-        )
+    level_tv = dict(enumerate(_level_tvs(scheme_stats, ref_stats, bins), start=1))
 
     alpha = float(np.mean(innocent_lr > 0.0))
     beta = float(np.mean(scheme_lr <= 0.0))

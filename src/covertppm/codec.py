@@ -349,16 +349,20 @@ def decode_block(
         x_hat[u:] = tx.level_bits[u:]
         genie = list(range(u + 1, q + 1))
 
+    # the block index d(x_hat[i:q]) of level i's subblock, kept from level q down
+    d = np.zeros(ell, dtype=np.int64)
+    for i in range(q, u, -1):
+        d = 2 * d + x_hat[i - 1]
     decoded: dict[int, np.ndarray] = {}
     errors: dict[int, bool] = {}
     for i in range(u, 0, -1):
         lay = session.layouts[i]
         code = session.codes[i]
-        llrs = level_llrs(*select_positions_batch(received, x_hat[i:q], i),
-                          session.bob.lam)
+        llrs = level_llrs(*select_positions_batch(received, d, i), session.bob.lam)
         key = _level_bits(keys, i, lay.n_key, "key")
         pins = (code.message[:lay.n_key], key) if lay.n_key else None
         u_hat, x_hat[i - 1] = sc_decode(llrs, code, pins=pins)
+        d = 2 * d + x_hat[i - 1]
         decoded[i] = u_hat[code.message[lay.n_key:]]
         if tx is not None:
             errors[i] = bool(np.any(decoded[i] != tx.messages[i]))

@@ -39,8 +39,9 @@ super-channel blocklength matched to the covertness budget.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,7 +52,6 @@ from .ppm import (
     EnumerationBudgetError,
     SuperOutput,
     all_histograms,
-    decimal_values,
     ppm_output_divergence,
 )
 
@@ -393,24 +393,25 @@ def throughput_summary(
 # ---------------------------------------------------------------------------
 
 def select_positions_batch(
-    output: SuperOutput, high_bits: np.ndarray, i: int
+    output: SuperOutput, blocks: np.ndarray, i: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Output histograms of the two halves of each selected level-i subblock.
 
-    ``high_bits`` is (q - i, ell) with row t being level i+1+t.  Each row's
-    subblock is the 2^i coordinates whose level bits i+1..q match the higher
-    bits: the aligned width-2^i block at index d(higher bits), whose first
-    half belongs to level bit x_i = 0.  Its halves are the aligned
-    width-2^(i-1) blocks 2d and 2d+1, so the returned (ell, |Z|) counts of
-    the first and the second half are two views of one gather from level
-    i-1 of the output's histogram pyramid.
+    ``blocks`` is the (ell,) index d of each row's subblock, the aligned
+    width-2^i block of the coordinates whose level bits i+1..q are the
+    row's higher bits: d = d(higher bits), which for the bits sent is
+    (pulse position - 1) >> i.  Its first half belongs to level bit
+    x_i = 0.  Its halves are the aligned width-2^(i-1) blocks 2d and 2d+1,
+    so the returned (ell, |Z|) counts of the first and the second half are
+    two views of one gather from level i-1 of the output's histogram
+    pyramid.
     """
     q, ell = output.q, output.ell
     if not 1 <= i <= q:
         raise ValueError(f"level must lie in [1, {q}], got {i}")
-    if high_bits.shape != (q - i, ell):
-        raise ValueError("high_bits must have shape (q - i, ell)")
-    first = 2 * decimal_values(high_bits)
+    if blocks.shape != (ell,):
+        raise ValueError(f"blocks must have shape ({ell},), got {blocks.shape}")
+    first = 2 * blocks
     halves = output.block_histograms(i - 1, np.stack([first, first + 1], axis=1))
     return halves[:, 0], halves[:, 1]
 
@@ -542,13 +543,24 @@ class LevelLaw:
         histograms."""
         return llrs_from_sums(self.sums[first], self.sums[second])
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the law's tables and its two samplers."""
+        arrays = (self.histograms, self.pulse_pmf, self.plain_pmf, self.sums,
+                  self.pulse.cdf, self.pulse.guide, self.plain.cdf, self.plain.guide)
+        return sum(a.nbytes for a in arrays)
 
-#: level laws kept in memory, least recently used out first; a session
-#: reads at most one per level for each channel
-LAW_CACHE_SIZE = 64
+
+#: bytes of level laws kept in memory, least recently used out first; a law
+#: larger than this is built for its caller and not kept.  A session reads
+#: at most one law per level for each channel, 7.6 MiB for bsc(0.1) at
+#: levels 1..16; the largest binary law under the type budget (bsc(0.1) at
+#: level 21) holds 57 MiB
+LAW_CACHE_BYTES = 1 << 27
+_laws: OrderedDict[tuple[Dmc, int], LevelLaw] = OrderedDict()
+_laws_lock = threading.Lock()
 
 
-@lru_cache(maxsize=LAW_CACHE_SIZE)
 def level_law(dmc: Dmc, i: int) -> LevelLaw:
     """The exact law of level ``i``'s pair of half histograms under bit 0.
 
@@ -562,7 +574,8 @@ def level_law(dmc: Dmc, i: int) -> LevelLaw:
     Probabilities come from log-factorials ``math.lgamma(k + 1)`` as in
     :func:`~covertppm.ppm.ppm_output_divergence`, so none underflows before
     its product.  Cached per (channel, level), by identity, in a cache of
-    ``LAW_CACHE_SIZE`` laws.
+    at most ``LAW_CACHE_BYTES`` bytes (:attr:`LevelLaw.nbytes`), least
+    recently used out first.
 
     Refuses with :class:`~covertppm.ppm.EnumerationBudgetError`, before
     any table is built, when the histograms, or the draws h whose
@@ -573,6 +586,23 @@ def level_law(dmc: Dmc, i: int) -> LevelLaw:
     budget.  A channel with mass off row0's support adds the pulse's
     histograms that hold one such output.
     """
+    key = (dmc, i)
+    with _laws_lock:
+        law = _laws.get(key)
+        if law is not None:
+            _laws.move_to_end(key)
+            return law
+    law = _build_level_law(dmc, i)
+    with _laws_lock:
+        law = _laws.setdefault(key, law)  # another thread may have built it
+        _laws.move_to_end(key)
+        held = sum(kept.nbytes for kept in _laws.values())
+        while held > LAW_CACHE_BYTES:
+            held -= _laws.popitem(last=False)[1].nbytes
+    return law
+
+
+def _build_level_law(dmc: Dmc, i: int) -> LevelLaw:
     if i < 1:
         raise ValueError("level index must be >= 1")
     h = 1 << (i - 1)

@@ -48,6 +48,10 @@ drawn half-histogram pairs and root histograms, which ``atom_counts`` and
 ``verify_degradation`` composes a channel with a given intermediate channel,
 and ``degradation_residual_lp`` finds the best intermediate by a linear
 program: the ROC test of ``is_degraded`` must agree with them.
+``covertness_estimate_reference`` is the estimate's one pass per level
+(each level's statistics, reference draws and quantile binning on its own,
+``level_tvs_reference``): ``covertness_estimate``, which makes each of
+those passes once over all levels, must return an equal report.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ from scipy.optimize import linprog
 from scipy.special import gammaln
 from scipy.stats import chisquare, multinomial
 
-from covertppm.adversary import DetectionReport
+from covertppm import adversary, codec
+from covertppm.adversary import CovertnessEstimate, DetectionReport
 from covertppm.channels import ROW_SUM_TOL, ChannelError, Dmc
 from covertppm.extractor import is_irreducible
 from covertppm.levels import (
@@ -70,10 +75,17 @@ from covertppm.levels import (
     PLAN_HEADER,
     LevelRates,
     RatePlan,
+    level_law,
     level_llrs,
     select_positions_batch,
 )
-from covertppm.ppm import SuperOutput, decimal_values, frame_from_bits
+from covertppm.ppm import (
+    PpmFrame,
+    SuperOutput,
+    decimal_values,
+    frame_from_bits,
+    ppm_divergence_bound,
+)
 
 LN2 = math.log(2.0)
 
@@ -750,8 +762,8 @@ def pyramid_level_llrs(symbols, lam) -> np.ndarray:
     sym = np.atleast_2d(np.asarray(symbols))
     q = sym.shape[1].bit_length() - 1
     out = SuperOutput(q=q, symbols=sym, alphabet_size=lam.shape[0])
-    no_bits = np.zeros((0, out.ell), dtype=np.uint8)
-    return level_llrs(*select_positions_batch(out, no_bits, q), lam)
+    return level_llrs(*select_positions_batch(out, np.zeros(out.ell, dtype=np.int64), q),
+                      lam)
 
 
 def multinomial_pmf(total: int, row):
@@ -895,3 +907,99 @@ def pw_from_level_sources(q: int, ell: int, sources) -> dict[tuple[int, ...], fl
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def level_tvs_reference(scheme_stats, ref_stats, bins: int) -> dict[int, float]:
+    """Each level's TV between the scheme's and the reference's statistics
+    (rows of the two arrays, level 1 first) on ``bins`` cells cut at the
+    pool's quantiles: a sort of the level's pool, ``np.quantile`` and a
+    ``digitize``/``bincount`` of each side, one level at a time."""
+    level_tv: dict[int, float] = {}
+    for i, (a, r) in enumerate(zip(scheme_stats, ref_stats), start=1):
+        pooled = np.sort(np.concatenate([a, r]))
+        edges = np.quantile(pooled, np.linspace(0, 1, bins + 1)[1:-1])
+        ha = np.bincount(np.digitize(a, edges, right=True), minlength=bins)
+        hr = np.bincount(np.digitize(r, edges, right=True), minlength=bins)
+        level_tv[i] = 0.5 * float(
+            np.abs(ha / a.shape[0] - hr / r.shape[0]).sum()
+        )
+    return level_tv
+
+
+def covertness_estimate_reference(session, blocks: int, rng: np.random.Generator, *,
+                                  bins: int = 16) -> CovertnessEstimate:
+    """``covertness_estimate`` one level at a time: per chunk, each level's
+    halves gathered at d(its higher level bits) and turned into LLRs on
+    their own, each level's reference bit-0 atom pairs drawn by their own
+    ``LevelLaw.draw`` and mapped to LLRs on their own, and then each level's
+    TV binned on its own (``level_tvs_reference``).  The same streams in the
+    same order, read through the module's ``_CHUNK_ROWS``."""
+    q, ell, m = session.q, session.ell, session.plan.m
+    willie = session.willie
+    seed = np.random.SeedSequence(
+        rng.integers(0, 1 << 64, size=adversary._STREAM_SEED_WORDS, dtype=np.uint64))
+    encoding, channel, reference, innocent = map(np.random.default_rng, seed.spawn(4))
+
+    scheme_stats = np.empty((q, blocks * ell))
+    ref_stats = np.empty((q, blocks * ell))
+    scheme_lr = np.empty(blocks)
+    innocent_lr = np.empty(blocks)
+
+    per_chunk = max(1, adversary._CHUNK_ROWS // ell)
+    for first in range(0, blocks, per_chunk):
+        n = min(per_chunk, blocks - first)
+        rows = slice(first * ell, (first + n) * ell)
+        positions, level_bits = [], []
+        for _ in range(n):
+            messages = {
+                i: encoding.integers(0, 2,
+                                     size=session.layouts[i].n_msg + session.layouts[i].n_sec,
+                                     dtype=np.uint8)
+                for i in range(1, session.u + 1)
+            }
+            keys = {
+                i: encoding.integers(0, 2, size=session.layouts[i].n_key, dtype=np.uint8)
+                for i in range(1, session.u + 1)
+            }
+            frame, tx = codec.encode_block(session, messages, keys, encoding)
+            positions.append(frame.positions)
+            level_bits.append(tx.level_bits)
+        bits = np.concatenate(level_bits, axis=1)
+        willie_out = codec.transmit_block(
+            session, PpmFrame(q, np.concatenate(positions)), channel, to_willie=True)
+        for i in range(1, q + 1):
+            scheme_stats[i - 1, rows] = level_llrs(
+                *select_positions_batch(willie_out, decimal_values(bits[i:]), i), willie.lam)
+        scheme_lr[first:first + n] = adversary._mixture_statistics(willie, willie_out, n)
+
+        ref_bits = reference.integers(0, 2, size=(q, n * ell), dtype=np.uint8)
+        for i in range(1, q + 1):
+            law = level_law(willie, i)
+            pulse, plain = law.draw(n * ell, reference)
+            one = ref_bits[i - 1] == 1
+            ref_stats[i - 1, rows] = law.llrs(np.where(one, plain, pulse),
+                                              np.where(one, pulse, plain))
+
+        innocent_lr[first:first + n] = adversary._root_mixture_statistics(
+            willie, adversary._innocent_roots(willie, m, n * ell, innocent), m, n)
+
+    level_tv = level_tvs_reference(scheme_stats, ref_stats, bins)
+    alpha = float(np.mean(innocent_lr > 0.0))
+    beta = float(np.mean(scheme_lr <= 0.0))
+    adv = 1.0 - alpha - beta
+    ci3 = 3.0 * math.sqrt(
+        alpha * (1 - alpha) / blocks + beta * (1 - beta) / blocks
+    )
+    return CovertnessEstimate(
+        blocks=blocks,
+        level_tv=level_tv,
+        level_tv_sum=float(sum(level_tv.values())),
+        lrt_alpha=alpha,
+        lrt_beta=beta,
+        lrt_advantage=adv,
+        lrt_ci3=ci3,
+        baseline="ppm-mixture",
+        d_qppm_q0_exact=ell * adversary._exact_divergence(willie, m),
+        d_qppm_q0_bound=ppm_divergence_bound(willie.stats.chi2, m, ell),
+        bins=bins,
+    )

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     atom_counts,
+    covertness_estimate_reference,
     detect_linear_code_reference,
     detector_statistic,
     detector_statistic_law,
@@ -17,6 +18,7 @@ from conftest import (
     gf2_product_reference,
     gf2_rank_reference,
     half_histogram_pmf,
+    level_tvs_reference,
     mixture_statistic_reference,
     multinomial_pmf,
     pooled_chi2_pvalue,
@@ -27,8 +29,10 @@ from covertppm import adversary, codec
 from covertppm.adversary import (
     LinearCode,
     _innocent_roots,
+    _level_tvs,
     _mixture_statistic,
     _mixture_statistics,
+    _quantile_edges,
     _reference_halves,
     _trial_statistics,
     OracleBudgetError,
@@ -48,7 +52,14 @@ from covertppm.adversary import (
 from covertppm.channels import bac, bsc, divergence_stats, make_dmc, sample_outputs
 from covertppm.codec import build_session
 from covertppm.extractor import ExtractorConfig, int_to_bits, inv, make_field
-from covertppm.levels import LevelRates, RatePlan, level_law, level_llrs, msd_rate_plan
+from covertppm.levels import (
+    DEFAULT_LLR_MAX,
+    LevelRates,
+    RatePlan,
+    level_law,
+    level_llrs,
+    msd_rate_plan,
+)
 from covertppm.ppm import SuperOutput, frame_from_bits, ppm_output_divergence, transmit_super
 
 
@@ -627,13 +638,13 @@ class TestCovertnessEstimate:
         seen = record()
         before = covertness_estimate(sess, 300, np.random.default_rng(3))
         monkeypatch.undo()
-        halves = adversary._reference_halves
+        statistics = adversary._reference_statistics
 
-        def shifted(willie, i, bits, rng):
+        def shifted(willie, q, rows, rng):
             rng.random(5)
-            return halves(willie, i, bits, rng)
+            return statistics(willie, q, rows, rng)
 
-        monkeypatch.setattr(adversary, "_reference_halves", shifted)
+        monkeypatch.setattr(adversary, "_reference_statistics", shifted)
         seen_again = record()
         after = covertness_estimate(sess, 300, np.random.default_rng(3))
         assert len(seen) == len(seen_again) == 300 + 2 * 19
@@ -730,8 +741,9 @@ class TestSufficientStatisticSides:
         atoms, pmf = half_histogram_pmf(willie, i)
         n = 40_000
         bits = np.random.default_rng(30 + i).integers(0, 2, size=n, dtype=np.uint8)
-        first, second = _reference_halves(willie, i, bits, np.random.default_rng(40 + i))
-        table = level_law(willie, i).histograms
+        law = level_law(willie, i)
+        first, second = _reference_halves(law, bits, np.random.default_rng(40 + i).random((2, n)))
+        table = law.histograms
         first, second = table[first], table[second]
         h = 1 << (i - 1)
         assert np.all(first.sum(axis=1) == h) and np.all(second.sum(axis=1) == h)
@@ -746,13 +758,13 @@ class TestSufficientStatisticSides:
     @pytest.mark.parametrize("willie", [bsc(0.05), TERNARY], ids=["bsc0.05", "ternary"])
     @pytest.mark.parametrize("i", range(1, 5))
     def test_reference_statistic_is_the_swapped_pair_bit_for_bit(self, willie, i):
-        # the same generator state draws the same bit-0 atom pairs; a bit-1
+        # the same uniforms map to the atom pairs law.draw draws; a bit-1
         # row holds them swapped, and its statistic is level_llrs of the
         # swapped histograms, not a negated LLR
         n = 2000
         bits = np.random.default_rng(i).integers(0, 2, size=n, dtype=np.uint8)
-        first, second = _reference_halves(willie, i, bits, np.random.default_rng(9))
         law = level_law(willie, i)
+        first, second = _reference_halves(law, bits, np.random.default_rng(9).random((2, n)))
         pulse, plain = law.draw(n, np.random.default_rng(9))
         one = bits == 1
         assert one.any() and (~one).any()
@@ -773,3 +785,84 @@ class TestSufficientStatisticSides:
         atoms, pmf = multinomial_pmf(m, willie.row0)
         assert pooled_chi2_pvalue(atom_counts(atoms, roots), n * pmf) > 1e-4
 
+
+def three_level_session(willie):
+    # q=3, ell=8: level 1 coded, level 2 coded and keyed, level 3 uniform
+    plan = RatePlan(q=3, ell=8, B=1, delta=1.0, epsilon=0.01, u=2,
+                    per_level=(LevelRates(1, 0.5, 0.0, 0.0), LevelRates(2, 0.25, 0.0, 0.25),
+                               LevelRates(3, 0.0, 0.0, 0.0)))
+    return build_session(plan, bsc(0.1), willie, np.random.default_rng(5),
+                         construction_trials=50)
+
+
+class TestCovertnessEstimateOracle:
+    """``covertness_estimate`` against its one pass per level
+    (``covertness_estimate_reference``): equal reports, field for field."""
+
+    @pytest.mark.parametrize("willie", [bsc(0.1), TERNARY, bac(0.05, 0.0)],
+                             ids=["bsc0.1", "ternary", "bac0.05,0"])
+    @pytest.mark.parametrize("bins", [2, 16, 64])
+    def test_equals_the_per_level_passes(self, willie, bins, monkeypatch):
+        # one block in one chunk, and 7 blocks over chunks of 2, 2, 2 and 1
+        sess = three_level_session(willie)
+        for seed in range(3):
+            for blocks, chunk in [(1, 4096), (7, 20)]:
+                monkeypatch.setattr(adversary, "_CHUNK_ROWS", chunk)
+                got = covertness_estimate(sess, blocks, np.random.default_rng(seed), bins=bins)
+                want = covertness_estimate_reference(sess, blocks, np.random.default_rng(seed),
+                                                     bins=bins)
+                assert got == want
+
+    def test_equals_the_per_level_passes_on_an_extractor_session(self, monkeypatch):
+        # q=9, ell=32 with the extractor's level 9, 9 blocks over chunks of 3
+        bob, willie = bsc(0.05), bsc(0.1)
+        plan = msd_rate_plan(bob, willie, 9, 1.0, 1, degraded=True, ell_override=32)
+        sess = build_session(plan, bob, willie, np.random.default_rng(5),
+                             resolvability="extractor", construction_trials=100)
+        assert sess.u < sess.q and sess.extractor_cfg is not None
+        monkeypatch.setattr(adversary, "_CHUNK_ROWS", 100)
+        for seed in range(3):
+            got = covertness_estimate(sess, 9, np.random.default_rng(seed))
+            assert got == covertness_estimate_reference(sess, 9, np.random.default_rng(seed))
+
+
+#: statistics with ties, signed zeros and the LLR clip, or any value in its range
+LLR_VALUES = (st.sampled_from([0.0, -0.0, 0.5, -1.25, DEFAULT_LLR_MAX, -DEFAULT_LLR_MAX])
+              | st.floats(-DEFAULT_LLR_MAX, DEFAULT_LLR_MAX))
+
+
+def _sample_rows(data, values, rows: int, n: int) -> np.ndarray:
+    return np.array(data.draw(st.lists(values, min_size=rows * n, max_size=rows * n)),
+                    dtype=np.float64).reshape(rows, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_quantile_edges_bitwise_equal_np_quantile(data):
+    # sorted rows of any finite values, every cut of 1..70 cells, both ends
+    # included.  np.quantile partitions its copy of a row, which may swap a
+    # tied -0.0 and 0.0, so where a row holds both a zero edge takes its
+    # sign from that partition: zeros are compared after + 0.0 (which makes
+    # -0.0 into 0.0), every other edge bit for bit.  Cell counts compare
+    # -0.0 == 0.0, so they do not depend on that sign.
+    rows, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 50))
+    values = LLR_VALUES | st.floats(allow_nan=False, allow_infinity=False)
+    pooled = np.sort(_sample_rows(data, values, rows, n), axis=1)
+    probs = np.linspace(0, 1, data.draw(st.integers(1, 70)) + 1)
+    got = _quantile_edges(pooled, probs)
+    want = np.stack([np.quantile(row, probs) for row in pooled])
+    np.testing.assert_array_equal((got + 0.0).view(np.uint64), (want + 0.0).view(np.uint64))
+    zero, negative = pooled == 0.0, np.signbit(pooled)
+    one_sign = ~((zero & negative).any(axis=1) & (zero & ~negative).any(axis=1))
+    np.testing.assert_array_equal(got[one_sign].view(np.uint64), want[one_sign].view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_level_tvs_equal_the_per_level_binning(data):
+    q, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 60))
+    scheme = _sample_rows(data, LLR_VALUES, q, n)
+    reference = _sample_rows(data, LLR_VALUES, q, n)
+    bins = data.draw(st.integers(2, 64))
+    want = level_tvs_reference(scheme, reference, bins)
+    assert dict(enumerate(_level_tvs(scheme, reference, bins), start=1)) == want

@@ -26,7 +26,7 @@ from covertppm.levels import (
     select_positions_batch,
 )
 from covertppm.polar import polar_transform
-from covertppm.ppm import EnumerationBudgetError, frame_from_bits, transmit_super
+from covertppm.ppm import EnumerationBudgetError, decimal_values, frame_from_bits, transmit_super
 
 from conftest import (
     atom_counts,
@@ -127,7 +127,7 @@ class TestMsdEquivalence:
         bits = rng.integers(0, 2, size=(q, ell), dtype=np.uint8)
         frame = frame_from_bits(bits)
         received = transmit_super(ch, frame, rng)
-        got = level_llrs(*select_positions_batch(received, bits[i:q], i), lam)
+        got = level_llrs(*select_positions_batch(received, decimal_values(bits[i:q]), i), lam)
         for j in range(ell):
             high = bits[i:q, j]
             members0, members1 = [], []
@@ -155,8 +155,8 @@ class TestFaultInjection:
         frame, tx = encode_block(sess, msgs, keys, rng)
         received = transmit_block(sess, frame, rng)
         lam = ch.row1 / ch.row0
-        good = select_positions_batch(received, tx.level_bits[1:2], 1)
-        corrupt = select_positions_batch(received, tx.level_bits[1:2] ^ 1, 1)
+        good = select_positions_batch(received, decimal_values(tx.level_bits[1:2]), 1)
+        corrupt = select_positions_batch(received, decimal_values(tx.level_bits[1:2] ^ 1), 1)
         assert not np.array_equal(good, corrupt)
         llr_good = level_llrs(*good, lam)
         llr_bad = level_llrs(*corrupt, lam)

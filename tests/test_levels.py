@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from covertppm import levels
 from covertppm.channels import bac, bsc, divergence_stats, make_dmc
 from covertppm.levels import (
     DEFAULT_LLR_MAX,
-    LAW_CACHE_SIZE,
     LevelRates,
     RatePlan,
     RatePlanError,
@@ -31,6 +31,7 @@ from covertppm.ppm import (
     DEFAULT_TYPE_BUDGET,
     EnumerationBudgetError,
     SuperOutput,
+    decimal_values,
     frame_from_bits,
     ppm_output_divergence,
     transmit_super,
@@ -414,7 +415,7 @@ def _select_one(block, high_bits) -> np.ndarray:
     high = np.asarray(high_bits, dtype=np.uint8).reshape(-1, 1)
     q = block.shape[0].bit_length() - 1
     out = SuperOutput(q=q, symbols=block[None, :], alphabet_size=int(block.max()) + 1)
-    first, second = select_positions_batch(out, high, q - high.shape[0])
+    first, second = select_positions_batch(out, decimal_values(high), q - high.shape[0])
     return np.concatenate([np.flatnonzero(first[0]), np.flatnonzero(second[0])])
 
 
@@ -450,11 +451,22 @@ class TestSelectPositions:
         q, i, ell = 4, 2, 10
         symbols = rng.integers(0, 3, size=(ell, 16))
         high = rng.integers(0, 2, size=(q - i, ell), dtype=np.uint8)
-        first, second = select_positions_batch(SuperOutput(q, symbols, 3), high, i)
+        first, second = select_positions_batch(SuperOutput(q, symbols, 3), decimal_values(high), i)
         for j in range(ell):
             want = _histograms([select_positions(symbols[j], high[:, j])], 3)[0]
             np.testing.assert_array_equal(first[j], want[0])
             np.testing.assert_array_equal(second[j], want[1])
+
+    def test_higher_bit_matrix_refused(self, rng):
+        # the block indices d(higher bits) are one per row: the (q - i, ell)
+        # matrix of the higher bits themselves is refused, not misread
+        q, i, ell = 4, 1, 3
+        out = SuperOutput(q, rng.integers(0, 2, size=(ell, 16)), 2)
+        high = rng.integers(0, 2, size=(q - i, ell), dtype=np.uint8)
+        with pytest.raises(ValueError, match=r"blocks must have shape \(3,\), got \(3, 3\)"):
+            select_positions_batch(out, high, i)
+        first, _ = select_positions_batch(out, decimal_values(high), i)
+        assert first.shape == (ell, 2)
 
 
 def _select_positions_batch_reference(symbols, high_bits, i):
@@ -477,7 +489,7 @@ def test_select_positions_batch_bitwise_equals_gather(q, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     symbols = rng.integers(0, 5, size=(ell, 1 << q)).astype(dtype)
     high = rng.integers(0, 2, size=(q - i, ell), dtype=np.uint8)
-    first, second = select_positions_batch(SuperOutput(q, symbols, 5), high, i)
+    first, second = select_positions_batch(SuperOutput(q, symbols, 5), decimal_values(high), i)
     want = _histograms(_select_positions_batch_reference(symbols, high, i), 5)
     assert first.shape == second.shape == want[:, 0].shape
     np.testing.assert_array_equal(first, want[:, 0])
@@ -510,7 +522,7 @@ def test_pyramid_llrs_bitwise_equal_symbol_oracles(size, q, data):
     for i in range(1, q + 1):
         wrong = bits[i:] ^ rng.integers(0, 2, size=(q - i, ell), dtype=np.uint8)
         for high in (bits[i:], wrong):
-            first, second = select_positions_batch(out, high, i)
+            first, second = select_positions_batch(out, decimal_values(high), i)
             sub = select_positions_batch_symbols(out.symbols, high, i)
             want = _histograms(sub, size)
             np.testing.assert_array_equal(first, want[:, 0])
@@ -774,16 +786,29 @@ class TestLevelLaw:
             mi = 0.5 * float(terms[0].sum() + terms[1].sum())
             assert mi == pytest.approx(level_capacity(ch, i), abs=1e-12), i
 
-    def test_cached_per_channel_and_level_and_bounded(self):
-        level_law.cache_clear()
+    def test_cached_per_channel_and_level_and_bounded(self, monkeypatch):
+        # the cache keeps laws, least recently used out first, while their
+        # bytes fit the budget: large laws push each other out, a small law
+        # looked up between them stays the same object, and a law larger
+        # than the whole budget is built for its caller and not kept
+        monkeypatch.setattr(levels, "_laws", OrderedDict())
         ch = bsc(0.1)
-        law = level_law(ch, 3)
-        assert level_law(ch, 3) is law and level_law(ch, 2) is not law
-        assert level_law.cache_info().maxsize == LAW_CACHE_SIZE
-        for _ in range(LAW_CACHE_SIZE):
-            level_law(bsc(0.1), 1)
-        assert level_law.cache_info().currsize == LAW_CACHE_SIZE
-        assert level_law(ch, 3) is not law  # evicted, rebuilt
+        small = level_law(ch, 3)
+        assert level_law(ch, 3) is small and level_law(ch, 2) is not small
+        large = level_law(ch, 14)
+        assert large.nbytes > 1 << 20 > 32 * small.nbytes
+        budget = 3 * large.nbytes
+        monkeypatch.setattr(levels, "LAW_CACHE_BYTES", budget)
+        for _ in range(8):
+            level_law(bsc(0.1), 14)
+            assert level_law(ch, 3) is small
+            assert sum(law.nbytes for law in levels._laws.values()) <= budget
+        assert len(levels._laws) == 3  # the small law and two large ones
+        assert level_law(ch, 14) is not large  # evicted, rebuilt
+        monkeypatch.setattr(levels, "LAW_CACHE_BYTES", large.nbytes - 1)
+        other = bsc(0.1)
+        assert level_law(other, 14) is not level_law(other, 14)
+        assert not levels._laws
 
     def test_tables_read_only(self):
         law = level_law(TERNARY, 3)
@@ -832,7 +857,7 @@ class TestReceiverPath:
         out = transmit_super(ch, frame_from_bits(bits), rng)
         for i in range(1, 5):
             law = level_law(ch, i)
-            first, second = select_positions_batch(out, bits[i:], i)
+            first, second = select_positions_batch(out, decimal_values(bits[i:]), i)
             one = (bits[i - 1] == 1)[:, None]
             halves = np.stack([np.where(one, second, first),
                                np.where(one, first, second)], axis=1).astype(np.int64)
@@ -854,7 +879,7 @@ class TestReceiverPath:
         tracemalloc.start()
         try:
             out = transmit_super(ch, frame, rng)
-            llrs = [level_llrs(*select_positions_batch(out, bits[i:], i), ch.lam)
+            llrs = [level_llrs(*select_positions_batch(out, decimal_values(bits[i:]), i), ch.lam)
                     for i in range(1, 17)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
