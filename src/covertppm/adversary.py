@@ -30,7 +30,7 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -490,11 +490,6 @@ def _mixture_statistics(willie: Dmc, output: SuperOutput, blocks: int) -> np.nda
     return _root_mixture_statistics(willie, root[:, 0], 1 << output.q, blocks)
 
 
-def _mixture_statistic(willie: Dmc, output: SuperOutput) -> float:
-    """The mixture statistic of a one-block channel output."""
-    return float(_mixture_statistics(willie, output, 1)[0])
-
-
 def _level_statistics(willie: Dmc, output: SuperOutput, pulses: np.ndarray) -> np.ndarray:
     """The (q, rows) level statistics of a channel output whose rows hold
     their pulses at the 0-based positions ``pulses``: level i's halves are
@@ -597,16 +592,6 @@ def _innocent_roots(willie: Dmc, m: int, ell: int, rng: np.random.Generator) -> 
 _CHUNK_ROWS = 4096
 #: uint64 words of the caller's generator that seed the estimate's stage streams
 _STREAM_SEED_WORDS = 4
-#: exact divergences kept in memory, least recently used out first; an
-#: estimate reads one, of its warden at its session's order
-DIVERGENCE_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=DIVERGENCE_CACHE_SIZE)
-def _exact_divergence(willie: Dmc, m: int) -> float:
-    # D(P_ppm^m || Q0^m) of one super-symbol; cached per (channel, m), by
-    # identity, as levels.level_law caches the level laws
-    return ppm_output_divergence(willie, m)
 
 
 def covertness_estimate(
@@ -651,9 +636,9 @@ def covertness_estimate(
     per super-symbol, and their sorted pool as much again.  Each per-level
     TV reads one level's marginal and alpha the root histograms only, so
     every reported law is that of whole channel outputs.  The exact
-    divergence (``ppm.ppm_output_divergence``) depends on the warden and m
-    alone: it is computed once per (warden, m), by identity, and kept in a
-    cache of ``DIVERGENCE_CACHE_SIZE`` values.
+    divergence (``ppm.ppm_output_divergence``) is summed per call over the
+    cached histogram table of the warden's row0 at order m
+    (``ppm.histogram_table``), which the level laws share.
 
     Draw order: the four ``SeedSequence`` children of
     ``_STREAM_SEED_WORDS`` words drawn from ``rng`` seed one generator per
@@ -728,7 +713,7 @@ def covertness_estimate(
         lrt_advantage=adv,
         lrt_ci3=ci3,
         baseline="ppm-mixture",
-        d_qppm_q0_exact=ell * _exact_divergence(willie, m),
+        d_qppm_q0_exact=ell * ppm_output_divergence(willie, m),
         d_qppm_q0_bound=ppm_divergence_bound(willie.stats.chi2, m, ell),
         bins=bins,
     )

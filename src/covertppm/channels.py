@@ -257,28 +257,21 @@ def _symbols(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 def sample_outputs(dmc: Dmc, x, size, rng: np.random.Generator) -> np.ndarray:
     """Output symbol indices of the given shape for the channel inputs ``x``.
 
-    ``x`` is one bit for every entry, or the entries whose input is 1 as an
-    index tuple; all other entries have input 0.  One uniform u per entry
+    ``x`` is one bit, the input of every entry.  One uniform u per entry
     drives inverse-CDF sampling: the symbol is the number of entries cdf[k],
     k < |Z| - 1, with u >= cdf[k].  The running sums do not decrease (an
     entry may round up past 1 before the last, which is exactly 1), so for
     every u in [0, 1) the comparisons hold for a prefix of k and the count is
     ``searchsorted(cdf, u, side="right")``.  A zero-mass symbol is never
     drawn: its interval [cdf[k-1], cdf[k]) is empty, or starts at 1 when it
-    trails the last symbol of positive mass.  Any alphabet and any input
-    pattern draw the same stream.  An index tuple reads row1's CDF only at
-    its entries, a gather and a scatter.  Symbols come in
+    trails the last symbol of positive mass.  Any alphabet and either input
+    draw the same stream.  Symbols come in
     ``np.min_scalar_type(|Z| - 1)``: uint8, one byte each, for up to 256
     symbols.  This is the package's only sampler of output symbols;
     ``transmit_super`` draws its pulse outputs here and every other output
     as histograms, the detector draws output histograms, and the level
     sampler atoms of the level law's table of them.
     """
-    if isinstance(x, tuple):
-        u = rng.random(size)
-        draws = _symbols(dmc.cdf0, u)
-        draws[x] = _symbols(dmc.cdf1, u[x])
-        return draws
     if np.ndim(x) == 0 and x in (0, 1):
         return _symbols(dmc.cdf1 if x else dmc.cdf0, rng.random(size))
-    raise ChannelError(f"input must be a bit or an index tuple, got {x!r}")
+    raise ChannelError(f"input must be a bit, got {x!r}")

@@ -26,6 +26,12 @@ is a half-sum of per-coordinate likelihood ratios, so
     its occurrence is independent of the bit; so C_i = pi + (1 - pi) C_i'
     bits, where C_i' is the closed form for P1 restricted to P0's support.
 
+Both rest on one table: the histograms of h row0 draws and their
+multinomial weights (:func:`~covertppm.ppm.histogram_table`), which the
+divergences of the capacities sum over and the level laws reweight.  It is
+enumerated once per (row0, h) and kept, with the laws, in the one
+byte-bounded cache of :func:`~covertppm.ppm.cached`.
+
 Units are fixed by the quantity: level capacities, mutual-information tables
 and plan rates are bits per super-symbol use (the bits a level code carries)
 and throughputs bits per sqrt(n delta); divergences, the chi2 capacity bound
@@ -39,8 +45,6 @@ super-channel blocklength matched to the covertness budget.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +55,8 @@ from .ppm import (
     DEFAULT_TYPE_BUDGET,
     EnumerationBudgetError,
     SuperOutput,
-    all_histograms,
+    cached,
+    histogram_table,
     ppm_output_divergence,
 )
 
@@ -77,13 +82,9 @@ def level_capacity(dmc: Dmc, i: int) -> float:
 
     with P1' = P1 restricted to the support of P0 and renormalised, whose
     capacity is the divergence difference of the module docstring (in nats)
-    divided by ln 2.
+    divided by ln 2.  The two divergences sum over cached histogram tables
+    (:func:`~covertppm.ppm.histogram_table`), which the level laws share.
     """
-    return _level_capacity(dmc, i, ppm_output_divergence)
-
-
-def _level_capacity(dmc: Dmc, i: int, divergence) -> float:
-    # level_capacity with D(P_ppm^m || P0^m) in nats from divergence(dmc, m)
     if i < 1:
         raise ValueError("level index must be >= 1")
     if not dmc.stats.finite:
@@ -92,14 +93,14 @@ def _level_capacity(dmc: Dmc, i: int, divergence) -> float:
         if kept == 0.0:
             return 1.0
         inner = make_dmc(dmc.row0, on_support / kept)
-        cap = (1.0 - kept) + kept * _level_capacity(inner, i, divergence)
+        cap = (1.0 - kept) + kept * level_capacity(inner, i)
     else:
         # the larger order first: a refused budget stops before any sum
         try:
-            lo = divergence(dmc, 1 << i) / LN2
+            lo = ppm_output_divergence(dmc, 1 << i) / LN2
         except EnumerationBudgetError as e:
             raise EnumerationBudgetError(f"level {i}: {e}") from None
-        cap = divergence(dmc, 1 << (i - 1)) / LN2 - lo
+        cap = ppm_output_divergence(dmc, 1 << (i - 1)) / LN2 - lo
     # a level bit is binary, so its capacity lies in [0, 1] bits; the
     # divergence difference rounds past 1 on near-noiseless channels (by
     # 5.5e-11 for bsc(1e-300) at level 1)
@@ -145,23 +146,16 @@ def level_mi_table(bob: Dmc, willie: Dmc, q: int) -> list[LevelMiRow]:
 
     Computed from level q down, so that a level past the exact divergence's
     budget is refused before any sum is formed; q is bounded by
-    ``MAX_LEVELS`` before the top level's order 2^q is formed."""
+    ``MAX_LEVELS`` before the top level's order 2^q is formed.  Levels i
+    and i + 1 share the order 2^i, and Bob's and Willie's row0 may be
+    equal: each order's histograms are enumerated once per row0, in the
+    cached table both divergences sum over."""
     if not 1 <= q <= MAX_LEVELS:
         raise ValueError(f"q must lie in [1, {MAX_LEVELS}], got {q}")
-    # each order once per distinct channel: levels i and i + 1 share the
-    # order 2^i, and Bob's and Willie's channels may be the same
-    sums: dict[tuple, float] = {}
-
-    def divergence(dmc: Dmc, m: int) -> float:
-        key = (dmc.row0.tobytes(), dmc.row1.tobytes(), m)
-        if key not in sums:
-            sums[key] = ppm_output_divergence(dmc, m)
-        return sums[key]
-
     rows = []
     for i in range(q, 0, -1):
-        iy = _level_capacity(bob, i, divergence)
-        iz = _level_capacity(willie, i, divergence)
+        iy = level_capacity(bob, i)
+        iz = level_capacity(willie, i)
         rows.append(LevelMiRow(level=i, i_y=iy, i_z=iz, diff=iz - iy))
     return rows[::-1]
 
@@ -551,16 +545,6 @@ class LevelLaw:
         return sum(a.nbytes for a in arrays)
 
 
-#: bytes of level laws kept in memory, least recently used out first; a law
-#: larger than this is built for its caller and not kept.  A session reads
-#: at most one law per level for each channel, 7.6 MiB for bsc(0.1) at
-#: levels 1..16; the largest binary law under the type budget (bsc(0.1) at
-#: level 21) holds 57 MiB
-LAW_CACHE_BYTES = 1 << 27
-_laws: OrderedDict[tuple[Dmc, int], LevelLaw] = OrderedDict()
-_laws_lock = threading.Lock()
-
-
 def level_law(dmc: Dmc, i: int) -> LevelLaw:
     """The exact law of level ``i``'s pair of half histograms under bit 0.
 
@@ -571,11 +555,13 @@ def level_law(dmc: Dmc, i: int) -> LevelLaw:
 
     S(t) = sum_a t_a lam_a its likelihood sum; off that support the pulse
     alone puts one output a there, with mass row1[a] Mult(h - 1, row0).
-    Probabilities come from log-factorials ``math.lgamma(k + 1)`` as in
-    :func:`~covertppm.ppm.ppm_output_divergence`, so none underflows before
-    its product.  Cached per (channel, level), by identity, in a cache of
-    at most ``LAW_CACHE_BYTES`` bytes (:attr:`LevelLaw.nbytes`), least
-    recently used out first.
+    The histograms and their log Mult(h, row0) probabilities are the
+    table the exact divergence sums over
+    (:func:`~covertppm.ppm.histogram_table` of h draws; of h - 1 draws, with
+    a count of 1 at a, for each output a off row0's support), so none
+    underflows before its product.  Cached per (channel, level), by
+    identity, in the byte-bounded cache the tables share
+    (:func:`~covertppm.ppm.cached`, :attr:`LevelLaw.nbytes`).
 
     Refuses with :class:`~covertppm.ppm.EnumerationBudgetError`, before
     any table is built, when the histograms, or the draws h whose
@@ -586,29 +572,15 @@ def level_law(dmc: Dmc, i: int) -> LevelLaw:
     budget.  A channel with mass off row0's support adds the pulse's
     histograms that hold one such output.
     """
-    key = (dmc, i)
-    with _laws_lock:
-        law = _laws.get(key)
-        if law is not None:
-            _laws.move_to_end(key)
-            return law
-    law = _build_level_law(dmc, i)
-    with _laws_lock:
-        law = _laws.setdefault(key, law)  # another thread may have built it
-        _laws.move_to_end(key)
-        held = sum(kept.nbytes for kept in _laws.values())
-        while held > LAW_CACHE_BYTES:
-            held -= _laws.popitem(last=False)[1].nbytes
-    return law
+    return cached((dmc, i), lambda: _build_level_law(dmc, i))
 
 
 def _build_level_law(dmc: Dmc, i: int) -> LevelLaw:
     if i < 1:
         raise ValueError("level index must be >= 1")
     h = 1 << (i - 1)
-    on = np.flatnonzero(dmc.row0 > 0)
     off = np.flatnonzero((dmc.row0 == 0) & (dmc.row1 > 0))
-    s = on.size
+    s = np.count_nonzero(dmc.row0 > 0)
     if h > DEFAULT_TYPE_BUDGET:  # and C(h+s-1, s-1) > h for s >= 2
         over = f"{h} draws per half"
     else:
@@ -618,33 +590,19 @@ def _build_level_law(dmc: Dmc, i: int) -> LevelLaw:
         raise EnumerationBudgetError(
             f"level {i}: {over} exceed budget {DEFAULT_TYPE_BUDGET}")
 
-    # log k! for k <= h; with one symbol on row0's support every histogram
-    # of k draws is (k), whose coefficient log k! - log k! is 0: no loop
-    log_fact = (np.fromiter(map(math.lgamma, range(1, h + 2)), float, h + 1)
-                if s > 1 else np.zeros(h + 1))
-
-    def on_support(draws: int) -> tuple[np.ndarray, np.ndarray]:
-        # every histogram of ``draws`` row0 outputs and its log probability
-        cols = all_histograms(draws, s)
-        table = np.zeros((cols[0].size, dmc.alphabet_size), dtype=np.int64)
-        log_p = np.full(cols[0].size, log_fact[draws])
-        for a, t in zip(on, cols):
-            table[:, a] = t
-            log_p += t * math.log(dmc.row0[a]) - log_fact[t]
-        return table, log_p
-
-    table, log_plain = on_support(h)
-    tables, log_plains, log_pulses = [table], [log_plain], []
+    base = histogram_table(dmc, h)
+    tables, log_plains, log_pulses = [base.counts], [base.log_weights], []
     for a in off:  # the pulse's output a with h - 1 row0 outputs
-        rest, log_rest = on_support(h - 1)
-        rest[:, a] = 1
-        tables.append(rest)
-        log_plains.append(np.full(rest.shape[0], -np.inf))
-        log_pulses.append(log_rest + math.log(dmc.row1[a]))
+        rest = histogram_table(dmc, h - 1)
+        counts = rest.counts.copy()
+        counts[:, a] = 1
+        tables.append(counts)
+        log_plains.append(np.full(counts.shape[0], -np.inf))
+        log_pulses.append(rest.log_weights + math.log(dmc.row1[a]))
     table = np.concatenate(tables)
     sums = likelihood_sums(table, dmc.lam)
     with np.errstate(divide="ignore"):  # a zero sum: no pulse output fits
-        log_pulses.insert(0, log_plain + np.log(sums[:log_plain.size] / h))
+        log_pulses.insert(0, base.log_weights + np.log(sums[:base.log_weights.size] / h))
     pulse = np.exp(np.concatenate(log_pulses))
     plain = np.exp(np.concatenate(log_plains))
     for arr in (table, pulse, plain, sums):

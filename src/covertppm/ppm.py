@@ -23,14 +23,21 @@ exact divergence is therefore one vectorised sum over the histograms of m
 draws on the support of P0, weighted by their multinomial probabilities, for
 every alphabet size (m + 1 histograms for a binary alphabet).  It is the only
 divergence computed here, always in nats: past ``MAX_ALPHABET`` output
-symbols or the histogram budget it refuses rather than estimate.  The
-multinomial weights use log-factorials from ``math.lgamma``, so the module
-needs numpy and the standard library only.
+symbols or the histogram budget it refuses rather than estimate.
+
+The histograms of h row0 draws and their log multinomial weights are one
+table, :func:`histogram_table`, built once per (row0, h) and read by the
+divergence and by the level laws of :mod:`~covertppm.levels`.  The tables
+and the laws share one byte-bounded cache (:func:`cached`).  The weights
+use log-factorials from ``math.lgamma``, so the module needs numpy and the
+standard library only.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +56,8 @@ class EnumerationBudgetError(RuntimeError):
     """Exact type-class enumeration would exceed its budget.
 
     Raised by :func:`ppm_output_divergence` when the output alphabet or the
-    histogram count is too large for the exact sum.
+    histogram count is too large for the exact sum, and by
+    :func:`histogram_table` and the level laws past the histogram budget.
     """
 
 
@@ -318,19 +326,97 @@ def all_histograms(m: int, s: int) -> list[np.ndarray]:
     return cols + [left]
 
 
+#: bytes of histogram tables and level laws kept in memory, least recently
+#: used out first; a value larger than this is built for its caller and not
+#: kept.  A session reads at most one law per level for each channel, 7.6 MiB
+#: for bsc(0.1) at levels 1..16; the largest binary law under the type
+#: budget (bsc(0.1) at level 21) holds 57 MiB
+CACHE_BYTES = 1 << 27
+_cache: OrderedDict = OrderedDict()
+_cache_lock = threading.Lock()
+
+
+def cached(key, build):
+    """The value kept under ``key``, or ``build()`` kept there, in the one
+    cache of at most ``CACHE_BYTES`` bytes (each value's ``nbytes``) that
+    holds the histogram tables and the level laws.  ``build`` runs outside
+    the lock; where two threads build one key, the first kept wins."""
+    with _cache_lock:
+        value = _cache.get(key)
+        if value is not None:
+            _cache.move_to_end(key)
+            return value
+    value = build()
+    with _cache_lock:
+        value = _cache.setdefault(key, value)
+        _cache.move_to_end(key)
+        held = sum(kept.nbytes for kept in _cache.values())
+        while held > CACHE_BYTES:
+            held -= _cache.popitem(last=False)[1].nbytes
+    return value
+
+
+@dataclass(frozen=True, eq=False)
+class HistogramTable:
+    """Every histogram of h row0 draws on row0's support: ``counts`` holds
+    one per row over the whole alphabet (int64, zero off the support), and
+    ``log_weights`` its log Mult(h, row0) probability.  Read-only; compared
+    and hashed by identity."""
+
+    counts: np.ndarray
+    log_weights: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.counts.nbytes + self.log_weights.nbytes
+
+
+def histogram_table(dmc: Dmc, h: int) -> HistogramTable:
+    """The histograms of ``h`` >= 0 draws from ``dmc.row0`` and their
+    multinomial log probabilities, under which the exact divergence and the
+    level laws sum.
+
+    The weight of t is log h! + sum_a (t_a log row0[a] - log t_a!), over
+    the support symbols in ascending order, from a table of log-factorials
+    log k! = ``math.lgamma(k + 1)``, k = 0..h (all 0 with one support
+    symbol, whose one histogram (h) has coefficient 1).  The table depends
+    on row0 alone, so it is cached by (row0's bytes, h) (:func:`cached`):
+    equal channels share it.  Refuses with :class:`EnumerationBudgetError`,
+    before any histogram is formed, past ``DEFAULT_TYPE_BUDGET`` histograms.
+    """
+    return cached((dmc.row0.tobytes(), h), lambda: _histogram_table(dmc.row0, h))
+
+
+def _histogram_table(row0: np.ndarray, h: int) -> HistogramTable:
+    on = np.flatnonzero(row0 > 0)
+    n = math.comb(h + on.size - 1, on.size - 1)
+    if n > DEFAULT_TYPE_BUDGET:
+        count = n if n < 1 << 64 else f"at least 2^{n.bit_length() - 1}"
+        raise EnumerationBudgetError(f"{count} type classes exceed budget {DEFAULT_TYPE_BUDGET}")
+    log_fact = (np.fromiter(map(math.lgamma, range(1, h + 2)), float, h + 1)
+                if on.size > 1 else np.zeros(h + 1))
+    counts = np.zeros((n, row0.size), dtype=np.int64)
+    log_w = np.full(n, log_fact[h])
+    for a, t in zip(on, all_histograms(h, on.size)):
+        counts[:, a] = t
+        log_w += t * math.log(row0[a]) - log_fact[t]
+    counts.flags.writeable = log_w.flags.writeable = False
+    return HistogramTable(counts=counts, log_weights=log_w)
+
+
 def ppm_output_divergence(dmc: Dmc, m: int) -> float:
     """Exact per-super-symbol divergence D(P_ppm^m || P0^m), in nats.
 
     ``m`` must be a power of two (the PPM order).  One sum over the
-    histograms t of m draws on the support of P0, for every alphabet:
+    histograms t of m draws on the support of P0 (:func:`histogram_table`),
+    for every alphabet:
 
         D = sum_t Mult(m, P0)(t) * (r log r - r + 1),   r(t) = (t . lam) / m,
 
     which equals E[r log r] because the weights and E[r] both sum to one.
     Every term is nonnegative, so the sum does not cancel; r - 1 is formed
-    from the centred ratio, so terms with r near 1 keep their digits.  The
-    multinomial weights come from a table of log-factorials log k! =
-    ``math.lgamma(k + 1)``, k = 0..m; a histogram with r = 0 contributes
+    from the centred ratio, as sum_a t_a centred_a / m, so terms with r
+    near 1 keep their digits.  A histogram with r = 0 contributes
     0 log 0 = 0.  Where r log r would pass the largest double (r near 1/P0
     for a row0 entry near the float floor), the term w (r log r - r + 1) is
     regrouped as (w r)(log r - 1) + w: every term is at most the sum, which
@@ -349,24 +435,15 @@ def ppm_output_divergence(dmc: Dmc, m: int) -> float:
         )
     if not dmc.stats.finite:
         return float("inf")
-    support = dmc.row0 > 0
-    size = int(np.count_nonzero(support))
-    if size == 1:  # P1 = P0, both on P0's one-point support
+    support = np.flatnonzero(dmc.row0 > 0)
+    if support.size == 1:  # P1 = P0, both on P0's one-point support
         return 0.0
-    n_types = math.comb(m + size - 1, size - 1)
-    if n_types > DEFAULT_TYPE_BUDGET:
-        count = n_types if n_types < 1 << 64 else f"at least 2^{n_types.bit_length() - 1}"
-        raise EnumerationBudgetError(
-            f"{count} type classes exceed budget {DEFAULT_TYPE_BUDGET}"
-        )
-    log_fact = np.fromiter(map(math.lgamma, range(1, m + 2)), float, m + 1)
-    log_w = np.full(n_types, log_fact[m])
-    excess = np.zeros(n_types)  # r - 1
-    for t, p0, centred in zip(all_histograms(m, size), dmc.row0[support],
-                              dmc.centred_ratio[support]):
-        log_w += t * math.log(p0) - log_fact[t]
-        excess += t * (centred / m)  # t/m <= 1: no overflow before the sum
-    weights = np.exp(log_w)
+    table = histogram_table(dmc, m)
+    excess = np.zeros(table.log_weights.size)  # r - 1
+    for a in support:
+        # t/m <= 1: no overflow before the sum
+        excess += table.counts[:, a] * (dmc.centred_ratio[a] / m)
+    weights = np.exp(table.log_weights)
     r = 1.0 + excess
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_r = np.log1p(excess)

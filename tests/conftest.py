@@ -19,8 +19,6 @@ float32 product mod 2) are the paths that ``gf2_rank`` and the packed
 ``gf2_multiplier`` must match, ``detect_linear_code_reference`` takes each
 codeword weight from the float product into the detector's report, and
 ``detector_statistic_law`` enumerates the exact law of the statistic;
-``masked_outputs_reference`` (every entry's inverse CDF, then a boolean-mask
-scatter) is what the index-tuple ``sample_outputs`` must match;
 ``plan_from_text`` parses the document ``plan_to_text`` writes, and
 ``pin_rates`` fixes a plan's per-level operating points for the sessions
 that tests build at chosen rates.
@@ -85,6 +83,7 @@ from covertppm.ppm import (
     decimal_values,
     frame_from_bits,
     ppm_divergence_bound,
+    ppm_output_divergence,
 )
 
 LN2 = math.log(2.0)
@@ -419,17 +418,6 @@ def gf2_product_reference(v, g) -> np.ndarray:
     (exact while k < 2^24)."""
     prod = np.asarray(v).astype(np.float32) @ np.asarray(g).astype(np.float32)
     return np.mod(np.rint(prod), 2.0) == 1.0
-
-
-def masked_outputs_reference(dmc: Dmc, mask, rng: np.random.Generator) -> np.ndarray:
-    """Channel outputs for input 1 on ``mask`` and 0 elsewhere: one uniform
-    per entry, row0's CDF searched everywhere, then row1's gathered at the
-    masked entries and scattered back."""
-    mask = np.asarray(mask, dtype=bool)
-    u = rng.random(mask.shape)
-    draws = np.searchsorted(dmc.cdf0, u, side="right")
-    draws[mask] = np.searchsorted(dmc.cdf1, u[mask], side="right")
-    return draws
 
 
 def detect_linear_code_reference(code, willie: Dmc, trials: int,
@@ -999,7 +987,7 @@ def covertness_estimate_reference(session, blocks: int, rng: np.random.Generator
         lrt_advantage=adv,
         lrt_ci3=ci3,
         baseline="ppm-mixture",
-        d_qppm_q0_exact=ell * adversary._exact_divergence(willie, m),
+        d_qppm_q0_exact=ell * ppm_output_divergence(willie, m),
         d_qppm_q0_bound=ppm_divergence_bound(willie.stats.chi2, m, ell),
         bins=bins,
     )

@@ -15,7 +15,7 @@ from covertppm.channels import (
     make_dmc,
     sample_outputs,
 )
-from conftest import degradation_residual_lp, masked_outputs_reference, verify_degradation
+from conftest import degradation_residual_lp, verify_degradation
 
 LN2 = math.log(2.0)
 
@@ -293,62 +293,53 @@ class TestSampling:
 
 
 @st.composite
-def channels_and_inputs(draw):
-    """A channel of 2-6 output symbols (some possibly of zero mass), a shape,
-    and a mask of the entries whose input is 1: none, all or random."""
+def channels_and_shapes(draw):
+    """A channel of 2-6 output symbols (some possibly of zero mass), a shape
+    and a seed."""
     size = draw(st.integers(2, 6))
     weights = st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any)
     row0, row1 = (np.array(draw(weights), dtype=float) for _ in range(2))
     ch = make_dmc(row0 / row0.sum(), row1 / row1.sum())
     shape = (draw(st.integers(1, 6)), draw(st.integers(1, 9)))
-    kind = draw(st.sampled_from(["none", "all", "random"]))
-    if kind == "random":
-        flat = draw(st.lists(st.booleans(), min_size=shape[0] * shape[1],
-                             max_size=shape[0] * shape[1]))
-        mask = np.array(flat).reshape(shape)
-    else:
-        mask = np.full(shape, kind == "all")
-    return ch, mask, draw(st.integers(0, 2**32 - 1))
+    return ch, shape, draw(st.integers(0, 2**32 - 1))
 
 
-class TestMaskedSampling:
-    @given(channels_and_inputs())
+class TestSamplingEveryChannel:
+    @given(channels_and_shapes())
     @settings(max_examples=200, deadline=None)
-    def test_mask_and_index_match_per_entry_inverse_cdf(self, case):
-        # the same uniforms, row1's CDF where the input is 1 and row0's elsewhere
-        ch, mask, seed = case
-        u = np.random.default_rng(seed).random(mask.shape)
-        want = np.where(mask, np.searchsorted(ch.cdf1, u, side="right"),
-                        np.searchsorted(ch.cdf0, u, side="right"))
-        got = sample_outputs(ch, np.nonzero(mask), mask.shape, np.random.default_rng(seed))
-        assert got.dtype == np.uint8
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(
-            masked_outputs_reference(ch, mask, np.random.default_rng(seed)), want)
-        if not mask.any() or mask.all():
-            bit = int(mask.all())
-            np.testing.assert_array_equal(
-                sample_outputs(ch, bit, mask.shape, np.random.default_rng(seed)), want)
-        # a zero-mass symbol is never drawn
-        assert np.all(np.where(mask, ch.row1[want], ch.row0[want]) > 0)
+    def test_bits_match_per_entry_inverse_cdf(self, case):
+        # the same uniforms, the input bit's CDF at every entry
+        ch, shape, seed = case
+        u = np.random.default_rng(seed).random(shape)
+        for bit, cdf, row in ((0, ch.cdf0, ch.row0), (1, ch.cdf1, ch.row1)):
+            want = np.searchsorted(cdf, u, side="right")
+            got = sample_outputs(ch, bit, shape, np.random.default_rng(seed))
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, want)
+            # a zero-mass symbol is never drawn
+            assert np.all(row[got] > 0)
 
     @pytest.mark.parametrize("size", [2, 256, 257, 300])
-    def test_mask_select_in_every_symbol_dtype(self, size):
-        # the index tuple of a mask's entries scatters in every symbol dtype,
+    def test_every_symbol_dtype(self, size):
+        # both inputs draw in the smallest dtype that holds the alphabet,
         # uint16 too
         rng = np.random.default_rng(size)
         ch = make_dmc(rng.dirichlet(np.ones(size)), rng.dirichlet(np.ones(size)))
-        mask = rng.integers(0, 2, size=(40, 50)).astype(bool)
-        got = sample_outputs(ch, np.nonzero(mask), mask.shape, np.random.default_rng(1))
-        want = masked_outputs_reference(ch, mask, np.random.default_rng(1))
-        assert got.dtype == np.min_scalar_type(size - 1)
-        np.testing.assert_array_equal(got, want)
+        u = np.random.default_rng(1).random((40, 50))
+        for bit, cdf in ((0, ch.cdf0), (1, ch.cdf1)):
+            got = sample_outputs(ch, bit, u.shape, np.random.default_rng(1))
+            assert got.dtype == np.min_scalar_type(size - 1)
+            np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="right"))
 
+
+class TestMaskedSampling:
     def test_mask_of_another_shape_rejected(self, rng):
-        # a boolean mask is not an input: pass its entries as an index tuple
+        # the input is one bit for every entry: a boolean mask of any shape,
+        # or the index tuple of its entries, is refused
         for mask in (np.ones(4, dtype=bool), np.ones((3, 4), dtype=bool)):
-            with pytest.raises(ChannelError, match="a bit or an index tuple"):
-                sample_outputs(bsc(0.1), mask, (3, 4), rng)
+            for x in (mask, np.nonzero(mask)):
+                with pytest.raises(ChannelError, match="input must be a bit"):
+                    sample_outputs(bsc(0.1), x, (3, 4), rng)
 
 
 class _Uniforms:
@@ -373,34 +364,26 @@ def boundary_uniforms(ch) -> np.ndarray:
 @st.composite
 def boundary_channels(draw):
     """A channel of 2-6 output symbols, some of zero mass, with rational or
-    arbitrary masses, and a mask over its boundary uniforms."""
+    arbitrary masses, and its boundary uniforms."""
     size = draw(st.integers(2, 6))
     mass = st.one_of(st.integers(0, 4), st.floats(1e-6, 1.0))
     weights = st.lists(mass, min_size=size, max_size=size).filter(any)
     row0, row1 = (np.array(draw(weights), dtype=float) for _ in range(2))
     ch = make_dmc(row0 / row0.sum(), row1 / row1.sum())
-    u = boundary_uniforms(ch)
-    mask = np.array(draw(st.lists(st.booleans(), min_size=u.size, max_size=u.size)))
-    return ch, u, mask
+    return ch, boundary_uniforms(ch)
 
 
 class TestSamplingAtCdfBoundaries:
     @given(boundary_channels())
     @settings(max_examples=300, deadline=None)
     def test_comparison_count_equals_searchsorted(self, case):
-        ch, u, mask = case
-        want0 = np.searchsorted(ch.cdf0, u, side="right")
-        want1 = np.searchsorted(ch.cdf1, u, side="right")
-        for bit, want in ((0, want0), (1, want1)):
+        ch, u = case
+        for bit, cdf, row in ((0, ch.cdf0, ch.row0), (1, ch.cdf1, ch.row1)):
             got = sample_outputs(ch, bit, u.shape, _Uniforms(u))
             assert got.dtype == np.uint8
-            np.testing.assert_array_equal(got, want)
-        want = np.where(mask, want1, want0)
-        got = sample_outputs(ch, np.nonzero(mask), u.shape, _Uniforms(u))
-        assert got.dtype == np.uint8
-        np.testing.assert_array_equal(got, want)
-        # a zero-mass symbol is never drawn, even at the boundaries
-        assert np.all(np.where(mask, ch.row1[want], ch.row0[want]) > 0)
+            np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="right"))
+            # a zero-mass symbol is never drawn, even at the boundaries
+            assert np.all(row[got] > 0)
 
     def test_running_sum_past_one(self):
         # row1's running sums reach 1 + 2^-52 before the forced final 1.0

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covertppm import levels
+from covertppm import levels, ppm
+from covertppm.adversary import covertness_estimate
 from covertppm.channels import bac, bsc, divergence_stats, make_dmc
+from covertppm.codec import build_session
 from covertppm.levels import (
     DEFAULT_LLR_MAX,
     LevelRates,
@@ -33,6 +35,7 @@ from covertppm.ppm import (
     SuperOutput,
     decimal_values,
     frame_from_bits,
+    histogram_table,
     ppm_output_divergence,
     transmit_super,
 )
@@ -189,21 +192,34 @@ class TestLevelMiTable:
 
 
     @pytest.mark.parametrize("same", [True, False])
-    def test_each_order_summed_once(self, monkeypatch, same):
-        # 21 orders 2^20 .. 2^0 for one channel, whether Willie's channel is
-        # Bob's object (as the tables command passes it) or an equal one;
-        # summed top down, so the largest order is still met first
-        completed = []
+    def test_each_histogram_table_enumerated_once(self, monkeypatch, same):
+        # one row0 at 7 orders 2^6 .. 2^0, whether Willie's channel is Bob's
+        # object (as the tables command passes it) or an equal one: the
+        # table, a session's plan, level laws and extractor-free tail, and
+        # two covertness estimates enumerate each order's histograms once,
+        # top down, so the largest order is still met first
+        monkeypatch.setattr(ppm, "_cache", OrderedDict())
+        enumerated = []
+        enumerate_table = ppm._histogram_table
 
-        def spy(dmc, m):
-            completed.append(m)
-            return ppm_output_divergence(dmc, m)
+        def spy(row0, h):
+            enumerated.append((row0.tobytes(), h))
+            return enumerate_table(row0, h)
 
-        monkeypatch.setattr(levels, "ppm_output_divergence", spy)
+        monkeypatch.setattr(ppm, "_histogram_table", spy)
         bob = bsc(0.1)
-        rows = level_mi_table(bob, bob if same else bsc(0.1), 20)
-        assert completed == [1 << j for j in range(20, -1, -1)]
-        assert [r.i_y for r in rows] == [level_capacity(bob, i) for i in range(1, 21)]
+        willie = bob if same else bsc(0.1)
+        rows = level_mi_table(bob, willie, 6)
+        plan = msd_rate_plan(bob, willie, 6, delta=1.0, degraded=True, ell_override=16)
+        rng = np.random.default_rng(1)
+        session = build_session(plan, bob, willie, rng, construction_trials=20)
+        first = covertness_estimate(session, 2, rng, bins=4).d_qppm_q0_exact
+        again = covertness_estimate(session, 3, rng, bins=4).d_qppm_q0_exact
+        assert enumerated == [(bob.row0.tobytes(), 1 << j) for j in range(6, -1, -1)]
+        # the repeated estimate reports the identical float
+        assert again.hex() == first.hex()
+        assert first == 16 * ppm_output_divergence(bsc(0.1), 64)
+        assert [r.i_y for r in rows] == [level_capacity(bob, i) for i in range(1, 7)]
 
     @pytest.mark.parametrize("q", [21, 2000])
     def test_refused_before_any_divergence_sum(self, monkeypatch, q):
@@ -787,34 +803,59 @@ class TestLevelLaw:
             assert mi == pytest.approx(level_capacity(ch, i), abs=1e-12), i
 
     def test_cached_per_channel_and_level_and_bounded(self, monkeypatch):
-        # the cache keeps laws, least recently used out first, while their
-        # bytes fit the budget: large laws push each other out, a small law
-        # looked up between them stays the same object, and a law larger
-        # than the whole budget is built for its caller and not kept
-        monkeypatch.setattr(levels, "_laws", OrderedDict())
+        # the one cache keeps laws and histogram tables, least recently used
+        # out first, while their bytes fit the budget: large laws push each
+        # other out, a small law looked up between them stays the same
+        # object, equal channels share their table, and a law larger than
+        # the whole budget is built for its caller and not kept
+        monkeypatch.setattr(ppm, "_cache", OrderedDict())
         ch = bsc(0.1)
         small = level_law(ch, 3)
         assert level_law(ch, 3) is small and level_law(ch, 2) is not small
         large = level_law(ch, 14)
+        table = histogram_table(ch, 1 << 13)
         assert large.nbytes > 1 << 20 > 32 * small.nbytes
+        assert table.nbytes < large.nbytes // 4
         budget = 3 * large.nbytes
-        monkeypatch.setattr(levels, "LAW_CACHE_BYTES", budget)
+        monkeypatch.setattr(ppm, "CACHE_BYTES", budget)
         for _ in range(8):
             level_law(bsc(0.1), 14)
             assert level_law(ch, 3) is small
-            assert sum(law.nbytes for law in levels._laws.values()) <= budget
-        assert len(levels._laws) == 3  # the small law and two large ones
+            assert sum(value.nbytes for value in ppm._cache.values()) <= budget
+        # the small law, two large ones and the table they share
+        assert len(ppm._cache) == 4
+        assert histogram_table(bsc(0.1), 1 << 13) is table
         assert level_law(ch, 14) is not large  # evicted, rebuilt
-        monkeypatch.setattr(levels, "LAW_CACHE_BYTES", large.nbytes - 1)
+        monkeypatch.setattr(ppm, "CACHE_BYTES", large.nbytes - 1)
         other = bsc(0.1)
         assert level_law(other, 14) is not level_law(other, 14)
-        assert not levels._laws
+        assert not ppm._cache
 
     def test_tables_read_only(self):
-        law = level_law(TERNARY, 3)
+        law, table = level_law(TERNARY, 3), histogram_table(TERNARY, 4)
         for arr in (law.histograms, law.pulse_pmf, law.plain_pmf, law.sums,
-                    law.pulse.cdf, law.pulse.guide, law.plain.cdf, law.plain.guide):
+                    law.pulse.cdf, law.pulse.guide, law.plain.cdf, law.plain.guide,
+                    table.counts, table.log_weights):
             assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("ch, top", [
+        (bsc(0.05), 11), (bsc(0.1), 11), (TERNARY, 10), (bac(0.1, 0.4), 11),
+        (bac(0.05, 0.0), 11),
+    ], ids=["bsc0.05", "bsc0.1", "ternary", "bac0.1,0.4", "bac0.05,0"])
+    def test_plain_half_sums_to_the_divergence(self, ch, top):
+        # D(P_ppm^h || P0^h) = sum_t Mult(h, row0)(t) (r log r - r + 1),
+        # r = S(t) / h: the law's plain half and likelihood sums give the
+        # divergence at h = 2^(i-1).  bsc(0.45) is left out: its r lies near
+        # 1, and r - 1 formed from the sums cancels to a gap of 1.1e-13; the
+        # divergence forms r - 1 from the centred ratio for that reason
+        for i in range(1, top + 1):
+            h = 1 << (i - 1)
+            law = level_law(ch, i)
+            r = law.sums / h
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = np.where(r > 0, r * np.log(r), 0.0) - r + 1.0
+            got = float(np.sum(law.plain_pmf * terms))
+            assert got == pytest.approx(ppm_output_divergence(ch, h), rel=1e-14, abs=0), i
 
     @pytest.mark.parametrize("ch, i, named", [
         (TERNARY, 12, "level 12: 2100225 histograms exceed budget"),
@@ -825,7 +866,7 @@ class TestLevelLaw:
         def enumerate_histograms(*args):
             raise AssertionError("histograms enumerated past the budget")
 
-        monkeypatch.setattr(levels, "all_histograms", enumerate_histograms)
+        monkeypatch.setattr(ppm, "all_histograms", enumerate_histograms)
         assert DEFAULT_TYPE_BUDGET == 2_000_000
         with pytest.raises(EnumerationBudgetError, match=named):
             level_law(ch, i)
