@@ -636,9 +636,9 @@ def covertness_estimate(
     per super-symbol, and their sorted pool as much again.  Each per-level
     TV reads one level's marginal and alpha the root histograms only, so
     every reported law is that of whole channel outputs.  The exact
-    divergence (``ppm.ppm_output_divergence``) is summed per call over the
-    cached histogram table of the warden's row0 at order m
-    (``ppm.histogram_table``), which the level laws share.
+    divergence (``ppm.ppm_output_divergence``) is summed once per warden
+    channel and order m over the histogram table the level laws share,
+    and read from the one cache (``ppm.cached``) on every later call.
 
     Draw order: the four ``SeedSequence`` children of
     ``_STREAM_SEED_WORDS`` words drawn from ``rng`` seed one generator per

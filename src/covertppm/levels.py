@@ -147,9 +147,10 @@ def level_mi_table(bob: Dmc, willie: Dmc, q: int) -> list[LevelMiRow]:
     Computed from level q down, so that a level past the exact divergence's
     budget is refused before any sum is formed; q is bounded by
     ``MAX_LEVELS`` before the top level's order 2^q is formed.  Levels i
-    and i + 1 share the order 2^i, and Bob's and Willie's row0 may be
-    equal: each order's histograms are enumerated once per row0, in the
-    cached table both divergences sum over."""
+    and i + 1 share the order 2^i, and Bob's and Willie's channels may be
+    equal: each order's histograms are enumerated once per row0, and each
+    divergence summed once per channel, in the one cache of
+    :func:`~covertppm.ppm.cached`."""
     if not 1 <= q <= MAX_LEVELS:
         raise ValueError(f"q must lie in [1, {MAX_LEVELS}], got {q}")
     rows = []
@@ -599,7 +600,7 @@ def _build_level_law(dmc: Dmc, i: int) -> LevelLaw:
         tables.append(counts)
         log_plains.append(np.full(counts.shape[0], -np.inf))
         log_pulses.append(rest.log_weights + math.log(dmc.row1[a]))
-    table = np.concatenate(tables)
+    table = np.concatenate(tables) if off.size else base.counts
     sums = likelihood_sums(table, dmc.lam)
     with np.errstate(divide="ignore"):  # a zero sum: no pulse output fits
         log_pulses.insert(0, base.log_weights + np.log(sums[:base.log_weights.size] / h))

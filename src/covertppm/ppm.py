@@ -27,10 +27,10 @@ symbols or the histogram budget it refuses rather than estimate.
 
 The histograms of h row0 draws and their log multinomial weights are one
 table, :func:`histogram_table`, built once per (row0, h) and read by the
-divergence and by the level laws of :mod:`~covertppm.levels`.  The tables
-and the laws share one byte-bounded cache (:func:`cached`).  The weights
-use log-factorials from ``math.lgamma``, so the module needs numpy and the
-standard library only.
+divergence and by the level laws of :mod:`~covertppm.levels`.  The tables,
+the divergence sums and the laws share one byte-bounded cache
+(:func:`cached`).  The weights use log-factorials from ``math.lgamma``, so
+the module needs numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -326,11 +326,11 @@ def all_histograms(m: int, s: int) -> list[np.ndarray]:
     return cols + [left]
 
 
-#: bytes of histogram tables and level laws kept in memory, least recently
-#: used out first; a value larger than this is built for its caller and not
-#: kept.  A session reads at most one law per level for each channel, 7.6 MiB
-#: for bsc(0.1) at levels 1..16; the largest binary law under the type
-#: budget (bsc(0.1) at level 21) holds 57 MiB
+#: bytes of histogram tables, divergence sums and level laws kept in
+#: memory, least recently used out first; a value larger than this is built
+#: for its caller and not kept.  A session reads at most one law per level
+#: for each channel, 7.6 MiB for bsc(0.1) at levels 1..16; the largest
+#: binary law under the type budget (bsc(0.1) at level 21) holds 57 MiB
 CACHE_BYTES = 1 << 27
 _cache: OrderedDict = OrderedDict()
 _cache_lock = threading.Lock()
@@ -339,8 +339,9 @@ _cache_lock = threading.Lock()
 def cached(key, build):
     """The value kept under ``key``, or ``build()`` kept there, in the one
     cache of at most ``CACHE_BYTES`` bytes (each value's ``nbytes``) that
-    holds the histogram tables and the level laws.  ``build`` runs outside
-    the lock; where two threads build one key, the first kept wins."""
+    holds the histogram tables, the divergence sums and the level laws.
+    ``build`` runs outside the lock; where two threads build one key, the
+    first kept wins."""
     with _cache_lock:
         value = _cache.get(key)
         if value is not None:
@@ -422,6 +423,10 @@ def ppm_output_divergence(dmc: Dmc, m: int) -> float:
     regrouped as (w r)(log r - 1) + w: every term is at most the sum, which
     is at most D(P1 || P0), so w r stays finite and no 0 * inf makes a NaN.
 
+    The sum depends on the two rows alone, so it is kept beside its table
+    in the one cache (:func:`cached`), by (row0's bytes, row1's bytes, m):
+    equal channels, and the two levels that share an order, sum it once.
+
     Refuses with :class:`EnumerationBudgetError` when the alphabet exceeds
     ``MAX_ALPHABET`` or the histogram count exceeds ``DEFAULT_TYPE_BUDGET``.
     Returns ``inf`` when P1 has mass outside the support of P0.
@@ -438,6 +443,11 @@ def ppm_output_divergence(dmc: Dmc, m: int) -> float:
     support = np.flatnonzero(dmc.row0 > 0)
     if support.size == 1:  # P1 = P0, both on P0's one-point support
         return 0.0
+    key = (dmc.row0.tobytes(), dmc.row1.tobytes(), m)
+    return float(cached(key, lambda: _divergence_sum(dmc, support, m)))
+
+
+def _divergence_sum(dmc: Dmc, support: np.ndarray, m: int) -> np.float64:
     table = histogram_table(dmc, m)
     excess = np.zeros(table.log_weights.size)  # r - 1
     for a in support:
@@ -453,7 +463,7 @@ def ppm_output_divergence(dmc: Dmc, m: int) -> float:
     # (w r)(log r - 1) + w, whose factors stay finite
     big = np.isinf(terms)
     products[big] = weights[big] * r[big] * (log_r[big] - 1.0) + weights[big]
-    return max(float(np.sum(products)), 0.0)
+    return np.float64(max(float(np.sum(products)), 0.0))  # with nbytes, for the cache
 
 
 def ppm_divergence_bound(chi2: float, m: int, ell: int) -> float:

@@ -196,8 +196,9 @@ class TestLevelMiTable:
         # one row0 at 7 orders 2^6 .. 2^0, whether Willie's channel is Bob's
         # object (as the tables command passes it) or an equal one: the
         # table, a session's plan, level laws and extractor-free tail, and
-        # two covertness estimates enumerate each order's histograms once,
-        # top down, so the largest order is still met first
+        # two covertness estimates enumerate each order's histograms once
+        # and sum its divergence once, top down, so the largest order is
+        # still met first
         monkeypatch.setattr(ppm, "_cache", OrderedDict())
         enumerated = []
         enumerate_table = ppm._histogram_table
@@ -207,6 +208,14 @@ class TestLevelMiTable:
             return enumerate_table(row0, h)
 
         monkeypatch.setattr(ppm, "_histogram_table", spy)
+        summed = []
+        sum_divergence = ppm._divergence_sum
+
+        def sum_spy(dmc, support, m):
+            summed.append(m)
+            return sum_divergence(dmc, support, m)
+
+        monkeypatch.setattr(ppm, "_divergence_sum", sum_spy)
         bob = bsc(0.1)
         willie = bob if same else bsc(0.1)
         rows = level_mi_table(bob, willie, 6)
@@ -216,6 +225,8 @@ class TestLevelMiTable:
         first = covertness_estimate(session, 2, rng, bins=4).d_qppm_q0_exact
         again = covertness_estimate(session, 3, rng, bins=4).d_qppm_q0_exact
         assert enumerated == [(bob.row0.tobytes(), 1 << j) for j in range(6, -1, -1)]
+        # each order's divergence is summed once for both equal channels
+        assert summed == [1 << j for j in range(6, -1, -1)]
         # the repeated estimate reports the identical float
         assert again.hex() == first.hex()
         assert first == 16 * ppm_output_divergence(bsc(0.1), 64)
@@ -837,6 +848,8 @@ class TestLevelLaw:
                     law.pulse.cdf, law.pulse.guide, law.plain.cdf, law.plain.guide,
                     table.counts, table.log_weights):
             assert not arr.flags.writeable
+        # with no output off row0's support, the law reads the table's counts
+        assert level_law(TERNARY, 3).histograms is histogram_table(TERNARY, 4).counts
 
     @pytest.mark.parametrize("ch, top", [
         (bsc(0.05), 11), (bsc(0.1), 11), (TERNARY, 10), (bac(0.1, 0.4), 11),

@@ -5,10 +5,10 @@ of a docstring (the first statement of a module, class or function when it
 is a string); blank lines do not count.  Docstrings are found with ``ast``
 and the remaining tokens with ``tokenize``.
 
-    python tools/code_lines.py [DIR]
+    python tools/code_lines.py
 
-prints the total over the ``*.py`` files under DIR (default: src/covertppm
-next to this script) and, with ``--files``, each file's count.
+prints each ``*.py`` file's count under src/covertppm (next to this
+script), then their total.
 """
 
 from __future__ import annotations
@@ -46,19 +46,16 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    files = "--files" in argv
-    args = [a for a in argv if a != "--files"]
-    root = Path(args[0]) if args else Path(__file__).resolve().parent.parent / "src" / "covertppm"
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent / "src" / "covertppm"
     total = 0
     for path in sorted(root.rglob("*.py")):
         count = code_lines(path.read_text())
         total += count
-        if files:
-            print(f"{count:6d} {path.relative_to(root)}")
+        print(f"{count:6d} {path.relative_to(root)}")
     print(total)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
