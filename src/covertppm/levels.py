@@ -50,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .channels import LN2, Dmc, DivergenceStats, is_degraded, make_dmc, running_cdf
+from .channels import (LN2, ChannelError, Dmc, DivergenceStats, is_degraded, make_dmc,
+                       running_cdf)
 from .ppm import (
     DEFAULT_TYPE_BUDGET,
     EnumerationBudgetError,
@@ -571,7 +572,10 @@ def level_law(dmc: Dmc, i: int) -> LevelLaw:
     on its s >= 2 symbols, fewer than the planner's exact divergence at
     order 2^q >= 2h enumerates, so no warden the planner accepts reaches the
     budget.  A channel with mass off row0's support adds the pulse's
-    histograms that hold one such output.
+    histograms that hold one such output.  Refuses with
+    :class:`~covertppm.channels.ChannelError`, naming the level, when the
+    likelihood sum of a histogram on row0's support overflows to inf, as
+    for a row0 entry near the float floor (``bsc(1e-306)`` from level 9).
     """
     return cached((dmc, i), lambda: _build_level_law(dmc, i))
 
@@ -601,7 +605,11 @@ def _build_level_law(dmc: Dmc, i: int) -> LevelLaw:
         log_plains.append(np.full(counts.shape[0], -np.inf))
         log_pulses.append(rest.log_weights + math.log(dmc.row1[a]))
     table = np.concatenate(tables) if off.size else base.counts
-    sums = likelihood_sums(table, dmc.lam)
+    with np.errstate(over="ignore"):  # refused below
+        sums = likelihood_sums(table, dmc.lam)
+    if np.isinf(sums[:base.counts.shape[0]]).any():
+        raise ChannelError(f"level {i}: a likelihood sum of {h} draws overflows "
+                           f"(a row0 entry too near the float floor)")
     with np.errstate(divide="ignore"):  # a zero sum: no pulse output fits
         log_pulses.insert(0, base.log_weights + np.log(sums[:base.log_weights.size] / h))
     pulse = np.exp(np.concatenate(log_pulses))

@@ -20,14 +20,24 @@ included:
 
 - Rate 0 (all positions frozen or pinned): the node yields the transform of
   its known values without visiting its leaves.
-- Rate 1 (none of them): hard decisions on its LLRs, taken only when they
-  provably equal SC's: for a node of size 2^d every LLR must satisfy
-  d*ln2 + 1 <= |L| <= 2^20.  The exact check-node map keeps
-  |f(a, b)| >= log cosh(min(|a|, |b|)) >= min(|a|, |b|) - ln2, and inside a
-  rate-1 node the bit-node map adds same-signed terms, so every
-  intermediate LLR keeps a magnitude of at least 1; the upper bound keeps
-  the rounding error of f far below that margin.  No zero ties or sign
-  flips can occur.
+- Certified: the node's partial sums are its hard decisions y = (L < 0),
+  taken only when they provably equal SC's.  For a node of size 2^d every
+  LLR must satisfy d*ln2 + 1 <= |L| <= 2^20, and the transform u = y G
+  must hold the node's known values: 0 at its frozen positions and the pin
+  at its pinned ones.  Follow SC along the path of y: the exact check-node
+  map keeps |f(a, b)| >= log cosh(min(|a|, |b|)) >= min(|a|, |b|) - ln2
+  and gives the sign of ab, which is the left child's hard decision; the
+  bit-node map after that decision adds same-signed terms.  So every
+  intermediate LLR keeps a magnitude of at least 1 and the sign of y's
+  path, the upper bound keeps the rounding error of f far below that
+  margin, and no zero tie or sign flip can occur: each free leaf decides
+  its bit of y G.  A known leaf forces its known value instead, which is
+  that same bit by the second condition, so the partial sums SC feeds on
+  are y's throughout, and SC returns y.  With no known positions (rate 1)
+  the second condition is vacuous.  The rule is tested at right children
+  and rate-1 nodes only: f never grows a magnitude, so left children and
+  the root, whose LLRs come from f or the channel, rarely pass, while a
+  right child's LLRs are sums that the bit node grows.
 - Otherwise the node splits as plain SC.
 
 A repetition node with zero known values (all positions but the last frozen
@@ -42,11 +52,15 @@ positions alone, so it is worked out once per pattern, in the manner of the
 unrolled decoders of Giard, Sarkis, Thibeault & Gross (Fast software polar
 decoders, ICASSP 2014).  A plan (``_decoder_plan``) is a tree of node
 records, each with its span, whether each child is known (rate 0) and
-whether that child holds a pin, the rate-1 certificate's bound if all its
-positions are free, and a leaf's generated function (below).  It is built
-on the first decode of its pattern and kept per process in a
-least-recently-used cache, shared by every code; pin values are read at run
-time, so keyed blocks with fresh key bits reuse it.
+whether that child holds a pin, the certificate's bound and the mask of
+its known positions (as an int) if it tests the certificate, and a leaf's
+generated function (below).  The second condition runs on ints: y packed
+into an int, the transform as log2 n shift, mask and xor stages, and one
+comparison under the mask with the node's span of the partial sums,
+packed, which still holds the known values when the node starts.  A plan
+is built on the first decode of its pattern and kept per process in a
+least-recently-used cache, shared by every code; pin values are read at
+run time, so keyed blocks with fresh key bits reuse it.
 
 A decode walks its plan over buffers of its own, so calls are re-entrant
 and nothing is concatenated; in the manner of the per-stage LLR memory of
@@ -70,8 +84,9 @@ per process (``_subtree_decoder``); pin values are arguments, never part of
 the source.  The function keeps the rules above: a known child yields the
 transform of its values, g after a frozen-zero partial sum is folded to
 b + a (bit for bit the general g), and a free node tests the rate-1
-certificate at run time before it splits.  Every operation there is the
-IEEE double operation numpy performs (+, -, *, abs and comparisons), and f
+certificate at run time before it splits (a node with known positions
+there does not test it).  Every operation there is the IEEE double
+operation numpy performs (+, -, *, abs and comparisons), and f
 is ``_check``, one call in which each logaddexp mirrors numpy's
 npy_logaddexp branch for branch on the same libm exp and log1p, so the two
 give the same LLRs (up to the sign of a NaN, which no decision reads) and
@@ -165,6 +180,27 @@ def _butterfly(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _packed(bits: np.ndarray) -> int:
+    # a bit vector as an int whose bit i is bits[i]
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+@functools.lru_cache(maxsize=None)
+def _butterfly_masks(n: int) -> tuple:
+    # per stage of the butterfly on n-bit ints: its step and the mask of the
+    # first block of each aligned pair, (2^step - 1) repeated every 2 step bits
+    full = (1 << n) - 1
+    return tuple((s, ((1 << s) - 1) * (full // ((1 << 2 * s) - 1)))
+                 for s in (1 << k for k in range(n.bit_length() - 1)))
+
+
+def _int_transform(t: int, n: int) -> int:
+    # _butterfly on an n-bit int whose bit i is position i
+    for step, mask in _butterfly_masks(n):
+        t ^= (t >> step) & mask
+    return t
+
+
 def polar_transform(u) -> np.ndarray:
     """x = u G over GF(2) with G the polar kernel power; involutive.
 
@@ -204,8 +240,8 @@ class PolarLevelCode:
         object.__setattr__(self, "message", ms)
 
 
-# rate-1 certification (module docstring): d*ln2 + 1 <= |L| <= 2^20 for a
-# node of size 2^d; the cap keeps the rounding error of f far below 1
+# the certificate's bounds (module docstring): d*ln2 + 1 <= |L| <= 2^20 for
+# a node of size 2^d; the cap keeps the rounding error of f far below 1
 _LN2 = math.log(2.0)
 _RATE1_LLR_CAP = float(1 << 20)
 # nodes of at most this many LLRs run generated straight-line code on Python
@@ -350,41 +386,46 @@ class _Node:
     pattern, what a decode does there.
 
     ``leaf`` is the generated decoder of a node of at most ``_FLOAT_NODE``
-    positions, which does all of it.  ``low`` is the rate-1 certificate's
-    lower bound of a node whose positions are all free, else ``None``.
+    positions, which does all of it.  ``low`` is the certificate's lower
+    bound of a node that tests it (a right child, or a node whose positions
+    are all free), else ``None``; ``known`` is then the mask of its frozen
+    and pinned positions, bit i for position start + i (0 at a rate-1 node).
     ``left`` and ``right`` are the children's plans, ``None`` for a known
     (rate-0) child; ``pinned_left`` and ``pinned_right`` say whether a
     known child holds a pin, so its partial sums are the transform of its
     values, not zeros.
     """
 
-    __slots__ = ("start", "mid", "end", "leaf", "low", "left", "right",
+    __slots__ = ("start", "mid", "end", "leaf", "low", "known", "left", "right",
                  "pinned_left", "pinned_right")
 
-    def __init__(self, pattern: bytes, start: int, end: int):
+    def __init__(self, pattern: bytes, start: int, end: int, right: bool = False):
         n = end - start
         self.start, self.mid, self.end = start, start + n // 2, end
-        self.leaf = self.low = self.left = self.right = None
+        self.leaf = self.low = self.known = self.left = self.right = None
         self.pinned_left = self.pinned_right = False
         if n <= _FLOAT_NODE:
             self.leaf = _subtree_decoder(pattern[start:end])
             return
-        if pattern.count(_FREE, start, end) == n:
+        if right or pattern.count(_FREE, start, end) == n:
             self.low = (n.bit_length() - 1) * _LN2 + 1.0
+            self.known = _packed(np.frombuffer(pattern, np.uint8, n, start) != _FREE)
         if pattern.find(_FREE, start, self.mid) >= 0:
             self.left = _Node(pattern, start, self.mid)
         else:
             self.pinned_left = pattern.find(_PINNED, start, self.mid) >= 0
         if pattern.find(_FREE, self.mid, end) >= 0:
-            self.right = _Node(pattern, self.mid, end)
+            self.right = _Node(pattern, self.mid, end, right=True)
         else:
             self.pinned_right = pattern.find(_PINNED, self.mid, end) >= 0
 
 
 # the plan of a pattern, shared by all codes.  A plan of length ell holds at
-# most ell / 8 nodes of about 100 bytes (a chain code at ell=4096: 310) and
-# keeps its leaves' generated decoders alive; the chain and keyed CI
-# sessions meet 4 patterns each
+# most ell / 8 nodes of about 100 bytes (a chain code at ell=4096: 310),
+# each node that tests the certificate also an n-bit mask of its n
+# positions (at most ell log2(ell) / 8 bytes in all), and keeps its leaves'
+# generated decoders alive; the chain and keyed CI sessions meet 4 patterns
+# each
 @functools.lru_cache(maxsize=64)
 def _decoder_plan(pattern: bytes) -> _Node:
     return _Node(pattern, 0, len(pattern))
@@ -409,8 +450,15 @@ def _walk(node: _Node, llr: np.ndarray, x: np.ndarray, known: list | None,
     if node.low is not None:
         mag = np.abs(llr, out=scratch[:end - start])
         if mag.min() >= node.low and mag.max() <= _RATE1_LLR_CAP:
-            np.less(llr, 0.0, out=x[start:end])
-            return
+            if not node.known:
+                np.less(llr, 0.0, out=x[start:end])
+                return
+            y = llr < 0.0
+            # u = y G must hold the known values, which x still holds here
+            want = _packed(x[start:end]) if known is not None else 0
+            if (_int_transform(_packed(y), end - start) ^ want) & node.known == 0:
+                x[start:end] = y
+                return
     h = mid - start
     a, b, c = llr[:h], llr[h:], child[h:2 * h]
     xl, xr = x[start:mid], x[mid:end]

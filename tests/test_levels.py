@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from covertppm import levels, ppm
 from covertppm.adversary import covertness_estimate
-from covertppm.channels import bac, bsc, divergence_stats, make_dmc
+from covertppm.channels import ChannelError, bac, bsc, divergence_stats, make_dmc
 from covertppm.codec import build_session
 from covertppm.levels import (
     DEFAULT_LLR_MAX,
@@ -883,6 +883,18 @@ class TestLevelLaw:
         assert DEFAULT_TYPE_BUDGET == 2_000_000
         with pytest.raises(EnumerationBudgetError, match=named):
             level_law(ch, i)
+
+    def test_overflowing_likelihood_sum_refused(self):
+        # bsc(1e-306)'s ratio row1/row0 is about 1e306: 2^7 times it is
+        # finite, 2^8 times it is not, so from level 9 a histogram on row0's
+        # support has an infinite sum, and its pulse pmf would hold inf
+        ch = bsc(1e-306)
+        law = level_law(ch, 8)
+        for arr in (law.sums, law.pulse_pmf, law.plain_pmf):
+            assert np.isfinite(arr).all()
+        for i in (9, 10, 12):
+            with pytest.raises(ChannelError, match=f"^level {i}: "):
+                level_law(ch, i)
 
     def test_largest_levels_within_budget_build(self):
         assert level_law(TERNARY, 11).histograms.shape == (math.comb(1026, 2), 3)

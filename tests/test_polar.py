@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import weakref
@@ -97,6 +98,14 @@ class TestTransform:
         out = polar_transform([0, 1, 1, 1])
         assert out.dtype == np.uint8
         np.testing.assert_array_equal(out, [1, 0, 0, 1])
+
+    @pytest.mark.parametrize("log_ell", range(12))
+    def test_int_butterfly_equals_the_transform(self, log_ell, rng):
+        # the decoder's certificate transforms hard decisions packed in an int
+        n = 1 << log_ell
+        for u in rng.integers(0, 2, size=(8, n), dtype=np.uint8):
+            assert polar._int_transform(polar._packed(u), n) \
+                == polar._packed(polar_transform(u))
 
     @pytest.mark.parametrize("log_ell", range(11))
     def test_matches_kronecker_generator(self, log_ell, rng):
@@ -317,6 +326,127 @@ def test_sc_decode_bitwise_equals_reference(log_ell, mask_kind, source,
     np.testing.assert_array_equal(u_hat, u_ref)
     np.testing.assert_array_equal(x_hat, x_ref)
     np.testing.assert_array_equal(x_hat, polar_transform(u_hat))
+
+
+@pytest.fixture
+def leaf_starts(monkeypatch):
+    """The first positions of the generated leaves that decodes run, with
+    the decoder plans rebuilt around recording leaves and dropped after."""
+    polar._decoder_plan.cache_clear()
+    starts = []
+    make = polar._subtree_decoder
+
+    def spy(pattern):
+        leaf = make(pattern)
+
+        def recorded(l, v, s):
+            starts.append(s)
+            return leaf(l, v, s)
+
+        return recorded
+
+    monkeypatch.setattr(polar, "_subtree_decoder", spy)
+    yield starts
+    polar._decoder_plan.cache_clear()
+
+
+# the certificate's bounds for a right half of 32 LLRs
+CERT_LOW = 5 * math.log(2.0) + 1.0
+CERT_CAP = float(1 << 20)
+
+
+def _right_half_case(magnitude: float, pinned: bool, broken: bool = False):
+    """A 64-position code whose halves each freeze their positions of binary
+    weight below 2, the LLRs of a codeword on its right half [32, 64) at
+    ``magnitude`` and +0.0 on its left half, and its pins.
+
+    b + 0.0 and b - 0.0 are b, so the right half's plan node gets those
+    LLRs unchanged, whatever the left half decides.  ``pinned`` pins three
+    right-half and one left-half message positions to 1; ``broken`` takes
+    the codeword of input bits that break one known value of the right
+    half: its last frozen bit set to 1, or with ``pinned`` its first pin
+    cleared.
+    """
+    ell, h = 64, 32
+    idx = np.arange(ell)
+    code = _code(ell, idx[np.array([bin(i % h).count("1") for i in idx]) < 2])
+    u = np.zeros(ell, dtype=np.uint8)
+    u[code.message] = np.random.default_rng(4).integers(0, 2, size=code.message.shape[0])
+    pins = None
+    if pinned:
+        idx = np.concatenate([code.message[code.message >= h][:3], code.message[:1]])
+        pins = (idx, np.ones(idx.shape[0], dtype=np.uint8))
+        u[idx] = 1
+    if broken and pinned:
+        u[pins[0][0]] = 0
+    elif broken:
+        u[_frozen(code)[-1]] = 1
+    llrs = np.zeros(ell)
+    llrs[h:] = magnitude * (1.0 - 2.0 * polar_transform(u)[h:])
+    return code, pins, llrs
+
+
+def _decode_as_reference(llrs, code, pins) -> None:
+    u_hat, x_hat = sc_decode(llrs, code, pins=pins)
+    u_ref, x_ref = sc_decode_reference(llrs, code, pins=pins)
+    np.testing.assert_array_equal(u_hat, u_ref)
+    np.testing.assert_array_equal(x_hat, x_ref)
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["frozen", "pinned"])
+@pytest.mark.parametrize("magnitude", [CERT_LOW, CERT_CAP], ids=["low", "cap"])
+def test_certified_right_half_runs_no_leaf(leaf_starts, magnitude, pinned):
+    # every |L| of the half on a bound, and hard decisions whose transform
+    # holds the half's known values: its SC bits are its hard decisions,
+    # taken without a leaf; the left half still runs its leaves
+    code, pins, llrs = _right_half_case(magnitude, pinned)
+    _decode_as_reference(llrs, code, pins)
+    assert leaf_starts and max(leaf_starts) < 32
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["frozen", "pinned"])
+@pytest.mark.parametrize("outside", [np.nextafter(CERT_LOW, 0.0), np.nextafter(CERT_CAP, np.inf)],
+                         ids=["below-low", "above-cap"])
+def test_right_half_one_ulp_outside_the_bounds_splits(leaf_starts, outside, pinned):
+    # one LLR one ulp outside the bounds, the rest on them: the half splits
+    for at in (32, 47, 63):
+        code, pins, llrs = _right_half_case(CERT_LOW if outside < CERT_CAP else CERT_CAP,
+                                            pinned)
+        llrs[at] = np.copysign(outside, llrs[at])
+        leaf_starts.clear()
+        _decode_as_reference(llrs, code, pins)
+        assert max(leaf_starts) >= 32
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["frozen-bit", "pin-of-one"])
+@pytest.mark.parametrize("magnitude", [CERT_LOW, 8.0, CERT_CAP])
+def test_hard_decisions_breaking_a_known_value_split(leaf_starts, magnitude, pinned):
+    # the hard decisions' transform sets a frozen bit of the half, or clears
+    # one of its pins of value 1: SC forces the known value there, so the
+    # half splits and decodes as SC
+    code, pins, llrs = _right_half_case(magnitude, pinned, broken=True)
+    _decode_as_reference(llrs, code, pins)
+    assert max(leaf_starts) >= 32
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["frozen", "pinned"])
+@pytest.mark.parametrize("tie", [0.0, -0.0, 1e-300])
+def test_ties_at_nodes_with_known_positions_follow_sc(leaf_starts, tie, pinned):
+    # a zero or tiny LLR in a half with frozen positions: no shortcut
+    for at in (32, 40, 63):
+        code, pins, llrs = _right_half_case(CERT_CAP, pinned)
+        llrs[at] = tie
+        leaf_starts.clear()
+        _decode_as_reference(llrs, code, pins)
+        assert max(leaf_starts) >= 32
+    # and everywhere in a longer code, with pinned and frozen positions
+    rng = np.random.default_rng(12)
+    code = _code(256, _frozen_set("weight", 256, rng))
+    u = np.zeros(256, dtype=np.uint8)
+    u[code.message] = rng.integers(0, 2, size=code.message.shape[0])
+    llrs = CERT_CAP * (1.0 - 2.0 * polar_transform(u))
+    llrs[rng.random(256) < 0.05] = tie
+    _decode_as_reference(llrs, code, (code.message[::7], u[code.message[::7]]))
 
 
 def _generated_patterns(monkeypatch) -> list:
