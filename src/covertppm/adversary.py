@@ -485,7 +485,7 @@ def _root_mixture_statistics(willie: Dmc, roots: np.ndarray, m: int,
 def _mixture_statistics(willie: Dmc, output: SuperOutput, blocks: int) -> np.ndarray:
     """The mixture statistic of each of ``blocks`` blocks of equal length
     whose rows a channel output holds one after another, read from the
-    output's pyramid root in one query."""
+    rows' root histograms in one query."""
     root = output.block_histograms(output.q, np.zeros((output.ell, 1), dtype=np.int64))
     return _root_mixture_statistics(willie, root[:, 0], 1 << output.q, blocks)
 

@@ -15,13 +15,14 @@ the histograms of the two halves of the subblock indicated by the already
 recovered higher-level bits, forms the level LLRs from them, and runs
 successive cancellation with the key positions pinned.  The channel draws
 each super-symbol along its pulse path (``ppm.transmit_super``), so with
-the higher bits right those halves are histograms already drawn; a row
-read elsewhere, after a wrong higher-level decision, has its symbols laid
-out once, consistently with every other read.  Besides the channel output it
-takes each keyed level's key bits and, in extractor mode, the shared
-extractor input, from which it rebuilds the resolvability levels; in the
-fully uniform mode the simulation reveals those levels and flags the
-result, so reliability numbers are always scoped honestly.
+the higher bits right those halves are histograms already drawn; a block
+read elsewhere, after a wrong higher-level decision, is split off the
+sibling histogram that holds it, consistently with every other read.
+Besides the channel output it takes each keyed level's key bits and, in
+extractor mode, the shared extractor input, from which it rebuilds the
+resolvability levels; in the fully uniform mode the simulation reveals
+those levels and flags the result, so reliability numbers are always
+scoped honestly.
 
 Chaining feeds the secret bits recovered from block j (the receiver uses its
 own decisions, so one failure taints the blocks after it) in as block j+1's
@@ -82,10 +83,6 @@ class LevelLayout:
 #: extractor input bits beyond Willie's information about levels u+1..q,
 #: per super-symbol
 _EXTRACTOR_MARGIN = 0.1
-
-#: largest worst-case block (every row's symbols laid out) that
-#: ``build_session`` accepts, bytes
-MAX_BLOCK_DRAW_BYTES = 1 << 30
 
 
 def _floor_bits(ell: int, rate: float) -> int:
@@ -150,18 +147,16 @@ def build_session(
 
     A planner blocklength that is not a power of two is rounded down for the
     polar blocks and the covertness budget is restated for the rounded
-    length (``delta_effective``).  A geometry whose worst-case block at
-    that length exceeds ``MAX_BLOCK_DRAW_BYTES`` is refused before any code
-    is constructed.  A block draws O(ell q |Z|) bytes along its pulse paths,
-    but a receiver that reads every row off its path lays out all ell * 2^q
-    symbols and their histogram pyramid (at most 2(|Z| - 1) times the
-    symbols' bytes); 8 bytes per channel use more cover the layout's
-    scratch.  So is, in extractor mode, a field width that ``make_field``
-    refuses.  The plan's rates are asymptotic operating points;
-    ``rate_scale`` backs the message and secret payloads off for finite
-    blocks (key counts stay at their ceiling: they are a covertness
-    requirement, not a reliability one); it must lie in (0, 1].  ``construction_trials`` (Monte-Carlo
-    blocks per level code) must be at least 1.
+    length (``delta_effective``).  A block costs O(ell q |Z|) draws and
+    bytes, on its pulse paths or off them (``ppm.SuperOutput``), so the
+    geometry needs no memory limit of its own: the planner's histogram
+    budget bounds q.  In extractor mode a field width that ``make_field``
+    refuses is refused before any code is constructed.  The plan's rates
+    are asymptotic operating points; ``rate_scale`` backs the message and
+    secret payloads off for finite blocks (key counts stay at their
+    ceiling: they are a covertness requirement, not a reliability one); it
+    must lie in (0, 1].  ``construction_trials`` (Monte-Carlo blocks per
+    level code) must be at least 1.
     """
     if not 0.0 < rate_scale <= 1.0:
         raise SessionError(f"rate_scale must lie in (0, 1], got {rate_scale}")
@@ -176,15 +171,6 @@ def build_session(
             "no blocklength is covert"
         )
     ell = 1 << (plan.ell.bit_length() - 1)  # largest power of two <= plan.ell
-    uses = ell * plan.m
-    size = max(bob.alphabet_size, willie.alphabet_size)
-    need = uses * (8 + np.min_scalar_type(size - 1).itemsize * (1 + 2 * (size - 1)))
-    if need > MAX_BLOCK_DRAW_BYTES:
-        raise SessionError(
-            f"a block of {uses} channel uses (ell={plan.ell}, q={plan.q}) draws "
-            f"about {need / 2**30:.1f} GiB, above the "
-            f"{MAX_BLOCK_DRAW_BYTES / 2**30:g} GiB limit"
-        )
     delta_effective = ppm_divergence_bound(willie.stats.chi2, plan.m, plan.B * ell)
     plan = replace(plan, ell=ell)
     # the field draws no randomness, so it is built before the codes: a

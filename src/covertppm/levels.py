@@ -399,8 +399,8 @@ def select_positions_batch(
     (pulse position - 1) >> i.  Its first half belongs to level bit
     x_i = 0.  Its halves are the aligned width-2^(i-1) blocks 2d and 2d+1,
     so the returned (ell, |Z|) counts of the first and the second half are
-    two views of one gather from level i-1 of the output's histogram
-    pyramid.
+    two views of one ``block_histograms`` read at height i-1: with the
+    right higher bits, the pulse path's block and its sibling.
     """
     q, ell = output.q, output.ell
     if not 1 <= i <= q:

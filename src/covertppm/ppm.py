@@ -96,180 +96,143 @@ def _one_hot(symbols: np.ndarray, size: int) -> np.ndarray:
     return (symbols[..., None] == np.arange(1, size)).view(np.uint8)
 
 
-def _pyramid_levels(symbols: np.ndarray, size: int, q: int) -> list[np.ndarray]:
-    """Levels 1..q of the histogram pyramid of (rows, 2^q) symbols: level j
-    holds each row's counts of symbols 1..size-1 in every aligned width-2^j
-    block, in the smallest unsigned dtype that holds 2^j, each level the
-    pairwise sums of the one below, starting from the one-hot symbols."""
-    level = _one_hot(symbols, size)
-    levels = []
-    for j in range(1, q + 1):
-        pairs = level.reshape(symbols.shape[0], 1 << (q - j), 2, level.shape[2])
-        # unsafe: level 0 keeps the symbols' integer dtype, signed or wide
-        level = np.add(pairs[:, :, 0], pairs[:, :, 1],
-                       dtype=np.min_scalar_type(1 << j), casting="unsafe")
-        levels.append(level)
-    return levels
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, ascending, by one sort (recent numpy's
+    ``np.unique`` builds a hash table first, several times slower here)."""
+    keys = np.sort(keys)
+    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
 
 
 class SuperOutput:
     """Received super-symbols, read through the output histograms of their
-    aligned blocks.
+    aligned blocks (:meth:`block_histograms`), never symbol by symbol.
 
-    Every statistic of the receivers reads a row through
-    :meth:`block_histograms`, never symbol by symbol.  A histogram of a
-    width-2^j block is stored as its counts of symbols 1..|Z|-1 in the
-    smallest unsigned dtype that holds 2^j; symbol 0's count is the rest of
-    the block.  Compared and hashed by identity.
+    A histogram of a width-2^j block is stored as its counts of symbols
+    1..|Z|-1 in the smallest unsigned dtype that holds 2^j; symbol 0's count
+    is the rest of the block.  Per row the output keeps the 0-based pulse
+    position p (``pulses``), the histograms S_k of the sibling blocks
+    (p >> k) ^ 1, k = 0..q-1 (``siblings``), and the pulse path's histograms
+    P_j = e_z + S_0 + ... + S_(j-1) of the blocks p >> j, j = 0..q, z the
+    pulse's output (``path``); and it keeps the generator ``rng`` that the
+    siblings were drawn from.  A query of a row's path block or its sibling
+    reads these.
 
-    ``SuperOutput(q, symbols, alphabet_size)`` holds an (ell, 2^q) array of
-    output-alphabet indices in 0..alphabet_size-1, kept in the integer dtype
-    it comes in, and answers from its histogram ``pyramid``, built once on
-    first use.  Level j of the pyramid holds every row's histograms of its
-    width-2^j blocks, an (ell, 2^(q-j), |Z|-1) array.  Level 0 is the symbol
-    array itself, no copy: its one-symbol blocks read as one-hot histograms
-    (a binary symbol is its own count of symbol 1), and each level j >= 1
-    adds the neighbouring blocks of level j-1 in pairs.  Levels 1..q take
-    about (|Z|-1) bytes per channel use, at most twice that.
-
-    An output of :func:`transmit_super` starts with no symbols.  Per row it
-    keeps the 0-based pulse position p (``pulses``), the histograms S_k of
-    the sibling blocks (p >> k) ^ 1, k = 0..q-1 (``siblings``), and the
-    pulse path's histograms P_j = e_z + S_0 + ... + S_(j-1) of the blocks
-    p >> j, j = 0..q, z the pulse's output (``path``); and it keeps the
-    generator they were drawn from.  A query of a row's path block or its
-    sibling reads these.  A row queried at any other block is materialized
-    first, once: z goes to the pulse, and each S_k becomes a uniformly
-    random arrangement of its counts over its sibling block, one
-    ``permuted`` draw per height k = 0..q-1 from the kept generator for all
-    the rows materialized together, in ascending order.  From then on that
-    row answers from its pyramid, so every answer agrees with one array of
-    symbols.  Given the counts, each sibling block's arrangement is uniform,
-    so the symbols are iid outputs: row1 at the pulse, row0 elsewhere.
-    ``symbols`` and ``pyramid`` materialize every row left.
+    Every other block of a row lies in one sibling S_k, and is split off it
+    one height at a time.  A width-2^h node with counts c splits into two
+    halves: the first half's count of each symbol a = 1..|Z|-1 in turn is
+    hypergeometric, c_a marked among the node's uses not yet assigned, as
+    many drawn as the half has left, and the second half holds the rest.
+    One vectorised ``hypergeometric`` call per symbol splits all the nodes
+    of one height that a query needs, from the kept generator, heights
+    descending.  Every split is kept (per height, sorted by the key
+    row * 2^(q-h) + block, whose parent's key is the key shifted right by
+    one), so every answer agrees with one arrangement of the outputs.
+    Given a node's counts, a uniformly random arrangement of them splits
+    this way, so the outputs are iid: row1 at the pulse, row0 elsewhere.
+    A wrong decision costs O(q |Z|) per row, never the 2^q symbols.
+    Compared and hashed by identity.
     """
 
-    def __init__(self, q: int, symbols, alphabet_size: int):
-        sym = np.asarray(symbols)
-        if not np.issubdtype(sym.dtype, np.integer):
-            raise ValueError(f"symbols must be integers, got dtype {sym.dtype}")
-        if q < 1:
-            raise ValueError("q must be >= 1")
-        if sym.ndim != 2 or sym.shape[1] != (1 << q):
-            raise ValueError(f"symbols must have shape (ell, {1 << q})")
-        if alphabet_size < 2:
-            raise ValueError("the output alphabet needs at least 2 symbols")
-        if sym.size and (sym.min() < 0 or sym.max() >= alphabet_size):
-            raise ValueError("output symbol outside the alphabet")
-        self.q, self.alphabet_size, self.ell = q, alphabet_size, int(sym.shape[0])
-        self._symbols, self._levels = sym, None
-        # no pulse path: every row is materialized
-        self.pulses = self.path = self.siblings = None
-        self._halves = self._pair_rows = self._z = self._rng = self._done = None
-
-    @classmethod
-    def _from_pulse_path(cls, q: int, alphabet_size: int, pulses: np.ndarray,
-                         z: np.ndarray, siblings: list[np.ndarray],
-                         rng: np.random.Generator) -> SuperOutput:
-        out = cls.__new__(cls)
-        out.q, out.alphabet_size, out.ell = q, alphabet_size, int(pulses.shape[0])
+    def __init__(self, q: int, alphabet_size: int, pulses: np.ndarray, z: np.ndarray,
+                 siblings: list[np.ndarray], rng: np.random.Generator):
+        self.q, self.alphabet_size, self.ell = q, alphabet_size, int(pulses.shape[0])
         # per height k < q, the (ell, 2, |Z|-1) histograms of the path's
         # block and its sibling, so that one take answers a query of both
         halves, path = [], _one_hot(z, alphabet_size)
         for k, counts in enumerate(siblings):
-            pair = np.empty((out.ell, 2, alphabet_size - 1), dtype=counts.dtype)
+            pair = np.empty((self.ell, 2, alphabet_size - 1), dtype=counts.dtype)
             pair[:, 0], pair[:, 1] = path, counts
             halves.append(pair)
             path = np.add(path, counts, dtype=np.min_scalar_type(2 << k))
-        out.pulses = pulses
-        out.path = tuple(pair[:, 0] for pair in halves) + (path,)
-        out.siblings = tuple(pair[:, 1] for pair in halves)
-        out._halves, out._pair_rows = halves, 2 * np.arange(out.ell)[:, None]
-        out._z, out._symbols, out._levels = z, None, None
-        out._rng, out._done = rng, np.zeros(out.ell, dtype=bool)
-        return out
-
-    @property
-    def symbols(self) -> np.ndarray:
-        """The (ell, 2^q) output symbols, every row materialized."""
-        self._materialize_rest()
-        return self._symbols
-
-    @property
-    def pyramid(self) -> tuple[np.ndarray, ...]:
-        """Levels 0..q of the histogram pyramid, every row materialized."""
-        self._materialize_rest()
-        if self._levels is None:
-            self._levels = _pyramid_levels(self._symbols, self.alphabet_size, self.q)
-        return (self._symbols, *self._levels)
-
-    def _materialize_rest(self):
-        if self._done is not None:
-            self._materialize(np.flatnonzero(~self._done))
-
-    def _materialize(self, rows: np.ndarray):
-        """Lay out the symbols of the given unmaterialized rows (ascending)
-        from their pulse path, and fill in their pyramid rows."""
-        q, size, n = self.q, self.alphabet_size, rows.shape[0]
-        dtype = np.min_scalar_type(size - 1)
-        if self._symbols is None:
-            # zero pages: only the rows written take memory
-            self._symbols = np.zeros((self.ell, 1 << q), dtype=dtype)
-            self._levels = [np.zeros((self.ell, 1 << (q - j), size - 1),
-                                     dtype=np.min_scalar_type(1 << j))
-                            for j in range(1, q + 1)]
-        sym = np.empty((n, 1 << q), dtype=dtype)
-        at, pulses = np.arange(n), self.pulses[rows]
-        sym[at, pulses] = self._z[rows]
-        for k, counts in enumerate(self.siblings):
-            counts = counts[rows].astype(np.intp)
-            full = np.concatenate([(1 << k) - counts.sum(axis=1, keepdims=True), counts],
-                                  axis=1)
-            ordered = np.repeat(np.tile(np.arange(size, dtype=dtype), n), full.ravel())
-            block = sym.reshape(n, 1 << (q - k), 1 << k)
-            block[at, (pulses >> k) ^ 1] = self._rng.permuted(
-                ordered.reshape(n, 1 << k), axis=1)
-        self._symbols[rows] = sym
-        for level, part in zip(self._levels, _pyramid_levels(sym, size, q)):
-            level[rows] = part
-        self._done[rows] = True
+        self.pulses = pulses
+        self.path = tuple(pair[:, 0] for pair in halves) + (path,)
+        self.siblings = tuple(pair[:, 1] for pair in halves)
+        self._halves, self._pair_rows = halves, 2 * np.arange(self.ell)[:, None]
+        self._rng = rng
+        # per height, the kept split nodes: sorted keys and their counts
+        self._kept = [(np.empty(0, dtype=np.int64),
+                       np.empty((0, alphabet_size - 1), dtype=pair.dtype))
+                      for pair in halves]
 
     def block_histograms(self, j: int, blocks: np.ndarray) -> np.ndarray:
         """Output histograms of chosen aligned width-2^j blocks of each row.
 
         ``blocks`` is an (ell, k) array whose row r holds block indices in
         0..2^(q-j)-1 of super-symbol r.  Returns the (ell, k, |Z|) counts of
-        those blocks, symbol 0 first: one gather from pyramid level j, or,
-        for the rows of an output of :func:`transmit_super` that are still
-        on their pulse path, a choice between P_j and S_j.
+        those blocks, symbol 0 first, in the smallest unsigned dtype that
+        holds 2^j: a choice between P_j and S_j, or a block split off the
+        sibling that holds it.
         """
         blocks = np.asarray(blocks)
-        if self._done is None:
-            picked = self.pyramid[j][np.arange(self.ell)[:, None], blocks]
-            if j == 0:
-                picked = _one_hot(picked, self.alphabet_size)
+        if j == self.q:  # the root is every row's path block
+            picked = np.repeat(self.path[j][:, None], blocks.shape[1], axis=1)
         else:
-            # 0 at the path's block, 1 at its sibling
+            # 0 at the path's block, 1 at its sibling, more off the path
             rel = blocks.astype(np.intp, copy=False) ^ (self.pulses >> j)[:, None]
-            top = int(j < self.q)  # the root has no sibling
-            if rel.max(initial=0) > top:
-                off = np.flatnonzero((rel > top).any(axis=1) & ~self._done)
-                if off.size:
-                    self._materialize(off)
-            if top:
-                # a materialized row may read any pair here: the pyramid overwrites it below
-                rel += self._pair_rows
-                flat = self._halves[j].reshape(2 * self.ell, self.alphabet_size - 1)
-                picked = np.take(flat, rel, axis=0, mode="clip")
-            else:
-                picked = np.repeat(self.path[j][:, None], blocks.shape[1], axis=1)
-            if self._done.any():
-                done = np.flatnonzero(self._done)
-                level = self._symbols if j == 0 else self._levels[j - 1]
-                got = level[done[:, None], blocks[done]]
-                picked[done] = _one_hot(got, self.alphabet_size) if j == 0 else got
-        rest = (1 << j) - picked.sum(axis=2, keepdims=True)
+            off = np.nonzero(rel > 1) if rel.max(initial=0) > 1 else None
+            rel += self._pair_rows
+            flat = self._halves[j].reshape(2 * self.ell, self.alphabet_size - 1)
+            # an off-path entry reads any pair here: its split overwrites it below
+            picked = np.take(flat, rel, axis=0, mode="clip")
+            if off is not None:
+                keys = (off[0] << (self.q - j)) + blocks[off]
+                picked[off] = self._split_off(j, keys)
+        rest = (1 << j) - picked.sum(axis=2, dtype=picked.dtype, keepdims=True)
         return np.concatenate([rest, picked], axis=2)
+
+    def _split_off(self, j: int, keys: np.ndarray) -> np.ndarray:
+        """Counts of the off-path height-j nodes ``keys``, splitting every
+        node not yet kept off its nearest kept or sibling ancestor."""
+        q, missing, want = self.q, [], _unique(keys)
+        # upwards: the nodes not kept at each height, then their parents
+        # that are not the sibling
+        for h in range(j, q):
+            want = np.setdiff1d(want, self._kept[h][0], assume_unique=True)
+            if not want.size:
+                break
+            missing.append(want)
+            want = _unique(want >> 1)
+            want = want[self._relative(h + 1, want) > 1]
+        # downwards: split each missing pair's parent, topmost first
+        for h in range(j + len(missing) - 1, j - 1, -1):
+            parents = _unique(missing[h - j] >> 1)
+            counts = self._node_counts(h + 1, parents)
+            first = self._first_halves(counts, h + 1)
+            pair = np.stack([first, counts - first], axis=1).reshape(-1, self.alphabet_size - 1)
+            kept_keys, kept_counts = self._kept[h]
+            new = np.stack([2 * parents, 2 * parents + 1], axis=1).ravel()
+            merged = np.concatenate([kept_keys, new])
+            order = np.argsort(merged)
+            self._kept[h] = (merged[order],
+                             np.concatenate([kept_counts, pair.astype(kept_counts.dtype)])[order])
+        return self._node_counts(j, keys)
+
+    def _relative(self, h: int, keys: np.ndarray) -> np.ndarray:
+        """Each height-h node's block XOR its row's path block: 0 on the
+        path, 1 at the sibling, more off the path."""
+        shift = self.q - h
+        return (keys & ((1 << shift) - 1)) ^ (self.pulses[keys >> shift] >> h)
+
+    def _node_counts(self, h: int, keys: np.ndarray) -> np.ndarray:
+        """Counts of height-h nodes ``keys``, each a sibling or kept."""
+        out = self.siblings[h][keys >> (self.q - h)]
+        kept_keys, kept_counts = self._kept[h]
+        at = self._relative(h, keys) > 1
+        out[at] = kept_counts[np.searchsorted(kept_keys, keys[at])]
+        return out
+
+    def _first_halves(self, counts: np.ndarray, h: int) -> np.ndarray:
+        """Counts of the first halves of width-2^h nodes with ``counts``:
+        symbol by symbol, one ``hypergeometric`` call over all the nodes."""
+        first = np.empty_like(counts)
+        left = np.full(counts.shape[0], 1 << h, dtype=np.int64)  # uses unassigned
+        draws = np.full(counts.shape[0], 1 << (h - 1), dtype=np.int64)  # left in the half
+        for a in range(counts.shape[1]):
+            marked = counts[:, a].astype(np.int64)
+            first[:, a] = got = self._rng.hypergeometric(marked, left - marked, draws)
+            left -= marked
+            draws -= got
+        return first
 
 
 def decimal_values(bits) -> np.ndarray:
@@ -302,16 +265,16 @@ def transmit_super(dmc: Dmc, frame: PpmFrame, rng: np.random.Generator) -> Super
     2. for k = 0..q-1, the sibling histograms S_k ~ Mult(2^k, row0): one
        ``multinomial`` call of size ell per height.
 
-    The output keeps the child, and any later materialization draws from
-    it.  So the draws take O(ell q |Z|) time and memory, not O(ell 2^q).
+    The output keeps the child, and any later split off a sibling draws
+    from it.  So the draws take O(ell q |Z|) time and memory, not
+    O(ell 2^q).
     """
     child = np.random.default_rng(
         rng.integers(0, 1 << 64, size=CHILD_SEED_WORDS, dtype=np.uint64))
     z = sample_outputs(dmc, 1, frame.ell, child)
     siblings = [child.multinomial(1 << k, dmc.row0, size=frame.ell)[:, 1:]
                 .astype(np.min_scalar_type(1 << k)) for k in range(frame.q)]
-    return SuperOutput._from_pulse_path(frame.q, dmc.alphabet_size, frame.positions - 1,
-                                        z, siblings, child)
+    return SuperOutput(frame.q, dmc.alphabet_size, frame.positions - 1, z, siblings, child)
 
 
 def all_histograms(m: int, s: int) -> list[np.ndarray]:

@@ -27,9 +27,12 @@ in sorted order: the histogram-based ``level_llrs`` must agree with it.
 ``select_positions_batch_symbols`` (slicing the symbol subblock),
 ``level_llrs_symbols`` (counting each half's symbols) and
 ``mixture_statistic_reference`` (a gather and a row mean of the ratios) are
-the symbol paths that the histogram pyramid of ``SuperOutput`` replaced;
-``pyramid_level_llrs`` runs rows of subblock symbols through the library's
-pyramid path, for the tests that hold symbols.
+the symbol paths that the histograms of ``SuperOutput`` replaced.
+``output_from_symbols`` builds a pulse-path ``SuperOutput`` whose path and
+sibling histograms are read off a symbol array at chosen pulses, for the
+tests that hold symbols; ``pyramid_level_llrs`` runs rows of subblock
+symbols through it and the library's level LLRs, and ``read_symbols`` reads
+an output's every width-1 block back as symbols.
 ``binary_divergence_reference`` (the ones-count loop) and
 ``type_class_divergence_reference`` (one histogram at a time) are the loops
 that the vectorised histogram sum of ``ppm_output_divergence`` must match,
@@ -713,8 +716,8 @@ def select_positions_batch_symbols(symbols, high_bits, i: int) -> np.ndarray:
     """The (ell, 2^i) symbol subblocks selected by the higher bits.
 
     Each row of the (ell, 2^q) symbols is read as (2^(q-i), 2^i) and the
-    slice at d(higher bits) taken: the symbol-slicing path that the pyramid
-    gather of ``select_positions_batch`` replaced.
+    slice at d(higher bits) taken: the symbol-slicing path that the
+    histogram read of ``select_positions_batch`` replaced.
     """
     symbols = np.asarray(symbols)
     ell, m = symbols.shape
@@ -727,7 +730,7 @@ def level_llrs_symbols(symbols, lam) -> np.ndarray:
 
     Symbols 1..|Z|-1 are counted with one comparison pass each and symbol 0
     takes the rest of the half; the counts go through the library's
-    ``level_llrs``.  The path that the pyramid's half histograms replaced.
+    ``level_llrs``.  The path that the half histograms replaced.
     """
     symbols = np.atleast_2d(np.asarray(symbols))
     n, width = symbols.shape
@@ -743,13 +746,44 @@ def mixture_statistic_reference(lam, outputs) -> float:
     return float(np.sum(np.log(np.asarray(lam).take(outputs).mean(axis=1))))
 
 
+def output_from_symbols(symbols, pulses, alphabet_size: int) -> SuperOutput:
+    """A pulse-path ``SuperOutput`` read off (ell, 2^q) output symbols with
+    each row's pulse at its 0-based position in ``pulses``: z is the symbol
+    at the pulse and S_k the counts of symbols 1..|Z|-1 in the sibling block
+    (p >> k) ^ 1.  A row's path blocks and their siblings then count the
+    symbols; any other block is split off a sibling by a generator seeded
+    0, so it holds the symbols' counts, not their arrangement."""
+    sym = np.asarray(symbols)
+    ell, m = sym.shape
+    q = m.bit_length() - 1
+    p = np.broadcast_to(np.asarray(pulses, dtype=np.int64), (ell,))
+    rows = np.arange(ell)
+    siblings = []
+    for k in range(q):
+        block = sym.reshape(ell, m >> k, 1 << k)[rows, (p >> k) ^ 1]
+        counts = [np.count_nonzero(block == a, axis=1) for a in range(1, alphabet_size)]
+        siblings.append(np.stack(counts, axis=1).astype(np.min_scalar_type(1 << k)))
+    z = sym[rows, p].astype(np.min_scalar_type(alphabet_size - 1))
+    return SuperOutput(q, alphabet_size, p, z, siblings, np.random.default_rng(0))
+
+
+def read_symbols(output: SuperOutput) -> np.ndarray:
+    """The (ell, 2^q) symbols of an output, one ``block_histograms`` read of
+    every width-1 block: blocks off a row's pulse path are split off its
+    siblings and kept, so later reads agree with these symbols."""
+    every = np.tile(np.arange(1 << output.q), (output.ell, 1))
+    return output.block_histograms(0, every).argmax(axis=2)
+
+
 def pyramid_level_llrs(symbols, lam) -> np.ndarray:
     """The library's level LLRs of (n, 2^i) rows of subblock symbols: each
-    row is a super-symbol of order 2^i whose top level (no higher bits) goes
-    through ``select_positions_batch`` and ``level_llrs``."""
+    row is a super-symbol of order 2^i (``output_from_symbols``, pulses at
+    0) whose top level (no higher bits) goes through
+    ``select_positions_batch`` and ``level_llrs``.  The top level's halves
+    are the path block and its sibling, whatever the pulses."""
     sym = np.atleast_2d(np.asarray(symbols))
     q = sym.shape[1].bit_length() - 1
-    out = SuperOutput(q=q, symbols=sym, alphabet_size=lam.shape[0])
+    out = output_from_symbols(sym, 0, lam.shape[0])
     return level_llrs(*select_positions_batch(out, np.zeros(out.ell, dtype=np.int64), q),
                       lam)
 

@@ -21,9 +21,11 @@ from conftest import (
     level_tvs_reference,
     mixture_statistic_reference,
     multinomial_pmf,
+    output_from_symbols,
     pooled_chi2_pvalue,
     pw_from_joint_codebook,
     pw_from_level_sources,
+    read_symbols,
 )
 from covertppm import adversary, codec
 from covertppm.adversary import (
@@ -59,7 +61,7 @@ from covertppm.levels import (
     level_llrs,
     msd_rate_plan,
 )
-from covertppm.ppm import SuperOutput, frame_from_bits, transmit_super
+from covertppm.ppm import frame_from_bits, transmit_super
 
 
 class TestLinearCodes:
@@ -521,11 +523,12 @@ class TestCovertnessEstimate:
                 bits = rng.integers(0, 2, size=(q, ell), dtype=np.uint8)
                 out = transmit_super(willie, frame_from_bits(bits), rng)
             else:
-                out = SuperOutput(q=q, symbols=sample_outputs(willie, 0, (ell, 1 << q), rng),
-                                  alphabet_size=willie.alphabet_size)
+                # the root is on every pulse path
+                out = output_from_symbols(sample_outputs(willie, 0, (ell, 1 << q), rng), 0,
+                                          willie.alphabet_size)
             got = _mixture_statistics(willie, out, 1)[0]
             with np.errstate(divide="ignore"):
-                want = mixture_statistic_reference(willie.lam, out.symbols)
+                want = mixture_statistic_reference(willie.lam, read_symbols(out))
             assert (got > 0.0) == (want > 0.0)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
             signs.append(want > 0.0)
@@ -544,7 +547,7 @@ class TestCovertnessEstimate:
         assert got.shape == (blocks,)
         with np.errstate(divide="ignore"):
             want = np.array([mixture_statistic_reference(willie.lam, rows)
-                             for rows in out.symbols.reshape(blocks, ell, 1 << q)])
+                             for rows in read_symbols(out).reshape(blocks, ell, 1 << q)])
         np.testing.assert_array_equal(got > 0.0, want > 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         assert 0 < np.count_nonzero(want > 0.0) < blocks
@@ -602,7 +605,7 @@ class TestCovertnessEstimate:
 
             def transmitted(*args, **kwargs):
                 out = transmit(*args, **kwargs)
-                seen.append(out.symbols)
+                seen.append(read_symbols(out))
                 return out
 
             def roots(*args):

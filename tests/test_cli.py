@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -17,9 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covertppm import codec
-from covertppm.channels import bsc
 from covertppm.cli import load_channel_file, main, parse_channel
-from covertppm.levels import msd_rate_plan
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -263,47 +260,6 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "infinite" in err
         assert not out.exists()
-
-
-class TestBlockDrawLimit:
-    @pytest.mark.parametrize("command", [
-        ("simulate", "--blocks", "1", "--trials", "50"),
-        ("covertness", "--construction-trials", "50", "--trials", "1"),
-    ], ids=["simulate", "covertness"])
-    def test_oversized_geometry_fails_before_code_construction(
-            self, tmp_path, capsys, monkeypatch, command):
-        # 4096 super-symbols of order 2^16 draw 2^28 channel uses per block,
-        # about 3 GiB of uniforms, symbols and pyramid
-        def construct_code(*args, **kwargs):
-            raise AssertionError("code constructed for an oversized geometry")
-
-        monkeypatch.setattr(codec, "construct_code", construct_code)
-        out = tmp_path / "o.json"
-        assert run_cli(command[0], "--bob", "bsc:0.05", "--willie", "bsc:0.1",
-                       "--levels", "16", "--ell", "4096", "--delta", "1.0",
-                       "--degraded", *command[1:], "--seed", "1",
-                       "--out", str(out)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "GiB limit" in err
-        assert not out.exists()
-
-    def test_limit_admits_the_largest_fitting_blocklength(self, monkeypatch):
-        # ell * 2^q * 11 bytes for a binary pair: q = 10 fits ell = 2^16
-        # (704 MiB) and refuses ell = 2^17
-        class Constructed(Exception):
-            pass
-
-        def construct_code(*args, **kwargs):
-            raise Constructed
-
-        monkeypatch.setattr(codec, "construct_code", construct_code)
-        bob, willie = bsc(0.05), bsc(0.1)
-        plan = msd_rate_plan(bob, willie, 10, 1.0, degraded=True, ell_override=1 << 16)
-        rng = np.random.default_rng(0)
-        with pytest.raises(Constructed):
-            codec.build_session(plan, bob, willie, rng)
-        with pytest.raises(codec.SessionError, match="GiB limit"):
-            codec.build_session(dataclasses.replace(plan, ell=1 << 17), bob, willie, rng)
 
 
 class TestRateScale:

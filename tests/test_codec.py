@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from conftest import (
     half_histogram_pmf,
     pin_rates,
     pooled_chi2_pvalue,
+    read_symbols,
     super_channel_matrix,
 )
 
@@ -128,6 +130,7 @@ class TestMsdEquivalence:
         frame = frame_from_bits(bits)
         received = transmit_super(ch, frame, rng)
         got = level_llrs(*select_positions_batch(received, decimal_values(bits[i:q]), i), lam)
+        symbols = read_symbols(received)
         for j in range(ell):
             high = bits[i:q, j]
             members0, members1 = [], []
@@ -136,7 +139,7 @@ class TestMsdEquivalence:
                 if tuple(db[i:]) != tuple(high):
                     continue
                 (members1 if db[i - 1] else members0).append(d)
-            yidx = self._output_index(received.symbols[j], ch.alphabet_size)
+            yidx = self._output_index(symbols[j], ch.alphabet_size)
             p0 = w[members0, yidx].mean()
             p1 = w[members1, yidx].mean()
             assert got[j] == pytest.approx(math.log(p0 / p1), rel=1e-11)
@@ -475,18 +478,23 @@ class TestBuildSession:
         with pytest.raises(SessionError, match="infinite"):
             build_session(plan, bsc(0.05), warden, rng, construction_trials=50)
 
-    def test_oversized_block_draw_refused_before_code_construction(self, rng,
-                                                                    monkeypatch):
-        # 4096 super-symbols of order 2^16 draw about 3 GiB per block; the
-        # library refuses it, not only the command line
-        def construct_code(*args, **kwargs):
-            raise AssertionError("code constructed for an oversized geometry")
-
-        monkeypatch.setattr(codec, "construct_code", construct_code)
+    def test_q16_ell4096_builds_and_runs_one_block(self, rng):
+        # 2^28 channel uses per block, drawn along the pulse paths.  With
+        # 50 construction trials and the full rates every level fails, so
+        # the receiver reads every level below the first error off the
+        # pulse paths: splits of the siblings, not 2^16 symbols per row
         plan = msd_rate_plan(bsc(0.05), bsc(0.1), 16, delta=1.0, degraded=True,
                              ell_override=4096)
-        with pytest.raises(SessionError, match="GiB limit"):
-            build_session(plan, bsc(0.05), bsc(0.1), rng, construction_trials=50)
+        session = build_session(plan, bsc(0.05), bsc(0.1), rng, construction_trials=50)
+        assert (session.q, session.ell) == (16, 4096)
+        tracemalloc.start()
+        try:
+            report = run_chain(session, 1, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.blocks) == 1 and report.blocks[0].any_error
+        assert peak <= 64 << 20
 
     def test_unsearched_field_width_refused_before_code_construction(self, rng,
                                                                      monkeypatch):

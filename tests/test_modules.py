@@ -12,7 +12,9 @@ from covertppm.adversary import identity_prefix_code
 from covertppm.channels import bsc
 from covertppm.codec import BlockResult, TxRecord
 from covertppm.polar import PolarLevelCode
-from covertppm.ppm import PpmFrame, SuperOutput
+from covertppm.ppm import PpmFrame
+
+from conftest import output_from_symbols
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "covertppm"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -62,8 +64,7 @@ RECORDS = {
     "PolarLevelCode": lambda: PolarLevelCode(ell=8, message=np.array([3, 5, 7])),
     "LinearCode": lambda: identity_prefix_code(8, 4),
     "PpmFrame": lambda: PpmFrame(q=2, positions=np.array([1, 4, 2])),
-    "SuperOutput": lambda: SuperOutput(q=1, symbols=np.zeros((3, 2), dtype=np.uint8),
-                                       alphabet_size=2),
+    "SuperOutput": lambda: output_from_symbols(np.zeros((3, 2), dtype=np.uint8), 0, 2),
     "TxRecord": lambda: TxRecord(level_bits=np.zeros((2, 4), dtype=np.uint8),
                                  messages={1: np.ones(2, dtype=np.uint8)},
                                  extractor_r=np.zeros(3, dtype=np.uint8)),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -8,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covertppm.channels import LN2, bsc, bac, divergence_stats, make_dmc
+from covertppm.levels import select_positions_batch
 from covertppm.ppm import (
     CHILD_SEED_WORDS,
     DEFAULT_TYPE_BUDGET,
     EnumerationBudgetError,
     PpmFrame,
-    SuperOutput,
     decimal_values,
     frame_from_bits,
     ppm_divergence_bound,
@@ -22,12 +23,15 @@ from covertppm.ppm import (
 )
 
 from conftest import (
+    atom_counts,
     binary_divergence_reference,
     brute_ppm_divergence,
     decimal_map,
     index_set,
+    multinomial_pmf,
+    output_from_symbols,
     pooled_chi2_pvalue,
-    pyramid_level_llrs,
+    read_symbols,
     type_class_divergence_reference,
 )
 
@@ -124,7 +128,7 @@ class TestTransmitSuper:
     def test_noiseless_pulse(self, rng):
         ch = make_dmc([1.0, 0.0], [0.0, 1.0])
         out = transmit_super(ch, PpmFrame(q=2, positions=np.array([3])), rng)
-        np.testing.assert_array_equal(out.symbols[0], [0, 0, 1, 0])
+        np.testing.assert_array_equal(read_symbols(out)[0], [0, 0, 1, 0])
 
     def test_identical_rows_marginals_match_innocent(self, rng):
         # with row1 == row0 the pulse coordinate is indistinguishable from
@@ -132,24 +136,27 @@ class TestTransmitSuper:
         ch = make_dmc([0.7, 0.3], [0.7, 0.3])
         frame = PpmFrame(q=2, positions=np.full(20000, 2))
         out = transmit_super(ch, frame, rng)
-        marg = (out.symbols == 1).mean(axis=0)
+        marg = (read_symbols(out) == 1).mean(axis=0)
         np.testing.assert_allclose(marg, 0.3, atol=0.02)
 
     def test_bsc_marginal_at_pulse(self, rng):
         ch = bsc(0.1)
         frame = PpmFrame(q=3, positions=np.ones(10**5, dtype=np.int64))
         out = transmit_super(ch, frame, rng)
-        p1 = (out.symbols[:, 0] == 1).mean()
+        # the pulse and its sibling: both read on the pulse path
+        got = out.block_histograms(0, np.tile([0, 1], (frame.ell, 1)))
+        p1 = got[:, 0, 1].mean()
         assert p1 == pytest.approx(0.9, abs=0.01)
-        off = (out.symbols[:, 1] == 1).mean()
+        off = got[:, 1, 1].mean()
         assert off == pytest.approx(0.1, abs=0.01)
 
     def test_symbols_equal_inverse_cdf_draws(self):
         # bitwise the documented draws: CHILD_SEED_WORDS uint64 words from
         # the caller seed a child; from it the pulse outputs z by inverse
         # CDF through row1, then one multinomial per height k = 0..q-1.  The
-        # path and sibling histograms are read without a draw; .symbols then
-        # lays each sibling out with one permuted per height, rows in order
+        # path and sibling histograms are read without a draw; a block off
+        # the path is then split off its sibling S_2, heights 2 and 1 in
+        # turn, one hypergeometric per symbol 1..|Z|-1 over the rows
         ch = make_dmc([0.5, 0.3, 0.2], [0.1, 0.3, 0.6])
         frame = PpmFrame(q=3, positions=np.array([1, 8, 4, 4, 2]))
         rng = np.random.default_rng(11)
@@ -169,16 +176,18 @@ class TestTransmitSuper:
             if j < 3:
                 np.testing.assert_array_equal(got[:, 1], siblings[j])
                 path = path + siblings[j]
-        want = np.empty((5, 8), dtype=np.int64)
-        want[np.arange(5), p] = z
-        for k, counts in enumerate(siblings):
-            ordered = np.array([np.repeat(np.arange(3), c) for c in counts])
-            laid = child.permuted(ordered, axis=1)
-            for r in range(5):
-                start = ((p[r] >> k) ^ 1) << k
-                want[r, start:start + (1 << k)] = laid[r]
-        assert out.symbols.dtype == np.uint8
-        np.testing.assert_array_equal(out.symbols, want)
+        node = siblings[2]
+        for h, pick in ((2, p & 2), (1, p & 1)):  # the half under p ^ 4
+            left, draws = np.full(5, 1 << h), np.full(5, 1 << (h - 1))
+            first = np.zeros_like(node)
+            for a in (1, 2):
+                first[:, a] = child.hypergeometric(node[:, a], left - node[:, a], draws)
+                left, draws = left - node[:, a], draws - first[:, a]
+            first[:, 0] = draws
+            node = np.where(pick[:, None] > 0, node - first, first)
+        got = out.block_histograms(0, (p ^ 4)[:, None])[:, 0]
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, node)
 
     @pytest.mark.parametrize("q, ell", [(1, 1), (4, 7), (12, 300)])
     def test_caller_stream_advances_by_the_seed_words_alone(self, q, ell):
@@ -188,15 +197,26 @@ class TestTransmitSuper:
         ref.integers(0, 2**64, size=CHILD_SEED_WORDS, dtype=np.uint64)
         assert rng.random() == ref.random()
 
-    def test_super_output_keeps_integer_dtype_and_rejects_others(self):
-        sym = np.zeros((3, 4), dtype=np.uint8)
-        assert SuperOutput(q=2, symbols=sym, alphabet_size=2).symbols.dtype == np.uint8
-        assert SuperOutput(q=2, symbols=sym.astype(np.int64),
-                           alphabet_size=2).symbols.dtype == np.int64
-        with pytest.raises(ValueError, match="integers"):
-            SuperOutput(q=2, symbols=np.zeros((3, 4)), alphabet_size=2)
-        with pytest.raises(ValueError, match="alphabet"):
-            SuperOutput(q=2, symbols=sym + 2, alphabet_size=2)
+    def test_positions_stay_exact_at_the_largest_plannable_order(self):
+        # the histogram budget admits order 2^20 for a binary warden and
+        # refuses 2^21 (the planner refuses level 21 with it), so q <= 20
+        # bounds every session; there positions, pulses and every path
+        # block read back exactly, and a block far off the path holds one
+        # output
+        q = 20
+        ppm_output_divergence(bsc(0.1), 1 << q)
+        with pytest.raises(EnumerationBudgetError):
+            ppm_output_divergence(bsc(0.1), 1 << (q + 1))
+        values = np.array([0, 1, (1 << q) - 2, (1 << q) - 1, 1 << (q - 1), 12345])
+        frame = frame_from_bits(_bit_columns(values, q))
+        np.testing.assert_array_equal(frame.positions, values + 1)
+        out = transmit_super(bsc(0.1), frame, np.random.default_rng(0))
+        np.testing.assert_array_equal(out.pulses, values)
+        for j in range(q + 1):
+            got = out.block_histograms(j, (values >> j)[:, None])
+            np.testing.assert_array_equal(got.sum(axis=(1, 2)), 1 << j)
+        far = out.block_histograms(0, (values ^ (1 << (q - 1)))[:, None])
+        np.testing.assert_array_equal(far.sum(axis=(1, 2)), 1)
 
     def test_position_bounds_checked(self):
         with pytest.raises(ValueError):
@@ -217,9 +237,9 @@ class TestPulsePath:
     @pytest.mark.parametrize("q", [1, 2])
     def test_materialized_symbols_follow_the_product_law(self, ch, q):
         # Pearson test of every output pattern of a super-symbol, per pulse
-        # position, against row1 at the pulse and row0 elsewhere.  At q = 2
-        # the even rows are materialized first by an off-path query, the
-        # others by .symbols
+        # position, against row1 at the pulse and row0 elsewhere, read back
+        # through every width-1 block.  At q = 2 the even rows are first
+        # split down to one off-path block, then every block is read
         m, size, per_position = 1 << q, ch.alphabet_size, 12_000
         p = np.tile(np.arange(m), per_position)
         out = transmit_super(ch, PpmFrame(q=q, positions=p + 1),
@@ -227,7 +247,7 @@ class TestPulsePath:
         if q == 2:
             off = np.arange(p.size) % 2 == 0
             out.block_histograms(0, np.where(off, p ^ 2, p)[:, None])
-        pattern = out.symbols.astype(np.int64) @ size ** np.arange(m)
+        pattern = read_symbols(out) @ size ** np.arange(m)
         observed = np.bincount(p * size**m + pattern, minlength=m * size**m)
         expected = np.empty(m * size**m)
         for pulse in range(m):
@@ -240,7 +260,7 @@ class TestPulsePath:
 
     def test_answers_agree_on_the_path_off_it_and_in_the_symbols(self):
         # one row read on its pulse path, then off it (wrong higher bits),
-        # then through .symbols: every level's histograms agree
+        # then every width-1 block: every level's histograms agree
         q, ell, row = 5, 6, 3
         rng = np.random.default_rng(7)
         p = rng.integers(0, 1 << q, size=ell)
@@ -257,7 +277,7 @@ class TestPulsePath:
                 for j in range(q)]
         for j in range(q + 1):
             np.testing.assert_array_equal(on_path(j), before[j])
-        symbols = out.symbols
+        symbols = read_symbols(out)
         for j in range(q + 1):
             every = _every_block_histogram(symbols, 3, j)
             rows = np.arange(ell)[:, None]
@@ -267,14 +287,13 @@ class TestPulsePath:
                 np.testing.assert_array_equal(every[rows, (wrong >> j)[:, None]], offs[j])
             all_blocks = np.tile(np.arange(1 << (q - j)), (ell, 1))
             np.testing.assert_array_equal(out.block_histograms(j, all_blocks), every)
-        np.testing.assert_array_equal(out.pyramid[0], symbols)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_any_query_sequence_agrees_with_the_symbols(self, data):
         # queries at random levels and blocks, on the path, on its sibling
         # or off it, in any order: every answer is the histogram of the
-        # symbols that .symbols finally lays out
+        # symbols that a final read of every width-1 block gives
         q = data.draw(st.integers(1, 6))
         size = data.draw(st.integers(2, 5))
         ell = data.draw(st.integers(1, 8))
@@ -296,7 +315,7 @@ class TestPulsePath:
                                                max_size=ell * k))).reshape(ell, k)
             blocks = np.where(pick, anywhere.reshape(ell, k), near)
             answers.append((j, blocks, out.block_histograms(j, blocks)))
-        symbols = out.symbols
+        symbols = read_symbols(out)
         for j, blocks, got in answers:
             every = _every_block_histogram(symbols, size, j)
             np.testing.assert_array_equal(got, every[np.arange(ell)[:, None], blocks])
@@ -320,35 +339,91 @@ class TestHistogramPyramid:
     def test_root_counts_of_nonzero_rows_are_exact(self, size, q, rng):
         # 2^q counts of symbols other than 0 overflow uint8 from q = 8 on
         symbols = rng.integers(1, size, size=(3, 1 << q)).astype(np.uint8)
-        out = SuperOutput(q=q, symbols=symbols, alphabet_size=size)
+        out = output_from_symbols(symbols, rng.integers(0, 1 << q, size=3), size)
         root = out.block_histograms(q, np.zeros((3, 1), dtype=np.int64))[:, 0]
+        assert root.dtype == np.min_scalar_type(1 << q)
         assert np.all(root[:, 0] == 0) and np.all(root.sum(axis=1) == 1 << q)
         want = np.stack([np.bincount(r, minlength=size) for r in symbols])
         np.testing.assert_array_equal(root, want)
 
-    @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
-    def test_pyramid_takes_at_most_two_bytes_per_use_and_symbol(self, size, rng):
-        for q in range(1, 17):
-            symbols = rng.integers(0, size, size=(2, 1 << q)).astype(np.uint8)
-            out = SuperOutput(q=q, symbols=symbols, alphabet_size=size)
-            pyramid = out.pyramid
-            assert pyramid[0] is out.symbols and len(pyramid) == q + 1
-            for j in range(1, q + 1):
-                assert pyramid[j].shape == (2, 1 << (q - j), size - 1)
-                assert pyramid[j].dtype == np.min_scalar_type(1 << j)
-            total = sum(level.nbytes for level in pyramid[1:])
-            assert total <= (size - 1) * 2 * symbols.nbytes
-
     def test_block_histograms_count_every_block(self, rng):
+        # read off symbols at random pulses: every path block and sibling
+        # counts its symbols, and every height's blocks, split off the
+        # siblings where they leave the path, sum to the row's counts
         q, size = 5, 3
         symbols = rng.integers(0, size, size=(4, 1 << q))
-        out = SuperOutput(q=q, symbols=symbols, alphabet_size=size)
+        p = rng.integers(0, 1 << q, size=4)
+        out = output_from_symbols(symbols, p, size)
+        rows = np.arange(4)[:, None]
         for j in range(q + 1):
             blocks = np.tile(np.arange(1 << (q - j)), (4, 1))
             got = out.block_histograms(j, blocks)
-            cut = symbols.reshape(4, 1 << (q - j), 1 << j)
-            want = (cut[..., None] == np.arange(size)).sum(axis=2)
-            np.testing.assert_array_equal(got, want)
+            assert got.dtype == np.min_scalar_type(1 << j)
+            want = _every_block_histogram(symbols, size, j)
+            near = np.stack([p >> j, (p >> j) ^ 1], axis=1)[:, :1 if j == q else 2]
+            np.testing.assert_array_equal(got[rows, near], want[rows, near])
+            np.testing.assert_array_equal(got.sum(axis=1), want.sum(axis=1))
+
+
+class TestOffPath:
+    @pytest.mark.parametrize("size", [2, 3, 5])
+    def test_parents_sum_their_children_and_reads_repeat(self, size):
+        # random reads at every height, in random order: afterwards every
+        # block is the sum of its two halves, and each read answers again
+        # as it did the first time
+        q, ell = 7, 6
+        rng = np.random.default_rng(size)
+        row = rng.dirichlet(np.ones(size))
+        ch = make_dmc(row, np.roll(row, 1))
+        p = rng.integers(0, 1 << q, size=ell)
+        out = transmit_super(ch, PpmFrame(q=q, positions=p + 1), rng)
+        answers = []
+        for _ in range(30):
+            j = int(rng.integers(0, q + 1))
+            blocks = rng.integers(0, 1 << (q - j), size=(ell, int(rng.integers(1, 4))))
+            answers.append((j, blocks, out.block_histograms(j, blocks)))
+        for j, blocks, got in answers:
+            np.testing.assert_array_equal(out.block_histograms(j, blocks), got)
+        every = [out.block_histograms(j, np.tile(np.arange(1 << (q - j)), (ell, 1)))
+                 for j in range(q + 1)]
+        for j in range(q):
+            low = every[j].astype(np.int64)
+            np.testing.assert_array_equal(low[:, 0::2] + low[:, 1::2], every[j + 1])
+        for j, blocks, got in answers:
+            np.testing.assert_array_equal(got, every[j][np.arange(ell)[:, None], blocks])
+
+    @pytest.mark.parametrize("ch", [bsc(0.2), TERNARY], ids=["bsc0.2", "ternary"])
+    def test_far_block_follows_the_row0_multinomial(self, ch):
+        # a width-4 block under the top sibling of a q=8 super-symbol, split
+        # off S_7 over five heights: Pearson test against Mult(4, row0)
+        q, j, ell = 8, 2, 20_000
+        rng = np.random.default_rng(3)
+        p = rng.integers(0, 1 << q, size=ell)
+        out = transmit_super(ch, PpmFrame(q=q, positions=p + 1), rng)
+        far = ((p >> j) ^ (1 << (q - j - 1))) ^ rng.integers(0, 1 << (q - j - 1), size=ell)
+        got = out.block_histograms(j, far[:, None])[:, 0]
+        atoms, probs = multinomial_pmf(1 << j, ch.row0)
+        observed = atom_counts(atoms, got.astype(np.int64))
+        assert pooled_chi2_pvalue(observed, ell * probs) > 1e-4
+
+    def test_every_row_off_its_path_at_q16_stays_small(self):
+        # a block whose top decision is wrong on every row, read at every
+        # lower level: the splits keep O(q |Z|) counts per row, 1.8 MiB
+        # here, where laying the rows out peaked at 289 MiB
+        q, ell = 16, 1024
+        rng = np.random.default_rng(1)
+        p = rng.integers(0, 1 << q, size=ell)
+        out = transmit_super(bsc(0.1), PpmFrame(q=q, positions=p + 1), rng)
+        wrong = p ^ (1 << (q - 1))
+        tracemalloc.start()
+        try:
+            for i in range(q - 1, 0, -1):
+                first, second = select_positions_batch(out, wrong >> i, i)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(first.sum(axis=1) == 1) and np.all(second.sum(axis=1) == 1)
+        assert peak <= 16 << 20
 
 
 class TestFrameFromBits:
@@ -509,8 +584,3 @@ class TestLikelihoodRatios:
     def test_infinite_marker(self):
         ch = make_dmc([1.0, 0.0], [0.5, 0.5])
         assert math.isinf(ch.lam[1])
-
-    def test_out_of_alphabet(self):
-        # the receiver refuses output symbols outside the channel's alphabet
-        with pytest.raises(ValueError, match="alphabet"):
-            pyramid_level_llrs([[2, 0]], bsc(0.1).lam)
